@@ -2,8 +2,9 @@ package topkclean
 
 // Ablation benchmarks for the design choices documented in DESIGN.md:
 //
-//  1. PSR's O(k) deconvolution recurrence vs. rebuilding the excluded-group
-//     Poisson binomial from scratch for every tuple.
+//  1. PSR's O(k) deconvolution recurrence vs. taking the excluded-group
+//     Poisson binomial from the exclusion tree at every position whose
+//     own group already has mass above the scan point.
 //  2. The DP planner's geometric-decay cap on per-x-tuple operation counts
 //     vs. the paper's raw J_l = floor(C/c_l).
 //  3. The greedy planner's heap vs. a full re-scan per taken operation.
@@ -29,6 +30,10 @@ func BenchmarkAblationPSR_Deconvolution(b *testing.B) {
 	}
 }
 
+// BenchmarkAblationPSR_RebuildOnly never deconvolves: every position with
+// q > 0 queries the exclusion tree (O(k²·log(active/k)) plus the cleaning
+// of what the updates since the last query dirtied), so the gap to
+// BenchmarkAblationPSR_Deconvolution is what the O(k) recurrence buys.
 func BenchmarkAblationPSR_RebuildOnly(b *testing.B) {
 	db := benchSynthetic(b, 5000)
 	for i := 0; i < b.N; i++ {

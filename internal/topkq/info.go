@@ -33,9 +33,11 @@ type RankInfo struct {
 	// every position at or beyond Processed has p_i = 0 by Lemma 2.
 	Processed int
 
-	// Rebuilds counts from-scratch Poisson-binomial reconstructions taken
-	// on the numerically delicate path (own-group mass above the scan point
-	// close to 1). Exposed for the ablation benchmarks.
+	// Rebuilds counts the positions that took the numerically delicate
+	// path (own-group mass above the scan point over deconvLimit), where
+	// the excluded-group distribution comes from the exclusion tree rather
+	// than the deconvolution recurrence. Exposed for the ablation
+	// benchmarks.
 	Rebuilds int
 
 	// ckpts are periodic snapshots of the scan state (taken every

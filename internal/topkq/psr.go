@@ -3,6 +3,7 @@ package topkq
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"github.com/probdb/topkclean/internal/uncertain"
 )
@@ -25,11 +26,11 @@ const fullMass = 1 - 1e-12
 // deconvolution recurrence is used. The recurrence's error amplification
 // per index step is q/(1-q), so at q <= 0.5 the factor is at most 1 and
 // rounding stays bounded by ~k ulps regardless of k (verified by the
-// convolve/deconvolve round-trip property test). Above the limit we
-// rebuild the excluded-group distribution from scratch (exact,
-// O(active*k)); the early termination of Lemma 2 and the fact that only a
-// group's tail alternatives see large q keep that path rare (the ablation
-// benchmark quantifies the residual cost).
+// convolve/deconvolve round-trip property test). Above the limit the
+// excluded-group distribution comes from the exclusion tree (excl.go):
+// O(k²·log(active/k) + k²) per position instead of the O(k·active) of a
+// from-scratch rebuild, which matters because the path is not rare — on a
+// churned 10⁵-x-tuple database it takes a sixth of all positions.
 const deconvLimit = 0.5
 
 // RankProbabilities runs PSR and retains per-rank probabilities rho_i(h),
@@ -46,10 +47,11 @@ func TopKProbabilities(db *uncertain.Database, k int) (*RankInfo, error) {
 }
 
 // AblationRebuildOnly computes top-k probabilities using only the
-// from-scratch Poisson-binomial rebuild (never the O(k) deconvolution
-// recurrence). It exists to quantify the design decision documented in
-// DESIGN.md: the deconvolution path is what makes PSR O(kn). Results are
-// identical to TopKProbabilities; only the cost differs.
+// exclusion tree (never the O(k) deconvolution recurrence): every position
+// whose own group already has mass above the scan point queries the tree.
+// It exists to quantify the design decision documented in DESIGN.md: the
+// deconvolution path is what keeps most positions O(k). Results agree
+// with TopKProbabilities to rounding; only the cost differs.
 func AblationRebuildOnly(db *uncertain.Database, k int) (*RankInfo, error) {
 	return compute(db, k, false, -1)
 }
@@ -86,25 +88,139 @@ type checkpoint struct {
 	rebuilds   int // info.Rebuilds as of pos, so a resumed count matches a fresh one
 }
 
-// scanState is the live state of the PSR scan loop.
+// scanState is the live state of the PSR scan loop. Everything in it is
+// O(active) except slot, a group-indexed lookup of length m. States are
+// pooled, so a resume that replays a handful of positions on a large
+// database allocates neither the O(m) index nor the tree's buffers.
 type scanState struct {
-	q          []float64 // q[g]: mass of group g above the scan point
-	active     []int     // groups with q > 0, for from-scratch rebuilds
+	ex         exclusion // per-slot q and the own-group exclusion tree
+	active     []int     // group of each slot, in first-appearance order
+	slot       []int32   // slot[g] = 1 + slot of group g, 0 while g is inactive
 	F, G       []float64
 	scratch    []float64
+	slab       []float64 // uncarved rho rows; see step
 	fullGroups int
 }
 
+// statePool recycles scan states, following the quality package's
+// scratch-pool idiom. A pooled state's slot index is all zeros over its
+// whole capacity: release zeroes exactly the entries active names.
+var statePool = sync.Pool{New: func() any { return new(scanState) }}
+
 func newScanState(k, m int) *scanState {
-	st := &scanState{
-		q:       make([]float64, m),
-		active:  make([]int, 0, 64),
-		F:       make([]float64, k),
-		G:       make([]float64, k),
-		scratch: make([]float64, k),
+	st := statePool.Get().(*scanState)
+	if cap(st.slot) < m {
+		st.slot = make([]int32, m)
 	}
+	st.slot = st.slot[:m]
+	st.ex.reset(k)
+	st.active = st.active[:0]
+	st.F = zeroed(st.F, k)
+	st.G = zeroed(st.G, k)
+	st.scratch = zeroed(st.scratch, k)
 	st.F[0] = 1
+	st.fullGroups = 0
 	return st
+}
+
+// zeroed returns a zeroed slice of length n, reusing s when it is large
+// enough.
+func zeroed(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// release zeroes the slot index and returns the state to the pool; st must
+// not be used afterwards. The rho slab is dropped, not pooled: its rows
+// belong to the RankInfo the scan produced.
+func (st *scanState) release() {
+	for _, g := range st.active {
+		st.slot[g] = 0
+	}
+	st.slab = nil
+	statePool.Put(st)
+}
+
+// activate gives group g the next slot, with event probability q.
+func (st *scanState) activate(g int, q float64) {
+	s := len(st.active)
+	st.active = append(st.active, g)
+	st.slot[g] = int32(s + 1)
+	st.ex.set(s, q)
+}
+
+// step processes the alternative of probability e of group g at the scan
+// point — the recurrence documented on compute — appending its top-k
+// probability (and, with keepRho, its rank probabilities) to info, then
+// moves the scan point below it. Above deconvLim the own group's event is
+// excluded through the exclusion tree instead of by deconvolution. This
+// is the whole PSR kernel: the database scan and the stream scan both run
+// it, so they agree bit for bit.
+func (st *scanState) step(info *RankInfo, g int, e, deconvLim float64, keepRho bool) {
+	k := len(st.G)
+	s := int(st.slot[g]) - 1
+	ql := 0.0
+	if s >= 0 {
+		ql = st.ex.q[s]
+	}
+	switch {
+	case ql == 0:
+		copy(st.G, st.F)
+	case ql <= deconvLim:
+		deconvolve(st.G, st.F, ql)
+	default:
+		st.ex.exclude(st.G, s)
+		info.Rebuilds++
+	}
+
+	var p float64
+	for j := 0; j < k; j++ {
+		p += st.G[j]
+	}
+	p *= e
+	if p < 0 {
+		p = 0
+	} else if p > 1 {
+		p = 1
+	}
+	info.TopK = append(info.TopK, p)
+	if keepRho {
+		// Rows are carved from a slab of checkpointEvery rows, so a scan
+		// allocates once per checkpoint interval rather than per position.
+		// Each row is capped at k and never written again, which is what
+		// lets a resumed info share rows with its prior.
+		if len(st.slab) < k {
+			st.slab = make([]float64, k*checkpointEvery)
+		}
+		row := st.slab[:k:k]
+		st.slab = st.slab[k:]
+		for j := 0; j < k; j++ {
+			r := e * st.G[j]
+			if r < 0 {
+				r = 0
+			}
+			row[j] = r
+		}
+		info.rho = append(info.rho, row)
+	}
+
+	qNew := ql + e
+	if qNew > 1 {
+		qNew = 1
+	}
+	if s < 0 {
+		st.activate(g, qNew)
+	} else {
+		st.ex.set(s, qNew)
+	}
+	if ql < fullMass && qNew >= fullMass {
+		st.fullGroups++
+	}
+	convolve(st.F, st.G, qNew, st.scratch)
 }
 
 // snapshot records the state as a checkpoint for position pos.
@@ -112,13 +228,13 @@ func (st *scanState) snapshot(db *uncertain.Database, pos, rebuilds int) checkpo
 	c := checkpoint{
 		pos:        pos,
 		F:          append([]float64(nil), st.F...),
-		q:          make([]qSnapshot, 0, len(st.active)),
+		q:          make([]qSnapshot, len(st.active)),
 		fullGroups: st.fullGroups,
 		rebuilds:   rebuilds,
 	}
 	groups := db.Groups()
-	for _, g := range st.active {
-		c.q = append(c.q, qSnapshot{x: groups[g], q: st.q[g]})
+	for s, g := range st.active {
+		c.q[s] = qSnapshot{x: groups[g], q: st.ex.q[s]}
 	}
 	return c
 }
@@ -136,6 +252,7 @@ func (c *checkpoint) restore(db *uncertain.Database, k int) (*scanState, bool) {
 	groups := db.Groups()
 	for _, e := range c.q {
 		if len(e.x.Tuples) == 0 {
+			st.release()
 			return nil, false
 		}
 		// Fast path: the checkpointed x-tuple's group index (frozen at
@@ -156,11 +273,11 @@ func (c *checkpoint) restore(db *uncertain.Database, k int) (*scanState, bool) {
 				}
 			}
 			if g < 0 {
+				st.release()
 				return nil, false
 			}
 		}
-		st.q[g] = e.q
-		st.active = append(st.active, g)
+		st.activate(g, e.q)
 	}
 	st.fullGroups = c.fullGroups
 	return st, true
@@ -213,6 +330,7 @@ func compute(db *uncertain.Database, k int, keepRho bool, deconvLim float64) (*R
 // array, which is what lets a later Resume extend the scan over tuples
 // appended below the old end.
 func scanFrom(db *uncertain.Database, info *RankInfo, st *scanState, start int, keepRho bool) (*RankInfo, error) {
+	defer st.release()
 	k := info.K
 	deconvLim := info.deconvLim
 	n := db.NumTuples()
@@ -231,55 +349,7 @@ func scanFrom(db *uncertain.Database, info *RankInfo, st *scanState, start int, 
 			info.ckpts = append(info.ckpts, st.snapshot(db, i, info.Rebuilds))
 		}
 		t := cur.Next()
-		l := t.Group
-		ql := st.q[l]
-		switch {
-		case ql == 0:
-			copy(st.G, st.F)
-		case ql <= deconvLim:
-			deconvolve(st.G, st.F, ql)
-		default:
-			rebuildExcluding(st.G, st.q, st.active, l)
-			info.Rebuilds++
-		}
-
-		var p float64
-		for j := 0; j < k; j++ {
-			p += st.G[j]
-		}
-		p *= t.Prob
-		if p < 0 {
-			p = 0
-		} else if p > 1 {
-			p = 1
-		}
-		info.TopK = append(info.TopK, p)
-		if keepRho {
-			row := make([]float64, k)
-			for j := 0; j < k; j++ {
-				r := t.Prob * st.G[j]
-				if r < 0 {
-					r = 0
-				}
-				row[j] = r
-			}
-			info.rho = append(info.rho, row)
-		}
-
-		// Advance the scan point below t: the own group's event probability
-		// grows by e_i.
-		if ql == 0 {
-			st.active = append(st.active, l)
-		}
-		qNew := ql + t.Prob
-		if qNew > 1 {
-			qNew = 1
-		}
-		st.q[l] = qNew
-		if ql < fullMass && qNew >= fullMass {
-			st.fullGroups++
-		}
-		convolve(st.F, st.G, qNew, st.scratch)
+		st.step(info, t.Group, t.Prob, deconvLim, keepRho)
 	}
 	info.Processed = n
 	if len(info.ckpts) == 0 || info.ckpts[len(info.ckpts)-1].pos != n {
@@ -315,37 +385,4 @@ func convolve(F, G []float64, q float64, scratch []float64) {
 		prev = G[j]
 	}
 	copy(F, scratch)
-}
-
-// rebuildExcluding recomputes from scratch the truncated Poisson-binomial
-// distribution over every active group except l. This is the numerically
-// exact fallback used when the forward deconvolution would divide by a
-// small 1-q.
-func rebuildExcluding(G, q []float64, active []int, l int) {
-	for j := range G {
-		G[j] = 0
-	}
-	G[0] = 1
-	k := len(G)
-	for _, g := range active {
-		if g == l || q[g] == 0 {
-			continue
-		}
-		qg := q[g]
-		if qg >= fullMass {
-			// Bernoulli(1): pure shift.
-			for j := k - 1; j >= 1; j-- {
-				G[j] = G[j-1]
-			}
-			G[0] = 0
-			continue
-		}
-		p := 1 - qg
-		prev := 0.0
-		for j := 0; j < k; j++ {
-			cur := G[j]
-			G[j] = p*cur + qg*prev
-			prev = cur
-		}
-	}
 }

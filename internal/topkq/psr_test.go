@@ -159,7 +159,9 @@ func TestPSREarlyTermination(t *testing.T) {
 
 func TestPSRRebuildPathAgreesWithNaive(t *testing.T) {
 	// Groups whose leading alternatives carry almost all the mass force
-	// q > deconvLimit and exercise the from-scratch rebuild path.
+	// q > deconvLimit and exercise the exclusion path: at k = 3 the three
+	// active groups fill one block of the exclusion tree, at k < 3 they
+	// span several.
 	db := uncertain.New()
 	mustAdd(t, db, "A",
 		uncertain.Tuple{ID: "a1", Attrs: []float64{100}, Prob: 0.97},
@@ -173,18 +175,20 @@ func TestPSRRebuildPathAgreesWithNaive(t *testing.T) {
 	if err := db.Build(uncertain.ByFirstAttr); err != nil {
 		t.Fatal(err)
 	}
-	info, err := RankProbabilities(db, 3)
-	if err != nil {
-		t.Fatal(err)
+	for k := 1; k <= 3; k++ {
+		info, err := RankProbabilities(db, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Rebuilds == 0 {
+			t.Fatalf("k=%d: expected the exclusion path to trigger (q > deconvLimit)", k)
+		}
+		naive, err := NaiveRankProbabilities(db, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareInfos(t, db, info, naive, k)
 	}
-	if info.Rebuilds == 0 {
-		t.Fatal("expected the rebuild path to trigger (q > deconvLimit)")
-	}
-	naive, err := NaiveRankProbabilities(db, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareInfos(t, db, info, naive, 3)
 }
 
 func TestPSRArgumentValidation(t *testing.T) {

@@ -72,7 +72,7 @@ func Resume(db *uncertain.Database, prior *RankInfo, fromRank int) (*RankInfo, e
 		target = prior.Processed
 	}
 	keepRho := prior.HasRho()
-	st := newScanState(k, m)
+	var st *scanState
 	start := 0
 	rebuilds := 0
 	used := -1
@@ -88,6 +88,9 @@ func Resume(db *uncertain.Database, prior *RankInfo, fromRank int) (*RankInfo, e
 			st, start, rebuilds, used = s, c.pos, c.rebuilds, ci
 			break
 		}
+	}
+	if st == nil {
+		st = newScanState(k, m)
 	}
 
 	info := &RankInfo{K: k, N: n, Rebuilds: rebuilds, deconvLim: prior.deconvLim}

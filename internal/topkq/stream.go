@@ -9,13 +9,13 @@ import (
 
 // This file is the stream form of the PSR scan, used by the sharded engine
 // (internal/shard): the coordinator merges per-shard rank orders into one
-// logical descending stream and feeds it to ScanStream, which performs the
-// exact float64 operation sequence of scanFrom — same recurrences, same
-// clamps, same update order — so the resulting probabilities are
-// bit-identical to a scan of the equivalent unsharded database. The only
-// difference is that no checkpoints are recorded: a stream info cannot
-// seed Resume (CanResume reports false), which is fine because the shard
-// coordinator re-merges from shard snapshots instead of resuming.
+// logical descending stream and feeds it to ScanStream, which runs the
+// same per-position kernel as scanFrom (scanState.step), so the resulting
+// probabilities are bit-identical to a scan of the equivalent unsharded
+// database. The only difference is that no checkpoints are recorded: a
+// stream info cannot seed Resume (CanResume reports false), which is fine
+// because the shard coordinator re-merges from shard snapshots instead of
+// resuming.
 
 // StreamTuple is one alternative delivered by a merged scan stream: the
 // tuple (owned by some shard database) plus the group index it has in the
@@ -57,6 +57,7 @@ func ScanStream(k, m, n int, next func() (*uncertain.Tuple, int, bool), keepRho 
 	}
 	si := &StreamInfo{RankInfo: info, Prefix: make([]StreamTuple, 0, 256)}
 	st := newScanState(k, m)
+	defer st.release()
 	for i := 0; i < n; i++ {
 		if st.fullGroups >= k {
 			info.Processed = i
@@ -68,52 +69,7 @@ func ScanStream(k, m, n int, next func() (*uncertain.Tuple, int, bool), keepRho 
 			return si, nil
 		}
 		si.Prefix = append(si.Prefix, StreamTuple{T: t, Group: l})
-		ql := st.q[l]
-		switch {
-		case ql == 0:
-			copy(st.G, st.F)
-		case ql <= deconvLimit:
-			deconvolve(st.G, st.F, ql)
-		default:
-			rebuildExcluding(st.G, st.q, st.active, l)
-			info.Rebuilds++
-		}
-
-		var p float64
-		for j := 0; j < k; j++ {
-			p += st.G[j]
-		}
-		p *= t.Prob
-		if p < 0 {
-			p = 0
-		} else if p > 1 {
-			p = 1
-		}
-		info.TopK = append(info.TopK, p)
-		if keepRho {
-			row := make([]float64, k)
-			for j := 0; j < k; j++ {
-				r := t.Prob * st.G[j]
-				if r < 0 {
-					r = 0
-				}
-				row[j] = r
-			}
-			info.rho = append(info.rho, row)
-		}
-
-		if ql == 0 {
-			st.active = append(st.active, l)
-		}
-		qNew := ql + t.Prob
-		if qNew > 1 {
-			qNew = 1
-		}
-		st.q[l] = qNew
-		if ql < fullMass && qNew >= fullMass {
-			st.fullGroups++
-		}
-		convolve(st.F, st.G, qNew, st.scratch)
+		st.step(info, l, t.Prob, deconvLimit, keepRho)
 	}
 	info.Processed = n
 	return si, nil
