@@ -259,8 +259,8 @@ func runFig6e(cfg config) error {
 		}
 		// |Z|: x-tuples with nonzero gain (Lemma 5's candidate set).
 		z := 0
-		for _, g := range ctx.Eval.GroupGain {
-			if g < -1e-15 {
+		for _, g := range ctx.Eval.Gains() {
+			if g.Value < -1e-15 {
 				z++
 			}
 		}

@@ -227,8 +227,8 @@ func TestShapePWRWorkExplodesWithK(t *testing.T) {
 			t.Fatal(err)
 		}
 		count := 0
-		for _, g := range ev.GroupGain {
-			if g < -1e-15 {
+		for _, g := range ev.Gains() {
+			if g.Value < -1e-15 {
 				count++
 			}
 		}

@@ -93,8 +93,9 @@
 // (Result.Version says which). Mutations serialize against each other on
 // the database's writer lock; no external synchronization is needed in
 // either direction. The epochs are copy-on-write at chunk granularity —
-// a commit copies the chunk spine and groups slice once and clones only
-// the x-tuples and rank chunks it touched — so a snapshot costs readers
+// a commit copies the rank and group chunk spines once and clones only
+// the x-tuples, rank chunks and group chunks it touched — so a snapshot
+// costs readers
 // nothing and writers a sub-linear copy per commit (see DESIGN.md,
 // "Snapshot serving" and "Chunked rank order").
 //

@@ -248,29 +248,17 @@ func (ent *kEntry) migrate(db *Database, version uint64) {
 // migrateEval carries the TP evaluation across the same version step. In
 // the pure-cache-hit case — every mutation at or below the early-
 // termination point — with stable group numbering, the evaluation is
-// reusable outright: S and Omega are computed from the unchanged prefix
-// alone, and GroupGain only needs resizing to the new group count, since
-// any group appended or dropped by such mutations has all its
-// alternatives below the termination point and hence zero gain. Otherwise
-// the evaluation is re-derived from the resumed info (still bit-identical
-// to a from-scratch pass, just costlier).
+// reusable outright: S, Omega and the sparse group gains are computed from
+// the unchanged prefix alone, and any group appended or dropped by such
+// mutations has all its alternatives below the termination point and
+// hence zero gain, so it has no gain entry to add or remove. Carry shares
+// the gains in O(1) whatever the group count did. Otherwise the evaluation
+// is re-derived from the resumed info (still bit-identical to a
+// from-scratch pass, just costlier).
 func (ent *kEntry) migrateEval(db *Database, prior, info *topkq.RankInfo, wm int) (*quality.Evaluation, error) {
-	old := ent.st.eval
 	pureHit := wm >= prior.Processed && prior.Processed < prior.N
 	if pureHit && db.GroupIndicesStableSince(ent.version) {
-		gain := old.GroupGain
-		if len(gain) != db.NumGroups() {
-			// The group count changed (groups appended or dropped below the
-			// termination point, all with zero gain): size a fresh slice.
-			// With the count unchanged the gains are identical entry for
-			// entry, so the old evaluation's slice is shared outright —
-			// evaluations are immutable once published, and an O(m) copy
-			// per migration would dominate the serving loop on databases
-			// with many x-tuples.
-			gain = make([]float64, db.NumGroups())
-			copy(gain, old.GroupGain)
-		}
-		return &quality.Evaluation{S: old.S, Omega: old.Omega, GroupGain: gain, Info: info}, nil
+		return ent.st.eval.Carry(info, db.NumGroups()), nil
 	}
 	return quality.TPFromInfo(db, info)
 }

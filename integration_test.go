@@ -198,8 +198,8 @@ func TestDefaultSyntheticRegressionAnchor(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sum float64
-	for _, g := range ev.GroupGain {
-		sum += g
+	for _, g := range ev.Gains() {
+		sum += g.Value
 	}
 	if math.Abs(sum-s) > 1e-9 {
 		t.Fatalf("group gains sum %v != S %v", sum, s)

@@ -22,15 +22,17 @@ type Candidate struct {
 // sc-probability, or unaffordable cost are omitted, exactly matching the
 // planners' candidate set.
 func Candidates(ctx *Context) ([]Candidate, error) {
-	if err := ctx.Validate(); err != nil {
+	gains, err := ctx.validate()
+	if err != nil {
 		return nil, err
 	}
-	z := ctx.candidates()
+	z := ctx.candidates(gains)
 	out := make([]Candidate, 0, len(z))
-	for _, l := range z {
-		gain := -ctx.Eval.GroupGain[l]
-		first := MarginalGain(ctx.Eval.GroupGain[l], ctx.Spec.SCProbs[l], 1)
-		g := ctx.DB.Groups()[l]
+	for _, cand := range z {
+		l := cand.Group
+		gain := -cand.Value
+		first := MarginalGain(cand.Value, ctx.Spec.SCProbs[l], 1)
+		g := ctx.DB.GroupAt(l)
 		out = append(out, Candidate{
 			Group:   l,
 			Name:    g.Name,

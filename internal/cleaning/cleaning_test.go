@@ -172,7 +172,7 @@ func TestMarginalGainsSumToImprovement(t *testing.T) {
 	var sum float64
 	for l, m := range plan {
 		for j := 1; j <= m; j++ {
-			sum += MarginalGain(ctx.Eval.GroupGain[l], ctx.Spec.SCProbs[l], j)
+			sum += MarginalGain(ctx.Eval.Gain(l), ctx.Spec.SCProbs[l], j)
 		}
 	}
 	if got := ExpectedImprovement(ctx, plan); !numeric.AlmostEqual(got, sum, 1e-12, 1e-12) {
@@ -321,7 +321,7 @@ func TestPlannersRespectBudgetAndCandidates(t *testing.T) {
 				if ops > 0 && spec.SCProbs[l] == 0 {
 					t.Fatalf("trial %d: %s cleaned hopeless x-tuple", trial, name)
 				}
-				if ops > 0 && ctx.Eval.GroupGain[l] >= -gainFloor {
+				if ops > 0 && ctx.Eval.Gain(l) >= -gainFloor {
 					t.Fatalf("trial %d: %s cleaned zero-gain x-tuple (Lemma 5)", trial, name)
 				}
 			}

@@ -54,13 +54,14 @@ func AblationDPNoCap(c *Context) (Plan, error) {
 const dpCancelStride = 4096
 
 func dp(ctx context.Context, c *Context, capped bool) (Plan, error) {
-	if err := c.Validate(); err != nil {
+	gains, err := c.validate()
+	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	z := c.candidates()
+	z := c.candidates(gains)
 	budget := c.Budget
 	if len(z) == 0 || budget == 0 {
 		return Plan{}, nil
@@ -76,13 +77,13 @@ func dp(ctx context.Context, c *Context, capped bool) (Plan, error) {
 	next := make([]float64, budget+1)
 	choice := make([][]uint16, len(z))
 
-	for li, l := range z {
+	for li, cand := range z {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cost := c.Spec.Costs[l]
-		p := c.Spec.SCProbs[l]
-		gain := c.Eval.GroupGain[l]
+		cost := c.Spec.Costs[cand.Group]
+		p := c.Spec.SCProbs[cand.Group]
+		gain := cand.Value
 		jMax := budget / cost
 		if capped {
 			jMax = maxUsefulOps(gain, p, jMax)
@@ -123,7 +124,7 @@ func dp(ctx context.Context, c *Context, capped bool) (Plan, error) {
 	for li := len(z) - 1; li >= 0; li-- {
 		j := int(choice[li][b])
 		if j > 0 {
-			l := z[li]
+			l := z[li].Group
 			plan[l] = j
 			b -= j * c.Spec.Costs[l]
 		}

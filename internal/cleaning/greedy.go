@@ -31,25 +31,27 @@ func Greedy(c *Context) (Plan, error) {
 // Cancellation is checked every few hundred heap pops; a cancelled ctx
 // returns ctx.Err() with a nil plan.
 func GreedyContext(ctx context.Context, c *Context) (Plan, error) {
-	if err := c.Validate(); err != nil {
+	gains, err := c.validate()
+	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	z := c.candidates()
+	z := c.candidates(gains)
 	remaining := c.Budget
 	plan := Plan{}
 	if len(z) == 0 || remaining == 0 {
 		return plan, nil
 	}
 	h := make(gammaHeap, 0, len(z))
-	for _, l := range z {
-		g := MarginalGain(c.Eval.GroupGain[l], c.Spec.SCProbs[l], 1)
+	for _, cand := range z {
+		l := cand.Group
+		g := MarginalGain(cand.Value, c.Spec.SCProbs[l], 1)
 		if g <= 0 {
 			continue
 		}
-		h = append(h, gammaItem{gamma: g / float64(c.Spec.Costs[l]), group: l, j: 1})
+		h = append(h, gammaItem{gamma: g / float64(c.Spec.Costs[l]), group: l, gain: cand.Value, j: 1})
 	}
 	heap.Init(&h)
 	for pops := 0; h.Len() > 0 && remaining > 0; pops++ {
@@ -67,9 +69,9 @@ func GreedyContext(ctx context.Context, c *Context) (Plan, error) {
 		}
 		remaining -= cost
 		plan[item.group]++
-		next := MarginalGain(c.Eval.GroupGain[item.group], c.Spec.SCProbs[item.group], item.j+1)
+		next := MarginalGain(item.gain, c.Spec.SCProbs[item.group], item.j+1)
 		if next > gainFloor {
-			heap.Push(&h, gammaItem{gamma: next / float64(cost), group: item.group, j: item.j + 1})
+			heap.Push(&h, gammaItem{gamma: next / float64(cost), group: item.group, gain: item.gain, j: item.j + 1})
 		}
 	}
 	return plan, nil
@@ -81,24 +83,26 @@ func GreedyContext(ctx context.Context, c *Context) (Plan, error) {
 // order ties break identically) and exists to measure the heap's benefit
 // and as an independent cross-check of the heap implementation.
 func AblationGreedyRescan(c *Context) (Plan, error) {
-	if err := c.Validate(); err != nil {
+	gains, err := c.validate()
+	if err != nil {
 		return nil, err
 	}
-	z := c.candidates()
+	z := c.candidates(gains)
 	remaining := c.Budget
 	plan := Plan{}
-	nextJ := make(map[int]int, len(z))
-	for _, l := range z {
-		nextJ[l] = 1
+	nextJ := make([]int, len(z)) // next operation index per candidate
+	for i := range nextJ {
+		nextJ[i] = 1
 	}
 	for remaining > 0 {
 		best := -1
 		bestGamma := 0.0
-		for _, l := range z {
+		for i, cand := range z {
+			l := cand.Group
 			if c.Spec.Costs[l] > remaining {
 				continue
 			}
-			g := MarginalGain(c.Eval.GroupGain[l], c.Spec.SCProbs[l], nextJ[l])
+			g := MarginalGain(cand.Value, c.Spec.SCProbs[l], nextJ[i])
 			if g <= gainFloor {
 				continue
 			}
@@ -106,15 +110,16 @@ func AblationGreedyRescan(c *Context) (Plan, error) {
 			// index on ties — the same tie-break as the heap's Less.
 			gamma := g / float64(c.Spec.Costs[l])
 			if gamma > bestGamma {
-				best, bestGamma = l, gamma
+				best, bestGamma = i, gamma
 			}
 		}
 		if best < 0 {
 			break
 		}
-		plan[best]++
+		l := z[best].Group
+		plan[l]++
 		nextJ[best]++
-		remaining -= c.Spec.Costs[best]
+		remaining -= c.Spec.Costs[l]
 	}
 	return plan, nil
 }
@@ -122,6 +127,7 @@ func AblationGreedyRescan(c *Context) (Plan, error) {
 type gammaItem struct {
 	gamma float64
 	group int
+	gain  float64 // g(l,D) of group, for the successor operation's gamma
 	j     int
 }
 

@@ -17,11 +17,13 @@ import (
 // in O(|X|) time, given the per-x-tuple gains from the TP evaluation.
 // Because g(l,D) <= 0, the improvement is always >= 0.
 func ExpectedImprovement(ctx *Context, plan Plan) float64 {
+	// An evaluation without gains for this database contributes none.
+	gains, _ := quality.GainsOn(ctx.DB, ctx.Eval)
 	var sum numeric.Kahan
 	for _, l := range plan.SortedGroups() {
 		m := plan[l]
 		p := ctx.Spec.SCProbs[l]
-		sum.Add(-(1 - pow1mP(p, m)) * ctx.Eval.GroupGain[l])
+		sum.Add(-(1 - pow1mP(p, m)) * gains.At(l))
 	}
 	return sum.Sum()
 }
@@ -152,7 +154,7 @@ func ExactExpectedImprovement(ctx *Context, plan Plan) (float64, error) {
 		}
 		// Outcome: cleaning succeeded and resolved to alternative ti
 		// (including the null alternative) with probability e_i.
-		g := ctx.DB.Groups()[l]
+		g := ctx.DB.GroupAt(l)
 		for ti, t := range g.Tuples {
 			choices[l] = ti
 			if err := recurse(idx+1, prob*pSuccess*t.Prob); err != nil {

@@ -36,7 +36,8 @@ func MinBudgetForTarget(ctx *Context, target float64, maxBudget int, planner fun
 // planner; cancellation is checked before every budget probe and inside
 // the planner itself.
 func MinBudgetForTargetContext(stdctx context.Context, ctx *Context, target float64, maxBudget int, planner PlannerFunc) (int, Plan, error) {
-	if err := ctx.Validate(); err != nil {
+	gains, err := ctx.validate()
+	if err != nil {
 		return 0, nil, err
 	}
 	if maxBudget < 1 {
@@ -52,11 +53,12 @@ func MinBudgetForTargetContext(stdctx context.Context, ctx *Context, target floa
 	}
 	need := target - ctx.Eval.S
 	// The improvement can never exceed the total removable deficit
-	// -sum_l g(l,D) over x-tuples with nonzero sc-probability.
+	// -sum_l g(l,D) over x-tuples with nonzero sc-probability. Zero-gain
+	// x-tuples have no entry and would only add -0.
 	var ceiling float64
-	for l, g := range ctx.Eval.GroupGain {
-		if ctx.Spec.SCProbs[l] > 0 {
-			ceiling += -g
+	for _, g := range gains {
+		if ctx.Spec.SCProbs[g.Group] > 0 {
+			ceiling += -g.Value
 		}
 	}
 	if ceiling < need-1e-12 {

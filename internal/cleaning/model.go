@@ -114,8 +114,8 @@ func (p Plan) SortedGroups() []int {
 }
 
 // Context carries everything a planner needs: the database, the query, its
-// TP evaluation (whose GroupGain values g(l,D) drive all improvement
-// formulas), the cleaning spec, and the budget C.
+// TP evaluation (whose group gains g(l,D) drive all improvement formulas),
+// the cleaning spec, and the budget C.
 type Context struct {
 	DB     *uncertain.Database
 	K      int
@@ -148,37 +148,47 @@ func NewContext(db *uncertain.Database, k int, spec Spec, budget int) (*Context,
 // contexts) that the database has not been mutated since the evaluation
 // was computed — stale gains would silently mis-price every plan.
 func (ctx *Context) Validate() error {
+	_, err := ctx.validate()
+	return err
+}
+
+// validate is Validate that also returns the evaluation's non-zero group
+// gains (quality.GainsOn), which every planner iterates.
+func (ctx *Context) validate() (quality.Gains, error) {
 	if ctx.DB == nil || !ctx.DB.Built() {
-		return uncertain.ErrNotBuilt
+		return nil, uncertain.ErrNotBuilt
 	}
 	if ctx.Version != 0 && ctx.DB.Version() != ctx.Version {
-		return fmt.Errorf("%w: context version %d, database version %d",
+		return nil, fmt.Errorf("%w: context version %d, database version %d",
 			ErrStaleContext, ctx.Version, ctx.DB.Version())
 	}
 	if ctx.Eval == nil {
-		return ErrNilEval
+		return nil, ErrNilEval
 	}
-	m := ctx.DB.NumGroups()
-	if len(ctx.Eval.GroupGain) != m {
-		return fmt.Errorf("%w: gains=%d m=%d", ErrEvalMissing, len(ctx.Eval.GroupGain), m)
+	gains, err := quality.GainsOn(ctx.DB, ctx.Eval)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrEvalMissing, err)
 	}
-	if err := ctx.Spec.Validate(m); err != nil {
-		return err
+	if err := ctx.Spec.Validate(ctx.DB.NumGroups()); err != nil {
+		return nil, err
 	}
 	if ctx.Budget < 0 {
-		return fmt.Errorf("budget %d: %w", ctx.Budget, ErrBadBudget)
+		return nil, fmt.Errorf("budget %d: %w", ctx.Budget, ErrBadBudget)
 	}
-	return nil
+	return gains, nil
 }
 
-// candidates returns the x-tuples worth cleaning: nonzero |g(l,D)| (Lemma 5
-// excludes x-tuples whose tuples all have zero top-k probability), nonzero
-// sc-probability, and cost within the budget. This is the set Z of Section
-// V-C.
-func (ctx *Context) candidates() []int {
-	var z []int
-	for l, g := range ctx.Eval.GroupGain {
-		if g >= -gainFloor {
+// candidates returns the x-tuples worth cleaning, with their gains, in
+// ascending group order: nonzero |g(l,D)| (Lemma 5 excludes x-tuples whose
+// tuples all have zero top-k probability), nonzero sc-probability, and
+// cost within the budget. This is the set Z of Section V-C. Zero-gain
+// x-tuples have no entry in gains, so iterating the sparse gains visits
+// exactly the candidates a dense scan over every x-tuple would.
+func (ctx *Context) candidates(gains quality.Gains) quality.Gains {
+	var z quality.Gains
+	for _, g := range gains {
+		l := g.Group
+		if g.Value >= -gainFloor {
 			continue // Lemma 5: cleaning cannot improve anything
 		}
 		if ctx.Spec.SCProbs[l] <= 0 {
@@ -187,7 +197,7 @@ func (ctx *Context) candidates() []int {
 		if ctx.Spec.Costs[l] > ctx.Budget {
 			continue // a single operation already blows the budget
 		}
-		z = append(z, l)
+		z = append(z, g)
 	}
 	return z
 }

@@ -148,7 +148,7 @@ func simulateAgent(ctx *Context, plan Plan, rng *rand.Rand) (*Outcome, error) {
 			out.OpsUsed++
 			out.CostUsed += cost
 			if rng.Float64() < p {
-				out.Choices[l] = sampleAlternative(ctx.DB.Groups()[l], rng)
+				out.Choices[l] = sampleAlternative(ctx.DB.GroupAt(l), rng)
 				break
 			}
 		}

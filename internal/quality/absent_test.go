@@ -66,8 +66,13 @@ func TestAbsentGroupContributesNoGain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.GroupGain[0] != 0 {
-		t.Fatalf("absent group gain = %v, want 0 (nothing left to clean)", ev.GroupGain[0])
+	if ev.Gain(0) != 0 {
+		t.Fatalf("absent group gain = %v, want 0 (nothing left to clean)", ev.Gain(0))
+	}
+	for _, g := range ev.Gains() {
+		if g.Group == 0 {
+			t.Fatalf("absent group has a gain entry %+v", g)
+		}
 	}
 }
 
@@ -130,7 +135,7 @@ func TestCleaningToNullThenRequeryEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := before.S - before.GroupGain[0]
+	want := before.S - before.Gain(0)
 	got := 0.3*evResolved.S + 0.7*after.S
 	if !numeric.AlmostEqual(got, want, 1e-9, 1e-9) {
 		t.Fatalf("expected post-cleaning quality %v, Theorem 2 says %v", got, want)

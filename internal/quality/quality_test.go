@@ -265,11 +265,15 @@ func TestTPGroupGainsSumToQuality(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sum float64
-		for l, g := range ev.GroupGain {
-			if g > 1e-12 {
-				t.Fatalf("trial %d: g(%d,D) = %v > 0", trial, l, g)
+		for i, g := range ev.Gains() {
+			if g.Value > 1e-12 {
+				t.Fatalf("trial %d: g(%d,D) = %v > 0", trial, g.Group, g.Value)
 			}
-			sum += g
+			if g.Value == 0 || g.Group < 0 || g.Group >= db.NumGroups() ||
+				(i > 0 && g.Group <= ev.Gains()[i-1].Group) {
+				t.Fatalf("trial %d: gain entry %d = %+v: want non-zero, in range, ascending", trial, i, g)
+			}
+			sum += g.Value
 		}
 		if !numeric.AlmostEqual(sum, ev.S, 1e-9, 1e-9) {
 			t.Fatalf("trial %d: sum g(l,D) = %v, S = %v", trial, sum, ev.S)

@@ -150,7 +150,7 @@ func TestQuickGroupGainMatchesCleaningDelta(t *testing.T) {
 			}
 			expected.Add(alt.Prob * ev2.S)
 		}
-		return numeric.AlmostEqual(expected.Sum(), ev.S-ev.GroupGain[g], 1e-8, 1e-8)
+		return numeric.AlmostEqual(expected.Sum(), ev.S-ev.Gain(g), 1e-8, 1e-8)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)

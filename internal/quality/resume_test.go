@@ -2,6 +2,7 @@ package quality
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -86,11 +87,23 @@ func TestTPFromResumedInfoMatchesFresh(t *testing.T) {
 				t.Fatalf("step %d: Omega[%d] = %v, fresh %v", step, i, evResumed.Omega[i], evFresh.Omega[i])
 			}
 		}
-		for l := range evResumed.GroupGain {
-			if evResumed.GroupGain[l] != evFresh.GroupGain[l] {
-				t.Fatalf("step %d: GroupGain[%d] = %v, fresh %v", step, l, evResumed.GroupGain[l], evFresh.GroupGain[l])
-			}
+		if err := sameGainBits(evResumed.Gains(), evFresh.Gains()); err != nil {
+			t.Fatalf("step %d: resumed vs fresh gains: %v", step, err)
 		}
 		prior = resumed
 	}
+}
+
+// sameGainBits compares two sparse gain vectors entry by entry, values by
+// their bit patterns.
+func sameGainBits(a, b Gains) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("%d entries vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i].Group != b[i].Group || math.Float64bits(a[i].Value) != math.Float64bits(b[i].Value) {
+			return fmt.Errorf("entry %d: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+	return nil
 }

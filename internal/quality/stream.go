@@ -3,7 +3,6 @@ package quality
 import (
 	"fmt"
 
-	"github.com/probdb/topkclean/internal/numeric"
 	"github.com/probdb/topkclean/internal/topkq"
 )
 
@@ -24,31 +23,10 @@ func TPFromStream(si *topkq.StreamInfo, m, n int) (*Evaluation, error) {
 	if limit > n {
 		limit = n
 	}
-	ev := &Evaluation{
-		Omega:     make([]float64, limit),
-		GroupGain: make([]float64, m),
-		Info:      info,
-	}
-	E := scratchE(m)
-	defer eScratch.Put(E)
-	var s numeric.Kahan
+	p := newTPPass(info, m, limit)
 	for i := 0; i < limit; i++ {
-		t := si.Prefix[i].T
-		l := si.Prefix[i].Group
-		E[l] += t.Prob
-		p := info.P(i)
-		if p == 0 {
-			continue
-		}
-		w := omega(t.Prob, E[l])
-		ev.Omega[i] = w
-		term := w * p
-		ev.GroupGain[l] += term
-		s.Add(term)
+		st := si.Prefix[i]
+		p.step(i, st.T, st.Group)
 	}
-	ev.S = s.Sum()
-	if ev.S > 0 {
-		ev.S = 0
-	}
-	return ev, nil
+	return p.finish(), nil
 }

@@ -72,7 +72,7 @@ func (c *Cluster) mergeNext(e *epoch) func() (*uncertain.Tuple, int, bool) {
 			en := e.entries[nullIdx]
 			gi := nullIdx
 			nullIdx++
-			nt := e.snaps[en.shard].Groups()[en.local].NullTuple()
+			nt := e.snaps[en.shard].GroupAt(int(en.local)).NullTuple()
 			if nt == nil {
 				continue // group's alternatives sum to 1; no null event
 			}

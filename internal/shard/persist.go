@@ -283,7 +283,7 @@ func Open(cfg Config) (*Cluster, error) {
 		}
 	}
 	for gi, e := range c.dir.entries {
-		x := c.shards[e.shard].live().Groups()[e.local]
+		x := c.shards[e.shard].live().GroupAt(e.local)
 		if len(x.RealTuples()) != len(e.gseqs) {
 			return fail(fmt.Errorf("%w: group %d has %d real alternatives, directory holds %d stamps",
 				ErrInconsistent, gi, len(x.RealTuples()), len(e.gseqs)))
@@ -293,7 +293,7 @@ func Open(cfg Config) (*Cluster, error) {
 	// Rebuild the cluster-wide ID set from the recovered shards.
 	c.ids = make(map[string]struct{})
 	for _, e := range c.dir.entries {
-		for _, t := range c.shards[e.shard].live().Groups()[e.local].Tuples {
+		for _, t := range c.shards[e.shard].live().GroupAt(e.local).Tuples {
 			c.ids[t.ID] = struct{}{}
 		}
 	}

@@ -41,7 +41,7 @@ func (c *Cluster) shardMinKey(s int) (key, bool) {
 
 // realIndexOf returns t's index within its group's RealTuples.
 func realIndexOf(db *uncertain.Database, e *entry, t *uncertain.Tuple) int {
-	for i, rt := range db.Groups()[e.local].RealTuples() {
+	for i, rt := range db.GroupAt(e.local).RealTuples() {
 		if rt == t {
 			return i
 		}
@@ -119,7 +119,7 @@ func (c *Cluster) pullUps(j int, kmin key) []int {
 
 // groupBottomKey returns the lowest real key of the group at entry e.
 func (c *Cluster) groupBottomKey(e *entry) (key, bool) {
-	x := c.shards[e.shard].live().Groups()[e.local]
+	x := c.shards[e.shard].live().GroupAt(e.local)
 	reals := x.RealTuples()
 	if len(reals) == 0 {
 		return key{}, false
@@ -141,7 +141,7 @@ func (c *Cluster) groupBottomKey(e *entry) (key, bool) {
 func (c *Cluster) moveGroup(gi, to int, b *Batch) error {
 	e := c.dir.entries[gi]
 	from := e.shard
-	x := c.shards[from].live().Groups()[e.local]
+	x := c.shards[from].live().GroupAt(e.local)
 	name := x.Name
 	reals := x.RealTuples()
 	specs := make([]uncertain.Tuple, len(reals))
@@ -319,7 +319,7 @@ func (b *Batch) DeleteXTuple(l int) error {
 		return uncertain.ErrLastGroup
 	}
 	e := c.dir.entries[l]
-	x := c.shards[e.shard].live().Groups()[e.local]
+	x := c.shards[e.shard].live().GroupAt(e.local)
 	gone := make([]string, 0, len(x.Tuples))
 	for _, t := range x.Tuples {
 		gone = append(gone, t.ID)
@@ -353,7 +353,7 @@ func (b *Batch) Reweight(l int, probs []float64) error {
 		}
 		return err // validation; the shard database is unchanged
 	}
-	x := c.shards[e.shard].live().Groups()[e.local]
+	x := c.shards[e.shard].live().GroupAt(e.local)
 	nullID := "null:" + x.Name
 	if x.NullTuple() != nil {
 		c.ids[nullID] = struct{}{}
@@ -371,7 +371,7 @@ func (b *Batch) Collapse(l, choice int) error {
 		return fmt.Errorf("index %d of %d: %w", l, len(c.dir.entries), uncertain.ErrBadGroupIndex)
 	}
 	e := c.dir.entries[l]
-	x := c.shards[e.shard].live().Groups()[e.local]
+	x := c.shards[e.shard].live().GroupAt(e.local)
 	var dropped []string
 	for i, t := range x.Tuples {
 		if i != choice {

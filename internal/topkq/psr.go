@@ -232,9 +232,8 @@ func (st *scanState) snapshot(db *uncertain.Database, pos, rebuilds int) checkpo
 		fullGroups: st.fullGroups,
 		rebuilds:   rebuilds,
 	}
-	groups := db.Groups()
 	for s, g := range st.active {
-		c.q[s] = qSnapshot{x: groups[g], q: st.ex.q[s]}
+		c.q[s] = qSnapshot{x: db.GroupAt(g), q: st.ex.q[s]}
 	}
 	return c
 }
@@ -249,7 +248,6 @@ func (c *checkpoint) restore(db *uncertain.Database, k int) (*scanState, bool) {
 	m := db.NumGroups()
 	st := newScanState(k, m)
 	copy(st.F, c.F)
-	groups := db.Groups()
 	for _, e := range c.q {
 		if len(e.x.Tuples) == 0 {
 			st.release()
@@ -260,14 +258,14 @@ func (c *checkpoint) restore(db *uncertain.Database, k int) (*scanState, bool) {
 		// whenever no intervening delete renumbered the survivors, even if
 		// copy-on-write replaced the object itself.
 		g := e.x.Tuples[0].Group
-		if g < 0 || g >= m || !groups[g].Is(e.x) {
+		if g < 0 || g >= m || !db.GroupAt(g).Is(e.x) {
 			// Renumbered since the checkpoint: re-resolve by stable
 			// identity. Deletes are rare next to the scans this feeds, so
 			// the linear fallback is fine; a miss means the x-tuple was
 			// deleted and the checkpoint cannot seed this database.
 			g = -1
-			for gi := range groups {
-				if groups[gi].Is(e.x) {
+			for gi := 0; gi < m; gi++ {
+				if db.GroupAt(gi).Is(e.x) {
 					g = gi
 					break
 				}

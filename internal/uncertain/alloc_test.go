@@ -79,3 +79,58 @@ func TestCommitAllocsSubLinear(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCommitAllocsIndependentOfM pins the group vector's share of a
+// commit. With a flat groups slice every commit's COW unshare copied all m
+// x-tuple pointers — 8 bytes per x-tuple, ~700 KiB more at m = 10^5 than
+// at m = 10^4. The chunked vector copies its spine (one pointer per 256
+// groups) plus the chunks the commit dirties, so the same reweight commit
+// may cost only a small constant more on the larger database; the rank
+// spine's O(n/C) copy accounts for most of what remains.
+func TestCommitAllocsIndependentOfM(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 10^5-x-tuple database; run without -short")
+	}
+	if raceEnabled {
+		t.Skip("allocation counts shift under the race detector")
+	}
+	perCommit := func(m int) float64 {
+		rng := rand.New(rand.NewSource(78))
+		db := buildWideDB(t, rng, m, 1) // one real alternative plus a null each
+		l := m / 2
+		p := db.GroupAt(l).RealTuples()[0].Prob
+		flip := false
+		commit := func() {
+			q := p * 0.95
+			if flip {
+				q = p * 0.90
+			}
+			flip = !flip
+			if err := db.Reweight(l, []float64{q}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 300; i++ { // past the version-mark ring's growth
+			commit()
+		}
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			commit()
+		}
+		runtime.ReadMemStats(&after)
+		if err := db.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	small := perCommit(10_000)
+	large := perCommit(100_000)
+	if slack := 128 * 1024.0; large > small+slack {
+		t.Fatalf("a commit allocates %.0f bytes at m=10^5 vs %.0f at m=10^4; want within %.0f (a flat groups copy adds %d)",
+			large, small, slack, 8*90_000)
+	}
+	t.Logf("commit allocates %.0f bytes at m=10^4, %.0f at m=10^5", small, large)
+}

@@ -14,7 +14,7 @@ import (
 // alternatives, and fixes the global rank order that all algorithms assume
 // ("tuples in D are arranged in descending order of ranks", Section IV).
 type Database struct {
-	groups  []*XTuple
+	groups  groupVec // x-tuples by group index; see chunks.go
 	rank    RankFunc
 	rs      rankStore // all alternatives (incl. nulls) in descending rank order; see chunks.go
 	built   bool
@@ -52,7 +52,7 @@ type Database struct {
 // have changed. Positions strictly below the watermark are bit-identical
 // between the two versions. renumbered marks commits that shifted
 // surviving x-tuple indices (a delete of a non-trailing group), which
-// consumers that cache per-group state (the engine's GroupGain reuse)
+// consumers that cache per-group state (the engine's group-gain reuse)
 // must know about.
 type versionMark struct {
 	version    uint64
@@ -96,7 +96,7 @@ func (db *Database) AddXTuple(name string, tuples ...Tuple) error {
 	if err := x.validate(); err != nil {
 		return err
 	}
-	db.groups = append(db.groups, x)
+	db.groups.append(x)
 	return nil
 }
 
@@ -111,7 +111,7 @@ func (db *Database) AddAbsentXTuple(name string) error {
 	if db.built {
 		return ErrAlreadyBuilt
 	}
-	db.groups = append(db.groups, &XTuple{Name: name})
+	db.groups.append(&XTuple{Name: name})
 	return nil
 }
 
@@ -125,7 +125,7 @@ func (db *Database) Build(rank RankFunc) error {
 	if db.built {
 		return ErrAlreadyBuilt
 	}
-	if len(db.groups) == 0 {
+	if db.groups.n == 0 {
 		return ErrNoGroups
 	}
 	if rank == nil {
@@ -134,7 +134,7 @@ func (db *Database) Build(rank RankFunc) error {
 	seen := make(map[string]bool)
 	ord := 0
 	total := 0
-	for gi, x := range db.groups {
+	for gi, x := range db.groups.all() {
 		if err := x.validate(); err != nil {
 			return err
 		}
@@ -183,7 +183,7 @@ func (db *Database) Build(rank RankFunc) error {
 	db.rank = rank
 	sorted := make([]*Tuple, 0, total)
 	db.byID = make(map[string]*Tuple, total)
-	for _, x := range db.groups {
+	for _, x := range db.groups.all() {
 		sorted = append(sorted, x.Tuples...)
 		for _, t := range x.Tuples {
 			db.byID[t.ID] = t
@@ -199,7 +199,7 @@ func (db *Database) Build(rank RankFunc) error {
 		}
 	}
 	db.rs = newRankStore(sorted)
-	for _, x := range db.groups {
+	for _, x := range db.groups.all() {
 		x.uid = db.newUID()
 	}
 	db.nextOrd = ord
@@ -311,14 +311,14 @@ func (db *Database) marksSince(since uint64) ([]versionMark, bool) {
 func (db *Database) Built() bool { return db.built }
 
 // NumGroups returns m, the number of x-tuples.
-func (db *Database) NumGroups() int { return len(db.groups) }
+func (db *Database) NumGroups() int { return db.groups.n }
 
 // NumRealTuples returns n, the number of user-supplied tuples (excluding
 // materialized nulls). This is the "database size" of Section VI.
 func (db *Database) NumRealTuples() int {
 	if !db.built {
 		n := 0
-		for _, x := range db.groups {
+		for _, x := range db.groups.all() {
 			n += len(x.Tuples)
 		}
 		return n
@@ -330,16 +330,26 @@ func (db *Database) NumRealTuples() int {
 // nulls, i.e. the length of the rank order.
 func (db *Database) NumTuples() int { return db.rs.n }
 
-// Groups returns the x-tuples in insertion order. The returned slice and
-// its contents must not be modified.
-func (db *Database) Groups() []*XTuple { return db.groups }
+// Groups returns the x-tuples in group-index order. The x-tuples must not
+// be modified.
+//
+// The x-tuples live in a chunked copy-on-write vector (chunks.go), so
+// Groups materializes a fresh O(m) slice per call. It remains for
+// whole-set consumers (export, world enumeration, partitioning); reach a
+// single x-tuple with GroupAt, which is O(1) and allocation-free.
+func (db *Database) Groups() []*XTuple { return db.groups.materialize() }
+
+// GroupAt returns the x-tuple at index l in O(1). l must lie in
+// [0, NumGroups()); like a slice index, anything else panics. Use Group
+// for a checked lookup.
+func (db *Database) GroupAt(l int) *XTuple { return db.groups.at(l) }
 
 // Group returns the x-tuple at index l.
 func (db *Database) Group(l int) (*XTuple, error) {
-	if l < 0 || l >= len(db.groups) {
-		return nil, fmt.Errorf("index %d of %d: %w", l, len(db.groups), ErrBadGroupIndex)
+	if l < 0 || l >= db.groups.n {
+		return nil, fmt.Errorf("index %d of %d: %w", l, db.groups.n, ErrBadGroupIndex)
 	}
-	return db.groups[l], nil
+	return db.groups.at(l), nil
 }
 
 // Sorted returns all alternatives in descending rank order (position 0 is
@@ -391,9 +401,8 @@ func (db *Database) Clone() *Database {
 	out := &Database{rank: db.rank, built: db.built, nReal: db.nReal, version: db.version,
 		nextOrd: db.nextOrd, nextUID: db.nextUID,
 		marks: append([]versionMark(nil), db.marks...)}
-	out.groups = make([]*XTuple, len(db.groups))
 	clones := make(map[*Tuple]*Tuple, db.rs.n)
-	for gi, x := range db.groups {
+	for _, x := range db.groups.all() {
 		nx := &XTuple{Name: x.Name, uid: x.uid, Tuples: make([]*Tuple, len(x.Tuples))}
 		for ti, t := range x.Tuples {
 			// Copy the frozen fields individually rather than the whole
@@ -407,7 +416,7 @@ func (db *Database) Clone() *Database {
 			nx.Tuples[ti] = &c
 			clones[t] = &c
 		}
-		out.groups[gi] = nx
+		out.groups.append(nx)
 	}
 	if db.built {
 		sorted := make([]*Tuple, 0, db.rs.n)
@@ -435,15 +444,15 @@ func (db *Database) Cleaned(l, choice int) (*Database, error) {
 	if !db.built {
 		return nil, ErrNotBuilt
 	}
-	if l < 0 || l >= len(db.groups) {
-		return nil, fmt.Errorf("index %d of %d: %w", l, len(db.groups), ErrBadGroupIndex)
+	if l < 0 || l >= db.groups.n {
+		return nil, fmt.Errorf("index %d of %d: %w", l, db.groups.n, ErrBadGroupIndex)
 	}
-	x := db.groups[l]
+	x := db.groups.at(l)
 	if choice < 0 || choice >= len(x.Tuples) {
 		return nil, fmt.Errorf("choice %d of %d: %w", choice, len(x.Tuples), ErrBadChoice)
 	}
 	out := New()
-	for gi, g := range db.groups {
+	for gi, g := range db.groups.all() {
 		if gi != l {
 			ts := make([]Tuple, 0, len(g.Tuples))
 			for _, t := range g.RealTuples() {
@@ -487,8 +496,11 @@ func (db *Database) Validate() error {
 	if !db.built {
 		return ErrNotBuilt
 	}
+	if err := db.groups.check(); err != nil {
+		return err
+	}
 	seen := make(map[string]bool)
-	for _, x := range db.groups {
+	for _, x := range db.groups.all() {
 		if err := x.validate(); err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -95,6 +96,105 @@ func FuzzDecodeWire(f *testing.F) {
 		}
 		if !bytes.Equal(e1, e2) {
 			t.Fatalf("encoding is not a fixed point: %d vs %d bytes", len(e1), len(e2))
+		}
+	})
+}
+
+// FuzzGroupVec drives the copy-on-write group vector with arbitrary
+// append / set / delete-at / publish sequences and checks it against a
+// plain-slice model after every step: the writer's contents equal the
+// model's, the structural invariants (groupVec.check) hold for the writer
+// and every published view, every view still holds exactly what the model
+// held when it was published, and no chunk a view reaches is writable in
+// place by the writer (its priv stamp is an older epoch).
+func FuzzGroupVec(f *testing.F) {
+	f.Add([]byte{0, 0, 3, 1, 0, 2, 2, 1, 3})
+	f.Add([]byte{4, 255, 4, 255, 3, 2, 0, 5, 1, 1, 0, 3, 2, 255, 255, 4, 10, 3, 2, 0, 0})
+	f.Add([]byte{4, 255, 3, 4, 1, 3, 2, 0, 0, 3, 2, 0, 0, 2, 0, 0, 3})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		const maxSteps, maxGroups, maxViews = 128, 4096, 32
+		type view struct {
+			v    groupVec
+			want []*XTuple
+		}
+		var (
+			v     groupVec
+			model []*XTuple
+			views []view
+			next  int
+		)
+		fresh := func() *XTuple {
+			next++
+			return &XTuple{Name: fmt.Sprint(next)}
+		}
+		checkView := func(label string, got groupVec, want []*XTuple) {
+			if err := got.check(); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if got.n != len(want) {
+				t.Fatalf("%s: %d groups, want %d", label, got.n, len(want))
+			}
+			for l, x := range want {
+				if got.at(l) != x {
+					t.Fatalf("%s: group %d differs from the model", label, l)
+				}
+			}
+		}
+		for step := 0; len(ops) > 0 && step < maxSteps; step++ {
+			op := ops[0]
+			arg := 0
+			if len(ops) > 1 {
+				arg = int(ops[1])
+			}
+			ops = ops[min(2, len(ops)):]
+			switch op % 5 {
+			case 0:
+				if len(model) < maxGroups {
+					x := fresh()
+					v.append(x)
+					model = append(model, x)
+				}
+			case 1:
+				if len(model) > 0 {
+					l := arg * 17 % len(model)
+					x := fresh()
+					v.set(l, x)
+					model[l] = x
+				}
+			case 2:
+				if len(model) > 0 {
+					l := arg * 17 % len(model)
+					v.deleteAt(l)
+					model = append(model[:l], model[l+1:]...)
+				}
+			case 3:
+				views = append(views, view{v: v.publish(), want: append([]*XTuple(nil), model...)})
+				if len(views) > maxViews {
+					views = views[1:]
+				}
+			case 4:
+				for i := 0; i <= arg && len(model) < maxGroups; i++ {
+					x := fresh()
+					v.append(x)
+					model = append(model, x)
+				}
+			}
+			checkView(fmt.Sprintf("step %d writer", step), v, model)
+			if got := v.materialize(); !slices.Equal(got, model) {
+				t.Fatalf("step %d: materialize differs from the model", step)
+			}
+			for i, pv := range views {
+				label := fmt.Sprintf("step %d view %d", step, i)
+				checkView(label, pv.v, pv.want)
+				for _, c := range pv.v.spine {
+					if c.priv == v.epoch {
+						t.Fatalf("%s: shares a chunk the writer may write in place", label)
+					}
+				}
+				if !v.shared && len(v.spine) > 0 && len(pv.v.spine) > 0 && &v.spine[0] == &pv.v.spine[0] {
+					t.Fatalf("%s: shares the writer's private spine", label)
+				}
+			}
 		}
 	})
 }

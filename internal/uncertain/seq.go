@@ -35,7 +35,7 @@ func (db *Database) AddXTupleSeq(name string, seqs []int, tuples ...Tuple) error
 	if err := db.AddXTuple(name, tuples...); err != nil {
 		return err
 	}
-	db.groups[len(db.groups)-1].stagedOrds = append([]int(nil), seqs...)
+	db.groups.at(db.groups.n - 1).stagedOrds = append([]int(nil), seqs...)
 	return nil
 }
 

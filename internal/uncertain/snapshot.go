@@ -5,8 +5,8 @@ package uncertain
 //
 // The database's commit path (Build, finishMutation — which Batch funnels a
 // whole burst of mutations through) publishes an *epoch*: an immutable,
-// frozen *Database view sharing the writer's rank array, x-tuple slabs,
-// and watermark log by reference (the ID index stays writer-private; see
+// frozen *Database view sharing the writer's rank chunks, group chunks,
+// x-tuple slabs, and watermark log by reference (the ID index stays writer-private; see
 // publish). Readers pin the current epoch with Snapshot() — a single
 // atomic pointer load, no lock, no copy — and then read it exactly like
 // any built database; the view never changes under them, no matter how
@@ -15,16 +15,17 @@ package uncertain
 // The writer keeps snapshots valid by never writing to memory a published
 // epoch can reach:
 //
-//   - Containers (the rank spine, the groups slice, the watermark log) are
-//     unshared lazily: the first mutation after a publish copies them once
-//     (unshare), and every later mutation in the same unpublished epoch
-//     splices the private copies in place exactly as the pre-snapshot code
-//     did. The ID index is never shared in the first place, so it is
-//     mutated in place without copies.
-//   - Rank chunks are copied at chunk granularity: the first splice into a
-//     chunk in an unpublished epoch clones its tuple slice
-//     (rankStore.dirty; see chunks.go), so a commit copies only the chunks
-//     it actually touched — O(changed chunks), not O(n).
+//   - Spines (the rank spine, the group vector's spine) and the watermark
+//     log are unshared lazily: the first mutation after a publish copies
+//     them once (unshare for the rank spine and the log, groupVec.own for
+//     the group spine), and every later mutation in the same unpublished
+//     epoch writes the private copies in place. The ID index is never
+//     shared in the first place, so it is mutated in place without copies.
+//   - Rank chunks and group chunks are copied at chunk granularity: the
+//     first write into a chunk in an unpublished epoch clones it
+//     (rankStore.dirty, groupVec.own; see chunks.go), so a commit copies
+//     only the chunks it actually touched — O(changed chunks), not O(n)
+//     or O(m).
 //   - Tuples and x-tuples are copied at x-tuple granularity: a mutation
 //     that would write a tuple field readers consume (Prob on Reweight and
 //     Collapse, Group on delete renumbering, the alternatives slice on null
@@ -43,9 +44,10 @@ package uncertain
 //     fields around them.
 //
 // Readers therefore never block and never observe renumbering, and the
-// writer's per-commit overhead is O(n/C) spine-pointer copies on the first
-// mutation of an epoch (amortized across a Batch) plus O(C) per rank chunk
-// and O(|group|) per x-tuple actually touched — compared against the
+// writer's per-commit overhead is O(n/C + m/G) spine-pointer copies on the
+// first mutation of an epoch (amortized across a Batch; C and G are the
+// rank and group chunk sizes) plus O(C) per rank chunk, O(G) per group
+// chunk and O(|group|) per x-tuple actually touched — compared against the
 // O(k·n) query pass this protects, see DESIGN.md ("Snapshot serving") for
 // why this beats a reader-writer lock here.
 
@@ -94,7 +96,7 @@ func (db *Database) publish() {
 	// snapshot readers almost never look tuples up by ID — TupleByID on a
 	// frozen view falls back to a rank-array scan instead.
 	s := &Database{
-		groups:  db.groups,
+		groups:  db.groups.publish(),
 		rank:    db.rank,
 		rs:      db.rs,
 		built:   true,
@@ -109,27 +111,30 @@ func (db *Database) publish() {
 	db.snap.Store(s)
 	db.shared = true
 	db.cowed = nil
-	// Advance the chunk epoch: every chunk is now shared with the epoch
-	// just published, so the next in-place chunk write must COW it first
-	// (rankStore.dirty). This replaces the flat array's O(n) copy with
-	// O(1) — the commit-time cost is paid per chunk actually touched.
+	// Advance the chunk epoch: every rank chunk is now shared with the
+	// epoch just published, so the next in-place chunk write must COW it
+	// first (rankStore.dirty; groups.publish above did the same for the
+	// group chunks). This replaces the flat arrays' O(n) and O(m) copies
+	// with O(1) — the commit-time cost is paid per chunk actually touched.
 	db.rs.epoch++
 }
 
 // unshare gives the writer private copies of the containers shared with
 // the last published epoch: the rank spine (the chunk-pointer and starts
-// slices — the chunks themselves stay shared until individually dirtied),
-// the groups slice, and the watermark log. Mutation cores call it before
-// their first in-place container write; within one unpublished epoch it
-// runs at most once, so a Batch pays the O(n/C) spine copy a single time
-// however many mutations it groups.
+// slices — the chunks themselves stay shared until individually dirtied)
+// and the watermark log. The group vector is not copied here: it unshares
+// its own spine and chunks on first write (groupVec.own), so a commit
+// copies ~m/256 spine pointers plus the group chunks it dirties, never the
+// m group pointers. Mutation cores call unshare before their first
+// in-place container write; within one unpublished epoch it runs at most
+// once, so a Batch pays the O(n/C) spine copy a single time however many
+// mutations it groups.
 func (db *Database) unshare() {
 	if !db.shared {
 		return
 	}
 	db.rs.chunks = append([]*chunk(nil), db.rs.chunks...)
 	db.rs.starts = append([]int(nil), db.rs.starts...)
-	db.groups = append([]*XTuple(nil), db.groups...)
 	db.marks = append([]versionMark(nil), db.marks...)
 	db.shared = false
 }
@@ -142,7 +147,7 @@ func (db *Database) unshare() {
 // (uid) that checkpoint restoration keys on, and the tuples' rank
 // positions, which the splice passes keep repairing on the clones.
 func (db *Database) cowGroup(gi int) *XTuple {
-	x := db.groups[gi]
+	x := db.groups.at(gi)
 	if db.cowed[x] {
 		return x
 	}
@@ -165,7 +170,7 @@ func (db *Database) cowGroup(gi int) *XTuple {
 		c.home = hc
 		db.byID[c.ID] = c
 	}
-	db.groups[gi] = nx
+	db.groups.set(gi, nx)
 	db.markPrivate(nx)
 	return nx
 }

@@ -90,9 +90,9 @@ func EncodeWire(db *Database) ([]byte, error) {
 		Version: db.version,
 		NextOrd: db.nextOrd,
 		NextUID: db.nextUID,
-		XTuples: make([]wireGroup, len(db.groups)),
+		XTuples: make([]wireGroup, db.groups.n),
 	}
-	for gi, x := range db.groups {
+	for gi, x := range db.groups.all() {
 		wg := wireGroup{Name: x.Name, UID: x.uid, Tuples: make([]wireTuple, len(x.Tuples))}
 		for ti, t := range x.Tuples {
 			wg.Tuples[ti] = wireTuple{ID: t.ID, Attrs: t.Attrs, Prob: t.Prob, Ord: t.ord, Pos: pos[t], Null: t.Null}
@@ -134,7 +134,6 @@ func DecodeWire(data []byte, rank RankFunc) (*Database, error) {
 	for _, wg := range doc.XTuples {
 		total += len(wg.Tuples)
 	}
-	db.groups = make([]*XTuple, len(doc.XTuples))
 	sorted := make([]*Tuple, total)
 	db.byID = make(map[string]*Tuple, total)
 	for gi, wg := range doc.XTuples {
@@ -167,7 +166,7 @@ func DecodeWire(data []byte, rank RankFunc) (*Database, error) {
 		if err := x.validate(); err != nil {
 			return nil, err
 		}
-		db.groups[gi] = x
+		db.groups.append(x)
 	}
 	// The rank order is rebuilt from the persisted positions (chunked
 	// afresh — chunk boundaries are an in-memory detail, not wire state),

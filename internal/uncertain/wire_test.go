@@ -63,8 +63,8 @@ func sameState(t *testing.T, want, got *Database) {
 		t.Fatalf("sizes (%d,%d,%d), want (%d,%d,%d)",
 			got.NumGroups(), got.NumTuples(), got.nReal, want.NumGroups(), want.NumTuples(), want.nReal)
 	}
-	for gi, wx := range want.groups {
-		gx := got.groups[gi]
+	for gi := 0; gi < want.NumGroups(); gi++ {
+		wx, gx := want.GroupAt(gi), got.GroupAt(gi)
 		if gx.Name != wx.Name || gx.uid != wx.uid || len(gx.Tuples) != len(wx.Tuples) {
 			t.Fatalf("group %d: %q/uid %d/%d tuples, want %q/uid %d/%d",
 				gi, gx.Name, gx.uid, len(gx.Tuples), wx.Name, wx.uid, len(wx.Tuples))
@@ -140,7 +140,7 @@ func TestWireFutureMutationsIdentical(t *testing.T) {
 		}
 	}
 	sameState(t, db, back)
-	if db.groups[len(db.groups)-1].uid != back.groups[len(back.groups)-1].uid {
+	if db.GroupAt(db.NumGroups()-1).uid != back.GroupAt(back.NumGroups()-1).uid {
 		t.Fatal("post-decode insert drew a different uid")
 	}
 }

@@ -36,10 +36,10 @@ func NewSampler(db *uncertain.Database, rng *rand.Rand) *Sampler {
 
 // Sample draws one world. The returned Choices slice is freshly allocated.
 func (s *Sampler) Sample() World {
-	groups := s.db.Groups()
-	choices := make([]int, len(groups))
+	choices := make([]int, len(s.cum))
 	prob := 1.0
-	for gi, x := range groups {
+	for gi := range choices {
+		x := s.db.GroupAt(gi)
 		u := s.rng.Float64() * s.cum[gi][len(s.cum[gi])-1]
 		// Binary search the cumulative table.
 		lo, hi := 0, len(s.cum[gi])-1

@@ -71,7 +71,7 @@ func Enumerate(db *uncertain.Database, visit func(World) bool) {
 
 // Contains reports whether the world includes the given tuple.
 func (w World) Contains(t *uncertain.Tuple, db *uncertain.Database) bool {
-	g := db.Groups()[t.Group]
+	g := db.GroupAt(t.Group)
 	return g.Tuples[w.Choices[t.Group]] == t
 }
 
@@ -80,9 +80,8 @@ func (w World) Contains(t *uncertain.Tuple, db *uncertain.Database) bool {
 // exactly min(k, m) entries because every x-tuple contributes exactly one
 // alternative (nulls are materialized).
 func TopK(db *uncertain.Database, w World, k int) []*uncertain.Tuple {
-	groups := db.Groups()
-	if k > len(groups) {
-		k = len(groups)
+	if m := db.NumGroups(); k > m {
+		k = m
 	}
 	out := make([]*uncertain.Tuple, 0, k)
 	// Chunk cursor rather than db.Sorted(): Monte-Carlo verification calls
@@ -91,7 +90,7 @@ func TopK(db *uncertain.Database, w World, k int) []*uncertain.Tuple {
 	// after the top few positions.
 	cur := db.CursorAt(0)
 	for t := cur.Next(); t != nil; t = cur.Next() {
-		if groups[t.Group].Tuples[w.Choices[t.Group]] == t {
+		if db.GroupAt(t.Group).Tuples[w.Choices[t.Group]] == t {
 			out = append(out, t)
 			if len(out) == k {
 				break
