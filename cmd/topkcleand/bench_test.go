@@ -135,9 +135,9 @@ func BenchmarkServeUnderMutation(b *testing.B) {
 }
 
 // startShardWriter streams insert commits at a sharded cluster — the
-// router/rebalance path under load — until stopped. Reweights need group
-// handles the cluster does not expose, so the sharded writer works in
-// fresh x-tuples at random scores (every shard's range gets hit).
+// router path under load — until stopped. Reweights need group handles
+// the cluster does not expose, so the sharded writer works in fresh
+// x-tuples at random scores (placement spreads them over every shard).
 func startShardWriter(c *shard.Cluster) (stop func() (commits int)) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -171,7 +171,7 @@ func startShardWriter(c *shard.Cluster) (stop func() (commits int)) {
 	}
 }
 
-// benchServeSharded is benchServe over a range-sharded default database:
+// benchServeSharded is benchServe over a sharded default database:
 // /topk throughput through the merge coordinator, optionally with a
 // background writer streaming commits through the router.
 func benchServeSharded(b *testing.B, shards int, mutating bool) {

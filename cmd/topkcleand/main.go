@@ -85,7 +85,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		polly     = fs.Duration("replica-poll", 25*time.Millisecond, "journal poll interval in -follower mode")
 		fsync     = fs.Bool("fsync", true, "fsync the journal after every commit (with -store)")
 		ckptEvery = fs.Int("checkpoint-every", 256, "journal records between automatic checkpoints (with -store)")
-		shards    = fs.Int("shards", 1, "range-shard each database across N shards behind a merge coordinator (1 = unsharded)")
+		shards    = fs.Int("shards", 1, "hash-place each database's x-tuples across N shards behind a merge coordinator (1 = unsharded)")
 		rescan    = fs.Duration("follower-rescan", time.Second, "how often a follower rescans the store root for new databases")
 	)
 	if err := fs.Parse(args); err != nil {

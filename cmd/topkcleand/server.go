@@ -306,7 +306,7 @@ type dbInfoJSON struct {
 	Tuples    int     `json:"tuples"`
 	K         int     `json:"k"`
 	Threshold float64 `json:"threshold"`
-	Shards    int     `json:"shards,omitempty"` // > 1: range-sharded
+	Shards    int     `json:"shards,omitempty"` // > 1: sharded
 	Durable   bool    `json:"durable"`
 }
 
@@ -317,7 +317,7 @@ type createRequest struct {
 	Seed      int64          `json:"seed,omitempty"`      // engine seed; default: daemon -seed
 	Synthetic int            `json:"synthetic,omitempty"` // x-tuples to generate when no xtuples given
 	GenSeed   int64          `json:"gen_seed,omitempty"`  // generator seed (default: daemon -seed)
-	Shards    int            `json:"shards,omitempty"`    // > 1: range-sharded serving (default: daemon -shards)
+	Shards    int            `json:"shards,omitempty"`    // > 1: sharded serving (default: daemon -shards)
 	XTuples   []createXTuple `json:"xtuples,omitempty"`   // inline dataset (wins over synthetic)
 }
 

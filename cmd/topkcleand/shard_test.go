@@ -12,7 +12,7 @@ import (
 )
 
 // shardedServerStore is testServerStore with a default shard count: the
-// default database is created (or recovered) range-sharded when shards > 1.
+// default database is created (or recovered) sharded when shards > 1.
 func shardedServerStore(t testing.TB, xtuples, k, shards int, storeRoot string) (*httptest.Server, *server) {
 	t.Helper()
 	s := newServer(serverConfig{
@@ -86,8 +86,8 @@ func TestShardedHTTPDifferential(t *testing.T) {
 	})
 	compare("after inserts")
 
-	// A straddling insert: alternatives of one x-tuple landing in different
-	// shards' score ranges forces the router's pull-up rebalance.
+	// A straddling insert: one x-tuple whose alternatives span the whole
+	// score range lands whole on one shard, and the merge interleaves it.
 	shardedMutate(t, sts.URL, pts.URL, []mutateOp{
 		{Op: "insert", Name: "straddle", Tuples: []tupleJSON{
 			{ID: "st.a", Attrs: []float64{top + 1}, Prob: 0.3},

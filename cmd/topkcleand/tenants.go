@@ -24,7 +24,7 @@ import (
 // the replica handle on follower daemons, the per-tenant query coalescer,
 // and the write mutex that keeps WAL order equal to commit order across
 // /mutate and /apply. A sharded tenant (created with shards > 1) serves
-// through clu instead of eng: the range-sharded cluster owns its own
+// through clu instead of eng: the sharded cluster owns its own
 // per-shard stores and merge coordinator (see DESIGN.md "Sharded
 // serving").
 type tenant struct {
@@ -154,7 +154,7 @@ type tenantConfig struct {
 	Threshold float64 `json:"threshold"`
 	Seed      int64   `json:"seed"`
 	Rank      string  `json:"rank,omitempty"`
-	Shards    int     `json:"shards,omitempty"` // > 1: range-sharded serving
+	Shards    int     `json:"shards,omitempty"` // > 1: sharded serving
 }
 
 // rankFunc resolves the persisted ranking-function name through the
@@ -292,8 +292,8 @@ func (s *server) addTenant(name string, db *topkclean.Database, cfg tenantConfig
 	return t, nil
 }
 
-// addShardTenant splits a built database across cfg.Shards range shards
-// behind a merge coordinator. With -store, the cluster journals each
+// addShardTenant places a built database's x-tuples across cfg.Shards
+// shards behind a merge coordinator. With -store, the cluster journals each
 // shard (plus its placement directory) under the tenant directory; the
 // per-shard layout is the shard package's, not the flat single-journal
 // one, so tenant.json's shards field is what recovery dispatches on.

@@ -4,69 +4,50 @@ import "github.com/probdb/topkclean/internal/uncertain"
 
 // entry is one logical x-tuple's placement: which shard holds it, its
 // local group index there (sentinel is local 0, so content groups start at
-// 1), its global group index, and the global tie-break stamp of each real
-// alternative (parallel to RealTuples; nil for absent groups).
+// 1), and the global tie-break stamp of each real alternative (parallel to
+// RealTuples; nil for absent groups).
 type entry struct {
-	shard  int
-	local  int
-	global int
-	gseqs  []int
+	shard int
+	local int
+	gseqs []int
 }
 
 // directory is the cluster's live placement map: entries in global group
-// index order (the index space every mutation addresses), plus per-shard
-// lists in local order. It is mutated only under the cluster writer lock;
-// readers see placement through published epochs instead.
+// index order (the index space every mutation addresses) plus each shard's
+// group count. Groups never move, and both appends and deletes keep the
+// relative order of the survivors in both index spaces, so a group's local
+// index is always its rank among the same-shard entries in global order.
+// It is mutated only under the cluster writer lock; readers see placement
+// through published epochs instead.
 type directory struct {
 	entries []*entry
-	locals  [][]*entry // locals[s][i] has local index i+1
+	size    []int // size[s]: content groups on shard s
 }
 
 func newDirectory(shards int) *directory {
-	return &directory{locals: make([][]*entry, shards)}
+	return &directory{size: make([]int, shards)}
 }
 
 // append places a new group at the end of the global index space and of
-// its shard's local space, filling in the entry's indices.
+// its shard's local space, filling in its local index.
 func (d *directory) append(e *entry) {
-	e.global = len(d.entries)
 	d.entries = append(d.entries, e)
-	e.local = len(d.locals[e.shard]) + 1
-	d.locals[e.shard] = append(d.locals[e.shard], e)
+	d.size[e.shard]++
+	e.local = d.size[e.shard]
 }
 
 // removeGlobal deletes the group at global index gi, renumbering the
-// globals above it and the locals above it in its shard — mirroring
-// exactly how DeleteXTuple renumbers in both index spaces.
+// locals above it in its shard — mirroring exactly how DeleteXTuple
+// renumbers in both index spaces.
 func (d *directory) removeGlobal(gi int) {
 	e := d.entries[gi]
 	d.entries = append(d.entries[:gi], d.entries[gi+1:]...)
-	for i := gi; i < len(d.entries); i++ {
-		d.entries[i].global = i
+	for _, o := range d.entries[gi:] {
+		if o.shard == e.shard {
+			o.local--
+		}
 	}
-	d.dropLocal(e)
-}
-
-// move reassigns the group at global index gi to shard `to`, keeping its
-// global index (a move is delete+insert at the shard level, but the
-// logical group never changes identity or global position).
-func (d *directory) move(gi, to int) {
-	e := d.entries[gi]
-	d.dropLocal(e)
-	e.shard = to
-	e.local = len(d.locals[to]) + 1
-	d.locals[to] = append(d.locals[to], e)
-}
-
-// dropLocal splices e out of its shard's local list, renumbering the
-// locals after it.
-func (d *directory) dropLocal(e *entry) {
-	ls := d.locals[e.shard]
-	ls = append(ls[:e.local-1], ls[e.local:]...)
-	d.locals[e.shard] = ls
-	for i := e.local - 1; i < len(ls); i++ {
-		ls[i].local = i + 1
-	}
+	d.size[e.shard]--
 }
 
 // entryView is an entry frozen into an epoch.
@@ -102,7 +83,7 @@ func (c *Cluster) publishLocked() {
 	e.entries = make([]entryView, e.m)
 	e.perShard = make([][]int32, len(c.shards))
 	for s := range c.shards {
-		e.perShard[s] = make([]int32, len(c.dir.locals[s])+1)
+		e.perShard[s] = make([]int32, c.dir.size[s]+1)
 		e.perShard[s][0] = -1 // sentinel
 	}
 	for gi, en := range c.dir.entries {

@@ -24,12 +24,11 @@ func (r *byteReader) next() int {
 }
 
 // FuzzShardMerge decodes an arbitrary valid database, an arbitrary k and
-// shard count, and — through the splits hook — an arbitrary valid range
-// partition of the rank order, then requires the coordinator merge to
-// reproduce the unsharded scan's answers bit-for-bit (rank
-// probabilities, global top-k, quality, PTK) without ever panicking.
-// Empty shards, all-absent databases, total ties, and lopsided splits
-// are all reachable encodings.
+// shard count, and an arbitrary placement — one shard per group — then
+// requires the coordinator merge to reproduce the unsharded scan's
+// answers bit-for-bit (rank probabilities, global top-k, quality, PTK)
+// without ever panicking. Empty shards, all groups on one shard,
+// all-absent databases, and total ties are all reachable encodings.
 func FuzzShardMerge(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 2, 4, 1, 0, 5, 2, 1, 7, 3, 2, 6, 1, 0, 4, 2, 3, 1})
@@ -39,7 +38,7 @@ func FuzzShardMerge(f *testing.F) {
 		r := &byteReader{data: data}
 		db := uncertain.New()
 		groups := 1 + r.next()%12
-		id, reals := 0, 0
+		id := 0
 		for g := 0; g < groups; g++ {
 			alts := r.next() % 5
 			if alts == 0 {
@@ -66,7 +65,6 @@ func FuzzShardMerge(f *testing.F) {
 			if err := db.AddXTuple(fmt.Sprintf("g%d", g), ts...); err != nil {
 				t.Fatal(err)
 			}
-			reals += alts
 		}
 		if err := db.Build(uncertain.ByFirstAttr); err != nil {
 			t.Fatal(err)
@@ -74,15 +72,9 @@ func FuzzShardMerge(f *testing.F) {
 
 		k := 1 + r.next()%6
 		n := 1 + r.next()%5
-		// Arbitrary nondecreasing cumulative cut targets. Targets past the
-		// total real count leave the tail shards empty on purpose.
-		splits := make([]int, n-1)
-		for i := range splits {
-			lo := 0
-			if i > 0 {
-				lo = splits[i-1]
-			}
-			splits[i] = lo + r.next()%(reals-lo+2)
+		shardOf := make([]int, groups)
+		for g := range shardOf {
+			shardOf[g] = r.next() % n
 		}
 
 		cfg := Config{Shards: n, K: k, Threshold: 0.25, Rank: db.Rank()}
@@ -90,9 +82,8 @@ func FuzzShardMerge(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.splits = splits
 		c.mu.Lock()
-		berr := c.buildFromLocked(db, db.Version())
+		berr := c.buildFromLocked(db, db.Version(), func(g int, _ []int) int { return shardOf[g] })
 		c.stage = nil
 		c.mu.Unlock()
 		if berr != nil {

@@ -10,8 +10,7 @@ import (
 
 // certainLadder builds a cluster (and its unsharded mirror) of `groups`
 // certain x-tuples with strictly descending scores: the PSR scan reaches
-// k full groups after exactly k pulls, so a top-k query must resolve
-// entirely inside the top shard.
+// k full groups after exactly k positions.
 func certainLadder(t *testing.T, shards, k, groups int) (*Cluster, *uncertain.Database) {
 	t.Helper()
 	c, err := New(Config{Shards: shards, K: k, Threshold: 0.1})
@@ -38,24 +37,28 @@ func certainLadder(t *testing.T, shards, k, groups int) (*Cluster, *uncertain.Da
 	return c, db
 }
 
-// TestEarlyTerminationNeverTouchesLowerShards proves the coordinator's
-// isolation guarantee with the per-shard scan counters: a top-k query
-// whose PSR scan terminates inside shard 0 pulls exactly k tuples from
-// shard 0 and zero from every other shard — their cursors are never even
-// opened.
-func TestEarlyTerminationNeverTouchesLowerShards(t *testing.T) {
+// TestEarlyTerminationPullBound proves the coordinator's lazy merge with
+// the per-shard scan counters: a top-k query whose PSR scan terminates
+// after Processed positions pulls one head from every shard plus one
+// refill per position but the last — Processed + N - 1 tuples in total.
+func TestEarlyTerminationPullBound(t *testing.T) {
 	const shards, k = 4, 3
 	c, db := certainLadder(t, shards, k, 40)
 	compareAll(t, c, db)
 	checkInvariant(t, c)
-	stats := c.Stats()
-	if got := stats[0].Scanned; got != k {
-		t.Fatalf("shard 0 scanned %d tuples; Lemma 2 terminates after exactly %d", got, k)
+	if got := c.ans.si.Processed; got != k {
+		t.Fatalf("scan processed %d positions; Lemma 2 terminates after exactly %d", got, k)
 	}
-	for s := 1; s < shards; s++ {
-		if got := stats[s].Scanned; got != 0 {
-			t.Fatalf("shard %d scanned %d tuples; early termination must never open lower shards", s, got)
+	stats := c.Stats()
+	var total uint64
+	for s, st := range stats {
+		if st.Scanned == 0 {
+			t.Fatalf("shard %d never pulled; the merge needs every shard's head", s)
 		}
+		total += st.Scanned
+	}
+	if want := uint64(k + shards - 1); total != want {
+		t.Fatalf("merge pulled %d tuples; Processed + N - 1 = %d", total, want)
 	}
 
 	// Repeated queries at the same version hit the memoized evaluation:
@@ -71,9 +74,10 @@ func TestEarlyTerminationNeverTouchesLowerShards(t *testing.T) {
 }
 
 // TestMutationInvalidatesExactlyTouchedShards pins which shard-local
-// versions move under each mutation: a reweight commits only on the
-// owning shard, and a boundary-straddling insert commits on exactly the
-// shards its rebalance closure touches.
+// versions move under each mutation: every insert, delete, reweight, and
+// collapse commits on exactly the shard that owns the group — including
+// an insert whose scores straddle the whole ladder, since groups never
+// move.
 func TestMutationInvalidatesExactlyTouchedShards(t *testing.T) {
 	const shards = 4
 	c, db := certainLadder(t, shards, 3, 40)
@@ -85,62 +89,54 @@ func TestMutationInvalidatesExactlyTouchedShards(t *testing.T) {
 		}
 		return vs
 	}
-
-	// A reweight of a group owned by the bottom shard commits there only.
-	before := versions()
-	bottom := c.dir.entries[39] // lowest-scored group
-	if bottom.shard != shards-1 {
-		t.Fatalf("ladder bottom lives on shard %d, want %d", bottom.shard, shards-1)
-	}
-	if err := c.Reweight(39, []float64{0.5}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Reweight(39, []float64{0.5}); err != nil {
-		t.Fatal(err)
-	}
-	after := versions()
-	for s := 0; s < shards; s++ {
-		bumped := after[s] != before[s]
-		if want := s == shards-1; bumped != want {
-			t.Fatalf("reweight: shard %d version bumped=%v, want %v", s, bumped, want)
+	// expect runs op on both sides and requires exactly the shard owner()
+	// names, evaluated after op, to commit.
+	expect := func(what string, owner func() int, op func(*Cluster) error, plain func(*uncertain.Database) error) {
+		t.Helper()
+		before := versions()
+		if err := op(c); err != nil {
+			t.Fatal(err)
 		}
+		if err := plain(db); err != nil {
+			t.Fatal(err)
+		}
+		want := owner()
+		after := versions()
+		for s := 0; s < shards; s++ {
+			if bumped := after[s] != before[s]; bumped != (s == want) {
+				t.Fatalf("%s: shard %d version bumped=%v, owner is shard %d", what, s, bumped, want)
+			}
+		}
+		compareAll(t, c, db)
+		checkInvariant(t, c)
 	}
-	compareAll(t, c, db)
+	shardOf := func(l int) int { return c.dir.entries[l].shard }
+	last := func() int { return shardOf(c.NumGroups() - 1) }
+	at := func(l int) func() int { return func() int { return shardOf(l) } }
 
-	// An insert straddling the shard 0 / shard 1 boundary: its top key
-	// routes to shard 0, its bottom key reaches into shard 1's range, so
-	// the closure pulls shard 1 groups up. Shards 2 and 3 hold strictly
-	// lower keys and must not commit.
-	min0, _ := c.shardMinKey(0)
-	min1, _ := c.shardMinKey(1)
-	hi := min0.score + 0.5              // above shard 0's minimum: routes there
-	lo := (min1.score + min0.score) / 2 // inside shard 1's range: forces pull-ups
-	if !(hi < min0.score+1) || !(lo > min1.score) || !(lo < min0.score) {
-		t.Fatalf("ladder geometry unexpected: min0=%v min1=%v hi=%v lo=%v", min0.score, min1.score, hi, lo)
-	}
+	expect("reweight", at(39),
+		func(c *Cluster) error { return c.Reweight(39, []float64{0.5}) },
+		func(db *uncertain.Database) error { return db.Reweight(39, []float64{0.5}) })
+
+	// An insert whose alternatives span the whole ladder: above the top
+	// group and below the bottom one.
 	straddle := []uncertain.Tuple{
-		{ID: "sp-hi", Attrs: []float64{hi}, Prob: 0.5},
-		{ID: "sp-lo", Attrs: []float64{lo}, Prob: 0.5},
+		{ID: "sp-hi", Attrs: []float64{2000}, Prob: 0.5},
+		{ID: "sp-lo", Attrs: []float64{-5}, Prob: 0.5},
 	}
-	before = versions()
-	if err := c.InsertXTuple("straddle", straddle...); err != nil {
-		t.Fatal(err)
+	expect("straddling insert", last,
+		func(c *Cluster) error { return c.InsertXTuple("straddle", straddle...) },
+		func(db *uncertain.Database) error { return db.InsertXTuple("straddle", straddle...) })
+	expect("collapse", at(40),
+		func(c *Cluster) error { return c.Collapse(40, 1) },
+		func(db *uncertain.Database) error { return db.Collapse(40, 1) })
+	expect("absent insert", last,
+		func(c *Cluster) error { return c.InsertAbsentXTuple("gone") },
+		func(db *uncertain.Database) error { return db.InsertAbsentXTuple("gone") })
+	for _, l := range []int{0, 17, 38} {
+		owner := shardOf(l) // the group is gone after the delete
+		expect("delete", func() int { return owner },
+			func(c *Cluster) error { return c.DeleteXTuple(l) },
+			func(db *uncertain.Database) error { return db.DeleteXTuple(l) })
 	}
-	if err := db.InsertXTuple("straddle", straddle...); err != nil {
-		t.Fatal(err)
-	}
-	after = versions()
-	if after[0] == before[0] {
-		t.Fatal("straddling insert did not commit on shard 0")
-	}
-	if after[1] == before[1] {
-		t.Fatal("straddling insert did not rebalance shard 1")
-	}
-	for s := 2; s < shards; s++ {
-		if after[s] != before[s] {
-			t.Fatalf("straddling insert committed on untouched shard %d", s)
-		}
-	}
-	compareAll(t, c, db)
-	checkInvariant(t, c)
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"container/heap"
 	"context"
 
 	"github.com/probdb/topkclean/internal/quality"
@@ -10,12 +11,14 @@ import (
 
 // This file is the merge coordinator: it presents one epoch's shard
 // snapshots as the single global rank stream topkq.ScanStream consumes.
-// The range invariant makes the merge trivial — no heap, no k-way
-// comparison: the global real order is shard 0's reals, then shard 1's,
-// ..., and the global null order is the directory's global group order.
-// The stream is pulled lazily, so when Lemma 2 terminates the scan inside
-// shard s, the cursors of shards s+1..N-1 are never even opened — the
-// early-termination isolation the per-shard scan counters prove in tests.
+// Every shard's real alternatives are already in global (score, gseq)
+// order, so a lazy N-way heap over the shard cursors' heads yields the
+// global real order for any placement; the global null order is the
+// directory's global group order. The heap refills only the popped shard,
+// and only on the next pull, so when Lemma 2 terminates the scan after P
+// positions the shards have been pulled at most P + N times in total:
+// one head per shard plus one refill per position (and in the null
+// phase, one pull per null).
 
 // Result is the sharded engine's answer bundle, mirroring the unsharded
 // engine's Result surface the daemon serves.
@@ -42,30 +45,31 @@ type answers struct {
 // mergeNext returns the lazy pull function over epoch e, charging each
 // pull to the owning shard's cumulative scan counter. A shard's count
 // includes the one extra pull (its first null) that proves its reals are
-// exhausted; shards the scan never reaches stay at zero.
+// exhausted.
 func (c *Cluster) mergeNext(e *epoch) func() (*uncertain.Tuple, int, bool) {
-	var cur uncertain.Cursor
-	s, open := 0, false
+	var h *heads
 	nullIdx := 0
-	realPhase := true
 	return func() (*uncertain.Tuple, int, bool) {
-		for realPhase {
-			if s >= len(e.snaps) {
-				realPhase = false
-				break
+		if h == nil {
+			h = &heads{curs: make([]uncertain.Cursor, len(e.snaps)), tops: make([]*uncertain.Tuple, len(e.snaps))}
+			for s, snap := range e.snaps {
+				h.curs[s] = snap.CursorAt(0)
+				if c.pull(h, s) {
+					h.order = append(h.order, s)
+				}
 			}
-			if !open {
-				cur = e.snaps[s].CursorAt(0)
-				open = true
+			heap.Init(h)
+		} else if len(h.order) > 0 {
+			// Refill the shard the previous pull took its tuple from.
+			if c.pull(h, h.order[0]) {
+				heap.Fix(h, 0)
+			} else {
+				heap.Pop(h)
 			}
-			t := cur.Next()
-			if t != nil {
-				c.shards[s].scanned.Add(1)
-			}
-			if t == nil || t.Null {
-				s, open = s+1, false // this shard's reals are done
-				continue
-			}
+		}
+		if len(h.order) > 0 {
+			s := h.order[0]
+			t := h.tops[s]
 			return t, int(e.perShard[s][t.Group]), true
 		}
 		for nullIdx < len(e.entries) {
@@ -81,6 +85,48 @@ func (c *Cluster) mergeNext(e *epoch) func() (*uncertain.Tuple, int, bool) {
 		}
 		return nil, 0, false
 	}
+}
+
+// pull advances shard s's cursor into h.tops[s], counting the pull, and
+// reports whether it produced a real alternative (reals come first, so
+// the first null or the end means the shard's reals are exhausted).
+func (c *Cluster) pull(h *heads, s int) bool {
+	t := h.curs[s].Next()
+	if t == nil {
+		return false
+	}
+	c.shards[s].scanned.Add(1)
+	h.tops[s] = t
+	return !t.Null
+}
+
+// heads is the merge heap: the shards whose cursor head is a real
+// alternative, ordered by the heads' global key (score descending, gseq
+// ascending), so order[0] holds the globally next real alternative.
+type heads struct {
+	curs  []uncertain.Cursor
+	tops  []*uncertain.Tuple
+	order []int
+}
+
+func (h *heads) Len() int { return len(h.order) }
+
+func (h *heads) Less(i, j int) bool {
+	a, b := h.tops[h.order[i]], h.tops[h.order[j]]
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	return a.Stamp() < b.Stamp()
+}
+
+func (h *heads) Swap(i, j int) { h.order[i], h.order[j] = h.order[j], h.order[i] }
+
+func (h *heads) Push(x any) { h.order = append(h.order, x.(int)) }
+
+func (h *heads) Pop() any {
+	s := h.order[len(h.order)-1]
+	h.order = h.order[:len(h.order)-1]
+	return s
 }
 
 // evalAt returns the memoized evaluation of epoch e, computing it on

@@ -22,6 +22,15 @@ import (
 // and refuses with ErrInconsistent rather than serving a silently skewed
 // directory. Graceful shutdown is the supported durability path; torn
 // recovery is detected, not repaired.
+//
+// The meta checkpoint carries a format number. Format 2 (hash placement:
+// no group ever moves, so local indices are recomputed from global order)
+// replaced format 1 (range shards, with explicit local indices and move
+// records); Open refuses any other format with ErrMetaFormat before
+// touching a shard journal.
+
+// metaFormat is the meta checkpoint format this package writes and reads.
+const metaFormat = 2
 
 // metaCheckpointEvery is how many meta records accumulate before the
 // directory is checkpointed and the meta WAL trimmed.
@@ -32,16 +41,20 @@ const metaCheckpointEvery = 256
 // across the multi-journal layout.
 var ErrInconsistent = errors.New("shard: shard journals and cluster directory disagree (torn multi-journal commit)")
 
+// ErrMetaFormat is returned by Open when the meta checkpoint is not in
+// this package's format — a sharded layout written by an older release,
+// which must be re-created rather than reinterpreted.
+var ErrMetaFormat = errors.New("shard: unsupported sharded layout format; re-create the database")
+
 // metaOp is one directory transition within a commit, in application
 // order: ins (new group on shard s with stamps), abs (new absent group on
-// shard s), del (remove global index i), mov (global index i to shard
-// to), clp (collapse global index i to choice c).
+// shard s), del (remove global index i), clp (collapse global index i to
+// choice c).
 type metaOp struct {
 	Op     string `json:"op"`
 	Shard  int    `json:"s,omitempty"`
 	Gseqs  []int  `json:"seqs,omitempty"`
 	Index  int    `json:"i,omitempty"`
-	To     int    `json:"to,omitempty"`
 	Choice int    `json:"c,omitempty"`
 }
 
@@ -55,19 +68,17 @@ type metaRecord struct {
 	Ops      []metaOp `json:"ops,omitempty"`
 }
 
-// metaEntry is one directory entry in a checkpoint. The local index is
-// recorded explicitly: moves append a group at its new shard's local
-// tail while keeping its global position, so local order is not
-// recoverable from global order.
+// metaEntry is one directory entry in a checkpoint. Its local index is
+// not recorded: it is the entry's rank among same-shard entries.
 type metaEntry struct {
 	Shard int   `json:"s"`
-	Local int   `json:"l"`
 	Gseqs []int `json:"seqs,omitempty"`
 }
 
 // metaCheckpoint is the full directory at one version, entries in global
 // order.
 type metaCheckpoint struct {
+	Format   int         `json:"format"`
 	Shards   int         `json:"shards"`
 	Version  uint64      `json:"v"`
 	NextGseq int         `json:"g"`
@@ -150,6 +161,7 @@ func (c *Cluster) appendMetaLocked(ops []metaOp) error {
 // trimming the meta WAL.
 func (c *Cluster) metaCheckpointLocked() error {
 	ck := metaCheckpoint{
+		Format:   metaFormat,
 		Shards:   c.cfg.Shards,
 		Version:  c.version,
 		NextGseq: c.nextGseq,
@@ -157,7 +169,7 @@ func (c *Cluster) metaCheckpointLocked() error {
 		Entries:  make([]metaEntry, len(c.dir.entries)),
 	}
 	for i, e := range c.dir.entries {
-		ck.Entries[i] = metaEntry{Shard: e.shard, Local: e.local, Gseqs: e.gseqs}
+		ck.Entries[i] = metaEntry{Shard: e.shard, Gseqs: e.gseqs}
 	}
 	data, err := json.Marshal(ck)
 	if err != nil {
@@ -170,11 +182,12 @@ func (c *Cluster) metaCheckpointLocked() error {
 	return nil
 }
 
-// Open recovers a persisted cluster: every shard store replays its own
-// checkpoint + WAL, the meta journal replays the directory, and the two
-// are cross-checked (per-shard versions, group and stamp counts) before
-// serving. cfg must name the same backend, path, and shard count the
-// cluster was created with.
+// Open recovers a persisted cluster: the meta checkpoint's format is
+// checked first, then every shard store replays its own checkpoint + WAL,
+// the meta journal replays the directory, and the two are cross-checked
+// (per-shard versions, group and stamp counts) before serving. cfg must
+// name the same backend, path, and shard count the cluster was created
+// with.
 func Open(cfg Config) (*Cluster, error) {
 	if cfg.Backend == "" {
 		return nil, fmt.Errorf("shard: Open requires a persistence backend")
@@ -184,22 +197,9 @@ func Open(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	c.stage = nil
-	c.shards = make([]*shardHandle, cfg.Shards)
 	fail := func(err error) (*Cluster, error) {
 		c.closeStoresLocked()
 		return nil, err
-	}
-	for i := range c.shards {
-		be, err := store.OpenBackend(cfg.Backend, c.shardPath(i))
-		if err != nil {
-			return fail(fmt.Errorf("shard %d: %w", i, err))
-		}
-		sdb, err := store.Open(be, c.rank, cfg.StoreOpts...)
-		if err != nil {
-			be.Close()
-			return fail(fmt.Errorf("shard %d: %w", i, err))
-		}
-		c.shards[i] = &shardHandle{db: sdb.DB(), sdb: sdb}
 	}
 	mb, err := store.OpenBackend(cfg.Backend, c.metaPath())
 	if err != nil {
@@ -217,30 +217,31 @@ func Open(cfg Config) (*Cluster, error) {
 	if err := json.Unmarshal(data, &ck); err != nil {
 		return fail(fmt.Errorf("meta: %w (%v)", store.ErrCorrupt, err))
 	}
+	if ck.Format != metaFormat {
+		return fail(fmt.Errorf("%w: meta checkpoint format %d, want %d", ErrMetaFormat, ck.Format, metaFormat))
+	}
 	if ck.Shards != cfg.Shards {
 		return fail(fmt.Errorf("shard: cluster has %d shards, config says %d", ck.Shards, cfg.Shards))
 	}
+	c.shards = make([]*shardHandle, cfg.Shards)
+	for i := range c.shards {
+		be, err := store.OpenBackend(cfg.Backend, c.shardPath(i))
+		if err != nil {
+			return fail(fmt.Errorf("shard %d: %w", i, err))
+		}
+		sdb, err := store.Open(be, c.rank, cfg.StoreOpts...)
+		if err != nil {
+			be.Close()
+			return fail(fmt.Errorf("shard %d: %w", i, err))
+		}
+		c.shards[i] = &shardHandle{db: sdb.DB(), sdb: sdb}
+	}
 	c.dir = newDirectory(cfg.Shards)
-	counts := make([]int, cfg.Shards)
 	for _, me := range ck.Entries {
 		if me.Shard < 0 || me.Shard >= cfg.Shards {
 			return fail(fmt.Errorf("meta: entry shard %d: %w", me.Shard, store.ErrCorrupt))
 		}
-		counts[me.Shard]++
-	}
-	for s := range c.dir.locals {
-		c.dir.locals[s] = make([]*entry, counts[s])
-	}
-	for gi, me := range ck.Entries {
-		if me.Local < 1 || me.Local > counts[me.Shard] {
-			return fail(fmt.Errorf("meta: entry %d local %d of %d: %w", gi, me.Local, counts[me.Shard], store.ErrCorrupt))
-		}
-		if c.dir.locals[me.Shard][me.Local-1] != nil {
-			return fail(fmt.Errorf("meta: entry %d duplicates shard %d local %d: %w", gi, me.Shard, me.Local, store.ErrCorrupt))
-		}
-		e := &entry{shard: me.Shard, local: me.Local, global: gi, gseqs: me.Gseqs}
-		c.dir.locals[me.Shard][me.Local-1] = e
-		c.dir.entries = append(c.dir.entries, e)
+		c.dir.append(&entry{shard: me.Shard, gseqs: me.Gseqs})
 	}
 	c.version = ck.Version
 	c.nextGseq = ck.NextGseq
@@ -278,7 +279,7 @@ func Open(cfg Config) (*Cluster, error) {
 		if v := sh.live().Version(); v != shardV[i] {
 			return fail(fmt.Errorf("%w: shard %d at v%d, directory expects v%d", ErrInconsistent, i, v, shardV[i]))
 		}
-		if got, want := sh.live().NumGroups(), len(c.dir.locals[i])+1; got != want {
+		if got, want := sh.live().NumGroups(), c.dir.size[i]+1; got != want {
 			return fail(fmt.Errorf("%w: shard %d holds %d groups, directory expects %d", ErrInconsistent, i, got, want))
 		}
 	}
@@ -321,11 +322,6 @@ func (d *directory) replay(ops []metaOp, shards int) error {
 				return fmt.Errorf("del index %d: %w", op.Index, store.ErrCorrupt)
 			}
 			d.removeGlobal(op.Index)
-		case "mov":
-			if op.Index < 0 || op.Index >= len(d.entries) || op.To < 0 || op.To >= shards {
-				return fmt.Errorf("mov index %d to %d: %w", op.Index, op.To, store.ErrCorrupt)
-			}
-			d.move(op.Index, op.To)
 		case "clp":
 			if op.Index < 0 || op.Index >= len(d.entries) {
 				return fmt.Errorf("clp index %d: %w", op.Index, store.ErrCorrupt)

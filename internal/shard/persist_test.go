@@ -113,6 +113,42 @@ func TestPersistTornCommitDetected(t *testing.T) {
 	}
 }
 
+// TestPersistRefusesOldMetaFormat hand-writes meta checkpoints in other
+// formats — the range-shard format 1, whose entries carry explicit local
+// indices ("l"), one with no format field, and a future one — over a
+// valid cluster, and requires Open to refuse each with ErrMetaFormat,
+// never as corruption or a torn commit.
+func TestPersistRefusesOldMetaFormat(t *testing.T) {
+	for name, ck := range map[string]string{
+		"format-1":  `{"format":1,"shards":2,"v":1,"g":4,"sv":[1,1],"entries":[{"s":0,"l":1,"seqs":[0,1]},{"s":1,"l":1,"seqs":[2,3]}]}`,
+		"no-format": `{"shards":2,"v":1,"g":4,"sv":[1,1],"entries":[{"s":0,"l":1,"seqs":[0,1]},{"s":1,"l":1,"seqs":[2,3]}]}`,
+		"format-3":  `{"format":3,"shards":2,"v":1,"g":4,"sv":[1,1],"entries":[{"s":0,"seqs":[0,1]},{"s":1,"seqs":[2,3]}]}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{Shards: 2, K: 2, Threshold: 0.25, Backend: "file", Path: t.TempDir()}
+			m := newMirrorCfg(t, 3, cfg, 6)
+			if err := m.c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			mb, err := store.OpenBackend(cfg.Backend, filepath.Join(cfg.Path, "meta"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mb.WriteCheckpoint([]byte(ck), 1); err != nil {
+				t.Fatal(err)
+			}
+			mb.Close()
+			_, err = Open(cfg)
+			if !errors.Is(err, ErrMetaFormat) {
+				t.Fatalf("Open: got %v, want ErrMetaFormat", err)
+			}
+			if errors.Is(err, store.ErrCorrupt) || errors.Is(err, ErrInconsistent) {
+				t.Fatalf("Open reported an old format as damage: %v", err)
+			}
+		})
+	}
+}
+
 // truncateMeta rewrites the meta backend so only the first n records
 // survive, simulating a crash that lost the journal tail.
 func truncateMeta(mb store.Backend, n int) error {

@@ -4,160 +4,32 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/probdb/topkclean/internal/store"
 	"github.com/probdb/topkclean/internal/uncertain"
 )
 
-// key is a real alternative's global rank key: the total order ranksAbove
-// restricted to real tuples, with the global sequence stamp as the
-// score-tie break. Nulls have no key; they always rank below every real.
-type key struct {
-	score float64
-	seq   int
+// place returns the shard of an x-tuple whose first global stamp is gseq:
+// the splitmix64 finalizer of the stamp, mod n. The mix matters: a
+// 2-alternative arrival takes two stamps, so a plain gseq % n would feed
+// only even shards.
+func place(gseq, n int) int {
+	z := uint64(gseq)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return int(z % uint64(n))
 }
 
-// above reports whether a ranks strictly above b. Stamps are unique, so
-// this is a strict total order on live keys.
-func above(a, b key) bool {
-	if a.score != b.score {
-		return a.score > b.score
+// placeGroup is the production placement of a group with the given real
+// stamps: place of its first stamp, or the bottom shard for an absent
+// group, which holds none. The group index is unused; it is part of the
+// signature so tests can substitute arbitrary placements.
+func (c *Cluster) placeGroup(_ int, gseqs []int) int {
+	if len(gseqs) == 0 {
+		return c.cfg.Shards - 1
 	}
-	return a.seq < b.seq
-}
-
-// shardMinKey returns the lowest real key held by shard s, if any.
-func (c *Cluster) shardMinKey(s int) (key, bool) {
-	db := c.shards[s].live()
-	nr := db.NumRealTuples()
-	if nr == 0 {
-		return key{}, false
-	}
-	t := db.AtRank(nr - 1) // reals occupy ranks [0, nr)
-	e := c.dir.locals[s][t.Group-1]
-	return key{score: t.Score, seq: e.gseqs[realIndexOf(c.shards[s].live(), e, t)]}, true
-}
-
-// realIndexOf returns t's index within its group's RealTuples.
-func realIndexOf(db *uncertain.Database, e *entry, t *uncertain.Tuple) int {
-	for i, rt := range db.GroupAt(e.local).RealTuples() {
-		if rt == t {
-			return i
-		}
-	}
-	panic("shard: tuple not in its directory group") // unreachable: directory and shard agree
-}
-
-// route picks the shard for a new group whose top real key is topKey: the
-// first non-empty shard whose range reaches down to it; below every
-// non-empty shard, the next empty shard if one exists (keeping ranges
-// spread) or the bottom non-empty one.
-func (c *Cluster) route(topKey key) int {
-	last := -1
-	for s := range c.shards {
-		mk, ok := c.shardMinKey(s)
-		if !ok {
-			continue
-		}
-		if above(topKey, mk) {
-			return s
-		}
-		last = s
-	}
-	if last < 0 {
-		return 0 // every shard empty
-	}
-	if last+1 < len(c.shards) {
-		return last + 1
-	}
-	return last
-}
-
-// pullUps computes the closure of groups in shards below j holding any
-// real key above kmin — the keys a group inserted into shard j with
-// bottom key kmin would otherwise straddle. Moving a group can lower the
-// boundary further (its own bottom key), so the scan repeats until no
-// shard below holds a key above the final boundary. Returns global group
-// indices in ascending order; global indices are stable across the
-// subsequent moves.
-func (c *Cluster) pullUps(j int, kmin key) []int {
-	if j >= len(c.shards)-1 {
-		return nil
-	}
-	moved := make(map[int]bool)
-	var moves []int
-	for again := true; again; {
-		again = false
-		for s := j + 1; s < len(c.shards); s++ {
-			cur := c.shards[s].live().CursorAt(0)
-			for {
-				t := cur.Next()
-				if t == nil || t.Null {
-					break // reals exhausted; keys only descend from here
-				}
-				e := c.dir.locals[s][t.Group-1]
-				if moved[e.global] {
-					continue // already claimed; its tuples still sit here until applied
-				}
-				tk := key{score: t.Score, seq: e.gseqs[realIndexOf(c.shards[s].live(), e, t)]}
-				if !above(tk, kmin) {
-					break // shard rank order: every later real is lower still
-				}
-				moved[e.global] = true
-				moves = append(moves, e.global)
-				if bk, ok := c.groupBottomKey(e); ok && above(kmin, bk) {
-					kmin = bk
-					again = true // the boundary dropped; rescan lower shards
-				}
-			}
-		}
-	}
-	sort.Ints(moves)
-	return moves
-}
-
-// groupBottomKey returns the lowest real key of the group at entry e.
-func (c *Cluster) groupBottomKey(e *entry) (key, bool) {
-	x := c.shards[e.shard].live().GroupAt(e.local)
-	reals := x.RealTuples()
-	if len(reals) == 0 {
-		return key{}, false
-	}
-	bk := key{score: reals[0].Score, seq: e.gseqs[0]}
-	for i := 1; i < len(reals); i++ {
-		k := key{score: reals[i].Score, seq: e.gseqs[i]}
-		if above(bk, k) {
-			bk = k
-		}
-	}
-	return bk, true
-}
-
-// moveGroup rebalances the group at global index gi into shard `to`:
-// delete from its current shard, re-insert with preserved stamps. The
-// re-materialized null probability is the same Kahan sum over the same
-// probabilities in the same order, so the move is answer-invisible.
-func (c *Cluster) moveGroup(gi, to int, b *Batch) error {
-	e := c.dir.entries[gi]
-	from := e.shard
-	x := c.shards[from].live().GroupAt(e.local)
-	name := x.Name
-	reals := x.RealTuples()
-	specs := make([]uncertain.Tuple, len(reals))
-	for i, t := range reals {
-		specs[i] = uncertain.Tuple{ID: t.ID, Attrs: append([]float64(nil), t.Attrs...), Prob: t.Prob}
-	}
-	seqs := append([]int(nil), e.gseqs...)
-	if err := c.shardDelete(from, e.local); err != nil {
-		return c.poison(err)
-	}
-	if err := c.shardInsertSeq(to, name, seqs, specs); err != nil {
-		return c.poison(err)
-	}
-	c.dir.move(gi, to)
-	b.ops = append(b.ops, metaOp{Op: "mov", Index: gi, To: to})
-	return nil
+	return place(gseqs[0], c.cfg.Shards)
 }
 
 // Batch groups cluster mutations into one commit: one cluster version
@@ -209,10 +81,10 @@ func (c *Cluster) poison(err error) error {
 	return fmt.Errorf("%w (%v)", ErrPoisoned, err)
 }
 
-// InsertXTuple inserts a new x-tuple, routed by its top-ranked
-// alternative's key, rebalancing lower shards as needed. Validation — in
-// the unsharded insert's order, with its errors — happens entirely before
-// any shard is touched, because a rebalance move is not undoable.
+// InsertXTuple inserts a new x-tuple on the shard place picks for it.
+// Validation — in the unsharded insert's order, with its errors, and
+// including the cluster-wide duplicate-ID check no single shard can make —
+// happens entirely before a stamp is drawn or any shard is touched.
 func (b *Batch) InsertXTuple(name string, tuples ...uncertain.Tuple) error {
 	c := b.c
 	if err := checkReserved(name, tuples); err != nil {
@@ -221,10 +93,8 @@ func (b *Batch) InsertXTuple(name string, tuples ...uncertain.Tuple) error {
 	if len(tuples) == 0 {
 		return fmt.Errorf("x-tuple %q: %w", name, uncertain.ErrEmptyXTuple)
 	}
-	scores := make([]float64, len(tuples))
 	for i := range tuples {
-		scores[i] = c.rank(tuples[i].Attrs)
-		if math.IsNaN(scores[i]) {
+		if math.IsNaN(c.rank(tuples[i].Attrs)) {
 			return fmt.Errorf("tuple %q: %w", tuples[i].ID, uncertain.ErrBadScore)
 		}
 	}
@@ -249,30 +119,13 @@ func (b *Batch) InsertXTuple(name string, tuples ...uncertain.Tuple) error {
 		seen[id] = true
 	}
 
-	// Validated; stamp, route, rebalance, insert.
+	// Validated; stamp, place, insert.
 	seqs := make([]int, len(tuples))
 	for i := range seqs {
 		seqs[i] = c.nextGseq
 		c.nextGseq++
 	}
-	topKey := key{score: scores[0], seq: seqs[0]}
-	kmin := topKey
-	for i := 1; i < len(tuples); i++ {
-		ki := key{score: scores[i], seq: seqs[i]}
-		if above(ki, topKey) {
-			topKey = ki
-		}
-		if above(kmin, ki) {
-			kmin = ki
-		}
-	}
-	j := c.route(topKey)
-	for _, gi := range c.pullUps(j, kmin) {
-		if err := c.moveGroup(gi, j, b); err != nil {
-			b.mutated = true
-			return err
-		}
-	}
+	j := c.placeGroup(0, seqs)
 	if err := c.shardInsertSeq(j, name, seqs, tuples); err != nil {
 		b.mutated = true
 		return c.poison(err)
@@ -287,17 +140,17 @@ func (b *Batch) InsertXTuple(name string, tuples ...uncertain.Tuple) error {
 }
 
 // InsertAbsentXTuple inserts an absent x-tuple. Absent groups hold no
-// real key, so they live in the bottom shard by convention.
+// stamp, so they live in the bottom shard by convention.
 func (b *Batch) InsertAbsentXTuple(name string) error {
 	c := b.c
-	if name == sentinelName {
-		return fmt.Errorf("%w: %q", ErrReservedName, name)
+	if err := checkReserved(name, nil); err != nil {
+		return err
 	}
 	nullID := "null:" + name
 	if _, live := c.ids[nullID]; live {
 		return fmt.Errorf("tuple %q: %w", nullID, uncertain.ErrDuplicateID)
 	}
-	s := len(c.shards) - 1
+	s := c.placeGroup(0, nil)
 	if err := c.shardInsertAbsent(s, name); err != nil {
 		b.mutated = true
 		return c.poison(err)
@@ -338,8 +191,7 @@ func (b *Batch) DeleteXTuple(l int) error {
 }
 
 // Reweight replaces the existential probabilities of the x-tuple at
-// global index l. Scores (and hence keys, and hence placement) are
-// unchanged; only the shard holding the group commits.
+// global index l. Only the shard holding the group commits.
 func (b *Batch) Reweight(l int, probs []float64) error {
 	c := b.c
 	if l < 0 || l >= len(c.dir.entries) {

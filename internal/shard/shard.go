@@ -1,48 +1,39 @@
 // Package shard is the in-process sharded serving engine: a database
-// range-partitioned by rank order across N shard databases, a router that
-// keeps the partition invariant under mutations, and a coordinator that
-// merges the per-shard rank orders into one logical stream and answers
-// top-k queries from it — bit-identically to the unsharded engine.
+// whose x-tuples are hash-placed, each whole, across N shard databases, a
+// router that sends every mutation to the owning shard, and a coordinator
+// that merges the per-shard rank orders into one logical stream and
+// answers top-k queries from it — bit-identically to the unsharded engine.
 //
-// # The range invariant
+// # Placement
 //
 // Every real alternative carries a global sequence stamp (gseq), assigned
-// once at its first insert and carried along by every rebalance move. The
-// global rank key of an alternative is the pair (score, gseq), ordered by
-// score descending, gseq ascending — exactly the unsharded total order
-// (ranksAbove), because stamps are assigned in the same arrival order the
-// unsharded database would use. Shards are ranges of this key order:
-//
-//	min key of shard s  >  every key of shard s+1   (for non-empty shards)
-//
+// once at its first insert. The global rank key of an alternative is the
+// pair (score, gseq), ordered by score descending, gseq ascending —
+// exactly the unsharded total order (ranksAbove), because stamps are
+// assigned in the same arrival order the unsharded database would use.
 // Each shard database stores its alternatives with the gseq as the local
 // tie-break stamp (uncertain.AddXTupleSeq / InsertXTupleSeq), so a shard's
-// local rank order is the global order restricted to the shard, and the
-// concatenation shard 0, shard 1, ... shard N-1 — reals first, then the
-// null alternatives in global group-index order — is exactly the global
-// rank order. That concatenation is what the coordinator feeds to
-// topkq.ScanStream, whose float64 operation sequence mirrors the unsharded
-// scan, making every answer bit-identical (see shardtest).
+// local rank order is the global order restricted to the shard, whatever
+// the placement. An x-tuple is placed once, at insert, by place(gseq₀, N)
+// — a fixed mix of its first stamp — and never moves; absent x-tuples hold
+// no stamp and sit in the bottom shard.
 //
-// # Rebalancing
+// # The merge
 //
-// Only inserts can break the invariant: scores never change after insert
-// (Reweight changes probabilities only), so a mutation moves no existing
-// key. When a new group's top key routes to shard j but some of its keys
-// fall below lower shards' keys, the router pulls those lower groups *up*
-// into shard j (delete + re-insert with preserved stamps) until shard j's
-// new min key is again above shard j+1's max. Moves preserve answers
-// exactly: stamps travel with the group, and the re-materialized null
-// probability is a deterministic Kahan sum over the same probabilities in
-// the same order, hence bit-identical.
+// Because every local order agrees with the global key, a k-way merge of
+// the N shard-local real streams by (score, gseq), followed by the null
+// alternatives in global group-index order, is exactly the global rank
+// order. That stream is what the coordinator feeds to topkq.ScanStream,
+// whose float64 operation sequence mirrors the unsharded scan, making
+// every answer bit-identical (see shard_test.go).
 //
 // # Sentinels
 //
-// Every shard database holds one hidden absent x-tuple (the sentinel), so
-// a shard is never empty — the underlying database forbids emptiness —
-// and a group can always be moved out. Sentinels are invisible to the
-// directory, the merge, and all counts. The sentinel's group name (and
-// its null alternative's ID) are reserved; inserts using them are
+// The underlying database forbids emptiness, and a shard can be empty at
+// build or emptied by deletes, so every shard database holds one hidden
+// absent x-tuple (the sentinel) at local index 0. Sentinels are invisible
+// to the directory, the merge, and all counts. The sentinel's group name
+// (and its null alternative's ID) are reserved; inserts using them are
 // rejected.
 package shard
 
@@ -78,8 +69,8 @@ var ErrPoisoned = errors.New("shard: cluster write failed; cluster is read-only"
 
 // Config configures a cluster.
 type Config struct {
-	// Shards is the number of range partitions (>= 1). A 1-shard cluster
-	// is the degenerate case used by differential tests.
+	// Shards is the number of shards (>= 1). A 1-shard cluster is the
+	// degenerate case used by differential tests.
 	Shards int
 
 	// K is the query size shared by Answers and Quality.
@@ -120,8 +111,8 @@ func (s *shardHandle) live() *uncertain.Database {
 	return s.db
 }
 
-// Cluster is a range-sharded database plus the router and coordinator
-// over it. Mutations serialize on the cluster's writer lock and publish
+// Cluster is a sharded database plus the router and coordinator over
+// it. Mutations serialize on the cluster's writer lock and publish
 // one immutable epoch per commit; queries read pinned epochs and run
 // fully concurrently with writers, exactly like the unsharded engine.
 type Cluster struct {
@@ -147,12 +138,6 @@ type Cluster struct {
 	ans *answers
 
 	stage *uncertain.Database // staging database before Build; nil after
-
-	// splits, when non-nil, replaces the balanced partition rule with
-	// explicit cumulative cut targets (test hook: the fuzz battery drives
-	// every valid range split through the merge, not just the balanced
-	// one).
-	splits []int
 }
 
 // New returns an empty cluster in staging state: add x-tuples with
@@ -191,8 +176,8 @@ func (c *Cluster) AddAbsentXTuple(name string) error {
 	if c.built {
 		return uncertain.ErrAlreadyBuilt
 	}
-	if name == sentinelName {
-		return fmt.Errorf("%w: %q", ErrReservedName, name)
+	if err := checkReserved(name, nil); err != nil {
+		return err
 	}
 	return c.stage.AddAbsentXTuple(name)
 }
@@ -211,8 +196,8 @@ func checkReserved(name string, tuples []uncertain.Tuple) error {
 }
 
 // Build validates and scores the staged x-tuples — with exactly the
-// unsharded Build's semantics and errors — then partitions the resulting
-// rank order into the configured number of shards and, with a backend
+// unsharded Build's semantics and errors — then places them across the
+// configured number of shards and, with a backend
 // configured, creates the per-shard stores and the meta journal.
 func (c *Cluster) Build() error {
 	c.mu.Lock()
@@ -223,7 +208,7 @@ func (c *Cluster) Build() error {
 	if err := c.stage.Build(c.rank); err != nil {
 		return err
 	}
-	err := c.buildFromLocked(c.stage, 1)
+	err := c.buildFromLocked(c.stage, 1, c.placeGroup)
 	c.stage = nil
 	return err
 }
@@ -244,25 +229,22 @@ func FromDatabase(db *uncertain.Database, cfg Config) (*Cluster, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.buildFromLocked(db, db.Version()); err != nil {
+	if err := c.buildFromLocked(db, db.Version(), c.placeGroup); err != nil {
 		return nil, err
 	}
 	c.stage = nil
 	return c, nil
 }
 
-// buildFromLocked partitions a built source database into the cluster's
-// shards. The global sequence stamp of every real alternative is its rank
-// position in the source — any strictly order-preserving stamping gives
-// the same tie-breaks, and rank positions are already materialized.
-func (c *Cluster) buildFromLocked(src *uncertain.Database, version uint64) error {
-	n := c.cfg.Shards
-	m := src.NumGroups()
-	nReal := src.NumRealTuples()
-
+// buildFromLocked distributes a built source database over the cluster's
+// shards, putting group g whole on shard assign(g, gseqs), where gseqs are
+// its real alternatives' global stamps. The stamps are the source's own
+// tie-break stamps: they already order the source's score ties, so the
+// cluster inherits its rank order exactly.
+func (c *Cluster) buildFromLocked(src *uncertain.Database, version uint64, assign func(g int, gseqs []int) int) error {
 	for _, x := range src.Groups() {
-		if x.Name == sentinelName {
-			return fmt.Errorf("%w: %q", ErrReservedName, x.Name)
+		if err := checkReserved(x.Name, nil); err != nil {
+			return err
 		}
 		for _, t := range x.Tuples {
 			if t.ID == sentinelNullID {
@@ -271,85 +253,36 @@ func (c *Cluster) buildFromLocked(src *uncertain.Database, version uint64) error
 		}
 	}
 
-	// Walk the rank order once: per-group top position (= partition order,
-	// since keys order by position) and per-alternative positions.
-	type ginfo struct {
-		topPos int
-		gseqs  []int
-	}
-	gs := make([]ginfo, m)
-	for g := range gs {
-		gs[g].topPos = -1
-	}
-	var order []int // groups with real alternatives, by descending top key
-	posOf := make(map[*uncertain.Tuple]int, src.NumTuples())
-	cur := src.CursorAt(0)
-	for pos := 0; ; pos++ {
-		t := cur.Next()
-		if t == nil {
-			break
-		}
-		posOf[t] = pos
-		if !t.Null && gs[t.Group].topPos < 0 {
-			gs[t.Group].topPos = pos
-			order = append(order, t.Group)
-		}
-	}
-	for g, x := range src.Groups() {
-		for _, t := range x.RealTuples() {
-			gs[g].gseqs = append(gs[g].gseqs, posOf[t])
-		}
-	}
-
-	// Greedy range partition balanced by real-alternative count. A shard
-	// closes only at a valid cut: every key already assigned must rank
-	// above the next group's top key (positions compare as keys), or the
-	// next group would straddle the boundary.
-	assign := make([]int, m)
-	for g := range assign {
-		assign[g] = n - 1 // groups with no reals sit in the bottom shard
-	}
-	s, cum, runningMax := 0, 0, -1
-	for _, g := range order {
-		if s < n-1 && cum > 0 && c.cutHere(s, cum, nReal, n) && runningMax < gs[g].topPos {
-			s++
-		}
-		assign[g] = s
-		for _, p := range gs[g].gseqs {
-			if p > runningMax {
-				runningMax = p
-			}
-		}
-		cum += len(gs[g].gseqs)
-	}
-
 	// Stage and build the shard databases: sentinel first (local index 0),
-	// then this shard's groups in global index order.
-	dbs := make([]*uncertain.Database, n)
+	// then each shard's groups in global index order.
+	dbs := make([]*uncertain.Database, c.cfg.Shards)
 	for i := range dbs {
 		dbs[i] = uncertain.New()
 		if err := dbs[i].AddAbsentXTuple(sentinelName); err != nil {
 			return err
 		}
 	}
-	dir := newDirectory(n)
+	dir := newDirectory(c.cfg.Shards)
 	for g, x := range src.Groups() {
-		sh := assign[g]
-		if len(gs[g].gseqs) == 0 {
-			if err := dbs[sh].AddAbsentXTuple(x.Name); err != nil {
-				return err
-			}
-		} else {
-			reals := x.RealTuples()
-			specs := make([]uncertain.Tuple, len(reals))
-			for i, t := range reals {
-				specs[i] = uncertain.Tuple{ID: t.ID, Attrs: append([]float64(nil), t.Attrs...), Prob: t.Prob}
-			}
-			if err := dbs[sh].AddXTupleSeq(x.Name, gs[g].gseqs, specs...); err != nil {
-				return err
-			}
+		reals := x.RealTuples()
+		var gseqs []int
+		specs := make([]uncertain.Tuple, len(reals))
+		for i, t := range reals {
+			gseqs = append(gseqs, t.Stamp())
+			c.nextGseq = max(c.nextGseq, t.Stamp()+1)
+			specs[i] = uncertain.Tuple{ID: t.ID, Attrs: append([]float64(nil), t.Attrs...), Prob: t.Prob}
 		}
-		dir.append(&entry{shard: sh, gseqs: gs[g].gseqs})
+		sh := assign(g, gseqs)
+		var err error
+		if len(reals) == 0 {
+			err = dbs[sh].AddAbsentXTuple(x.Name)
+		} else {
+			err = dbs[sh].AddXTupleSeq(x.Name, gseqs, specs...)
+		}
+		if err != nil {
+			return err
+		}
+		dir.append(&entry{shard: sh, gseqs: gseqs})
 	}
 	for i := range dbs {
 		if err := dbs[i].Build(c.rank); err != nil {
@@ -357,7 +290,7 @@ func (c *Cluster) buildFromLocked(src *uncertain.Database, version uint64) error
 		}
 	}
 
-	c.shards = make([]*shardHandle, n)
+	c.shards = make([]*shardHandle, len(dbs))
 	for i := range dbs {
 		c.shards[i] = &shardHandle{db: dbs[i]}
 	}
@@ -368,7 +301,6 @@ func (c *Cluster) buildFromLocked(src *uncertain.Database, version uint64) error
 			c.ids[t.ID] = struct{}{}
 		}
 	}
-	c.nextGseq = src.NumTuples()
 	c.version = version
 
 	if c.cfg.Backend != "" {
@@ -381,16 +313,6 @@ func (c *Cluster) buildFromLocked(src *uncertain.Database, version uint64) error
 	c.built = true
 	c.publishLocked()
 	return nil
-}
-
-// cutHere decides whether shard s is full after cum real alternatives.
-// The default balances by equal real-alternative share; splits installs
-// arbitrary cumulative targets instead.
-func (c *Cluster) cutHere(s, cum, nReal, n int) bool {
-	if c.splits != nil {
-		return s < len(c.splits) && cum >= c.splits[s]
-	}
-	return cum*n >= nReal*(s+1)
 }
 
 // shardPath returns the backend path of shard i.

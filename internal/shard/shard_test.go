@@ -16,9 +16,10 @@ import (
 // the same randomized mutation script, and after every step every answer
 // — U-kRanks, PT-k, Global-topk, quality — is compared bit-for-bit
 // (math.Float64bits), along with versions, counts, and error parity.
-// The cluster's internal range invariant is checked after every step too,
-// so a routing bug fails at the step that introduces it, not at the
-// (possibly much later) step whose answers it skews.
+// The cluster's internal placement invariants and the merge's pull bound
+// are checked after every step too, so a placement bug fails at the step
+// that introduces it, not at the (possibly much later) step whose answers
+// it skews.
 
 // mirror drives both engines through the same script.
 type mirror struct {
@@ -60,8 +61,8 @@ func newMirrorCfg(t *testing.T, seed int64, cfg Config, startGroups int) *mirror
 func (m *mirror) groupName() string { m.gc++; return fmt.Sprintf("g%d", m.gc) }
 
 // genTuples generates alternatives with scores from a tiny integer
-// domain, so ties are everywhere and new groups constantly straddle
-// shard boundaries.
+// domain, so ties are everywhere and the merge constantly breaks ties
+// across shards by stamp.
 func (m *mirror) genTuples() []uncertain.Tuple {
 	alts := 1 + m.rng.Intn(4)
 	ts := make([]uncertain.Tuple, alts)
@@ -113,7 +114,7 @@ func (m *mirror) step() {
 		name := m.groupName()
 		ts := m.genTuples()
 		if m.rng.Intn(6) == 0 && len(ts) >= 2 {
-			// Force a boundary-straddling group: maximum score spread.
+			// Force a maximally spread group: top and bottom scores.
 			ts[0].Attrs[0] = 7
 			ts[len(ts)-1].Attrs[0] = 0
 		}
@@ -205,12 +206,39 @@ func (m *mirror) stepInvalid() {
 	}
 }
 
-// compare verifies bit-identity of every answer at the current state.
+// compare verifies bit-identity of every answer at the current state,
+// the placement invariants, and the merge's pull bound.
 func (m *mirror) compare() {
 	t := m.t
 	t.Helper()
+	before := totalScanned(m.c)
 	compareAll(t, m.c, m.db)
 	checkInvariant(t, m.c)
+	checkPullBound(t, m.c, before)
+}
+
+// totalScanned sums the per-shard merge pull counters.
+func totalScanned(c *Cluster) uint64 {
+	var n uint64
+	for _, st := range c.Stats() {
+		n += st.Scanned
+	}
+	return n
+}
+
+// checkPullBound requires the merge to have pulled at most
+// Processed + N tuples since the pull count before, across every query
+// compareAll issued: they all share the epoch's one memoized scan.
+func checkPullBound(t *testing.T, c *Cluster, before uint64) {
+	t.Helper()
+	a := c.ans
+	if a == nil || a.err != nil {
+		return // error parity is compareAll's job
+	}
+	if got, limit := totalScanned(c)-before, uint64(a.si.Processed+c.Shards()); got > limit {
+		t.Fatalf("merge pulled %d tuples for %d processed positions on %d shards; bound is %d",
+			got, a.si.Processed, c.Shards(), limit)
+	}
 }
 
 // compareAll checks the cluster's full answer surface bit-for-bit against
@@ -290,36 +318,45 @@ func compareScored(t *testing.T, what string, got, want []topkq.ScoredAnswer) {
 	}
 }
 
-// checkInvariant verifies the cluster's internal coherence: directory
-// indices, stamp counts, and the range invariant between shards.
+// checkInvariant verifies the cluster's internal coherence: each shard's
+// locals are exactly the global entries restricted to that shard, in
+// global order (checked through the shard's stored stamps), and each
+// shard's real rank order agrees with the global (score, stamp) key.
 func checkInvariant(t *testing.T, c *Cluster) {
 	t.Helper()
+	next := make([]int, len(c.shards)) // next local index per shard
+	for s := range next {
+		next[s] = 1
+	}
 	for gi, e := range c.dir.entries {
-		if e.global != gi {
-			t.Fatalf("entry %d records global %d", gi, e.global)
+		if e.local != next[e.shard] {
+			t.Fatalf("entry %d on shard %d records local %d; its rank among the shard's entries is %d",
+				gi, e.shard, e.local, next[e.shard])
 		}
-		if c.dir.locals[e.shard][e.local-1] != e {
-			t.Fatalf("entry %d not at locals[%d][%d]", gi, e.shard, e.local-1)
+		next[e.shard]++
+		reals := c.shards[e.shard].live().GroupAt(e.local).RealTuples()
+		if len(reals) != len(e.gseqs) {
+			t.Fatalf("entry %d: %d reals, %d stamps", gi, len(reals), len(e.gseqs))
 		}
-		x := c.shards[e.shard].live().Groups()[e.local]
-		if len(x.RealTuples()) != len(e.gseqs) {
-			t.Fatalf("entry %d: %d reals, %d stamps", gi, len(x.RealTuples()), len(e.gseqs))
+		for i, rt := range reals {
+			if rt.Stamp() != e.gseqs[i] {
+				t.Fatalf("entry %d alternative %d: shard stamp %d, directory %d", gi, i, rt.Stamp(), e.gseqs[i])
+			}
 		}
 	}
-	var lastMin *key
-	for s := range c.shards {
-		db := c.shards[s].live()
-		if db.NumRealTuples() == 0 {
-			continue
+	for s, sh := range c.shards {
+		db := sh.live()
+		if got := db.NumGroups() - 1; got != next[s]-1 || got != c.dir.size[s] {
+			t.Fatalf("shard %d holds %d groups; directory places %d (size %d)", s, got, next[s]-1, c.dir.size[s])
 		}
-		top := db.AtRank(0)
-		e := c.dir.locals[s][top.Group-1]
-		maxK := key{score: top.Score, seq: e.gseqs[realIndexOf(db, e, top)]}
-		if lastMin != nil && !above(*lastMin, maxK) {
-			t.Fatalf("range invariant: shard above holds min %+v, shard %d holds max %+v", *lastMin, s, maxK)
+		cur := db.CursorAt(0)
+		var prev *uncertain.Tuple
+		for tu := cur.Next(); tu != nil && !tu.Null; tu = cur.Next() {
+			if prev != nil && !(prev.Score > tu.Score || prev.Score == tu.Score && prev.Stamp() < tu.Stamp()) {
+				t.Fatalf("shard %d ranks %v (stamp %d) above %v (stamp %d)", s, prev, prev.Stamp(), tu, tu.Stamp())
+			}
+			prev = tu
 		}
-		mk, _ := c.shardMinKey(s)
-		lastMin = &mk
 	}
 }
 
@@ -401,5 +438,25 @@ func TestFromDatabase(t *testing.T) {
 		}
 		compareAll(t, c, db)
 		checkInvariant(t, c)
+	}
+}
+
+// TestPlaceSpreadsTwoStampArrivals pins that place spreads a run of
+// consecutive 2-alternative arrivals (first stamps 0, 2, 4, ...) over
+// every shard, roughly evenly. A plain gseq % N would only ever feed the
+// even shards.
+func TestPlaceSpreadsTwoStampArrivals(t *testing.T) {
+	const arrivals = 4096
+	for _, n := range []int{2, 4, 8} {
+		counts := make([]int, n)
+		for a := 0; a < arrivals; a++ {
+			counts[place(2*a, n)]++
+		}
+		mean := arrivals / n
+		for s, got := range counts {
+			if got < mean/2 || got > mean*3/2 {
+				t.Fatalf("N=%d: shard %d got %d of %d arrivals (mean %d): %v", n, s, got, arrivals, mean, counts)
+			}
+		}
 	}
 }

@@ -39,8 +39,8 @@ type StreamInfo struct {
 // alternatives across m groups. next returns the stream's tuples in
 // descending global rank order together with their global group index; it
 // is called lazily, so Lemma 2's early termination pulls nothing past the
-// termination point (the property the shard coordinator's
-// never-touch-lower-shards guarantee rests on). A stream that ends early
+// termination point (the property the shard coordinator's pull bound —
+// at most processed + N shard pulls — rests on). A stream that ends early
 // (next reports false) terminates the scan as if Lemma 2 had fired, which
 // keeps the scan total on malformed streams; a correct merge never does
 // this before n tuples.

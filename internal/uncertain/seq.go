@@ -6,20 +6,19 @@ import "errors"
 // (internal/shard). Score ties in the total rank order break by the ord
 // stamp Build and InsertXTuple assign in arrival order. A shard database
 // holds a subset of a logically global database, so its locally assigned
-// stamps would order tied tuples by *shard-local* arrival — which diverges
-// from the global arrival order as soon as a rebalance re-inserts a group
-// that globally arrived earlier. The *Seq variants below let the caller
-// supply the stamps instead (the router stamps every real alternative with
-// a global sequence number once, at its first insert, and moves carry the
-// stamps along), so a shard's local rank order is exactly the global order
-// restricted to the shard — the invariant the coordinator's bit-identical
-// merge rests on.
+// stamps would order tied tuples by *shard-local* arrival, which is not
+// comparable across shards. The *Seq variants below let the caller supply
+// the stamps instead (the shard layer stamps every real alternative with a
+// global sequence number once, at its first insert), so a shard's local
+// rank order is exactly the global order restricted to the shard, and the
+// coordinator can merge shards by (score, Tuple.Stamp) — the invariant its
+// bit-identical merge rests on.
 //
 // Stamps share the ord counter's space: Build and insert advance the
 // sequential counter past the largest explicit stamp they see, so mixed
 // use keeps later implicit stamps unique. Callers are responsible for
 // keeping explicit stamps unique among tuples that can tie on score (the
-// shard router's global sequence trivially is).
+// shard layer's global sequence trivially is).
 
 // ErrBadSeq is returned by the *Seq staging and mutation variants when the
 // number of tie-break stamps does not match the number of tuples.
@@ -72,8 +71,8 @@ func (b *Batch) InsertXTupleSeq(name string, seqs []int, tuples ...Tuple) error 
 // CheckAlternatives validates caller-supplied alternatives exactly as the
 // insert path does — every probability in (0, 1], total mass at most 1
 // within the insert tolerance — returning the identical wrapped errors.
-// The shard router uses it to reject an invalid insert before performing
-// any destructive rebalance move.
+// The shard layer uses it to reject an invalid insert, with the unsharded
+// error, before stamping or touching any shard.
 func CheckAlternatives(name string, tuples []Tuple) error {
 	x := XTuple{Name: name, Tuples: make([]*Tuple, len(tuples))}
 	for i := range tuples {

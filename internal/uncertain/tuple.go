@@ -55,6 +55,11 @@ func (t *Tuple) Index() int {
 	return t.home.start + t.idx
 }
 
+// Stamp returns the tuple's tie-break stamp: the arrival order Build and
+// insert assign, or the explicit stamp of the *Seq variants (seq.go).
+// Real tuples with equal scores rank by ascending stamp.
+func (t *Tuple) Stamp() int { return t.ord }
+
 // String renders the tuple for logs and examples.
 func (t *Tuple) String() string {
 	if t.Null {
