@@ -151,32 +151,25 @@ func TP(db *uncertain.Database, k int) (*Evaluation, error) {
 // score (Figure 1(b), Section IV-C). The incremental weight computation
 // below is the only extra work, which is why the paper measures the quality
 // overhead at just a few percent of query time for large k.
-func TPFromInfo(db *uncertain.Database, info *topkq.RankInfo) (*Evaluation, error) {
-	if !db.Built() {
-		return nil, uncertain.ErrNotBuilt
+func TPFromInfo(src topkq.Source, info *topkq.RankInfo) (*Evaluation, error) {
+	if err := topkq.Ready(src); err != nil {
+		return nil, err
 	}
-	if info == nil || info.N != db.NumTuples() {
+	if info == nil || info.N != src.NumTuples() {
 		return nil, fmt.Errorf("quality: rank info does not match database")
 	}
-	limit := info.Processed
-	if limit > db.NumTuples() {
-		limit = db.NumTuples()
-	}
-	p := newTPPass(info, db.NumGroups(), limit)
-	// Chunk cursor instead of materializing Sorted(): this pass runs after
-	// every mutation in the serving loop, and the processed prefix is
-	// usually a small fraction of a large database.
-	cur := db.CursorAt(0)
-	for i := 0; i < limit; i++ {
-		t := cur.Next()
-		p.step(i, t, t.Group)
+	p := newTPPass(info, src.NumGroups(), info.Processed)
+	i := 0
+	for t, l := range topkq.Prefix(src, info.Processed) {
+		p.step(i, t, l)
+		i++
 	}
 	return p.finish(), nil
 }
 
-// tpPass is one TP evaluation in progress: the per-position step shared by
-// TPFromInfo and TPFromStream, which differ only in where the prefix
-// tuples and their group indices come from.
+// tpPass is one TP evaluation in progress. step folds one rank position
+// of the source's processed prefix, so a pass is a single walk over that
+// prefix whatever the source.
 type tpPass struct {
 	ev   *Evaluation
 	info *topkq.RankInfo

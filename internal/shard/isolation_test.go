@@ -46,7 +46,7 @@ func TestEarlyTerminationPullBound(t *testing.T) {
 	c, db := certainLadder(t, shards, k, 40)
 	compareAll(t, c, db)
 	checkInvariant(t, c)
-	if got := c.ans.si.Processed; got != k {
+	if got := c.ans.info.Processed; got != k {
 		t.Fatalf("scan processed %d positions; Lemma 2 terminates after exactly %d", got, k)
 	}
 	stats := c.Stats()
@@ -61,9 +61,20 @@ func TestEarlyTerminationPullBound(t *testing.T) {
 		t.Fatalf("merge pulled %d tuples; Processed + N - 1 = %d", total, want)
 	}
 
-	// Repeated queries at the same version hit the memoized evaluation:
-	// no additional scan work anywhere.
-	if _, err := c.Answers(context.Background()); err != nil {
+	// Repeated queries at the same version hit the memoized evaluation and
+	// replay its buffered prefix — PT-k at other thresholds and the
+	// quality at the configured k included: no additional scan work
+	// anywhere.
+	ctx := context.Background()
+	if _, err := c.Answers(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, th := range []float64{0, 0.9} {
+		if _, err := c.AnswersThreshold(ctx, th); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := c.QualityAtVersion(ctx, k); err != nil {
 		t.Fatal(err)
 	}
 	for s, st := range c.Stats() {

@@ -3,22 +3,25 @@ package shard
 import (
 	"container/heap"
 	"context"
+	"iter"
 
 	"github.com/probdb/topkclean/internal/quality"
 	"github.com/probdb/topkclean/internal/topkq"
 	"github.com/probdb/topkclean/internal/uncertain"
 )
 
-// This file is the merge coordinator: it presents one epoch's shard
-// snapshots as the single global rank stream topkq.ScanStream consumes.
-// Every shard's real alternatives are already in global (score, gseq)
-// order, so a lazy N-way heap over the shard cursors' heads yields the
-// global real order for any placement; the global null order is the
-// directory's global group order. The heap refills only the popped shard,
-// and only on the next pull, so when Lemma 2 terminates the scan after P
-// positions the shards have been pulled at most P + N times in total:
-// one head per shard plus one refill per position (and in the null
-// phase, one pull per null).
+// This file is the merge coordinator: it presents one pinned epoch's
+// shard snapshots as a topkq.Source, the global rank order the engine's
+// PSR scan and TP pass read. Every shard's real alternatives are already
+// in global (score, gseq) order, so a lazy N-way heap over the shard
+// cursors' heads yields the global real order for any placement; the
+// global null order is the directory's global group order. The heap
+// refills only the popped shard, and only on the next pull, so when
+// Lemma 2 stops the scan after P positions the shards have been pulled
+// P + N - 1 times in total: one head per shard plus one refill per
+// position after the first (and in the null phase, one pull per null).
+// Every pulled pair is buffered, so the answer passes over the same scan
+// replay the buffer and never pull a shard twice.
 
 // Result is the sharded engine's answer bundle, mirroring the unsharded
 // engine's Result surface the daemon serves.
@@ -35,56 +38,107 @@ type Result struct {
 // answers is the memoized threshold-independent evaluation of one epoch.
 type answers struct {
 	version uint64
-	si      *topkq.StreamInfo
+	src     *merged
+	info    *topkq.RankInfo
 	uk      []topkq.RankedAnswer
 	gtk     []topkq.ScoredAnswer
 	quality float64
 	err     error
 }
 
-// mergeNext returns the lazy pull function over epoch e, charging each
-// pull to the owning shard's cumulative scan counter. A shard's count
+// merged is one scan's view of a pinned epoch as a topkq.Source. Its
+// pulls charge each shard's cumulative scan counter; a shard's count
 // includes the one extra pull (its first null) that proves its reals are
-// exhausted.
-func (c *Cluster) mergeNext(e *epoch) func() (*uncertain.Tuple, int, bool) {
-	var h *heads
-	nullIdx := 0
-	return func() (*uncertain.Tuple, int, bool) {
-		if h == nil {
-			h = &heads{curs: make([]uncertain.Cursor, len(e.snaps)), tops: make([]*uncertain.Tuple, len(e.snaps))}
-			for s, snap := range e.snaps {
-				h.curs[s] = snap.CursorAt(0)
-				if c.pull(h, s) {
-					h.order = append(h.order, s)
+// exhausted. A merged source is not safe for concurrent extension: the
+// scan that fills it runs alone, and later passes read only the prefix
+// it buffered.
+type merged struct {
+	c       *Cluster
+	e       *epoch
+	h       *heads // nil until the first pull
+	nullIdx int    // next directory entry the null phase visits
+	buf     []pair // every pair pulled so far, in global rank order
+}
+
+// pair is one alternative of the merged order with its global group.
+type pair struct {
+	t *uncertain.Tuple
+	g int
+}
+
+func (c *Cluster) source(e *epoch) *merged {
+	return &merged{c: c, e: e, buf: make([]pair, 0, 256)}
+}
+
+func (m *merged) NumTuples() int { return m.e.n }
+
+func (m *merged) NumGroups() int { return m.e.m }
+
+// GroupAt resolves global group g through the epoch's directory entries.
+func (m *merged) GroupAt(g int) *uncertain.XTuple {
+	en := m.e.entries[g]
+	return m.e.snaps[en.shard].GroupAt(int(en.local))
+}
+
+// Ranked replays the buffered pairs from pos, then extends the buffer one
+// pull at a time for as long as the consumer asks.
+func (m *merged) Ranked(pos int) iter.Seq2[*uncertain.Tuple, int] {
+	return func(yield func(*uncertain.Tuple, int) bool) {
+		for i := pos; ; i++ {
+			for i >= len(m.buf) {
+				if !m.next() {
+					return
 				}
 			}
-			heap.Init(h)
-		} else if len(h.order) > 0 {
-			// Refill the shard the previous pull took its tuple from.
-			if c.pull(h, h.order[0]) {
-				heap.Fix(h, 0)
-			} else {
-				heap.Pop(h)
+			if p := m.buf[i]; !yield(p.t, p.g) {
+				return
 			}
 		}
-		if len(h.order) > 0 {
-			s := h.order[0]
-			t := h.tops[s]
-			return t, int(e.perShard[s][t.Group]), true
-		}
-		for nullIdx < len(e.entries) {
-			en := e.entries[nullIdx]
-			gi := nullIdx
-			nullIdx++
-			nt := e.snaps[en.shard].GroupAt(int(en.local)).NullTuple()
-			if nt == nil {
-				continue // group's alternatives sum to 1; no null event
-			}
-			c.shards[en.shard].scanned.Add(1)
-			return nt, gi, true
-		}
-		return nil, 0, false
 	}
+}
+
+// next appends the next pair of the merged order to the buffer, reporting
+// false when the order is exhausted.
+func (m *merged) next() bool {
+	e, c := m.e, m.c
+	h := m.h
+	if h == nil {
+		h = &heads{curs: make([]uncertain.Cursor, len(e.snaps)), tops: make([]*uncertain.Tuple, len(e.snaps))}
+		for s, snap := range e.snaps {
+			h.curs[s] = snap.CursorAt(0)
+			if c.pull(h, s) {
+				h.order = append(h.order, s)
+			}
+		}
+		heap.Init(h)
+		m.h = h
+	} else if len(h.order) > 0 {
+		// Refill the shard the previous pull took its tuple from.
+		if c.pull(h, h.order[0]) {
+			heap.Fix(h, 0)
+		} else {
+			heap.Pop(h)
+		}
+	}
+	if len(h.order) > 0 {
+		s := h.order[0]
+		t := h.tops[s]
+		m.buf = append(m.buf, pair{t, int(e.perShard[s][t.Group])})
+		return true
+	}
+	for m.nullIdx < len(e.entries) {
+		en := e.entries[m.nullIdx]
+		gi := m.nullIdx
+		m.nullIdx++
+		nt := e.snaps[en.shard].GroupAt(int(en.local)).NullTuple()
+		if nt == nil {
+			continue // group's alternatives sum to 1; no null event
+		}
+		c.shards[en.shard].scanned.Add(1)
+		m.buf = append(m.buf, pair{nt, gi})
+		return true
+	}
+	return false
 }
 
 // pull advances shard s's cursor into h.tops[s], counting the pull, and
@@ -144,15 +198,15 @@ func (c *Cluster) evalAt(ctx context.Context, e *epoch) (*answers, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	a := &answers{version: e.version}
-	a.si, a.err = topkq.ScanStream(c.cfg.K, e.m, e.n, c.mergeNext(e), true)
+	a := &answers{version: e.version, src: c.source(e)}
+	a.info, a.err = topkq.RankProbabilities(a.src, c.cfg.K)
 	if a.err == nil {
-		a.uk, a.err = topkq.UKRanksStream(a.si)
+		a.uk, a.err = topkq.UKRanks(a.src, a.info)
 	}
 	if a.err == nil {
-		a.gtk = topkq.GlobalTopKStream(a.si)
+		a.gtk = topkq.GlobalTopK(a.src, a.info)
 		var ev *quality.Evaluation
-		ev, a.err = quality.TPFromStream(a.si, e.m, e.n)
+		ev, a.err = quality.TPFromInfo(a.src, a.info)
 		if a.err == nil {
 			a.quality = ev.S
 		}
@@ -186,7 +240,7 @@ func (c *Cluster) AnswersThreshold(ctx context.Context, threshold float64) (*Res
 		Threshold:  threshold,
 		Version:    e.version,
 		UKRanks:    a.uk,
-		PTK:        topkq.PTKStream(a.si, threshold),
+		PTK:        topkq.PTK(a.src, a.info, threshold),
 		GlobalTopK: a.gtk,
 		Quality:    a.quality,
 	}, nil
@@ -211,11 +265,12 @@ func (c *Cluster) QualityAtVersion(ctx context.Context, k int) (float64, uint64,
 	if err := ctx.Err(); err != nil {
 		return 0, 0, err
 	}
-	si, err := topkq.ScanStream(k, e.m, e.n, c.mergeNext(e), false)
+	src := c.source(e)
+	info, err := topkq.TopKProbabilities(src, k)
 	if err != nil {
 		return 0, 0, err
 	}
-	ev, err := quality.TPFromStream(si, e.m, e.n)
+	ev, err := quality.TPFromInfo(src, info)
 	if err != nil {
 		return 0, 0, err
 	}

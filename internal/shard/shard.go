@@ -1,7 +1,7 @@
 // Package shard is the in-process sharded serving engine: a database
 // whose x-tuples are hash-placed, each whole, across N shard databases, a
 // router that sends every mutation to the owning shard, and a coordinator
-// that merges the per-shard rank orders into one logical stream and
+// that merges the per-shard rank orders into one global rank order and
 // answers top-k queries from it — bit-identically to the unsharded engine.
 //
 // # Placement
@@ -21,11 +21,12 @@
 // # The merge
 //
 // Because every local order agrees with the global key, a k-way merge of
-// the N shard-local real streams by (score, gseq), followed by the null
+// the N shard-local real orders by (score, gseq), followed by the null
 // alternatives in global group-index order, is exactly the global rank
-// order. That stream is what the coordinator feeds to topkq.ScanStream,
-// whose float64 operation sequence mirrors the unsharded scan, making
-// every answer bit-identical (see shard_test.go).
+// order. The coordinator presents that merge as a topkq.Source, so the
+// engine's own PSR scan, answer semantics and TP pass run over it
+// unchanged, and every answer is bit-identical to the unsharded engine's
+// (see shard_test.go).
 //
 // # Sentinels
 //

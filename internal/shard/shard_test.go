@@ -235,9 +235,9 @@ func checkPullBound(t *testing.T, c *Cluster, before uint64) {
 	if a == nil || a.err != nil {
 		return // error parity is compareAll's job
 	}
-	if got, limit := totalScanned(c)-before, uint64(a.si.Processed+c.Shards()); got > limit {
+	if got, limit := totalScanned(c)-before, uint64(a.info.Processed+c.Shards()); got > limit {
 		t.Fatalf("merge pulled %d tuples for %d processed positions on %d shards; bound is %d",
-			got, a.si.Processed, c.Shards(), limit)
+			got, a.info.Processed, c.Shards(), limit)
 	}
 }
 

@@ -14,8 +14,8 @@ package topkq
 // the product with the identity [1]. Every node value is therefore a pure
 // function of the leaves: a tree cleaned after each update, cleaned only
 // when queried, or built from scratch from the same slots holds the same
-// bits. That is what keeps a fresh scan, a checkpoint-resumed scan and a
-// stream scan bit-identical to one another.
+// bits. That is what keeps a fresh scan and a checkpoint-resumed scan,
+// over any Source, bit-identical to one another.
 //
 // With A ≤ B there is a single block and no siblings, so exclude is the
 // sequential fold over the active slots in first-appearance order — the

@@ -2,7 +2,8 @@
 // rank-probability algorithm (Bernecker et al. [15], as used in Section
 // IV-B of the paper) and the three query semantics built on it — U-kRanks
 // [10], PT-k [11], and Global-topk [13] — together with brute-force
-// possible-world baselines used as ground truth in tests.
+// possible-world baselines used as ground truth in tests. PSR and each
+// semantics are one pass over a Source, an uncertain database's rank order.
 package topkq
 
 import "github.com/probdb/topkclean/internal/uncertain"

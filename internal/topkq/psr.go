@@ -35,15 +35,15 @@ const deconvLimit = 0.5
 
 // RankProbabilities runs PSR and retains per-rank probabilities rho_i(h),
 // as needed by U-kRanks. Time O(k*n), space O(k*Processed).
-func RankProbabilities(db *uncertain.Database, k int) (*RankInfo, error) {
-	return compute(db, k, true, deconvLimit)
+func RankProbabilities(src Source, k int) (*RankInfo, error) {
+	return compute(src, k, true, deconvLimit)
 }
 
 // TopKProbabilities runs PSR retaining only the top-k probabilities p_i,
 // which is all PT-k, Global-topk, and quality evaluation need. Time
 // O(k*n), space O(n).
-func TopKProbabilities(db *uncertain.Database, k int) (*RankInfo, error) {
-	return compute(db, k, false, deconvLimit)
+func TopKProbabilities(src Source, k int) (*RankInfo, error) {
+	return compute(src, k, false, deconvLimit)
 }
 
 // AblationRebuildOnly computes top-k probabilities using only the
@@ -158,8 +158,9 @@ func (st *scanState) activate(g int, q float64) {
 // probability (and, with keepRho, its rank probabilities) to info, then
 // moves the scan point below it. Above deconvLim the own group's event is
 // excluded through the exclusion tree instead of by deconvolution. This
-// is the whole PSR kernel: the database scan and the stream scan both run
-// it, so they agree bit for bit.
+// is the whole PSR kernel, and scanFrom is its only caller: a fresh pass,
+// a resumed pass and a pass over any Source run the same float64
+// operations, so they agree bit for bit.
 func (st *scanState) step(info *RankInfo, g int, e, deconvLim float64, keepRho bool) {
 	k := len(st.G)
 	s := int(st.slot[g]) - 1
@@ -224,7 +225,7 @@ func (st *scanState) step(info *RankInfo, g int, e, deconvLim float64, keepRho b
 }
 
 // snapshot records the state as a checkpoint for position pos.
-func (st *scanState) snapshot(db *uncertain.Database, pos, rebuilds int) checkpoint {
+func (st *scanState) snapshot(src Source, pos, rebuilds int) checkpoint {
 	c := checkpoint{
 		pos:        pos,
 		F:          append([]float64(nil), st.F...),
@@ -233,19 +234,19 @@ func (st *scanState) snapshot(db *uncertain.Database, pos, rebuilds int) checkpo
 		rebuilds:   rebuilds,
 	}
 	for s, g := range st.active {
-		c.q[s] = qSnapshot{x: db.GroupAt(g), q: st.ex.q[s]}
+		c.q[s] = qSnapshot{x: src.GroupAt(g), q: st.ex.q[s]}
 	}
 	return c
 }
 
 // restore rebuilds a live scan state from the checkpoint against the
-// database's current group numbering. It reports false when a referenced
-// x-tuple no longer belongs to the database (it was deleted); that can
+// source's current group numbering. It reports false when a referenced
+// x-tuple no longer belongs to the source (it was deleted); that can
 // only happen for a checkpoint beyond the mutation's watermark, which
 // Resume never selects under the documented contract — the check is a
 // safety net that downgrades a contract violation to a fresh scan.
-func (c *checkpoint) restore(db *uncertain.Database, k int) (*scanState, bool) {
-	m := db.NumGroups()
+func (c *checkpoint) restore(src Source, k int) (*scanState, bool) {
+	m := src.NumGroups()
 	st := newScanState(k, m)
 	copy(st.F, c.F)
 	for _, e := range c.q {
@@ -253,19 +254,20 @@ func (c *checkpoint) restore(db *uncertain.Database, k int) (*scanState, bool) {
 			st.release()
 			return nil, false
 		}
-		// Fast path: the checkpointed x-tuple's group index (frozen at
-		// checkpoint time) still names the same logical x-tuple — true
-		// whenever no intervening delete renumbered the survivors, even if
-		// copy-on-write replaced the object itself.
+		// Fast path: the checkpointed x-tuple's own group index (frozen at
+		// checkpoint time) still names the same logical x-tuple in src —
+		// true for a database source whenever no intervening delete
+		// renumbered the survivors, even if copy-on-write replaced the
+		// object itself.
 		g := e.x.Tuples[0].Group
-		if g < 0 || g >= m || !db.GroupAt(g).Is(e.x) {
+		if g < 0 || g >= m || !src.GroupAt(g).Is(e.x) {
 			// Renumbered since the checkpoint: re-resolve by stable
 			// identity. Deletes are rare next to the scans this feeds, so
 			// the linear fallback is fine; a miss means the x-tuple was
 			// deleted and the checkpoint cannot seed this database.
 			g = -1
 			for gi := 0; gi < m; gi++ {
-				if db.GroupAt(gi).Is(e.x) {
+				if src.GroupAt(gi).Is(e.x) {
 					g = gi
 					break
 				}
@@ -298,14 +300,14 @@ func (c *checkpoint) restore(db *uncertain.Database, k int) (*scanState, bool) {
 //
 // and afterwards the scan point moves below t_i, so F becomes G convolved
 // with Bernoulli(q_l + e_i).
-func compute(db *uncertain.Database, k int, keepRho bool, deconvLim float64) (*RankInfo, error) {
-	if !db.Built() {
-		return nil, uncertain.ErrNotBuilt
+func compute(src Source, k int, keepRho bool, deconvLim float64) (*RankInfo, error) {
+	if err := Ready(src); err != nil {
+		return nil, err
 	}
 	if k < 1 {
 		return nil, fmt.Errorf("k = %d: %w", k, ErrBadK)
 	}
-	m := db.NumGroups()
+	m := src.NumGroups()
 	if k > m {
 		return nil, fmt.Errorf("k = %d, m = %d: %w", k, m, ErrKTooLarge)
 	}
@@ -313,11 +315,11 @@ func compute(db *uncertain.Database, k int, keepRho bool, deconvLim float64) (*R
 	// the scan after a small fraction of a large database, and sizing the
 	// output to the prefix keeps PSR's cost O(k * Processed) rather than
 	// O(n) in allocations.
-	info := &RankInfo{K: k, N: db.NumTuples(), TopK: make([]float64, 0, 256), deconvLim: deconvLim}
+	info := &RankInfo{K: k, N: src.NumTuples(), TopK: make([]float64, 0, 256), deconvLim: deconvLim}
 	if keepRho {
 		info.rho = make([][]float64, 0, 256)
 	}
-	return scanFrom(db, info, newScanState(k, m), 0, keepRho)
+	return scanFrom(src, info, newScanState(k, m), 0, keepRho)
 }
 
 // scanFrom runs the PSR scan loop from rank position start with the given
@@ -325,33 +327,32 @@ func compute(db *uncertain.Database, k int, keepRho bool, deconvLim float64) (*R
 // records a checkpoint every checkpointEvery positions — aligned to
 // absolute positions, so resumed passes checkpoint at the same spots a
 // fresh pass would — plus one final checkpoint when the scan exhausts the
-// array, which is what lets a later Resume extend the scan over tuples
-// appended below the old end.
-func scanFrom(db *uncertain.Database, info *RankInfo, st *scanState, start int, keepRho bool) (*RankInfo, error) {
+// source, which is what lets a later Resume extend the scan over tuples
+// appended below the old end. Lemma 2 is tested right after each step,
+// so the scan stops src without asking for the position it will not
+// process.
+func scanFrom(src Source, info *RankInfo, st *scanState, start int, keepRho bool) (*RankInfo, error) {
 	defer st.release()
 	k := info.K
 	deconvLim := info.deconvLim
-	n := db.NumTuples()
-	// Iterate via a chunk cursor: O(log(n/C)) to seek the resume point,
-	// O(1) per step, and — unlike materializing db.Sorted() — no O(n)
-	// allocation, which is what keeps a watermark-resumed pass sub-linear.
-	cur := db.CursorAt(start)
-	for i := start; i < n; i++ {
-		if st.fullGroups >= k {
-			// Lemma 2: at least k x-tuples certainly place an alternative
-			// above every remaining tuple, so p = 0 from here on.
-			info.Processed = i
-			return info, nil
+	i := start
+	// Lemma 2: once k x-tuples certainly place an alternative above the
+	// scan point, p = 0 for every remaining tuple.
+	if st.fullGroups < k {
+		for t, g := range src.Ranked(start) {
+			if i > start && i%checkpointEvery == 0 {
+				info.ckpts = append(info.ckpts, st.snapshot(src, i, info.Rebuilds))
+			}
+			st.step(info, g, t.Prob, deconvLim, keepRho)
+			i++
+			if st.fullGroups >= k {
+				break
+			}
 		}
-		if i > start && i%checkpointEvery == 0 {
-			info.ckpts = append(info.ckpts, st.snapshot(db, i, info.Rebuilds))
-		}
-		t := cur.Next()
-		st.step(info, t.Group, t.Prob, deconvLim, keepRho)
 	}
-	info.Processed = n
-	if len(info.ckpts) == 0 || info.ckpts[len(info.ckpts)-1].pos != n {
-		info.ckpts = append(info.ckpts, st.snapshot(db, n, info.Rebuilds))
+	info.Processed = i
+	if n := src.NumTuples(); i == n && (len(info.ckpts) == 0 || info.ckpts[len(info.ckpts)-1].pos != n) {
+		info.ckpts = append(info.ckpts, st.snapshot(src, n, info.Rebuilds))
 	}
 	return info, nil
 }

@@ -3,8 +3,6 @@ package topkq
 import (
 	"errors"
 	"fmt"
-
-	"github.com/probdb/topkclean/internal/uncertain"
 )
 
 // ErrCannotResume is returned when the prior RankInfo does not carry the
@@ -12,7 +10,7 @@ import (
 // baseline rather than the PSR scan).
 var ErrCannotResume = errors.New("topkq: rank info lacks the scan checkpoints needed to resume")
 
-// Resume recomputes rank-probability information for db after mutations,
+// Resume recomputes rank-probability information for src after mutations,
 // reusing prior — an info computed by RankProbabilities or
 // TopKProbabilities (or a previous Resume) on an earlier version of the
 // same database. fromRank must be a dirty-rank watermark for the mutations
@@ -37,9 +35,9 @@ var ErrCannotResume = errors.New("topkq: rank info lacks the scan checkpoints ne
 // Resume never mutates prior; it returns a new RankInfo (sharing prior's
 // immutable prefix data where possible). Passing a fromRank that is not a
 // valid watermark for the intervening mutations yields undefined results.
-func Resume(db *uncertain.Database, prior *RankInfo, fromRank int) (*RankInfo, error) {
-	if !db.Built() {
-		return nil, uncertain.ErrNotBuilt
+func Resume(src Source, prior *RankInfo, fromRank int) (*RankInfo, error) {
+	if err := Ready(src); err != nil {
+		return nil, err
 	}
 	if prior == nil || !prior.CanResume() {
 		return nil, ErrCannotResume
@@ -48,14 +46,14 @@ func Resume(db *uncertain.Database, prior *RankInfo, fromRank int) (*RankInfo, e
 	if k < 1 {
 		return nil, fmt.Errorf("k = %d: %w", k, ErrBadK)
 	}
-	m := db.NumGroups()
+	m := src.NumGroups()
 	if k > m {
 		return nil, fmt.Errorf("k = %d, m = %d: %w", k, m, ErrKTooLarge)
 	}
 	if fromRank < 0 {
 		fromRank = 0
 	}
-	n := db.NumTuples()
+	n := src.NumTuples()
 	if prior.Processed < prior.N && fromRank >= prior.Processed {
 		// Pure cache hit: the prior scan terminated early at Processed
 		// (fullGroups reached k there), every mutation lies at or below
@@ -84,7 +82,7 @@ func Resume(db *uncertain.Database, prior *RankInfo, fromRank int) (*RankInfo, e
 		if c.pos > target {
 			continue
 		}
-		if s, ok := c.restore(db, k); ok {
+		if s, ok := c.restore(src, k); ok {
 			st, start, rebuilds, used = s, c.pos, c.rebuilds, ci
 			break
 		}
@@ -108,5 +106,5 @@ func Resume(db *uncertain.Database, prior *RankInfo, fromRank int) (*RankInfo, e
 		// checkpoint restored, every earlier one does as well).
 		info.ckpts = append(info.ckpts, prior.ckpts[:used+1]...)
 	}
-	return scanFrom(db, info, st, start, keepRho)
+	return scanFrom(src, info, st, start, keepRho)
 }

@@ -51,29 +51,24 @@ func snapshotScored(t *uncertain.Tuple, rank int, prob float64) ScoredAnswer {
 // pw-result is largest. Ties break toward the higher-ranked tuple, making
 // the answer deterministic. The same tuple may win several ranks, which is
 // a known property of the U-kRanks semantics. Requires info computed with
-// RankProbabilities.
-func UKRanks(db *uncertain.Database, info *RankInfo) ([]RankedAnswer, error) {
+// RankProbabilities on src.
+func UKRanks(src Source, info *RankInfo) ([]RankedAnswer, error) {
 	if !info.HasRho() {
 		return nil, fmt.Errorf("topkq: UKRanks needs per-rank probabilities; use RankProbabilities")
 	}
 	k := info.K
-	limit := info.Processed
-	if n := db.NumTuples(); limit > n {
-		limit = n
-	}
-	// One cursor pass over the processed prefix, tracking the per-rank
-	// argmax, instead of k passes over a materialized Sorted() slice. The
-	// tie-break is unchanged: strictly-greater comparisons in ascending
-	// rank order keep the earliest (highest-ranked) winner for each h.
+	// One pass over the processed prefix, tracking the per-rank argmax.
+	// Strictly-greater comparisons in ascending rank order keep the
+	// earliest (highest-ranked) winner for each h.
 	bestP := make([]float64, k+1)
 	bestI := make([]int, k+1)
 	bestT := make([]*uncertain.Tuple, k+1)
 	for h := range bestI {
 		bestI[h] = -1
 	}
-	cur := db.CursorAt(0)
-	for i := 0; i < limit; i++ {
-		t := cur.Next()
+	i := -1
+	for t := range Prefix(src, info.Processed) {
+		i++
 		if t.Null {
 			continue
 		}
@@ -94,15 +89,11 @@ func UKRanks(db *uncertain.Database, info *RankInfo) ([]RankedAnswer, error) {
 
 // PTK evaluates the PT-k query [11]: every real tuple whose top-k
 // probability is at least threshold, in descending rank order.
-func PTK(db *uncertain.Database, info *RankInfo, threshold float64) []ScoredAnswer {
+func PTK(src Source, info *RankInfo, threshold float64) []ScoredAnswer {
 	var out []ScoredAnswer
-	limit := info.Processed
-	if n := db.NumTuples(); limit > n {
-		limit = n
-	}
-	cur := db.CursorAt(0)
-	for i := 0; i < limit; i++ {
-		t := cur.Next()
+	i := -1
+	for t := range Prefix(src, info.Processed) {
+		i++
 		if t.Null {
 			continue
 		}
@@ -116,15 +107,11 @@ func PTK(db *uncertain.Database, info *RankInfo, threshold float64) []ScoredAnsw
 // GlobalTopK evaluates the Global-topk query [13]: the k real tuples with
 // the highest top-k probabilities, ties broken toward the higher-ranked
 // tuple (the tie-break used in Zhang and Chomicki's definition).
-func GlobalTopK(db *uncertain.Database, info *RankInfo) []ScoredAnswer {
-	limit := info.Processed
-	if n := db.NumTuples(); limit > n {
-		limit = n
-	}
-	cand := make([]ScoredAnswer, 0, limit)
-	cur := db.CursorAt(0)
-	for i := 0; i < limit; i++ {
-		t := cur.Next()
+func GlobalTopK(src Source, info *RankInfo) []ScoredAnswer {
+	cand := make([]ScoredAnswer, 0, info.Processed)
+	i := -1
+	for t := range Prefix(src, info.Processed) {
+		i++
 		if t.Null {
 			continue
 		}

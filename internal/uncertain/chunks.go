@@ -383,6 +383,20 @@ func (db *Database) CursorAt(pos int) Cursor {
 	return Cursor{chunks: db.rs.chunks, ci: ci, off: off}
 }
 
+// Ranked yields the tuples from global rank position pos down, each with
+// its x-tuple's group index: the (alternative, x-tuple) pairs a rank scan
+// consumes. It walks a cursor, so it costs what CursorAt and Next cost.
+func (db *Database) Ranked(pos int) iter.Seq2[*Tuple, int] {
+	return func(yield func(*Tuple, int) bool) {
+		cur := db.CursorAt(pos)
+		for t := cur.Next(); t != nil; t = cur.Next() {
+			if !yield(t, t.Group) {
+				return
+			}
+		}
+	}
+}
+
 // Next returns the tuple at the cursor's position and advances past it,
 // or nil when the order is exhausted.
 func (c *Cursor) Next() *Tuple {
