@@ -197,7 +197,7 @@ func benchServeSharded(b *testing.B, shards int, mutating bool) {
 
 	var commits int
 	if mutating {
-		stop := startShardWriter(def.clu)
+		stop := startShardWriter(def.layer.(*clusterLayer).Cluster)
 		defer func() {
 			commits = stop()
 			b.ReportMetric(float64(commits)/b.Elapsed().Seconds(), "commits/s")

@@ -39,11 +39,12 @@ func waitConverged(t testing.TB, fsrv *server, name string, want uint64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ft.rep.Version() >= want {
+		rep := ft.layer.(*engineLayer).rep
+		if rep.Version() >= want {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("follower stuck at v%d, want v%d (err=%v)", ft.rep.Version(), want, ft.rep.Err())
+			t.Fatalf("follower stuck at v%d, want v%d (err=%v)", rep.Version(), want, rep.Err())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -98,7 +99,7 @@ func TestFollowerServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitConverged(t, fsrv, defaultDB, lt.eng.DB().Version())
+	waitConverged(t, fsrv, defaultDB, lt.layer.(*engineLayer).eng.DB().Version())
 
 	// The acceptance bar: byte-identical answers at the replicated version.
 	sameBytes(t, "topk", lts.URL+"/topk", fts.URL+"/topk")
@@ -210,7 +211,8 @@ func TestFollowerMultiTenant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lt.sdb.Checkpoint(); err != nil {
+	lsdb := lt.layer.(*engineLayer).sdb
+	if err := lsdb.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if code := postJSON(t, lts.URL+"/dbs/second/mutate", mutateRequest{Ops: []mutateOp{
@@ -218,7 +220,7 @@ func TestFollowerMultiTenant(t *testing.T) {
 	}}, new(mutateResponse)); code != http.StatusOK {
 		t.Fatal("mutate second db after checkpoint")
 	}
-	waitConverged(t, fsrv, "second", lt.sdb.Version())
+	waitConverged(t, fsrv, "second", lsdb.Version())
 	sameBytes(t, "second topk after resync", lts.URL+"/dbs/second/topk", fts.URL+"/dbs/second/topk")
 	sameBytes(t, "second stats version", lts.URL+"/dbs/second/quality", fts.URL+"/dbs/second/quality")
 

@@ -33,6 +33,7 @@ type server struct {
 	mu       sync.RWMutex
 	tenants  map[string]*tenant
 	creating map[string]bool // names reserved by in-flight creations
+	skipped  sync.Map        // follower: sharded names already reported as skipped
 	draining atomic.Bool     // set at shutdown: the follower rescan must not attach more
 	mux      *http.ServeMux
 	started  time.Time
@@ -349,7 +350,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// arbitrarily old prefix of the leader's history.
 	ready := true
 	for _, t := range s.tenantList() {
-		if t.rep != nil && !t.rep.Ready() {
+		if !t.ready() {
 			ready = false
 			break
 		}
@@ -362,29 +363,9 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (t *tenant) info() dbInfoJSON {
-	if t.clu != nil {
-		return dbInfoJSON{
-			Name:      t.name,
-			Version:   t.clu.Version(),
-			XTuples:   t.clu.NumGroups(),
-			Tuples:    t.clu.NumTuples(),
-			K:         t.clu.K(),
-			Threshold: t.clu.Threshold(),
-			Shards:    t.clu.Shards(),
-			Durable:   t.durable(),
-		}
-	}
-	eng := t.engine()
-	snap := eng.DB().Snapshot()
-	return dbInfoJSON{
-		Name:      t.name,
-		Version:   snap.Version(),
-		XTuples:   snap.NumGroups(),
-		Tuples:    snap.NumTuples(),
-		K:         eng.K(),
-		Threshold: eng.Threshold(),
-		Durable:   t.durable(),
-	}
+	info := t.layer.info()
+	info.Name = t.name
+	return info
 }
 
 func (s *server) handleListDBs(w http.ResponseWriter, r *http.Request) {
@@ -485,53 +466,10 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request, t *tenant) 
 	if s.cfg.follower {
 		role = "follower"
 	}
-	var resp statsResponse
-	if t.clu != nil {
-		resp = statsResponse{
-			Name:       t.name,
-			Role:       role,
-			Version:    t.clu.Version(),
-			XTuples:    t.clu.NumGroups(),
-			Tuples:     t.clu.NumTuples(),
-			RealTuples: t.clu.NumRealTuples(),
-			K:          t.clu.K(),
-			Threshold:  t.clu.Threshold(),
-			Shards:     t.clu.Stats(),
-		}
-	} else {
-		eng := t.engine()
-		snap := eng.DB().Snapshot()
-		resp = statsResponse{
-			Name:       t.name,
-			Role:       role,
-			Version:    snap.Version(),
-			XTuples:    snap.NumGroups(),
-			Tuples:     snap.NumTuples(),
-			RealTuples: snap.NumRealTuples(),
-			K:          eng.K(),
-			Threshold:  eng.Threshold(),
-		}
-	}
-	resp.Durable = t.durable()
+	resp := statsResponse{Name: t.name, Role: role}
+	t.stats(&resp)
 	resp.Coalesced = t.coal.coalesced.Load()
 	resp.UptimeSeconds = time.Since(s.started).Seconds()
-	if t.sdb != nil {
-		resp.WALRecords, resp.CheckpointVer = t.sdb.SinceCheckpoint()
-	}
-	if t.rep != nil {
-		lag := t.rep.Lag()
-		rj := &replicationJSON{
-			AppliedVersion: t.rep.Version(),
-			VersionsBehind: lag.Versions,
-			BytesBehind:    lag.Bytes,
-			Ready:          t.rep.Ready(),
-			Resyncs:        t.rep.Resyncs(),
-		}
-		if err := t.rep.Err(); err != nil {
-			rj.LastError = err.Error()
-		}
-		resp.Replication = rj
-	}
 	s.mu.RLock()
 	resp.DBs = len(s.tenants)
 	s.mu.RUnlock()
@@ -539,7 +477,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request, t *tenant) 
 }
 
 func (s *server) handleTopK(w http.ResponseWriter, r *http.Request, t *tenant) {
-	threshold := t.threshold()
+	threshold := t.Threshold()
 	if q := r.URL.Query().Get("threshold"); q != "" {
 		v, err := strconv.ParseFloat(q, 64)
 		// Reject non-finite values outright: beyond being meaningless as
@@ -555,12 +493,12 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request, t *tenant) {
 	// requests share one engine call and one JSON encoding. If a commit
 	// lands between keying and answering, the shared answer is simply the
 	// newer version's (reported in its body) — still one consistent epoch.
-	key := coalKey{version: t.version(), threshold: threshold}
+	key := coalKey{version: t.Version(), threshold: threshold}
 	body, err := t.coal.do(key, func() ([]byte, error) {
 		// Compute detached from the leader's request context: followers
 		// with live connections share this result, and the leader's client
 		// hanging up must not fail them all with its cancellation.
-		res, err := t.answersThreshold(context.WithoutCancel(r.Context()), threshold)
+		res, err := t.AnswersThreshold(context.WithoutCancel(r.Context()), threshold)
 		if err != nil {
 			return nil, err
 		}
@@ -593,7 +531,7 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request, t *tenant) {
 }
 
 func (s *server) handleQuality(w http.ResponseWriter, r *http.Request, t *tenant) {
-	k := t.k()
+	k := t.K()
 	if q := r.URL.Query().Get("k"); q != "" {
 		v, err := strconv.Atoi(q)
 		if err != nil || v < 1 {
@@ -602,7 +540,7 @@ func (s *server) handleQuality(w http.ResponseWriter, r *http.Request, t *tenant
 		}
 		k = v
 	}
-	quality, version, err := t.qualityAtVersion(r.Context(), k)
+	quality, version, err := t.QualityAtVersion(r.Context(), k)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -666,9 +604,19 @@ func wireToPlan(m map[string]int) (topkclean.CleaningPlan, error) {
 // not thread that yet.
 var errShardedCleaning = errors.New("budgeted cleaning is not supported on sharded databases yet; create the database with shards=1")
 
-func (s *server) handlePlan(w http.ResponseWriter, r *http.Request, t *tenant) {
-	if t.clu != nil {
+// cleaningEngine is the planning engine of a /plan or /apply target, or
+// nil after answering the refusal for tenants without one.
+func cleaningEngine(w http.ResponseWriter, t *tenant) *topkclean.Engine {
+	eng := t.engine()
+	if eng == nil {
 		writeErr(w, http.StatusBadRequest, errShardedCleaning)
+	}
+	return eng
+}
+
+func (s *server) handlePlan(w http.ResponseWriter, r *http.Request, t *tenant) {
+	eng := cleaningEngine(w, t)
+	if eng == nil {
 		return
 	}
 	var req planRequest
@@ -679,7 +627,6 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request, t *tenant) {
 	if req.Planner == "" {
 		req.Planner = "greedy"
 	}
-	eng := t.engine()
 	spec, err := buildSpec(eng.DB().Snapshot().NumGroups(), req.Spec)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
@@ -702,8 +649,8 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request, t *tenant) {
 }
 
 func (s *server) handleApply(w http.ResponseWriter, r *http.Request, t *tenant) {
-	if t.clu != nil {
-		writeErr(w, http.StatusBadRequest, errShardedCleaning)
+	eng := cleaningEngine(w, t)
+	if eng == nil {
 		return
 	}
 	var req applyRequest
@@ -714,7 +661,7 @@ func (s *server) handleApply(w http.ResponseWriter, r *http.Request, t *tenant) 
 	if req.Planner == "" {
 		req.Planner = "greedy"
 	}
-	spec, err := buildSpec(t.eng.DB().Snapshot().NumGroups(), req.Spec)
+	spec, err := buildSpec(eng.DB().Snapshot().NumGroups(), req.Spec)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -726,9 +673,9 @@ func (s *server) handleApply(w http.ResponseWriter, r *http.Request, t *tenant) 
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		cctx, err = t.eng.CleaningContext(r.Context(), spec, req.Budget)
+		cctx, err = eng.CleaningContext(r.Context(), spec, req.Budget)
 	} else {
-		plan, cctx, err = t.eng.PlanCleaning(r.Context(), req.Planner, spec, req.Budget)
+		plan, cctx, err = eng.PlanCleaning(r.Context(), req.Planner, spec, req.Budget)
 	}
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
@@ -753,14 +700,14 @@ func (s *server) handleApply(w http.ResponseWriter, r *http.Request, t *tenant) 
 	// ApplyCleaning with the same 409 it would have before the lock.
 	t.writeMu.Lock()
 	defer t.writeMu.Unlock()
-	out, err := t.eng.ApplyCleaning(r.Context(), cctx, plan, rand.New(rand.NewSource(seed)))
-	if t.sdb != nil && out != nil {
+	out, err := eng.ApplyCleaning(r.Context(), cctx, plan, rand.New(rand.NewSource(seed)))
+	if out != nil {
 		// The collapses are committed (even when err != nil: ApplyCleaning
 		// returns the outcome alongside a failed re-evaluation); journal
 		// them before answering anything, or the live database would be
 		// ahead of the WAL and the store would poison itself on the next
 		// write while the cleaning silently vanished on recovery.
-		if jerr := t.sdb.JournalCleaning(out.Choices); jerr != nil {
+		if jerr := t.journalCleaning(out.Choices); jerr != nil {
 			writeErr(w, http.StatusInternalServerError, jerr)
 			return
 		}
@@ -798,8 +745,9 @@ func (s *server) handleApply(w http.ResponseWriter, r *http.Request, t *tenant) 
 }
 
 // opSink is the mutation surface shared by *topkclean.Batch (ephemeral
-// tenants) and *store.Batch (durable tenants, which journal each
-// successful op), so one request decoder drives both.
+// tenants), *store.Batch (durable tenants, which journal each successful
+// op) and *shard.Batch (sharded tenants), so one request decoder drives
+// all three.
 type opSink interface {
 	InsertXTuple(name string, tuples ...topkclean.Tuple) error
 	InsertAbsentXTuple(name string) error
@@ -808,35 +756,44 @@ type opSink interface {
 	Collapse(l, choice int) error
 }
 
-// applyReqOps applies a /mutate op list to a batch, returning how many ops
-// succeeded (all of them unless an error stopped the list).
-func applyReqOps(b opSink, ops []mutateOp) (applied int, err error) {
-	for i, op := range ops {
-		var err error
-		switch op.Op {
-		case "insert":
-			ts := make([]topkclean.Tuple, len(op.Tuples))
-			for j, tj := range op.Tuples {
-				ts[j] = topkclean.Tuple{ID: tj.ID, Attrs: tj.Attrs, Prob: tj.Prob}
+// batchOps applies a /mutate op list through one batch of a layer's
+// writer, so the whole list commits as a single epoch. It reports how many
+// ops succeeded (all of them unless an error stopped the list) and the
+// version the commit reached from base.
+func batchOps[B opSink](batch func(func(B) error) error, ops []mutateOp, base uint64) (mutateResponse, error) {
+	resp := mutateResponse{Version: base}
+	err := batch(func(b B) error {
+		for i, op := range ops {
+			var err error
+			switch op.Op {
+			case "insert":
+				ts := make([]topkclean.Tuple, len(op.Tuples))
+				for j, tj := range op.Tuples {
+					ts[j] = topkclean.Tuple{ID: tj.ID, Attrs: tj.Attrs, Prob: tj.Prob}
+				}
+				err = b.InsertXTuple(op.Name, ts...)
+			case "insert_absent":
+				err = b.InsertAbsentXTuple(op.Name)
+			case "delete":
+				err = b.DeleteXTuple(op.Group)
+			case "reweight":
+				err = b.Reweight(op.Group, op.Probs)
+			case "collapse":
+				err = b.Collapse(op.Group, op.Choice)
+			default:
+				err = fmt.Errorf("unknown op %q", op.Op)
 			}
-			err = b.InsertXTuple(op.Name, ts...)
-		case "insert_absent":
-			err = b.InsertAbsentXTuple(op.Name)
-		case "delete":
-			err = b.DeleteXTuple(op.Group)
-		case "reweight":
-			err = b.Reweight(op.Group, op.Probs)
-		case "collapse":
-			err = b.Collapse(op.Group, op.Choice)
-		default:
-			err = fmt.Errorf("unknown op %q", op.Op)
+			if err != nil {
+				return fmt.Errorf("op %d (%s): %w", i, op.Op, err)
+			}
+			resp.OpsApplied++
 		}
-		if err != nil {
-			return applied, fmt.Errorf("op %d (%s): %w", i, op.Op, err)
-		}
-		applied++
+		return nil
+	})
+	if resp.OpsApplied > 0 {
+		resp.Version++ // the batch committed exactly one epoch
 	}
-	return applied, nil
+	return resp, err
 }
 
 func (s *server) handleMutate(w http.ResponseWriter, r *http.Request, t *tenant) {
@@ -856,44 +813,10 @@ func (s *server) handleMutate(w http.ResponseWriter, r *http.Request, t *tenant)
 	// together with ops_applied and the resulting version, so clients can
 	// tell a partial commit from nothing-applied. Mutating endpoints
 	// serialize on the tenant's write mutex (queries never do), so the
-	// sizes and versions read below cannot be another writer's.
+	// sizes and versions mutate reports cannot be another writer's.
 	t.writeMu.Lock()
 	defer t.writeMu.Unlock()
-	var applied int
-	var err error
-	var base uint64
-	var groups, tuples int
-	if t.clu != nil {
-		// Sharded tenants: the cluster's batch has the same
-		// prefix-on-failure, one-epoch-per-request semantics (the shard
-		// package's differential battery pins the parity, error texts
-		// included), with the router splitting ops across shards.
-		base = t.clu.Version()
-		err = t.clu.Batch(func(b *shard.Batch) error {
-			applied, err = applyReqOps(b, req.Ops)
-			return err
-		})
-		groups, tuples = t.clu.NumGroups(), t.clu.NumTuples()
-	} else {
-		db := t.eng.DB()
-		base = db.Version()
-		if t.sdb != nil {
-			err = t.sdb.Batch(func(b *store.Batch) error {
-				applied, err = applyReqOps(b, req.Ops)
-				return err
-			})
-		} else {
-			err = db.Batch(func(b *topkclean.Batch) error {
-				applied, err = applyReqOps(b, req.Ops)
-				return err
-			})
-		}
-		groups, tuples = db.NumGroups(), db.NumTuples()
-	}
-	version := base
-	if applied > 0 {
-		version++ // the batch committed exactly one epoch
-	}
+	resp, err := t.mutate(req.Ops)
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, uncertain.ErrFrozenSnapshot) || errors.Is(err, store.ErrPoisoned) || errors.Is(err, shard.ErrPoisoned) {
@@ -901,15 +824,10 @@ func (s *server) handleMutate(w http.ResponseWriter, r *http.Request, t *tenant)
 		}
 		writeJSON(w, status, map[string]any{
 			"error":       err.Error(),
-			"ops_applied": applied,
-			"version":     version,
+			"ops_applied": resp.OpsApplied,
+			"version":     resp.Version,
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, mutateResponse{
-		Version:    version,
-		OpsApplied: applied,
-		XTuples:    groups,
-		Tuples:     tuples,
-	})
+	writeJSON(w, http.StatusOK, resp)
 }

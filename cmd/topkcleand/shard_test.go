@@ -2,9 +2,11 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -210,8 +212,8 @@ func TestShardedDurableRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.clu == nil || !rt.cluDurable || rt.cfg.Shards != 3 {
-		t.Fatalf("recovered tenant is not a durable 3-shard cluster: clu=%v durable=%v cfg=%+v", rt.clu != nil, rt.cluDurable, rt.cfg)
+	if clu, ok := rt.layer.(*clusterLayer); !ok || !clu.durable() || rt.cfg.Shards != 3 {
+		t.Fatalf("recovered tenant is not a durable 3-shard cluster: clu=%v durable=%v cfg=%+v", ok, rt.durable(), rt.cfg)
 	}
 	if got := getBytes(t, ts2.URL+"/topk"); string(got) != string(topkBefore) {
 		t.Fatalf("topk diverged across restart:\nbefore: %s\nafter:  %s", topkBefore, got)
@@ -250,7 +252,9 @@ func TestShardedDurableRestart(t *testing.T) {
 // TestFollowerPicksUpNewDatabases: a follower discovers databases the
 // leader creates after the follower started — via an explicit rescan and
 // via the background rescan loop — and skips sharded ones (their layout
-// cannot be followed yet) without disturbing the rest.
+// cannot be followed yet) without disturbing the rest. Each skipped name
+// is logged once, not once per rescan, and a name the leader re-creates
+// unsharded still attaches.
 func TestFollowerPicksUpNewDatabases(t *testing.T) {
 	root := t.TempDir()
 	lts, _ := testServerStore(t, 30, 5, root)
@@ -278,7 +282,28 @@ func TestFollowerPicksUpNewDatabases(t *testing.T) {
 		t.Fatalf("create sharded db: %d", code)
 	}
 
-	fsrv.rescanFollowers(t.Logf)
+	// The skip is reported once per name, not once per rescan tick.
+	var mu sync.Mutex
+	skipLines := 0
+	countingLogf := func(format string, args ...any) {
+		t.Logf(format, args...)
+		if strings.Contains(fmt.Sprintf(format, args...), "shardy: sharded databases cannot be followed") {
+			mu.Lock()
+			skipLines++
+			mu.Unlock()
+		}
+	}
+	skips := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return skipLines
+	}
+	for i := 0; i < 5; i++ {
+		fsrv.rescanFollowers(countingLogf)
+	}
+	if got := skips(); got != 1 {
+		t.Fatalf("5 rescans logged the sharded skip %d times, want once", got)
+	}
 	if _, err := fsrv.tenant("late"); err != nil {
 		t.Fatalf("rescan did not pick up the new database: %v", err)
 	}
@@ -299,7 +324,7 @@ func TestFollowerPicksUpNewDatabases(t *testing.T) {
 	// The background loop does the same without being called by hand.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go fsrv.followerRescanLoop(ctx, 2*time.Millisecond, t.Logf)
+	go fsrv.followerRescanLoop(ctx, 2*time.Millisecond, countingLogf)
 	if code := postJSON(t, lts.URL+"/dbs", createRequest{Name: "later", Synthetic: 12}, &created); code != http.StatusCreated {
 		t.Fatalf("create later db: %d", code)
 	}
@@ -315,4 +340,23 @@ func TestFollowerPicksUpNewDatabases(t *testing.T) {
 	}
 	waitConverged(t, fsrv, "later", 0)
 	sameBytes(t, "later topk", lts.URL+"/dbs/later/topk", fts.URL+"/dbs/later/topk")
+
+	// The skip is not sticky: tenant.json is re-read on every rescan, so
+	// once the leader re-creates the name unsharded the follower attaches
+	// it — and the loop never repeated the skip line meanwhile.
+	cancel()
+	if code := deleteReq(t, lts.URL+"/dbs/shardy"); code != http.StatusOK {
+		t.Fatalf("delete sharded db: %d", code)
+	}
+	if code := postJSON(t, lts.URL+"/dbs", createRequest{Name: "shardy", Synthetic: 15}, new(dbInfoJSON)); code != http.StatusCreated {
+		t.Fatalf("re-create shardy unsharded: %d", code)
+	}
+	fsrv.rescanFollowers(countingLogf)
+	if _, err := fsrv.tenant("shardy"); err != nil {
+		t.Fatalf("rescan did not attach shardy once unsharded: %v", err)
+	}
+	if got := skips(); got != 1 {
+		t.Fatalf("the sharded skip was logged %d times in all, want once", got)
+	}
+	sameBytes(t, "shardy topk", lts.URL+"/dbs/shardy/topk", fts.URL+"/dbs/shardy/topk")
 }

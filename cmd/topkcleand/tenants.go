@@ -19,128 +19,25 @@ import (
 	"github.com/probdb/topkclean/internal/store"
 )
 
-// A tenant is one named database with everything serving it: the engine
-// (queries, planning), the optional persistence handle (nil = ephemeral),
-// the replica handle on follower daemons, the per-tenant query coalescer,
-// and the write mutex that keeps WAL order equal to commit order across
-// /mutate and /apply. A sharded tenant (created with shards > 1) serves
-// through clu instead of eng: the sharded cluster owns its own
-// per-shard stores and merge coordinator (see DESIGN.md "Sharded
-// serving").
+// A tenant is one named database as the registry and the handlers see it:
+// its name and serving configuration (persisted as tenant.json), the layer
+// that answers and commits for it (chosen once, at creation or recovery;
+// see layer.go), the query coalescer, and the write mutex that keeps
+// journal order equal to commit order across /mutate and /apply.
 type tenant struct {
-	name       string
-	eng        *topkclean.Engine
-	clu        *shard.Cluster   // non-nil: sharded serving (leaders only)
-	cluDurable bool             // the cluster journals its shards under -store
-	sdb        *store.DB        // nil when the daemon runs without -store
-	rep        *replica.Replica // non-nil on follower daemons
-	cfg        tenantConfig
-	coal       coalescer
-	applies    atomic.Int64 // per-apply rng decorrelation counter
-	writeMu    sync.Mutex   // serializes journaled writes; queries never take it
-	engMu      sync.Mutex   // follower only: guards the engine rebuild below
-	engGen     uint64       // replica generation the current engine was built on
-	created    time.Time
+	layer
+	name    string
+	cfg     tenantConfig
+	coal    coalescer
+	applies atomic.Int64 // per-apply rng decorrelation counter
+	writeMu sync.Mutex   // serializes journaled writes; queries never take it
+	created time.Time
 }
 
-// durable reports whether the tenant survives restarts (its own journal,
-// or — on a follower — the leader's).
-func (t *tenant) durable() bool { return t.sdb != nil || t.rep != nil || t.cluDurable }
-
-// version is the tenant's current committed version, whichever layer
-// serves it.
-func (t *tenant) version() uint64 {
-	if t.clu != nil {
-		return t.clu.Version()
-	}
-	return t.engine().DB().Snapshot().Version()
-}
-
-// k and threshold are the tenant's query defaults.
-func (t *tenant) k() int {
-	if t.clu != nil {
-		return t.clu.K()
-	}
-	return t.engine().K()
-}
-
-func (t *tenant) threshold() float64 {
-	if t.clu != nil {
-		return t.clu.Threshold()
-	}
-	return t.engine().Threshold()
-}
-
-// answersThreshold answers the three top-k semantics plus quality from
-// one pinned epoch — through the merge coordinator on sharded tenants,
-// the engine otherwise. Both layers produce bit-identical answers (the
-// shard package's differential battery pins this), so callers never know
-// which served them.
-func (t *tenant) answersThreshold(ctx context.Context, threshold float64) (*topkclean.Result, error) {
-	if t.clu == nil {
-		return t.engine().AnswersThreshold(ctx, threshold)
-	}
-	r, err := t.clu.AnswersThreshold(ctx, threshold)
-	if err != nil {
-		return nil, err
-	}
-	return &topkclean.Result{
-		K:          r.K,
-		Threshold:  r.Threshold,
-		Version:    r.Version,
-		UKRanks:    r.UKRanks,
-		PTK:        r.PTK,
-		GlobalTopK: r.GlobalTopK,
-		Quality:    r.Quality,
-	}, nil
-}
-
-// qualityAtVersion evaluates the PWS-quality at an explicit k.
-func (t *tenant) qualityAtVersion(ctx context.Context, k int) (float64, uint64, error) {
-	if t.clu != nil {
-		return t.clu.QualityAtVersion(ctx, k)
-	}
-	return t.engine().QualityAtVersion(ctx, k)
-}
-
-// warm runs the tenant's memoized answer pass once, so the first request
-// is not the slow one.
-func (t *tenant) warm(ctx context.Context) error {
-	var err error
-	if t.clu != nil {
-		_, err = t.clu.Answers(ctx)
-	} else {
-		_, err = t.engine().Answers(ctx)
-	}
-	return err
-}
-
-// engine returns the engine to serve queries from. On a leader it is the
-// tenant's engine, fixed for the tenant's lifetime. On a follower the
-// replica's incremental tailing keeps the same database (and the engine's
-// snapshot-keyed memoization stays warm across replicated commits), but a
-// resync — the leader checkpointed past this follower — replaces the
-// database wholesale; the engine is then rebuilt over the new one, keyed
-// by the replica's generation. A rebuild failure keeps serving the
-// previous engine (bounded staleness beats an outage) and retries on the
-// next request.
-func (t *tenant) engine() *topkclean.Engine {
-	if t.rep == nil {
-		return t.eng
-	}
-	t.engMu.Lock()
-	defer t.engMu.Unlock()
-	if gen := t.rep.Generation(); gen != t.engGen {
-		eng, err := topkclean.New(t.rep.DB(),
-			topkclean.WithK(t.cfg.K),
-			topkclean.WithPTKThreshold(t.cfg.Threshold),
-			topkclean.WithSeed(t.cfg.Seed))
-		if err == nil {
-			t.eng = eng
-			t.engGen = gen
-		}
-	}
-	return t.eng
+func newTenant(name string, cfg tenantConfig, l layer) *tenant {
+	t := &tenant{layer: l, name: name, cfg: cfg, created: time.Now()}
+	t.coal.inflight = make(map[coalKey]*coalCall)
+	return t
 }
 
 // tenantConfig is the per-database serving configuration, persisted as
@@ -225,10 +122,7 @@ func (s *server) addTenant(name string, db *topkclean.Database, cfg tenantConfig
 		cfg.Seed = s.cfg.seed
 	}
 	if cfg.Shards <= 0 {
-		cfg.Shards = s.cfg.shards
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
+		cfg.Shards = max(s.cfg.shards, 1)
 	}
 	s.mu.Lock()
 	if _, ok := s.tenants[name]; ok || s.creating[name] {
@@ -243,132 +137,98 @@ func (s *server) addTenant(name string, db *topkclean.Database, cfg tenantConfig
 		s.mu.Unlock()
 	}()
 
-	if cfg.Shards > 1 {
-		t, err := s.addShardTenant(name, db, cfg)
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		s.tenants[name] = t
-		s.mu.Unlock()
-		return t, nil
-	}
-
-	var sdb *store.DB
-	if s.cfg.storeRoot != "" {
-		dir := s.tenantPath(name)
-		backend, err := store.OpenBackend(s.cfg.storeBackend, dir)
-		if err != nil {
-			return nil, err
-		}
-		sdb, err = store.Create(backend, db, s.storeOptions()...)
-		if err != nil {
-			backend.Close()
-			s.dropTenantStorage(name)
-			return nil, err
-		}
-		// tenant.json lives next to the journal; only the file backend has
-		// a directory to keep it in (mem tenants die with the process, so
-		// there is nothing to recover a config for).
-		if s.cfg.storeBackend == "file" {
-			if err := writeTenantConfig(dir, cfg); err != nil {
-				sdb.Close()
-				s.dropTenantStorage(name) // leave no half-created store a retry would trip over
-				return nil, err
-			}
-		}
-	}
-	t, err := s.newTenant(name, db, sdb, nil, cfg)
+	l, err := s.openLayer(name, db, cfg)
 	if err != nil {
-		if sdb != nil {
-			sdb.Close()
-			s.dropTenantStorage(name)
-		}
 		return nil, err
 	}
+	// tenant.json lives next to the journal; only the file backend has a
+	// directory to keep it in (mem tenants die with the process, so there
+	// is nothing to recover a config for).
+	if s.cfg.storeRoot != "" && s.cfg.storeBackend == "file" {
+		if err := writeTenantConfig(s.tenantPath(name), cfg); err != nil {
+			_ = l.drop() // leave no half-created store a retry would trip over
+			return nil, err
+		}
+	}
+	t := newTenant(name, cfg, l)
 	s.mu.Lock()
 	s.tenants[name] = t
 	s.mu.Unlock()
 	return t, nil
 }
 
-// addShardTenant places a built database's x-tuples across cfg.Shards
-// shards behind a merge coordinator. With -store, the cluster journals each
-// shard (plus its placement directory) under the tenant directory; the
-// per-shard layout is the shard package's, not the flat single-journal
-// one, so tenant.json's shards field is what recovery dispatches on.
-func (s *server) addShardTenant(name string, db *topkclean.Database, cfg tenantConfig) (*tenant, error) {
-	scfg := shard.Config{Shards: cfg.Shards, K: cfg.K, Threshold: cfg.Threshold, Rank: db.Rank()}
-	durable := s.cfg.storeRoot != ""
-	if durable {
-		scfg.Backend = s.cfg.storeBackend
-		scfg.Path = s.tenantPath(name)
-		scfg.StoreOpts = s.storeOptions()
+// openLayer builds a tenant's serving layer: over db when creating it, or
+// — db nil — by recovering what the tenant's path holds. cfg.Shards > 1
+// places the x-tuples across that many shards behind a merge coordinator,
+// journaled (with -store) in the shard package's per-shard layout, which
+// is why recovery dispatches on tenant.json's shards field; otherwise one
+// engine serves, journaled by one store. A failed creation removes what
+// it made, so a retry does not trip over it, but never a path that held
+// something before — a journal another process has open, or a database
+// an earlier run left — unless its own store.Create found that empty.
+func (s *server) openLayer(name string, db *topkclean.Database, cfg tenantConfig) (_ layer, err error) {
+	var st storage
+	if s.cfg.storeRoot != "" {
+		st = storage{backend: s.cfg.storeBackend, path: s.tenantPath(name)}
 	}
-	clu, err := shard.FromDatabase(db, scfg)
-	if err != nil {
-		if durable {
-			s.dropShardStorage(name, cfg.Shards)
+	owned := db != nil && !st.exists()
+	defer func() {
+		if err != nil && owned {
+			_ = st.remove()
 		}
+	}()
+	rank, err := cfg.rankFunc()
+	if err != nil {
 		return nil, err
 	}
-	if durable && s.cfg.storeBackend == "file" {
-		if err := writeTenantConfig(s.tenantPath(name), cfg); err != nil {
-			clu.Close()
-			s.dropShardStorage(name, cfg.Shards)
+	if db != nil {
+		rank = db.Rank()
+	}
+	if cfg.Shards > 1 {
+		scfg := shard.Config{Shards: cfg.Shards, K: cfg.K, Threshold: cfg.Threshold, Rank: rank}
+		if st.backend != "" {
+			scfg.Backend, scfg.Path, scfg.StoreOpts = st.backend, st.path, s.storeOptions()
+		}
+		var clu *shard.Cluster
+		if db != nil {
+			clu, err = shard.FromDatabase(db, scfg)
+		} else {
+			clu, err = shard.Open(scfg)
+		}
+		if err != nil {
 			return nil, err
 		}
+		return &clusterLayer{Cluster: clu, st: st}, nil
 	}
-	t := &tenant{name: name, clu: clu, cluDurable: durable, cfg: cfg, created: time.Now()}
-	t.coal.inflight = make(map[coalKey]*coalCall)
-	return t, nil
-}
-
-// dropShardStorage removes a sharded tenant's persisted state: the whole
-// directory on the file backend, each shard journal plus the meta journal
-// on mem.
-func (s *server) dropShardStorage(name string, shards int) {
-	dir := s.tenantPath(name)
-	switch s.cfg.storeBackend {
-	case "file":
-		os.RemoveAll(dir)
-	case "mem":
-		for i := 0; i < shards; i++ {
-			store.DropMem(filepath.Join(dir, fmt.Sprintf("shard-%d", i)))
+	l := &engineLayer{st: st}
+	if st.backend != "" {
+		backend, err := store.OpenBackend(st.backend, st.path)
+		if err != nil {
+			return nil, err
 		}
-		store.DropMem(filepath.Join(dir, "meta"))
+		if db != nil {
+			l.sdb, err = store.Create(backend, db, s.storeOptions()...)
+		} else {
+			l.sdb, err = store.Open(backend, rank, s.storeOptions()...)
+		}
+		if err != nil {
+			backend.Close()
+			return nil, err
+		}
+		owned = db != nil // Create found the journal empty: what it holds now is ours
+		db = l.sdb.DB()
 	}
+	if l.eng, err = newEngine(db, cfg); err != nil {
+		_ = l.close()
+		return nil, err
+	}
+	return l, nil
 }
 
 // tenantPath is where a tenant's journal lives: a directory for the file
 // backend, an opaque process-local key for mem.
 func (s *server) tenantPath(name string) string {
 	return filepath.Join(s.cfg.storeRoot, name)
-}
-
-// dropTenantStorage removes whatever the tenant's backend keeps at its
-// path — the cleanup half of create failures and deletions.
-func (s *server) dropTenantStorage(name string) {
-	switch s.cfg.storeBackend {
-	case "file":
-		os.RemoveAll(s.tenantPath(name))
-	case "mem":
-		store.DropMem(s.tenantPath(name))
-	}
-}
-
-// newTenant wires the engine and serving state for a database.
-func (s *server) newTenant(name string, db *topkclean.Database, sdb *store.DB, rep *replica.Replica, cfg tenantConfig) (*tenant, error) {
-	eng, err := topkclean.New(db,
-		topkclean.WithK(cfg.K),
-		topkclean.WithPTKThreshold(cfg.Threshold),
-		topkclean.WithSeed(cfg.Seed))
-	if err != nil {
-		return nil, err
-	}
-	t := &tenant{name: name, eng: eng, sdb: sdb, rep: rep, cfg: cfg, created: time.Now()}
-	t.coal.inflight = make(map[coalKey]*coalCall)
-	return t, nil
 }
 
 // recoverTenants opens every database persisted under the store root —
@@ -388,55 +248,18 @@ func (s *server) recoverTenants(logf func(format string, args ...any)) error {
 			continue
 		}
 		name := e.Name()
-		dir := filepath.Join(s.cfg.storeRoot, name)
-		cfg := readTenantConfig(dir, tenantConfig{K: s.cfg.k, Threshold: s.cfg.threshold, Seed: s.cfg.seed})
-		rank, err := cfg.rankFunc()
+		cfg := readTenantConfig(s.tenantPath(name), tenantConfig{K: s.cfg.k, Threshold: s.cfg.threshold, Seed: s.cfg.seed})
+		l, err := s.openLayer(name, nil, cfg)
 		if err != nil {
-			logf("recover %s: %v (skipped)", name, err)
-			continue
-		}
-		if cfg.Shards > 1 {
-			// Sharded layout: per-shard journals plus the placement
-			// directory, recovered and cross-checked by the shard package.
-			clu, err := shard.Open(shard.Config{
-				Shards: cfg.Shards, K: cfg.K, Threshold: cfg.Threshold, Rank: rank,
-				Backend: s.cfg.storeBackend, Path: dir, StoreOpts: s.storeOptions(),
-			})
-			if err != nil {
-				logf("recover %s: %v (skipped)", name, err)
-				continue
-			}
-			t := &tenant{name: name, clu: clu, cluDurable: true, cfg: cfg, created: time.Now()}
-			t.coal.inflight = make(map[coalKey]*coalCall)
-			s.mu.Lock()
-			s.tenants[name] = t
-			s.mu.Unlock()
-			logf("recovered %s at version %d (%d x-tuples, k=%d threshold=%g, %d shards)",
-				name, clu.Version(), clu.NumGroups(), cfg.K, cfg.Threshold, cfg.Shards)
-			continue
-		}
-		backend, err := store.OpenBackend(s.cfg.storeBackend, dir)
-		if err != nil {
-			logf("recover %s: %v (skipped)", name, err)
-			continue
-		}
-		sdb, err := store.Open(backend, rank, s.storeOptions()...)
-		if err != nil {
-			backend.Close()
-			logf("recover %s: %v (skipped)", name, err)
-			continue
-		}
-		t, err := s.newTenant(name, sdb.DB(), sdb, nil, cfg)
-		if err != nil {
-			sdb.Close()
 			logf("recover %s: %v (skipped)", name, err)
 			continue
 		}
 		s.mu.Lock()
-		s.tenants[name] = t
+		s.tenants[name] = newTenant(name, cfg, l)
 		s.mu.Unlock()
-		logf("recovered %s at version %d (%d x-tuples, k=%d threshold=%g)",
-			name, sdb.DB().Version(), sdb.DB().NumGroups(), cfg.K, cfg.Threshold)
+		info := l.info()
+		logf("recovered %s at version %d (%d x-tuples, k=%d threshold=%g, shards=%d)",
+			name, info.Version, info.XTuples, cfg.K, cfg.Threshold, max(cfg.Shards, 1))
 	}
 	return nil
 }
@@ -447,15 +270,8 @@ func (s *server) recoverTenants(logf func(format string, args ...any)) error {
 // creates nothing and repairs nothing — a follower serves exactly what the
 // leader persisted, so an empty root is an error, not an invitation.
 func (s *server) recoverFollowers(logf func(format string, args ...any)) error {
-	entries, err := os.ReadDir(s.cfg.storeRoot)
-	if err != nil {
+	if err := s.rescanFollowers(logf); err != nil {
 		return fmt.Errorf("follower: %w", err)
-	}
-	for _, e := range entries {
-		if !e.IsDir() || !tenantNameRE.MatchString(e.Name()) {
-			continue
-		}
-		s.followTenant(e.Name(), logf)
 	}
 	if len(s.tenantList()) == 0 {
 		return fmt.Errorf("follower: %s holds no databases to follow (is it a leader's -store root?)", s.cfg.storeRoot)
@@ -468,10 +284,15 @@ func (s *server) recoverFollowers(logf func(format string, args ...any)) error {
 // half-created tenant the leader is still writing; the rescan loop will
 // retry it).
 func (s *server) followTenant(name string, logf func(format string, args ...any)) {
-	dir := filepath.Join(s.cfg.storeRoot, name)
+	dir := s.tenantPath(name)
 	cfg := readTenantConfig(dir, tenantConfig{K: s.cfg.k, Threshold: s.cfg.threshold, Seed: s.cfg.seed})
 	if cfg.Shards > 1 {
-		logf("follow %s: sharded databases cannot be followed yet (skipped)", name)
+		// Reported once per name, not on every rescan tick; tenant.json is
+		// still re-read each time, so a name the leader re-creates
+		// unsharded attaches on the next rescan.
+		if _, logged := s.skipped.LoadOrStore(name, true); !logged {
+			logf("follow %s: sharded databases cannot be followed yet (skipped)", name)
+		}
 		return
 	}
 	rank, err := cfg.rankFunc()
@@ -490,12 +311,13 @@ func (s *server) followTenant(name string, logf func(format string, args ...any)
 		logf("follow %s: %v (skipped)", name, err)
 		return
 	}
-	t, err := s.newTenant(name, rep.DB(), nil, rep, cfg)
+	eng, err := newEngine(rep.DB(), cfg)
 	if err != nil {
 		rep.Close()
 		logf("follow %s: %v (skipped)", name, err)
 		return
 	}
+	t := newTenant(name, cfg, &engineLayer{eng: eng, rep: rep, cfg: cfg})
 	rep.Start()
 	s.mu.Lock()
 	if _, ok := s.tenants[name]; ok || s.draining.Load() {
@@ -506,34 +328,29 @@ func (s *server) followTenant(name string, logf func(format string, args ...any)
 		return
 	}
 	s.tenants[name] = t
+	s.skipped.Delete(name) // a later sharded re-creation is news again
 	s.mu.Unlock()
 	logf("following %s at version %d (%d x-tuples, k=%d threshold=%g)",
 		name, rep.Version(), rep.DB().NumGroups(), cfg.K, cfg.Threshold)
 }
 
-// rescanFollowers picks up databases the leader created after this
-// follower started — the dynamic half of follower mode. Directories
-// already being followed are skipped; new ones attach exactly like the
-// startup scan.
-func (s *server) rescanFollowers(logf func(format string, args ...any)) {
+// rescanFollowers attaches every database under the store root that is
+// not followed yet: the startup scan, and — run on a ticker by
+// followerRescanLoop — the pickup of databases the leader creates later.
+func (s *server) rescanFollowers(logf func(format string, args ...any)) error {
 	entries, err := os.ReadDir(s.cfg.storeRoot)
 	if err != nil {
-		logf("follower rescan: %v", err)
-		return
+		return err
 	}
 	for _, e := range entries {
 		if !e.IsDir() || !tenantNameRE.MatchString(e.Name()) {
 			continue
 		}
-		name := e.Name()
-		s.mu.RLock()
-		_, known := s.tenants[name]
-		s.mu.RUnlock()
-		if known {
-			continue
+		if _, err := s.tenant(e.Name()); err != nil {
+			s.followTenant(e.Name(), logf)
 		}
-		s.followTenant(name, logf)
 	}
+	return nil
 }
 
 // followerRescanLoop runs rescanFollowers on a ticker until ctx is
@@ -546,7 +363,9 @@ func (s *server) followerRescanLoop(ctx context.Context, every time.Duration, lo
 		case <-ctx.Done():
 			return
 		case <-tick.C:
-			s.rescanFollowers(logf)
+			if err := s.rescanFollowers(logf); err != nil {
+				logf("follower rescan: %v", err)
+			}
 		}
 	}
 }
@@ -570,7 +389,7 @@ func (s *server) deleteTenant(name string) error {
 	s.mu.RLock()
 	peek, attached := s.tenants[name]
 	s.mu.RUnlock()
-	if attached && peek.sdb != nil && s.cfg.storeBackend == "file" && store.ReadersAttached(s.tenantPath(name)) {
+	if attached && peek.durable() && s.cfg.storeBackend == "file" && store.ReadersAttached(s.tenantPath(name)) {
 		return fmt.Errorf("database %q has followers attached; detach them before deleting", name)
 	}
 	s.mu.Lock()
@@ -588,29 +407,12 @@ func (s *server) deleteTenant(name string) error {
 		delete(s.creating, name)
 		s.mu.Unlock()
 	}()
-	if t.clu != nil {
-		t.writeMu.Lock()
-		defer t.writeMu.Unlock()
-		_ = t.clu.Close()
-		if t.cluDurable {
-			s.dropShardStorage(name, t.cfg.Shards)
-		}
-		return nil
-	}
-	if t.sdb != nil {
-		t.writeMu.Lock()
-		defer t.writeMu.Unlock()
-		// The journal is about to be unlinked, so a failed final
-		// checkpoint inside Close is irrelevant — removal is the intent.
-		_ = t.sdb.Close()
-		if err := os.RemoveAll(filepath.Join(s.cfg.storeRoot, name)); err != nil {
-			// The tenant is gone from serving but its directory survived;
-			// it will resurrect on the next restart. Surface that.
-			return fmt.Errorf("unregistered, but deleting its storage failed (it will be recovered on restart): %w", err)
-		}
-		if s.cfg.storeBackend == "mem" {
-			s.dropTenantStorage(name)
-		}
+	t.writeMu.Lock()
+	defer t.writeMu.Unlock()
+	if err := t.drop(); err != nil {
+		// The tenant is gone from serving but its storage survived; it
+		// will resurrect on the next restart. Surface that.
+		return fmt.Errorf("unregistered, but deleting its storage failed (it will be recovered on restart): %w", err)
 	}
 	return nil
 }
@@ -621,24 +423,9 @@ func (s *server) deleteTenant(name string) error {
 func (s *server) closeStores(logf func(format string, args ...any)) {
 	s.draining.Store(true) // stop the follower rescan from attaching more
 	for _, t := range s.tenantList() {
-		if t.rep != nil {
-			if err := t.rep.Close(); err != nil {
-				logf("stop replica %s: %v", t.name, err)
-			}
-		}
-		if t.clu != nil {
-			t.writeMu.Lock()
-			if err := t.clu.Close(); err != nil {
-				logf("flush %s: %v", t.name, err)
-			}
-			t.writeMu.Unlock()
-		}
-		if t.sdb == nil {
-			continue
-		}
 		t.writeMu.Lock()
-		if err := t.sdb.Close(); err != nil {
-			logf("flush %s: %v", t.name, err)
+		if err := t.close(); err != nil {
+			logf("close %s: %v", t.name, err)
 		}
 		t.writeMu.Unlock()
 	}

@@ -2,7 +2,9 @@ package store
 
 import (
 	"fmt"
+	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -136,15 +138,32 @@ func openMemSharedRO(path string) (Backend, error) {
 	return &memHandle{MemBackend: e.b, ro: true}, nil
 }
 
-// DropMem deletes the process-global journal the "mem" driver keeps under
-// path, so the name can be re-created empty. Handles still open keep
-// reading (and, for the writer, writing) their detached journal — "mem"
-// models storage for tests and ephemeral tenants, not contended
+// DropMem deletes every process-global journal the "mem" driver keeps at
+// path or under it (path/...), as removing a store directory removes the
+// stores nested in it, so the name can be re-created empty. Handles still
+// open keep reading (and, for the writer, writing) their detached journal
+// — "mem" models storage for tests and ephemeral tenants, not contended
 // production deletes.
-func DropMem(path string) {
+func DropMem(path string) { memUnder(path, true) }
+
+// MemExists reports whether the "mem" driver keeps a journal at path or
+// under it — the process-local counterpart of a store directory existing.
+func MemExists(path string) bool { return memUnder(path, false) }
+
+// memUnder reports whether any journal is keyed at path or under it, and
+// deletes every such journal when drop is set.
+func memUnder(path string, drop bool) (found bool) {
 	memStoresMu.Lock()
-	delete(memStores, path)
-	memStoresMu.Unlock()
+	defer memStoresMu.Unlock()
+	for p := range memStores {
+		if p == path || strings.HasPrefix(p, path+string(filepath.Separator)) {
+			found = true
+			if drop {
+				delete(memStores, p)
+			}
+		}
+	}
+	return found
 }
 
 // memHandle is one opener's view of a shared MemBackend: it releases the

@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"path/filepath"
 	"testing"
 )
 
@@ -84,5 +85,31 @@ func TestMemDriverSharedJournal(t *testing.T) {
 	// A read-only open of a path that was never created fails.
 	if _, err := OpenBackendReadOnly("mem", "never-created"); err == nil {
 		t.Fatal("read-only open of a nonexistent mem backend succeeded")
+	}
+}
+
+// TestMemDropAndExistsUnderPath: the mem driver's DropMem and MemExists
+// act on a path the way directory removal and existence do — the journal
+// at the path and every journal nested under it, but not a sibling whose
+// name merely starts with the same characters.
+func TestMemDropAndExistsUnderPath(t *testing.T) {
+	root := filepath.Join("TestMemDropAndExistsUnderPath", "x")
+	for _, p := range []string{root, filepath.Join(root, "shard-0"), filepath.Join(root, "meta"), root + ".y"} {
+		b, err := OpenBackend("mem", p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Close()
+	}
+	t.Cleanup(func() { DropMem(root + ".y") })
+	if !MemExists(root) || !MemExists(filepath.Join(root, "meta")) {
+		t.Fatal("MemExists misses a journal at or under the path")
+	}
+	DropMem(root)
+	if MemExists(root) {
+		t.Fatal("DropMem left a journal at or under the path")
+	}
+	if !MemExists(root + ".y") {
+		t.Fatal("DropMem removed a sibling path sharing the prefix")
 	}
 }
