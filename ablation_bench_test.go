@@ -50,7 +50,7 @@ func BenchmarkAblationDP_Capped(b *testing.B) {
 			ctx := benchCtx(b, db, 15, c)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cleaning.DP(ctx); err != nil {
+				if _, err := cleaning.DPContext(bg, ctx); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -78,7 +78,7 @@ func BenchmarkAblationGreedy_Heap(b *testing.B) {
 	ctx := benchCtx(b, db, 15, 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cleaning.Greedy(ctx); err != nil {
+		if _, err := cleaning.GreedyContext(bg, ctx); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,10 +1,6 @@
 package topkclean
 
-import (
-	"context"
-
-	"github.com/probdb/topkclean/internal/topkq"
-)
+import "github.com/probdb/topkclean/internal/topkq"
 
 // Result bundles the three probabilistic top-k query answers and the
 // quality score, all derived from a single PSR pass (the computation
@@ -22,60 +18,6 @@ type Result struct {
 	Quality float64            // PWS-quality of the top-k query
 	Eval    *QualityEvaluation // full TP evaluation (for cleaning)
 	Info    *RankInfo          // the shared rank-probability information
-}
-
-// Evaluate runs a probabilistic top-k query on db, answering all three
-// semantics and computing the PWS-quality from one shared rank-probability
-// computation. ptkThreshold is the PT-k probability threshold (the paper's
-// default is 0.1). Unlike WithPTKThreshold, any threshold value is
-// accepted, as this function always has (out-of-range values simply give
-// an empty or complete PT-k answer).
-//
-// Deprecated: use New and Engine.Answers, which additionally memoizes the
-// shared pass across the queries of a session.
-func Evaluate(db *Database, k int, ptkThreshold float64) (*Result, error) {
-	eng, err := New(db, WithK(k))
-	if err != nil {
-		return nil, err
-	}
-	// answersAt takes the caller's raw threshold directly, preserving this
-	// function's historically unvalidated threshold domain.
-	//lint:allow ctxdiscipline deprecated no-context wrapper kept for API compatibility; use New and Engine.Answers
-	return eng.answersAt(context.Background(), ptkThreshold)
-}
-
-// UKRanks evaluates only the U-kRanks query.
-//
-// Deprecated: use New and Engine.Answers; the engine's shared pass makes
-// answering one semantics alone no cheaper than answering all three.
-func UKRanks(db *Database, k int) ([]RankedAnswer, error) {
-	info, err := topkq.RankProbabilities(db, k)
-	if err != nil {
-		return nil, err
-	}
-	return topkq.UKRanks(db, info)
-}
-
-// PTK evaluates only the PT-k query.
-//
-// Deprecated: use New and Engine.Answers.
-func PTK(db *Database, k int, threshold float64) ([]ScoredAnswer, error) {
-	info, err := topkq.TopKProbabilities(db, k)
-	if err != nil {
-		return nil, err
-	}
-	return topkq.PTK(db, info, threshold), nil
-}
-
-// GlobalTopK evaluates only the Global-topk query.
-//
-// Deprecated: use New and Engine.Answers.
-func GlobalTopK(db *Database, k int) ([]ScoredAnswer, error) {
-	info, err := topkq.TopKProbabilities(db, k)
-	if err != nil {
-		return nil, err
-	}
-	return topkq.GlobalTopK(db, info), nil
 }
 
 // FormatScored renders a scored answer list like "{t1, t2, t5}".

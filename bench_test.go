@@ -411,12 +411,16 @@ func BenchmarkFig5d_MOV_QualityExtra(b *testing.B) {
 func BenchmarkFig6a_Improvement(b *testing.B) {
 	db := benchSynthetic(b, 5000)
 	for _, c := range []int{10, 100, 1000} {
-		for _, m := range []Method{MethodDP, MethodGreedy, MethodRandP, MethodRandU} {
+		for _, m := range []string{"dp", "greedy", "randp", "randu"} {
 			b.Run(fmt.Sprintf("C=%d/%s", c, m), func(b *testing.B) {
 				ctx := benchCtx(b, db, 15, c)
 				var imp float64
 				for i := 0; i < b.N; i++ {
-					plan, err := PlanCleaning(ctx, m, int64(i))
+					p, err := PlannerWithSeed(m, int64(i))
+					if err != nil {
+						b.Fatal(err)
+					}
+					plan, err := p.Plan(bg, ctx)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -449,7 +453,7 @@ func BenchmarkFig6b_ImprovementVsSCPdf(b *testing.B) {
 			}
 			var imp float64
 			for i := 0; i < b.N; i++ {
-				plan, err := cleaning.Greedy(ctx)
+				plan, err := cleaning.GreedyContext(bg, ctx)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -476,7 +480,7 @@ func BenchmarkFig6c_ImprovementVsAvgSC(b *testing.B) {
 			}
 			var imp float64
 			for i := 0; i < b.N; i++ {
-				plan, err := cleaning.Greedy(ctx)
+				plan, err := cleaning.GreedyContext(bg, ctx)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -496,7 +500,7 @@ func BenchmarkFig6d_DP(b *testing.B) {
 			ctx := benchCtx(b, db, 15, c)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cleaning.DP(ctx); err != nil {
+				if _, err := cleaning.DPContext(bg, ctx); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -511,7 +515,7 @@ func BenchmarkFig6d_Greedy(b *testing.B) {
 			ctx := benchCtx(b, db, 15, c)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cleaning.Greedy(ctx); err != nil {
+				if _, err := cleaning.GreedyContext(bg, ctx); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -527,7 +531,7 @@ func BenchmarkFig6d_RandP(b *testing.B) {
 			ctx := benchCtx(b, db, 15, c)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cleaning.RandP(ctx, rng); err != nil {
+				if _, err := cleaning.RandPContext(bg, ctx, rng); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -543,7 +547,7 @@ func BenchmarkFig6d_RandU(b *testing.B) {
 			ctx := benchCtx(b, db, 15, c)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cleaning.RandU(ctx, rng); err != nil {
+				if _, err := cleaning.RandUContext(bg, ctx, rng); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -560,7 +564,7 @@ func BenchmarkFig6e_DP(b *testing.B) {
 			ctx := benchCtx(b, db, k, 100)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cleaning.DP(ctx); err != nil {
+				if _, err := cleaning.DPContext(bg, ctx); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -575,7 +579,7 @@ func BenchmarkFig6e_Greedy(b *testing.B) {
 			ctx := benchCtx(b, db, k, 100)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cleaning.Greedy(ctx); err != nil {
+				if _, err := cleaning.GreedyContext(bg, ctx); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -588,12 +592,16 @@ func BenchmarkFig6e_Greedy(b *testing.B) {
 func BenchmarkFig6f_MOV_Improvement(b *testing.B) {
 	db := benchMOV(b)
 	for _, c := range []int{10, 100, 1000} {
-		for _, m := range []Method{MethodDP, MethodGreedy} {
+		for _, m := range []string{"dp", "greedy"} {
 			b.Run(fmt.Sprintf("C=%d/%s", c, m), func(b *testing.B) {
 				ctx := benchCtx(b, db, 15, c)
 				var imp float64
 				for i := 0; i < b.N; i++ {
-					plan, err := PlanCleaning(ctx, m, int64(i))
+					p, err := PlannerWithSeed(m, int64(i))
+					if err != nil {
+						b.Fatal(err)
+					}
+					plan, err := p.Plan(bg, ctx)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -621,7 +629,7 @@ func BenchmarkFig6g_MOV_ImprovementVsAvgSC(b *testing.B) {
 			}
 			var imp float64
 			for i := 0; i < b.N; i++ {
-				plan, err := cleaning.Greedy(ctx)
+				plan, err := cleaning.GreedyContext(bg, ctx)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -632,12 +640,13 @@ func BenchmarkFig6g_MOV_ImprovementVsAvgSC(b *testing.B) {
 	}
 }
 
-// --- Engine session reuse vs one-shot free functions -----------------------
+// --- Engine session reuse vs one-shot engines ------------------------------
 
 // BenchmarkSessionReuse demonstrates the Engine redesign's payoff: the
-// one-shot path pays a full PSR pass in Evaluate and a second TP evaluation
-// in NewCleaningContext on every query, while an Engine runs the pass once
-// and serves every subsequent Answers/PlanCleaning from the memoized state.
+// one-shot path builds a fresh engine per call, as a stateless API would,
+// so every query pays a full PSR + TP pass for the answers and a second
+// pass for the planning context, while an Engine runs the pass once and
+// serves every subsequent Answers/PlanCleaning from the memoized state.
 // The engine-session variant should be dramatically faster per iteration.
 func BenchmarkSessionReuse(b *testing.B) {
 	db := benchSynthetic(b, 2000)
@@ -646,15 +655,19 @@ func BenchmarkSessionReuse(b *testing.B) {
 
 	b.Run("oneshot-free-functions", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := Evaluate(db, k, 0.1) // full PSR + TP pass
+			eng, err := New(db, WithK(k))
 			if err != nil {
 				b.Fatal(err)
 			}
-			ctx, err := NewCleaningContext(db, k, spec, budget) // second full pass
+			res, err := eng.Answers(bg) // full PSR + TP pass
 			if err != nil {
 				b.Fatal(err)
 			}
-			plan, err := PlanCleaning(ctx, MethodGreedy, 1)
+			planEng, err := New(db, WithK(k), WithSeed(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			plan, _, err := planEng.PlanCleaning(bg, "greedy", spec, budget) // second full pass
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -667,7 +680,6 @@ func BenchmarkSessionReuse(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		bg := context.Background()
 		for i := 0; i < b.N; i++ {
 			res, err := eng.Answers(bg) // memoized after the first iteration
 			if err != nil {

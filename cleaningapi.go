@@ -1,7 +1,6 @@
 package topkclean
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
@@ -30,61 +29,10 @@ type (
 	CleanChoices = cleaning.CleanChoices
 )
 
-// Method selects a cleaning planner.
-//
-// Deprecated: planners are first-class values now; use the Planner
-// registry (RegisterPlanner, LookupPlanner, Planners) and refer to
-// planners by plain string name.
-type Method string
-
-// The four planners of Section V-D, under their registry names.
-const (
-	MethodDP     Method = "dp"     // optimal dynamic program
-	MethodGreedy Method = "greedy" // near-optimal, heap-based
-	MethodRandP  Method = "randp"  // random, weighted by top-k probability
-	MethodRandU  Method = "randu"  // random, uniform
-)
-
-// Methods lists the four paper planners, in decreasing expected
-// effectiveness.
-//
-// Deprecated: use Planners for every registered planner name.
-func Methods() []Method { return []Method{MethodDP, MethodGreedy, MethodRandP, MethodRandU} }
-
 // UniformCleaningSpec builds a spec with identical cost and sc-probability
 // for every x-tuple.
 func UniformCleaningSpec(m, cost int, scProb float64) CleaningSpec {
 	return cleaning.UniformSpec(m, cost, scProb)
-}
-
-// NewCleaningContext evaluates the query quality on db and prepares a
-// planning context with the given spec and budget.
-//
-// Deprecated: use New and Engine.CleaningContext, which reuses the
-// engine's memoized evaluation instead of re-running TP per call.
-func NewCleaningContext(db *Database, k int, spec CleaningSpec, budget int) (*CleaningContext, error) {
-	eng, err := New(db, WithK(k))
-	if err != nil {
-		return nil, err
-	}
-	//lint:allow ctxdiscipline deprecated no-context wrapper kept for API compatibility; use Engine.CleaningContext
-	return eng.CleaningContext(context.Background(), spec, budget)
-}
-
-// PlanCleaning selects the x-tuples to clean and the number of operations
-// for each, maximizing the expected quality improvement within the
-// context's budget, using the requested method. seed drives the random
-// planners (MethodRandU/MethodRandP) and is ignored by DP and Greedy.
-//
-// Deprecated: use Engine.PlanCleaning, which plans against the engine's
-// memoized evaluation and threads a context.Context for cancellation.
-func PlanCleaning(ctx *CleaningContext, method Method, seed int64) (CleaningPlan, error) {
-	p, err := seeded(string(method), seed)
-	if err != nil {
-		return nil, err
-	}
-	//lint:allow ctxdiscipline deprecated no-context wrapper kept for API compatibility; use Engine.PlanCleaning
-	return p.Plan(context.Background(), ctx)
 }
 
 // ExpectedImprovement computes the expected quality improvement of a plan
@@ -120,52 +68,8 @@ func CleaningCandidates(ctx *CleaningContext) ([]CleaningCandidate, error) {
 	return cleaning.Candidates(ctx)
 }
 
-// VerifyImprovement cross-checks Theorem 2's closed-form expected
-// improvement for a plan against a parallel Monte-Carlo simulation of the
-// cleaning agent, returning (analytical, simulated). Useful to build trust
-// in a plan before spending a real budget on it.
-//
-// Deprecated: use Engine.VerifyImprovement, which takes a context.Context
-// and the engine's configured seed and parallelism.
-func VerifyImprovement(ctx *CleaningContext, plan CleaningPlan, seed int64, trials, workers int) (analytical, simulated float64, err error) {
-	analytical = cleaning.ExpectedImprovement(ctx, plan)
-	simulated, err = cleaning.MonteCarloImprovementParallel(ctx, plan, seed, trials, workers)
-	return analytical, simulated, err
-}
-
 // AdaptiveOutcome reports a multi-round adaptive cleaning session.
 type AdaptiveOutcome = cleaning.AdaptiveOutcome
-
-// AdaptiveCleaning runs the re-planning loop the paper's Section V-A poses
-// as future work: plan, execute, and feed the budget refunded by early
-// successes into fresh plans against the partially cleaned database, for
-// up to maxRounds rounds. Only deterministic planners are supported.
-//
-// Deprecated: use Engine.AdaptiveCleaning, which accepts any registered
-// planner and a context.Context.
-func AdaptiveCleaning(ctx *CleaningContext, method Method, rng *rand.Rand, maxRounds int) (*AdaptiveOutcome, error) {
-	planner, err := deterministicPlanner(string(method), "AdaptiveCleaning")
-	if err != nil {
-		return nil, err
-	}
-	//lint:allow ctxdiscipline deprecated no-context wrapper kept for API compatibility; use Engine.AdaptiveCleaning
-	return cleaning.AdaptiveExecuteContext(context.Background(), ctx, planner.Plan, rng, maxRounds)
-}
-
-// MinBudgetForTarget returns the smallest budget whose optimal (or greedy,
-// depending on method) expected post-cleaning quality reaches target, with
-// the corresponding plan. This implements the extension the paper's
-// conclusion poses as future work.
-//
-// Deprecated: use Engine.MinBudgetForTarget.
-func MinBudgetForTarget(ctx *CleaningContext, target float64, maxBudget int, method Method) (int, CleaningPlan, error) {
-	planner, err := deterministicPlanner(string(method), "MinBudgetForTarget")
-	if err != nil {
-		return 0, nil, err
-	}
-	//lint:allow ctxdiscipline deprecated no-context wrapper kept for API compatibility; use Engine.MinBudgetForTarget
-	return cleaning.MinBudgetForTargetContext(context.Background(), ctx, target, maxBudget, planner.Plan)
-}
 
 // deterministicPlanner resolves a planner that must not be randomized:
 // adaptive re-planning would replay one random stream instead of drawing

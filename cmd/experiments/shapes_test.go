@@ -7,6 +7,7 @@ package main
 // by the benchmarks instead.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -16,6 +17,9 @@ import (
 	"github.com/probdb/topkclean/internal/topkq"
 	"github.com/probdb/topkclean/internal/uncertain"
 )
+
+// bg is the context the tests hand the planners.
+var bg = context.Background()
 
 func quickSynthetic(t *testing.T) *uncertain.Database {
 	t.Helper()
@@ -125,11 +129,11 @@ func TestShapePlannerOrderingAndSaturation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dpPlan, err := cleaning.DP(ctx)
+	dpPlan, err := cleaning.DPContext(bg, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grPlan, err := cleaning.Greedy(ctx)
+	grPlan, err := cleaning.GreedyContext(bg, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +142,12 @@ func TestShapePlannerOrderingAndSaturation(t *testing.T) {
 	var rp, ru float64
 	const reps = 10
 	for i := 0; i < reps; i++ {
-		p, err := cleaning.RandP(ctx, rand.New(rand.NewSource(int64(i))))
+		p, err := cleaning.RandPContext(bg, ctx, rand.New(rand.NewSource(int64(i))))
 		if err != nil {
 			t.Fatal(err)
 		}
 		rp += cleaning.ExpectedImprovement(ctx, p) / reps
-		u, err := cleaning.RandU(ctx, rand.New(rand.NewSource(int64(100+i))))
+		u, err := cleaning.RandUContext(bg, ctx, rand.New(rand.NewSource(int64(100+i))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +162,7 @@ func TestShapePlannerOrderingAndSaturation(t *testing.T) {
 	// Saturation at a generous budget.
 	big := *ctx
 	big.Budget = 500000
-	bigPlan, err := cleaning.Greedy(&big)
+	bigPlan, err := cleaning.GreedyContext(bg, &big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +185,11 @@ func TestShapeImprovementMonotoneInAvgSC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dpPlan, err := cleaning.DP(ctx)
+		dpPlan, err := cleaning.DPContext(bg, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		grPlan, err := cleaning.Greedy(ctx)
+		grPlan, err := cleaning.GreedyContext(bg, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // genTestData writes a small synthetic dataset + spec into dir and returns
 // their paths.
@@ -238,6 +241,33 @@ func TestCmdReport(t *testing.T) {
 	}
 	if err := cmdReport([]string{}, &out); err == nil {
 		t.Error("report without -data should fail")
+	}
+}
+
+// TestCmdReportGolden pins the whole report, byte for byte: answers,
+// quality vs k, the candidate table and the greedy budget table. The
+// dataset path varies per run and is replaced by a placeholder. Rewrite
+// the golden file with `go test ./cmd/topkclean -run ReportGolden -update`.
+func TestCmdReportGolden(t *testing.T) {
+	dir := t.TempDir()
+	data, spec := genTestData(t, dir)
+	var out strings.Builder
+	if err := cmdReport([]string{"-data", data, "-k", "5", "-spec", spec}, &out); err != nil {
+		t.Fatal(err)
+	}
+	got := strings.ReplaceAll(out.String(), data, "DATA")
+	golden := filepath.Join("testdata", "report.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("report differs from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
 	}
 }
 

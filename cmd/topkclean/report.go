@@ -95,11 +95,15 @@ func cmdReport(args []string, w io.Writer) error {
 		return err
 	}
 
+	greedy, err := topkclean.LookupPlanner("greedy")
+	if err != nil {
+		return err
+	}
 	btab := exp.NewTable("budget vs expected quality (greedy plans)",
 		"budget", "expected S after cleaning", "deficit removed")
 	for _, c := range exp.LogSpacedInts(1, 10000, 9) {
 		sub := mustBudget(ctx, c)
-		plan, err := topkclean.PlanCleaning(sub, topkclean.MethodGreedy, 0)
+		plan, err := greedy.Plan(runCtx, sub)
 		if err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -81,6 +82,48 @@ func postJSON(t testing.TB, url string, body, out any) int {
 		t.Fatalf("POST %s: decode: %v", url, err)
 	}
 	return resp.StatusCode
+}
+
+// TestApplyRejectsMalformedPlans: an explicit /apply plan naming an
+// unknown x-tuple, or one whose cost overflows int, is a 400 that leaves
+// the tenant untouched — not a handler panic, not a wrapped-negative cost
+// slipping past the budget, and not ~2^62 futile attempts spun under the
+// write mutex with sc-probability 0.
+func TestApplyRejectsMalformedPlans(t *testing.T) {
+	const xtuples = 60
+	ts, _ := testServer(t, xtuples, 5)
+	var before topkResponse
+	getJSON(t, ts.URL+"/topk", &before)
+
+	scprobs := make([]string, xtuples)
+	scprobs[0] = "0"
+	for i := 1; i < xtuples; i++ {
+		scprobs[i] = "1"
+	}
+	for _, body := range []string{
+		`{"budget":5,"plan":{"999999":1}}`,
+		`{"budget":5,"plan":{"0":4611686018427387904},"spec":{"cost":2}}`,
+		`{"budget":5,"plan":{"0":4611686018427387904},"spec":{"cost":2,"scprobs":[` + strings.Join(scprobs, ",") + `]}}`,
+	} {
+		resp, err := http.Post(ts.URL+"/apply", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+
+	var mid topkResponse
+	getJSON(t, ts.URL+"/topk", &mid)
+	if mid.Version != before.Version {
+		t.Fatalf("rejected applies moved the version: %d -> %d", before.Version, mid.Version)
+	}
+	var applied applyResponse
+	if status := postJSON(t, ts.URL+"/apply", applyRequest{Budget: 5, Plan: map[string]int{"0": 1}}, &applied); status != http.StatusOK {
+		t.Fatalf("valid apply after the rejections: status %d %+v", status, applied)
+	}
 }
 
 // TestHTTPSmoke is the CI smoke test: start the daemon, query /topk, apply

@@ -136,10 +136,6 @@
 // Engine.MinBudgetForTarget, whose re-planning loop and budget binary
 // search require non-random, monotone plans).
 //
-// The stateless free functions (Evaluate, Quality, NewCleaningContext,
-// PlanCleaning, ...) remain as deprecated wrappers over the engine for
-// compatibility; new code should construct an Engine.
-//
 // See the examples directory for complete programs and DESIGN.md for the
 // mapping between this library and the paper.
 package topkclean

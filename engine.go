@@ -324,7 +324,7 @@ func (e *Engine) QualityEvaluation(ctx context.Context) (*QualityEvaluation, err
 // scan. The returned Result shares the session's cached slices; treat its
 // contents as read-only.
 func (e *Engine) Answers(ctx context.Context) (*Result, error) {
-	return e.answersAt(ctx, e.cfg.threshold)
+	return e.AnswersThreshold(ctx, e.cfg.threshold)
 }
 
 // AnswersThreshold is Answers with an explicit PT-k threshold for this
@@ -334,13 +334,6 @@ func (e *Engine) Answers(ctx context.Context) (*Result, error) {
 // WithPTKThreshold, the threshold is not range-validated; out-of-range
 // values simply give an empty or complete PT-k answer.
 func (e *Engine) AnswersThreshold(ctx context.Context, threshold float64) (*Result, error) {
-	return e.answersAt(ctx, threshold)
-}
-
-// answersAt is Answers with an explicit PT-k threshold; the deprecated
-// Evaluate wrapper uses it to honour thresholds the option validation
-// would reject.
-func (e *Engine) answersAt(ctx context.Context, threshold float64) (*Result, error) {
 	st, snap, err := e.state(ctx, e.cfg.k, true)
 	if err != nil {
 		return nil, err
@@ -456,7 +449,7 @@ func (e *Engine) PlanCleaning(ctx context.Context, planner string, spec Cleaning
 	if err != nil {
 		return nil, nil, err
 	}
-	p, err := seeded(planner, e.cfg.seed)
+	p, err := PlannerWithSeed(planner, e.cfg.seed)
 	if err != nil {
 		return nil, nil, err
 	}

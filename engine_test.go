@@ -5,6 +5,9 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"github.com/probdb/topkclean/internal/quality"
+	"github.com/probdb/topkclean/internal/topkq"
 )
 
 // engineSyntheticDB builds a mid-sized synthetic database for engine and
@@ -20,6 +23,8 @@ func engineSyntheticDB(t testing.TB, xtuples int) *Database {
 	return db
 }
 
+// TestEngineAnswersMatchLegacyEvaluate: the engine's memoized answers
+// agree with a from-scratch PSR pass and TP evaluation.
 func TestEngineAnswersMatchLegacyEvaluate(t *testing.T) {
 	db := paperUDB1(t)
 	eng, err := New(db, WithK(2), WithPTKThreshold(0.4))
@@ -30,21 +35,29 @@ func TestEngineAnswersMatchLegacyEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := Evaluate(db, 2, 0.4)
+	info, err := topkq.RankProbabilities(db, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if FormatScored(res.PTK) != FormatScored(legacy.PTK) {
-		t.Fatalf("PTK: engine %s, legacy %s", FormatScored(res.PTK), FormatScored(legacy.PTK))
+	uk, err := topkq.UKRanks(db, info)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if FormatRanked(res.UKRanks) != FormatRanked(legacy.UKRanks) {
-		t.Fatalf("UKRanks: engine %s, legacy %s", FormatRanked(res.UKRanks), FormatRanked(legacy.UKRanks))
+	ev, err := quality.TP(db, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if FormatScored(res.GlobalTopK) != FormatScored(legacy.GlobalTopK) {
-		t.Fatal("GlobalTopK disagrees with legacy Evaluate")
+	if want := FormatScored(topkq.PTK(db, info, 0.4)); FormatScored(res.PTK) != want {
+		t.Fatalf("PTK: engine %s, direct pass %s", FormatScored(res.PTK), want)
 	}
-	if math.Abs(res.Quality-legacy.Quality) > 1e-12 {
-		t.Fatalf("quality: engine %v, legacy %v", res.Quality, legacy.Quality)
+	if FormatRanked(res.UKRanks) != FormatRanked(uk) {
+		t.Fatalf("UKRanks: engine %s, direct pass %s", FormatRanked(res.UKRanks), FormatRanked(uk))
+	}
+	if FormatScored(res.GlobalTopK) != FormatScored(topkq.GlobalTopK(db, info)) {
+		t.Fatal("GlobalTopK disagrees with the direct pass")
+	}
+	if math.Abs(res.Quality-ev.S) > 1e-12 {
+		t.Fatalf("quality: engine %v, quality.TP %v", res.Quality, ev.S)
 	}
 	if res.K != 2 || res.Threshold != 0.4 {
 		t.Fatalf("result metadata: k=%d threshold=%v", res.K, res.Threshold)
@@ -199,12 +212,12 @@ func TestEngineQualityMatchesLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Quality(db, 5)
+	want, err := quality.TP(db, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("engine quality %v, legacy %v", got, want)
+	if math.Abs(got-want.S) > 1e-12 {
+		t.Fatalf("engine quality %v, quality.TP %v", got, want.S)
 	}
 }
 
@@ -264,7 +277,7 @@ func TestEngineAdaptiveAndMinBudget(t *testing.T) {
 	}
 	// Randomized planners break the binary search's monotonicity
 	// precondition and the re-planning loop's independence; both engine
-	// methods must reject them like the legacy entry points do.
+	// methods must reject them.
 	if _, _, err := eng.MinBudgetForTarget(ctx, cctx, target, 10000, "randu"); err == nil {
 		t.Fatal("MinBudgetForTarget must reject randomized planners")
 	}
@@ -273,12 +286,15 @@ func TestEngineAdaptiveAndMinBudget(t *testing.T) {
 	}
 }
 
-// TestEvaluateKeepsUnvalidatedThresholdDomain: the deprecated Evaluate
-// always accepted any threshold; routing it through the engine must not
-// narrow that domain.
+// TestEvaluateKeepsUnvalidatedThresholdDomain: a per-call threshold given
+// to AnswersThreshold is not range-validated like WithPTKThreshold's;
+// out-of-range values give an empty or complete PT-k answer.
 func TestEvaluateKeepsUnvalidatedThresholdDomain(t *testing.T) {
-	db := paperUDB1(t)
-	res, err := Evaluate(db, 2, 1.5)
+	eng, err := New(paperUDB1(t), WithK(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.AnswersThreshold(context.Background(), 1.5)
 	if err != nil {
 		t.Fatalf("threshold 1.5: %v", err)
 	}
@@ -288,7 +304,7 @@ func TestEvaluateKeepsUnvalidatedThresholdDomain(t *testing.T) {
 	if res.Threshold != 1.5 {
 		t.Fatalf("Threshold = %v, want the caller's 1.5", res.Threshold)
 	}
-	neg, err := Evaluate(db, 2, -1)
+	neg, err := eng.AnswersThreshold(context.Background(), -1)
 	if err != nil {
 		t.Fatalf("threshold -1: %v", err)
 	}

@@ -78,9 +78,13 @@ func ExampleLookupPlanner() {
 	// greedy
 }
 
-func ExampleEvaluate() {
+func ExampleEngine_Answers() {
 	db := buildPaperExample()
-	res, err := topkclean.Evaluate(db, 2, 0.4)
+	eng, err := topkclean.New(db, topkclean.WithK(2), topkclean.WithPTKThreshold(0.4))
+	if err != nil {
+		panic(err)
+	}
+	res, err := eng.Answers(context.Background())
 	if err != nil {
 		panic(err)
 	}
@@ -91,9 +95,12 @@ func ExampleEvaluate() {
 	// quality: -2.5513
 }
 
-func ExampleQuality() {
-	db := buildPaperExample()
-	s, err := topkclean.Quality(db, 2)
+func ExampleEngine_Quality() {
+	eng, err := topkclean.New(buildPaperExample(), topkclean.WithK(2))
+	if err != nil {
+		panic(err)
+	}
+	s, err := eng.Quality(context.Background())
 	if err != nil {
 		panic(err)
 	}
@@ -133,39 +140,58 @@ func ExampleApplyCleaning() {
 	if err != nil {
 		panic(err)
 	}
-	s, _ := topkclean.Quality(cleaned, 2)
+	eng, err := topkclean.New(cleaned, topkclean.WithK(2))
+	if err != nil {
+		panic(err)
+	}
+	s, _ := eng.Quality(context.Background())
 	fmt.Printf("%.2f\n", s)
 	// Output:
 	// -1.85
 }
 
-func ExamplePlanCleaning() {
+func ExampleEngine_CleaningContext() {
 	db := buildPaperExample()
-	// Every probe costs 1 unit and always succeeds; budget of 2 probes.
-	spec := topkclean.UniformCleaningSpec(db.NumGroups(), 1, 1.0)
-	ctx, err := topkclean.NewCleaningContext(db, 2, spec, 2)
+	eng, err := topkclean.New(db, topkclean.WithK(2))
 	if err != nil {
 		panic(err)
 	}
-	plan, err := topkclean.PlanCleaning(ctx, topkclean.MethodDP, 0)
+	ctx := context.Background()
+	// Every probe costs 1 unit and always succeeds; budget of 2 probes.
+	spec := topkclean.UniformCleaningSpec(db.NumGroups(), 1, 1.0)
+	cctx, err := eng.CleaningContext(ctx, spec, 2)
+	if err != nil {
+		panic(err)
+	}
+	// A Planner value plans against the context directly.
+	dp, err := topkclean.LookupPlanner("dp")
+	if err != nil {
+		panic(err)
+	}
+	plan, err := dp.Plan(ctx, cctx)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("probes: %d, expected improvement: %.4f\n",
-		plan.Ops(), topkclean.ExpectedImprovement(ctx, plan))
+		plan.Ops(), topkclean.ExpectedImprovement(cctx, plan))
 	// Output:
 	// probes: 2, expected improvement: 1.8522
 }
 
 func ExampleExecuteCleaning() {
 	db := buildPaperExample()
-	spec := topkclean.UniformCleaningSpec(db.NumGroups(), 1, 1.0)
-	ctx, err := topkclean.NewCleaningContext(db, 2, spec, 100)
+	eng, err := topkclean.New(db, topkclean.WithK(2))
 	if err != nil {
 		panic(err)
 	}
-	plan, _ := topkclean.PlanCleaning(ctx, topkclean.MethodGreedy, 0)
-	out, err := topkclean.ExecuteCleaning(ctx, plan, rand.New(rand.NewSource(1)))
+	spec := topkclean.UniformCleaningSpec(db.NumGroups(), 1, 1.0)
+	plan, cctx, err := eng.PlanCleaning(context.Background(), "greedy", spec, 100)
+	if err != nil {
+		panic(err)
+	}
+	// ExecuteCleaning simulates the agent on a cleaned copy; the engine's
+	// database is left as it was.
+	out, err := topkclean.ExecuteCleaning(cctx, plan, rand.New(rand.NewSource(1)))
 	if err != nil {
 		panic(err)
 	}
@@ -174,16 +200,21 @@ func ExampleExecuteCleaning() {
 	// quality after cleaning everything: 0.0
 }
 
-func ExampleMinBudgetForTarget() {
+func ExampleEngine_MinBudgetForTarget() {
 	db := buildPaperExample()
+	eng, err := topkclean.New(db, topkclean.WithK(2))
+	if err != nil {
+		panic(err)
+	}
+	ctx := context.Background()
 	spec := topkclean.UniformCleaningSpec(db.NumGroups(), 1, 1.0)
-	ctx, err := topkclean.NewCleaningContext(db, 2, spec, 0)
+	cctx, err := eng.CleaningContext(ctx, spec, 0)
 	if err != nil {
 		panic(err)
 	}
 	// How many certain probes to halve the ambiguity?
-	target := ctx.Eval.S / 2
-	budget, _, err := topkclean.MinBudgetForTarget(ctx, target, 1000, topkclean.MethodDP)
+	target := cctx.Eval.S / 2
+	budget, _, err := eng.MinBudgetForTarget(ctx, cctx, target, 1000, "dp")
 	if err != nil {
 		panic(err)
 	}

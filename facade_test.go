@@ -2,9 +2,12 @@ package topkclean
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
+
+	"github.com/probdb/topkclean/internal/topkq"
 )
 
 // paperUDB1 rebuilds Table I through the public API.
@@ -26,9 +29,34 @@ func paperUDB1(t testing.TB) *Database {
 	return db
 }
 
+// bg is the context the tests and benchmarks hand the engine and the
+// planners: they own their lifecycle, so nothing above needs to cancel.
+var bg = context.Background()
+
+// testEngine builds an engine over db, failing the test on error.
+func testEngine(t testing.TB, db *Database, opts ...Option) *Engine {
+	t.Helper()
+	eng, err := New(db, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// engineQuality is the PWS-quality of a top-k query on db, through a
+// fresh engine.
+func engineQuality(t testing.TB, db *Database, k int) float64 {
+	t.Helper()
+	q, err := testEngine(t, db, WithK(k)).Quality(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
 func TestEvaluateBundlesEverything(t *testing.T) {
 	db := paperUDB1(t)
-	res, err := Evaluate(db, 2, 0.4)
+	res, err := testEngine(t, db, WithK(2), WithPTKThreshold(0.4)).Answers(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,38 +77,43 @@ func TestEvaluateBundlesEverything(t *testing.T) {
 	}
 }
 
+// TestIndividualQueryFunctions: each semantics answered alone — PT-k and
+// Global-topk from the lighter top-k-only pass — agrees with the engine's
+// shared full pass.
 func TestIndividualQueryFunctions(t *testing.T) {
 	db := paperUDB1(t)
-	uk, err := UKRanks(db, 2)
+	full, err := topkq.RankProbabilities(db, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := PTK(db, 2, 0.4)
+	uk, err := topkq.UKRanks(db, full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gt, err := GlobalTopK(db, 2)
+	light, err := topkq.TopKProbabilities(db, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _ := Evaluate(db, 2, 0.4)
+	pt := topkq.PTK(db, light, 0.4)
+	gt := topkq.GlobalTopK(db, light)
+	res, err := testEngine(t, db, WithK(2), WithPTKThreshold(0.4)).Answers(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if FormatRanked(uk) != FormatRanked(res.UKRanks) {
-		t.Fatal("UKRanks disagrees with Evaluate")
+		t.Fatal("UKRanks disagrees with Engine.Answers")
 	}
 	if FormatScored(pt) != FormatScored(res.PTK) {
-		t.Fatal("PTK disagrees with Evaluate")
+		t.Fatal("PTK disagrees with Engine.Answers")
 	}
 	if FormatScored(gt) != FormatScored(res.GlobalTopK) {
-		t.Fatal("GlobalTopK disagrees with Evaluate")
+		t.Fatal("GlobalTopK disagrees with Engine.Answers")
 	}
 }
 
 func TestQualityAlgorithmsAgreeViaFacade(t *testing.T) {
 	db := paperUDB1(t)
-	tp, err := Quality(db, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tp := engineQuality(t, db, 2)
 	pwr, err := QualityPWR(db, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -104,13 +137,10 @@ func TestQualityAlgorithmsAgreeViaFacade(t *testing.T) {
 func TestCleaningWorkflow(t *testing.T) {
 	db := paperUDB1(t)
 	spec := UniformCleaningSpec(db.NumGroups(), 2, 0.8)
-	ctx, err := NewCleaningContext(db, 2, spec, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := testEngine(t, db, WithK(2), WithSeed(1))
 	var prev float64 = math.Inf(1)
-	for _, m := range Methods() {
-		plan, err := PlanCleaning(ctx, m, 1)
+	for _, m := range []string{"dp", "greedy", "randp", "randu"} {
+		plan, ctx, err := eng.PlanCleaning(bg, m, spec, 10)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -118,10 +148,10 @@ func TestCleaningWorkflow(t *testing.T) {
 		if imp < 0 {
 			t.Fatalf("%s: negative expected improvement %v", m, imp)
 		}
-		// Methods() is ordered by expected effectiveness; with this seed the
-		// ordering should hold (DP >= Greedy >= RandP >= RandU is not
+		// The planners are listed by expected effectiveness; with this seed
+		// the ordering should hold (DP >= Greedy >= RandP >= RandU is not
 		// guaranteed per-seed for the random ones, so only check DP/Greedy).
-		if m == MethodDP || m == MethodGreedy {
+		if m == "dp" || m == "greedy" {
 			if imp > prev+1e-9 {
 				t.Fatalf("%s (%v) beat a stronger method (%v)", m, imp, prev)
 			}
@@ -131,7 +161,7 @@ func TestCleaningWorkflow(t *testing.T) {
 			t.Fatalf("%s exceeded budget", m)
 		}
 	}
-	if _, err := PlanCleaning(ctx, Method("bogus"), 0); err == nil {
+	if _, _, err := eng.PlanCleaning(bg, "bogus", spec, 10); err == nil {
 		t.Fatal("unknown method should error")
 	}
 }
@@ -139,11 +169,7 @@ func TestCleaningWorkflow(t *testing.T) {
 func TestExecuteCleaningViaFacade(t *testing.T) {
 	db := paperUDB1(t)
 	spec := UniformCleaningSpec(db.NumGroups(), 1, 1) // always succeeds
-	ctx, err := NewCleaningContext(db, 2, spec, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := PlanCleaning(ctx, MethodDP, 0)
+	plan, ctx, err := testEngine(t, db, WithK(2)).PlanCleaning(bg, "dp", spec, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +193,7 @@ func TestApplyCleaningMatchesPaperNarrative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := Quality(db2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(q-(-1.8522415)) > 1e-6 {
+	if q := engineQuality(t, db2, 2); math.Abs(q-(-1.8522415)) > 1e-6 {
 		t.Fatalf("udb2 quality = %v, want -1.8522...", q)
 	}
 }
@@ -179,21 +201,21 @@ func TestApplyCleaningMatchesPaperNarrative(t *testing.T) {
 func TestMinBudgetForTargetViaFacade(t *testing.T) {
 	db := paperUDB1(t)
 	spec := UniformCleaningSpec(db.NumGroups(), 1, 0.9)
-	ctx, err := NewCleaningContext(db, 2, spec, 0)
+	eng := testEngine(t, db, WithK(2))
+	ctx, err := eng.CleaningContext(bg, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	start, _ := Quality(db, 2)
-	target := start / 2
-	budget, plan, err := MinBudgetForTarget(ctx, target, 10000, MethodGreedy)
+	target := ctx.Eval.S / 2
+	budget, plan, err := eng.MinBudgetForTarget(bg, ctx, target, 10000, "greedy")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if budget <= 0 || len(plan) == 0 {
 		t.Fatalf("budget=%d plan=%v", budget, plan)
 	}
-	if _, _, err := MinBudgetForTarget(ctx, target, 10000, MethodRandU); err == nil {
-		t.Fatal("random methods must be rejected")
+	if _, _, err := eng.MinBudgetForTarget(bg, ctx, target, 10000, "randu"); err == nil {
+		t.Fatal("random planners must be rejected")
 	}
 }
 
@@ -251,13 +273,9 @@ func TestIORoundTripViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := Quality(db, 2)
+	want := engineQuality(t, db, 2)
 	for name, d := range map[string]*Database{"csv": fromCSV, "json": fromJSON} {
-		got, err := Quality(d, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
+		if got := engineQuality(t, d, 2); got != want {
 			t.Fatalf("%s round trip changed quality: %v vs %v", name, got, want)
 		}
 	}

@@ -23,7 +23,8 @@ func TestPipelineSyntheticEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 8
-	res, err := Evaluate(db, k, 0.1)
+	eng := testEngine(t, db, WithK(k))
+	res, err := eng.Answers(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +35,7 @@ func TestPipelineSyntheticEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, err := NewCleaningContext(db, k, spec, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := PlanCleaning(ctx, MethodGreedy, 0)
+	plan, ctx, err := eng.PlanCleaning(bg, "greedy", spec, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +74,11 @@ func TestPipelineMOVWithPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Evaluate(db, 10, 0.1)
+	a, err := testEngine(t, db, WithK(10)).Answers(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Evaluate(back, 10, 0.1)
+	b, err := testEngine(t, back, WithK(10)).Answers(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +95,12 @@ func TestPipelineMOVWithPersistence(t *testing.T) {
 func TestAdaptiveCleaningFacade(t *testing.T) {
 	db := paperUDB1(t)
 	spec := UniformCleaningSpec(db.NumGroups(), 1, 0.6)
-	ctx, err := NewCleaningContext(db, 2, spec, 8)
+	eng := testEngine(t, db, WithK(2))
+	ctx, err := eng.CleaningContext(bg, spec, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := AdaptiveCleaning(ctx, MethodGreedy, rand.New(rand.NewSource(2)), 10)
+	out, err := eng.AdaptiveCleaning(bg, ctx, "greedy", rand.New(rand.NewSource(2)), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,19 +110,15 @@ func TestAdaptiveCleaningFacade(t *testing.T) {
 	if out.Improvement < 0 {
 		t.Fatalf("negative improvement %v", out.Improvement)
 	}
-	if _, err := AdaptiveCleaning(ctx, MethodRandU, rand.New(rand.NewSource(2)), 10); err == nil {
-		t.Fatal("random methods must be rejected for adaptive cleaning")
+	if _, err := eng.AdaptiveCleaning(bg, ctx, "randu", rand.New(rand.NewSource(2)), 10); err == nil {
+		t.Fatal("random planners must be rejected for adaptive cleaning")
 	}
 }
 
 // TestPaperExampleDatabaseFacade pins the exported running example.
 func TestPaperExampleDatabaseFacade(t *testing.T) {
 	db := PaperExampleDatabase()
-	s, err := Quality(db, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(s-(-2.5513259)) > 1e-6 {
+	if s := engineQuality(t, db, 2); math.Abs(s-(-2.5513259)) > 1e-6 {
 		t.Fatalf("paper example quality = %v", s)
 	}
 	best, err := UTopK(db, 2)
@@ -141,7 +135,9 @@ func TestPaperExampleDatabaseFacade(t *testing.T) {
 func TestCleaningCandidatesAndVerifyFacade(t *testing.T) {
 	db := PaperExampleDatabase()
 	spec := UniformCleaningSpec(db.NumGroups(), 1, 0.8)
-	ctx, err := NewCleaningContext(db, 2, spec, 6)
+	// The verification streams start at the engine seed + 1, here 7.
+	eng := testEngine(t, db, WithK(2), WithSeed(6), WithParallelism(4))
+	ctx, err := eng.CleaningContext(bg, spec, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +153,11 @@ func TestCleaningCandidatesAndVerifyFacade(t *testing.T) {
 			t.Fatal("candidates not ranked")
 		}
 	}
-	plan, err := PlanCleaning(ctx, MethodDP, 0)
+	plan, _, err := eng.PlanCleaning(bg, "dp", spec, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	analytical, simulated, err := VerifyImprovement(ctx, plan, 7, 4000, 4)
+	analytical, simulated, err := eng.VerifyImprovement(bg, ctx, plan, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,10 +178,11 @@ func TestDefaultSyntheticRegressionAnchor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Quality(db, 15)
+	ev, err := testEngine(t, db, WithK(15)).QualityEvaluation(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := ev.S
 	const anchor = -60.537048
 	if math.Abs(s-anchor) > 1e-4 {
 		t.Fatalf("default synthetic quality = %.6f, anchor %.6f (seeded generation or TP changed)", s, anchor)
@@ -193,10 +190,6 @@ func TestDefaultSyntheticRegressionAnchor(t *testing.T) {
 	// Cross-check the anchor with the independent PWR-limited... PWR is
 	// infeasible at k=15 here; instead verify internal consistency: the sum
 	// of group gains equals S.
-	ev, err := QualityEval(db, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var sum float64
 	for _, g := range ev.Gains() {
 		sum += g.Value
@@ -217,8 +210,9 @@ func TestCrossAlgorithmAgreementThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng := testEngine(t, db)
 	for _, k := range []int{1, 2, 3} {
-		tp, err := Quality(db, k)
+		tp, err := eng.QualityAt(bg, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,14 +231,15 @@ func TestCrossAlgorithmAgreementThroughFacade(t *testing.T) {
 func TestMinBudgetMonotoneInTarget(t *testing.T) {
 	db := paperUDB1(t)
 	spec := UniformCleaningSpec(db.NumGroups(), 2, 0.7)
-	ctx, err := NewCleaningContext(db, 2, spec, 0)
+	eng := testEngine(t, db, WithK(2))
+	ctx, err := eng.CleaningContext(bg, spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := -1
 	for _, frac := range []float64{0.2, 0.5, 0.8} {
 		target := ctx.Eval.S * (1 - frac)
-		budget, _, err := MinBudgetForTarget(ctx, target, 100000, MethodDP)
+		budget, _, err := eng.MinBudgetForTarget(bg, ctx, target, 100000, "dp")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +260,7 @@ func TestConfirmedTupleAlwaysAnswerable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Evaluate(cleaned, 2, 0.5)
+	res, err := testEngine(t, cleaned, WithK(2), WithPTKThreshold(0.5)).Answers(bg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@
 //   - lockscope: no blocking work (fsync, WAL append, wire encode, HTTP)
 //     inside a registry/tenant mu critical section in the daemon.
 //   - ctxdiscipline: no context.Background() in library packages outside
-//     explicitly allowlisted deprecated wrappers.
+//     explicitly allowlisted lines.
 //   - lockorder: no cycles in the module-wide mutex acquisition-order
 //     graph and no same-class re-acquisition, computed interprocedurally
 //     over the call graph (callgraph.go).

@@ -6,9 +6,8 @@ package analysis
 // exactly what PR 1 threaded ctx through all the planning hot loops to
 // get. Binaries and examples own their lifecycles and are exempt by
 // import-path prefix (Config.CtxExempt); test files are exempt (tests own
-// their lifecycles too); the deprecated no-context wrappers kept for API
-// compatibility carry explicit //lint:allow annotations, so the check
-// stays strict for new code.
+// their lifecycles too). Any other exception needs an explicit
+// //lint:allow annotation with a reason.
 
 import (
 	"go/ast"
@@ -36,7 +35,7 @@ func runCtxDiscipline(p *Pass) {
 			}
 			if name := fn.Name(); name == "Background" || name == "TODO" {
 				p.Reportf(call.Pos(),
-					"context.%s() in a library package: accept a ctx and thread it through (deprecated wrappers need a //lint:allow %s with a reason)",
+					"context.%s() in a library package: accept a ctx and thread it through (a deliberate exception needs a //lint:allow %s with a reason)",
 					name, p.check)
 			}
 			return true

@@ -15,7 +15,7 @@ import (
 func TestGreedyRescanMatchesHeapGreedy(t *testing.T) {
 	f := func(q quickCtx) bool {
 		ctx := q.Ctx
-		heapPlan, err := Greedy(ctx)
+		heapPlan, err := GreedyContext(bg, ctx)
 		if err != nil {
 			return false
 		}
@@ -54,7 +54,7 @@ func TestDPNoCapMatchesDP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		capped, err := DP(ctx)
+		capped, err := DPContext(bg, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}

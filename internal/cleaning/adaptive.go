@@ -14,11 +14,6 @@ import (
 // RandUContext/RandPContext all satisfy it.
 type PlannerFunc func(ctx context.Context, c *Context) (Plan, error)
 
-// background lifts a legacy context-free planner into a PlannerFunc.
-func background(planner func(*Context) (Plan, error)) PlannerFunc {
-	return func(_ context.Context, c *Context) (Plan, error) { return planner(c) }
-}
-
 // AdaptiveOutcome reports an adaptive cleaning session: several plan/execute
 // rounds that feed leftover budget back into new plans.
 type AdaptiveOutcome struct {
@@ -30,18 +25,9 @@ type AdaptiveOutcome struct {
 	Improvement float64    // Final - Initial
 }
 
-// FinalDB returns the database after the last round (the original database
-// if no round ran).
-func (a *AdaptiveOutcome) FinalDB(ctx *Context) interface{ NumGroups() int } {
-	if len(a.Rounds) == 0 {
-		return ctx.DB
-	}
-	return a.Rounds[len(a.Rounds)-1].DB
-}
-
-// AdaptiveExecute implements the re-planning loop the paper's Section V-A
-// leaves as future work: "It is possible that an x-tuple is cleaned
-// successfully before performing the assigned number of cleaning
+// AdaptiveExecuteContext implements the re-planning loop the paper's
+// Section V-A leaves as future work: "It is possible that an x-tuple is
+// cleaned successfully before performing the assigned number of cleaning
 // operations. In this case ... some resources may be left."
 //
 // Each round plans with the given planner against the *current* database
@@ -50,18 +36,12 @@ func (a *AdaptiveOutcome) FinalDB(ctx *Context) interface{ NumGroups() int } {
 // refund the rest), and re-evaluates quality. The loop ends when the
 // planner returns an empty plan (nothing affordable or nothing left to
 // gain), after maxRounds, or when the database becomes certain.
+// Cancellation is checked between rounds and inside the planner itself.
 //
 // Compared with the one-shot Execute, adaptive cleaning can only spend at
 // most the same budget but converts refunds into additional operations, so
 // its realized improvement stochastically dominates the one-shot planner's
 // (verified statistically in the tests).
-func AdaptiveExecute(ctx *Context, planner func(*Context) (Plan, error), rng *rand.Rand, maxRounds int) (*AdaptiveOutcome, error) {
-	//lint:allow ctxdiscipline deprecated no-context wrapper kept for API compatibility; use AdaptiveExecuteContext
-	return AdaptiveExecuteContext(context.Background(), ctx, background(planner), rng, maxRounds)
-}
-
-// AdaptiveExecuteContext is AdaptiveExecute with a context-aware planner;
-// cancellation is checked between rounds and inside the planner itself.
 func AdaptiveExecuteContext(stdctx context.Context, ctx *Context, planner PlannerFunc, rng *rand.Rand, maxRounds int) (*AdaptiveOutcome, error) {
 	if err := ctx.Validate(); err != nil {
 		return nil, err

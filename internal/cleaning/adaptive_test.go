@@ -10,7 +10,7 @@ import (
 func TestAdaptiveExecuteBasics(t *testing.T) {
 	ctx := ctxUDB1(t, 10, Spec{})
 	rng := rand.New(rand.NewSource(3))
-	out, err := AdaptiveExecute(ctx, Greedy, rng, 10)
+	out, err := AdaptiveExecuteContext(bg, ctx, GreedyContext, rng, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestAdaptiveExecuteBasics(t *testing.T) {
 	if len(out.Rounds) == 0 {
 		t.Fatal("expected at least one round with a positive budget")
 	}
-	if out.FinalDB(ctx).NumGroups() != ctx.DB.NumGroups() {
+	if last := out.Rounds[len(out.Rounds)-1].DB; last.NumGroups() != ctx.DB.NumGroups() {
 		t.Fatal("adaptive cleaning changed the x-tuple count")
 	}
 }
@@ -50,7 +50,7 @@ func TestAdaptiveBudgetNeverExceededAcrossRounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := AdaptiveExecute(ctx, Greedy, rng, 50)
+		out, err := AdaptiveExecuteContext(bg, ctx, GreedyContext, rng, 50)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestAdaptiveBeatsOneShotOnAverage(t *testing.T) {
 	var oneShot, adaptive float64
 	for i := 0; i < reps; i++ {
 		rng := rand.New(rand.NewSource(int64(1000 + i)))
-		plan, err := Greedy(ctx)
+		plan, err := GreedyContext(bg, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestAdaptiveBeatsOneShotOnAverage(t *testing.T) {
 		oneShot += res.Improvement / reps
 
 		rng2 := rand.New(rand.NewSource(int64(1000 + i)))
-		out, err := AdaptiveExecute(ctx, Greedy, rng2, 20)
+		out, err := AdaptiveExecuteContext(bg, ctx, GreedyContext, rng2, 20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestAdaptiveStopsWhenCertain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := AdaptiveExecute(ctx, DP, rand.New(rand.NewSource(1)), 100)
+	out, err := AdaptiveExecuteContext(bg, ctx, DPContext, rand.New(rand.NewSource(1)), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,19 +131,19 @@ func TestAdaptiveStopsWhenCertain(t *testing.T) {
 
 func TestAdaptiveValidation(t *testing.T) {
 	ctx := ctxUDB1(t, 10, Spec{})
-	if _, err := AdaptiveExecute(ctx, Greedy, rand.New(rand.NewSource(1)), 0); err == nil {
+	if _, err := AdaptiveExecuteContext(bg, ctx, GreedyContext, rand.New(rand.NewSource(1)), 0); err == nil {
 		t.Fatal("maxRounds=0 must be rejected")
 	}
 	bad := *ctx
 	bad.Eval = nil
-	if _, err := AdaptiveExecute(&bad, Greedy, rand.New(rand.NewSource(1)), 5); err == nil {
+	if _, err := AdaptiveExecuteContext(bg, &bad, GreedyContext, rand.New(rand.NewSource(1)), 5); err == nil {
 		t.Fatal("invalid context must be rejected")
 	}
 }
 
 func TestAdaptiveZeroBudget(t *testing.T) {
 	ctx := ctxUDB1(t, 0, Spec{})
-	out, err := AdaptiveExecute(ctx, Greedy, rand.New(rand.NewSource(1)), 5)
+	out, err := AdaptiveExecuteContext(bg, ctx, GreedyContext, rand.New(rand.NewSource(1)), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestAdaptiveWithHeterogeneousSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := AdaptiveExecute(ctx, Greedy, rand.New(rand.NewSource(9)), 10)
+	out, err := AdaptiveExecuteContext(bg, ctx, GreedyContext, rand.New(rand.NewSource(9)), 10)
 	if err != nil {
 		t.Fatal(err)
 	}

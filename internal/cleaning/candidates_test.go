@@ -59,7 +59,7 @@ func TestCandidatesGreedyTakesTopGammaFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := Greedy(ctx)
+	plan, err := GreedyContext(bg, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package cleaning
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -11,6 +12,14 @@ import (
 	"github.com/probdb/topkclean/internal/testdb"
 	"github.com/probdb/topkclean/internal/uncertain"
 )
+
+// bg is the context the tests hand the planners: a test owns its
+// lifecycle, so nothing above it needs to cancel.
+var bg = context.Background()
+
+// randPlanner is the signature of the random baselines, RandUContext and
+// RandPContext.
+type randPlanner func(context.Context, *Context, *rand.Rand) (Plan, error)
 
 func ctxUDB1(t *testing.T, budget int, spec Spec) *Context {
 	t.Helper()
@@ -198,7 +207,7 @@ func TestDPOptimalOnExhaustiveSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dpPlan, err := DP(ctx)
+		dpPlan, err := DPContext(bg, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,11 +262,11 @@ func TestGreedyCloseToDP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dpPlan, err := DP(ctx)
+		dpPlan, err := DPContext(bg, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		grPlan, err := Greedy(ctx)
+		grPlan, err := GreedyContext(bg, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,10 +304,10 @@ func TestPlannersRespectBudgetAndCandidates(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, plan := range map[string]Plan{
-			"DP":     mustPlan(t, DP, ctx),
-			"Greedy": mustPlan(t, Greedy, ctx),
-			"RandU":  mustRandPlan(t, RandU, ctx, rng),
-			"RandP":  mustRandPlan(t, RandP, ctx, rng),
+			"DP":     mustPlan(t, DPContext, ctx),
+			"Greedy": mustPlan(t, GreedyContext, ctx),
+			"RandU":  mustRandPlan(t, RandUContext, ctx, rng),
+			"RandP":  mustRandPlan(t, RandPContext, ctx, rng),
 		} {
 			if c := plan.TotalCost(spec); c > budget {
 				t.Fatalf("trial %d: %s spent %d > budget %d", trial, name, c, budget)
@@ -314,8 +323,8 @@ func TestPlannersRespectBudgetAndCandidates(t *testing.T) {
 		}
 		// DP and Greedy must never touch sc-prob-0 or zero-gain x-tuples.
 		for name, plan := range map[string]Plan{
-			"DP":     mustPlan(t, DP, ctx),
-			"Greedy": mustPlan(t, Greedy, ctx),
+			"DP":     mustPlan(t, DPContext, ctx),
+			"Greedy": mustPlan(t, GreedyContext, ctx),
 		} {
 			for l, ops := range plan {
 				if ops > 0 && spec.SCProbs[l] == 0 {
@@ -329,18 +338,18 @@ func TestPlannersRespectBudgetAndCandidates(t *testing.T) {
 	}
 }
 
-func mustPlan(t *testing.T, f func(*Context) (Plan, error), ctx *Context) Plan {
+func mustPlan(t *testing.T, f PlannerFunc, ctx *Context) Plan {
 	t.Helper()
-	p, err := f(ctx)
+	p, err := f(bg, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
 }
 
-func mustRandPlan(t *testing.T, f func(*Context, *rand.Rand) (Plan, error), ctx *Context, rng *rand.Rand) Plan {
+func mustRandPlan(t *testing.T, f randPlanner, ctx *Context, rng *rand.Rand) Plan {
 	t.Helper()
-	p, err := f(ctx, rng)
+	p, err := f(bg, ctx, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,9 +373,9 @@ func TestPlannerEffectivenessOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dpVal := ExpectedImprovement(ctx, mustPlan(t, DP, ctx))
-	grVal := ExpectedImprovement(ctx, mustPlan(t, Greedy, ctx))
-	avg := func(f func(*Context, *rand.Rand) (Plan, error)) float64 {
+	dpVal := ExpectedImprovement(ctx, mustPlan(t, DPContext, ctx))
+	grVal := ExpectedImprovement(ctx, mustPlan(t, GreedyContext, ctx))
+	avg := func(f randPlanner) float64 {
 		var sum float64
 		const reps = 40
 		for i := 0; i < reps; i++ {
@@ -375,8 +384,8 @@ func TestPlannerEffectivenessOrdering(t *testing.T) {
 		}
 		return sum / reps
 	}
-	ruVal := avg(RandU)
-	rpVal := avg(RandP)
+	ruVal := avg(RandUContext)
+	rpVal := avg(RandPContext)
 	if !(dpVal >= grVal-1e-9) {
 		t.Fatalf("DP (%v) < Greedy (%v)", dpVal, grVal)
 	}
@@ -470,6 +479,36 @@ func TestExecuteRejectsOverBudget(t *testing.T) {
 	}
 }
 
+// TestExecuteRejectsMalformedPlans: an explicit plan is checked before the
+// agent draws anything. An x-tuple index outside [0, m) or a negative
+// operation count is ErrBadPlan; a count whose cost would overflow int is
+// ErrOverBudget rather than a wrapped-negative cost under the budget.
+func TestExecuteRejectsMalformedPlans(t *testing.T) {
+	db := testdb.UDB1()
+	m := db.NumGroups()
+	ctx, err := NewContext(db, 2, UniformSpec(m, 2, 1), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		plan Plan
+		want error
+	}{
+		{"index past the end", Plan{m: 1}, ErrBadPlan},
+		{"negative index", Plan{-1: 1}, ErrBadPlan},
+		{"negative ops", Plan{0: -1, 1: 3}, ErrBadPlan},
+		{"overflowing count", Plan{0: 1 << 62}, ErrOverBudget},
+		{"overflow on a later entry", Plan{0: 1, 1: math.MaxInt / 2}, ErrOverBudget},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Execute(ctx, tc.plan, rand.New(rand.NewSource(3))); !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestDPWithLargeBudgetSaturates(t *testing.T) {
 	// With an enormous budget and nonzero sc-probs the expected improvement
 	// approaches |S| (Figure 6(a)'s saturation).
@@ -479,7 +518,7 @@ func TestDPWithLargeBudgetSaturates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := DP(ctx)
+	plan, err := DPContext(bg, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +550,7 @@ func TestGreedyPrefersCheapEffectiveXTuples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := Greedy(ctx)
+	plan, err := GreedyContext(bg, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +567,7 @@ func TestMinBudgetForTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := ctx.Eval.S + 0.5*(-ctx.Eval.S) // halve the deficit
-	budget, plan, err := MinBudgetForTarget(ctx, target, 100000, DP)
+	budget, plan, err := MinBudgetForTargetContext(bg, ctx, target, 100000, DPContext)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +580,7 @@ func TestMinBudgetForTarget(t *testing.T) {
 	// ...and one unit less does not.
 	if budget > 0 {
 		sub.Budget = budget - 1
-		p2, err := DP(&sub)
+		p2, err := DPContext(bg, &sub)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -559,12 +598,12 @@ func TestMinBudgetForTargetEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Already above target: zero budget.
-	b, plan, err := MinBudgetForTarget(ctx, ctx.Eval.S-1, 1000, Greedy)
+	b, plan, err := MinBudgetForTargetContext(bg, ctx, ctx.Eval.S-1, 1000, GreedyContext)
 	if err != nil || b != 0 || len(plan) != 0 {
 		t.Fatalf("already-satisfied target: b=%d plan=%v err=%v", b, plan, err)
 	}
 	// Positive target is impossible.
-	if _, _, err := MinBudgetForTarget(ctx, 0.5, 1000, Greedy); err == nil {
+	if _, _, err := MinBudgetForTargetContext(bg, ctx, 0.5, 1000, GreedyContext); err == nil {
 		t.Fatal("positive target must be rejected")
 	}
 	// Unreachable: hopeless sc-probs.
@@ -573,16 +612,16 @@ func TestMinBudgetForTargetEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := MinBudgetForTarget(ctx2, -0.1, 1000, Greedy); !errors.Is(err, ErrTargetUnreachable) {
+	if _, _, err := MinBudgetForTargetContext(bg, ctx2, -0.1, 1000, GreedyContext); !errors.Is(err, ErrTargetUnreachable) {
 		t.Fatalf("err = %v, want ErrTargetUnreachable", err)
 	}
 	// A non-positive budget cap has no valid probe: rejected up front, even
 	// when the target is already satisfied.
 	for _, cap := range []int{0, -5} {
-		if _, _, err := MinBudgetForTarget(ctx, ctx.Eval.S-1, cap, Greedy); !errors.Is(err, ErrBadMaxBudget) {
+		if _, _, err := MinBudgetForTargetContext(bg, ctx, ctx.Eval.S-1, cap, GreedyContext); !errors.Is(err, ErrBadMaxBudget) {
 			t.Fatalf("maxBudget=%d: err = %v, want ErrBadMaxBudget", cap, err)
 		}
-		if _, _, err := MinBudgetForTarget(ctx, ctx.Eval.S/2, cap, Greedy); !errors.Is(err, ErrBadMaxBudget) {
+		if _, _, err := MinBudgetForTargetContext(bg, ctx, ctx.Eval.S/2, cap, GreedyContext); !errors.Is(err, ErrBadMaxBudget) {
 			t.Fatalf("maxBudget=%d: err = %v, want ErrBadMaxBudget", cap, err)
 		}
 	}
@@ -647,7 +686,7 @@ func TestStaleContextRejectedEverywhere(t *testing.T) {
 			return err
 		},
 		"MonteCarlo": func() error {
-			_, err := MonteCarloImprovementParallel(ctx, plan, 1, 10, 2)
+			_, err := MonteCarloImprovementParallelContext(bg, ctx, plan, 1, 10, 2)
 			return err
 		},
 		"Candidates": func() error {
@@ -655,7 +694,7 @@ func TestStaleContextRejectedEverywhere(t *testing.T) {
 			return err
 		},
 		"Greedy": func() error {
-			_, err := Greedy(ctx)
+			_, err := GreedyContext(bg, ctx)
 			return err
 		},
 	}
@@ -678,8 +717,8 @@ func TestImprovementIncreasesWithSCProb(t *testing.T) {
 			t.Fatal(err)
 		}
 		vals := map[string]float64{
-			"DP":     ExpectedImprovement(ctx, mustPlan(t, DP, ctx)),
-			"Greedy": ExpectedImprovement(ctx, mustPlan(t, Greedy, ctx)),
+			"DP":     ExpectedImprovement(ctx, mustPlan(t, DPContext, ctx)),
+			"Greedy": ExpectedImprovement(ctx, mustPlan(t, GreedyContext, ctx)),
 		}
 		for name, v := range vals {
 			if last, ok := prev[name]; ok && v < last-1e-9 {
@@ -709,10 +748,10 @@ func TestZeroBudgetYieldsEmptyPlans(t *testing.T) {
 	ctx := ctxUDB1(t, 0, Spec{})
 	rng := rand.New(rand.NewSource(1))
 	for name, plan := range map[string]Plan{
-		"DP":     mustPlan(t, DP, ctx),
-		"Greedy": mustPlan(t, Greedy, ctx),
-		"RandU":  mustRandPlan(t, RandU, ctx, rng),
-		"RandP":  mustRandPlan(t, RandP, ctx, rng),
+		"DP":     mustPlan(t, DPContext, ctx),
+		"Greedy": mustPlan(t, GreedyContext, ctx),
+		"RandU":  mustRandPlan(t, RandUContext, ctx, rng),
+		"RandP":  mustRandPlan(t, RandPContext, ctx, rng),
 	} {
 		if plan.Ops() != 0 {
 			t.Fatalf("%s produced ops with zero budget: %v", name, plan)
@@ -731,7 +770,7 @@ func TestRandPSelectionFrequenciesMatchWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := RandP(ctx, rand.New(rand.NewSource(77)))
+	plan, err := RandPContext(bg, ctx, rand.New(rand.NewSource(77)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -765,7 +804,7 @@ func TestRandUSelectionIsUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := RandU(ctx, rand.New(rand.NewSource(78)))
+	plan, err := RandUContext(bg, ctx, rand.New(rand.NewSource(78)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -781,7 +820,7 @@ func TestRandUSelectionIsUniform(t *testing.T) {
 
 func TestRandUUsesWholeBudgetWithUniformCosts(t *testing.T) {
 	ctx := ctxUDB1(t, 17, Spec{})
-	plan, err := RandU(ctx, rand.New(rand.NewSource(9)))
+	plan, err := RandUContext(bg, ctx, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}

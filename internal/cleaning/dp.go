@@ -10,14 +10,6 @@ import (
 // cells). 2^27 cells = 256 MiB at 2 bytes/cell.
 const dpMaxCells = 1 << 27
 
-// DP solves the cleaning problem optimally (Section V-D.1). It is
-// DPContext with a background context; prefer DPContext in servers so a
-// caller can abandon a long-running plan.
-func DP(c *Context) (Plan, error) {
-	//lint:allow ctxdiscipline deprecated no-context wrapper kept for API compatibility; use DPContext
-	return dp(context.Background(), c, true)
-}
-
 // DPContext solves the cleaning problem optimally (Section V-D.1),
 // honouring ctx cancellation. The problem P(C, Z) is a 0-1 knapsack over
 // items (l, j) with value b(l,D,j) and cost c_l; because the marginal gains
@@ -41,7 +33,8 @@ func DPContext(ctx context.Context, c *Context) (Plan, error) {
 // AblationDPNoCap runs the dynamic program without the geometric-decay cap
 // on per-x-tuple operation counts (J_l = floor(C/c_l) exactly, as in the
 // paper's formulation). It exists to measure what the cap buys; the
-// returned plan's value matches DP's to within the 1e-15 cap tolerance.
+// returned plan's value matches DPContext's to within the 1e-15 cap
+// tolerance.
 func AblationDPNoCap(c *Context) (Plan, error) {
 	//lint:allow ctxdiscipline ablation harness entry point; measurement runs own their lifecycles
 	return dp(context.Background(), c, false)

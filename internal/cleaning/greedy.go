@@ -9,14 +9,6 @@ import (
 // cancellation checks.
 const greedyCancelStride = 256
 
-// Greedy implements the heuristic of Section V-D.4 with a background
-// context; prefer GreedyContext in servers so a caller can abandon a
-// long-running plan.
-func Greedy(c *Context) (Plan, error) {
-	//lint:allow ctxdiscipline deprecated no-context wrapper kept for API compatibility; use GreedyContext
-	return GreedyContext(context.Background(), c)
-}
-
 // GreedyContext implements the heuristic of Section V-D.4, honouring ctx
 // cancellation: repeatedly take the cleaning operation with the highest
 // score gamma_{l,j} = b(l,D,j) / c_l (expected improvement per unit cost)
@@ -79,8 +71,8 @@ func GreedyContext(ctx context.Context, c *Context) (Plan, error) {
 
 // AblationGreedyRescan is the heap-less greedy: at every step it re-scans
 // all candidate x-tuples for the best gamma. O(C * |Z|) instead of
-// O(N log |Z|). It produces exactly the same plans as Greedy (the scan
-// order ties break identically) and exists to measure the heap's benefit
+// O(N log |Z|). It produces exactly the same plans as GreedyContext (the
+// scan order ties break identically) and exists to measure the heap's benefit
 // and as an independent cross-check of the heap implementation.
 func AblationGreedyRescan(c *Context) (Plan, error) {
 	gains, err := c.validate()

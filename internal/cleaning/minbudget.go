@@ -12,29 +12,22 @@ import (
 var ErrTargetUnreachable = errors.New("cleaning: target quality unreachable by cleaning")
 
 // ErrBadMaxBudget is returned when the budget cap given to
-// MinBudgetForTarget is not a positive integer: the search probes the
-// planner with budgets in [1, maxBudget], so a zero or negative cap has no
-// valid probe at all.
+// MinBudgetForTargetContext is not a positive integer: the search probes
+// the planner with budgets in [1, maxBudget], so a zero or negative cap
+// has no valid probe at all.
 var ErrBadMaxBudget = errors.New("cleaning: maxBudget must be at least 1")
 
-// MinBudgetForTarget implements the future-work problem the paper's
-// conclusion poses: "how to use minimal cost to attain a given quality
-// score". It returns the smallest budget C whose optimal expected
+// MinBudgetForTargetContext implements the future-work problem the
+// paper's conclusion poses: "how to use minimal cost to attain a given
+// quality score". It returns the smallest budget C whose optimal expected
 // post-cleaning quality S(D) + I* reaches target, together with the plan.
 //
 // The expected improvement of an optimal plan is non-decreasing in the
 // budget (any C-plan is feasible at C+1), so binary search applies. The
-// planner argument selects the plan engine: DP gives the true minimum
-// budget; Greedy gives an upper bound that is near-optimal in practice.
-// maxBudget caps the search.
-func MinBudgetForTarget(ctx *Context, target float64, maxBudget int, planner func(*Context) (Plan, error)) (int, Plan, error) {
-	//lint:allow ctxdiscipline deprecated no-context wrapper kept for API compatibility; use MinBudgetForTargetContext
-	return MinBudgetForTargetContext(context.Background(), ctx, target, maxBudget, background(planner))
-}
-
-// MinBudgetForTargetContext is MinBudgetForTarget with a context-aware
-// planner; cancellation is checked before every budget probe and inside
-// the planner itself.
+// planner argument selects the plan engine: DPContext gives the true
+// minimum budget; GreedyContext gives an upper bound that is near-optimal
+// in practice. maxBudget caps the search. Cancellation is checked before
+// every budget probe and inside the planner itself.
 func MinBudgetForTargetContext(stdctx context.Context, ctx *Context, target float64, maxBudget int, planner PlannerFunc) (int, Plan, error) {
 	gains, err := ctx.validate()
 	if err != nil {

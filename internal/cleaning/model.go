@@ -22,6 +22,7 @@ var (
 	ErrBadSCProb    = errors.New("cleaning: sc-probability must lie in [0, 1]")
 	ErrBadBudget    = errors.New("cleaning: budget must be non-negative")
 	ErrOverBudget   = errors.New("cleaning: plan exceeds budget")
+	ErrBadPlan      = errors.New("cleaning: plan names an unknown x-tuple or a negative operation count")
 	ErrNilEval      = errors.New("cleaning: context needs a quality evaluation")
 	ErrEvalMissing  = errors.New("cleaning: evaluation does not match database")
 	ErrStaleContext = errors.New("cleaning: context was planned against an older database version")
@@ -76,6 +77,30 @@ func (p Plan) TotalCost(spec Spec) int {
 		total += spec.Costs[l] * m
 	}
 	return total
+}
+
+// checkPlan vets a plan — possibly one a client wrote by hand — against a
+// validated context before the agent draws anything, and returns its
+// total cost. Every x-tuple index must lie in [0, m) and every operation
+// count must be non-negative (ErrBadPlan); the total cost must fit the
+// budget (ErrOverBudget). The budget test divides rather than multiplies,
+// so no operation count, however large, can wrap the cost past it.
+func (ctx *Context) checkPlan(plan Plan) (int, error) {
+	m := ctx.DB.NumGroups()
+	for l, ops := range plan {
+		if l < 0 || l >= m || ops < 0 {
+			return 0, fmt.Errorf("%w: x-tuple %d, %d operations (m=%d)", ErrBadPlan, l, ops, m)
+		}
+	}
+	spent := 0
+	for l, ops := range plan {
+		cost := ctx.Spec.Costs[l]
+		if ops > (ctx.Budget-spent)/cost {
+			return 0, ErrOverBudget
+		}
+		spent += cost * ops
+	}
+	return spent, nil
 }
 
 // Ops returns the total number of cleaning operations in the plan.

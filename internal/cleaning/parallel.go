@@ -23,13 +23,6 @@ const mcBlockSize = 64
 // comfortably larger than any realistic block count.
 const mcSeedStride = 1_000_003
 
-// MonteCarloImprovementParallel is MonteCarloImprovementParallelContext
-// with a background context.
-func MonteCarloImprovementParallel(c *Context, plan Plan, seed int64, trials, workers int) (float64, error) {
-	//lint:allow ctxdiscipline deprecated no-context wrapper kept for API compatibility; use MonteCarloImprovementParallelContext
-	return MonteCarloImprovementParallelContext(context.Background(), c, plan, seed, trials, workers)
-}
-
 // MonteCarloImprovementParallelContext is MonteCarloImprovement fanned out
 // over a pool of workers. Trials are partitioned into fixed-size blocks,
 // each with its own random stream seeded deterministically from (seed,

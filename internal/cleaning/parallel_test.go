@@ -9,7 +9,7 @@ func TestMonteCarloParallelMatchesTheorem2(t *testing.T) {
 	ctx := ctxUDB1(t, 100, Spec{})
 	plan := Plan{0: 2, 1: 1, 2: 3}
 	want := ExpectedImprovement(ctx, plan)
-	got, err := MonteCarloImprovementParallel(ctx, plan, 11, 4000, 4)
+	got, err := MonteCarloImprovementParallelContext(bg, ctx, plan, 11, 4000, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,18 +21,18 @@ func TestMonteCarloParallelMatchesTheorem2(t *testing.T) {
 func TestMonteCarloParallelDeterministicForSeed(t *testing.T) {
 	ctx := ctxUDB1(t, 100, Spec{})
 	plan := Plan{0: 2, 2: 2}
-	a, err := MonteCarloImprovementParallel(ctx, plan, 5, 500, 3)
+	a, err := MonteCarloImprovementParallelContext(bg, ctx, plan, 5, 500, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MonteCarloImprovementParallel(ctx, plan, 5, 500, 3)
+	b, err := MonteCarloImprovementParallelContext(bg, ctx, plan, 5, 500, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Fatalf("same seed, different results: %v vs %v", a, b)
 	}
-	c, err := MonteCarloImprovementParallel(ctx, plan, 6, 500, 3)
+	c, err := MonteCarloImprovementParallelContext(bg, ctx, plan, 6, 500, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,15 +45,15 @@ func TestMonteCarloParallelWorkerEdgeCases(t *testing.T) {
 	ctx := ctxUDB1(t, 10, Spec{})
 	plan := Plan{0: 1}
 	// More workers than trials.
-	if _, err := MonteCarloImprovementParallel(ctx, plan, 1, 3, 16); err != nil {
+	if _, err := MonteCarloImprovementParallelContext(bg, ctx, plan, 1, 3, 16); err != nil {
 		t.Fatal(err)
 	}
 	// workers < 1 defaults to GOMAXPROCS.
-	if _, err := MonteCarloImprovementParallel(ctx, plan, 1, 10, 0); err != nil {
+	if _, err := MonteCarloImprovementParallelContext(bg, ctx, plan, 1, 10, 0); err != nil {
 		t.Fatal(err)
 	}
 	// trials < 1 rejected.
-	if _, err := MonteCarloImprovementParallel(ctx, plan, 1, 0, 2); err == nil {
+	if _, err := MonteCarloImprovementParallelContext(bg, ctx, plan, 1, 0, 2); err == nil {
 		t.Fatal("trials=0 must be rejected")
 	}
 }
@@ -67,12 +67,12 @@ func TestMonteCarloParallelWorkerCountInvariant(t *testing.T) {
 	ctx := ctxUDB1(t, 100, Spec{})
 	plan := Plan{0: 2, 1: 1, 2: 3}
 	// 1000 trials spans several blocks with a ragged tail block.
-	want, err := MonteCarloImprovementParallel(ctx, plan, 11, 1000, 1)
+	want, err := MonteCarloImprovementParallelContext(bg, ctx, plan, 11, 1000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8, 0} {
-		got, err := MonteCarloImprovementParallel(ctx, plan, 11, 1000, workers)
+		got, err := MonteCarloImprovementParallelContext(bg, ctx, plan, 11, 1000, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestMonteCarloParallelAgreesWithSerial(t *testing.T) {
 	ctx := ctxUDB1(t, 50, Spec{})
 	plan := Plan{0: 3, 1: 2}
 	want := ExpectedImprovement(ctx, plan)
-	par, err := MonteCarloImprovementParallel(ctx, plan, 3, 3000, 4)
+	par, err := MonteCarloImprovementParallelContext(bg, ctx, plan, 3, 3000, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

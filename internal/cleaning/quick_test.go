@@ -46,15 +46,15 @@ func TestQuickPlannersFeasibleAndNonNegative(t *testing.T) {
 		ctx := q.Ctx
 		rng := rand.New(rand.NewSource(seed))
 		plans := make([]Plan, 0, 4)
-		for _, planner := range []func(*Context) (Plan, error){DP, Greedy} {
-			p, err := planner(ctx)
+		for _, planner := range []PlannerFunc{DPContext, GreedyContext} {
+			p, err := planner(bg, ctx)
 			if err != nil {
 				return false
 			}
 			plans = append(plans, p)
 		}
-		for _, planner := range []func(*Context, *rand.Rand) (Plan, error){RandU, RandP} {
-			p, err := planner(ctx, rng)
+		for _, planner := range []randPlanner{RandUContext, RandPContext} {
+			p, err := planner(bg, ctx, rng)
 			if err != nil {
 				return false
 			}
@@ -81,12 +81,12 @@ func TestQuickPlannersFeasibleAndNonNegative(t *testing.T) {
 func TestQuickDPDominatesAll(t *testing.T) {
 	f := func(q quickCtx, seed int64) bool {
 		ctx := q.Ctx
-		dpPlan, err := DP(ctx)
+		dpPlan, err := DPContext(bg, ctx)
 		if err != nil {
 			return false
 		}
 		best := ExpectedImprovement(ctx, dpPlan)
-		gr, err := Greedy(ctx)
+		gr, err := GreedyContext(bg, ctx)
 		if err != nil {
 			return false
 		}
@@ -94,14 +94,14 @@ func TestQuickDPDominatesAll(t *testing.T) {
 			return false
 		}
 		rng := rand.New(rand.NewSource(seed))
-		ru, err := RandU(ctx, rng)
+		ru, err := RandUContext(bg, ctx, rng)
 		if err != nil {
 			return false
 		}
 		if ExpectedImprovement(ctx, ru) > best+1e-9 {
 			return false
 		}
-		rp, err := RandP(ctx, rng)
+		rp, err := RandPContext(bg, ctx, rng)
 		if err != nil {
 			return false
 		}
@@ -120,7 +120,7 @@ func TestQuickDPMonotoneInBudget(t *testing.T) {
 		for _, c := range []int{0, 2, 5, 10, 25, 60} {
 			sub := *ctx
 			sub.Budget = c
-			p, err := DP(&sub)
+			p, err := DPContext(bg, &sub)
 			if err != nil {
 				return false
 			}
@@ -168,7 +168,7 @@ func TestQuickImprovementAdditiveOverGroups(t *testing.T) {
 func TestQuickExecuteInvariants(t *testing.T) {
 	f := func(q quickCtx, seed int64) bool {
 		ctx := q.Ctx
-		plan, err := Greedy(ctx)
+		plan, err := GreedyContext(bg, ctx)
 		if err != nil {
 			return false
 		}

@@ -10,13 +10,6 @@ import (
 // cancellation checks.
 const randCancelStride = 256
 
-// RandU implements the uniform-random baseline of Section V-D.2 with a
-// background context; prefer RandUContext in servers.
-func RandU(c *Context, rng *rand.Rand) (Plan, error) {
-	//lint:allow ctxdiscipline deprecated no-context wrapper kept for API compatibility; use RandUContext
-	return RandUContext(context.Background(), c, rng)
-}
-
 // RandUContext implements the uniform-random baseline of Section V-D.2,
 // honouring ctx cancellation: x-tuples are selected uniformly at random
 // with replacement — regardless of whether cleaning them can help — until
@@ -31,13 +24,6 @@ func RandUContext(ctx context.Context, c *Context, rng *rand.Rand) (Plan, error)
 		weights[l] = 1
 	}
 	return randomPlan(ctx, c, rng, weights)
-}
-
-// RandP implements the probability-weighted baseline of Section V-D.3 with
-// a background context; prefer RandPContext in servers.
-func RandP(c *Context, rng *rand.Rand) (Plan, error) {
-	//lint:allow ctxdiscipline deprecated no-context wrapper kept for API compatibility; use RandPContext
-	return RandPContext(context.Background(), c, rng)
 }
 
 // RandPContext implements the probability-weighted baseline of Section

@@ -130,13 +130,14 @@ func simulateAgent(ctx *Context, plan Plan, rng *rand.Rand) (*Outcome, error) {
 	if err := ctx.Validate(); err != nil {
 		return nil, err
 	}
-	if cost := plan.TotalCost(ctx.Spec); cost > ctx.Budget {
-		return nil, ErrOverBudget
+	planned, err := ctx.checkPlan(plan)
+	if err != nil {
+		return nil, err
 	}
 	out := &Outcome{
 		Choices:     CleanChoices{},
 		OpsPlanned:  plan.Ops(),
-		CostPlanned: plan.TotalCost(ctx.Spec),
+		CostPlanned: planned,
 	}
 	// Iterate in ascending x-tuple order so a given rng seed always yields
 	// the same simulated outcome (map order would randomize the draws).

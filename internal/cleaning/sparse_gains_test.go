@@ -286,12 +286,12 @@ func runPlanners(t *testing.T, ctx *Context, seed int64) *plannerResults {
 		Improvements: map[string]uint64{},
 		MinBudget:    map[string]string{},
 	}
-	for name, plan := range map[string]func(*Context) (Plan, error){
-		"greedy": Greedy,
-		"rescan": AblationGreedyRescan,
-		"dp":     DP,
+	for name, plan := range map[string]PlannerFunc{
+		"greedy": GreedyContext,
+		"rescan": func(_ context.Context, c *Context) (Plan, error) { return AblationGreedyRescan(c) },
+		"dp":     DPContext,
 	} {
-		p, err := plan(ctx)
+		p, err := plan(bg, ctx)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -320,7 +320,7 @@ func runPlanners(t *testing.T, ctx *Context, seed int64) *plannerResults {
 	for _, frac := range []float64{0.3, 0.9, 1.5} {
 		target := ctx.Eval.S * (1 - frac)
 		for name, planner := range map[string]PlannerFunc{"dp": DPContext, "greedy": GreedyContext} {
-			b, plan, err := MinBudgetForTargetContext(context.Background(), ctx, target, 64, planner)
+			b, plan, err := MinBudgetForTargetContext(bg, ctx, target, 64, planner)
 			r.MinBudget[fmt.Sprintf("%s@%v", name, frac)] = fmt.Sprintf("%d %v %v", b, plan, err)
 		}
 	}

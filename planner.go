@@ -100,9 +100,9 @@ func Planners() []string {
 
 // PlannerWithSeed resolves a planner by name and, when it is seedable,
 // derives it with the given seed; deterministic planners are returned
-// unchanged. This is the lookup Engine.PlanCleaning and the deprecated
-// PlanCleaning free function share, exported for callers that need
-// per-call seeds (e.g. averaging a random baseline over several seeds).
+// unchanged. This is the lookup Engine.PlanCleaning uses, exported for
+// callers that need per-call seeds (e.g. averaging a random baseline over
+// several seeds).
 func PlannerWithSeed(name string, seed int64) (Planner, error) {
 	p, err := LookupPlanner(name)
 	if err != nil {
@@ -114,15 +114,12 @@ func PlannerWithSeed(name string, seed int64) (Planner, error) {
 	return p, nil
 }
 
-// seeded is the internal shorthand for PlannerWithSeed.
-func seeded(name string, seed int64) (Planner, error) { return PlannerWithSeed(name, seed) }
-
 // The four built-in planners of Section V-D.
 
 // dpPlanner is the optimal dynamic program (registered as "dp").
 type dpPlanner struct{}
 
-func (dpPlanner) Name() string { return string(MethodDP) }
+func (dpPlanner) Name() string { return "dp" }
 func (dpPlanner) Plan(ctx context.Context, c *CleaningContext) (CleaningPlan, error) {
 	return cleaning.DPContext(ctx, c)
 }
@@ -131,7 +128,7 @@ func (dpPlanner) Plan(ctx context.Context, c *CleaningContext) (CleaningPlan, er
 // "greedy").
 type greedyPlanner struct{}
 
-func (greedyPlanner) Name() string { return string(MethodGreedy) }
+func (greedyPlanner) Name() string { return "greedy" }
 func (greedyPlanner) Plan(ctx context.Context, c *CleaningContext) (CleaningPlan, error) {
 	return cleaning.GreedyContext(ctx, c)
 }
@@ -160,6 +157,6 @@ func (p randPlanner) Plan(ctx context.Context, c *CleaningContext) (CleaningPlan
 func init() {
 	MustRegisterPlanner(dpPlanner{})
 	MustRegisterPlanner(greedyPlanner{})
-	MustRegisterPlanner(randPlanner{name: string(MethodRandP), weighted: true, seed: 1})
-	MustRegisterPlanner(randPlanner{name: string(MethodRandU), weighted: false, seed: 1})
+	MustRegisterPlanner(randPlanner{name: "randp", weighted: true, seed: 1})
+	MustRegisterPlanner(randPlanner{name: "randu", weighted: false, seed: 1})
 }

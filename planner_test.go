@@ -103,10 +103,10 @@ func TestCustomPlannerThroughEngine(t *testing.T) {
 }
 
 // TestRegistryPlansMatchLegacySwitch is the parity acceptance check: for
-// all four paper planners, the registry path (Engine.PlanCleaning and the
-// deprecated PlanCleaning) must produce byte-identical plans to the former
-// hardwired Method switch — whose bodies live on as the internal
-// cleaning.DP/Greedy/RandP/RandU calls reproduced here verbatim.
+// all four paper planners, the registry paths (PlannerWithSeed and
+// Engine.PlanCleaning) must produce byte-identical plans to a hardwired
+// switch over the internal cleaning.DPContext/GreedyContext/RandPContext/
+// RandUContext calls, planned against a from-scratch context.
 func TestRegistryPlansMatchLegacySwitch(t *testing.T) {
 	dbs := map[string]*Database{"udb1": paperUDB1(t)}
 	{
@@ -128,16 +128,16 @@ func TestRegistryPlansMatchLegacySwitch(t *testing.T) {
 		dbs["mov"] = db
 	}
 
-	legacySwitch := func(c *CleaningContext, method Method, seed int64) (CleaningPlan, error) {
+	legacySwitch := func(c *CleaningContext, method string, seed int64) (CleaningPlan, error) {
 		switch method {
-		case MethodDP:
-			return cleaning.DP(c)
-		case MethodGreedy:
-			return cleaning.Greedy(c)
-		case MethodRandU:
-			return cleaning.RandU(c, rand.New(rand.NewSource(seed)))
-		case MethodRandP:
-			return cleaning.RandP(c, rand.New(rand.NewSource(seed)))
+		case "dp":
+			return cleaning.DPContext(bg, c)
+		case "greedy":
+			return cleaning.GreedyContext(bg, c)
+		case "randu":
+			return cleaning.RandUContext(bg, c, rand.New(rand.NewSource(seed)))
+		case "randp":
+			return cleaning.RandPContext(bg, c, rand.New(rand.NewSource(seed)))
 		default:
 			return nil, fmt.Errorf("unknown method %q", method)
 		}
@@ -157,8 +157,8 @@ func TestRegistryPlansMatchLegacySwitch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, m := range Methods() {
-				legacyCtx, err := NewCleaningContext(db, k, spec, 60)
+			for _, m := range []string{"dp", "greedy", "randp", "randu"} {
+				legacyCtx, err := cleaning.NewContext(db, k, spec, 60)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -166,11 +166,15 @@ func TestRegistryPlansMatchLegacySwitch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				viaRegistry, err := PlanCleaning(legacyCtx, m, seed)
+				p, err := PlannerWithSeed(m, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
-				viaEngine, _, err := eng.PlanCleaning(context.Background(), string(m), spec, 60)
+				viaRegistry, err := p.Plan(bg, legacyCtx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				viaEngine, _, err := eng.PlanCleaning(bg, m, spec, 60)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -73,28 +73,6 @@ func RankByName(name string) (RankFunc, error) {
 // finalize with Build.
 func NewDatabase() *Database { return uncertain.New() }
 
-// Quality computes the PWS-quality of a top-k query on db with the TP
-// algorithm (Theorem 1; O(kn)). The score is <= 0; 0 means the answer is
-// certain.
-//
-// Deprecated: use New and Engine.Quality, which memoizes the shared
-// rank-probability pass so answers, quality, and cleaning plans reuse it.
-func Quality(db *Database, k int) (float64, error) {
-	ev, err := quality.TP(db, k)
-	if err != nil {
-		return 0, err
-	}
-	return ev.S, nil
-}
-
-// QualityEval computes the full TP evaluation (score, per-tuple weights,
-// per-x-tuple gains). The evaluation feeds the cleaning planners.
-//
-// Deprecated: use New and Engine.QualityEvaluation.
-func QualityEval(db *Database, k int) (*QualityEvaluation, error) {
-	return quality.TP(db, k)
-}
-
 // QualityPWR computes the quality with the PWR algorithm (Algorithm 1),
 // which enumerates pw-results directly. Exponential in k; useful for
 // moderate k and as a cross-check.
