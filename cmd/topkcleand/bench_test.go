@@ -122,16 +122,57 @@ func benchServe(b *testing.B, mutating bool) {
 	})
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "qps")
-	b.ReportMetric(float64(def.coal.coalesced.Load()), "coalesced")
+	b.ReportMetric(float64(def.topk.coalesced.Load()), "coalesced")
 }
 
 // BenchmarkServeUnderMutation records serving throughput for the acceptance
 // comparison: reader qps with a background writer streaming batched
 // mutations (mutating) must stay within 2x of the mutation-free baseline
-// (idle). CI records both series in BENCH_PR4.json.
+// (idle). CI records both series in BENCH_PR9.json.
 func BenchmarkServeUnderMutation(b *testing.B) {
 	b.Run("idle", func(b *testing.B) { benchServe(b, false) })
 	b.Run("mutating", func(b *testing.B) { benchServe(b, true) })
+}
+
+// BenchmarkTopKRepeatedVersion is the /topk hit path: one client sends
+// serial GETs at one threshold while no commit lands, over a 10^4-x-tuple
+// synthetic database (k=15, threshold 0.02 — read_hot's dominant query).
+// Every request after the first is answered from the tenant's body table,
+// so allocs/op and B/op count the HTTP round trip (client side included)
+// with no engine call and no JSON encoding in it.
+func BenchmarkTopKRepeatedVersion(b *testing.B) {
+	db, err := gen.SyntheticSized(10000, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := newServer(serverConfig{k: 15, threshold: 0.1, seed: 42, synthetic: 100})
+	def, err := srv.addTenant(defaultDB, db, tenantConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	url := ts.URL + "/topk?threshold=0.02"
+	client := &http.Client{}
+	get := func() {
+		resp, err := client.Get(url)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d", resp.StatusCode)
+		}
+	}
+	get() // the miss that computes and keeps the body
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		get()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(def.topk.cached.Load())/float64(b.N), "hits/op")
 }
 
 // startShardWriter streams insert commits at a sharded cluster — the
@@ -222,7 +263,7 @@ func benchServeSharded(b *testing.B, shards int, mutating bool) {
 	})
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "qps")
-	b.ReportMetric(float64(def.coal.coalesced.Load()), "coalesced")
+	b.ReportMetric(float64(def.topk.coalesced.Load()), "coalesced")
 }
 
 // BenchmarkShardedServeUnderMutation is the sharded counterpart of

@@ -7,6 +7,9 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"github.com/probdb/topkclean/internal/replica"
+	"github.com/probdb/topkclean/internal/store"
 )
 
 // followerServer starts a follower daemon over a leader's store root —
@@ -237,5 +240,106 @@ func TestFollowerMultiTenant(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
 		t.Fatal("leader deleted a database a follower is tailing")
+	}
+}
+
+// TestTopKCacheFollowerGeneration: a follower's /topk table is tagged
+// with the replica generation as well as the version, so a resync that
+// swaps the database at a version number the table already holds a body
+// for must not be answered with that body. A second replica, opened on
+// the leader's journal before a commit and synced only after the leader
+// checkpointed past it, has resynced: the follower's layer is switched
+// over to it, which shows the layer what its own replica's resync would —
+// a new database and a bumped generation — at the converged version.
+func TestTopKCacheFollowerGeneration(t *testing.T) {
+	root := t.TempDir()
+	lts, lsrv := testServerStore(t, 40, 5, root)
+	fts, fsrv := followerServer(t, root)
+	lt, err := lsrv.tenant(defaultDB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft, err := fsrv.tenant(defaultDB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := ft.layer.(*engineLayer)
+
+	rank, err := tenantConfig{}.rankFunc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend, err := store.OpenBackendReadOnly("file", lsrv.tenantPath(defaultDB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep2, err := replica.Open(backend, rank)
+	if err != nil {
+		backend.Close()
+		t.Fatal(err)
+	}
+	swapped := false
+	defer func() {
+		if !swapped {
+			rep2.Close()
+		}
+	}()
+
+	var mut mutateResponse
+	if code := postJSON(t, lts.URL+"/mutate", mutateRequest{Ops: []mutateOp{
+		{Op: "insert", Name: "gx", Tuples: []tupleJSON{{ID: "g1", Attrs: []float64{66}, Prob: 0.8}}},
+	}}, &mut); code != http.StatusOK {
+		t.Fatalf("leader mutate: %d", code)
+	}
+	waitConverged(t, fsrv, defaultDB, mut.Version)
+	if err := lt.layer.(*engineLayer).sdb.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rep2.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	at := ft.epoch()
+	if rep2.Version() != mut.Version || at.version != mut.Version || rep2.Generation() <= at.gen {
+		t.Fatalf("setup: second replica at v%d gen %d, follower at %+v; want v%d and a newer generation",
+			rep2.Version(), rep2.Generation(), at, mut.Version)
+	}
+
+	// Mark the follower's table entry for this epoch so a hit is visible.
+	const stale = `{"stale":true}`
+	if _, err := ft.topk.do(at, ft.Threshold(), func() ([]byte, epoch, error) { return []byte(stale), at, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(getBytes(t, fts.URL+"/topk")); got != stale {
+		t.Fatalf("the table did not answer at its own epoch: %s", got)
+	}
+
+	fl.engMu.Lock()
+	old := fl.rep
+	fl.rep, swapped = rep2, true
+	fl.engMu.Unlock()
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	body := getBytes(t, fts.URL+"/topk")
+	if string(body) == stale {
+		t.Fatalf("resynced follower served the body kept for generation %d", at.gen)
+	}
+	var got topkResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Version != mut.Version {
+		t.Fatalf("resynced follower at v%d, want the unchanged v%d", got.Version, mut.Version)
+	}
+	if now := ft.epoch(); now.gen != rep2.Generation() || now.version != mut.Version {
+		t.Fatalf("follower epoch %+v after the resync", now)
+	}
+	// The new generation's body is kept under the new generation: the
+	// repeat is a table hit, and it matches the leader byte for byte.
+	cached := ft.topk.cached.Load()
+	sameBytes(t, "topk after resync", lts.URL+"/topk", fts.URL+"/topk")
+	if ft.topk.cached.Load() != cached+1 {
+		t.Fatal("the resynced generation's body was not kept")
 	}
 }

@@ -22,11 +22,14 @@ import (
 type layer interface {
 	K() int
 	Threshold() float64
-	// Version is the version queries see now. /topk keys its coalescer on
-	// it per request, so it stays an atomic read; stats may take a writer
+	// epoch is what queries see now. /topk looks its body table up by it
+	// per request, so it stays an atomic read; stats may take a writer
 	// lock and must not stand in for it.
-	Version() uint64
-	AnswersThreshold(ctx context.Context, threshold float64) (*topkclean.Result, error)
+	epoch() epoch
+	// answers runs the paper's query pass at threshold and reports the
+	// epoch the result describes, which may be newer than the one read
+	// before the call.
+	answers(ctx context.Context, threshold float64) (*topkclean.Result, epoch, error)
 	QualityAtVersion(ctx context.Context, k int) (float64, uint64, error)
 	// info is the /dbs row (the caller names it). It takes no lock a
 	// commit holds, so listing databases never waits behind a write.
@@ -101,7 +104,8 @@ type engineLayer struct {
 	gen   uint64 // replica generation eng was built on
 }
 
-// engine returns the engine to serve from. On a follower the replica's
+// servingEngine returns the engine to serve from and the replica
+// generation it was built on (0 on a leader). On a follower the replica's
 // incremental tailing keeps the same database (and the engine's
 // snapshot-keyed memoization stays warm across replicated commits), but a
 // resync — the leader checkpointed past this follower — replaces the
@@ -109,9 +113,9 @@ type engineLayer struct {
 // by the replica's generation. A rebuild failure keeps serving the
 // previous engine (bounded staleness beats an outage) and retries on the
 // next request.
-func (l *engineLayer) engine() *topkclean.Engine {
+func (l *engineLayer) servingEngine() (*topkclean.Engine, uint64) {
 	if l.rep == nil {
-		return l.eng
+		return l.eng, 0
 	}
 	l.engMu.Lock()
 	defer l.engMu.Unlock()
@@ -120,15 +124,32 @@ func (l *engineLayer) engine() *topkclean.Engine {
 			l.eng, l.gen = eng, gen
 		}
 	}
-	return l.eng
+	return l.eng, l.gen
+}
+
+func (l *engineLayer) engine() *topkclean.Engine {
+	eng, _ := l.servingEngine()
+	return eng
 }
 
 func (l *engineLayer) K() int             { return l.engine().K() }
 func (l *engineLayer) Threshold() float64 { return l.engine().Threshold() }
-func (l *engineLayer) Version() uint64    { return l.engine().DB().Snapshot().Version() }
 
-func (l *engineLayer) AnswersThreshold(ctx context.Context, threshold float64) (*topkclean.Result, error) {
-	return l.engine().AnswersThreshold(ctx, threshold)
+func (l *engineLayer) epoch() epoch {
+	eng, gen := l.servingEngine()
+	return epoch{gen: gen, version: eng.DB().Snapshot().Version()}
+}
+
+// answers tags the result with the generation of the engine that computed
+// it, not the live one: a resync racing the pass must not file the old
+// database's answer under the new generation.
+func (l *engineLayer) answers(ctx context.Context, threshold float64) (*topkclean.Result, epoch, error) {
+	eng, gen := l.servingEngine()
+	res, err := eng.AnswersThreshold(ctx, threshold)
+	if err != nil {
+		return nil, epoch{}, err
+	}
+	return res, epoch{gen: gen, version: res.Version}, nil
 }
 
 func (l *engineLayer) QualityAtVersion(ctx context.Context, k int) (float64, uint64, error) {
@@ -218,10 +239,13 @@ type clusterLayer struct {
 	st storage // where the cluster journals; zero when ephemeral
 }
 
-func (c *clusterLayer) AnswersThreshold(ctx context.Context, threshold float64) (*topkclean.Result, error) {
-	r, err := c.Cluster.AnswersThreshold(ctx, threshold)
+// epoch: a cluster has no replica generation.
+func (c *clusterLayer) epoch() epoch { return epoch{version: c.Version()} }
+
+func (c *clusterLayer) answers(ctx context.Context, threshold float64) (*topkclean.Result, epoch, error) {
+	r, err := c.AnswersThreshold(ctx, threshold)
 	if err != nil {
-		return nil, err
+		return nil, epoch{}, err
 	}
 	return &topkclean.Result{
 		K:          r.K,
@@ -231,7 +255,7 @@ func (c *clusterLayer) AnswersThreshold(ctx context.Context, threshold float64) 
 		PTK:        r.PTK,
 		GlobalTopK: r.GlobalTopK,
 		Quality:    r.Quality,
-	}, nil
+	}, epoch{version: r.Version}, nil
 }
 
 func (c *clusterLayer) engine() *topkclean.Engine { return nil }

@@ -42,7 +42,7 @@ func bodyKeys(t testing.TB, body []byte) ([]string, map[string]json.RawMessage) 
 // counters, and the /dbs shard count). Whichever layer serves a tenant,
 // the wire shape it reports must stay the same.
 func TestStatsBodiesPerTenantKind(t *testing.T) {
-	statsBase := []string{"checkpoint_version", "coalesced_queries", "dbs", "durable", "k", "name",
+	statsBase := []string{"cached_queries", "checkpoint_version", "coalesced_queries", "dbs", "durable", "k", "name",
 		"real_tuples", "role", "threshold", "tuples", "uptime_seconds", "version",
 		"wal_records_since_checkpoint", "xtuples"}
 	dbsBase := []string{"durable", "k", "name", "threshold", "tuples", "version", "xtuples"}
@@ -280,7 +280,7 @@ func TestCreateOverLockedKeepsData(t *testing.T) {
 					t.Fatalf("reopen after the failed create: %v", err)
 				}
 				defer l.close()
-				if v := l.Version(); v != mut.Version {
+				if v := l.epoch().version; v != mut.Version {
 					t.Fatalf("reopened at v%d, want v%d", v, mut.Version)
 				}
 			})

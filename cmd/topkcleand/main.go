@@ -164,7 +164,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	// not the slow one; other tenants warm on first query. A follower may
 	// legitimately have no default database — warm nothing then.
 	if def, err := srv.tenant(defaultDB); err == nil {
-		if _, err := def.AnswersThreshold(ctx, def.Threshold()); err != nil {
+		if _, _, err := def.answers(ctx, def.Threshold()); err != nil {
 			return err
 		}
 	} else if *follower == "" {

@@ -129,52 +129,122 @@ func (s *server) writeRoleErr(w http.ResponseWriter) {
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// ---- request coalescing ----------------------------------------------------
+// ---- the /topk body table -------------------------------------------------
 
-// coalKey identifies a /topk computation within one tenant: answers are
-// fully determined by the (version, k, threshold) triple, so concurrent
-// identical requests share one computation and one JSON encoding. k is
-// fixed per tenant's engine, so it does not appear in the key.
-type coalKey struct {
-	version   uint64
-	threshold float64
+// epoch names the database state a /topk body describes: its version and,
+// on a follower, the replica generation the serving engine was built on —
+// a resync swaps the database, possibly at a version number already
+// served. Leaders and clusters report generation 0.
+type epoch struct {
+	gen     uint64
+	version uint64
 }
 
-type coalCall struct {
+// before orders epochs: a resync is newer than every version of the
+// generation it replaced.
+func (e epoch) before(o epoch) bool {
+	return e.gen < o.gen || e.gen == o.gen && e.version < o.version
+}
+
+// topkTableCap bounds the bodies kept per epoch. Requests at further
+// thresholds are still computed and coalesced, just not kept.
+const topkTableCap = 16
+
+// topkCall is one /topk body: open while its leader computes it, closed
+// once body or err is set.
+type topkCall struct {
 	done chan struct{}
 	body []byte
 	err  error
 }
 
-// coalescer deduplicates in-flight identical queries: the first request
-// for a key becomes the leader and computes; followers arriving before the
-// leader finishes wait on the same call and reuse its bytes. Entries are
-// removed on completion, so results are shared only between overlapping
-// requests — the engine's memoization handles repeat requests over time.
-type coalescer struct {
-	mu        sync.Mutex
-	inflight  map[coalKey]*coalCall
-	coalesced atomic.Int64 // follower count, exported via /stats
+// topkTable is a tenant's single-flight table of /topk bodies for the
+// live epoch, keyed by the threshold's bits (k is fixed per tenant; -0 and
+// 0 echo differently in the body, so they are different keys). The first
+// request for a threshold opens a call and computes it; requests that find
+// the call open wait for its bytes (coalesced), and requests that find it
+// closed write them at once (cached). A body is fully determined by
+// (epoch, k, threshold), so a kept one stays exact until the next commit:
+// the first request to arrive at a newer epoch drops the whole table.
+type topkTable struct {
+	mu    sync.Mutex
+	at    epoch                // the epoch every call in calls belongs to
+	calls map[uint64]*topkCall // by math.Float64bits(threshold)
+	kept  int                  // closed calls in calls, at most topkTableCap
+
+	coalesced atomic.Int64 // waits on an open call, exported via /stats
+	cached    atomic.Int64 // hits on a closed call, exported via /stats
 }
 
-func (c *coalescer) do(key coalKey, fn func() ([]byte, error)) ([]byte, error) {
+// do answers a request that arrived at epoch at: from the table when it
+// holds the threshold, else by running fn, which returns the body and the
+// epoch that body describes.
+func (c *topkTable) do(at epoch, threshold float64, fn func() ([]byte, epoch, error)) ([]byte, error) {
+	key := math.Float64bits(threshold)
 	c.mu.Lock()
-	if call, ok := c.inflight[key]; ok {
+	if c.calls == nil || c.at.before(at) {
+		c.reset(at)
+	}
+	if at != c.at {
+		// A newer epoch is live already: this request raced a commit on
+		// its way in. Answer it without touching the newer table.
 		c.mu.Unlock()
-		c.coalesced.Add(1)
-		<-call.done
+		body, _, err := fn()
+		return body, err
+	}
+	if call, ok := c.calls[key]; ok {
+		c.mu.Unlock()
+		select {
+		case <-call.done:
+			c.cached.Add(1)
+		default:
+			c.coalesced.Add(1)
+			<-call.done
+		}
 		return call.body, call.err
 	}
-	call := &coalCall{done: make(chan struct{})}
-	c.inflight[key] = call
+	call := &topkCall{done: make(chan struct{})}
+	c.calls[key] = call
 	c.mu.Unlock()
 
-	call.body, call.err = fn()
+	var got epoch
+	call.body, got, call.err = fn()
 	c.mu.Lock()
-	delete(c.inflight, key)
+	c.settle(key, call, got)
 	c.mu.Unlock()
 	close(call.done)
 	return call.body, call.err
+}
+
+// settle files a finished call. It leaves its open slot and stays only as
+// a body of the epoch it describes — which a commit racing the computation
+// makes newer than the one it arrived at — while that epoch is live and
+// the table has room. Errors never stay.
+func (c *topkTable) settle(key uint64, call *topkCall, got epoch) {
+	if c.calls[key] == call {
+		delete(c.calls, key)
+	}
+	if call.err != nil {
+		return
+	}
+	if c.at.before(got) {
+		c.reset(got)
+	}
+	if _, taken := c.calls[key]; got == c.at && !taken && c.kept < topkTableCap {
+		c.calls[key] = call
+		c.kept++
+	}
+}
+
+// reset empties the table for epoch at. Requests waiting on a dropped
+// call hold it and still get its bytes.
+func (c *topkTable) reset(at epoch) {
+	if c.calls == nil {
+		c.calls = make(map[uint64]*topkCall)
+	} else {
+		clear(c.calls)
+	}
+	c.at, c.kept = at, 0
 }
 
 // ---- wire types ------------------------------------------------------------
@@ -283,7 +353,8 @@ type statsResponse struct {
 	Durable       bool              `json:"durable"`
 	WALRecords    int               `json:"wal_records_since_checkpoint"`
 	CheckpointVer uint64            `json:"checkpoint_version"`
-	Coalesced     int64             `json:"coalesced_queries"`
+	Coalesced     int64             `json:"coalesced_queries"` // waited on an in-flight /topk
+	Cached        int64             `json:"cached_queries"`    // answered from a kept /topk body
 	DBs           int               `json:"dbs"`
 	UptimeSeconds float64           `json:"uptime_seconds"`
 	Replication   *replicationJSON  `json:"replication,omitempty"` // followers only
@@ -468,7 +539,8 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request, t *tenant) 
 	}
 	resp := statsResponse{Name: t.name, Role: role}
 	t.stats(&resp)
-	resp.Coalesced = t.coal.coalesced.Load()
+	resp.Coalesced = t.topk.coalesced.Load()
+	resp.Cached = t.topk.cached.Load()
 	resp.UptimeSeconds = time.Since(s.started).Seconds()
 	s.mu.RLock()
 	resp.DBs = len(s.tenants)
@@ -480,54 +552,63 @@ func (s *server) handleTopK(w http.ResponseWriter, r *http.Request, t *tenant) {
 	threshold := t.Threshold()
 	if q := r.URL.Query().Get("threshold"); q != "" {
 		v, err := strconv.ParseFloat(q, 64)
-		// Reject non-finite values outright: beyond being meaningless as
-		// probability thresholds, a NaN map key would make the coalescer
-		// entry unmatchable (NaN != NaN) and leak it forever.
+		// Reject non-finite values outright: they are meaningless as
+		// probability thresholds.
 		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("threshold must be a finite number"))
 			return
 		}
 		threshold = v
 	}
-	// Coalesce on the version visible at arrival: overlapping identical
-	// requests share one engine call and one JSON encoding. If a commit
-	// lands between keying and answering, the shared answer is simply the
-	// newer version's (reported in its body) — still one consistent epoch.
-	key := coalKey{version: t.Version(), threshold: threshold}
-	body, err := t.coal.do(key, func() ([]byte, error) {
-		// Compute detached from the leader's request context: followers
-		// with live connections share this result, and the leader's client
-		// hanging up must not fail them all with its cancellation.
-		res, err := t.AnswersThreshold(context.WithoutCancel(r.Context()), threshold)
+	// Look up on the epoch visible at arrival. A hit writes bytes kept
+	// since that epoch's first request: no engine call, no encoding. If a
+	// commit lands between the lookup and the answer, the answer is simply
+	// the newer epoch's (reported in its body) — still one consistent
+	// epoch, and never older than what the client saw acknowledged.
+	body, err := t.topk.do(t.epoch(), threshold, func() ([]byte, epoch, error) {
+		// Compute detached from the leader's request context: waiters
+		// with live connections share this result, and the leader's
+		// client hanging up must not fail them all with its cancellation.
+		res, at, err := t.answers(context.WithoutCancel(r.Context()), threshold)
 		if err != nil {
-			return nil, err
+			return nil, epoch{}, err
 		}
-		resp := topkResponse{
-			Version:    res.Version,
-			K:          res.K,
-			Threshold:  res.Threshold,
-			Quality:    res.Quality,
-			UKRanks:    make([]answerJSON, 0, len(res.UKRanks)),
-			PTK:        make([]answerJSON, 0, len(res.PTK)),
-			GlobalTopK: make([]answerJSON, 0, len(res.GlobalTopK)),
-		}
-		for _, a := range res.UKRanks {
-			resp.UKRanks = append(resp.UKRanks, answerJSON{H: a.H, ID: a.ID, Score: a.Score, Rank: a.Rank, Prob: a.Prob})
-		}
-		for _, a := range res.PTK {
-			resp.PTK = append(resp.PTK, answerJSON{ID: a.ID, Score: a.Score, Rank: a.Rank, Prob: a.Prob})
-		}
-		for _, a := range res.GlobalTopK {
-			resp.GlobalTopK = append(resp.GlobalTopK, answerJSON{ID: a.ID, Score: a.Score, Rank: a.Rank, Prob: a.Prob})
-		}
-		return json.Marshal(resp)
+		body, err := encodeTopK(res)
+		return body, at, err
 	})
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	// An explicit length: a body past net/http's pre-chunk buffer would
+	// otherwise go out chunked.
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	_, _ = w.Write(body)
+}
+
+// encodeTopK is the /topk wire body of a result.
+func encodeTopK(res *topkclean.Result) ([]byte, error) {
+	resp := topkResponse{
+		Version:    res.Version,
+		K:          res.K,
+		Threshold:  res.Threshold,
+		Quality:    res.Quality,
+		UKRanks:    make([]answerJSON, 0, len(res.UKRanks)),
+		PTK:        make([]answerJSON, 0, len(res.PTK)),
+		GlobalTopK: make([]answerJSON, 0, len(res.GlobalTopK)),
+	}
+	for _, a := range res.UKRanks {
+		resp.UKRanks = append(resp.UKRanks, answerJSON{H: a.H, ID: a.ID, Score: a.Score, Rank: a.Rank, Prob: a.Prob})
+	}
+	for _, a := range res.PTK {
+		resp.PTK = append(resp.PTK, answerJSON{ID: a.ID, Score: a.Score, Rank: a.Rank, Prob: a.Prob})
+	}
+	for _, a := range res.GlobalTopK {
+		resp.GlobalTopK = append(resp.GlobalTopK, answerJSON{ID: a.ID, Score: a.Score, Rank: a.Rank, Prob: a.Prob})
+	}
+	return json.Marshal(resp)
 }
 
 func (s *server) handleQuality(w http.ResponseWriter, r *http.Request, t *tenant) {

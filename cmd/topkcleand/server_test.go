@@ -2,12 +2,19 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/probdb/topkclean/internal/gen"
@@ -256,8 +263,7 @@ func TestMutateValidation(t *testing.T) {
 		t.Fatalf("partial batch not reported: %v (base version %d)", out, before.Version)
 	}
 
-	// Non-finite thresholds are rejected (a NaN key would leak in the
-	// coalescer).
+	// Non-finite thresholds are rejected.
 	resp, err := http.Get(ts.URL + "/topk?threshold=NaN")
 	if err != nil {
 		t.Fatal(err)
@@ -268,60 +274,248 @@ func TestMutateValidation(t *testing.T) {
 	}
 }
 
-// TestCoalescer: concurrent identical requests share one computation.
+// TestCoalescer pins the /topk body table: concurrent identical requests
+// share one computation, a closed call answers later requests at the same
+// epoch, errors are never kept, a newer epoch drops older bodies while an
+// older arrival leaves the newer table alone, bodies are filed under the
+// epoch they describe, and one epoch keeps at most topkTableCap bodies.
 func TestCoalescer(t *testing.T) {
-	var c coalescer
-	c.inflight = make(map[coalKey]*coalCall)
+	var c topkTable
+	v1 := epoch{version: 1}
 	const n = 16
-	var computed int
+	var computed atomic.Int64
 	gate := make(chan struct{})
-	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			body, err := c.do(coalKey{version: 1, threshold: 0.1}, func() ([]byte, error) {
-				mu.Lock()
-				computed++
-				mu.Unlock()
-				<-gate // hold the call open so followers pile up
-				return []byte("x"), nil
+			body, err := c.do(v1, 0.1, func() ([]byte, epoch, error) {
+				computed.Add(1)
+				<-gate // hold the call open so the others pile up
+				return []byte("x"), v1, nil
 			})
 			if err != nil || string(body) != "x" {
 				t.Errorf("do: %q %v", body, err)
 			}
 		}()
 	}
-	// Let followers enqueue, then release the leader(s).
+	// Let waiters enqueue, then release the leader.
 	for c.coalesced.Load() == 0 {
+		runtime.Gosched()
 	}
 	close(gate)
 	wg.Wait()
-	if computed == n {
-		t.Fatalf("no coalescing happened (%d computations for %d requests)", computed, n)
+	if got := computed.Load(); got != 1 {
+		t.Fatalf("%d computations for %d requests at one epoch and threshold", got, n)
 	}
-	if got := c.coalesced.Load(); got == 0 {
-		t.Fatal("coalesced counter stayed zero")
+	if got := c.coalesced.Load() + c.cached.Load(); got != n-1 {
+		t.Fatalf("coalesced+cached = %d, want %d", got, n-1)
 	}
-	if len(c.inflight) != 0 {
-		t.Fatalf("inflight map leaked %d entries", len(c.inflight))
+
+	// kept reports the body the table holds for a threshold, if any.
+	kept := func(threshold float64) (string, bool) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		call, ok := c.calls[math.Float64bits(threshold)]
+		if !ok {
+			return "", false
+		}
+		return string(call.body), true
 	}
-	// Distinct keys never coalesce.
-	b1, _ := c.do(coalKey{version: 2, threshold: 0.1}, func() ([]byte, error) { return []byte("a"), nil })
-	b2, _ := c.do(coalKey{version: 2, threshold: 0.2}, func() ([]byte, error) { return []byte("b"), nil })
-	if string(b1) != "a" || string(b2) != "b" {
-		t.Fatalf("distinct keys shared a result: %q %q", b1, b2)
+	fail := func() ([]byte, epoch, error) {
+		t.Helper()
+		t.Fatal("computed a body the table holds")
+		return nil, epoch{}, nil
+	}
+
+	// A closed call answers at once, with no computation.
+	cached := c.cached.Load()
+	if body, err := c.do(v1, 0.1, fail); err != nil || string(body) != "x" {
+		t.Fatalf("hit: %q %v", body, err)
+	}
+	if c.cached.Load() != cached+1 {
+		t.Fatal("a hit on a closed call was not counted as cached")
+	}
+	// Distinct thresholds never share a body.
+	b2, _ := c.do(v1, 0.2, func() ([]byte, epoch, error) { return []byte("y"), v1, nil })
+	if string(b2) != "y" {
+		t.Fatalf("threshold 0.2 got %q", b2)
+	}
+	// -0 and 0 echo differently in a body, so they are different keys.
+	zero, _ := c.do(v1, 0, func() ([]byte, epoch, error) { return []byte("0"), v1, nil })
+	negZero, _ := c.do(v1, math.Copysign(0, -1), func() ([]byte, epoch, error) { return []byte("-0"), v1, nil })
+	if string(zero) != "0" || string(negZero) != "-0" {
+		t.Fatalf("thresholds 0 and -0 shared a body: %q %q", zero, negZero)
+	}
+
+	// Errors reach the requests that share them and are not kept.
+	boom := errors.New("boom")
+	if _, err := c.do(v1, 0.3, func() ([]byte, epoch, error) { return nil, v1, boom }); err != boom {
+		t.Fatalf("error: %v", err)
+	}
+	if _, ok := kept(0.3); ok {
+		t.Fatal("an error was kept")
+	}
+	if body, _ := c.do(v1, 0.3, func() ([]byte, epoch, error) { return []byte("z"), v1, nil }); string(body) != "z" {
+		t.Fatalf("retry after an error: %q", body)
+	}
+
+	// A request at a newer epoch drops every older body.
+	v2 := epoch{version: 2}
+	if body, _ := c.do(v2, 0.1, func() ([]byte, epoch, error) { return []byte("x2"), v2, nil }); string(body) != "x2" {
+		t.Fatalf("newer epoch served %q", body)
+	}
+	for _, th := range []float64{0.2, 0.3} {
+		if body, ok := kept(th); ok {
+			t.Fatalf("v1 body %q at threshold %v survived a v2 request", body, th)
+		}
+	}
+	// An older arrival is answered but neither evicts nor joins the v2
+	// table.
+	if body, _ := c.do(v1, 0.1, func() ([]byte, epoch, error) { return []byte("old"), v1, nil }); string(body) != "old" {
+		t.Fatalf("older arrival got %q", body)
+	}
+	if body, ok := kept(0.1); !ok || body != "x2" || c.at != v2 {
+		t.Fatalf("older arrival disturbed the v2 table: %q %v at %+v", body, ok, c.at)
+	}
+	// A newer generation at the same version number is a newer epoch.
+	g1 := epoch{gen: 1, version: 2}
+	if body, _ := c.do(g1, 0.1, func() ([]byte, epoch, error) { return []byte("g1"), g1, nil }); string(body) != "g1" {
+		t.Fatalf("resynced generation served %q", body)
+	}
+
+	// A body that describes a newer epoch than its request arrived at is
+	// filed under the newer one, never under the arrival epoch.
+	v3, v4 := epoch{gen: 1, version: 3}, epoch{gen: 1, version: 4}
+	if body, _ := c.do(v3, 0.5, func() ([]byte, epoch, error) { return []byte("v4"), v4, nil }); string(body) != "v4" {
+		t.Fatalf("raced request got %q", body)
+	}
+	if body, ok := kept(0.5); !ok || body != "v4" || c.at != v4 {
+		t.Fatalf("raced body filed as %q %v at %+v, want v4 at %+v", body, ok, c.at, v4)
+	}
+	if body, _ := c.do(v3, 0.5, func() ([]byte, epoch, error) { return []byte("v3"), v3, nil }); string(body) != "v3" {
+		t.Fatalf("a v3 arrival got %q", body)
+	}
+
+	// One epoch keeps at most topkTableCap bodies, however many
+	// thresholds it is asked at; past the cap every request computes.
+	v5 := epoch{gen: 1, version: 5}
+	for i := 0; i < 1000; i++ {
+		th := float64(i) / 1000
+		body, err := c.do(v5, th, func() ([]byte, epoch, error) { return []byte(fmt.Sprint(i)), v5, nil })
+		if err != nil || string(body) != fmt.Sprint(i) {
+			t.Fatalf("threshold %v: %q %v", th, body, err)
+		}
+	}
+	c.mu.Lock()
+	stored, keptN := len(c.calls), c.kept
+	c.mu.Unlock()
+	if stored > topkTableCap || keptN != stored {
+		t.Fatalf("%d bodies stored (kept=%d), cap %d", stored, keptN, topkTableCap)
+	}
+}
+
+// TestTopKCacheReadYourWrites: after each /mutate acknowledgement at
+// version v, the next /topk reports a version at or past v, and its bytes
+// are exactly the encoding of the tenant's own answer at that version — a
+// kept body is never a stale one. Repeats between commits are table hits.
+func TestTopKCacheReadYourWrites(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		shards int
+	}{{"engine", 1}, {"cluster", 3}} {
+		t.Run(c.name, func(t *testing.T) {
+			ts, s := shardedServerStore(t, 60, 5, c.shards, "")
+			def, err := s.tenant(defaultDB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 12; i++ {
+				var mut mutateResponse
+				if code := postJSON(t, ts.URL+"/mutate", mutateRequest{Ops: []mutateOp{
+					{Op: "insert", Name: fmt.Sprintf("ryw%d", i),
+						Tuples: []tupleJSON{{ID: fmt.Sprintf("ryw%d.a", i), Attrs: []float64{float64(10 * i)}, Prob: 0.7}}},
+				}}, &mut); code != http.StatusOK {
+					t.Fatalf("mutate %d: %d", i, code)
+				}
+				for _, read := range []struct {
+					q         string
+					threshold float64
+				}{{"", def.Threshold()}, {"?threshold=0.3", 0.3}} {
+					q, threshold := read.q, read.threshold
+					cached := def.topk.cached.Load()
+					first := getBytes(t, ts.URL+"/topk"+q)
+					again := getBytes(t, ts.URL+"/topk"+q)
+					if !bytes.Equal(first, again) {
+						t.Fatalf("mutate %d%s: repeated /topk differs between commits", i, q)
+					}
+					if def.topk.cached.Load() != cached+1 {
+						t.Fatalf("mutate %d%s: the repeat was not answered from the table", i, q)
+					}
+					var got topkResponse
+					if err := json.Unmarshal(first, &got); err != nil {
+						t.Fatal(err)
+					}
+					if got.Version < mut.Version {
+						t.Fatalf("mutate %d%s: acked v%d, /topk reports v%d", i, q, mut.Version, got.Version)
+					}
+					res, _, err := def.answers(context.Background(), threshold)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Version != got.Version {
+						t.Fatalf("mutate %d%s: tenant at v%d, /topk reported v%d", i, q, res.Version, got.Version)
+					}
+					want, err := encodeTopK(res)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(first, want) {
+						t.Fatalf("mutate %d%s: /topk bytes differ from the tenant's answer at v%d\n got  %s\n want %s", i, q, res.Version, first, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestTopKContentLength: /topk bodies carry an explicit Content-Length
+// (a synthetic body is past net/http's pre-chunk buffer), on the miss that
+// computes the body and on the hit that reuses it.
+func TestTopKContentLength(t *testing.T) {
+	ts, _ := testServer(t, 400, 40)
+	for _, what := range []string{"miss", "hit"} {
+		resp, err := http.Get(ts.URL + "/topk?threshold=0.01")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(body) <= 2048 {
+			t.Fatalf("%s: body of %d bytes fits the pre-chunk buffer; the test needs a larger one", what, len(body))
+		}
+		if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(body)) {
+			t.Fatalf("%s: Content-Length %q for a %d-byte body", what, got, len(body))
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("%s: ContentLength %d, Transfer-Encoding %v", what, resp.ContentLength, resp.TransferEncoding)
+		}
 	}
 }
 
 // TestServeConcurrentMutateAndQuery hammers /topk from several goroutines
 // while /mutate streams batches — the HTTP-level readers-vs-writer check
-// (run under -race in CI). Every response must be internally consistent
-// and versions must be monotone per client.
+// (run under -race in CI). Every response must be internally consistent,
+// versions must be monotone per client, and no response may be older than
+// the last /mutate acknowledged before its request was sent.
 func TestServeConcurrentMutateAndQuery(t *testing.T) {
 	ts, _ := testServer(t, 80, 5)
 	const readers = 4
+	var acked atomic.Uint64 // the last version a /mutate acknowledged
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	errs := make(chan error, readers+1)
@@ -337,6 +531,7 @@ func TestServeConcurrentMutateAndQuery(t *testing.T) {
 				default:
 				}
 				var res topkResponse
+				floor := acked.Load()
 				resp, err := http.Get(ts.URL + "/topk")
 				if err != nil {
 					errs <- err
@@ -350,6 +545,10 @@ func TestServeConcurrentMutateAndQuery(t *testing.T) {
 				}
 				if res.Version < last {
 					errs <- fmt.Errorf("version regressed: %d after %d", res.Version, last)
+					return
+				}
+				if res.Version < floor {
+					errs <- fmt.Errorf("read-your-writes: v%d acknowledged, /topk answered v%d", floor, res.Version)
 					return
 				}
 				last = res.Version
@@ -368,6 +567,13 @@ func TestServeConcurrentMutateAndQuery(t *testing.T) {
 		}}, &mut)
 		if status != http.StatusOK {
 			t.Fatalf("mutate %d: status %d", i, status)
+		}
+		acked.Store(mut.Version)
+		// The writer's own next read sees its write.
+		var res topkResponse
+		getJSON(t, ts.URL+"/topk", &res)
+		if res.Version < mut.Version {
+			t.Fatalf("read-your-writes: v%d acknowledged, /topk answered v%d", mut.Version, res.Version)
 		}
 	}
 	close(stop)

@@ -22,22 +22,20 @@ import (
 // A tenant is one named database as the registry and the handlers see it:
 // its name and serving configuration (persisted as tenant.json), the layer
 // that answers and commits for it (chosen once, at creation or recovery;
-// see layer.go), the query coalescer, and the write mutex that keeps
+// see layer.go), the /topk body table, and the write mutex that keeps
 // journal order equal to commit order across /mutate and /apply.
 type tenant struct {
 	layer
 	name    string
 	cfg     tenantConfig
-	coal    coalescer
+	topk    topkTable
 	applies atomic.Int64 // per-apply rng decorrelation counter
 	writeMu sync.Mutex   // serializes journaled writes; queries never take it
 	created time.Time
 }
 
 func newTenant(name string, cfg tenantConfig, l layer) *tenant {
-	t := &tenant{layer: l, name: name, cfg: cfg, created: time.Now()}
-	t.coal.inflight = make(map[coalKey]*coalCall)
-	return t
+	return &tenant{layer: l, name: name, cfg: cfg, created: time.Now()}
 }
 
 // tenantConfig is the per-database serving configuration, persisted as
