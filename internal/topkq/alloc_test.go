@@ -40,10 +40,10 @@ func headTailDB(t *testing.T, head, m int) *uncertain.Database {
 	return db
 }
 
-// TestResumeRhoAllocsPerInterval pins the rho slab: a resume that rescans
-// R positions with rank probabilities retained allocates a few times per
-// checkpoint interval (one slab of rows, one checkpoint), not once per
-// position as a row-per-position scan does.
+// TestResumeRhoAllocsPerInterval pins the rho blocks: a resume that
+// rescans R positions with rank probabilities retained allocates a few
+// times per checkpoint interval (one block of rows, one checkpoint), not
+// once per position as a row-per-position scan does.
 func TestResumeRhoAllocsPerInterval(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts shift under the race detector")
@@ -63,8 +63,9 @@ func TestResumeRhoAllocsPerInterval(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Per interval: the slab, the checkpoint's F and q copies. On top: the
-	// info, and the doubling growth of the TopK, rho and checkpoint slices.
+	// Per interval: the rho block and the checkpoint's F copy. On top: the
+	// info and its presized TopK, write-log, slot-table, block and
+	// checkpoint slices.
 	if limit := float64(3*R/checkpointEvery + 40); allocs > limit {
 		t.Fatalf("resume over %d positions allocates %.0f times, want <= %.0f", R, allocs, limit)
 	}
@@ -112,5 +113,43 @@ func TestResumeAllocsIndependentOfM(t *testing.T) {
 	if slack := 32 * 1024.0; large > small+slack {
 		t.Fatalf("resume over %d positions allocates %.0f bytes at m=10^5 vs %.0f at m=10^4; want within %.0f",
 			pLarge, large, small, slack)
+	}
+}
+
+// TestResumeBytesLinearInPrefix pins the scan memo as linear in the
+// processed prefix: a rescan from position 0 over four times the prefix
+// (with about four times the active x-tuples) allocates at most 1.5 times
+// the bytes per position. Checkpoints that copied every active slot's
+// state would grow the per-position cost with the active count.
+func TestResumeBytesLinearInPrefix(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts shift under the race detector")
+	}
+	const k = 10
+	perPosition := func(head int) float64 {
+		db := headTailDB(t, head, head)
+		prior, err := TopKProbabilities(db, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resume := func() {
+			if _, err := Resume(db, prior, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resume() // warm the state pool
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			resume()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(prior.Processed)
+	}
+	small, large := perPosition(400), perPosition(1600)
+	if large > 1.5*small {
+		t.Fatalf("resume allocates %.1f B per position at 4x the prefix vs %.1f at 1x; want <= 1.5x", large, small)
 	}
 }

@@ -26,8 +26,11 @@ type RankInfo struct {
 	// suffix is not materialized; use P(i), which returns 0 there.
 	TopK []float64
 
-	// rho[i][h-1] = rho_i(h); nil when the info was computed with
-	// TopKProbabilities (quality evaluation does not need per-rank detail).
+	// rho holds the rank probabilities in blocks of checkpointEvery rows
+	// of K floats: rho_i(h) is element (i%checkpointEvery)*K + h-1 of
+	// block i/checkpointEvery (see rhoRow). Nil when the info was computed
+	// with TopKProbabilities (quality evaluation does not need per-rank
+	// detail).
 	rho [][]float64
 
 	// Processed is the number of leading rank positions actually scanned;
@@ -41,12 +44,24 @@ type RankInfo struct {
 	// benchmarks.
 	Rebuilds int
 
-	// ckpts are periodic snapshots of the scan state (taken every
+	// ckpts are periodic checkpoints of the scan state (taken every
 	// checkpointEvery positions, plus one at exhaustion), recorded so that
 	// Resume can replay the scan from the last checkpoint at or below a
 	// mutation's dirty-rank watermark instead of from position 0. Sorted
 	// by position. See DESIGN.md ("Checkpoints").
 	ckpts []checkpoint
+
+	// The slot-write log a checkpoint restores from: the scan at position
+	// i set slot wslot[i]'s q to wq[i], and ids[s] is the x-tuple of slot
+	// s (slots are numbered in first-appearance order). Slots are keyed
+	// by x-tuple identity rather than group index: mutations renumber
+	// group indices (DeleteXTuple shifts later groups down) and clone
+	// x-tuples copy-on-write, but the stable identity XTuple.Is matches on
+	// survives both, so the log outlives renumbering and cloning and is
+	// re-resolved to current indices at restore time.
+	wslot []int32
+	wq    []float64
+	ids   []*uncertain.XTuple
 
 	// deconvLim is the deconvolution threshold the pass ran with, kept so
 	// Resume replays with the identical numeric path. Zero marks an info
@@ -65,13 +80,31 @@ func (ri *RankInfo) HasRho() bool { return ri.rho != nil }
 // Rho returns rho_i(h), the probability that the alternative at rank
 // position i appears at rank h (1 <= h <= K) in a pw-result.
 func (ri *RankInfo) Rho(i, h int) float64 {
-	if ri.rho == nil || i >= len(ri.rho) || ri.rho[i] == nil {
+	if ri.rho == nil || i < 0 || i >= len(ri.TopK) || h < 1 || h > ri.K {
 		return 0
 	}
-	if h < 1 || h > ri.K {
-		return 0
+	return ri.rhoRow(i)[h-1]
+}
+
+// rhoRow returns the K rank probabilities of position i.
+func (ri *RankInfo) rhoRow(i int) []float64 {
+	r := i % checkpointEvery
+	return ri.rho[i/checkpointEvery][r*ri.K : (r+1)*ri.K]
+}
+
+// presize gives a new info's per-position slices (and, with keepRho, its
+// block list) room for n positions and its slot table room for slots, so
+// a scan of that length appends without regrowing them.
+func (ri *RankInfo) presize(n, slots int, keepRho bool) {
+	ri.TopK = make([]float64, 0, n)
+	ri.wslot = make([]int32, 0, n)
+	ri.wq = make([]float64, 0, n)
+	ri.ids = make([]*uncertain.XTuple, 0, slots)
+	blocks := n/checkpointEvery + 1
+	ri.ckpts = make([]checkpoint, 0, blocks)
+	if keepRho {
+		ri.rho = make([][]float64, 0, blocks)
 	}
-	return ri.rho[i][h-1]
 }
 
 // P returns p_i, the top-k probability of the alternative at rank position i.

@@ -28,14 +28,14 @@ func NaiveRankProbabilities(db *uncertain.Database, k int) (*RankInfo, error) {
 	}
 	n := db.NumTuples()
 	info := &RankInfo{K: k, N: n, TopK: make([]float64, n), Processed: n}
-	info.rho = make([][]float64, n)
-	for i := range info.rho {
-		info.rho[i] = make([]float64, k)
+	info.rho = make([][]float64, (n+checkpointEvery-1)/checkpointEvery)
+	for b := range info.rho {
+		info.rho[b] = make([]float64, k*checkpointEvery)
 	}
 	world.Enumerate(db, func(w world.World) bool {
 		top := world.TopK(db, w, k)
 		for h, t := range top {
-			info.rho[t.Index()][h] += w.Prob
+			info.rhoRow(t.Index())[h] += w.Prob
 			info.TopK[t.Index()] += w.Prob
 		}
 		return true

@@ -57,33 +57,24 @@ func AblationRebuildOnly(db *uncertain.Database, k int) (*RankInfo, error) {
 }
 
 // checkpointEvery is the spacing, in rank positions, of the scan-state
-// checkpoints compute records into RankInfo for Resume. Spacing trades the
-// replay bound (a resume reprocesses at most checkpointEvery positions
-// before the watermark) against snapshot memory (each checkpoint is O(k)
-// plus the active list); 64 keeps both negligible next to the O(k *
-// Processed) pass itself. See DESIGN.md ("Checkpoints") for the numbers.
+// checkpoints compute records into RankInfo for Resume, and the number of
+// rho rows per block. Spacing trades the replay bound (a resume
+// reprocesses at most checkpointEvery positions before the watermark)
+// against checkpoint memory (each checkpoint is O(k)); 64 keeps both
+// negligible next to the O(k * Processed) pass itself. See DESIGN.md
+// ("Checkpoints") for the numbers.
 const checkpointEvery = 64
 
-// qSnapshot is one entry of a checkpoint's sparse q vector. The group is
-// keyed by x-tuple identity rather than index: mutations renumber group
-// indices (DeleteXTuple shifts later groups down) and clone x-tuples
-// copy-on-write (so pointer identity breaks across epochs too), but the
-// stable identity XTuple.Is matches on survives both, so a snapshot
-// outlives renumbering and cloning and is re-resolved to current indices
-// at restore time.
-type qSnapshot struct {
-	x *uncertain.XTuple
-	q float64
-}
-
 // checkpoint captures the PSR scan state immediately before processing one
-// rank position. Restoring it and replaying the scan from pos yields
-// output bit-identical to a from-scratch pass, because every float64
-// operation from the restored state onward is the same.
+// rank position: F, and the length of the slot table and write log that
+// rebuild the per-slot q (see restore). Restoring it and replaying the
+// scan from pos yields output bit-identical to a from-scratch pass,
+// because every float64 operation from the restored state onward is the
+// same.
 type checkpoint struct {
 	pos        int
-	F          []float64   // truncated Poisson-binomial over groups above the scan point
-	q          []qSnapshot // active groups in first-appearance order (rebuild order matters)
+	F          []float64 // truncated Poisson-binomial over groups above the scan point
+	slots      int       // active slots at pos: RankInfo.ids[:slots]
 	fullGroups int
 	rebuilds   int // info.Rebuilds as of pos, so a resumed count matches a fresh one
 }
@@ -98,7 +89,6 @@ type scanState struct {
 	slot       []int32   // slot[g] = 1 + slot of group g, 0 while g is inactive
 	F, G       []float64
 	scratch    []float64
-	slab       []float64 // uncarved rho rows; see step
 	fullGroups int
 }
 
@@ -135,13 +125,11 @@ func zeroed(s []float64, n int) []float64 {
 }
 
 // release zeroes the slot index and returns the state to the pool; st must
-// not be used afterwards. The rho slab is dropped, not pooled: its rows
-// belong to the RankInfo the scan produced.
+// not be used afterwards.
 func (st *scanState) release() {
 	for _, g := range st.active {
 		st.slot[g] = 0
 	}
-	st.slab = nil
 	statePool.Put(st)
 }
 
@@ -161,7 +149,11 @@ func (st *scanState) activate(g int, q float64) {
 // is the whole PSR kernel, and scanFrom is its only caller: a fresh pass,
 // a resumed pass and a pass over any Source run the same float64
 // operations, so they agree bit for bit.
-func (st *scanState) step(info *RankInfo, g int, e, deconvLim float64, keepRho bool) {
+//
+// A step writes exactly one slot's q, and logs that write in info (and,
+// when it activates the slot, the slot's x-tuple), which is all a
+// checkpoint needs to rebuild the per-slot state later.
+func (st *scanState) step(src Source, info *RankInfo, g int, e, deconvLim float64, keepRho bool) {
 	k := len(st.G)
 	s := int(st.slot[g]) - 1
 	ql := 0.0
@@ -188,17 +180,16 @@ func (st *scanState) step(info *RankInfo, g int, e, deconvLim float64, keepRho b
 	} else if p > 1 {
 		p = 1
 	}
-	info.TopK = append(info.TopK, p)
 	if keepRho {
-		// Rows are carved from a slab of checkpointEvery rows, so a scan
-		// allocates once per checkpoint interval rather than per position.
-		// Each row is capped at k and never written again, which is what
-		// lets a resumed info share rows with its prior.
-		if len(st.slab) < k {
-			st.slab = make([]float64, k*checkpointEvery)
+		// Row i lives in block i/checkpointEvery, so a scan allocates once
+		// per checkpoint interval rather than per position. A full block
+		// is never written again, which is what lets a resumed info share
+		// it with its prior.
+		i := len(info.TopK)
+		if i%checkpointEvery == 0 {
+			info.rho = append(info.rho, make([]float64, k*checkpointEvery))
 		}
-		row := st.slab[:k:k]
-		st.slab = st.slab[k:]
+		row := info.rhoRow(i)
 		for j := 0; j < k; j++ {
 			r := e * st.G[j]
 			if r < 0 {
@@ -206,18 +197,22 @@ func (st *scanState) step(info *RankInfo, g int, e, deconvLim float64, keepRho b
 			}
 			row[j] = r
 		}
-		info.rho = append(info.rho, row)
 	}
+	info.TopK = append(info.TopK, p)
 
 	qNew := ql + e
 	if qNew > 1 {
 		qNew = 1
 	}
 	if s < 0 {
+		s = len(st.active)
 		st.activate(g, qNew)
+		info.ids = append(info.ids, src.GroupAt(g))
 	} else {
 		st.ex.set(s, qNew)
 	}
+	info.wslot = append(info.wslot, int32(s))
+	info.wq = append(info.wq, qNew)
 	if ql < fullMass && qNew >= fullMass {
 		st.fullGroups++
 	}
@@ -225,62 +220,72 @@ func (st *scanState) step(info *RankInfo, g int, e, deconvLim float64, keepRho b
 }
 
 // snapshot records the state as a checkpoint for position pos.
-func (st *scanState) snapshot(src Source, pos, rebuilds int) checkpoint {
-	c := checkpoint{
+func (st *scanState) snapshot(pos, rebuilds int) checkpoint {
+	return checkpoint{
 		pos:        pos,
 		F:          append([]float64(nil), st.F...),
-		q:          make([]qSnapshot, len(st.active)),
+		slots:      len(st.active),
 		fullGroups: st.fullGroups,
 		rebuilds:   rebuilds,
 	}
-	for s, g := range st.active {
-		c.q[s] = qSnapshot{x: src.GroupAt(g), q: st.ex.q[s]}
-	}
-	return c
 }
 
 // restore rebuilds a live scan state from the checkpoint against the
-// source's current group numbering. It reports false when a referenced
-// x-tuple no longer belongs to the source (it was deleted); that can
-// only happen for a checkpoint beyond the mutation's watermark, which
-// Resume never selects under the documented contract — the check is a
-// safety net that downgrades a contract violation to a fresh scan.
-func (c *checkpoint) restore(src Source, k int) (*scanState, bool) {
+// source's current group numbering: it activates the checkpoint's slots
+// from prior's slot table, then replays prior's write log up to pos. The
+// exclusion tree is a pure function of its leaves, so the rebuilt state
+// holds the same bits as the scan's own state at pos. The slots' current
+// x-tuples become info's slot table, so a later resume from info searches
+// from current indices. It reports false when a referenced x-tuple no
+// longer belongs to the source (it was deleted); that can only happen for
+// a checkpoint beyond the mutation's watermark, which Resume never
+// selects under the documented contract — the check is a safety net that
+// downgrades a contract violation to a fresh scan.
+func (c *checkpoint) restore(src Source, prior, info *RankInfo) (*scanState, bool) {
 	m := src.NumGroups()
-	st := newScanState(k, m)
+	st := newScanState(prior.K, m)
 	copy(st.F, c.F)
-	for _, e := range c.q {
-		if len(e.x.Tuples) == 0 {
+	for _, x := range prior.ids[:c.slots] {
+		g, cur := locate(src, x, m)
+		if g < 0 {
 			st.release()
+			info.ids = info.ids[:0]
 			return nil, false
 		}
-		// Fast path: the checkpointed x-tuple's own group index (frozen at
-		// checkpoint time) still names the same logical x-tuple in src —
-		// true for a database source whenever no intervening delete
-		// renumbered the survivors, even if copy-on-write replaced the
-		// object itself.
-		g := e.x.Tuples[0].Group
-		if g < 0 || g >= m || !src.GroupAt(g).Is(e.x) {
-			// Renumbered since the checkpoint: re-resolve by stable
-			// identity. Deletes are rare next to the scans this feeds, so
-			// the linear fallback is fine; a miss means the x-tuple was
-			// deleted and the checkpoint cannot seed this database.
-			g = -1
-			for gi := 0; gi < m; gi++ {
-				if src.GroupAt(gi).Is(e.x) {
-					g = gi
-					break
-				}
-			}
-			if g < 0 {
-				st.release()
-				return nil, false
-			}
-		}
-		st.activate(g, e.q)
+		st.activate(g, 0)
+		info.ids = append(info.ids, cur)
+	}
+	for p, s := range prior.wslot[:c.pos] {
+		st.ex.set(int(s), prior.wq[p])
 	}
 	st.fullGroups = c.fullGroups
 	return st, true
+}
+
+// locate returns the index of x in src and src's x-tuple there (matched by
+// XTuple.Is), or -1 when src no longer holds it. The search starts at x's
+// own group index, frozen when x was recorded: that still names x for a
+// database source unless a delete renumbered the survivors since, even if
+// copy-on-write replaced the object itself. Deletes shift the survivors
+// above them down and inserts append, so the search continues downward
+// from there first and finds a renumbered x-tuple after one probe per
+// intervening delete.
+func locate(src Source, x *uncertain.XTuple, m int) (int, *uncertain.XTuple) {
+	if len(x.Tuples) == 0 {
+		return -1, nil
+	}
+	g0 := min(x.Tuples[0].Group, m-1)
+	for g := g0; g >= 0; g-- {
+		if y := src.GroupAt(g); y.Is(x) {
+			return g, y
+		}
+	}
+	for g := max(g0+1, 0); g < m; g++ {
+		if y := src.GroupAt(g); y.Is(x) {
+			return g, y
+		}
+	}
+	return -1, nil
 }
 
 // compute scans the alternatives in descending rank order, maintaining the
@@ -315,10 +320,8 @@ func compute(src Source, k int, keepRho bool, deconvLim float64) (*RankInfo, err
 	// the scan after a small fraction of a large database, and sizing the
 	// output to the prefix keeps PSR's cost O(k * Processed) rather than
 	// O(n) in allocations.
-	info := &RankInfo{K: k, N: src.NumTuples(), TopK: make([]float64, 0, 256), deconvLim: deconvLim}
-	if keepRho {
-		info.rho = make([][]float64, 0, 256)
-	}
+	info := &RankInfo{K: k, N: src.NumTuples(), deconvLim: deconvLim}
+	info.presize(256, 0, keepRho)
 	return scanFrom(src, info, newScanState(k, m), 0, keepRho)
 }
 
@@ -341,9 +344,9 @@ func scanFrom(src Source, info *RankInfo, st *scanState, start int, keepRho bool
 	if st.fullGroups < k {
 		for t, g := range src.Ranked(start) {
 			if i > start && i%checkpointEvery == 0 {
-				info.ckpts = append(info.ckpts, st.snapshot(src, i, info.Rebuilds))
+				info.ckpts = append(info.ckpts, st.snapshot(i, info.Rebuilds))
 			}
-			st.step(info, g, t.Prob, deconvLim, keepRho)
+			st.step(src, info, g, t.Prob, deconvLim, keepRho)
 			i++
 			if st.fullGroups >= k {
 				break
@@ -352,7 +355,7 @@ func scanFrom(src Source, info *RankInfo, st *scanState, start int, keepRho bool
 	}
 	info.Processed = i
 	if n := src.NumTuples(); i == n && (len(info.ckpts) == 0 || info.ckpts[len(info.ckpts)-1].pos != n) {
-		info.ckpts = append(info.ckpts, st.snapshot(src, n, info.Rebuilds))
+		info.ckpts = append(info.ckpts, st.snapshot(n, info.Rebuilds))
 	}
 	return info, nil
 }

@@ -70,9 +70,12 @@ func Resume(src Source, prior *RankInfo, fromRank int) (*RankInfo, error) {
 		target = prior.Processed
 	}
 	keepRho := prior.HasRho()
+	// Sized for a rescan as long as the prior's, so the replay appends
+	// without regrowing.
+	info := &RankInfo{K: k, N: n, deconvLim: prior.deconvLim}
+	info.presize(prior.Processed+checkpointEvery, len(prior.ids)+checkpointEvery, keepRho)
 	var st *scanState
 	start := 0
-	rebuilds := 0
 	used := -1
 	// Latest restorable checkpoint at or below the watermark. Falling back
 	// to an earlier checkpoint (or to a fresh state at position 0) is
@@ -82,29 +85,34 @@ func Resume(src Source, prior *RankInfo, fromRank int) (*RankInfo, error) {
 		if c.pos > target {
 			continue
 		}
-		if s, ok := c.restore(src, k); ok {
-			st, start, rebuilds, used = s, c.pos, c.rebuilds, ci
+		if s, ok := c.restore(src, prior, info); ok {
+			st, start, info.Rebuilds, used = s, c.pos, c.rebuilds, ci
 			break
 		}
 	}
 	if st == nil {
 		st = newScanState(k, m)
 	}
-
-	info := &RankInfo{K: k, N: n, Rebuilds: rebuilds, deconvLim: prior.deconvLim}
-	info.TopK = make([]float64, start, start+256)
-	copy(info.TopK, prior.TopK[:start])
+	// The new pass copies the prior's per-position prefix (restore filled
+	// the slot table) and shares its immutable parts: the checkpoints at
+	// or below the splice point (active lists only grow along the scan, so
+	// if the used checkpoint restored, every earlier one does as well) and
+	// the full rho blocks below it.
+	info.TopK = append(info.TopK, prior.TopK[:start]...)
+	info.wslot = append(info.wslot, prior.wslot[:start]...)
+	info.wq = append(info.wq, prior.wq[:start]...)
+	info.ckpts = append(info.ckpts, prior.ckpts[:used+1]...)
 	if keepRho {
-		// Rows are immutable once built, so sharing them with prior is
-		// safe; only the outer slice is fresh.
-		info.rho = make([][]float64, start, start+256)
-		copy(info.rho, prior.rho[:start])
-	}
-	if used >= 0 {
-		// Checkpoints at or below the splice point are valid for the new
-		// pass too (active lists only grow along the scan, so if the used
-		// checkpoint restored, every earlier one does as well).
-		info.ckpts = append(info.ckpts, prior.ckpts[:used+1]...)
+		full := start / checkpointEvery
+		info.rho = append(info.rho, prior.rho[:full]...)
+		if r := start % checkpointEvery; r != 0 {
+			// start is the exhaustion checkpoint at n: the block it falls
+			// in is only partly written, and the replay fills the rest, so
+			// it is copied rather than shared.
+			b := make([]float64, k*checkpointEvery)
+			copy(b, prior.rho[full][:r*k])
+			info.rho = append(info.rho, b)
+		}
 	}
 	return scanFrom(src, info, st, start, keepRho)
 }

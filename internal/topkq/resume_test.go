@@ -37,9 +37,9 @@ func assertBitIdentical(t *testing.T, stage string, got, want *RankInfo) {
 	}
 	if got.HasRho() {
 		if len(got.rho) != len(want.rho) {
-			t.Fatalf("%s: len(rho) = %d, fresh %d", stage, len(got.rho), len(want.rho))
+			t.Fatalf("%s: rho blocks = %d, fresh %d", stage, len(got.rho), len(want.rho))
 		}
-		for i := range got.rho {
+		for i := range got.TopK {
 			for h := 1; h <= got.K; h++ {
 				if got.Rho(i, h) != want.Rho(i, h) {
 					t.Fatalf("%s: rho[%d][%d] = %v, fresh %v", stage, i, h, got.Rho(i, h), want.Rho(i, h))
@@ -367,4 +367,247 @@ func TestResumeValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBitIdentical(t, "watermark 0", resumed, fresh)
+}
+
+// countingSource counts the GroupAt calls made through it.
+type countingSource struct {
+	Source
+	groupAt int
+}
+
+func (c *countingSource) GroupAt(g int) *uncertain.XTuple {
+	c.groupAt++
+	return c.Source.GroupAt(g)
+}
+
+// TestRestoreAfterDeleteLocatesInLinearCalls pins the cost of re-resolving
+// a checkpoint's slots after a delete renumbered the x-tuples above it:
+// every survivor moved down one index, so each slot is found within two
+// GroupAt probes of its recorded index, and a resume makes O(slots) calls
+// in all rather than a linear search per slot. The deletes are chained,
+// each resume seeding the next: a resume records the slots' current
+// x-tuples, so the probe count does not grow with the delete history.
+func TestRestoreAfterDeleteLocatesInLinearCalls(t *testing.T) {
+	const k = 10
+	db := headTailDB(t, 300, 3000)
+	prior, err := TopKProbabilities(db, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 3; step++ {
+		version := db.Version()
+		// Group 1 is a head x-tuple whose alternatives all lie inside the
+		// processed prefix, below its first few checkpoints.
+		if err := db.DeleteXTuple(1); err != nil {
+			t.Fatal(err)
+		}
+		wm, ok := db.DirtySince(version)
+		if !ok {
+			t.Fatal("DirtySince must answer for a one-step-old version")
+		}
+		if wm < 2*checkpointEvery || wm >= prior.Processed {
+			t.Fatalf("step %d: delete watermark %d, want inside the prefix [%d, %d)", step, wm, 2*checkpointEvery, prior.Processed)
+		}
+		src := &countingSource{Source: db}
+		resumed, err := Resume(src, prior, wm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := TopKProbabilities(db, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, fmt.Sprintf("step %d", step), resumed, fresh)
+		// Restore: at most two probes per checkpointed slot; the replay:
+		// one call per slot it activates.
+		if limit := 2 * len(resumed.ids); src.groupAt > limit {
+			t.Fatalf("step %d: resume made %d GroupAt calls for %d slots, want <= %d", step, src.groupAt, len(resumed.ids), limit)
+		}
+		prior = resumed
+	}
+}
+
+// TestResumeSiblingsAndChainsBitIdentical guards the prefix data a resumed
+// info shares with its prior — the rho blocks below the splice point, the
+// checkpoints — against aliasing: two resumes from one prior over
+// differently mutated branches, then three chained resumes, must each stay
+// bit-identical to a fresh pass, and so must the prior and the first
+// sibling after everything later was computed. The exhausted fixture
+// resumes from the checkpoint at n, which is not a multiple of the rho
+// block size.
+func TestResumeSiblingsAndChainsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261018))
+	early := resumeTestDB(t, rng, 400)
+	// Every x-tuple has full mass and k = m, so the scan never stops early.
+	exhausted := uncertain.New()
+	for g := 0; g < 37; g++ {
+		n := 1 + g%4
+		ts := make([]uncertain.Tuple, n)
+		for i := range ts {
+			ts[i] = uncertain.Tuple{ID: fmt.Sprintf("e%d.%d", g, i), Attrs: []float64{rng.Float64() * 100}, Prob: 1 / float64(n)}
+		}
+		if err := exhausted.AddXTuple(fmt.Sprintf("E%d", g), ts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := exhausted.Build(uncertain.ByFirstAttr); err != nil {
+		t.Fatal(err)
+	}
+	if n := exhausted.NumTuples(); n%checkpointEvery == 0 || n < checkpointEvery {
+		t.Fatalf("exhausted fixture has %d tuples, want more than one block and not a multiple of %d", n, checkpointEvery)
+	}
+
+	// bottom inserts an x-tuple below every existing alternative.
+	bottom := func(db *uncertain.Database, id string, score, p float64) {
+		t.Helper()
+		if err := db.InsertXTuple(id, uncertain.Tuple{ID: id, Attrs: []float64{score}, Prob: p}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// reweightAt reweights the x-tuple of the alternative at rank position pos.
+	reweightAt := func(db *uncertain.Database, pos int) {
+		t.Helper()
+		l := db.Sorted()[pos].Group
+		probs := make([]float64, len(db.Groups()[l].RealTuples()))
+		for i := range probs {
+			probs[i] = 0.05 + rng.Float64()*(0.9/float64(len(probs)))
+		}
+		if err := db.Reweight(l, probs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name  string
+		db    *uncertain.Database
+		k     int
+		a, b  func(db *uncertain.Database, p int) // sibling mutations
+		chain func(db *uncertain.Database, p, step int)
+	}{
+		{
+			name:  "early-terminated",
+			db:    early,
+			k:     40,
+			a:     func(db *uncertain.Database, p int) { reweightAt(db, p/3) },
+			b:     func(db *uncertain.Database, p int) { reweightAt(db, 2*p/3) },
+			chain: func(db *uncertain.Database, p, step int) { reweightAt(db, p*(3-step)/4) },
+		},
+		{
+			name: "exhausted",
+			db:   exhausted,
+			k:    37,
+			a:    func(db *uncertain.Database, _ int) { bottom(db, "a", -10, 0.9) },
+			b:    func(db *uncertain.Database, _ int) { bottom(db, "b", -20, 0.4) },
+			chain: func(db *uncertain.Database, _, step int) {
+				bottom(db, fmt.Sprintf("c%d", step), -30-float64(step), 0.5)
+			},
+		},
+	}
+	for _, tc := range cases {
+		for _, keepRho := range []bool{true, false} {
+			pass := TopKProbabilities
+			if keepRho {
+				pass = RankProbabilities
+			}
+			name := fmt.Sprintf("%s/rho=%v", tc.name, keepRho)
+			fresh := func(db *uncertain.Database) *RankInfo {
+				t.Helper()
+				info, err := pass(db, tc.k)
+				if err != nil {
+					t.Fatalf("%s: fresh: %v", name, err)
+				}
+				return info
+			}
+			resume := func(db *uncertain.Database, prior *RankInfo, since uint64) *RankInfo {
+				t.Helper()
+				wm, ok := db.DirtySince(since)
+				if !ok {
+					t.Fatalf("%s: DirtySince(%d) not answerable", name, since)
+				}
+				info, err := Resume(db, prior, wm)
+				if err != nil {
+					t.Fatalf("%s: resume: %v", name, err)
+				}
+				return info
+			}
+			prior := fresh(tc.db)
+			priorWant := fresh(tc.db)
+			if tc.name == "exhausted" && prior.Processed != tc.db.NumTuples() {
+				t.Fatalf("%s: fixture stopped early at %d of %d", name, prior.Processed, tc.db.NumTuples())
+			}
+			if tc.name == "early-terminated" && prior.Processed < 4*checkpointEvery {
+				t.Fatalf("%s: prefix of %d positions spans too few blocks", name, prior.Processed)
+			}
+			v := tc.db.Version()
+			dbA, dbB := tc.db.Clone(), tc.db.Clone()
+			tc.a(dbA, prior.Processed)
+			tc.b(dbB, prior.Processed)
+			sibA := resume(dbA, prior, v)
+			wantA := fresh(dbA)
+			sibB := resume(dbB, prior, v)
+			assertBitIdentical(t, name+" sibling b", sibB, fresh(dbB))
+			assertBitIdentical(t, name+" sibling a", sibA, wantA)
+
+			cur := sibA
+			for step := 0; step < 3; step++ {
+				v := dbA.Version()
+				tc.chain(dbA, cur.Processed, step)
+				cur = resume(dbA, cur, v)
+				assertBitIdentical(t, fmt.Sprintf("%s chain %d", name, step), cur, fresh(dbA))
+			}
+			assertBitIdentical(t, name+" sibling a after chain", sibA, wantA)
+			assertBitIdentical(t, name+" prior after all", prior, priorWant)
+		}
+	}
+}
+
+// TestResumeFallsBackPastDeletedSlot drives the restore safety net: with a
+// watermark past a deleted x-tuple's positions (a contract violation),
+// every checkpoint whose slots include the deleted x-tuple fails to
+// restore and Resume falls back to the latest one from before its first
+// alternative, whose prefix the delete did not change, so the result is
+// still exact. The fallen-back info must also seed a correct resume
+// after the next mutation: a failed restore leaves nothing behind in its
+// slot table.
+func TestResumeFallsBackPastDeletedSlot(t *testing.T) {
+	const k = 10
+	db := headTailDB(t, 300, 400)
+	prior, err := TopKProbabilities(db, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.DeleteXTuple(1); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := Resume(db, prior, prior.Processed-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := TopKProbabilities(db, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitIdentical(t, "fallback past the deleted slot", resumed, fresh)
+
+	// An insert just above the last processed position: the next resume
+	// restores a late checkpoint, which reads the whole slot table.
+	version := db.Version()
+	score := db.AtRank(resumed.Processed-1).Score + 1e-6
+	if err := db.InsertXTuple("late", uncertain.Tuple{ID: "late", Attrs: []float64{score}, Prob: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	wm, ok := db.DirtySince(version)
+	if !ok {
+		t.Fatal("DirtySince must answer for a one-step-old version")
+	}
+	if wm < resumed.Processed-checkpointEvery {
+		t.Fatalf("insert watermark %d, want within one interval of Processed %d", wm, resumed.Processed)
+	}
+	next, err := Resume(db, resumed, wm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh, err = TopKProbabilities(db, k); err != nil {
+		t.Fatal(err)
+	}
+	assertBitIdentical(t, "resume from the fallen-back info", next, fresh)
 }

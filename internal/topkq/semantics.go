@@ -107,28 +107,33 @@ func PTK(src Source, info *RankInfo, threshold float64) []ScoredAnswer {
 // GlobalTopK evaluates the Global-topk query [13]: the k real tuples with
 // the highest top-k probabilities, ties broken toward the higher-ranked
 // tuple (the tie-break used in Zhang and Chomicki's definition).
+//
+// The answer is kept sorted in a slice of at most k entries while the
+// prefix is read in rank order: a candidate goes after every kept entry
+// of equal or higher probability (which all rank above it), so the slice
+// is always the first k of the stable (probability descending, rank
+// ascending) order. Time O(Processed·log k), space O(k).
 func GlobalTopK(src Source, info *RankInfo) []ScoredAnswer {
-	cand := make([]ScoredAnswer, 0, info.Processed)
+	k := info.K
+	out := make([]ScoredAnswer, 0, k)
 	i := -1
 	for t := range Prefix(src, info.Processed) {
 		i++
 		if t.Null {
 			continue
 		}
-		if p := info.P(i); p > 0 {
-			cand = append(cand, snapshotScored(t, i, p))
+		p := info.P(i)
+		if p <= 0 || (len(out) == k && out[k-1].Prob >= p) {
+			continue
 		}
-	}
-	sort.SliceStable(cand, func(a, b int) bool {
-		if cand[a].Prob != cand[b].Prob {
-			return cand[a].Prob > cand[b].Prob
+		at := sort.Search(len(out), func(j int) bool { return out[j].Prob < p })
+		if len(out) < k {
+			out = append(out, ScoredAnswer{})
 		}
-		return cand[a].Rank < cand[b].Rank
-	})
-	if len(cand) > info.K {
-		cand = cand[:info.K]
+		copy(out[at+1:], out[at:len(out)-1])
+		out[at] = snapshotScored(t, i, p)
 	}
-	return cand
+	return out
 }
 
 // FormatScored renders a scored answer list compactly, e.g. "{t1, t2, t5}".

@@ -2,6 +2,8 @@ package topkq
 
 import (
 	"math/rand"
+	"runtime"
+	"sort"
 	"testing"
 
 	"github.com/probdb/topkclean/internal/numeric"
@@ -216,5 +218,97 @@ func TestFormatters(t *testing.T) {
 	}
 	if s := FormatScored(nil); s != "{}" {
 		t.Fatalf("FormatScored(nil) = %q, want {}", s)
+	}
+}
+
+// globalTopKReference is the sort-based Global-topk GlobalTopK replaced:
+// every positive real candidate, stably sorted by (probability desc, rank
+// asc), cut to K. It is the reference the bounded selection must match.
+func globalTopKReference(src Source, info *RankInfo) []ScoredAnswer {
+	cand := make([]ScoredAnswer, 0, info.Processed)
+	i := -1
+	for t := range Prefix(src, info.Processed) {
+		i++
+		if t.Null {
+			continue
+		}
+		if p := info.P(i); p > 0 {
+			cand = append(cand, snapshotScored(t, i, p))
+		}
+	}
+	sort.SliceStable(cand, func(a, b int) bool {
+		if cand[a].Prob != cand[b].Prob {
+			return cand[a].Prob > cand[b].Prob
+		}
+		return cand[a].Rank < cand[b].Rank
+	})
+	if len(cand) > info.K {
+		cand = cand[:info.K]
+	}
+	return cand
+}
+
+// TestGlobalTopKMatchesReference compares the bounded selection with the
+// sort-based reference on random top-k probabilities over random
+// databases: quantized to a few levels so ties are everywhere, mostly
+// zero so fewer than K candidates are positive, and with K = Processed.
+func TestGlobalTopKMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for trial := 0; trial < 300; trial++ {
+		db := resumeTestDB(t, rng, 5+rng.Intn(60))
+		n := db.NumTuples()
+		info := &RankInfo{N: n, Processed: 1 + rng.Intn(n), K: 1 + rng.Intn(db.NumGroups())}
+		levels, zeroFrac := 1+rng.Intn(4), 0.2
+		switch trial % 3 {
+		case 1:
+			zeroFrac = 0.97 // fewer than K positive candidates
+		case 2:
+			info.K = info.Processed
+		}
+		info.TopK = make([]float64, info.Processed)
+		for i := range info.TopK {
+			if rng.Float64() >= zeroFrac {
+				info.TopK[i] = float64(1+rng.Intn(levels)) / float64(levels)
+			}
+		}
+		got, want := GlobalTopK(db, info), globalTopKReference(db, info)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d (K=%d, Processed=%d): %d answers, reference %d", trial, info.K, info.Processed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d (K=%d, Processed=%d): answer %d = %+v, reference %+v", trial, info.K, info.Processed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestGlobalTopKAllocsIndependentOfPrefix pins O(K) space: Global-topk over
+// a prefix four times as long allocates the same bytes.
+func TestGlobalTopKAllocsIndependentOfPrefix(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts shift under the race detector")
+	}
+	const k = 10
+	perCall := func(head int) (float64, int) {
+		db := headTailDB(t, head, head)
+		info, err := TopKProbabilities(db, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			GlobalTopK(db, info)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs, info.Processed
+	}
+	small, pSmall := perCall(400)
+	large, pLarge := perCall(1600)
+	if large != small {
+		t.Fatalf("GlobalTopK allocates %.0f bytes over %d positions vs %.0f over %d; want equal", large, pLarge, small, pSmall)
 	}
 }
