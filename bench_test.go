@@ -702,8 +702,11 @@ func BenchmarkSessionReuse(b *testing.B) {
 // delta-aware engine resume its memoized PSR pass from the mutation's
 // dirty-rank watermark — an insert in the bottom half of the ranking lands
 // below the scan's early-termination point, so the resume is a pure cache
-// hit; mutate-top forces the worst case (full replay of the processed
-// prefix); mutate-batch retires the insert inside one Batch commit. The
+// hit; mutate-prefix inserts at the score of rank position Processed/2, so
+// the resume replays the second half of the processed prefix from the
+// checkpoint below it; mutate-top forces the worst case (full replay of
+// the processed prefix); mutate-batch retires the insert inside one Batch
+// commit. The
 // rebuild variant does what was once the only option — reconstruct and
 // re-sort the whole database and start a fresh session. All variants serve
 // the identical answers (TestEngineAnswersTrackMutations and the Resume
@@ -724,6 +727,11 @@ func benchMutateRequery(b *testing.B, xtuples int) {
 	base := benchSynthetic(b, xtuples)
 	midScore := base.AtRank(base.NumTuples() / 2).Score
 	topScore := base.AtRank(0).Score
+	info, err := topkq.TopKProbabilities(base, k)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prefixScore := base.AtRank(info.Processed / 2).Score
 	newTuples := func(i int, score float64) []Tuple {
 		name := fmt.Sprintf("stream-%d", i)
 		return []Tuple{
@@ -732,51 +740,35 @@ func benchMutateRequery(b *testing.B, xtuples int) {
 		}
 	}
 
-	b.Run("mutate", func(b *testing.B) {
-		db := base.Clone() // keep the shared cache pristine
-		eng, err := New(db, WithK(k))
-		if err != nil {
-			b.Fatal(err)
-		}
-		ctx := context.Background()
-		runtime.GC() // retire setup garbage outside the measured loop
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := db.InsertXTuple(fmt.Sprintf("stream-%d", i), newTuples(i, midScore)...); err != nil {
+	// requeryAt inserts one arrival scored around score, re-evaluates the
+	// quality, and retires the arrival so the database stays the same
+	// size; the delete is itself a mutation the variant pays for.
+	requeryAt := func(score float64) func(*testing.B) {
+		return func(b *testing.B) {
+			db := base.Clone() // keep the shared cache pristine
+			eng, err := New(db, WithK(k))
+			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := eng.Quality(ctx); err != nil {
-				b.Fatal(err)
-			}
-			// Retire the insert so the database stays the same size; the
-			// delete is itself a mutation the variant pays for.
-			if err := db.DeleteXTuple(db.NumGroups() - 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("mutate-top", func(b *testing.B) {
-		db := base.Clone()
-		eng, err := New(db, WithK(k))
-		if err != nil {
-			b.Fatal(err)
-		}
-		ctx := context.Background()
-		runtime.GC() // retire setup garbage outside the measured loop
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := db.InsertXTuple(fmt.Sprintf("stream-%d", i), newTuples(i, topScore+1)...); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := eng.Quality(ctx); err != nil {
-				b.Fatal(err)
-			}
-			if err := db.DeleteXTuple(db.NumGroups() - 1); err != nil {
-				b.Fatal(err)
+			ctx := context.Background()
+			runtime.GC() // retire setup garbage outside the measured loop
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := db.InsertXTuple(fmt.Sprintf("stream-%d", i), newTuples(i, score)...); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eng.Quality(ctx); err != nil {
+					b.Fatal(err)
+				}
+				if err := db.DeleteXTuple(db.NumGroups() - 1); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
+	}
+	b.Run("mutate", requeryAt(midScore))
+	b.Run("mutate-prefix", requeryAt(prefixScore))
+	b.Run("mutate-top", requeryAt(topScore+1))
 
 	b.Run("mutate-batch", func(b *testing.B) {
 		db := base.Clone()

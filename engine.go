@@ -3,10 +3,9 @@ package topkclean
 import (
 	"context"
 	"math/rand"
-	"sync"
 
 	"github.com/probdb/topkclean/internal/cleaning"
-	"github.com/probdb/topkclean/internal/quality"
+	"github.com/probdb/topkclean/internal/memo"
 	"github.com/probdb/topkclean/internal/topkq"
 	"github.com/probdb/topkclean/internal/uncertain"
 )
@@ -48,40 +47,9 @@ func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 // intermediate state or renumbering. Result.Version reports which version
 // a result describes.
 type Engine struct {
-	db  *Database
-	cfg config
-
-	mu     sync.Mutex      // guards the states map itself
-	states map[int]*kEntry // memoized shared state per query size k
-}
-
-// kEntry is one k's memoization slot. Its own mutex makes the first
-// computation single-flight per k while letting passes for distinct k run
-// concurrently. Keying the map by k alone (the version lives inside the
-// entry and is migrated in place on every version change) keeps the map's
-// size bounded by the number of distinct query sizes ever asked for, no
-// matter how many mutations a session spans.
-type kEntry struct {
-	mu      sync.Mutex
-	st      *evalState // nil until computed; guarded by mu
-	version uint64     // database version st was computed against; guarded by mu
-}
-
-// evalState is the shared per-(db, k) computation: one PSR pass and the TP
-// evaluation derived from it. full records whether the pass kept the
-// per-rank probabilities U-kRanks needs; quality and cleaning only need
-// the lighter top-k retention, so the engine upgrades lazily. The
-// threshold-independent query answers (U-kRanks, Global-topk) are cached
-// on first use too — only the cheap PT-k threshold scan runs per call.
-type evalState struct {
-	info *RankInfo
-	eval *QualityEvaluation
-	full bool
-
-	ansOnce sync.Once
-	uk      []RankedAnswer
-	gtk     []ScoredAnswer
-	ansErr  error
+	db   *Database
+	cfg  config
+	memo *memo.Memo[*Database] // memoized shared state per query size k
 }
 
 // New builds an Engine over db. Options configure the query size k, the
@@ -110,7 +78,27 @@ func New(db *Database, opts ...Option) (*Engine, error) {
 	if !db.Built() {
 		return nil, uncertain.ErrNotBuilt
 	}
-	return &Engine{db: db, cfg: cfg, states: make(map[int]*kEntry)}, nil
+	e := &Engine{db: db, cfg: cfg}
+	e.memo = memo.New(e.pin, carrySnapshot)
+	return e, nil
+}
+
+// pin returns the database's current snapshot epoch.
+func (e *Engine) pin() (*Database, error) {
+	snap := e.db.Snapshot()
+	if snap == nil {
+		return nil, uncertain.ErrNotBuilt
+	}
+	return snap, nil
+}
+
+// carrySnapshot carries a memoized pass across snapshot epochs with the
+// database's own bookkeeping: DirtySince merges the intervening
+// mutations' dirty-rank watermarks, and GroupIndicesStableSince reports
+// whether any of them renumbered surviving x-tuples.
+func carrySnapshot(cur, prior *Database, _ *RankInfo) (wm int, stable, ok bool) {
+	wm, ok = cur.DirtySince(prior.Version())
+	return wm, ok && cur.GroupIndicesStableSince(prior.Version()), ok
 }
 
 // DB returns the engine's database.
@@ -127,141 +115,7 @@ func (e *Engine) Threshold() float64 { return e.cfg.threshold }
 // query resumes or recomputes the memoized state for the new version. It
 // remains for callers that want to recompute from scratch (e.g. to
 // re-measure).
-func (e *Engine) Invalidate() {
-	e.mu.Lock()
-	e.states = make(map[int]*kEntry)
-	e.mu.Unlock()
-}
-
-// state returns the memoized evaluation for (current db version, k) —
-// together with the snapshot epoch it was computed against — computing it
-// on first use. The per-entry mutex is a single-flight guard: concurrent
-// first calls for the same k compute the pass exactly once, while passes
-// for distinct k proceed in parallel. needFull requests the full rank-h
-// probabilities (U-kRanks); quality and cleaning get by with the cheaper
-// top-k-only retention, and a light state is upgraded in place the first
-// time a full one is needed — reusing the already-memoized quality
-// evaluation, whose top-k probabilities are identical in both passes, so
-// Quality/PlanCleaning keep the identical pointer across the upgrade.
-//
-// The snapshot is pinned under the entry lock, so every computation — and
-// every answer derived from the returned state — reads one committed
-// epoch, however many mutations commit meanwhile; entry versions advance
-// monotonically because epochs publish monotonically and pins are ordered
-// by the lock. Mutation-owned state never leaks in: the memo belongs to
-// the snapshot it was computed on (evalState holds only epoch-frozen
-// data), which is what makes queries safe to run concurrently with
-// writers.
-//
-// When the database version moved past the entry, the entry is not
-// dropped: migrate resumes the memoized PSR pass from the mutations'
-// dirty-rank watermark (keeping it wholesale when every mutation lies
-// below the scan's early-termination point) and re-derives the TP
-// evaluation from the resumed info. Only when the watermark log cannot
-// answer — or the resume fails (e.g. k now exceeds the x-tuple count) —
-// does the entry fall back to a from-scratch recomputation.
-func (e *Engine) state(ctx context.Context, k int, needFull bool) (*evalState, *Database, error) {
-	e.mu.Lock()
-	ent, ok := e.states[k]
-	if !ok {
-		ent = &kEntry{}
-		e.states[k] = ent
-	}
-	e.mu.Unlock()
-
-	ent.mu.Lock()
-	defer ent.mu.Unlock()
-	snap := e.db.Snapshot()
-	if snap == nil {
-		return nil, nil, uncertain.ErrNotBuilt
-	}
-	version := snap.Version()
-	if ent.st != nil && ent.version != version {
-		ent.migrate(snap, version)
-	}
-	if ent.st != nil && (ent.st.full || !needFull) {
-		return ent.st, snap, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	var info *topkq.RankInfo
-	var err error
-	if needFull {
-		info, err = topkq.RankProbabilities(snap, k)
-	} else {
-		info, err = topkq.TopKProbabilities(snap, k)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if ent.st != nil {
-		// Light → full upgrade: the top-k probabilities (and hence the TP
-		// evaluation) are identical in both passes, so the memoized eval —
-		// and any pointers callers already hold to it — stays valid; only
-		// the rank info is replaced. The eval keeps pointing at the light
-		// info it was computed from (repointing it could race with a
-		// concurrent planner reading Eval.Info; both infos agree on every
-		// top-k probability).
-		ent.st.info = info
-		ent.st.full = true
-		return ent.st, snap, nil
-	}
-	ev, err := quality.TPFromInfo(snap, info)
-	if err != nil {
-		return nil, nil, err
-	}
-	ent.st = &evalState{info: info, eval: ev, full: needFull}
-	ent.version = version
-	return ent.st, snap, nil
-}
-
-// migrate carries a memoized entry across database versions, reading only
-// the pinned snapshot epoch for the new version: it asks the snapshot's
-// DirtySince for the merged dirty-rank watermark of the intervening
-// mutations, resumes the PSR pass from it, and re-derives the TP
-// evaluation from the resumed info. The result is a new evalState (old
-// Results keep pointing at the superseded, still-consistent state), bit-
-// identical to what a from-scratch pass would memoize. On any failure the
-// entry is cleared and the caller recomputes from scratch.
-func (ent *kEntry) migrate(db *Database, version uint64) {
-	defer func() { ent.version = version }()
-	wm, ok := db.DirtySince(ent.version)
-	if !ok {
-		ent.st = nil
-		return
-	}
-	prior := ent.st.info
-	info, err := topkq.Resume(db, prior, wm)
-	if err != nil {
-		ent.st = nil
-		return
-	}
-	ev, err := ent.migrateEval(db, prior, info, wm)
-	if err != nil {
-		ent.st = nil
-		return
-	}
-	ent.st = &evalState{info: info, eval: ev, full: info.HasRho()}
-}
-
-// migrateEval carries the TP evaluation across the same version step. In
-// the pure-cache-hit case — every mutation at or below the early-
-// termination point — with stable group numbering, the evaluation is
-// reusable outright: S, Omega and the sparse group gains are computed from
-// the unchanged prefix alone, and any group appended or dropped by such
-// mutations has all its alternatives below the termination point and
-// hence zero gain, so it has no gain entry to add or remove. Carry shares
-// the gains in O(1) whatever the group count did. Otherwise the evaluation
-// is re-derived from the resumed info (still bit-identical to a
-// from-scratch pass, just costlier).
-func (ent *kEntry) migrateEval(db *Database, prior, info *topkq.RankInfo, wm int) (*quality.Evaluation, error) {
-	pureHit := wm >= prior.Processed && prior.Processed < prior.N
-	if pureHit && db.GroupIndicesStableSince(ent.version) {
-		return ent.st.eval.Carry(info, db.NumGroups()), nil
-	}
-	return quality.TPFromInfo(db, info)
-}
+func (e *Engine) Invalidate() { e.memo.Invalidate() }
 
 // RankInfo returns the engine's shared rank-probability information (the
 // full PSR pass), computing and memoizing it on first use. Subsequent
@@ -269,21 +123,21 @@ func (ent *kEntry) migrateEval(db *Database, prior, info *topkq.RankInfo, wm int
 // pointer. (Quality/cleaning-only sessions that never ask for rank-h
 // probabilities get a lighter top-k-only pass until one is needed.)
 func (e *Engine) RankInfo(ctx context.Context) (*RankInfo, error) {
-	st, _, err := e.state(ctx, e.cfg.k, true)
+	st, err := e.memo.Get(ctx, e.cfg.k, true)
 	if err != nil {
 		return nil, err
 	}
-	return st.info, nil
+	return st.Info, nil
 }
 
 // Quality returns the PWS-quality of the top-k query (TP algorithm,
 // Theorem 1). The score is <= 0; 0 means the answer is certain.
 func (e *Engine) Quality(ctx context.Context) (float64, error) {
-	st, _, err := e.state(ctx, e.cfg.k, false)
+	st, err := e.memo.Get(ctx, e.cfg.k, false)
 	if err != nil {
 		return 0, err
 	}
-	return st.eval.S, nil
+	return st.Eval.S, nil
 }
 
 // QualityAt returns the PWS-quality of a top-k query for an explicit k,
@@ -299,21 +153,21 @@ func (e *Engine) QualityAt(ctx context.Context, k int) (float64, error) {
 // label the answer with the exact version it describes instead of
 // re-reading a possibly newer version afterwards.
 func (e *Engine) QualityAtVersion(ctx context.Context, k int) (quality float64, version uint64, err error) {
-	st, snap, err := e.state(ctx, k, false)
+	st, err := e.memo.Get(ctx, k, false)
 	if err != nil {
 		return 0, 0, err
 	}
-	return st.eval.S, snap.Version(), nil
+	return st.Eval.S, st.View.Version(), nil
 }
 
 // QualityEvaluation returns the full TP evaluation (score, per-tuple
 // weights, per-x-tuple gains) that drives the cleaning planners.
 func (e *Engine) QualityEvaluation(ctx context.Context) (*QualityEvaluation, error) {
-	st, _, err := e.state(ctx, e.cfg.k, false)
+	st, err := e.memo.Get(ctx, e.cfg.k, false)
 	if err != nil {
 		return nil, err
 	}
-	return st.eval, nil
+	return st.Eval, nil
 }
 
 // Answers evaluates all three probabilistic top-k semantics (U-kRanks,
@@ -334,31 +188,26 @@ func (e *Engine) Answers(ctx context.Context) (*Result, error) {
 // WithPTKThreshold, the threshold is not range-validated; out-of-range
 // values simply give an empty or complete PT-k answer.
 func (e *Engine) AnswersThreshold(ctx context.Context, threshold float64) (*Result, error) {
-	st, snap, err := e.state(ctx, e.cfg.k, true)
+	st, err := e.memo.Get(ctx, e.cfg.k, true)
 	if err != nil {
 		return nil, err
 	}
-	// snap is the epoch st was computed on (state pins them together), so
-	// every answer below reads the exact database state of one version.
-	st.ansOnce.Do(func() {
-		st.uk, st.ansErr = topkq.UKRanks(snap, st.info)
-		if st.ansErr == nil {
-			st.gtk = topkq.GlobalTopK(snap, st.info)
-		}
-	})
-	if st.ansErr != nil {
-		return nil, st.ansErr
+	// Every answer reads st.View, the epoch st was computed on, so the
+	// result describes the exact database state of one version.
+	uk, gtk, err := st.Answers()
+	if err != nil {
+		return nil, err
 	}
 	return &Result{
 		K:          e.cfg.k,
 		Threshold:  threshold,
-		Version:    snap.Version(),
-		UKRanks:    st.uk,
-		PTK:        topkq.PTK(snap, st.info, threshold),
-		GlobalTopK: st.gtk,
-		Quality:    st.eval.S,
-		Eval:       st.eval,
-		Info:       st.info,
+		Version:    st.View.Version(),
+		UKRanks:    uk,
+		PTK:        topkq.PTK(st.View, st.Info, threshold),
+		GlobalTopK: gtk,
+		Quality:    st.Eval.S,
+		Eval:       st.Eval,
+		Info:       st.Info,
 	}, nil
 }
 
@@ -369,11 +218,12 @@ func (e *Engine) AnswersThreshold(ctx context.Context, threshold float64) (*Resu
 // mutations continue, and it is stamped with that version; ApplyCleaning
 // refuses contexts whose version a later mutation has left behind.
 func (e *Engine) CleaningContext(ctx context.Context, spec CleaningSpec, budget int) (*CleaningContext, error) {
-	st, snap, err := e.state(ctx, e.cfg.k, false)
+	st, err := e.memo.Get(ctx, e.cfg.k, false)
 	if err != nil {
 		return nil, err
 	}
-	c := &cleaning.Context{DB: snap, K: e.cfg.k, Eval: st.eval, Spec: spec, Budget: budget, Version: snap.Version()}
+	snap := st.View
+	c := &cleaning.Context{DB: snap, K: e.cfg.k, Eval: st.Eval, Spec: spec, Budget: budget, Version: snap.Version()}
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}

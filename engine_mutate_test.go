@@ -293,9 +293,7 @@ func TestEngineStatesBoundedUnderMutateQueryLoop(t *testing.T) {
 		if err := db.InsertXTuple(name, Tuple{ID: name + ".a", Attrs: []float64{float64(i)}, Prob: 0.5}); err != nil {
 			t.Fatal(err)
 		}
-		eng.mu.Lock()
-		n := len(eng.states)
-		eng.mu.Unlock()
+		n := eng.memo.Len()
 		if n > 3 { // k = 5 plus the two alternating QualityAt sizes
 			t.Fatalf("iteration %d: states map holds %d entries, want <= 3", i, n)
 		}
@@ -324,9 +322,7 @@ func TestEngineMigratesInPlace(t *testing.T) {
 	if _, err := eng.Quality(ctx); err != nil {
 		t.Fatal(err)
 	}
-	eng.mu.Lock()
-	n := len(eng.states)
-	eng.mu.Unlock()
+	n := eng.memo.Len()
 	if n != 1 {
 		t.Fatalf("states map holds %d entries after churn, want 1", n)
 	}

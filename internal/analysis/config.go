@@ -105,6 +105,8 @@ func DefaultConfig(dir string) (*Config, error) {
 		// HTTP responses that replicas digest-compare.
 		MapOrderPkgs: []string{
 			uncertain,
+			modPath + "/internal/cowvec",
+			modPath + "/internal/memo",
 			modPath + "/internal/topkq",
 			modPath + "/internal/quality",
 			modPath + "/internal/cleaning",
@@ -118,6 +120,8 @@ func DefaultConfig(dir string) (*Config, error) {
 		// daemon layer and passed in.
 		WallTimePkgs: []string{
 			uncertain,
+			modPath + "/internal/cowvec",
+			modPath + "/internal/memo",
 			modPath + "/internal/topkq",
 			modPath + "/internal/store",
 			modPath + "/internal/replica",

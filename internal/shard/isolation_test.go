@@ -3,8 +3,14 @@ package shard
 import (
 	"context"
 	"fmt"
+	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"github.com/probdb/topkclean/internal/quality"
+	"github.com/probdb/topkclean/internal/topkq"
 	"github.com/probdb/topkclean/internal/uncertain"
 )
 
@@ -40,14 +46,19 @@ func certainLadder(t *testing.T, shards, k, groups int) (*Cluster, *uncertain.Da
 // TestEarlyTerminationPullBound proves the coordinator's lazy merge with
 // the per-shard scan counters: a top-k query whose PSR scan terminates
 // after Processed positions pulls one head from every shard plus one
-// refill per position but the last — Processed + N - 1 tuples in total.
+// refill per position but the last — Processed + N - 1 tuples in total,
+// once per query size compareAll evaluates.
 func TestEarlyTerminationPullBound(t *testing.T) {
 	const shards, k = 4, 3
 	c, db := certainLadder(t, shards, k, 40)
 	compareAll(t, c, db)
 	checkInvariant(t, c)
-	if got := c.ans.info.Processed; got != k {
-		t.Fatalf("scan processed %d positions; Lemma 2 terminates after exactly %d", got, k)
+	var want uint64
+	for _, kq := range comparedKs(k) {
+		if got := c.memo.Peek(kq).Info.Processed; got != kq {
+			t.Fatalf("scan at k=%d processed %d positions; Lemma 2 terminates after exactly %d", kq, got, kq)
+		}
+		want += uint64(kq + shards - 1)
 	}
 	stats := c.Stats()
 	var total uint64
@@ -57,8 +68,8 @@ func TestEarlyTerminationPullBound(t *testing.T) {
 		}
 		total += st.Scanned
 	}
-	if want := uint64(k + shards - 1); total != want {
-		t.Fatalf("merge pulled %d tuples; Processed + N - 1 = %d", total, want)
+	if total != want {
+		t.Fatalf("merge pulled %d tuples; the sum of Processed + N - 1 over k in %v is %d", total, comparedKs(k), want)
 	}
 
 	// Repeated queries at the same version hit the memoized evaluation and
@@ -81,6 +92,62 @@ func TestEarlyTerminationPullBound(t *testing.T) {
 		if st.Scanned != stats[s].Scanned {
 			t.Fatalf("shard %d scanned grew on a memoized query", s)
 		}
+	}
+}
+
+// TestRepeatedQualityAtOtherKPullsNoShard pins the per-k memo: quality at
+// a k other than the configured one is memoized like the configured k's
+// evaluation, so asking again at the same version pulls no shard, and
+// after a mutation below the scan's termination point the resumed entry
+// is a pure cache hit that pulls only the prefix its carry walk compares.
+func TestRepeatedQualityAtOtherKPullsNoShard(t *testing.T) {
+	const shards, k, other = 4, 3, 5
+	c, db := certainLadder(t, shards, k, 40)
+	ctx := context.Background()
+	ask := func() {
+		t.Helper()
+		q, v, err := c.QualityAtVersion(ctx, other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := topkq.TopKProbabilities(db, other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := quality.TPFromInfo(db, info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v != db.Version() || math.Float64bits(q) != math.Float64bits(ev.S) {
+			t.Fatalf("quality at k=%d: (%v, v%d), plain (%v, v%d)", other, q, v, ev.S, db.Version())
+		}
+	}
+	ask()
+	first := totalScanned(c)
+	for i := 0; i < 3; i++ {
+		ask()
+	}
+	if got := totalScanned(c); got != first {
+		t.Fatalf("repeated quality at k=%d pulled %d more tuples at one version", other, got-first)
+	}
+
+	// A reweight at the bottom of the ladder lies below the termination
+	// point: the carry walk re-pulls the processed prefix of the new epoch
+	// (other positions plus one head per shard) and nothing else.
+	if err := c.Reweight(39, []float64{0.5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Reweight(39, []float64{0.5}); err != nil {
+		t.Fatal(err)
+	}
+	ask()
+	if got, limit := totalScanned(c)-first, uint64(other+shards-1); got != limit {
+		t.Fatalf("resumed quality at k=%d pulled %d tuples; its processed prefix is %d", other, got, limit)
+	}
+	mid := totalScanned(c)
+	ask()
+	if got := totalScanned(c); got != mid {
+		t.Fatalf("repeated resumed quality at k=%d pulled %d more tuples", other, got-mid)
 	}
 }
 
@@ -150,4 +217,87 @@ func TestMutationInvalidatesExactlyTouchedShards(t *testing.T) {
 			func(c *Cluster) error { return c.DeleteXTuple(l) },
 			func(db *uncertain.Database) error { return db.DeleteXTuple(l) })
 	}
+}
+
+// TestConcurrentReadersVsWriter runs readers at several k against a
+// writer committing a mutation stream, so memo entries migrate, walk
+// their prior's buffered prefix and replay it while other goroutines
+// still read the superseded entries. Every answer must match the
+// unsharded evaluation of the version it reports, bit for bit. Run it
+// under -race: the readers share merged sources across goroutines.
+func TestConcurrentReadersVsWriter(t *testing.T) {
+	const steps, readers = 150, 3
+	m := newMirror(t, 31, 4, 4, 60)
+	var reads atomic.Int64
+	var plain sync.Map // version -> frozen plain snapshot
+	plain.Store(m.db.Version(), m.db.Snapshot())
+	// expect evaluates version v unsharded. The writer commits the
+	// cluster just before recording the plain snapshot of the same
+	// version, so a reader may briefly wait for it.
+	expect := func(v uint64, k int) (float64, error) {
+		snap, ok := plain.Load(v)
+		for ; !ok; snap, ok = plain.Load(v) {
+			runtime.Gosched()
+		}
+		db := snap.(*uncertain.Database)
+		info, err := topkq.TopKProbabilities(db, k)
+		if err != nil {
+			return 0, err
+		}
+		ev, err := quality.TPFromInfo(db, info)
+		if err != nil {
+			return 0, err
+		}
+		return ev.S, nil
+	}
+	ctx := context.Background()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				k := 1 + (r+i)%5
+				var q float64
+				var v uint64
+				var err error
+				if k == m.c.K() {
+					var res *Result
+					if res, err = m.c.Answers(ctx); err == nil {
+						q, v = res.Quality, res.Version
+					}
+				} else {
+					q, v, err = m.c.QualityAtVersion(ctx, k)
+				}
+				if err != nil {
+					continue // k above the group count at this version
+				}
+				reads.Add(1)
+				want, err := expect(v, k)
+				if err != nil {
+					t.Errorf("reader %d: version %d at k=%d: cluster answered, plain: %v", r, v, k, err)
+					return
+				}
+				if math.Float64bits(q) != math.Float64bits(want) {
+					t.Errorf("reader %d: quality at k=%d, version %d: %v, plain %v", r, k, v, q, want)
+					return
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < steps; i++ {
+		m.step()
+		plain.Store(m.db.Version(), m.db.Snapshot())
+		for reads.Load() < int64(i) && !t.Failed() { // let the readers keep up
+			runtime.Gosched()
+		}
+	}
+	close(done)
+	wg.Wait()
 }

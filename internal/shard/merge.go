@@ -5,7 +5,6 @@ import (
 	"context"
 	"iter"
 
-	"github.com/probdb/topkclean/internal/quality"
 	"github.com/probdb/topkclean/internal/topkq"
 	"github.com/probdb/topkclean/internal/uncertain"
 )
@@ -22,6 +21,13 @@ import (
 // position after the first (and in the null phase, one pull per null).
 // Every pulled pair is buffered, so the answer passes over the same scan
 // replay the buffer and never pull a shard twice.
+//
+// The coordinator memoizes one evaluation per query size k in the same
+// memo the unsharded engine uses (package memo), each over its own merged
+// source. A newer epoch's source finds its dirty-rank watermark by
+// walking its merged order against the prior source's buffered prefix
+// (carryMerged); the resumed scan then replays from the last checkpoint
+// below it, exactly like the engine's.
 
 // Result is the sharded engine's answer bundle, mirroring the unsharded
 // engine's Result surface the daemon serves.
@@ -35,29 +41,19 @@ type Result struct {
 	Quality    float64
 }
 
-// answers is the memoized threshold-independent evaluation of one epoch.
-type answers struct {
-	version uint64
-	src     *merged
-	info    *topkq.RankInfo
-	uk      []topkq.RankedAnswer
-	gtk     []topkq.ScoredAnswer
-	quality float64
-	err     error
-}
-
 // merged is one scan's view of a pinned epoch as a topkq.Source. Its
 // pulls charge each shard's cumulative scan counter; a shard's count
 // includes the one extra pull (its first null) that proves its reals are
 // exhausted. A merged source is not safe for concurrent extension: the
-// scan that fills it runs alone, and later passes read only the prefix
-// it buffered.
+// scan that fills it runs alone (under its memo entry's lock), and later
+// passes read only the prefix it buffered.
 type merged struct {
 	c       *Cluster
 	e       *epoch
 	h       *heads // nil until the first pull
 	nullIdx int    // next directory entry the null phase visits
-	buf     []pair // every pair pulled so far, in global rank order
+	buf     []pair // every pair pulled so far, in global rank order; nil until the first pull
+	bufCap  int    // capacity of buf's first allocation
 }
 
 // pair is one alternative of the merged order with its global group.
@@ -66,9 +62,19 @@ type pair struct {
 	g int
 }
 
-func (c *Cluster) source(e *epoch) *merged {
-	return &merged{c: c, e: e, buf: make([]pair, 0, 256)}
+// pin returns a fresh merged source over the current epoch. Its buffer
+// is allocated on the first pull, so a pin that hits the memo costs one
+// small struct.
+func (c *Cluster) pin() (*merged, error) {
+	e := c.epoch.Load()
+	if e == nil {
+		return nil, uncertain.ErrNotBuilt
+	}
+	return &merged{c: c, e: e, bufCap: 256}, nil
 }
+
+// Version is the cluster version of the source's epoch.
+func (m *merged) Version() uint64 { return m.e.version }
 
 func (m *merged) NumTuples() int { return m.e.n }
 
@@ -76,7 +82,7 @@ func (m *merged) NumGroups() int { return m.e.m }
 
 // GroupAt resolves global group g through the epoch's directory entries.
 func (m *merged) GroupAt(g int) *uncertain.XTuple {
-	en := m.e.entries[g]
+	en := m.e.entries.At(g)
 	return m.e.snaps[en.shard].GroupAt(int(en.local))
 }
 
@@ -103,6 +109,7 @@ func (m *merged) next() bool {
 	e, c := m.e, m.c
 	h := m.h
 	if h == nil {
+		m.buf = make([]pair, 0, m.bufCap)
 		h = &heads{curs: make([]uncertain.Cursor, len(e.snaps)), tops: make([]*uncertain.Tuple, len(e.snaps))}
 		for s, snap := range e.snaps {
 			h.curs[s] = snap.CursorAt(0)
@@ -123,11 +130,11 @@ func (m *merged) next() bool {
 	if len(h.order) > 0 {
 		s := h.order[0]
 		t := h.tops[s]
-		m.buf = append(m.buf, pair{t, int(e.perShard[s][t.Group])})
+		m.buf = append(m.buf, pair{t, int(e.perShard[s].At(t.Group))})
 		return true
 	}
-	for m.nullIdx < len(e.entries) {
-		en := e.entries[m.nullIdx]
+	for m.nullIdx < e.entries.Len() {
+		en := e.entries.At(m.nullIdx)
 		gi := m.nullIdx
 		m.nullIdx++
 		nt := e.snaps[en.shard].GroupAt(int(en.local)).NullTuple()
@@ -183,39 +190,34 @@ func (h *heads) Pop() any {
 	return s
 }
 
-// evalAt returns the memoized evaluation of epoch e, computing it on
-// first use. Single-flight under qmu: concurrent first queries for one
-// version compute the scan exactly once.
-func (c *Cluster) evalAt(ctx context.Context, e *epoch) (*answers, error) {
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
-	if c.ans != nil && c.ans.version == e.version {
-		if c.ans.err != nil {
-			return nil, c.ans.err
+// carryMerged finds the dirty-rank watermark between two epochs' merged
+// orders by walking cur's order against prior's buffered prefix until an
+// alternative's *Tuple or its global group differs. A published tuple is
+// immutable — every mutation clones what it writes — so an equal pointer
+// is an equal score and probability, and the global group pins the
+// x-tuple's index; positions up to the first difference therefore hold
+// the same scan input in both. The walk never pulls more than the scan
+// would: the answer passes need cur's prefix pulled anyway, and a match
+// through prior's processed prefix — the pure cache hit — is exactly the
+// prefix the carried evaluation covers, with every x-tuple in it keeping
+// its index.
+//
+// The minimum of the per-shard DirtySince watermarks would not do: those
+// are shard-local rank positions, and a changed alternative in one shard
+// can outrank positions another shard contributes to the unchanged global
+// prefix, so no mapping of them to global positions bounds the change.
+func carryMerged(cur, prior *merged, info *topkq.RankInfo) (wm int, stable, ok bool) {
+	cur.bufCap = info.Processed + 1
+	n := min(len(prior.buf), info.Processed)
+	for i := 0; i < n; i++ {
+		if i == len(cur.buf) && !cur.next() {
+			return i, false, true
 		}
-		return c.ans, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	a := &answers{version: e.version, src: c.source(e)}
-	a.info, a.err = topkq.RankProbabilities(a.src, c.cfg.K)
-	if a.err == nil {
-		a.uk, a.err = topkq.UKRanks(a.src, a.info)
-	}
-	if a.err == nil {
-		a.gtk = topkq.GlobalTopK(a.src, a.info)
-		var ev *quality.Evaluation
-		ev, a.err = quality.TPFromInfo(a.src, a.info)
-		if a.err == nil {
-			a.quality = ev.S
+		if cur.buf[i] != prior.buf[i] {
+			return i, false, true
 		}
 	}
-	c.ans = a
-	if a.err != nil {
-		return nil, a.err
-	}
-	return a, nil
+	return n, n == info.Processed, true
 }
 
 // Answers evaluates all three top-k semantics plus the quality at the
@@ -227,54 +229,35 @@ func (c *Cluster) Answers(ctx context.Context) (*Result, error) {
 // AnswersThreshold is Answers with an explicit PT-k threshold for this
 // call; only the cheap threshold scan differs between calls.
 func (c *Cluster) AnswersThreshold(ctx context.Context, threshold float64) (*Result, error) {
-	e := c.epoch.Load()
-	if e == nil {
-		return nil, uncertain.ErrNotBuilt
+	st, err := c.memo.Get(ctx, c.cfg.K, true)
+	if err != nil {
+		return nil, err
 	}
-	a, err := c.evalAt(ctx, e)
+	uk, gtk, err := st.Answers()
 	if err != nil {
 		return nil, err
 	}
 	return &Result{
 		K:          c.cfg.K,
 		Threshold:  threshold,
-		Version:    e.version,
-		UKRanks:    a.uk,
-		PTK:        topkq.PTK(a.src, a.info, threshold),
-		GlobalTopK: a.gtk,
-		Quality:    a.quality,
+		Version:    st.View.Version(),
+		UKRanks:    uk,
+		PTK:        topkq.PTK(st.View, st.Info, threshold),
+		GlobalTopK: gtk,
+		Quality:    st.Eval.S,
 	}, nil
 }
 
 // QualityAtVersion returns the PWS-quality of a top-k query for an
-// explicit k, with the cluster version it was computed against. The
-// configured k hits the memoized evaluation; other k run a fresh (rho-
-// free) merged scan.
+// explicit k, with the cluster version it was computed against. Every k
+// has its own memoized evaluation, resumed across versions like the
+// configured k's.
 func (c *Cluster) QualityAtVersion(ctx context.Context, k int) (float64, uint64, error) {
-	e := c.epoch.Load()
-	if e == nil {
-		return 0, 0, uncertain.ErrNotBuilt
-	}
-	if k == c.cfg.K {
-		a, err := c.evalAt(ctx, e)
-		if err != nil {
-			return 0, 0, err
-		}
-		return a.quality, e.version, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, 0, err
-	}
-	src := c.source(e)
-	info, err := topkq.TopKProbabilities(src, k)
+	st, err := c.memo.Get(ctx, k, false)
 	if err != nil {
 		return 0, 0, err
 	}
-	ev, err := quality.TPFromInfo(src, info)
-	if err != nil {
-		return 0, 0, err
-	}
-	return ev.S, e.version, nil
+	return st.Eval.S, st.View.Version(), nil
 }
 
 // ShardStat is one shard's serving counters, exposed through the

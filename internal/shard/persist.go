@@ -279,7 +279,7 @@ func Open(cfg Config) (*Cluster, error) {
 		if v := sh.live().Version(); v != shardV[i] {
 			return fail(fmt.Errorf("%w: shard %d at v%d, directory expects v%d", ErrInconsistent, i, v, shardV[i]))
 		}
-		if got, want := sh.live().NumGroups(), c.dir.size[i]+1; got != want {
+		if got, want := sh.live().NumGroups(), c.dir.perShard[i].Len(); got != want {
 			return fail(fmt.Errorf("%w: shard %d holds %d groups, directory expects %d", ErrInconsistent, i, got, want))
 		}
 	}

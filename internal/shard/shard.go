@@ -45,6 +45,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/probdb/topkclean/internal/memo"
 	"github.com/probdb/topkclean/internal/store"
 	"github.com/probdb/topkclean/internal/topkq"
 	"github.com/probdb/topkclean/internal/uncertain"
@@ -134,9 +135,7 @@ type Cluster struct {
 	metaSince int           // records since the last meta checkpoint
 
 	epoch atomic.Pointer[epoch]
-
-	qmu sync.Mutex // single-flight guard for the memoized evaluation
-	ans *answers
+	memo  *memo.Memo[*merged] // memoized evaluation per query size k
 
 	stage *uncertain.Database // staging database before Build; nil after
 }
@@ -153,7 +152,9 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Rank == nil {
 		cfg.Rank = uncertain.ByFirstAttr
 	}
-	return &Cluster{cfg: cfg, rank: cfg.Rank, stage: uncertain.New()}, nil
+	c := &Cluster{cfg: cfg, rank: cfg.Rank, stage: uncertain.New()}
+	c.memo = memo.New(c.pin, carryMerged)
+	return c, nil
 }
 
 // AddXTuple stages an x-tuple before Build, with the staging validation

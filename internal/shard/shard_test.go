@@ -226,20 +226,30 @@ func totalScanned(c *Cluster) uint64 {
 	return n
 }
 
-// checkPullBound requires the merge to have pulled at most
-// Processed + N tuples since the pull count before, across every query
-// compareAll issued: they all share the epoch's one memoized scan.
+// checkPullBound requires the merge to have pulled, since the pull count
+// before, at most Processed_k + N tuples for every query size k compareAll
+// evaluated: every query of one k shares that k's memoized scan, whose
+// carry walk pulls no position the scan does not process.
 func checkPullBound(t *testing.T, c *Cluster, before uint64) {
 	t.Helper()
-	a := c.ans
-	if a == nil || a.err != nil {
-		return // error parity is compareAll's job
+	var limit uint64
+	for _, k := range comparedKs(c.K()) {
+		st := c.memo.Peek(k)
+		if st == nil || st.View.Version() != c.Version() {
+			continue // an error at this k; error parity is compareAll's job
+		}
+		limit += uint64(st.Info.Processed + c.Shards())
 	}
-	if got, limit := totalScanned(c)-before, uint64(a.info.Processed+c.Shards()); got > limit {
-		t.Fatalf("merge pulled %d tuples for %d processed positions on %d shards; bound is %d",
-			got, a.info.Processed, c.Shards(), limit)
+	if got := totalScanned(c) - before; got > limit {
+		t.Fatalf("merge pulled %d tuples on %d shards; the bound over k in %v is %d",
+			got, c.Shards(), comparedKs(c.K()), limit)
 	}
 }
+
+// comparedKs lists the query sizes compareAll evaluates: the configured
+// K, whose memo serves the answers, and three others served by their own
+// memo entries.
+func comparedKs(k int) []int { return []int{k, 1, 2, k + 1} }
 
 // compareAll checks the cluster's full answer surface bit-for-bit against
 // the unsharded evaluation of db.
@@ -286,6 +296,26 @@ func compareAll(t *testing.T, c *Cluster, db *uncertain.Database) {
 		}
 		compareScored(t, fmt.Sprintf("PTK(%g)", th), resT.PTK, topkq.PTK(db, info, th))
 	}
+	for _, kq := range comparedKs(k)[1:] {
+		q, v, errC := c.QualityAtVersion(context.Background(), kq)
+		var want *quality.Evaluation
+		infoK, errP := topkq.TopKProbabilities(db, kq)
+		if errP == nil {
+			want, errP = quality.TPFromInfo(db, infoK)
+		}
+		if (errC == nil) != (errP == nil) || errC != nil && errC.Error() != errP.Error() {
+			t.Fatalf("quality at k=%d error parity: cluster=%v plain=%v", kq, errC, errP)
+		}
+		if errC != nil {
+			continue
+		}
+		if v != db.Version() {
+			t.Fatalf("quality at k=%d: version %d, plain %d", kq, v, db.Version())
+		}
+		if math.Float64bits(q) != math.Float64bits(want.S) {
+			t.Fatalf("quality bits at k=%d: cluster %v, plain %v", kq, q, want.S)
+		}
+	}
 }
 
 func compareRanked(t *testing.T, what string, got, want []topkq.RankedAnswer) {
@@ -328,12 +358,21 @@ func checkInvariant(t *testing.T, c *Cluster) {
 	for s := range next {
 		next[s] = 1
 	}
+	if got, want := c.dir.view.Len(), len(c.dir.entries); got != want {
+		t.Fatalf("placement view holds %d entries, directory %d", got, want)
+	}
 	for gi, e := range c.dir.entries {
 		if e.local != next[e.shard] {
 			t.Fatalf("entry %d on shard %d records local %d; its rank among the shard's entries is %d",
 				gi, e.shard, e.local, next[e.shard])
 		}
 		next[e.shard]++
+		if v := c.dir.view.At(gi); int(v.shard) != e.shard || int(v.local) != e.local {
+			t.Fatalf("entry %d: placement view says (%d, %d), directory (%d, %d)", gi, v.shard, v.local, e.shard, e.local)
+		}
+		if got := c.dir.perShard[e.shard].At(e.local); int(got) != gi {
+			t.Fatalf("entry %d: shard %d's map sends local %d to global %d", gi, e.shard, e.local, got)
+		}
 		reals := c.shards[e.shard].live().GroupAt(e.local).RealTuples()
 		if len(reals) != len(e.gseqs) {
 			t.Fatalf("entry %d: %d reals, %d stamps", gi, len(reals), len(e.gseqs))
@@ -346,8 +385,9 @@ func checkInvariant(t *testing.T, c *Cluster) {
 	}
 	for s, sh := range c.shards {
 		db := sh.live()
-		if got := db.NumGroups() - 1; got != next[s]-1 || got != c.dir.size[s] {
-			t.Fatalf("shard %d holds %d groups; directory places %d (size %d)", s, got, next[s]-1, c.dir.size[s])
+		if got := db.NumGroups() - 1; got != next[s]-1 || got != c.dir.perShard[s].Len()-1 {
+			t.Fatalf("shard %d holds %d groups; directory places %d (local map %d)",
+				s, got, next[s]-1, c.dir.perShard[s].Len()-1)
 		}
 		cur := db.CursorAt(0)
 		var prev *uncertain.Tuple

@@ -58,10 +58,15 @@ type RankInfo struct {
 	// group indices (DeleteXTuple shifts later groups down) and clone
 	// x-tuples copy-on-write, but the stable identity XTuple.Is matches on
 	// survives both, so the log outlives renumbering and cloning and is
-	// re-resolved to current indices at restore time.
+	// re-resolved to current indices at restore time. gidx[s] is the
+	// source's group index of slot s when it was recorded: the hint the
+	// re-resolution probes first, since a source's group index need not be
+	// the x-tuple's own Tuple.Group (the shard merge numbers groups
+	// globally, its x-tuples shard-locally).
 	wslot []int32
 	wq    []float64
 	ids   []*uncertain.XTuple
+	gidx  []int32
 
 	// deconvLim is the deconvolution threshold the pass ran with, kept so
 	// Resume replays with the identical numeric path. Zero marks an info
@@ -100,6 +105,7 @@ func (ri *RankInfo) presize(n, slots int, keepRho bool) {
 	ri.wslot = make([]int32, 0, n)
 	ri.wq = make([]float64, 0, n)
 	ri.ids = make([]*uncertain.XTuple, 0, slots)
+	ri.gidx = make([]int32, 0, slots)
 	blocks := n/checkpointEvery + 1
 	ri.ckpts = make([]checkpoint, 0, blocks)
 	if keepRho {

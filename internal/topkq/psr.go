@@ -208,6 +208,7 @@ func (st *scanState) step(src Source, info *RankInfo, g int, e, deconvLim float6
 		s = len(st.active)
 		st.activate(g, qNew)
 		info.ids = append(info.ids, src.GroupAt(g))
+		info.gidx = append(info.gidx, int32(g))
 	} else {
 		st.ex.set(s, qNew)
 	}
@@ -235,8 +236,8 @@ func (st *scanState) snapshot(pos, rebuilds int) checkpoint {
 // from prior's slot table, then replays prior's write log up to pos. The
 // exclusion tree is a pure function of its leaves, so the rebuilt state
 // holds the same bits as the scan's own state at pos. The slots' current
-// x-tuples become info's slot table, so a later resume from info searches
-// from current indices. It reports false when a referenced x-tuple no
+// x-tuples and group indices become info's slot table, so a later resume
+// from info searches from current indices. It reports false when a referenced x-tuple no
 // longer belongs to the source (it was deleted); that can only happen for
 // a checkpoint beyond the mutation's watermark, which Resume never
 // selects under the documented contract — the check is a safety net that
@@ -245,15 +246,17 @@ func (c *checkpoint) restore(src Source, prior, info *RankInfo) (*scanState, boo
 	m := src.NumGroups()
 	st := newScanState(prior.K, m)
 	copy(st.F, c.F)
-	for _, x := range prior.ids[:c.slots] {
-		g, cur := locate(src, x, m)
+	for s, x := range prior.ids[:c.slots] {
+		g, cur := locate(src, x, int(prior.gidx[s]), m)
 		if g < 0 {
 			st.release()
 			info.ids = info.ids[:0]
+			info.gidx = info.gidx[:0]
 			return nil, false
 		}
 		st.activate(g, 0)
 		info.ids = append(info.ids, cur)
+		info.gidx = append(info.gidx, int32(g))
 	}
 	for p, s := range prior.wslot[:c.pos] {
 		st.ex.set(int(s), prior.wq[p])
@@ -263,18 +266,18 @@ func (c *checkpoint) restore(src Source, prior, info *RankInfo) (*scanState, boo
 }
 
 // locate returns the index of x in src and src's x-tuple there (matched by
-// XTuple.Is), or -1 when src no longer holds it. The search starts at x's
-// own group index, frozen when x was recorded: that still names x for a
-// database source unless a delete renumbered the survivors since, even if
+// XTuple.Is), or -1 when src no longer holds it. The search starts at
+// hint, the source's group index of x when it was recorded: that still
+// names x unless a delete renumbered the survivors since, even if
 // copy-on-write replaced the object itself. Deletes shift the survivors
 // above them down and inserts append, so the search continues downward
 // from there first and finds a renumbered x-tuple after one probe per
 // intervening delete.
-func locate(src Source, x *uncertain.XTuple, m int) (int, *uncertain.XTuple) {
+func locate(src Source, x *uncertain.XTuple, hint, m int) (int, *uncertain.XTuple) {
 	if len(x.Tuples) == 0 {
 		return -1, nil
 	}
-	g0 := min(x.Tuples[0].Group, m-1)
+	g0 := min(hint, m-1)
 	for g := g0; g >= 0; g-- {
 		if y := src.GroupAt(g); y.Is(x) {
 			return g, y

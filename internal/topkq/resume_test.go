@@ -3,6 +3,7 @@ package topkq
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
 	"testing"
 
@@ -424,6 +425,95 @@ func TestRestoreAfterDeleteLocatesInLinearCalls(t *testing.T) {
 			t.Fatalf("step %d: resume made %d GroupAt calls for %d slots, want <= %d", step, src.groupAt, len(resumed.ids), limit)
 		}
 		prior = resumed
+	}
+}
+
+// swapped numbers a database's x-tuples with adjacent pairs exchanged
+// (group g becomes g^1; the last group of an odd count keeps its index),
+// so its group indices differ from every x-tuple's own Tuple.Group, as
+// the shard merge's global indices differ from its shard-local ones.
+type swapped struct{ db *uncertain.Database }
+
+func (s swapped) idx(g int) int {
+	if h := g ^ 1; h < s.db.NumGroups() {
+		return h
+	}
+	return g
+}
+
+func (s swapped) NumTuples() int { return s.db.NumTuples() }
+
+func (s swapped) NumGroups() int { return s.db.NumGroups() }
+
+func (s swapped) GroupAt(g int) *uncertain.XTuple { return s.db.GroupAt(s.idx(g)) }
+
+func (s swapped) Ranked(pos int) iter.Seq2[*uncertain.Tuple, int] {
+	return func(yield func(*uncertain.Tuple, int) bool) {
+		for t, g := range s.db.Ranked(pos) {
+			if !yield(t, s.idx(g)) {
+				return
+			}
+		}
+	}
+}
+
+// TestRestoreThroughRenumberingSourceLocatesInLinearCalls pins the slot
+// index hint: through a source whose group indices are not the x-tuples'
+// own Tuple.Group, restoring a checkpoint probes each slot's recorded
+// source index first, so a resume makes O(slots) GroupAt calls — not a
+// search per slot that starts from the wrong index — and stays
+// bit-identical to a fresh scan of the same source, rank probabilities
+// included.
+func TestRestoreThroughRenumberingSourceLocatesInLinearCalls(t *testing.T) {
+	const k = 10
+	db := headTailDB(t, 300, 3000)
+	src := swapped{db}
+	rng := rand.New(rand.NewSource(23))
+	for _, full := range []bool{false, true} {
+		scan := TopKProbabilities
+		if full {
+			scan = RankProbabilities
+		}
+		prior, err := scan(src, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 3; step++ {
+			version := db.Version()
+			// Lower the probability of one alternative at a rank position
+			// past the first checkpoints but inside the processed prefix.
+			at := db.AtRank(2*checkpointEvery + rng.Intn(prior.Processed-2*checkpointEvery))
+			var probs []float64
+			for _, rt := range db.GroupAt(at.Group).RealTuples() {
+				p := rt.Prob
+				if rt == at {
+					p *= 0.9
+				}
+				probs = append(probs, p)
+			}
+			if err := db.Reweight(at.Group, probs); err != nil {
+				t.Fatal(err)
+			}
+			wm, ok := db.DirtySince(version)
+			if !ok || wm < 2*checkpointEvery || wm >= prior.Processed {
+				t.Fatalf("full=%v step %d: watermark %d (ok %v), want inside [%d, %d)", full, step, wm, ok, 2*checkpointEvery, prior.Processed)
+			}
+			counted := &countingSource{Source: src}
+			resumed, err := Resume(counted, prior, wm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := scan(src, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertBitIdentical(t, fmt.Sprintf("full=%v step %d", full, step), resumed, fresh)
+			if limit := 2 * len(resumed.ids); counted.groupAt > limit {
+				t.Fatalf("full=%v step %d: resume made %d GroupAt calls for %d slots, want <= %d",
+					full, step, counted.groupAt, len(resumed.ids), limit)
+			}
+			prior = resumed
+		}
 	}
 }
 

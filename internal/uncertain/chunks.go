@@ -417,161 +417,3 @@ func (c *Cursor) Next() *Tuple {
 type errSpine string
 
 func (e errSpine) Error() string { return "uncertain: rank spine corrupt: " + string(e) }
-
-// groupVec is the database's x-tuple vector, indexed by group number. It
-// follows the rank spine's sharing contract with fixed-size chunks instead
-// of score-sorted ones: group l lives at spine[l>>groupChunkBits], offset
-// l&groupChunkMask, so GroupAt is two loads with no search. Every chunk but
-// the last is full; slots at or beyond n in the last chunk are nil.
-//
-// publish hands the current (spine, n) pair to the frozen epoch, marks the
-// spine shared, and bumps the epoch. The writer's first write after that
-// copies the spine (one pointer per chunk: ~3 KiB at m = 10^5), and the
-// first write into a chunk in an unpublished epoch clones that chunk
-// (own; priv records the epoch that may write it in place). A commit thus
-// copies the spine plus only the chunks it dirtied: append touches the
-// last chunk, a set touches one, and a delete at l shifts the chunks from
-// l onward — the same order as the x-tuple clones a renumbering delete
-// already pays.
-const (
-	groupChunkBits = 8
-	groupChunkSize = 1 << groupChunkBits
-	groupChunkMask = groupChunkSize - 1
-)
-
-// groupChunk is one fixed run of group slots. xs is immutable once the
-// chunk is shared with a published epoch.
-type groupChunk struct {
-	xs   [groupChunkSize]*XTuple
-	priv uint64 // epoch that may write this chunk in place
-}
-
-// groupVec is held by value in Database, like rankStore, so that publish
-// can hand a frozen epoch its own (spine, n) pair by struct copy.
-type groupVec struct {
-	spine  []*groupChunk
-	n      int
-	epoch  uint64
-	shared bool // spine is referenced by a published epoch
-}
-
-// at returns group l. O(1); l must lie in [0, n).
-func (v *groupVec) at(l int) *XTuple {
-	return v.spine[l>>groupChunkBits].xs[l&groupChunkMask]
-}
-
-// all iterates the groups in index order.
-func (v *groupVec) all() iter.Seq2[int, *XTuple] {
-	return func(yield func(int, *XTuple) bool) {
-		for l := 0; l < v.n; l++ {
-			if !yield(l, v.at(l)) {
-				return
-			}
-		}
-	}
-}
-
-// own returns a writable chunk for spine position ci, copying the spine on
-// the first write after a publish and cloning the chunk on its first write
-// in the current epoch.
-func (v *groupVec) own(ci int) *groupChunk {
-	v.ownSpine()
-	c := v.spine[ci]
-	if c.priv != v.epoch {
-		c = &groupChunk{xs: c.xs, priv: v.epoch}
-		v.spine[ci] = c
-	}
-	return c
-}
-
-// ownSpine copies the spine if a published epoch still references it.
-func (v *groupVec) ownSpine() {
-	if v.shared {
-		v.spine = append(make([]*groupChunk, 0, len(v.spine)+1), v.spine...)
-		v.shared = false
-	}
-}
-
-// set replaces group l.
-func (v *groupVec) set(l int, x *XTuple) {
-	v.own(l >> groupChunkBits).xs[l&groupChunkMask] = x
-}
-
-// append adds x as group n.
-func (v *groupVec) append(x *XTuple) {
-	off := v.n & groupChunkMask
-	if off == 0 {
-		v.ownSpine()
-		v.spine = append(v.spine, &groupChunk{priv: v.epoch})
-	}
-	v.own(len(v.spine) - 1).xs[off] = x
-	v.n++
-}
-
-// deleteAt removes group l, shifting every later group down one index.
-func (v *groupVec) deleteAt(l int) {
-	last := len(v.spine) - 1
-	lo := l & groupChunkMask
-	for ci := l >> groupChunkBits; ci <= last; ci++ {
-		c := v.own(ci)
-		copy(c.xs[lo:], c.xs[lo+1:])
-		c.xs[groupChunkMask] = nil
-		if ci < last {
-			c.xs[groupChunkMask] = v.spine[ci+1].xs[0]
-		}
-		lo = 0
-	}
-	v.n--
-	if v.n&groupChunkMask == 0 {
-		v.spine[last] = nil
-		v.spine = v.spine[:last]
-	}
-}
-
-// publish returns the frozen view of the current state and starts a new
-// epoch: from here on every chunk, and the spine itself, is shared.
-func (v *groupVec) publish() groupVec {
-	view := groupVec{spine: v.spine, n: v.n, epoch: v.epoch, shared: true}
-	v.shared = true
-	v.epoch++
-	return view
-}
-
-// materialize returns the groups as one flat slice (Database.Groups). O(m).
-func (v *groupVec) materialize() []*XTuple {
-	out := make([]*XTuple, 0, v.n)
-	for ci, c := range v.spine {
-		end := groupChunkSize
-		if ci == len(v.spine)-1 && v.n&groupChunkMask != 0 {
-			end = v.n & groupChunkMask
-		}
-		out = append(out, c.xs[:end]...)
-	}
-	return out
-}
-
-// check validates the vector's structural invariants: the spine holds
-// exactly the chunks n needs, each at most once, no chunk is stamped with
-// a future epoch, the first n slots are set, and the slots past n are nil.
-// It reads only epoch-frozen state, so it is safe on snapshots.
-func (v *groupVec) check() error {
-	if v.n < 0 || len(v.spine) != (v.n+groupChunkMask)>>groupChunkBits {
-		return errSpine("group spine length does not match group count")
-	}
-	seen := make(map[*groupChunk]bool, len(v.spine))
-	for ci, c := range v.spine {
-		if c == nil || seen[c] {
-			return errSpine("group chunk missing or repeated")
-		}
-		seen[c] = true
-		if c.priv > v.epoch {
-			return errSpine("group chunk stamped with a future epoch")
-		}
-		for off, x := range c.xs {
-			if (ci<<groupChunkBits+off < v.n) != (x != nil) {
-				return errSpine("group slot set past n or unset below it")
-			}
-		}
-	}
-	return nil
-}

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"github.com/probdb/topkclean/internal/cowvec"
 )
 
 // Database is an x-tuple probabilistic database D. Construct one with New,
@@ -14,7 +16,7 @@ import (
 // alternatives, and fixes the global rank order that all algorithms assume
 // ("tuples in D are arranged in descending order of ranks", Section IV).
 type Database struct {
-	groups  groupVec // x-tuples by group index; see chunks.go
+	groups  cowvec.Vec[*XTuple] // x-tuples by group index, copy-on-write per commit
 	rank    RankFunc
 	rs      rankStore // all alternatives (incl. nulls) in descending rank order; see chunks.go
 	built   bool
@@ -96,7 +98,7 @@ func (db *Database) AddXTuple(name string, tuples ...Tuple) error {
 	if err := x.validate(); err != nil {
 		return err
 	}
-	db.groups.append(x)
+	db.groups.Append(x)
 	return nil
 }
 
@@ -111,7 +113,7 @@ func (db *Database) AddAbsentXTuple(name string) error {
 	if db.built {
 		return ErrAlreadyBuilt
 	}
-	db.groups.append(&XTuple{Name: name})
+	db.groups.Append(&XTuple{Name: name})
 	return nil
 }
 
@@ -125,7 +127,7 @@ func (db *Database) Build(rank RankFunc) error {
 	if db.built {
 		return ErrAlreadyBuilt
 	}
-	if db.groups.n == 0 {
+	if db.groups.Len() == 0 {
 		return ErrNoGroups
 	}
 	if rank == nil {
@@ -134,7 +136,7 @@ func (db *Database) Build(rank RankFunc) error {
 	seen := make(map[string]bool)
 	ord := 0
 	total := 0
-	for gi, x := range db.groups.all() {
+	for gi, x := range db.groups.All() {
 		if err := x.validate(); err != nil {
 			return err
 		}
@@ -183,7 +185,7 @@ func (db *Database) Build(rank RankFunc) error {
 	db.rank = rank
 	sorted := make([]*Tuple, 0, total)
 	db.byID = make(map[string]*Tuple, total)
-	for _, x := range db.groups.all() {
+	for _, x := range db.groups.All() {
 		sorted = append(sorted, x.Tuples...)
 		for _, t := range x.Tuples {
 			db.byID[t.ID] = t
@@ -199,7 +201,7 @@ func (db *Database) Build(rank RankFunc) error {
 		}
 	}
 	db.rs = newRankStore(sorted)
-	for _, x := range db.groups.all() {
+	for _, x := range db.groups.All() {
 		x.uid = db.newUID()
 	}
 	db.nextOrd = ord
@@ -311,14 +313,14 @@ func (db *Database) marksSince(since uint64) ([]versionMark, bool) {
 func (db *Database) Built() bool { return db.built }
 
 // NumGroups returns m, the number of x-tuples.
-func (db *Database) NumGroups() int { return db.groups.n }
+func (db *Database) NumGroups() int { return db.groups.Len() }
 
 // NumRealTuples returns n, the number of user-supplied tuples (excluding
 // materialized nulls). This is the "database size" of Section VI.
 func (db *Database) NumRealTuples() int {
 	if !db.built {
 		n := 0
-		for _, x := range db.groups.all() {
+		for _, x := range db.groups.All() {
 			n += len(x.Tuples)
 		}
 		return n
@@ -337,19 +339,19 @@ func (db *Database) NumTuples() int { return db.rs.n }
 // Groups materializes a fresh O(m) slice per call. It remains for
 // whole-set consumers (export, world enumeration, partitioning); reach a
 // single x-tuple with GroupAt, which is O(1) and allocation-free.
-func (db *Database) Groups() []*XTuple { return db.groups.materialize() }
+func (db *Database) Groups() []*XTuple { return db.groups.Materialize() }
 
 // GroupAt returns the x-tuple at index l in O(1). l must lie in
 // [0, NumGroups()); like a slice index, anything else panics. Use Group
 // for a checked lookup.
-func (db *Database) GroupAt(l int) *XTuple { return db.groups.at(l) }
+func (db *Database) GroupAt(l int) *XTuple { return db.groups.At(l) }
 
 // Group returns the x-tuple at index l.
 func (db *Database) Group(l int) (*XTuple, error) {
-	if l < 0 || l >= db.groups.n {
-		return nil, fmt.Errorf("index %d of %d: %w", l, db.groups.n, ErrBadGroupIndex)
+	if l < 0 || l >= db.groups.Len() {
+		return nil, fmt.Errorf("index %d of %d: %w", l, db.groups.Len(), ErrBadGroupIndex)
 	}
-	return db.groups.at(l), nil
+	return db.groups.At(l), nil
 }
 
 // Sorted returns all alternatives in descending rank order (position 0 is
@@ -402,7 +404,7 @@ func (db *Database) Clone() *Database {
 		nextOrd: db.nextOrd, nextUID: db.nextUID,
 		marks: append([]versionMark(nil), db.marks...)}
 	clones := make(map[*Tuple]*Tuple, db.rs.n)
-	for _, x := range db.groups.all() {
+	for _, x := range db.groups.All() {
 		nx := &XTuple{Name: x.Name, uid: x.uid, Tuples: make([]*Tuple, len(x.Tuples))}
 		for ti, t := range x.Tuples {
 			// Copy the frozen fields individually rather than the whole
@@ -416,7 +418,7 @@ func (db *Database) Clone() *Database {
 			nx.Tuples[ti] = &c
 			clones[t] = &c
 		}
-		out.groups.append(nx)
+		out.groups.Append(nx)
 	}
 	if db.built {
 		sorted := make([]*Tuple, 0, db.rs.n)
@@ -444,15 +446,15 @@ func (db *Database) Cleaned(l, choice int) (*Database, error) {
 	if !db.built {
 		return nil, ErrNotBuilt
 	}
-	if l < 0 || l >= db.groups.n {
-		return nil, fmt.Errorf("index %d of %d: %w", l, db.groups.n, ErrBadGroupIndex)
+	if l < 0 || l >= db.groups.Len() {
+		return nil, fmt.Errorf("index %d of %d: %w", l, db.groups.Len(), ErrBadGroupIndex)
 	}
-	x := db.groups.at(l)
+	x := db.groups.At(l)
 	if choice < 0 || choice >= len(x.Tuples) {
 		return nil, fmt.Errorf("choice %d of %d: %w", choice, len(x.Tuples), ErrBadChoice)
 	}
 	out := New()
-	for gi, g := range db.groups.all() {
+	for gi, g := range db.groups.All() {
 		if gi != l {
 			ts := make([]Tuple, 0, len(g.Tuples))
 			for _, t := range g.RealTuples() {
@@ -496,11 +498,14 @@ func (db *Database) Validate() error {
 	if !db.built {
 		return ErrNotBuilt
 	}
-	if err := db.groups.check(); err != nil {
+	if err := db.groups.Check(); err != nil {
 		return err
 	}
 	seen := make(map[string]bool)
-	for _, x := range db.groups.all() {
+	for _, x := range db.groups.All() {
+		if x == nil {
+			return errSpine("group slot unset below the group count")
+		}
 		if err := x.validate(); err != nil {
 			return err
 		}

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"github.com/probdb/topkclean/internal/cowvec"
 )
 
 // fuzzSeedDB builds a small mixed database (certain, uncertain, absent
@@ -103,7 +105,7 @@ func FuzzDecodeWire(f *testing.F) {
 // FuzzGroupVec drives the copy-on-write group vector with arbitrary
 // append / set / delete-at / publish sequences and checks it against a
 // plain-slice model after every step: the writer's contents equal the
-// model's, the structural invariants (groupVec.check) hold for the writer
+// model's, the structural invariants (cowvec.Vec.Check) hold for the writer
 // and every published view, every view still holds exactly what the model
 // held when it was published, and no chunk a view reaches is writable in
 // place by the writer (its priv stamp is an older epoch).
@@ -114,11 +116,11 @@ func FuzzGroupVec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const maxSteps, maxGroups, maxViews = 128, 4096, 32
 		type view struct {
-			v    groupVec
+			v    cowvec.Vec[*XTuple]
 			want []*XTuple
 		}
 		var (
-			v     groupVec
+			v     cowvec.Vec[*XTuple]
 			model []*XTuple
 			views []view
 			next  int
@@ -127,15 +129,15 @@ func FuzzGroupVec(f *testing.F) {
 			next++
 			return &XTuple{Name: fmt.Sprint(next)}
 		}
-		checkView := func(label string, got groupVec, want []*XTuple) {
-			if err := got.check(); err != nil {
+		checkView := func(label string, got cowvec.Vec[*XTuple], want []*XTuple) {
+			if err := got.Check(); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			if got.n != len(want) {
-				t.Fatalf("%s: %d groups, want %d", label, got.n, len(want))
+			if got.Len() != len(want) {
+				t.Fatalf("%s: %d groups, want %d", label, got.Len(), len(want))
 			}
 			for l, x := range want {
-				if got.at(l) != x {
+				if got.At(l) != x {
 					t.Fatalf("%s: group %d differs from the model", label, l)
 				}
 			}
@@ -151,48 +153,43 @@ func FuzzGroupVec(f *testing.F) {
 			case 0:
 				if len(model) < maxGroups {
 					x := fresh()
-					v.append(x)
+					v.Append(x)
 					model = append(model, x)
 				}
 			case 1:
 				if len(model) > 0 {
 					l := arg * 17 % len(model)
 					x := fresh()
-					v.set(l, x)
+					v.Set(l, x)
 					model[l] = x
 				}
 			case 2:
 				if len(model) > 0 {
 					l := arg * 17 % len(model)
-					v.deleteAt(l)
+					v.DeleteAt(l)
 					model = append(model[:l], model[l+1:]...)
 				}
 			case 3:
-				views = append(views, view{v: v.publish(), want: append([]*XTuple(nil), model...)})
+				views = append(views, view{v: v.Publish(), want: append([]*XTuple(nil), model...)})
 				if len(views) > maxViews {
 					views = views[1:]
 				}
 			case 4:
 				for i := 0; i <= arg && len(model) < maxGroups; i++ {
 					x := fresh()
-					v.append(x)
+					v.Append(x)
 					model = append(model, x)
 				}
 			}
 			checkView(fmt.Sprintf("step %d writer", step), v, model)
-			if got := v.materialize(); !slices.Equal(got, model) {
+			if got := v.Materialize(); !slices.Equal(got, model) {
 				t.Fatalf("step %d: materialize differs from the model", step)
 			}
 			for i, pv := range views {
 				label := fmt.Sprintf("step %d view %d", step, i)
 				checkView(label, pv.v, pv.want)
-				for _, c := range pv.v.spine {
-					if c.priv == v.epoch {
-						t.Fatalf("%s: shares a chunk the writer may write in place", label)
-					}
-				}
-				if !v.shared && len(v.spine) > 0 && len(pv.v.spine) > 0 && &v.spine[0] == &pv.v.spine[0] {
-					t.Fatalf("%s: shares the writer's private spine", label)
+				if err := v.CheckIsolated(&pv.v); err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
 			}
 		}

@@ -72,7 +72,7 @@ func (db *Database) insertXTuple(name string, tuples []Tuple, seqs []int) (int, 
 	if len(tuples) == 0 {
 		return 0, wrapGroup(ErrEmptyXTuple, name)
 	}
-	gi := db.groups.n
+	gi := db.groups.Len()
 	x := &XTuple{Name: name, Tuples: make([]*Tuple, len(tuples))}
 	backing := make([]Tuple, len(tuples)) // one slab, as in AddXTuple
 	for i := range tuples {
@@ -127,7 +127,7 @@ func (db *Database) insertXTuple(name string, tuples []Tuple, seqs []int) (int, 
 		}
 	}
 	watermark := db.insertRankedAll(x.Tuples)
-	db.groups.append(x)
+	db.groups.Append(x)
 	return watermark, nil
 }
 
@@ -152,7 +152,7 @@ func (db *Database) insertAbsentXTuple(name string) (int, error) {
 	if !db.built {
 		return 0, ErrNotBuilt
 	}
-	gi := db.groups.n
+	gi := db.groups.Len()
 	null := &Tuple{ID: fmt.Sprintf("null:%s", name), Prob: 1, Group: gi, Null: true}
 	if db.TupleByID(null.ID) != nil {
 		return 0, fmt.Errorf("tuple %q: %w", null.ID, ErrDuplicateID)
@@ -160,7 +160,7 @@ func (db *Database) insertAbsentXTuple(name string) (int, error) {
 	db.unshare()
 	x := &XTuple{Name: name, uid: db.newUID(), Tuples: []*Tuple{null}}
 	db.markPrivate(x)
-	db.groups.append(x)
+	db.groups.Append(x)
 	return db.insertRanked(null), nil
 }
 
@@ -187,23 +187,23 @@ func (db *Database) deleteXTuple(l int) (int, error) {
 	if !db.built {
 		return 0, ErrNotBuilt
 	}
-	if l < 0 || l >= db.groups.n {
-		return 0, fmt.Errorf("index %d of %d: %w", l, db.groups.n, ErrBadGroupIndex)
+	if l < 0 || l >= db.groups.Len() {
+		return 0, fmt.Errorf("index %d of %d: %w", l, db.groups.Len(), ErrBadGroupIndex)
 	}
-	if db.groups.n == 1 {
+	if db.groups.Len() == 1 {
 		return 0, ErrLastGroup
 	}
 	db.unshare()
-	drop := db.groups.at(l).Tuples
+	drop := db.groups.At(l).Tuples
 	for _, t := range drop {
 		if !t.Null {
 			db.nReal--
 		}
 	}
-	db.groups.deleteAt(l)
-	if l < db.groups.n {
+	db.groups.DeleteAt(l)
+	if l < db.groups.Len() {
 		db.pendingRenumber = true // surviving groups shift down one index
-		for gi := l; gi < db.groups.n; gi++ {
+		for gi := l; gi < db.groups.Len(); gi++ {
 			// Renumbering writes Group, a reader-visible field, so every
 			// shifted x-tuple is cloned into the new epoch; published
 			// snapshots keep the old objects with the old numbering.
@@ -238,10 +238,10 @@ func (db *Database) reweight(l int, probs []float64) (int, error) {
 	if !db.built {
 		return 0, ErrNotBuilt
 	}
-	if l < 0 || l >= db.groups.n {
-		return 0, fmt.Errorf("index %d of %d: %w", l, db.groups.n, ErrBadGroupIndex)
+	if l < 0 || l >= db.groups.Len() {
+		return 0, fmt.Errorf("index %d of %d: %w", l, db.groups.Len(), ErrBadGroupIndex)
 	}
-	x := db.groups.at(l)
+	x := db.groups.At(l)
 	real := x.RealTuples()
 	if len(probs) != len(real) {
 		return 0, fmt.Errorf("x-tuple %q: %d probabilities for %d real alternatives: %w",
@@ -334,10 +334,10 @@ func (db *Database) collapse(l, choice int) (int, error) {
 	if !db.built {
 		return 0, ErrNotBuilt
 	}
-	if l < 0 || l >= db.groups.n {
-		return 0, fmt.Errorf("index %d of %d: %w", l, db.groups.n, ErrBadGroupIndex)
+	if l < 0 || l >= db.groups.Len() {
+		return 0, fmt.Errorf("index %d of %d: %w", l, db.groups.Len(), ErrBadGroupIndex)
 	}
-	x := db.groups.at(l)
+	x := db.groups.At(l)
 	if choice < 0 || choice >= len(x.Tuples) {
 		return 0, fmt.Errorf("choice %d of %d: %w", choice, len(x.Tuples), ErrBadChoice)
 	}

@@ -34,7 +34,7 @@ func (db *Database) AddXTupleSeq(name string, seqs []int, tuples ...Tuple) error
 	if err := db.AddXTuple(name, tuples...); err != nil {
 		return err
 	}
-	db.groups.at(db.groups.n - 1).stagedOrds = append([]int(nil), seqs...)
+	db.groups.At(db.groups.Len() - 1).stagedOrds = append([]int(nil), seqs...)
 	return nil
 }
 

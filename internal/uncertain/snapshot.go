@@ -17,13 +17,13 @@ package uncertain
 //
 //   - Spines (the rank spine, the group vector's spine) and the watermark
 //     log are unshared lazily: the first mutation after a publish copies
-//     them once (unshare for the rank spine and the log, groupVec.own for
+//     them once (unshare for the rank spine and the log, cowvec.Vec for
 //     the group spine), and every later mutation in the same unpublished
 //     epoch writes the private copies in place. The ID index is never
 //     shared in the first place, so it is mutated in place without copies.
 //   - Rank chunks and group chunks are copied at chunk granularity: the
 //     first write into a chunk in an unpublished epoch clones it
-//     (rankStore.dirty, groupVec.own; see chunks.go), so a commit copies
+//     (rankStore.dirty, see chunks.go; cowvec.Vec), so a commit copies
 //     only the chunks it actually touched — O(changed chunks), not O(n)
 //     or O(m).
 //   - Tuples and x-tuples are copied at x-tuple granularity: a mutation
@@ -96,7 +96,7 @@ func (db *Database) publish() {
 	// snapshot readers almost never look tuples up by ID — TupleByID on a
 	// frozen view falls back to a rank-array scan instead.
 	s := &Database{
-		groups:  db.groups.publish(),
+		groups:  db.groups.Publish(),
 		rank:    db.rank,
 		rs:      db.rs,
 		built:   true,
@@ -123,7 +123,7 @@ func (db *Database) publish() {
 // the last published epoch: the rank spine (the chunk-pointer and starts
 // slices — the chunks themselves stay shared until individually dirtied)
 // and the watermark log. The group vector is not copied here: it unshares
-// its own spine and chunks on first write (groupVec.own), so a commit
+// its own spine and chunks on first write (cowvec.Vec), so a commit
 // copies ~m/256 spine pointers plus the group chunks it dirties, never the
 // m group pointers. Mutation cores call unshare before their first
 // in-place container write; within one unpublished epoch it runs at most
@@ -147,7 +147,7 @@ func (db *Database) unshare() {
 // (uid) that checkpoint restoration keys on, and the tuples' rank
 // positions, which the splice passes keep repairing on the clones.
 func (db *Database) cowGroup(gi int) *XTuple {
-	x := db.groups.at(gi)
+	x := db.groups.At(gi)
 	if db.cowed[x] {
 		return x
 	}
@@ -170,7 +170,7 @@ func (db *Database) cowGroup(gi int) *XTuple {
 		c.home = hc
 		db.byID[c.ID] = c
 	}
-	db.groups.set(gi, nx)
+	db.groups.Set(gi, nx)
 	db.markPrivate(nx)
 	return nx
 }

@@ -16,8 +16,8 @@ type Stats struct {
 
 // ComputeStats gathers Stats from a database (built or not).
 func (db *Database) ComputeStats() Stats {
-	s := Stats{Groups: db.groups.n, MinProb: 1}
-	for _, x := range db.groups.all() {
+	s := Stats{Groups: db.groups.Len(), MinProb: 1}
+	for _, x := range db.groups.All() {
 		real := x.RealTuples()
 		s.RealTuples += len(real)
 		for _, t := range real {

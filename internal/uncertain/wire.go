@@ -90,9 +90,9 @@ func EncodeWire(db *Database) ([]byte, error) {
 		Version: db.version,
 		NextOrd: db.nextOrd,
 		NextUID: db.nextUID,
-		XTuples: make([]wireGroup, db.groups.n),
+		XTuples: make([]wireGroup, db.groups.Len()),
 	}
-	for gi, x := range db.groups.all() {
+	for gi, x := range db.groups.All() {
 		wg := wireGroup{Name: x.Name, UID: x.uid, Tuples: make([]wireTuple, len(x.Tuples))}
 		for ti, t := range x.Tuples {
 			wg.Tuples[ti] = wireTuple{ID: t.ID, Attrs: t.Attrs, Prob: t.Prob, Ord: t.ord, Pos: pos[t], Null: t.Null}
@@ -166,7 +166,7 @@ func DecodeWire(data []byte, rank RankFunc) (*Database, error) {
 		if err := x.validate(); err != nil {
 			return nil, err
 		}
-		db.groups.append(x)
+		db.groups.Append(x)
 	}
 	// The rank order is rebuilt from the persisted positions (chunked
 	// afresh — chunk boundaries are an in-memory detail, not wire state),
