@@ -3,6 +3,7 @@ package topkq
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"github.com/probdb/topkclean/internal/uncertain"
@@ -79,23 +80,132 @@ type checkpoint struct {
 	rebuilds   int // info.Rebuilds as of pos, so a resumed count matches a fresh one
 }
 
-// scanState is the live state of the PSR scan loop. Everything in it is
-// O(active) except slot, a group-indexed lookup of length m. States are
-// pooled, so a resume that replays a handful of positions on a large
-// database allocates neither the O(m) index nor the tree's buffers.
+// Parallel exclusion (DESIGN.md "Parallel exclusion"). The exclusion
+// products of one scan are independent of one another once the write log
+// is known, so up to maxExclWorkers goroutines compute them, each
+// replaying the log into its own tree. A helper's first product rebuilds
+// its whole tree and its start waits for an idle core, so it takes no
+// fewer than minHelperRows rows, and a scan with fewer than
+// 2·minHelperRows exclusion positions stays on the caller.
+const (
+	maxExclWorkers = 4
+	minHelperRows  = 32
+)
+
+// forceExclWorkers, when positive, fixes the exclusion worker count, lets
+// a helper take a single row, and starts the caller only once every helper
+// has taken its share. Tests set it to prove the bits do not depend on
+// the count or the split.
+var forceExclWorkers int
+
+// exclWorkers returns the number of workers for r exclusion products.
+func exclWorkers(r int) int {
+	if forceExclWorkers > 0 {
+		return max(1, min(forceExclWorkers, r))
+	}
+	return max(1, min(runtime.GOMAXPROCS(0), maxExclWorkers, r/(2*minHelperRows)))
+}
+
+// exclSched hands the exclusion rows to the workers. Each worker owns a
+// run of consecutive rows and computes it front to back, so its tree only
+// replays forward. The caller starts with every row; a helper, once it
+// runs, takes the back half of the longest open run. A helper that starts
+// late thus takes a smaller share, and one that starts after the caller
+// has finished its own run takes none: the caller never waits for a
+// helper to start, only for helpers that hold rows.
+type exclSched struct {
+	mu     sync.Mutex
+	runs   [maxExclWorkers]exclRun // rows [next, end) of each run; guarded by mu
+	open   int                     // runs handed out; guarded by mu
+	closed bool                    // no more runs are handed out; guarded by mu
+	min    int                     // least rows a helper takes
+	busy   sync.WaitGroup          // helpers holding a run
+}
+
+type exclRun struct{ next, end int }
+
+// steal opens a run for a helper from the back half of the longest open
+// run and returns its index, or -1 when that half is under sc.min rows.
+func (sc *exclSched) steal() int {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if sc.closed {
+		return -1
+	}
+	long := &sc.runs[0]
+	for w := 1; w < sc.open; w++ {
+		if r := &sc.runs[w]; r.end-r.next > long.end-long.next {
+			long = r
+		}
+	}
+	half := (long.end - long.next) / 2
+	if half < sc.min {
+		return -1
+	}
+	w := sc.open
+	sc.open++
+	sc.runs[w] = exclRun{long.end - half, long.end}
+	long.end -= half
+	sc.busy.Add(1)
+	return w
+}
+
+// close stops handing out runs and returns the end of the caller's run.
+func (sc *exclSched) close() int {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	sc.closed = true
+	return sc.runs[0].end
+}
+
+// take returns the next row of run w, or false when the run is done.
+func (sc *exclSched) take(w int) (int, bool) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	r := &sc.runs[w]
+	if r.next == r.end {
+		return 0, false
+	}
+	r.next++
+	return r.next - 1, true
+}
+
+// scanState is the live state of one PSR pass. The plan half (q, active,
+// slot, fullGroups) is O(active) except slot, a group-indexed lookup of
+// length m; the plan buffers and rows are O(positions scanned). States
+// are pooled, so a resume that replays a handful of positions on a large
+// database allocates neither the O(m) index nor its buffers.
 type scanState struct {
-	ex         exclusion // per-slot q and the own-group exclusion tree
+	q          []float64 // event probability per active slot
 	active     []int     // group of each slot, in first-appearance order
 	slot       []int32   // slot[g] = 1 + slot of group g, 0 while g is inactive
-	F, G       []float64
-	scratch    []float64
 	fullGroups int
+
+	// The plan of the positions scanned, indexed from the pass's start:
+	// each position's probability e and own-group mass ql before it, and
+	// for the positions that take the exclusion path, their position and
+	// slot. rows holds the exclusion products, k floats per entry of xpos.
+	e, ql []float64
+	xpos  []int32
+	xslot []int32
+	rows  []float64
+	fc    fcur
+
+	F, G, scratch []float64
 }
+
+// fcur is the F pass's place in the plan: the pass's start position, the
+// next planned position (an offset from start), the next row of rows and
+// the next of info's checkpoints to fill.
+type fcur struct{ start, d, r, ck int }
 
 // statePool recycles scan states, following the quality package's
 // scratch-pool idiom. A pooled state's slot index is all zeros over its
 // whole capacity: release zeroes exactly the entries active names.
 var statePool = sync.Pool{New: func() any { return new(scanState) }}
+
+// exclPool recycles the exclusion workers' trees.
+var exclPool = sync.Pool{New: func() any { return new(exclusion) }}
 
 func newScanState(k, m int) *scanState {
 	st := statePool.Get().(*scanState)
@@ -103,8 +213,10 @@ func newScanState(k, m int) *scanState {
 		st.slot = make([]int32, m)
 	}
 	st.slot = st.slot[:m]
-	st.ex.reset(k)
+	st.q = st.q[:0]
 	st.active = st.active[:0]
+	st.e, st.ql = st.e[:0], st.ql[:0]
+	st.xpos, st.xslot = st.xpos[:0], st.xslot[:0]
 	st.F = zeroed(st.F, k)
 	st.G = zeroed(st.G, k)
 	st.scratch = zeroed(st.scratch, k)
@@ -135,70 +247,32 @@ func (st *scanState) release() {
 
 // activate gives group g the next slot, with event probability q.
 func (st *scanState) activate(g int, q float64) {
-	s := len(st.active)
 	st.active = append(st.active, g)
-	st.slot[g] = int32(s + 1)
-	st.ex.set(s, q)
+	st.slot[g] = int32(len(st.active))
+	st.q = append(st.q, q)
 }
 
-// step processes the alternative of probability e of group g at the scan
-// point — the recurrence documented on compute — appending its top-k
-// probability (and, with keepRho, its rank probabilities) to info, then
-// moves the scan point below it. Above deconvLim the own group's event is
-// excluded through the exclusion tree instead of by deconvolution. This
-// is the whole PSR kernel, and scanFrom is its only caller: a fresh pass,
-// a resumed pass and a pass over any Source run the same float64
-// operations, so they agree bit for bit.
-//
-// A step writes exactly one slot's q, and logs that write in info (and,
-// when it activates the slot, the slot's x-tuple), which is all a
-// checkpoint needs to rebuild the per-slot state later.
-func (st *scanState) step(src Source, info *RankInfo, g int, e, deconvLim float64, keepRho bool) {
-	k := len(st.G)
+// plan is the first phase of one position's step: the alternative of
+// probability e of group g at rank position i is recorded with its own
+// group's mass above the scan point, and the scan point moves below it —
+// everything a step does that depends on q alone. It logs the slot write
+// in info (and, when it activates the slot, the slot's x-tuple), which is
+// all a checkpoint or an exclusion worker needs to rebuild the per-slot
+// state later. Above deconvLim the position is queued for the exclusion
+// phase.
+func (st *scanState) plan(src Source, info *RankInfo, i, g int, e, deconvLim float64) {
 	s := int(st.slot[g]) - 1
 	ql := 0.0
 	if s >= 0 {
-		ql = st.ex.q[s]
+		ql = st.q[s]
 	}
-	switch {
-	case ql == 0:
-		copy(st.G, st.F)
-	case ql <= deconvLim:
-		deconvolve(st.G, st.F, ql)
-	default:
-		st.ex.exclude(st.G, s)
+	if ql != 0 && ql > deconvLim {
+		st.xpos = append(st.xpos, int32(i))
+		st.xslot = append(st.xslot, int32(s))
 		info.Rebuilds++
 	}
-
-	var p float64
-	for j := 0; j < k; j++ {
-		p += st.G[j]
-	}
-	p *= e
-	if p < 0 {
-		p = 0
-	} else if p > 1 {
-		p = 1
-	}
-	if keepRho {
-		// Row i lives in block i/checkpointEvery, so a scan allocates once
-		// per checkpoint interval rather than per position. A full block
-		// is never written again, which is what lets a resumed info share
-		// it with its prior.
-		i := len(info.TopK)
-		if i%checkpointEvery == 0 {
-			info.rho = append(info.rho, make([]float64, k*checkpointEvery))
-		}
-		row := info.rhoRow(i)
-		for j := 0; j < k; j++ {
-			r := e * st.G[j]
-			if r < 0 {
-				r = 0
-			}
-			row[j] = r
-		}
-	}
-	info.TopK = append(info.TopK, p)
+	st.e = append(st.e, e)
+	st.ql = append(st.ql, ql)
 
 	qNew := ql + e
 	if qNew > 1 {
@@ -210,21 +284,152 @@ func (st *scanState) step(src Source, info *RankInfo, g int, e, deconvLim float6
 		info.ids = append(info.ids, src.GroupAt(g))
 		info.gidx = append(info.gidx, int32(g))
 	} else {
-		st.ex.set(s, qNew)
+		st.q[s] = qNew
 	}
 	info.wslot = append(info.wslot, int32(s))
 	info.wq = append(info.wq, qNew)
 	if ql < fullMass && qNew >= fullMass {
 		st.fullGroups++
 	}
-	convolve(st.F, st.G, qNew, st.scratch)
 }
 
-// snapshot records the state as a checkpoint for position pos.
-func (st *scanState) snapshot(pos, rebuilds int) checkpoint {
+// exclusions is the second phase: it fills rows with the distribution
+// over every active slot but the own one at each queued position, on the
+// caller and up to exclWorkers-1 helpers (see exclSched). Once its own
+// run is done the caller advances the F pass up to the first row a helper
+// owns, while the helpers finish.
+func (st *scanState) exclusions(info *RankInfo, keepRho bool) {
+	r := len(st.xpos)
+	if r == 0 {
+		return
+	}
+	k := info.K
+	if cap(st.rows) < r*k {
+		st.rows = make([]float64, r*k)
+	}
+	st.rows = st.rows[:r*k]
+	sc := &exclSched{open: 1, min: minHelperRows}
+	sc.runs[0].end = r
+	w := exclWorkers(r)
+	if w == 1 {
+		st.exclude(info, sc, 0)
+		return
+	}
+	forced := forceExclWorkers > 0
+	if forced {
+		sc.min = 1
+	}
+	// A helper that finds the scheduler closed returns without touching
+	// st, so the caller need not wait for it; one that takes a run holds
+	// sc.busy until its rows are written.
+	var opened sync.WaitGroup
+	opened.Add(w - 1)
+	for j := 1; j < w; j++ {
+		go func() {
+			run := sc.steal()
+			opened.Done()
+			if run >= 0 {
+				st.exclude(info, sc, run)
+				sc.busy.Done()
+			}
+		}()
+	}
+	if forced {
+		opened.Wait()
+	}
+	st.exclude(info, sc, 0)
+	to := len(st.e)
+	if end := sc.close(); end < r {
+		to = int(st.xpos[end]) - st.fc.start
+	}
+	st.fpass(info, to, keepRho)
+	sc.busy.Wait()
+}
+
+// exclude computes the rows of run w on a pooled tree: it replays info's
+// write log up to each row's position and queries the tree there. The
+// tree is a pure function of its leaves, so the row holds the bits an
+// incrementally maintained tree would give at that position, whichever
+// worker computes it.
+func (st *scanState) exclude(info *RankInfo, sc *exclSched, w int) {
+	ex := exclPool.Get().(*exclusion)
+	k := info.K
+	ex.reset(k)
+	p := 0
+	for j, ok := sc.take(w); ok; j, ok = sc.take(w) {
+		for x := int(st.xpos[j]); p < x; p++ {
+			ex.set(int(info.wslot[p]), info.wq[p])
+		}
+		ex.exclude(st.rows[j*k:(j+1)*k], int(st.xslot[j]))
+	}
+	exclPool.Put(ex)
+}
+
+// fpass is the third phase, the recurrence documented on compute over the
+// planned positions: it advances the F pass to planned position to (an
+// offset from the pass's start). Each position's own-group exclusion G
+// comes by copy, by deconvolution or from rows; its top-k probability
+// (and, with keepRho, its rank probabilities) is appended to info, and F
+// moves below it. Checkpoints the plan recorded get their F as the pass
+// reaches them.
+func (st *scanState) fpass(info *RankInfo, to int, keepRho bool) {
+	k := len(st.F)
+	deconvLim := info.deconvLim
+	fc := &st.fc
+	for ; fc.d < to; fc.d++ {
+		i, e := fc.start+fc.d, st.e[fc.d]
+		if fc.ck < len(info.ckpts) && info.ckpts[fc.ck].pos == i {
+			info.ckpts[fc.ck].F = append([]float64(nil), st.F...)
+			fc.ck++
+		}
+		G := st.G
+		switch ql := st.ql[fc.d]; {
+		case ql == 0:
+			copy(G, st.F)
+		case ql <= deconvLim:
+			deconvolve(G, st.F, ql)
+		default:
+			G = st.rows[fc.r*k : (fc.r+1)*k]
+			fc.r++
+		}
+
+		var p float64
+		for j := 0; j < k; j++ {
+			p += G[j]
+		}
+		p *= e
+		if p < 0 {
+			p = 0
+		} else if p > 1 {
+			p = 1
+		}
+		if keepRho {
+			// Row i lives in block i/checkpointEvery, so a scan allocates
+			// once per checkpoint interval rather than per position. A full
+			// block is never written again, which is what lets a resumed
+			// info share it with its prior.
+			if i%checkpointEvery == 0 {
+				info.rho = append(info.rho, make([]float64, k*checkpointEvery))
+			}
+			row := info.rhoRow(i)
+			for j := 0; j < k; j++ {
+				r := e * G[j]
+				if r < 0 {
+					r = 0
+				}
+				row[j] = r
+			}
+		}
+		info.TopK = append(info.TopK, p)
+		convolve(st.F, G, info.wq[i], st.scratch)
+	}
+}
+
+// mark records the state as a checkpoint for position pos; fpass fills in
+// its F when the pass reaches pos.
+func (st *scanState) mark(pos, rebuilds int) checkpoint {
 	return checkpoint{
 		pos:        pos,
-		F:          append([]float64(nil), st.F...),
 		slots:      len(st.active),
 		fullGroups: st.fullGroups,
 		rebuilds:   rebuilds,
@@ -233,9 +438,9 @@ func (st *scanState) snapshot(pos, rebuilds int) checkpoint {
 
 // restore rebuilds a live scan state from the checkpoint against the
 // source's current group numbering: it activates the checkpoint's slots
-// from prior's slot table, then replays prior's write log up to pos. The
-// exclusion tree is a pure function of its leaves, so the rebuilt state
-// holds the same bits as the scan's own state at pos. The slots' current
+// from prior's slot table, then replays prior's write log up to pos into
+// their q. The exclusion workers replay the same log into their trees,
+// so the restored pass holds the bits the scan held at pos. The slots' current
 // x-tuples and group indices become info's slot table, so a later resume
 // from info searches from current indices. It reports false when a referenced x-tuple no
 // longer belongs to the source (it was deleted); that can only happen for
@@ -259,7 +464,7 @@ func (c *checkpoint) restore(src Source, prior, info *RankInfo) (*scanState, boo
 		info.gidx = append(info.gidx, int32(g))
 	}
 	for p, s := range prior.wslot[:c.pos] {
-		st.ex.set(int(s), prior.wq[p])
+		st.q[s] = prior.wq[p]
 	}
 	st.fullGroups = c.fullGroups
 	return st, true
@@ -328,37 +533,50 @@ func compute(src Source, k int, keepRho bool, deconvLim float64) (*RankInfo, err
 	return scanFrom(src, info, newScanState(k, m), 0, keepRho)
 }
 
-// scanFrom runs the PSR scan loop from rank position start with the given
-// (fresh or checkpoint-restored) state, appending to info's prefix. It
-// records a checkpoint every checkpointEvery positions — aligned to
+// scanFrom runs the PSR scan from rank position start with the given
+// (fresh or checkpoint-restored) state, appending to info's prefix, in
+// three phases that every pass shares:
+//
+//  1. plan: one walk of src writes the slot-write log, counts the
+//     exclusion positions, and applies Lemma 2 — everything that depends
+//     on q alone;
+//  2. exclusions: the exclusion products of the queued positions, on
+//     parallel workers when there are enough of them;
+//  3. the F pass: the sequential recurrence over the planned positions.
+//
+// It records a checkpoint every checkpointEvery positions — aligned to
 // absolute positions, so resumed passes checkpoint at the same spots a
 // fresh pass would — plus one final checkpoint when the scan exhausts the
 // source, which is what lets a later Resume extend the scan over tuples
-// appended below the old end. Lemma 2 is tested right after each step,
-// so the scan stops src without asking for the position it will not
-// process.
+// appended below the old end. Lemma 2 is tested right after each planned
+// position, so the scan stops src without asking for the position it
+// will not process.
 func scanFrom(src Source, info *RankInfo, st *scanState, start int, keepRho bool) (*RankInfo, error) {
 	defer st.release()
 	k := info.K
-	deconvLim := info.deconvLim
+	st.fc = fcur{start: start, ck: len(info.ckpts)}
 	i := start
 	// Lemma 2: once k x-tuples certainly place an alternative above the
 	// scan point, p = 0 for every remaining tuple.
 	if st.fullGroups < k {
 		for t, g := range src.Ranked(start) {
 			if i > start && i%checkpointEvery == 0 {
-				info.ckpts = append(info.ckpts, st.snapshot(i, info.Rebuilds))
+				info.ckpts = append(info.ckpts, st.mark(i, info.Rebuilds))
 			}
-			st.step(src, info, g, t.Prob, deconvLim, keepRho)
+			st.plan(src, info, i, g, t.Prob, info.deconvLim)
 			i++
 			if st.fullGroups >= k {
 				break
 			}
 		}
 	}
+	st.exclusions(info, keepRho)
+	st.fpass(info, len(st.e), keepRho)
 	info.Processed = i
 	if n := src.NumTuples(); i == n && (len(info.ckpts) == 0 || info.ckpts[len(info.ckpts)-1].pos != n) {
-		info.ckpts = append(info.ckpts, st.snapshot(n, info.Rebuilds))
+		c := st.mark(n, info.Rebuilds)
+		c.F = append([]float64(nil), st.F...)
+		info.ckpts = append(info.ckpts, c)
 	}
 	return info, nil
 }

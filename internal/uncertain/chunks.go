@@ -19,8 +19,8 @@ import (
 // Seeking a rank position (AtRank, CursorAt) is a binary search over
 // starts — O(log(n/C)). A mutation binary-searches the target chunk, COWs
 // just that chunk (dirty), splices within it — O(C) — and then repairs the
-// spine bookkeeping (starts and the writer-epoch chunk.pos/chunk.start
-// caches) for the chunks after it — O(n/C). With C near sqrt(n) the whole
+// spine bookkeeping (starts and the writer-epoch pos/start chunk headers)
+// for the chunks after it — O(n/C). With C near sqrt(n) the whole
 // mutation is O(sqrt n) instead of O(n), and commit-time COW copies one
 // spine of pointers plus only the chunks actually touched.
 //
@@ -29,8 +29,10 @@ import (
 // frozen epoch and bumps rs.epoch. The writer then never mutates shared
 // memory a reader consumes: unshare clones the spine slices, and dirty
 // clones a chunk's tuple slice before the first in-place write of an epoch
-// (priv records the epoch that owns the chunk). Three chunk fields — pos,
-// start, priv — plus the tuples' home/idx back-pointers are *writer-epoch*
+// (priv records the epoch that owns the chunk). A chunk's pos, start and
+// priv live in a chunkHome that the chunk and all its clones share, and a
+// tuple's home points at that header, so a clone re-homes no tuple. The
+// header fields and the tuples' home/idx back-pointers are *writer-epoch*
 // state, repaired in place on shared objects; readers (Cursor, AtRank,
 // materialize) navigate exclusively through their own epoch's chunks/starts
 // slices and the chunks' tuple slices, which are immutable once shared.
@@ -51,13 +53,21 @@ const (
 )
 
 // chunk is one run of consecutive rank positions. tuples is immutable once
-// the chunk is shared with a published epoch; pos, start, and priv are
-// writer-epoch fields (see the file comment).
+// the chunk is shared with a published epoch; the embedded header's fields
+// are writer-epoch state (see the file comment).
 type chunk struct {
 	tuples []*Tuple
-	priv   uint64 // epoch that may write this chunk in place
-	pos    int    // index in the writer's spine (writer-epoch)
-	start  int    // global rank position of tuples[0] (writer-epoch)
+	*chunkHome
+}
+
+// chunkHome is the writer-epoch state of one spine entry, shared by a
+// chunk and every copy-on-write clone of it. Tuple.home points here, so
+// cloning a chunk leaves its tuples' back-pointers valid; only a split or
+// a merge, which moves tuples to another entry, re-homes them.
+type chunkHome struct {
+	priv  uint64 // epoch whose chunk at this entry may be written in place
+	pos   int    // index in the writer's spine
+	start int    // global rank position of the entry's first tuple
 }
 
 // rankStore is the spine. It is held by value in Database so that publish
@@ -84,13 +94,11 @@ func newRankStore(sorted []*Tuple) rankStore {
 			j = len(sorted)
 		}
 		c := &chunk{
-			tuples: append([]*Tuple(nil), sorted[i:j]...),
-			priv:   1,
-			pos:    len(rs.chunks),
-			start:  i,
+			tuples:    append([]*Tuple(nil), sorted[i:j]...),
+			chunkHome: &chunkHome{priv: 1, pos: len(rs.chunks), start: i},
 		}
 		for off, t := range c.tuples {
-			t.home, t.idx = c, off
+			t.home, t.idx = c.chunkHome, off
 		}
 		rs.chunks = append(rs.chunks, c)
 		rs.starts = append(rs.starts, i)
@@ -100,21 +108,16 @@ func newRankStore(sorted []*Tuple) rankStore {
 
 // dirty returns a writable chunk for spine position ci, cloning the tuple
 // slice on first touch in the current epoch (the chunk-granular analogue of
-// cowGroup). The clone takes over the tuples' home pointers.
+// cowGroup). The clone shares the original's header, which the tuples'
+// home pointers name, so the clone costs one slice copy and no per-tuple
+// write.
 func (rs *rankStore) dirty(ci int) *chunk {
 	c := rs.chunks[ci]
 	if c.priv == rs.epoch {
 		return c
 	}
-	nc := &chunk{
-		tuples: append([]*Tuple(nil), c.tuples...),
-		priv:   rs.epoch,
-		pos:    c.pos,
-		start:  c.start,
-	}
-	for _, t := range nc.tuples {
-		t.home = nc
-	}
+	nc := &chunk{tuples: append([]*Tuple(nil), c.tuples...), chunkHome: c.chunkHome}
+	nc.priv = rs.epoch
 	rs.chunks[ci] = nc
 	return nc
 }
@@ -142,8 +145,8 @@ func (rs *rankStore) repairFrom(ci int) {
 // order defines), returning that position. O(log n + C + n/C).
 func (rs *rankStore) insert(t *Tuple) int {
 	if len(rs.chunks) == 0 {
-		c := &chunk{tuples: []*Tuple{t}, priv: rs.epoch}
-		t.home, t.idx = c, 0
+		c := &chunk{tuples: []*Tuple{t}, chunkHome: &chunkHome{priv: rs.epoch}}
+		t.home, t.idx = c.chunkHome, 0
 		rs.chunks = append(rs.chunks, c)
 		rs.starts = append(rs.starts, 0)
 		rs.repairFrom(0)
@@ -165,7 +168,7 @@ func (rs *rankStore) insert(t *Tuple) int {
 	c.tuples = append(c.tuples, nil)
 	copy(c.tuples[off+1:], c.tuples[off:])
 	c.tuples[off] = t
-	t.home = c
+	t.home = c.chunkHome
 	for j := off; j < len(c.tuples); j++ {
 		c.tuples[j].idx = j
 	}
@@ -182,11 +185,11 @@ func (rs *rankStore) split(ci int) {
 	c := rs.chunks[ci]
 	half := len(c.tuples) / 2
 	right := &chunk{
-		tuples: append([]*Tuple(nil), c.tuples[half:]...),
-		priv:   rs.epoch,
+		tuples:    append([]*Tuple(nil), c.tuples[half:]...),
+		chunkHome: &chunkHome{priv: rs.epoch},
 	}
 	for off, t := range right.tuples {
-		t.home, t.idx = right, off
+		t.home, t.idx = right.chunkHome, off
 	}
 	tail := c.tuples[half:]
 	c.tuples = c.tuples[:half]
@@ -209,15 +212,15 @@ func (rs *rankStore) remove(drop []*Tuple) int {
 	type loc struct{ ci, off int }
 	locs := make([]loc, 0, len(drop))
 	for _, t := range drop {
-		c := t.home
-		if c == nil {
+		h := t.home
+		if h == nil {
 			continue
 		}
-		ci := c.pos
-		if ci < 0 || ci >= len(rs.chunks) || rs.chunks[ci] != c {
+		ci := h.pos
+		if ci < 0 || ci >= len(rs.chunks) || rs.chunks[ci].chunkHome != h {
 			continue // not a chunk of this store's current spine
 		}
-		if t.idx < 0 || t.idx >= len(c.tuples) || c.tuples[t.idx] != t {
+		if c := rs.chunks[ci]; t.idx < 0 || t.idx >= len(c.tuples) || c.tuples[t.idx] != t {
 			continue // stale back-pointer: tuple is not in the order
 		}
 		locs = append(locs, loc{ci, t.idx})
@@ -285,7 +288,7 @@ func (rs *rankStore) rebalance(ci int) {
 				prev.tuples = append(prev.tuples, c.tuples...)
 				for z := base; z < len(prev.tuples); z++ {
 					t := prev.tuples[z]
-					t.home, t.idx = prev, z
+					t.home, t.idx = prev.chunkHome, z
 				}
 				continue
 			}

@@ -33,7 +33,7 @@ func checkChunkInvariants(t *testing.T, db *Database) {
 				t.Fatalf("chunk %d holds nil tuple at offset %d", ci, off)
 			}
 			//lint:allow idxread the invariant checker audits the writer-epoch caches themselves, on the live epoch only
-			if tp.home != c {
+			if tp.home != c.chunkHome {
 				t.Fatalf("tuple %s in chunk %d has foreign home", tp.ID, ci)
 			}
 			//lint:allow idxread same audit: idx must equal the tuple's actual chunk offset
@@ -291,5 +291,64 @@ func TestSnapshotUnchangedByChunkMutations(t *testing.T) {
 	}
 	if i != len(wantIDs) {
 		t.Fatalf("snapshot shrank to %d tuples, want %d", i, len(wantIDs))
+	}
+}
+
+// TestIndexAcrossCloneSplitMerge pins Index through the chunk header: after
+// every commit — each one clones the chunks it touches, since Build and
+// every commit publish — every tuple's Index is its position in the rank
+// order, through a run of inserts into one chunk until it splits and a
+// run of deletes out of one chunk until it merges with a neighbour.
+func TestIndexAcrossCloneSplitMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	db := buildWideDB(t, rng, 600, 3)
+	checkIndex := func(stage string) {
+		t.Helper()
+		for i, tp := range db.Sorted() {
+			if got := tp.Index(); got != i {
+				t.Fatalf("%s: tuple %s Index() = %d, rank position %d", stage, tp.ID, got, i)
+			}
+		}
+		checkChunkInvariants(t, db)
+	}
+	checkIndex("built")
+
+	// Clone: reweight one x-tuple, so only its chunks are copied.
+	real := db.GroupAt(7).RealTuples()
+	probs := make([]float64, len(real))
+	for i := range probs {
+		probs[i] = 0.8 / float64(len(probs))
+	}
+	if err := db.Reweight(7, probs); err != nil {
+		t.Fatal(err)
+	}
+	checkIndex("reweight")
+
+	// Split: insert just above one mid-order tuple until its chunk splits.
+	chunks := len(db.rs.chunks)
+	anchor := db.AtRank(db.NumTuples() / 2).Score
+	for i := 0; len(db.rs.chunks) == chunks; i++ {
+		if i > 2*chunkMax {
+			t.Fatal("no split after inserting twice the split threshold into one chunk")
+		}
+		err := db.InsertXTuple(fmt.Sprintf("S%d", i),
+			Tuple{ID: fmt.Sprintf("s%d", i), Attrs: []float64{anchor + 1e-9*float64(i+1)}, Prob: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkIndex(fmt.Sprintf("insert %d", i))
+	}
+
+	// Merge: delete the x-tuples of one chunk's tuples until it merges.
+	chunks = len(db.rs.chunks)
+	for i := 0; len(db.rs.chunks) >= chunks; i++ {
+		if i > chunkMax {
+			t.Fatal("no merge after deleting a chunk's worth of x-tuples")
+		}
+		tp := db.rs.chunks[2].tuples[0]
+		if err := db.DeleteXTuple(tp.Group); err != nil {
+			t.Fatal(err)
+		}
+		checkIndex(fmt.Sprintf("delete %d", i))
 	}
 }

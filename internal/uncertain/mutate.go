@@ -446,9 +446,12 @@ func (db *Database) finishMutation(watermark int) {
 		watermark = db.rs.n
 	}
 	db.version++
+	// The log is append-only in memory: trimming moves the window's start,
+	// and append writes past every published epoch's length (reallocating
+	// once the backing array is full), so no epoch's marks are ever
+	// written and the log needs no copy on unshare.
 	if len(db.marks) >= maxMarks {
-		n := copy(db.marks, db.marks[len(db.marks)-maxMarks+1:])
-		db.marks = db.marks[:n]
+		db.marks = db.marks[len(db.marks)-maxMarks+1:]
 	}
 	db.marks = append(db.marks, versionMark{
 		version:    db.version,

@@ -15,12 +15,15 @@ package uncertain
 // The writer keeps snapshots valid by never writing to memory a published
 // epoch can reach:
 //
-//   - Spines (the rank spine, the group vector's spine) and the watermark
-//     log are unshared lazily: the first mutation after a publish copies
-//     them once (unshare for the rank spine and the log, cowvec.Vec for
-//     the group spine), and every later mutation in the same unpublished
-//     epoch writes the private copies in place. The ID index is never
-//     shared in the first place, so it is mutated in place without copies.
+//   - Spines (the rank spine, the group vector's spine) are unshared
+//     lazily: the first mutation after a publish copies them once
+//     (unshare for the rank spine, cowvec.Vec for the group spine), and
+//     every later mutation in the same unpublished epoch writes the
+//     private copies in place. The watermark log is shared without a
+//     copy: a commit appends past every published epoch's length and
+//     trims by moving the window's start, so it never writes a mark an
+//     epoch reads. The ID index is never shared in the first place, so
+//     it is mutated in place without copies.
 //   - Rank chunks and group chunks are copied at chunk granularity: the
 //     first write into a chunk in an unpublished epoch clones it
 //     (rankStore.dirty, see chunks.go; cowvec.Vec), so a commit copies
@@ -33,8 +36,8 @@ package uncertain
 //     (cowGroup) and redirects the working containers to the clones. The
 //     original x-tuple stays frozen in every older epoch.
 //   - The exceptions are Tuple.home/Tuple.idx (the chunk back-pointers the
-//     splice passes repair as they shift tuples) and the chunks' own
-//     pos/start/priv caches. They are written in place on shared objects,
+//     splice passes repair as they shift tuples) and the chunks' shared
+//     pos/start/priv header. They are written in place on shared objects,
 //     so they are *writer-epoch* fields: always correct for the newest
 //     epoch, and no snapshot reader consumes them (cursors and seeks
 //     navigate an epoch's own chunks/starts slices; the query and quality
@@ -121,8 +124,9 @@ func (db *Database) publish() {
 
 // unshare gives the writer private copies of the containers shared with
 // the last published epoch: the rank spine (the chunk-pointer and starts
-// slices — the chunks themselves stay shared until individually dirtied)
-// and the watermark log. The group vector is not copied here: it unshares
+// slices — the chunks themselves stay shared until individually dirtied).
+// The watermark log needs no copy: finishMutation only ever appends past
+// a published epoch's length. The group vector is not copied here: it unshares
 // its own spine and chunks on first write (cowvec.Vec), so a commit
 // copies ~m/256 spine pointers plus the group chunks it dirties, never the
 // m group pointers. Mutation cores call unshare before their first
@@ -135,7 +139,6 @@ func (db *Database) unshare() {
 	}
 	db.rs.chunks = append([]*chunk(nil), db.rs.chunks...)
 	db.rs.starts = append([]int(nil), db.rs.starts...)
-	db.marks = append([]versionMark(nil), db.marks...)
 	db.shared = false
 }
 
@@ -162,12 +165,10 @@ func (db *Database) cowGroup(gi int) *XTuple {
 		nx.Tuples[i] = c
 		// Redirect the rank order to the clone: COW the owning chunk (the
 		// chunk-granular analogue of the old O(n) array copy) and swap the
-		// clone in at the same offset. The back-pointers copied from t are
-		// re-aimed at the dirty chunk, which dirty() may itself have
-		// replaced.
+		// clone in at the same offset. The back-pointers copied from t
+		// stay valid: the dirty chunk shares the header they name.
 		hc := db.rs.dirty(t.home.pos)
 		hc.tuples[t.idx] = c
-		c.home = hc
 		db.byID[c.ID] = c
 	}
 	db.groups.Set(gi, nx)

@@ -31,11 +31,12 @@ type Tuple struct {
 	ord int // insertion order, used to break score ties deterministically
 
 	// home/idx locate the tuple inside the chunked rank structure
-	// (chunks.go): home is the owning chunk of the newest epoch and idx
-	// the offset within it, so the global rank position is
-	// home.start + idx. Both are writer-epoch fields, repaired in place
-	// on tuples shared with older snapshots (see snapshot.go).
-	home *chunk
+	// (chunks.go): home is the header of the owning spine entry, shared
+	// by the entry's chunk in every epoch, and idx the offset within the
+	// chunk, so the global rank position is home.start + idx. Both are
+	// writer-epoch fields, repaired in place on tuples shared with older
+	// snapshots (see snapshot.go).
+	home *chunkHome
 	idx  int
 }
 

@@ -3,7 +3,9 @@ package uncertain
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
+	"unsafe"
 )
 
 func buildWatermarkDB(t *testing.T) *Database {
@@ -308,5 +310,94 @@ func TestNullAlternativeStaysLast(t *testing.T) {
 	checkNullLast("collapse to real", db)
 	if err := db.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSnapshotWatermarksSurviveCommits pins the shared watermark log: a
+// pinned snapshot answers DirtySince and GroupIndicesStableSince exactly
+// as it did when pinned, for every version its log covers, across 300
+// further commits — more than enough to trim and reallocate the writer's
+// log twice — including renumbering deletes.
+func TestSnapshotWatermarksSurviveCommits(t *testing.T) {
+	db := buildWatermarkDB(t)
+	step := 0
+	commit := func() {
+		t.Helper()
+		step++
+		var err error
+		switch {
+		case step%7 == 0:
+			err = db.InsertXTuple(fmt.Sprintf("N%d", step),
+				Tuple{ID: fmt.Sprintf("n%d", step), Attrs: []float64{float64(step % 97)}, Prob: 0.5})
+		case step%7 == 3 && db.NumGroups() > 10:
+			err = db.DeleteXTuple(step % db.NumGroups())
+		default:
+			g := step % db.NumGroups()
+			err = db.Reweight(g, []float64{0.2 + 0.1*float64(step%5)})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < maxMarks+30; i++ {
+		commit()
+	}
+	snap := db.Snapshot()
+	type answer struct {
+		wm         int
+		ok, stable bool
+	}
+	pinned := map[uint64]answer{}
+	for v := snap.Version() - maxMarks - 5; v <= snap.Version(); v++ {
+		wm, ok := snap.DirtySince(v)
+		pinned[v] = answer{wm, ok, snap.GroupIndicesStableSince(v)}
+	}
+	for i := 0; i < 300; i++ {
+		commit()
+	}
+	for v, want := range pinned {
+		wm, ok := snap.DirtySince(v)
+		if got := (answer{wm, ok, snap.GroupIndicesStableSince(v)}); got != want {
+			t.Fatalf("snapshot at version %d: answer for %d changed from %+v to %+v after 300 commits",
+				snap.Version(), v, want, got)
+		}
+	}
+}
+
+// TestCommitDoesNotCopyWatermarkLog pins the log's share of a commit: a
+// commit costs the same bytes whether the log holds a few marks or is
+// full. Copying the log on the first mutation after every publish made a
+// full-log commit 3 KiB dearer; appending past the published length
+// costs one reallocation per maxMarks commits.
+func TestCommitDoesNotCopyWatermarkLog(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts shift under the race detector")
+	}
+	db := buildWatermarkDB(t)
+	flip := false
+	perCommit := func(runs int) float64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			flip = !flip
+			p := 0.3
+			if flip {
+				p = 0.7
+			}
+			if err := db.Reweight(7, []float64{p}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+	}
+	short := perCommit(maxMarks / 2) // the log holds at most maxMarks/2 marks
+	perCommit(2 * maxMarks)          // fill it
+	full := perCommit(4 * maxMarks)
+	logBytes := float64(maxMarks * unsafe.Sizeof(versionMark{}))
+	if full-short > logBytes/4 {
+		t.Fatalf("a commit allocates %.0f bytes with a full log, %.0f with a short one; the full log is %.0f bytes",
+			full, short, logBytes)
 	}
 }
