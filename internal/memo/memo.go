@@ -13,9 +13,7 @@ package memo
 
 import (
 	"context"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"github.com/probdb/topkclean/internal/quality"
 	"github.com/probdb/topkclean/internal/topkq"
@@ -153,54 +151,12 @@ func (m *Memo[V]) Get(ctx context.Context, k int, needFull bool) (*State[V], err
 	if err != nil {
 		return nil, err
 	}
-	if ent.st, err = scanned(view, info); err != nil {
-		return nil, err
-	}
-	return ent.st, nil
-}
-
-// minOverlap is the least processed prefix, in rank positions, for which
-// a full state's TP pass runs beside its answers. On a shorter prefix the
-// two passes together cost about what waking an idle core does.
-const minOverlap = 1024
-
-// scanned builds the state of a pass that has just scanned view: it
-// derives the TP evaluation and, for a full state with a long enough
-// prefix and a second core to run on, computes the threshold-independent
-// answers on the caller while TP runs on a worker. Both passes read only
-// the immutable info and the view's processed prefix, which the scan has
-// already pulled, so neither writes anything the other reads; the answers
-// are the ones Answers would compute later. Whichever side claims TP
-// first runs it, so a worker that has not started by the time the answers
-// are done costs the caller nothing: it finds TP claimed and returns.
-func scanned[V View](view V, info *topkq.RankInfo) (*State[V], error) {
-	st := &State[V]{View: view, Info: info, full: info.HasRho()}
-	var ev *quality.Evaluation
-	var err error
-	tp := func() { ev, err = quality.TPFromInfo(view, info) }
-	if !st.full || info.Processed < minOverlap || runtime.GOMAXPROCS(0) < 2 {
-		tp()
-	} else {
-		var claimed atomic.Bool
-		done := make(chan struct{})
-		go func() {
-			if claimed.CompareAndSwap(false, true) {
-				tp()
-				close(done)
-			}
-		}()
-		st.Answers()
-		if claimed.CompareAndSwap(false, true) {
-			tp()
-		} else {
-			<-done
-		}
-	}
+	ev, err := quality.TPFromInfo(view, info)
 	if err != nil {
 		return nil, err
 	}
-	st.Eval = ev
-	return st, nil
+	ent.st = &State[V]{View: view, Info: info, Eval: ev, full: needFull}
+	return ent.st, nil
 }
 
 // migrate carries st to view: it resumes the PSR pass from the Carry
@@ -220,25 +176,18 @@ func (m *Memo[V]) migrate(st *State[V], view V) *State[V] {
 	if err != nil {
 		return nil
 	}
-	// A pure cache hit reuses the prior's prefix without scanning. With
-	// stable numbering it reuses the evaluation outright: S, Omega and the
-	// sparse gains depend on the unchanged prefix alone, and an x-tuple
-	// appended or dropped below the termination point has zero gain, so
-	// there is no entry to add or remove.
-	if wm >= prior.Processed && prior.Processed < prior.N {
-		var ev *quality.Evaluation
-		if stable {
-			ev = st.Eval.Carry(info, view.NumGroups())
-		} else if ev, err = quality.TPFromInfo(view, info); err != nil {
-			return nil
-		}
-		return &State[V]{View: view, Info: info, Eval: ev, full: info.HasRho()}
-	}
-	next, err := scanned(view, info)
-	if err != nil {
+	// A pure cache hit with stable numbering reuses the evaluation
+	// outright: S, Omega and the sparse gains depend on the unchanged
+	// prefix alone, and an x-tuple appended or dropped below the
+	// termination point has zero gain, so there is no entry to add or
+	// remove.
+	var ev *quality.Evaluation
+	if wm >= prior.Processed && prior.Processed < prior.N && stable {
+		ev = st.Eval.Carry(info, view.NumGroups())
+	} else if ev, err = quality.TPFromInfo(view, info); err != nil {
 		return nil
 	}
-	return next
+	return &State[V]{View: view, Info: info, Eval: ev, full: info.HasRho()}
 }
 
 // Invalidate drops every memoized state.

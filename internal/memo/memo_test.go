@@ -32,7 +32,9 @@ func snapshots(db *uncertain.Database) *Memo[*uncertain.Database] {
 // deepDB builds m x-tuples of alts equally likely alternatives with
 // scores drawn uniformly, none with a null: an x-tuple certainly
 // contributes only once the scan has passed all its alternatives, so
-// Lemma 2 stops late and the processed prefix is long.
+// Lemma 2 stops late, and the long prefix holds hundreds of exclusion
+// positions (439 at m = 400, alts = 10, k = 15): enough for a helper to
+// join the pass.
 func deepDB(t *testing.T, m, alts int) *uncertain.Database {
 	t.Helper()
 	rng := rand.New(rand.NewSource(3))
@@ -56,9 +58,8 @@ func deepDB(t *testing.T, m, alts int) *uncertain.Database {
 	return db
 }
 
-// checkAgainstSerial recomputes st's view from scratch, one pass after
-// another on the caller, and requires the memo's evaluation and answers to
-// match it exactly.
+// checkAgainstSerial recomputes st's view from scratch and requires the
+// memo's evaluation and answers to match it exactly.
 func checkAgainstSerial(t *testing.T, stage string, st *State[*uncertain.Database], k int) {
 	t.Helper()
 	info, err := topkq.RankProbabilities(st.View, k)
@@ -96,10 +97,11 @@ func checkAgainstSerial(t *testing.T, stage string, st *State[*uncertain.Databas
 	}
 }
 
-// TestFullMissMatchesSerial pins the overlapped miss: with one and with
-// two cores, a full state computed on a miss — fresh, and resumed after
-// each of a run of mutations — carries the evaluation and answers of
-// serial passes over its view.
+// TestFullMissMatchesSerial pins a full miss at any core count: with one
+// and with two cores (so the resumed scans' exclusion products run on one
+// or two workers), a full state computed on a miss — fresh, and resumed
+// after each of a run of mutations — carries the evaluation and answers
+// of from-scratch passes over its view.
 func TestFullMissMatchesSerial(t *testing.T) {
 	const k = 15
 	for _, procs := range []int{1, 2} {
@@ -111,9 +113,6 @@ func TestFullMissMatchesSerial(t *testing.T) {
 			st, err := m.Get(ctx, k, true)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if st.Info.Processed < minOverlap {
-				t.Fatalf("the scan processes %d positions; the overlap needs %d", st.Info.Processed, minOverlap)
 			}
 			checkAgainstSerial(t, "fresh", st, k)
 

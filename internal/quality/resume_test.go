@@ -2,6 +2,7 @@ package quality
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"math/rand"
 	"testing"
@@ -106,4 +107,155 @@ func sameGainBits(a, b Gains) error {
 		}
 	}
 	return nil
+}
+
+// renumbered is a Source over db whose group indices pair-swap db's own
+// (0↔1, 2↔3, ...), so a source's group index differs from the x-tuple's
+// Tuple.Group, as in the shard merge.
+type renumbered struct{ db *uncertain.Database }
+
+func (s renumbered) idx(g int) int {
+	if h := g ^ 1; h < s.db.NumGroups() {
+		return h
+	}
+	return g
+}
+
+func (s renumbered) NumTuples() int { return s.db.NumTuples() }
+
+func (s renumbered) NumGroups() int { return s.db.NumGroups() }
+
+func (s renumbered) GroupAt(g int) *uncertain.XTuple { return s.db.GroupAt(s.idx(g)) }
+
+func (s renumbered) Ranked(pos int) iter.Seq2[*uncertain.Tuple, int] {
+	return func(yield func(*uncertain.Tuple, int) bool) {
+		for t, g := range s.db.Ranked(pos) {
+			if !yield(t, s.idx(g)) {
+				return
+			}
+		}
+	}
+}
+
+// TestTPFromScanMatchesWalk pins the walk-free TP pass: on every info a
+// scan returns, fresh or resumed, over the database and over a
+// renumbering source, TPFromInfo reads the positions the scan recorded
+// and must give the bits of a pass that walks the source. A pure-hit
+// resume after a delete below the prefix renumbers groups the shared slot
+// table still names by their old indices; such an info is not resolved,
+// and TPFromInfo walks.
+func TestTPFromScanMatchesWalk(t *testing.T) {
+	const k = 5
+	rng := rand.New(rand.NewSource(12))
+	db := uncertain.New()
+	for g := 0; g < 80; g++ {
+		// Every other x-tuple is certain, so Lemma 2 stops the scan early
+		// and mutations below the prefix are pure hits.
+		n := 1 + rng.Intn(3)
+		mass := 1.0
+		if g%2 == 1 {
+			mass = 0.2 + 0.7*rng.Float64()
+		}
+		ts := make([]uncertain.Tuple, n)
+		for i := range ts {
+			ts[i] = uncertain.Tuple{
+				ID:    fmt.Sprintf("g%d.%d", g, i),
+				Attrs: []float64{rng.Float64() * 100},
+				Prob:  mass / float64(n),
+			}
+		}
+		if err := db.AddXTuple(fmt.Sprintf("G%d", g), ts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Build(uncertain.ByFirstAttr); err != nil {
+		t.Fatal(err)
+	}
+	same := func(stage string, a, b *Evaluation) {
+		t.Helper()
+		if math.Float64bits(a.S) != math.Float64bits(b.S) {
+			t.Fatalf("%s: S = %v, walk %v", stage, a.S, b.S)
+		}
+		if len(a.Omega) != len(b.Omega) {
+			t.Fatalf("%s: len(Omega) = %d, walk %d", stage, len(a.Omega), len(b.Omega))
+		}
+		for i := range a.Omega {
+			if math.Float64bits(a.Omega[i]) != math.Float64bits(b.Omega[i]) {
+				t.Fatalf("%s: Omega[%d] = %v, walk %v", stage, i, a.Omega[i], b.Omega[i])
+			}
+		}
+		if err := sameGainBits(a.Gains(), b.Gains()); err != nil {
+			t.Fatalf("%s: gains vs walk: %v", stage, err)
+		}
+	}
+	srcs := []topkq.Source{db, renumbered{db}}
+	priors := make([]*topkq.RankInfo, len(srcs))
+	for j, src := range srcs {
+		info, err := topkq.TopKProbabilities(src, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		priors[j] = info
+	}
+	version := db.Version()
+	resolved, stalePureHits := 0, 0
+	for step := 0; step < 60; step++ {
+		switch op := rng.Intn(3); {
+		case op == 0 || db.NumGroups() <= 2*k:
+			name := fmt.Sprintf("S%d", step)
+			if err := db.InsertXTuple(name,
+				uncertain.Tuple{ID: name + ".a", Attrs: []float64{rng.Float64() * 110}, Prob: 0.3 + 0.6*rng.Float64()}); err != nil {
+				t.Fatal(err)
+			}
+		case op == 1:
+			if err := db.DeleteXTuple(rng.Intn(db.NumGroups())); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			g := rng.Intn(db.NumGroups())
+			probs := make([]float64, len(db.GroupAt(g).RealTuples()))
+			for i := range probs {
+				probs[i] = (0.2 + 0.7*rng.Float64()) / float64(len(probs))
+			}
+			if err := db.Reweight(g, probs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wm, ok := db.DirtySince(version)
+		if !ok {
+			t.Fatalf("step %d: DirtySince unanswerable", step)
+		}
+		stable := db.GroupIndicesStableSince(version)
+		version = db.Version()
+		for j, src := range srcs {
+			stage := fmt.Sprintf("step %d, source %d", step, j)
+			resumed, err := topkq.Resume(src, priors[j], wm)
+			if err != nil {
+				t.Fatalf("%s: %v", stage, err)
+			}
+			if resumed.Resolved() {
+				resolved++
+			} else if !stable {
+				stalePureHits++
+			}
+			ev, err := TPFromInfo(src, resumed)
+			if err != nil {
+				t.Fatalf("%s: %v", stage, err)
+			}
+			same(stage, ev, tpWalk(src, resumed))
+			fresh, err := topkq.TopKProbabilities(src, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			evFresh, err := TPFromInfo(src, fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(stage+" (fresh)", evFresh, ev)
+			priors[j] = resumed
+		}
+	}
+	if resolved == 0 || stalePureHits == 0 {
+		t.Fatalf("%d resolved infos and %d pure hits across a renumbering; the test needs both", resolved, stalePureHits)
+	}
 }

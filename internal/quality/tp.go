@@ -158,13 +158,29 @@ func TPFromInfo(src topkq.Source, info *topkq.RankInfo) (*Evaluation, error) {
 	if info == nil || info.N != src.NumTuples() {
 		return nil, fmt.Errorf("quality: rank info does not match database")
 	}
+	if !info.Resolved() {
+		return tpWalk(src, info), nil
+	}
+	// The scan recorded every processed position's alternative, so the
+	// pass reads no tuple of the source.
+	p := newTPPass(info, src.NumGroups(), info.Processed)
+	for i := range info.Processed {
+		e, l := info.Alt(i)
+		p.step(i, e, l)
+	}
+	return p.finish(), nil
+}
+
+// tpWalk is the TP pass over an info that cannot name its positions: it
+// reads them from the source's processed prefix.
+func tpWalk(src topkq.Source, info *topkq.RankInfo) *Evaluation {
 	p := newTPPass(info, src.NumGroups(), info.Processed)
 	i := 0
 	for t, l := range topkq.Prefix(src, info.Processed) {
-		p.step(i, t, l)
+		p.step(i, t.Prob, l)
 		i++
 	}
-	return p.finish(), nil
+	return p.finish()
 }
 
 // tpPass is one TP evaluation in progress. step folds one rank position
@@ -207,21 +223,22 @@ func newTPPass(info *topkq.RankInfo, m, limit int) tpPass {
 	}
 }
 
-// step folds rank position i, holding alternative t of group l, into the
-// pass. The recurrence of Equation 9 updates E in O(1) per alternative.
-func (p *tpPass) step(i int, t *uncertain.Tuple, l int) {
+// step folds rank position i, holding an alternative of probability e of
+// group l, into the pass. The recurrence of Equation 9 updates E in O(1)
+// per alternative.
+func (p *tpPass) step(i int, e float64, l int) {
 	c := &p.sc.cells[l]
 	if c.e == 0 {
 		p.sc.touched = append(p.sc.touched, l)
 	}
-	c.e += t.Prob
+	c.e += e
 	pi := p.info.P(i)
 	if pi == 0 {
 		// w_i * p_i = 0 regardless of w_i; skip the weight computation
 		// (the optimization noted after Lemma 2) but keep E updated.
 		return
 	}
-	w := omega(t.Prob, c.e)
+	w := omega(e, c.e)
 	p.ev.Omega[i] = w
 	term := w * pi
 	c.g += term

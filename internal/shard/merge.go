@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"context"
 	"iter"
-	"sync"
 
 	"github.com/probdb/topkclean/internal/topkq"
 	"github.com/probdb/topkclean/internal/uncertain"
@@ -45,18 +44,15 @@ type Result struct {
 // merged is one scan's view of a pinned epoch as a topkq.Source. Its
 // pulls charge each shard's cumulative scan counter; a shard's count
 // includes the one extra pull (its first null) that proves its reals are
-// exhausted. Passes over one source may run concurrently (the memo
-// overlaps TP with the answer passes): pulls are serialized by mu, and a
-// pass reads the pairs below the buffer length it last saw, which no
-// pull writes again.
+// exhausted. A merged source is not safe for concurrent extension: the
+// scan that fills it runs alone (under its memo entry's lock), and later
+// passes read only the prefix it buffered.
 type merged struct {
-	c *Cluster
-	e *epoch
-
-	mu      sync.Mutex
-	h       *heads // nil until the first pull; guarded by mu
-	nullIdx int    // next directory entry the null phase visits; guarded by mu
-	buf     []pair // every pair pulled so far, in global rank order; nil until the first pull; appended under mu
+	c       *Cluster
+	e       *epoch
+	h       *heads // nil until the first pull
+	nullIdx int    // next directory entry the null phase visits
+	buf     []pair // every pair pulled so far, in global rank order; nil until the first pull
 	bufCap  int    // capacity of buf's first allocation
 }
 
@@ -94,32 +90,21 @@ func (m *merged) GroupAt(g int) *uncertain.XTuple {
 // pull at a time for as long as the consumer asks.
 func (m *merged) Ranked(pos int) iter.Seq2[*uncertain.Tuple, int] {
 	return func(yield func(*uncertain.Tuple, int) bool) {
-		var buf []pair
 		for i := pos; ; i++ {
-			if i >= len(buf) {
-				if buf = m.upTo(i); i >= len(buf) {
+			for i >= len(m.buf) {
+				if !m.next() {
 					return
 				}
 			}
-			if p := buf[i]; !yield(p.t, p.g) {
+			if p := m.buf[i]; !yield(p.t, p.g) {
 				return
 			}
 		}
 	}
 }
 
-// upTo pulls until the buffer holds position i or the order is exhausted,
-// and returns the buffer.
-func (m *merged) upTo(i int) []pair {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i >= len(m.buf) && m.next() {
-	}
-	return m.buf
-}
-
 // next appends the next pair of the merged order to the buffer, reporting
-// false when the order is exhausted. The caller holds m.mu.
+// false when the order is exhausted.
 func (m *merged) next() bool {
 	e, c := m.e, m.c
 	h := m.h
@@ -223,18 +208,12 @@ func (h *heads) Pop() any {
 // prefix, so no mapping of them to global positions bounds the change.
 func carryMerged(cur, prior *merged, info *topkq.RankInfo) (wm int, stable, ok bool) {
 	cur.bufCap = info.Processed + 1
-	prior.mu.Lock()
-	prev := prior.buf
-	prior.mu.Unlock()
-	n := min(len(prev), info.Processed)
-	var buf []pair
+	n := min(len(prior.buf), info.Processed)
 	for i := 0; i < n; i++ {
-		if i == len(buf) {
-			if buf = cur.upTo(i); i == len(buf) {
-				return i, false, true
-			}
+		if i == len(cur.buf) && !cur.next() {
+			return i, false, true
 		}
-		if buf[i] != prev[i] {
+		if cur.buf[i] != prior.buf[i] {
 			return i, false, true
 		}
 	}

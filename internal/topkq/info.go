@@ -68,6 +68,16 @@ type RankInfo struct {
 	ids   []*uncertain.XTuple
 	gidx  []int32
 
+	// e[i] is the probability of the alternative at rank position i, so
+	// (e[i], gidx[wslot[i]]) names every processed position's alternative
+	// without reading the source (see Alt). That needs gidx in the
+	// numbering of the source the info describes: a scan guarantees it
+	// (restore re-resolves every slot it keeps) and sets resolved; a
+	// pure-hit Resume shares its prior's slot table across a possible
+	// renumbering and clears it.
+	e        []float64
+	resolved bool
+
 	// deconvLim is the deconvolution threshold the pass ran with, kept so
 	// Resume replays with the identical numeric path. Zero marks an info
 	// that was not produced by the PSR scan (e.g. the naive baseline) and
@@ -78,6 +88,17 @@ type RankInfo struct {
 // CanResume reports whether the info carries the scan checkpoints (and
 // numeric configuration) Resume needs.
 func (ri *RankInfo) CanResume() bool { return ri.deconvLim != 0 }
+
+// Resolved reports whether Alt names every processed position; when it
+// does not, a pass reads the positions from the source instead.
+func (ri *RankInfo) Resolved() bool { return ri.resolved }
+
+// Alt returns the probability and group index of the alternative at
+// processed rank position i, as the source the info was computed on
+// yields them. It requires Resolved.
+func (ri *RankInfo) Alt(i int) (prob float64, group int) {
+	return ri.e[i], int(ri.gidx[ri.wslot[i]])
+}
 
 // HasRho reports whether per-rank probabilities were retained.
 func (ri *RankInfo) HasRho() bool { return ri.rho != nil }
@@ -104,6 +125,7 @@ func (ri *RankInfo) presize(n, slots int, keepRho bool) {
 	ri.TopK = make([]float64, 0, n)
 	ri.wslot = make([]int32, 0, n)
 	ri.wq = make([]float64, 0, n)
+	ri.e = make([]float64, 0, n)
 	ri.ids = make([]*uncertain.XTuple, 0, slots)
 	ri.gidx = make([]int32, 0, slots)
 	blocks := n/checkpointEvery + 1

@@ -3,6 +3,7 @@ package topkq
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/probdb/topkclean/internal/uncertain"
@@ -234,6 +235,9 @@ func TestExclusionWorkersAutomatic(t *testing.T) {
 			if w := exclWorkers(r); w != 1 {
 				t.Errorf("exclWorkers(%d) = %d, want 1 below the threshold", r, w)
 			}
+		}
+		if w := exclWorkers(2 * minHelperRows); runtime.GOMAXPROCS(0) >= 2 && w != 2 {
+			t.Errorf("exclWorkers(%d) = %d, want 2 at the threshold", 2*minHelperRows, w)
 		}
 		if w := exclWorkers(1 << 20); w < 1 || w > maxExclWorkers {
 			t.Errorf("exclWorkers(2^20) = %d, want 1..%d", w, maxExclWorkers)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"github.com/probdb/topkclean/internal/uncertain"
 )
@@ -84,12 +85,12 @@ type checkpoint struct {
 // products of one scan are independent of one another once the write log
 // is known, so up to maxExclWorkers goroutines compute them, each
 // replaying the log into its own tree. A helper's first product rebuilds
-// its whole tree and its start waits for an idle core, so it takes no
-// fewer than minHelperRows rows, and a scan with fewer than
-// 2·minHelperRows exclusion positions stays on the caller.
+// its whole tree and its start waits for an idle core, so a helper takes
+// no fewer than minHelperRows rows: a scan needs at least 2·minHelperRows
+// exclusion positions before a helper joins it.
 const (
 	maxExclWorkers = 4
-	minHelperRows  = 32
+	minHelperRows  = 64
 )
 
 // forceExclWorkers, when positive, fixes the exclusion worker count, lets
@@ -98,21 +99,21 @@ const (
 // the count or the split.
 var forceExclWorkers int
 
-// exclWorkers returns the number of workers for r exclusion products.
+// exclWorkers returns the number of workers for r exclusion products: no
+// more than could each be handed minHelperRows of them.
 func exclWorkers(r int) int {
 	if forceExclWorkers > 0 {
 		return max(1, min(forceExclWorkers, r))
 	}
-	return max(1, min(runtime.GOMAXPROCS(0), maxExclWorkers, r/(2*minHelperRows)))
+	return max(1, min(runtime.GOMAXPROCS(0), maxExclWorkers, r/minHelperRows))
 }
 
 // exclSched hands the exclusion rows to the workers. Each worker owns a
 // run of consecutive rows and computes it front to back, so its tree only
 // replays forward. The caller starts with every row; a helper, once it
-// runs, takes the back half of the longest open run. A helper that starts
-// late thus takes a smaller share, and one that starts after the caller
-// has finished its own run takes none: the caller never waits for a
-// helper to start, only for helpers that hold rows.
+// runs, takes the back of the longest open run. The caller never waits
+// for a helper to start: one that starts after the caller has finished
+// its own run takes nothing.
 type exclSched struct {
 	mu     sync.Mutex
 	runs   [maxExclWorkers]exclRun // rows [next, end) of each run; guarded by mu
@@ -124,8 +125,11 @@ type exclSched struct {
 
 type exclRun struct{ next, end int }
 
-// steal opens a run for a helper from the back half of the longest open
-// run and returns its index, or -1 when that half is under sc.min rows.
+// steal opens a run for a helper from the back of the longest open run
+// and returns its index, or -1 when that share is under sc.min rows. The
+// share is a little over half: the caller, whose run is the front one,
+// also runs the F pass, which costs about a quarter of what the
+// exclusions cost and overlaps the helpers' rows.
 func (sc *exclSched) steal() int {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -138,24 +142,24 @@ func (sc *exclSched) steal() int {
 			long = r
 		}
 	}
-	half := (long.end - long.next) / 2
-	if half < sc.min {
+	n := long.end - long.next
+	share := (n + n/8) / 2
+	if share < sc.min {
 		return -1
 	}
 	w := sc.open
 	sc.open++
-	sc.runs[w] = exclRun{long.end - half, long.end}
-	long.end -= half
+	sc.runs[w] = exclRun{long.end - share, long.end}
+	long.end -= share
 	sc.busy.Add(1)
 	return w
 }
 
-// close stops handing out runs and returns the end of the caller's run.
-func (sc *exclSched) close() int {
+// close stops handing out runs.
+func (sc *exclSched) close() {
 	sc.mu.Lock()
-	defer sc.mu.Unlock()
 	sc.closed = true
-	return sc.runs[0].end
+	sc.mu.Unlock()
 }
 
 // take returns the next row of run w, or false when the run is done.
@@ -184,20 +188,16 @@ type scanState struct {
 	// The plan of the positions scanned, indexed from the pass's start:
 	// each position's probability e and own-group mass ql before it, and
 	// for the positions that take the exclusion path, their position and
-	// slot. rows holds the exclusion products, k floats per entry of xpos.
+	// slot. rows holds the exclusion products, k floats per entry of xpos;
+	// ready[j] is set by the worker that wrote row j once it is written.
 	e, ql []float64
 	xpos  []int32
 	xslot []int32
 	rows  []float64
-	fc    fcur
+	ready []atomic.Bool
 
 	F, G, scratch []float64
 }
-
-// fcur is the F pass's place in the plan: the pass's start position, the
-// next planned position (an offset from start), the next row of rows and
-// the next of info's checkpoints to fill.
-type fcur struct{ start, d, r, ck int }
 
 // statePool recycles scan states, following the quality package's
 // scratch-pool idiom. A pooled state's slot index is all zeros over its
@@ -273,6 +273,7 @@ func (st *scanState) plan(src Source, info *RankInfo, i, g int, e, deconvLim flo
 	}
 	st.e = append(st.e, e)
 	st.ql = append(st.ql, ql)
+	info.e = append(info.e, e)
 
 	qNew := ql + e
 	if qNew > 1 {
@@ -293,35 +294,32 @@ func (st *scanState) plan(src Source, info *RankInfo, i, g int, e, deconvLim flo
 	}
 }
 
-// exclusions is the second phase: it fills rows with the distribution
-// over every active slot but the own one at each queued position, on the
-// caller and up to exclWorkers-1 helpers (see exclSched). Once its own
-// run is done the caller advances the F pass up to the first row a helper
-// owns, while the helpers finish.
-func (st *scanState) exclusions(info *RankInfo, keepRho bool) {
+// exclusions is the second phase: it starts up to exclWorkers-1 helpers,
+// computes the caller's run of the exclusion rows (see exclSched), and
+// returns the scheduler once no helper can join any more. Helpers may
+// still be writing their rows; the F pass waits for each one it reaches,
+// and the scan waits on sc.busy before the state is reused.
+func (st *scanState) exclusions(info *RankInfo) *exclSched {
 	r := len(st.xpos)
-	if r == 0 {
-		return
-	}
 	k := info.K
 	if cap(st.rows) < r*k {
 		st.rows = make([]float64, r*k)
 	}
 	st.rows = st.rows[:r*k]
+	if cap(st.ready) < r {
+		st.ready = make([]atomic.Bool, r)
+	}
+	st.ready = st.ready[:r]
+	clear(st.ready)
 	sc := &exclSched{open: 1, min: minHelperRows}
 	sc.runs[0].end = r
 	w := exclWorkers(r)
-	if w == 1 {
-		st.exclude(info, sc, 0)
-		return
-	}
 	forced := forceExclWorkers > 0
 	if forced {
 		sc.min = 1
 	}
 	// A helper that finds the scheduler closed returns without touching
-	// st, so the caller need not wait for it; one that takes a run holds
-	// sc.busy until its rows are written.
+	// st; one that takes a run holds sc.busy until its rows are written.
 	var opened sync.WaitGroup
 	opened.Add(w - 1)
 	for j := 1; j < w; j++ {
@@ -338,12 +336,8 @@ func (st *scanState) exclusions(info *RankInfo, keepRho bool) {
 		opened.Wait()
 	}
 	st.exclude(info, sc, 0)
-	to := len(st.e)
-	if end := sc.close(); end < r {
-		to = int(st.xpos[end]) - st.fc.start
-	}
-	st.fpass(info, to, keepRho)
-	sc.busy.Wait()
+	sc.close()
+	return sc
 }
 
 // exclude computes the rows of run w on a pooled tree: it replays info's
@@ -361,36 +355,40 @@ func (st *scanState) exclude(info *RankInfo, sc *exclSched, w int) {
 			ex.set(int(info.wslot[p]), info.wq[p])
 		}
 		ex.exclude(st.rows[j*k:(j+1)*k], int(st.xslot[j]))
+		st.ready[j].Store(true)
 	}
 	exclPool.Put(ex)
 }
 
 // fpass is the third phase, the recurrence documented on compute over the
-// planned positions: it advances the F pass to planned position to (an
-// offset from the pass's start). Each position's own-group exclusion G
-// comes by copy, by deconvolution or from rows; its top-k probability
-// (and, with keepRho, its rank probabilities) is appended to info, and F
-// moves below it. Checkpoints the plan recorded get their F as the pass
-// reaches them.
-func (st *scanState) fpass(info *RankInfo, to int, keepRho bool) {
+// positions planned from rank position start. Each position's own-group
+// exclusion G comes by copy, by deconvolution or from rows, waiting for a
+// helper's row until it is written; its top-k probability (and, with
+// keepRho, its rank probabilities) is appended to info, and F moves below
+// it. The plan's checkpoints, from info.ckpts[ck] on, get their F as the
+// pass reaches them.
+func (st *scanState) fpass(info *RankInfo, start, ck int, keepRho bool) {
 	k := len(st.F)
 	deconvLim := info.deconvLim
-	fc := &st.fc
-	for ; fc.d < to; fc.d++ {
-		i, e := fc.start+fc.d, st.e[fc.d]
-		if fc.ck < len(info.ckpts) && info.ckpts[fc.ck].pos == i {
-			info.ckpts[fc.ck].F = append([]float64(nil), st.F...)
-			fc.ck++
+	x := 0 // the next exclusion row
+	for d, e := range st.e {
+		i := start + d
+		if ck < len(info.ckpts) && info.ckpts[ck].pos == i {
+			info.ckpts[ck].F = append([]float64(nil), st.F...)
+			ck++
 		}
 		G := st.G
-		switch ql := st.ql[fc.d]; {
+		switch ql := st.ql[d]; {
 		case ql == 0:
 			copy(G, st.F)
 		case ql <= deconvLim:
 			deconvolve(G, st.F, ql)
 		default:
-			G = st.rows[fc.r*k : (fc.r+1)*k]
-			fc.r++
+			for !st.ready[x].Load() {
+				runtime.Gosched()
+			}
+			G = st.rows[x*k : (x+1)*k]
+			x++
 		}
 
 		var p float64
@@ -542,7 +540,9 @@ func compute(src Source, k int, keepRho bool, deconvLim float64) (*RankInfo, err
 //     on q alone;
 //  2. exclusions: the exclusion products of the queued positions, on
 //     parallel workers when there are enough of them;
-//  3. the F pass: the sequential recurrence over the planned positions.
+//  3. the F pass: the sequential recurrence over the planned positions,
+//     on the caller, which reaches the helpers' rows while they are still
+//     being written.
 //
 // It records a checkpoint every checkpointEvery positions — aligned to
 // absolute positions, so resumed passes checkpoint at the same spots a
@@ -554,7 +554,7 @@ func compute(src Source, k int, keepRho bool, deconvLim float64) (*RankInfo, err
 func scanFrom(src Source, info *RankInfo, st *scanState, start int, keepRho bool) (*RankInfo, error) {
 	defer st.release()
 	k := info.K
-	st.fc = fcur{start: start, ck: len(info.ckpts)}
+	ck := len(info.ckpts)
 	i := start
 	// Lemma 2: once k x-tuples certainly place an alternative above the
 	// scan point, p = 0 for every remaining tuple.
@@ -570,9 +570,11 @@ func scanFrom(src Source, info *RankInfo, st *scanState, start int, keepRho bool
 			}
 		}
 	}
-	st.exclusions(info, keepRho)
-	st.fpass(info, len(st.e), keepRho)
+	sc := st.exclusions(info)
+	st.fpass(info, start, ck, keepRho)
+	sc.busy.Wait()
 	info.Processed = i
+	info.resolved = true
 	if n := src.NumTuples(); i == n && (len(info.ckpts) == 0 || info.ckpts[len(info.ckpts)-1].pos != n) {
 		c := st.mark(n, info.Rebuilds)
 		c.F = append([]float64(nil), st.F...)

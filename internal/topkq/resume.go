@@ -62,6 +62,7 @@ func Resume(src Source, prior *RankInfo, fromRank int) (*RankInfo, error) {
 		// termination point, and the p = 0 suffix all stand.
 		out := *prior
 		out.N = n
+		out.resolved = false // group indices may have moved since the prior scan
 		return &out, nil
 	}
 
@@ -101,6 +102,7 @@ func Resume(src Source, prior *RankInfo, fromRank int) (*RankInfo, error) {
 	info.TopK = append(info.TopK, prior.TopK[:start]...)
 	info.wslot = append(info.wslot, prior.wslot[:start]...)
 	info.wq = append(info.wq, prior.wq[:start]...)
+	info.e = append(info.e, prior.e[:start]...)
 	info.ckpts = append(info.ckpts, prior.ckpts[:used+1]...)
 	if keepRho {
 		full := start / checkpointEvery

@@ -52,39 +52,74 @@ func snapshotScored(t *uncertain.Tuple, rank int, prob float64) ScoredAnswer {
 // the answer deterministic. The same tuple may win several ranks, which is
 // a known property of the U-kRanks semantics. Requires info computed with
 // RankProbabilities on src.
+//
+// The winners are picked from info alone, so src is read only at the
+// winning positions. A null alternative never answers: in the rare prefix
+// where one wins a rank, the pick is repeated without the prefix's nulls.
 func UKRanks(src Source, info *RankInfo) ([]RankedAnswer, error) {
 	if !info.HasRho() {
 		return nil, fmt.Errorf("topkq: UKRanks needs per-rank probabilities; use RankProbabilities")
 	}
+	out, ok := ukRanks(src, info, nil)
+	if !ok {
+		out, _ = ukRanks(src, info, nullPositions(src, info))
+	}
+	return out, nil
+}
+
+// ukRanks picks the U-kRanks winners among the processed positions not
+// marked in null (a nil null marks none). Strictly-greater comparisons
+// in ascending rank order keep the earliest (highest-ranked) winner for
+// each h. It reports false when a winner holds a null alternative.
+func ukRanks(src Source, info *RankInfo, null []bool) ([]RankedAnswer, bool) {
 	k := info.K
-	// One pass over the processed prefix, tracking the per-rank argmax.
-	// Strictly-greater comparisons in ascending rank order keep the
-	// earliest (highest-ranked) winner for each h.
 	bestP := make([]float64, k+1)
 	bestI := make([]int, k+1)
-	bestT := make([]*uncertain.Tuple, k+1)
 	for h := range bestI {
 		bestI[h] = -1
 	}
-	i := -1
-	for t := range Prefix(src, info.Processed) {
-		i++
-		if t.Null {
+	for i := range info.Processed {
+		if null != nil && null[i] {
 			continue
 		}
+		row := info.rhoRow(i)
 		for h := 1; h <= k; h++ {
-			if p := info.Rho(i, h); p > bestP[h] {
-				bestP[h], bestI[h], bestT[h] = p, i, t
+			if p := row[h-1]; p > bestP[h] {
+				bestP[h], bestI[h] = p, i
 			}
 		}
 	}
 	out := make([]RankedAnswer, 0, k)
 	for h := 1; h <= k; h++ {
-		if bestI[h] >= 0 {
-			out = append(out, snapshotRanked(h, bestT[h], bestI[h], bestP[h]))
+		if i := bestI[h]; i >= 0 {
+			t := tupleAt(src, i)
+			if t.Null {
+				return nil, false
+			}
+			out = append(out, snapshotRanked(h, t, i, bestP[h]))
 		}
 	}
-	return out, nil
+	return out, true
+}
+
+// tupleAt returns the alternative at rank position i of src.
+func tupleAt(src Source, i int) *uncertain.Tuple {
+	for t := range src.Ranked(i) {
+		return t
+	}
+	return nil
+}
+
+// nullPositions marks the processed positions of info that hold a null
+// alternative in src: one walk over the prefix.
+func nullPositions(src Source, info *RankInfo) []bool {
+	null := make([]bool, info.Processed)
+	i := 0
+	for t := range Prefix(src, info.Processed) {
+		null[i] = t.Null
+		i++
+	}
+	return null
 }
 
 // PTK evaluates the PT-k query [11]: every real tuple whose top-k
@@ -106,24 +141,28 @@ func PTK(src Source, info *RankInfo, threshold float64) []ScoredAnswer {
 
 // GlobalTopK evaluates the Global-topk query [13]: the k real tuples with
 // the highest top-k probabilities, ties broken toward the higher-ranked
-// tuple (the tie-break used in Zhang and Chomicki's definition).
-//
-// The answer is kept sorted in a slice of at most k entries while the
-// prefix is read in rank order: a candidate goes after every kept entry
-// of equal or higher probability (which all rank above it), so the slice
-// is always the first k of the stable (probability descending, rank
-// ascending) order. Time O(Processed·log k), space O(k).
+// tuple (the tie-break used in Zhang and Chomicki's definition). Like
+// UKRanks, it picks from info alone and reads src only at the k winners.
 func GlobalTopK(src Source, info *RankInfo) []ScoredAnswer {
+	out, ok := globalTopK(src, info, nil)
+	if !ok {
+		out, _ = globalTopK(src, info, nullPositions(src, info))
+	}
+	return out
+}
+
+// globalTopK picks the Global-topk winners among the processed positions
+// not marked in null, reporting false when a winner holds a null
+// alternative. The answer is kept sorted in a slice of at most k entries
+// while the prefix is read in rank order: a candidate goes after every
+// kept entry of equal or higher probability (which all rank above it), so
+// the slice is always the first k of the stable (probability descending,
+// rank ascending) order. Time O(Processed·log k), space O(k).
+func globalTopK(src Source, info *RankInfo, null []bool) ([]ScoredAnswer, bool) {
 	k := info.K
 	out := make([]ScoredAnswer, 0, k)
-	i := -1
-	for t := range Prefix(src, info.Processed) {
-		i++
-		if t.Null {
-			continue
-		}
-		p := info.P(i)
-		if p <= 0 || (len(out) == k && out[k-1].Prob >= p) {
+	for i, p := range info.TopK[:info.Processed] {
+		if (null != nil && null[i]) || p <= 0 || (len(out) == k && out[k-1].Prob >= p) {
 			continue
 		}
 		at := sort.Search(len(out), func(j int) bool { return out[j].Prob < p })
@@ -131,9 +170,16 @@ func GlobalTopK(src Source, info *RankInfo) []ScoredAnswer {
 			out = append(out, ScoredAnswer{})
 		}
 		copy(out[at+1:], out[at:len(out)-1])
-		out[at] = snapshotScored(t, i, p)
+		out[at] = ScoredAnswer{Rank: i, Prob: p}
 	}
-	return out
+	for j, a := range out {
+		t := tupleAt(src, a.Rank)
+		if t.Null {
+			return nil, false
+		}
+		out[j] = snapshotScored(t, a.Rank, a.Prob)
+	}
+	return out, true
 }
 
 // FormatScored renders a scored answer list compactly, e.g. "{t1, t2, t5}".

@@ -3,6 +3,7 @@ package topkq
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -310,5 +311,100 @@ func TestGlobalTopKAllocsIndependentOfPrefix(t *testing.T) {
 	large, pLarge := perCall(1600)
 	if large != small {
 		t.Fatalf("GlobalTopK allocates %.0f bytes over %d positions vs %.0f over %d; want equal", large, pLarge, small, pSmall)
+	}
+}
+
+// ukRanksReference is U-kRanks by a walk that reads every alternative of
+// the processed prefix and skips the nulls as it meets them.
+func ukRanksReference(src Source, info *RankInfo) []RankedAnswer {
+	k := info.K
+	bestP := make([]float64, k+1)
+	bestI := make([]int, k+1)
+	bestT := make([]*uncertain.Tuple, k+1)
+	for h := range bestI {
+		bestI[h] = -1
+	}
+	i := -1
+	for t := range Prefix(src, info.Processed) {
+		i++
+		if t.Null {
+			continue
+		}
+		for h := 1; h <= k; h++ {
+			if p := info.Rho(i, h); p > bestP[h] {
+				bestP[h], bestI[h], bestT[h] = p, i, t
+			}
+		}
+	}
+	out := make([]RankedAnswer, 0, k)
+	for h := 1; h <= k; h++ {
+		if bestI[h] >= 0 {
+			out = append(out, snapshotRanked(h, bestT[h], bestI[h], bestP[h]))
+		}
+	}
+	return out
+}
+
+// TestAnswersPickedFromInfoMatchWalk pins U-kRanks and Global-topk, which
+// pick their winners from the info and read the source only at the
+// winners, against walks that read every alternative. The rank
+// probabilities are random over databases whose processed prefix holds
+// nulls, so in some trials a null wins and the pick is repeated without
+// the prefix's nulls; ties are frequent, so the rank tie-break is
+// exercised too.
+func TestAnswersPickedFromInfoMatchWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var ukNullWins, gtkNullWins int
+	for trial := 0; trial < 300; trial++ {
+		db := resumeTestDB(t, rng, 5+rng.Intn(60))
+		n := db.NumTuples()
+		k := 1 + rng.Intn(min(db.NumGroups(), 8))
+		info := &RankInfo{N: n, Processed: 1 + rng.Intn(n), K: k}
+		// A few levels make ties; every third trial draws from a
+		// continuum, so a late position — a null — can win a rank.
+		levels := 1 + rng.Intn(4)
+		continuous := trial%3 == 0
+		draw := func() float64 {
+			switch {
+			case rng.Float64() < 0.3:
+				return 0
+			case continuous:
+				return rng.Float64()
+			}
+			return float64(1+rng.Intn(levels)) / float64(levels)
+		}
+		info.TopK = make([]float64, info.Processed)
+		for i := range info.TopK {
+			info.TopK[i] = draw()
+			if i%checkpointEvery == 0 {
+				info.rho = append(info.rho, make([]float64, k*checkpointEvery))
+			}
+			for h := range info.rhoRow(i) {
+				info.rhoRow(i)[h] = draw()
+			}
+		}
+		var src Source = db
+		if trial%2 == 1 {
+			src = swapped{db}
+		}
+		if _, ok := ukRanks(src, info, nil); !ok {
+			ukNullWins++
+		}
+		if _, ok := globalTopK(src, info, nil); !ok {
+			gtkNullWins++
+		}
+		uk, err := UKRanks(src, info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := ukRanksReference(src, info); !slices.Equal(uk, want) {
+			t.Fatalf("trial %d (K=%d, Processed=%d): U-kRanks %s, walk %s", trial, k, info.Processed, FormatRanked(uk), FormatRanked(want))
+		}
+		if got, want := GlobalTopK(src, info), globalTopKReference(src, info); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (K=%d, Processed=%d): Global-topk %s, walk %s", trial, k, info.Processed, FormatScored(got), FormatScored(want))
+		}
+	}
+	if ukNullWins == 0 || gtkNullWins == 0 {
+		t.Fatalf("a null won U-kRanks in %d trials and Global-topk in %d; the repeated pick needs both", ukNullWins, gtkNullWins)
 	}
 }
