@@ -94,11 +94,9 @@ func (e *Engine) pin() (*Database, error) {
 
 // carrySnapshot carries a memoized pass across snapshot epochs with the
 // database's own bookkeeping: DirtySince merges the intervening
-// mutations' dirty-rank watermarks, and GroupIndicesStableSince reports
-// whether any of them renumbered surviving x-tuples.
-func carrySnapshot(cur, prior *Database, _ *RankInfo) (wm int, stable, ok bool) {
-	wm, ok = cur.DirtySince(prior.Version())
-	return wm, ok && cur.GroupIndicesStableSince(prior.Version()), ok
+// mutations' dirty-rank watermarks.
+func carrySnapshot(cur, prior *Database, _ *RankInfo) (wm int, ok bool) {
+	return cur.DirtySince(prior.Version())
 }
 
 // DB returns the engine's database.

@@ -29,10 +29,9 @@ type View interface {
 // to the newer view cur. wm is a dirty-rank watermark for the changes
 // between them, as topkq.Resume requires: every rank position strictly
 // below it holds the same alternative, with the same probability and
-// x-tuple, in both. stable reports that every x-tuple of info's processed
-// prefix kept its group index, so per-group results can be shared. ok is
-// false when no watermark can be given; the entry is then recomputed.
-type Carry[V View] func(cur, prior V, info *topkq.RankInfo) (wm int, stable, ok bool)
+// x-tuple, in both. ok is false when no watermark can be given; the entry
+// is then recomputed.
+type Carry[V View] func(cur, prior V, info *topkq.RankInfo) (wm int, ok bool)
 
 // Memo memoizes one State per query size k. It is safe for concurrent
 // use.
@@ -168,7 +167,7 @@ func (m *Memo[V]) migrate(st *State[V], view V) *State[V] {
 	if prior.K > view.NumGroups() {
 		return nil // the resume must fail; recomputing reports why
 	}
-	wm, stable, ok := m.carry(view, st.View, prior)
+	wm, ok := m.carry(view, st.View, prior)
 	if !ok {
 		return nil
 	}
@@ -176,13 +175,13 @@ func (m *Memo[V]) migrate(st *State[V], view V) *State[V] {
 	if err != nil {
 		return nil
 	}
-	// A pure cache hit with stable numbering reuses the evaluation
-	// outright: S, Omega and the sparse gains depend on the unchanged
-	// prefix alone, and an x-tuple appended or dropped below the
-	// termination point has zero gain, so there is no entry to add or
-	// remove.
+	// A pure cache hit that found every slot at its old index reuses the
+	// evaluation outright: S, Omega and the sparse gains depend on the
+	// unchanged prefix and its group indices alone, and an x-tuple
+	// appended or dropped below the termination point has zero gain, so
+	// there is no entry to add or remove.
 	var ev *quality.Evaluation
-	if wm >= prior.Processed && prior.Processed < prior.N && stable {
+	if info.Kept() {
 		ev = st.Eval.Carry(info, view.NumGroups())
 	} else if ev, err = quality.TPFromInfo(view, info); err != nil {
 		return nil

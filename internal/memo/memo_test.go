@@ -3,6 +3,7 @@ package memo
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -22,9 +23,8 @@ func snapshots(db *uncertain.Database) *Memo[*uncertain.Database] {
 		}
 		return nil, uncertain.ErrNotBuilt
 	}
-	carry := func(cur, prior *uncertain.Database, _ *topkq.RankInfo) (int, bool, bool) {
-		wm, ok := cur.DirtySince(prior.Version())
-		return wm, ok && cur.GroupIndicesStableSince(prior.Version()), ok
+	carry := func(cur, prior *uncertain.Database, _ *topkq.RankInfo) (int, bool) {
+		return cur.DirtySince(prior.Version())
 	}
 	return New(pin, carry)
 }
@@ -141,5 +141,123 @@ func TestFullMissMatchesSerial(t *testing.T) {
 				checkAgainstSerial(t, fmt.Sprintf("step %d", step), st, k)
 			}
 		})
+	}
+}
+
+// pairLadder builds m x-tuples of two equally likely alternatives, x-tuple
+// g's two just below x-tuple g-1's: an x-tuple is certain to have placed
+// an alternative once the scan has passed both of its own, so Lemma 2
+// stops after 2k positions and every x-tuple from index k on lies wholly
+// below the termination point.
+func pairLadder(t *testing.T, m int) *uncertain.Database {
+	t.Helper()
+	db := uncertain.New()
+	for g := 0; g < m; g++ {
+		if err := db.AddXTuple(fmt.Sprintf("G%d", g),
+			uncertain.Tuple{ID: fmt.Sprintf("g%d.a", g), Attrs: []float64{float64(1000 - 2*g)}, Prob: 0.5},
+			uncertain.Tuple{ID: fmt.Sprintf("g%d.b", g), Attrs: []float64{float64(999 - 2*g)}, Prob: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Build(uncertain.ByFirstAttr); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// sameEvalBits requires two evaluations to agree bit for bit: S, every
+// weight, and every gain with its group.
+func sameEvalBits(t *testing.T, stage string, got, want *quality.Evaluation) {
+	t.Helper()
+	if math.Float64bits(got.S) != math.Float64bits(want.S) {
+		t.Fatalf("%s: S = %v, fresh %v", stage, got.S, want.S)
+	}
+	if len(got.Omega) != len(want.Omega) {
+		t.Fatalf("%s: %d weights, fresh %d", stage, len(got.Omega), len(want.Omega))
+	}
+	for i := range got.Omega {
+		if math.Float64bits(got.Omega[i]) != math.Float64bits(want.Omega[i]) {
+			t.Fatalf("%s: Omega[%d] = %v, fresh %v", stage, i, got.Omega[i], want.Omega[i])
+		}
+	}
+	g, w := got.Gains(), want.Gains()
+	if len(g) != len(w) {
+		t.Fatalf("%s: %d gains, fresh %d", stage, len(g), len(w))
+	}
+	for i := range g {
+		if g[i].Group != w[i].Group || math.Float64bits(g[i].Value) != math.Float64bits(w[i].Value) {
+			t.Fatalf("%s: gain %d = %+v, fresh %+v", stage, i, g[i], w[i])
+		}
+	}
+}
+
+// TestPureHitAcrossRenumberingDelete pins the memo's pure cache hits on
+// snapshot views. A tail delete below the termination point moves no
+// slot, so the evaluation is carried: its gains are the prior's slice. A
+// delete below the termination point that renumbers an x-tuple of the
+// prefix is still a pure hit, but its resume re-resolves the moved slot,
+// and the evaluation is recomputed from it: bit for bit a fresh one, its
+// gains keyed by the new indices.
+func TestPureHitAcrossRenumberingDelete(t *testing.T) {
+	const k = 3
+	db := pairLadder(t, 40)
+	m := snapshots(db)
+	ctx := context.Background()
+	get := func(stage string) *State[*uncertain.Database] {
+		t.Helper()
+		st, err := m.Get(ctx, k, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := topkq.TopKProbabilities(st.View, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := quality.TPFromInfo(st.View, info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameEvalBits(t, stage, st.Eval, fresh)
+		return st
+	}
+	pureHit := func(stage string, st, prior *State[*uncertain.Database]) {
+		t.Helper()
+		if st.Info.Processed != prior.Info.Processed || &st.Info.TopK[0] != &prior.Info.TopK[0] {
+			t.Fatalf("%s: not a pure hit (processed %d, prior %d)", stage, st.Info.Processed, prior.Info.Processed)
+		}
+	}
+
+	st := get("fresh")
+	if st.Info.Processed != 2*k || len(st.Eval.Gains()) == 0 {
+		t.Fatalf("fresh: %d positions, %d gains; the ladder needs %d and some", st.Info.Processed, len(st.Eval.Gains()), 2*k)
+	}
+	if err := db.DeleteXTuple(db.NumGroups() - 1); err != nil {
+		t.Fatal(err)
+	}
+	tail := get("tail delete")
+	pureHit("tail delete", tail, st)
+	if !tail.Info.Kept() || &tail.Eval.Gains()[0] != &st.Eval.Gains()[0] {
+		t.Fatalf("tail delete: kept %v; the evaluation was not carried", tail.Info.Kept())
+	}
+
+	// A new top x-tuple takes the highest index, so a delete below the
+	// prefix renumbers it.
+	if err := db.InsertXTuple("top",
+		uncertain.Tuple{ID: "top.a", Attrs: []float64{2000}, Prob: 0.5},
+		uncertain.Tuple{ID: "top.b", Attrs: []float64{1999}, Prob: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	st = get("insert")
+	top := db.NumGroups() - 1
+	if err := db.DeleteXTuple(10); err != nil {
+		t.Fatal(err)
+	}
+	moved := get("renumbering delete")
+	pureHit("renumbering delete", moved, st)
+	if moved.Info.Kept() {
+		t.Fatal("renumbering delete: the pure hit kept every slot")
+	}
+	if g := moved.Eval.Gain(top - 1); g == 0 || g != st.Eval.Gain(top) || moved.Eval.Gain(top) != 0 {
+		t.Fatalf("renumbering delete: the top x-tuple's gain %v at its new index %d, %v at its old; prior %v", g, top-1, moved.Eval.Gain(top), st.Eval.Gain(top))
 	}
 }

@@ -127,6 +127,8 @@ func (s renumbered) NumGroups() int { return s.db.NumGroups() }
 
 func (s renumbered) GroupAt(g int) *uncertain.XTuple { return s.db.GroupAt(s.idx(g)) }
 
+func (s renumbered) AtRank(pos int) *uncertain.Tuple { return s.db.AtRank(pos) }
+
 func (s renumbered) Ranked(pos int) iter.Seq2[*uncertain.Tuple, int] {
 	return func(yield func(*uncertain.Tuple, int) bool) {
 		for t, g := range s.db.Ranked(pos) {
@@ -137,13 +139,31 @@ func (s renumbered) Ranked(pos int) iter.Seq2[*uncertain.Tuple, int] {
 	}
 }
 
+// tpWalk is the TP pass that walks the source's processed prefix instead
+// of reading the positions the scan recorded: the reference the
+// walk-free pass must match.
+func tpWalk(src topkq.Source, info *topkq.RankInfo) *Evaluation {
+	p := newTPPass(info, src.NumGroups(), info.Processed)
+	if info.Processed == 0 {
+		return p.finish()
+	}
+	i := 0
+	for t, l := range src.Ranked(0) {
+		p.step(i, t.Prob, l)
+		if i++; i == info.Processed {
+			break
+		}
+	}
+	return p.finish()
+}
+
 // TestTPFromScanMatchesWalk pins the walk-free TP pass: on every info a
 // scan returns, fresh or resumed, over the database and over a
 // renumbering source, TPFromInfo reads the positions the scan recorded
 // and must give the bits of a pass that walks the source. A pure-hit
-// resume after a delete below the prefix renumbers groups the shared slot
-// table still names by their old indices; such an info is not resolved,
-// and TPFromInfo walks.
+// resume after a delete below the prefix finds the slots of renumbered
+// x-tuples away from their recorded indices and re-resolves them; the
+// test needs such moved pure hits as well as resumed scans.
 func TestTPFromScanMatchesWalk(t *testing.T) {
 	const k = 5
 	rng := rand.New(rand.NewSource(12))
@@ -198,7 +218,7 @@ func TestTPFromScanMatchesWalk(t *testing.T) {
 		priors[j] = info
 	}
 	version := db.Version()
-	resolved, stalePureHits := 0, 0
+	scans, movedPureHits := 0, 0
 	for step := 0; step < 60; step++ {
 		switch op := rng.Intn(3); {
 		case op == 0 || db.NumGroups() <= 2*k:
@@ -225,7 +245,6 @@ func TestTPFromScanMatchesWalk(t *testing.T) {
 		if !ok {
 			t.Fatalf("step %d: DirtySince unanswerable", step)
 		}
-		stable := db.GroupIndicesStableSince(version)
 		version = db.Version()
 		for j, src := range srcs {
 			stage := fmt.Sprintf("step %d, source %d", step, j)
@@ -233,10 +252,11 @@ func TestTPFromScanMatchesWalk(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", stage, err)
 			}
-			if resumed.Resolved() {
-				resolved++
-			} else if !stable {
-				stalePureHits++
+			switch prior := priors[j]; {
+			case wm < prior.Processed || prior.Processed == prior.N:
+				scans++
+			case !resumed.Kept():
+				movedPureHits++
 			}
 			ev, err := TPFromInfo(src, resumed)
 			if err != nil {
@@ -255,7 +275,7 @@ func TestTPFromScanMatchesWalk(t *testing.T) {
 			priors[j] = resumed
 		}
 	}
-	if resolved == 0 || stalePureHits == 0 {
-		t.Fatalf("%d resolved infos and %d pure hits across a renumbering; the test needs both", resolved, stalePureHits)
+	if scans == 0 || movedPureHits == 0 {
+		t.Fatalf("%d resumed scans and %d pure hits that moved a slot; the test needs both", scans, movedPureHits)
 	}
 }

@@ -82,13 +82,13 @@ func (ev *Evaluation) Gain(l int) float64 { return ev.gains.At(l) }
 func (ev *Evaluation) Gains() Gains { return ev.gains }
 
 // Carry returns the evaluation for a newer version of the same database
-// whose scan is a pure cache hit: every mutation since lies at or below
-// the early-termination point, so the processed prefix — and with it S,
-// Omega and every gain — is unchanged, and no surviving x-tuple was
-// renumbered. info is the resumed rank information and m the new x-tuple
-// count; x-tuples appended or dropped by such mutations have all their
-// alternatives below the termination point and hence zero gain, so the
-// sparse gains are shared outright. O(1).
+// whose resumed rank information info is Kept: a pure cache hit (every
+// mutation since lies at or below the early-termination point, so the
+// processed prefix — and with it S and Omega — is unchanged) that found
+// every slot at its old group index, so every gain keeps its key. m is
+// the new x-tuple count; x-tuples appended or dropped by such mutations
+// have all their alternatives below the termination point and hence zero
+// gain, so the sparse gains are shared outright. O(1).
 func (ev *Evaluation) Carry(info *topkq.RankInfo, m int) *Evaluation {
 	return &Evaluation{S: ev.S, Omega: ev.Omega, Info: info, gains: ev.gains, groups: m}
 }
@@ -158,8 +158,8 @@ func TPFromInfo(src topkq.Source, info *topkq.RankInfo) (*Evaluation, error) {
 	if info == nil || info.N != src.NumTuples() {
 		return nil, fmt.Errorf("quality: rank info does not match database")
 	}
-	if !info.Resolved() {
-		return tpWalk(src, info), nil
+	if !info.CanResume() {
+		return nil, fmt.Errorf("quality: rank info was not computed by the PSR scan")
 	}
 	// The scan recorded every processed position's alternative, so the
 	// pass reads no tuple of the source.
@@ -171,21 +171,9 @@ func TPFromInfo(src topkq.Source, info *topkq.RankInfo) (*Evaluation, error) {
 	return p.finish(), nil
 }
 
-// tpWalk is the TP pass over an info that cannot name its positions: it
-// reads them from the source's processed prefix.
-func tpWalk(src topkq.Source, info *topkq.RankInfo) *Evaluation {
-	p := newTPPass(info, src.NumGroups(), info.Processed)
-	i := 0
-	for t, l := range topkq.Prefix(src, info.Processed) {
-		p.step(i, t.Prob, l)
-		i++
-	}
-	return p.finish()
-}
-
 // tpPass is one TP evaluation in progress. step folds one rank position
-// of the source's processed prefix, so a pass is a single walk over that
-// prefix whatever the source.
+// of the processed prefix, so a pass is a single sweep over the positions
+// the scan recorded, whatever the source.
 type tpPass struct {
 	ev   *Evaluation
 	info *topkq.RankInfo

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/probdb/topkclean/internal/memo"
 	"github.com/probdb/topkclean/internal/quality"
 	"github.com/probdb/topkclean/internal/topkq"
 	"github.com/probdb/topkclean/internal/uncertain"
@@ -300,4 +301,140 @@ func TestConcurrentReadersVsWriter(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+}
+
+// TestDeletesBelowTerminationMatchFresh pins the cluster's memo across the
+// deletes below the termination point. A tail delete renumbers nothing:
+// the carry walk matches the whole prefix, every slot is where it was,
+// and the evaluation is carried — its gains are the prior's slice. A
+// delete that renumbers a prefix x-tuple's global index stops the walk at
+// that x-tuple (identities are per shard, so a slot is never searched
+// for), and the resumed evaluation is bit for bit a fresh one over the
+// new epoch, its gains keyed by the new indices.
+func TestDeletesBelowTerminationMatchFresh(t *testing.T) {
+	const shards, k = 4, 3
+	c, err := New(Config{Shards: shards, K: k, Threshold: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := uncertain.New()
+	add := func(name string, score float64, build bool) {
+		t.Helper()
+		ts := []uncertain.Tuple{
+			{ID: name + ".a", Attrs: []float64{score}, Prob: 0.5},
+			{ID: name + ".b", Attrs: []float64{score - 1}, Prob: 0.5},
+		}
+		if build {
+			if err := c.AddXTuple(name, ts...); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.AddXTuple(name, ts...); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		if err := c.InsertXTuple(name, ts...); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.InsertXTuple(name, ts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for g := 0; g < 40; g++ {
+		add(fmt.Sprintf("G%d", g), float64(1000-2*g), true)
+	}
+	if err := c.Build(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Build(uncertain.ByFirstAttr); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	get := func(stage string) *memo.State[*merged] {
+		t.Helper()
+		st, err := c.memo.Get(ctx, k, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := topkq.TopKProbabilities(st.View, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := quality.TPFromInfo(st.View, info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameEval(st.Eval, fresh); err != nil {
+			t.Fatalf("%s: memoized vs fresh: %v", stage, err)
+		}
+		plain, err := quality.TP(db, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameEval(st.Eval, plain); err != nil {
+			t.Fatalf("%s: cluster vs plain: %v", stage, err)
+		}
+		return st
+	}
+
+	st := get("fresh")
+	if st.Info.Processed != 2*k || len(st.Eval.Gains()) == 0 {
+		t.Fatalf("fresh: %d positions, %d gains; the ladder needs %d and some", st.Info.Processed, len(st.Eval.Gains()), 2*k)
+	}
+	last := c.NumGroups() - 1
+	if err := c.DeleteXTuple(last); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.DeleteXTuple(last); err != nil {
+		t.Fatal(err)
+	}
+	tail := get("tail delete")
+	if !tail.Info.Kept() || &tail.Info.TopK[0] != &st.Info.TopK[0] || &tail.Eval.Gains()[0] != &st.Eval.Gains()[0] {
+		t.Fatalf("tail delete: kept %v; the evaluation was not carried", tail.Info.Kept())
+	}
+
+	// A new top x-tuple takes the highest global index, so a delete below
+	// the prefix renumbers it.
+	add("top", 2000, false)
+	st = get("insert")
+	top := c.NumGroups() - 1
+	if err := c.DeleteXTuple(10); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.DeleteXTuple(10); err != nil {
+		t.Fatal(err)
+	}
+	moved := get("renumbering delete")
+	if moved.Info.Kept() {
+		t.Fatal("renumbering delete: the info kept the prior's slots")
+	}
+	if g := moved.Eval.Gain(top - 1); g == 0 || g != st.Eval.Gain(top) || moved.Eval.Gain(top) != 0 {
+		t.Fatalf("renumbering delete: the top x-tuple's gain %v at its new index %d, %v at its old; prior %v", g, top-1, moved.Eval.Gain(top), st.Eval.Gain(top))
+	}
+}
+
+// sameEval compares two evaluations bit for bit: S, every weight, and
+// every gain with its group.
+func sameEval(got, want *quality.Evaluation) error {
+	if math.Float64bits(got.S) != math.Float64bits(want.S) {
+		return fmt.Errorf("S = %v, want %v", got.S, want.S)
+	}
+	if len(got.Omega) != len(want.Omega) {
+		return fmt.Errorf("%d weights, want %d", len(got.Omega), len(want.Omega))
+	}
+	for i := range got.Omega {
+		if math.Float64bits(got.Omega[i]) != math.Float64bits(want.Omega[i]) {
+			return fmt.Errorf("Omega[%d] = %v, want %v", i, got.Omega[i], want.Omega[i])
+		}
+	}
+	g, w := got.Gains(), want.Gains()
+	if len(g) != len(w) {
+		return fmt.Errorf("%d gains, want %d", len(g), len(w))
+	}
+	for i := range g {
+		if g[i].Group != w[i].Group || math.Float64bits(g[i].Value) != math.Float64bits(w[i].Value) {
+			return fmt.Errorf("gain %d = %+v, want %+v", i, g[i], w[i])
+		}
+	}
+	return nil
 }

@@ -90,17 +90,23 @@ func (m *merged) GroupAt(g int) *uncertain.XTuple {
 // pull at a time for as long as the consumer asks.
 func (m *merged) Ranked(pos int) iter.Seq2[*uncertain.Tuple, int] {
 	return func(yield func(*uncertain.Tuple, int) bool) {
-		for i := pos; ; i++ {
-			for i >= len(m.buf) {
-				if !m.next() {
-					return
-				}
-			}
+		for i := pos; m.AtRank(i) != nil; i++ {
 			if p := m.buf[i]; !yield(p.t, p.g) {
 				return
 			}
 		}
 	}
+}
+
+// AtRank returns the alternative at rank position pos, extending the
+// buffer up to it, or nil past the end of the merged order.
+func (m *merged) AtRank(pos int) *uncertain.Tuple {
+	for pos >= len(m.buf) {
+		if !m.next() {
+			return nil
+		}
+	}
+	return m.buf[pos].t
 }
 
 // next appends the next pair of the merged order to the buffer, reporting
@@ -196,28 +202,28 @@ func (h *heads) Pop() any {
 // immutable — every mutation clones what it writes — so an equal pointer
 // is an equal score and probability, and the global group pins the
 // x-tuple's index; positions up to the first difference therefore hold
-// the same scan input in both. The walk never pulls more than the scan
-// would: the answer passes need cur's prefix pulled anyway, and a match
-// through prior's processed prefix — the pure cache hit — is exactly the
-// prefix the carried evaluation covers, with every x-tuple in it keeping
-// its index.
+// the same scan input in both. The group matters beyond the scan input:
+// x-tuple identities (XTuple.Is) are unique only within a shard, so
+// topkq.Resume may look a slot up only at the index it recorded, never
+// search for it; stopping at the first renumbered group keeps every slot
+// a resume restores — and every slot of a pure cache hit — at its
+// recorded index. The walk never pulls more than the scan would: a match
+// through prior's processed prefix is the pure cache hit, and otherwise
+// the resumed scan pulls cur's prefix past the difference anyway.
 //
 // The minimum of the per-shard DirtySince watermarks would not do: those
 // are shard-local rank positions, and a changed alternative in one shard
 // can outrank positions another shard contributes to the unchanged global
 // prefix, so no mapping of them to global positions bounds the change.
-func carryMerged(cur, prior *merged, info *topkq.RankInfo) (wm int, stable, ok bool) {
+func carryMerged(cur, prior *merged, info *topkq.RankInfo) (wm int, ok bool) {
 	cur.bufCap = info.Processed + 1
 	n := min(len(prior.buf), info.Processed)
 	for i := 0; i < n; i++ {
-		if i == len(cur.buf) && !cur.next() {
-			return i, false, true
-		}
-		if cur.buf[i] != prior.buf[i] {
-			return i, false, true
+		if i == len(cur.buf) && !cur.next() || cur.buf[i] != prior.buf[i] {
+			return i, true
 		}
 	}
-	return n, n == info.Processed, true
+	return n, true
 }
 
 // Answers evaluates all three top-k semantics plus the quality at the

@@ -70,13 +70,20 @@ type RankInfo struct {
 
 	// e[i] is the probability of the alternative at rank position i, so
 	// (e[i], gidx[wslot[i]]) names every processed position's alternative
-	// without reading the source (see Alt). That needs gidx in the
-	// numbering of the source the info describes: a scan guarantees it
-	// (restore re-resolves every slot it keeps) and sets resolved; a
-	// pure-hit Resume shares its prior's slot table across a possible
-	// renumbering and clears it.
-	e        []float64
-	resolved bool
+	// without reading the source (see Alt). gidx is in the numbering of
+	// the source the info describes: a scan's restore and a pure-hit
+	// Resume both re-resolve the slots whose x-tuples moved. kept marks a
+	// pure hit that found every slot at its old index, so the info is its
+	// prior's prefix, group indices included (see Kept).
+	e    []float64
+	kept bool
+
+	// nullStart is the first processed position holding a null
+	// alternative, or Processed when none does. Every Source ranks nulls
+	// below every real alternative (see Source.Ranked), so the positions
+	// below it are exactly the prefix's real alternatives, the only ones
+	// a query answers with.
+	nullStart int
 
 	// deconvLim is the deconvolution threshold the pass ran with, kept so
 	// Resume replays with the identical numeric path. Zero marks an info
@@ -89,13 +96,15 @@ type RankInfo struct {
 // numeric configuration) Resume needs.
 func (ri *RankInfo) CanResume() bool { return ri.deconvLim != 0 }
 
-// Resolved reports whether Alt names every processed position; when it
-// does not, a pass reads the positions from the source instead.
-func (ri *RankInfo) Resolved() bool { return ri.resolved }
+// Kept reports whether the info is a pure-hit Resume that found every
+// slot of its prior at its old group index: the prior's processed prefix
+// in the prior's numbering, so whatever was derived from that prefix and
+// its group indices carries over unchanged.
+func (ri *RankInfo) Kept() bool { return ri.kept }
 
 // Alt returns the probability and group index of the alternative at
 // processed rank position i, as the source the info was computed on
-// yields them. It requires Resolved.
+// yields them. It needs an info from the PSR scan or Resume.
 func (ri *RankInfo) Alt(i int) (prob float64, group int) {
 	return ri.e[i], int(ri.gidx[ri.wslot[i]])
 }
@@ -165,9 +174,4 @@ func (ri *RankInfo) SumTopK() float64 {
 		s += p
 	}
 	return s
-}
-
-// TupleP returns p_i for a tuple of the database the info was computed on.
-func (ri *RankInfo) TupleP(t *uncertain.Tuple) float64 {
-	return ri.P(t.Index())
 }

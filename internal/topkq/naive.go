@@ -27,7 +27,7 @@ func NaiveRankProbabilities(db *uncertain.Database, k int) (*RankInfo, error) {
 		return nil, fmt.Errorf("topkq: database too large for naive evaluation (%g worlds)", world.Count(db))
 	}
 	n := db.NumTuples()
-	info := &RankInfo{K: k, N: n, TopK: make([]float64, n), Processed: n}
+	info := &RankInfo{K: k, N: n, TopK: make([]float64, n), Processed: n, nullStart: db.NumRealTuples()}
 	info.rho = make([][]float64, (n+checkpointEvery-1)/checkpointEvery)
 	for b := range info.rho {
 		info.rho[b] = make([]float64, k*checkpointEvery)

@@ -435,37 +435,48 @@ func (st *scanState) mark(pos, rebuilds int) checkpoint {
 }
 
 // restore rebuilds a live scan state from the checkpoint against the
-// source's current group numbering: it activates the checkpoint's slots
-// from prior's slot table, then replays prior's write log up to pos into
-// their q. The exclusion workers replay the same log into their trees,
-// so the restored pass holds the bits the scan held at pos. The slots' current
-// x-tuples and group indices become info's slot table, so a later resume
-// from info searches from current indices. It reports false when a referenced x-tuple no
-// longer belongs to the source (it was deleted); that can only happen for
-// a checkpoint beyond the mutation's watermark, which Resume never
-// selects under the documented contract — the check is a safety net that
+// source's current group numbering: it re-resolves the checkpoint's slots
+// into info's slot table and activates them in order, then replays
+// prior's write log up to pos into their q. The exclusion workers replay
+// the same log into their trees, so the restored pass holds the bits the
+// scan held at pos. It reports false when a referenced x-tuple no longer
+// belongs to the source (it was deleted); that can only happen for a
+// checkpoint beyond the mutation's watermark, which Resume never selects
+// under the documented contract — the check is a safety net that
 // downgrades a contract violation to a fresh scan.
 func (c *checkpoint) restore(src Source, prior, info *RankInfo) (*scanState, bool) {
-	m := src.NumGroups()
-	st := newScanState(prior.K, m)
+	if !resolve(src, prior, info, c.slots) {
+		info.ids = info.ids[:0]
+		info.gidx = info.gidx[:0]
+		return nil, false
+	}
+	st := newScanState(prior.K, src.NumGroups())
 	copy(st.F, c.F)
-	for s, x := range prior.ids[:c.slots] {
-		g, cur := locate(src, x, int(prior.gidx[s]), m)
-		if g < 0 {
-			st.release()
-			info.ids = info.ids[:0]
-			info.gidx = info.gidx[:0]
-			return nil, false
-		}
-		st.activate(g, 0)
-		info.ids = append(info.ids, cur)
-		info.gidx = append(info.gidx, int32(g))
+	for _, g := range info.gidx {
+		st.activate(int(g), 0)
 	}
 	for p, s := range prior.wslot[:c.pos] {
 		st.q[s] = prior.wq[p]
 	}
 	st.fullGroups = c.fullGroups
 	return st, true
+}
+
+// resolve appends prior's first slots x-tuples to info's slot table as
+// src holds them now: each one's current object and group index (found
+// by locate), so a later resume from info searches from current indices.
+// It reports false when one of them no longer belongs to src.
+func resolve(src Source, prior, info *RankInfo, slots int) bool {
+	m := src.NumGroups()
+	for s, x := range prior.ids[:slots] {
+		g, cur := locate(src, x, int(prior.gidx[s]), m)
+		if g < 0 {
+			return false
+		}
+		info.ids = append(info.ids, cur)
+		info.gidx = append(info.gidx, int32(g))
+	}
+	return true
 }
 
 // locate returns the index of x in src and src's x-tuple there (matched by
@@ -565,6 +576,9 @@ func scanFrom(src Source, info *RankInfo, st *scanState, start int, keepRho bool
 			}
 			st.plan(src, info, i, g, t.Prob, info.deconvLim)
 			i++
+			if !t.Null {
+				info.nullStart = i
+			}
 			if st.fullGroups >= k {
 				break
 			}
@@ -574,7 +588,6 @@ func scanFrom(src Source, info *RankInfo, st *scanState, start int, keepRho bool
 	st.fpass(info, start, ck, keepRho)
 	sc.busy.Wait()
 	info.Processed = i
-	info.resolved = true
 	if n := src.NumTuples(); i == n && (len(info.ckpts) == 0 || info.ckpts[len(info.ckpts)-1].pos != n) {
 		c := st.mark(n, info.Rebuilds)
 		c.F = append([]float64(nil), st.F...)

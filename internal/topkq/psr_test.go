@@ -60,11 +60,18 @@ func TestPSRKnownTopKProbabilities(t *testing.T) {
 		"t5": 0.432,
 		"t6": 0.396,
 	}
-	for id, w := range want {
-		tp := db.TupleByID(id)
-		if got := info.TupleP(tp); !numeric.AlmostEqual(got, w, 1e-12, 1e-12) {
-			t.Errorf("p(%s) = %v, want %v", id, got, w)
+	i := 0
+	for tp := range db.Ranked(0) {
+		if w, ok := want[tp.ID]; ok {
+			if got := info.P(i); !numeric.AlmostEqual(got, w, 1e-12, 1e-12) {
+				t.Errorf("p(%s) = %v, want %v", tp.ID, got, w)
+			}
+			delete(want, tp.ID)
 		}
+		i++
+	}
+	if len(want) != 0 {
+		t.Errorf("tuples %v not in the rank order", want)
 	}
 }
 

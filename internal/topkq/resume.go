@@ -26,7 +26,9 @@ var ErrCannotResume = errors.New("topkq: rank info lacks the scan checkpoints ne
 //     early-terminated prior is a pure cache hit (Lemma 2 already proved
 //     every position from there on has p = 0, and the mutation cannot
 //     un-fill the k certainly-contributing x-tuples above it): prior's
-//     arrays are re-used wholesale, no scanning at all.
+//     arrays are re-used wholesale, no scanning at all. Only the slot
+//     table is checked against src, and re-resolved when a delete
+//     renumbered x-tuples of the prefix (see Kept).
 //   - otherwise the scan replays from the last checkpoint at or below
 //     fromRank, so a mutation at the bottom of the processed prefix costs
 //     O(k * checkpointEvery) instead of O(k * Processed), and O(k * Δ)
@@ -60,10 +62,9 @@ func Resume(src Source, prior *RankInfo, fromRank int) (*RankInfo, error) {
 		// that point, and mutations below the termination point cannot
 		// change any group's mass above it — so the prefix, the
 		// termination point, and the p = 0 suffix all stand.
-		out := *prior
-		out.N = n
-		out.resolved = false // group indices may have moved since the prior scan
-		return &out, nil
+		if out, ok := pureHit(src, prior, n); ok {
+			return out, nil
+		}
 	}
 
 	target := fromRank
@@ -99,6 +100,7 @@ func Resume(src Source, prior *RankInfo, fromRank int) (*RankInfo, error) {
 	// or below the splice point (active lists only grow along the scan, so
 	// if the used checkpoint restored, every earlier one does as well) and
 	// the full rho blocks below it.
+	info.nullStart = min(prior.nullStart, start)
 	info.TopK = append(info.TopK, prior.TopK[:start]...)
 	info.wslot = append(info.wslot, prior.wslot[:start]...)
 	info.wq = append(info.wq, prior.wq[:start]...)
@@ -117,4 +119,37 @@ func Resume(src Source, prior *RankInfo, fromRank int) (*RankInfo, error) {
 		}
 	}
 	return scanFrom(src, info, st, start, keepRho)
+}
+
+// pureHit returns prior's processed prefix as the info of src, which has
+// n alternatives. Each slot is probed at its recorded group index
+// (XTuple.Is: the pointer, or the identity a copy-on-write clone keeps).
+// When every slot is still there, the info shares prior's slot table and
+// is Kept; otherwise a delete renumbered x-tuples of the prefix, and the
+// slots are re-resolved into a table of their own. It reports false when
+// a slot's x-tuple is gone, which the watermark contract rules out;
+// Resume then replays from a checkpoint instead.
+func pureHit(src Source, prior *RankInfo, n int) (*RankInfo, bool) {
+	out := *prior
+	out.N = n
+	out.kept = slotsHeld(src, prior)
+	if !out.kept {
+		out.ids, out.gidx = nil, nil
+		if !resolve(src, prior, &out, len(prior.ids)) {
+			return nil, false
+		}
+	}
+	return &out, true
+}
+
+// slotsHeld reports whether src holds every slot's x-tuple of prior at
+// the group index prior recorded for it.
+func slotsHeld(src Source, prior *RankInfo) bool {
+	m := src.NumGroups()
+	for s, x := range prior.ids {
+		if g := int(prior.gidx[s]); g >= m || !src.GroupAt(g).Is(x) {
+			return false
+		}
+	}
+	return true
 }

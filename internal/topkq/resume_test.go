@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -447,6 +448,8 @@ func (s swapped) NumGroups() int { return s.db.NumGroups() }
 
 func (s swapped) GroupAt(g int) *uncertain.XTuple { return s.db.GroupAt(s.idx(g)) }
 
+func (s swapped) AtRank(pos int) *uncertain.Tuple { return s.db.AtRank(pos) }
+
 func (s swapped) Ranked(pos int) iter.Seq2[*uncertain.Tuple, int] {
 	return func(yield func(*uncertain.Tuple, int) bool) {
 		for t, g := range s.db.Ranked(pos) {
@@ -700,4 +703,112 @@ func TestResumeFallsBackPastDeletedSlot(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBitIdentical(t, "resume from the fallen-back info", next, fresh)
+}
+
+// TestResumeNamesPositionsLikeFresh pins what the passes after a scan read
+// instead of the source: a resumed info — a replay, a pure hit that kept
+// its slots, or one that re-resolved them after a renumbering delete —
+// names every processed position's alternative (Alt) and records the
+// null start exactly as a fresh scan of the new version does, through the
+// database and through a source that numbers groups its own way. Large k
+// pushes some prefixes into the nulls.
+func TestResumeNamesPositionsLikeFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var nullPrefixes, moved int
+	for trial := 0; trial < 12; trial++ {
+		db := resumeTestDB(t, rng, 14+rng.Intn(20))
+		k := []int{2, db.NumGroups() / 2, db.NumGroups() - 2}[trial%3]
+		srcs := []Source{db, swapped{db}}
+		priors := make([]*RankInfo, len(srcs))
+		for j, src := range srcs {
+			info, err := TopKProbabilities(src, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			priors[j] = info
+		}
+		nextID := 0
+		for step := 0; step < 30; step++ {
+			version := db.Version()
+			what := mutateRandomly(t, rng, db, step, &nextID)
+			wm, ok := db.DirtySince(version)
+			if !ok {
+				t.Fatalf("trial %d step %d: DirtySince unanswerable", trial, step)
+			}
+			for j, src := range srcs {
+				stage := fmt.Sprintf("trial %d step %d (%s) source %d", trial, step, what, j)
+				if k > src.NumGroups() {
+					priors[j] = nil
+					continue
+				}
+				fresh, err := TopKProbabilities(src, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := fresh
+				if prior := priors[j]; prior != nil {
+					if got, err = Resume(src, prior, wm); err != nil {
+						t.Fatalf("%s: %v", stage, err)
+					}
+					if wm >= prior.Processed && prior.Processed < prior.N && !got.Kept() {
+						moved++
+					}
+				}
+				if got.nullStart != fresh.nullStart || got.Processed != fresh.Processed {
+					t.Fatalf("%s: null start %d of %d positions, fresh %d of %d", stage, got.nullStart, got.Processed, fresh.nullStart, fresh.Processed)
+				}
+				if got.nullStart < got.Processed {
+					nullPrefixes++
+				}
+				for i := range got.Processed {
+					ge, gg := got.Alt(i)
+					fe, fg := fresh.Alt(i)
+					if math.Float64bits(ge) != math.Float64bits(fe) || gg != fg {
+						t.Fatalf("%s: position %d names (%v, %d), fresh (%v, %d)", stage, i, ge, gg, fe, fg)
+					}
+				}
+				priors[j] = got
+			}
+		}
+	}
+	if nullPrefixes == 0 || moved == 0 {
+		t.Fatalf("%d prefixes reached the nulls and %d pure hits moved a slot; the test needs both", nullPrefixes, moved)
+	}
+
+	// A replay that meets only nulls: 70 x-tuples of one real alternative
+	// each, the lowest six deleted, so the resume restores the checkpoint
+	// at 64 and every position it replays is a null. The null start must
+	// come from the copied prefix.
+	db := uncertain.New()
+	for g := 0; g < 70; g++ {
+		if err := db.AddXTuple(fmt.Sprintf("G%d", g), uncertain.Tuple{ID: fmt.Sprintf("g%d", g), Attrs: []float64{float64(100 - g)}, Prob: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Build(uncertain.ByFirstAttr); err != nil {
+		t.Fatal(err)
+	}
+	prior, err := TopKProbabilities(db, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	version := db.Version()
+	if err := db.Batch(func(b *uncertain.Batch) error {
+		for range 6 {
+			if err := b.DeleteXTuple(64); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	wm, _ := db.DirtySince(version)
+	got, err := Resume(db, prior, wm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wm != checkpointEvery || got.nullStart != checkpointEvery {
+		t.Fatalf("watermark %d, null start %d; want both %d", wm, got.nullStart, checkpointEvery)
+	}
 }

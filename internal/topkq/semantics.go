@@ -53,35 +53,21 @@ func snapshotScored(t *uncertain.Tuple, rank int, prob float64) ScoredAnswer {
 // a known property of the U-kRanks semantics. Requires info computed with
 // RankProbabilities on src.
 //
-// The winners are picked from info alone, so src is read only at the
-// winning positions. A null alternative never answers: in the rare prefix
-// where one wins a rank, the pick is repeated without the prefix's nulls.
+// The winners are picked from info's real positions alone, so src is
+// read only at the winning positions. Strictly-greater comparisons in
+// ascending rank order keep the earliest (highest-ranked) winner for
+// each h.
 func UKRanks(src Source, info *RankInfo) ([]RankedAnswer, error) {
 	if !info.HasRho() {
 		return nil, fmt.Errorf("topkq: UKRanks needs per-rank probabilities; use RankProbabilities")
 	}
-	out, ok := ukRanks(src, info, nil)
-	if !ok {
-		out, _ = ukRanks(src, info, nullPositions(src, info))
-	}
-	return out, nil
-}
-
-// ukRanks picks the U-kRanks winners among the processed positions not
-// marked in null (a nil null marks none). Strictly-greater comparisons
-// in ascending rank order keep the earliest (highest-ranked) winner for
-// each h. It reports false when a winner holds a null alternative.
-func ukRanks(src Source, info *RankInfo, null []bool) ([]RankedAnswer, bool) {
 	k := info.K
 	bestP := make([]float64, k+1)
 	bestI := make([]int, k+1)
 	for h := range bestI {
 		bestI[h] = -1
 	}
-	for i := range info.Processed {
-		if null != nil && null[i] {
-			continue
-		}
+	for i := range info.nullStart {
 		row := info.rhoRow(i)
 		for h := 1; h <= k; h++ {
 			if p := row[h-1]; p > bestP[h] {
@@ -92,48 +78,20 @@ func ukRanks(src Source, info *RankInfo, null []bool) ([]RankedAnswer, bool) {
 	out := make([]RankedAnswer, 0, k)
 	for h := 1; h <= k; h++ {
 		if i := bestI[h]; i >= 0 {
-			t := tupleAt(src, i)
-			if t.Null {
-				return nil, false
-			}
-			out = append(out, snapshotRanked(h, t, i, bestP[h]))
+			out = append(out, snapshotRanked(h, src.AtRank(i), i, bestP[h]))
 		}
 	}
-	return out, true
-}
-
-// tupleAt returns the alternative at rank position i of src.
-func tupleAt(src Source, i int) *uncertain.Tuple {
-	for t := range src.Ranked(i) {
-		return t
-	}
-	return nil
-}
-
-// nullPositions marks the processed positions of info that hold a null
-// alternative in src: one walk over the prefix.
-func nullPositions(src Source, info *RankInfo) []bool {
-	null := make([]bool, info.Processed)
-	i := 0
-	for t := range Prefix(src, info.Processed) {
-		null[i] = t.Null
-		i++
-	}
-	return null
+	return out, nil
 }
 
 // PTK evaluates the PT-k query [11]: every real tuple whose top-k
-// probability is at least threshold, in descending rank order.
+// probability is at least threshold, in descending rank order. It picks
+// from info's real positions and reads src only at the answers.
 func PTK(src Source, info *RankInfo, threshold float64) []ScoredAnswer {
 	var out []ScoredAnswer
-	i := -1
-	for t := range Prefix(src, info.Processed) {
-		i++
-		if t.Null {
-			continue
-		}
-		if p := info.P(i); p >= threshold {
-			out = append(out, snapshotScored(t, i, p))
+	for i, p := range info.TopK[:info.nullStart] {
+		if p >= threshold {
+			out = append(out, snapshotScored(src.AtRank(i), i, p))
 		}
 	}
 	return out
@@ -142,27 +100,19 @@ func PTK(src Source, info *RankInfo, threshold float64) []ScoredAnswer {
 // GlobalTopK evaluates the Global-topk query [13]: the k real tuples with
 // the highest top-k probabilities, ties broken toward the higher-ranked
 // tuple (the tie-break used in Zhang and Chomicki's definition). Like
-// UKRanks, it picks from info alone and reads src only at the k winners.
+// UKRanks, it picks from info's real positions and reads src only at the
+// k winners.
+//
+// The answer is kept sorted in a slice of at most k entries while the
+// positions are read in rank order: a candidate goes after every kept
+// entry of equal or higher probability (which all rank above it), so the
+// slice is always the first k of the stable (probability descending, rank
+// ascending) order. Time O(Processed·log k), space O(k).
 func GlobalTopK(src Source, info *RankInfo) []ScoredAnswer {
-	out, ok := globalTopK(src, info, nil)
-	if !ok {
-		out, _ = globalTopK(src, info, nullPositions(src, info))
-	}
-	return out
-}
-
-// globalTopK picks the Global-topk winners among the processed positions
-// not marked in null, reporting false when a winner holds a null
-// alternative. The answer is kept sorted in a slice of at most k entries
-// while the prefix is read in rank order: a candidate goes after every
-// kept entry of equal or higher probability (which all rank above it), so
-// the slice is always the first k of the stable (probability descending,
-// rank ascending) order. Time O(Processed·log k), space O(k).
-func globalTopK(src Source, info *RankInfo, null []bool) ([]ScoredAnswer, bool) {
 	k := info.K
 	out := make([]ScoredAnswer, 0, k)
-	for i, p := range info.TopK[:info.Processed] {
-		if (null != nil && null[i]) || p <= 0 || (len(out) == k && out[k-1].Prob >= p) {
+	for i, p := range info.TopK[:info.nullStart] {
+		if p <= 0 || (len(out) == k && out[k-1].Prob >= p) {
 			continue
 		}
 		at := sort.Search(len(out), func(j int) bool { return out[j].Prob < p })
@@ -173,13 +123,9 @@ func globalTopK(src Source, info *RankInfo, null []bool) ([]ScoredAnswer, bool) 
 		out[at] = ScoredAnswer{Rank: i, Prob: p}
 	}
 	for j, a := range out {
-		t := tupleAt(src, a.Rank)
-		if t.Null {
-			return nil, false
-		}
-		out[j] = snapshotScored(t, a.Rank, a.Prob)
+		out[j] = snapshotScored(src.AtRank(a.Rank), a.Rank, a.Prob)
 	}
-	return out, true
+	return out
 }
 
 // FormatScored renders a scored answer list compactly, e.g. "{t1, t2, t5}".

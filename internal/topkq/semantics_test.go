@@ -1,6 +1,7 @@
 package topkq
 
 import (
+	"iter"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -222,13 +223,61 @@ func TestFormatters(t *testing.T) {
 	}
 }
 
+// prefix yields src's first n rank positions, for the references that
+// read every alternative of the processed prefix.
+func prefix(src Source, n int) iter.Seq2[*uncertain.Tuple, int] {
+	return func(yield func(*uncertain.Tuple, int) bool) {
+		if n <= 0 {
+			return
+		}
+		i := 0
+		for t, g := range src.Ranked(0) {
+			i++
+			if !yield(t, g) || i == n {
+				return
+			}
+		}
+	}
+}
+
+// firstNull returns the first of src's leading n positions that holds a
+// null alternative, or n when none does: the null start a scan of that
+// prefix records.
+func firstNull(src Source, n int) int {
+	i := 0
+	for t := range prefix(src, n) {
+		if t.Null {
+			return i
+		}
+		i++
+	}
+	return n
+}
+
+// ptkReference is PT-k by a walk that reads every alternative of the
+// processed prefix and skips the nulls as it meets them.
+func ptkReference(src Source, info *RankInfo, threshold float64) []ScoredAnswer {
+	var out []ScoredAnswer
+	i := -1
+	for t := range prefix(src, info.Processed) {
+		i++
+		if t.Null {
+			continue
+		}
+		if p := info.P(i); p >= threshold {
+			out = append(out, snapshotScored(t, i, p))
+		}
+	}
+	return out
+}
+
 // globalTopKReference is the sort-based Global-topk GlobalTopK replaced:
 // every positive real candidate, stably sorted by (probability desc, rank
 // asc), cut to K. It is the reference the bounded selection must match.
 func globalTopKReference(src Source, info *RankInfo) []ScoredAnswer {
 	cand := make([]ScoredAnswer, 0, info.Processed)
 	i := -1
-	for t := range Prefix(src, info.Processed) {
+	for t := range prefix(src, info.Processed) {
 		i++
 		if t.Null {
 			continue
@@ -272,6 +321,7 @@ func TestGlobalTopKMatchesReference(t *testing.T) {
 				info.TopK[i] = float64(1+rng.Intn(levels)) / float64(levels)
 			}
 		}
+		info.nullStart = firstNull(db, info.Processed)
 		got, want := GlobalTopK(db, info), globalTopKReference(db, info)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d (K=%d, Processed=%d): %d answers, reference %d", trial, info.K, info.Processed, len(got), len(want))
@@ -325,7 +375,7 @@ func ukRanksReference(src Source, info *RankInfo) []RankedAnswer {
 		bestI[h] = -1
 	}
 	i := -1
-	for t := range Prefix(src, info.Processed) {
+	for t := range prefix(src, info.Processed) {
 		i++
 		if t.Null {
 			continue
@@ -345,13 +395,13 @@ func ukRanksReference(src Source, info *RankInfo) []RankedAnswer {
 	return out
 }
 
-// TestAnswersPickedFromInfoMatchWalk pins U-kRanks and Global-topk, which
-// pick their winners from the info and read the source only at the
-// winners, against walks that read every alternative. The rank
+// TestAnswersPickedFromInfoMatchWalk pins U-kRanks, Global-topk and
+// PT-k, which pick from the info's real positions and read the source
+// only at their answers, against walks that read every alternative. The
 // probabilities are random over databases whose processed prefix holds
-// nulls, so in some trials a null wins and the pick is repeated without
-// the prefix's nulls; ties are frequent, so the rank tie-break is
-// exercised too.
+// nulls, so in some trials a null has the best probability — a pick that
+// ignored the null start would answer with it; ties are frequent, so the
+// rank tie-break is exercised too.
 func TestAnswersPickedFromInfoMatchWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	var ukNullWins, gtkNullWins int
@@ -387,10 +437,15 @@ func TestAnswersPickedFromInfoMatchWalk(t *testing.T) {
 		if trial%2 == 1 {
 			src = swapped{db}
 		}
-		if _, ok := ukRanks(src, info, nil); !ok {
+		info.nullStart = firstNull(src, info.Processed)
+		// A null wins where the pick over every processed position, nulls
+		// included, answers with one.
+		all := *info
+		all.nullStart = info.Processed
+		if uk, _ := UKRanks(src, &all); slices.ContainsFunc(uk, func(a RankedAnswer) bool { return a.Tuple.Null }) {
 			ukNullWins++
 		}
-		if _, ok := globalTopK(src, info, nil); !ok {
+		if slices.ContainsFunc(GlobalTopK(src, &all), func(a ScoredAnswer) bool { return a.Tuple.Null }) {
 			gtkNullWins++
 		}
 		uk, err := UKRanks(src, info)
@@ -403,8 +458,12 @@ func TestAnswersPickedFromInfoMatchWalk(t *testing.T) {
 		if got, want := GlobalTopK(src, info), globalTopKReference(src, info); !slices.Equal(got, want) {
 			t.Fatalf("trial %d (K=%d, Processed=%d): Global-topk %s, walk %s", trial, k, info.Processed, FormatScored(got), FormatScored(want))
 		}
+		threshold := draw()
+		if got, want := PTK(src, info, threshold), ptkReference(src, info, threshold); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (Processed=%d, threshold %v): PT-k %s, walk %s", trial, info.Processed, threshold, FormatScored(got), FormatScored(want))
+		}
 	}
 	if ukNullWins == 0 || gtkNullWins == 0 {
-		t.Fatalf("a null won U-kRanks in %d trials and Global-topk in %d; the repeated pick needs both", ukNullWins, gtkNullWins)
+		t.Fatalf("a null won U-kRanks in %d trials and Global-topk in %d; the test needs both", ukNullWins, gtkNullWins)
 	}
 }

@@ -21,25 +21,14 @@ type Source interface {
 	GroupAt(g int) *uncertain.XTuple
 	// Ranked yields (alternative, group) from rank position pos down. A
 	// scan stops it as soon as it has what it needs, so a lazy source
-	// produces nothing past that point.
+	// produces nothing past that point. Every null alternative comes after
+	// every real one, so the nulls of any prefix are its tail: the scan
+	// records where they start, and the answer passes pick among the
+	// positions above it without reading the source.
 	Ranked(pos int) iter.Seq2[*uncertain.Tuple, int]
-}
-
-// Prefix yields src's first n rank positions. It stops src after the n-th
-// pair, so a lazy source is never asked for position n.
-func Prefix(src Source, n int) iter.Seq2[*uncertain.Tuple, int] {
-	return func(yield func(*uncertain.Tuple, int) bool) {
-		if n <= 0 {
-			return
-		}
-		i := 0
-		for t, g := range src.Ranked(0) {
-			i++
-			if !yield(t, g) || i == n {
-				return
-			}
-		}
-	}
+	// AtRank returns the alternative at rank position pos, or nil past
+	// the end: the one read an answer pass makes per answer.
+	AtRank(pos int) *uncertain.Tuple
 }
 
 // Ready returns uncertain.ErrNotBuilt for a database that has not been

@@ -29,6 +29,15 @@ func (o *opaque) NumGroups() int { return o.db.NumGroups() }
 
 func (o *opaque) GroupAt(g int) *uncertain.XTuple { return o.db.GroupAt(g) }
 
+func (o *opaque) AtRank(pos int) *uncertain.Tuple {
+	sorted := o.db.Sorted()
+	if pos >= len(sorted) {
+		return nil
+	}
+	o.hi = max(o.hi, pos+1)
+	return sorted[pos]
+}
+
 func (o *opaque) Ranked(pos int) iter.Seq2[*uncertain.Tuple, int] {
 	return func(yield func(*uncertain.Tuple, int) bool) {
 		sorted := o.db.Sorted()
@@ -332,4 +341,204 @@ func compareScored(t *testing.T, got, want []topkq.ScoredAnswer) {
 			t.Fatalf("scored[%d]: %+v != %+v", i, g, w)
 		}
 	}
+}
+
+// counting is a Source over a database that counts the rank positions it
+// is read at: each AtRank call and each pair its Ranked iterators yield.
+type counting struct {
+	db   *uncertain.Database
+	read int
+}
+
+func (c *counting) NumTuples() int { return c.db.NumTuples() }
+
+func (c *counting) NumGroups() int { return c.db.NumGroups() }
+
+func (c *counting) GroupAt(g int) *uncertain.XTuple { return c.db.GroupAt(g) }
+
+func (c *counting) AtRank(pos int) *uncertain.Tuple {
+	c.read++
+	return c.db.AtRank(pos)
+}
+
+func (c *counting) Ranked(pos int) iter.Seq2[*uncertain.Tuple, int] {
+	return func(yield func(*uncertain.Tuple, int) bool) {
+		for t, g := range c.db.Ranked(pos) {
+			c.read++
+			if !yield(t, g) {
+				return
+			}
+		}
+	}
+}
+
+// reads returns the number of positions f read from c.
+func (c *counting) reads(f func()) int {
+	c.read = 0
+	f()
+	return c.read
+}
+
+// checkPointReads requires the passes over info to read src only at
+// their answers: TP reads no position, and U-kRanks, Global-topk and
+// PT-k at most one per answer, none of them a null.
+func checkPointReads(t *testing.T, stage string, src *counting, info *topkq.RankInfo) {
+	t.Helper()
+	if n := src.reads(func() {
+		if _, err := quality.TPFromInfo(src, info); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("%s: TP read %d positions, want 0", stage, n)
+	}
+	var uk []topkq.RankedAnswer
+	n := src.reads(func() {
+		var err error
+		if uk, err = topkq.UKRanks(src, info); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > len(uk) {
+		t.Fatalf("%s: U-kRanks read %d positions for %d answers", stage, n, len(uk))
+	}
+	for _, a := range uk {
+		if a.Tuple.Null {
+			t.Fatalf("%s: U-kRanks answered rank %d with a null", stage, a.H)
+		}
+	}
+	var scored []topkq.ScoredAnswer
+	check := func(what string, f func() []topkq.ScoredAnswer) {
+		t.Helper()
+		if n := src.reads(func() { scored = f() }); n > len(scored) {
+			t.Fatalf("%s: %s read %d positions for %d answers", stage, what, n, len(scored))
+		}
+		for _, a := range scored {
+			if a.Tuple.Null {
+				t.Fatalf("%s: %s answered with a null at rank %d", stage, what, a.Rank)
+			}
+		}
+	}
+	check("Global-topk", func() []topkq.ScoredAnswer { return topkq.GlobalTopK(src, info) })
+	for _, th := range []float64{0, 0.3} {
+		check(fmt.Sprintf("PT-k at %v", th), func() []topkq.ScoredAnswer { return topkq.PTK(src, info, th) })
+	}
+}
+
+// TestPassesReadSourceOnlyAtAnswers pins the one read path of the
+// processed prefix: after the scan has walked it, the quality and answer
+// passes read the source only at their answers — over a fresh scan, over
+// pure-hit resumes (one that keeps every slot, one whose delete renumbered
+// prefix x-tuples), and over a prefix that reaches the nulls, where nulls
+// have the best rank probabilities.
+func TestPassesReadSourceOnlyAtAnswers(t *testing.T) {
+	const k = 5
+	rng := rand.New(rand.NewSource(31))
+	db := uncertain.New()
+	for g := 0; g < 60; g++ {
+		// Every other x-tuple is certain, so Lemma 2 stops the scan early.
+		n, mass := 1, 1.0
+		if g%2 == 1 {
+			n, mass = 2, 0.6
+		}
+		ts := make([]uncertain.Tuple, n)
+		for i := range ts {
+			ts[i] = uncertain.Tuple{ID: fmt.Sprintf("g%d.%d", g, i), Attrs: []float64{rng.Float64() * 100}, Prob: mass / float64(n)}
+		}
+		if err := db.AddXTuple(fmt.Sprintf("G%d", g), ts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Build(uncertain.ByFirstAttr); err != nil {
+		t.Fatal(err)
+	}
+	src := &counting{db: db}
+	info, err := topkq.RankProbabilities(src, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Processed == info.N {
+		t.Fatal("the scan did not terminate early; the pure hits need it to")
+	}
+	checkPointReads(t, "fresh", src, info)
+
+	// A pure hit that keeps every slot: a new x-tuple ranked below the
+	// prefix takes the next group index.
+	pureHit := func(stage string) *topkq.RankInfo {
+		t.Helper()
+		wm, ok := db.DirtySince(db.Version() - 1)
+		if !ok || wm < info.Processed {
+			t.Fatalf("%s: watermark %d (ok %v) inside the prefix of %d", stage, wm, ok, info.Processed)
+		}
+		resumed, err := topkq.Resume(src, info, wm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resumed
+	}
+	if err := db.InsertXTuple("low", uncertain.Tuple{ID: "low.0", Attrs: []float64{-1}, Prob: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	kept := pureHit("insert")
+	if !kept.Kept() {
+		t.Fatal("insert below the prefix: the pure hit moved a slot")
+	}
+	checkPointReads(t, "kept pure hit", src, kept)
+	info = kept
+
+	// A pure hit across a renumbering: delete the lowest-indexed x-tuple
+	// wholly below the prefix that some prefix x-tuple's index exceeds.
+	highest := make(map[int]int) // group -> its highest rank position
+	top := 0                     // highest group index in the prefix
+	i := 0
+	for _, g := range db.Ranked(0) {
+		if _, ok := highest[g]; !ok {
+			highest[g] = i
+		}
+		if i < info.Processed {
+			top = max(top, g)
+		}
+		i++
+	}
+	victim := -1
+	for g := 0; g < top && victim < 0; g++ {
+		if highest[g] >= info.Processed {
+			victim = g
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no x-tuple below the prefix is numbered under a prefix x-tuple")
+	}
+	if err := db.DeleteXTuple(victim); err != nil {
+		t.Fatal(err)
+	}
+	moved := pureHit("delete")
+	if moved.Kept() {
+		t.Fatal("delete renumbering prefix x-tuples: the pure hit kept every slot")
+	}
+	checkPointReads(t, "moved pure hit", src, moved)
+
+	// A prefix that reaches the nulls: every alternative is real with
+	// probability 0.1, so each null outranks its group's real alternative
+	// in rank probability and Lemma 2 stops only inside the nulls.
+	nulls := uncertain.New()
+	for g := 0; g < 6; g++ {
+		if err := nulls.AddXTuple(fmt.Sprintf("N%d", g), uncertain.Tuple{ID: fmt.Sprintf("n%d", g), Attrs: []float64{float64(g)}, Prob: 0.1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := nulls.Build(uncertain.ByFirstAttr); err != nil {
+		t.Fatal(err)
+	}
+	nsrc := &counting{db: nulls}
+	ninfo, err := topkq.RankProbabilities(nsrc, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if real := nulls.NumRealTuples(); ninfo.Processed <= real {
+		t.Fatalf("prefix of %d positions holds no null (%d real alternatives)", ninfo.Processed, real)
+	}
+	if best := ninfo.Rho(nulls.NumRealTuples(), 1); best <= ninfo.Rho(0, 1) {
+		t.Fatalf("the first null's rank-1 probability %v does not beat the top real's %v", best, ninfo.Rho(0, 1))
+	}
+	checkPointReads(t, "prefix with nulls", nsrc, ninfo)
 }
