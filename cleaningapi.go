@@ -51,9 +51,11 @@ func ExecuteCleaning(ctx *CleaningContext, plan CleaningPlan, rng *rand.Rand) (*
 }
 
 // ApplyCleaning builds the database that results from the given successful
-// cleaning outcomes (each x-tuple collapses to the chosen alternative).
+// cleaning outcomes (each x-tuple collapses to the chosen alternative). A
+// key that is not an x-tuple index, or a choice that is not one of its
+// alternatives, is rejected with an error; db itself is never changed.
 func ApplyCleaning(db *Database, choices CleanChoices) (*Database, error) {
-	return cleaning.BuildCleaned(db, choices)
+	return db.Cleaned(choices)
 }
 
 // CleaningCandidate describes one x-tuple worth cleaning, with the

@@ -3,11 +3,13 @@ package topkclean
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"github.com/probdb/topkclean/internal/topkq"
+	"github.com/probdb/topkclean/internal/uncertain"
 )
 
 // paperUDB1 rebuilds Table I through the public API.
@@ -195,6 +197,20 @@ func TestApplyCleaningMatchesPaperNarrative(t *testing.T) {
 	}
 	if q := engineQuality(t, db2, 2); math.Abs(q-(-1.8522415)) > 1e-6 {
 		t.Fatalf("udb2 quality = %v, want -1.8522...", q)
+	}
+}
+
+// TestApplyCleaningRejectsBadKeys pins that a choice keyed by something
+// other than an x-tuple index is an error, not a silently unchanged copy.
+func TestApplyCleaningRejectsBadKeys(t *testing.T) {
+	db := paperUDB1(t)
+	for _, choices := range []CleanChoices{{99: 0}, {-1: 0}, {2: 1, 4: 0}} {
+		if _, err := ApplyCleaning(db, choices); !errors.Is(err, uncertain.ErrBadGroupIndex) {
+			t.Fatalf("ApplyCleaning(%v): err = %v, want ErrBadGroupIndex", choices, err)
+		}
+	}
+	if _, err := ApplyCleaning(db, CleanChoices{2: 9}); !errors.Is(err, uncertain.ErrBadChoice) {
+		t.Fatalf("bad choice: err = %v, want ErrBadChoice", err)
 	}
 }
 

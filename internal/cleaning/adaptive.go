@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-
-	"github.com/probdb/topkclean/internal/quality"
 )
 
 // PlannerFunc is a context-aware plan-selection algorithm: given a
@@ -77,14 +75,10 @@ func AdaptiveExecuteContext(stdctx context.Context, ctx *Context, planner Planne
 		if remaining <= 0 {
 			break
 		}
-		// Re-evaluate on the cleaned database; the next round plans against
-		// the new gains with the refunded budget.
-		ev, err := quality.TP(res.DB, cur.K)
-		if err != nil {
-			return nil, err
-		}
-		cur = &Context{DB: res.DB, K: cur.K, Eval: ev, Spec: cur.Spec, Budget: remaining}
-		if ev.S >= 0 {
+		// The next round plans against the cleaned database's gains, which
+		// Execute has just evaluated, with the refunded budget.
+		cur = &Context{DB: res.DB, K: cur.K, Eval: res.eval, Spec: cur.Spec, Budget: remaining}
+		if res.NewQuality >= 0 {
 			break // nothing left to clean
 		}
 	}

@@ -82,7 +82,7 @@ func TestPaperCleaningExample(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Force a successful clean of S3 (group 2) resolving to t5 (index 1).
-	db2, err := BuildCleaned(db, CleanChoices{2: 1})
+	db2, err := db.Cleaned(CleanChoices{2: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"github.com/probdb/topkclean/internal/numeric"
 	"github.com/probdb/topkclean/internal/quality"
-	"github.com/probdb/topkclean/internal/uncertain"
 )
 
 // ExpectedImprovement computes I(X, M, D, Q) by Theorem 2:
@@ -63,53 +62,6 @@ func pow1mP(p float64, m int) float64 {
 // cleaning succeeded.
 type CleanChoices map[int]int
 
-// BuildCleaned constructs D': the database after the given cleaning
-// outcomes are applied (each chosen x-tuple collapses to its outcome
-// alternative with probability 1; a null outcome becomes a certain-absent
-// x-tuple). The original database is unchanged.
-func BuildCleaned(db *uncertain.Database, choices CleanChoices) (*uncertain.Database, error) {
-	if !db.Built() {
-		return nil, uncertain.ErrNotBuilt
-	}
-	out := uncertain.New()
-	for gi, g := range db.Groups() {
-		choice, cleaned := choices[gi]
-		if !cleaned {
-			ts := make([]uncertain.Tuple, 0, len(g.Tuples))
-			for _, t := range g.RealTuples() {
-				ts = append(ts, uncertain.Tuple{ID: t.ID, Attrs: t.Attrs, Prob: t.Prob})
-			}
-			if len(ts) == 0 {
-				if err := out.AddAbsentXTuple(g.Name); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			if err := out.AddXTuple(g.Name, ts...); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if choice < 0 || choice >= len(g.Tuples) {
-			return nil, fmt.Errorf("x-tuple %d choice %d: %w", gi, choice, uncertain.ErrBadChoice)
-		}
-		chosen := g.Tuples[choice]
-		if chosen.Null {
-			if err := out.AddAbsentXTuple(g.Name); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if err := out.AddXTuple(g.Name, uncertain.Tuple{ID: chosen.ID, Attrs: chosen.Attrs, Prob: 1}); err != nil {
-			return nil, err
-		}
-	}
-	if err := out.Build(db.Rank()); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // ExactExpectedImprovement verifies Theorem 2 from first principles: it
 // enumerates every possible cleaned-outcome vector x0 in z_1 x ... x z_|X|
 // (Section V-A), builds each cleaned database D', evaluates its quality
@@ -134,7 +86,7 @@ func ExactExpectedImprovement(ctx *Context, plan Plan) (float64, error) {
 			return nil
 		}
 		if idx == len(groups) {
-			db2, err := BuildCleaned(ctx.DB, choices)
+			db2, err := ctx.DB.Cleaned(choices)
 			if err != nil {
 				return err
 			}

@@ -18,6 +18,8 @@ type Outcome struct {
 	CostUsed    int                 // cost actually spent (early success stops further ops)
 	NewQuality  float64             // S(D', Q)
 	Improvement float64             // S(D', Q) - S(D, Q)
+
+	eval *quality.Evaluation // Execute's evaluation of DB, reused by the adaptive loop
 }
 
 // Execute simulates the cleaning agent of Section V-A carrying out a plan:
@@ -32,7 +34,7 @@ func Execute(ctx *Context, plan Plan, rng *rand.Rand) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	db2, err := BuildCleaned(ctx.DB, out.Choices)
+	db2, err := ctx.DB.Cleaned(out.Choices)
 	if err != nil {
 		return nil, err
 	}
@@ -41,6 +43,7 @@ func Execute(ctx *Context, plan Plan, rng *rand.Rand) (*Outcome, error) {
 		return nil, err
 	}
 	out.DB = db2
+	out.eval = ev
 	out.NewQuality = ev.S
 	out.Improvement = ev.S - ctx.Eval.S
 	return out, nil

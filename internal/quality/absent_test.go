@@ -110,7 +110,7 @@ func TestCleaningToNullThenRequeryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// X has alternatives [x, null]; resolve to null (entity absent).
-	cleaned, err := db.Cleaned(0, 1)
+	cleaned, err := db.Cleaned(map[int]int{0: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestCleaningToNullThenRequeryEndToEnd(t *testing.T) {
 	}
 	// The expected-quality identity: e-weighted average of post-cleaning
 	// qualities over X's outcomes equals S(D) - g(X, D).
-	resolved, err := db.Cleaned(0, 0)
+	resolved, err := db.Cleaned(map[int]int{0: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,7 +108,7 @@ func TestQuickCleaningNeverHurtsExpectedQuality(t *testing.T) {
 		group := db.Groups()[g]
 		var expected numeric.Kahan
 		for ci, alt := range group.Tuples {
-			cleaned, err := db.Cleaned(g, ci)
+			cleaned, err := db.Cleaned(map[int]int{g: ci})
 			if err != nil {
 				return false
 			}
@@ -140,7 +140,7 @@ func TestQuickGroupGainMatchesCleaningDelta(t *testing.T) {
 		group := db.Groups()[g]
 		var expected numeric.Kahan
 		for ci, alt := range group.Tuples {
-			cleaned, err := db.Cleaned(g, ci)
+			cleaned, err := db.Cleaned(map[int]int{g: ci})
 			if err != nil {
 				return false
 			}

@@ -73,11 +73,11 @@ func TestUTopKArgValidation(t *testing.T) {
 func TestUTopKCertainDatabase(t *testing.T) {
 	db := testdb.UDB2()
 	// Clean the remaining uncertain x-tuples: S1 -> t1, S2 -> t2.
-	db, err := db.Cleaned(0, 1)
+	db, err := db.Cleaned(map[int]int{0: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err = db.Cleaned(1, 0)
+	db, err = db.Cleaned(map[int]int{1: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

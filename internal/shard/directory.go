@@ -37,6 +37,17 @@ type directory struct {
 	perShard []cowvec.Vec[int32]   // perShard[s].At(local) = global index; sentinel -1
 }
 
+// collapse records that the group was resolved to alternative choice: a
+// real alternative keeps only its own stamp (reals come first, in gseqs
+// order), and the null leaves the group certainly absent, with none.
+func (e *entry) collapse(choice int) {
+	if choice < len(e.gseqs) {
+		e.gseqs = []int{e.gseqs[choice]}
+	} else {
+		e.gseqs = nil
+	}
+}
+
 func newDirectory(shards int) *directory {
 	d := &directory{perShard: make([]cowvec.Vec[int32], shards)}
 	for s := range d.perShard {

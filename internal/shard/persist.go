@@ -291,13 +291,6 @@ func Open(cfg Config) (*Cluster, error) {
 		}
 	}
 
-	// Rebuild the cluster-wide ID set from the recovered shards.
-	c.ids = make(map[string]struct{})
-	for _, e := range c.dir.entries {
-		for _, t := range c.shards[e.shard].live().GroupAt(e.local).Tuples {
-			c.ids[t.ID] = struct{}{}
-		}
-	}
 	c.built = true
 	c.publishLocked()
 	return c, nil
@@ -326,15 +319,10 @@ func (d *directory) replay(ops []metaOp, shards int) error {
 			if op.Index < 0 || op.Index >= len(d.entries) {
 				return fmt.Errorf("clp index %d: %w", op.Index, store.ErrCorrupt)
 			}
-			e := d.entries[op.Index]
 			if op.Choice < 0 {
 				return fmt.Errorf("clp choice %d: %w", op.Choice, store.ErrCorrupt)
 			}
-			if op.Choice < len(e.gseqs) {
-				e.gseqs = []int{e.gseqs[op.Choice]}
-			} else {
-				e.gseqs = nil
-			}
+			d.entries[op.Index].collapse(op.Choice)
 		default:
 			return fmt.Errorf("meta op %q: %w", op.Op, store.ErrCorrupt)
 		}

@@ -83,7 +83,7 @@ func (c *Cluster) poison(err error) error {
 
 // InsertXTuple inserts a new x-tuple on the shard place picks for it.
 // Validation — in the unsharded insert's order, with its errors, and
-// including the cluster-wide duplicate-ID check no single shard can make —
+// including the duplicate-ID check against every shard's live ID index —
 // happens entirely before a stamp is drawn or any shard is touched.
 func (b *Batch) InsertXTuple(name string, tuples ...uncertain.Tuple) error {
 	c := b.c
@@ -110,10 +110,8 @@ func (b *Batch) InsertXTuple(name string, tuples ...uncertain.Tuple) error {
 	}
 	seen := make(map[string]bool, len(ids))
 	for _, id := range ids {
-		if seen[id] {
-			return fmt.Errorf("tuple %q: %w", id, uncertain.ErrDuplicateID)
-		}
-		if _, live := c.ids[id]; live {
+		// The within-call check comes first, as in the unsharded insert.
+		if seen[id] || c.idLive(id) {
 			return fmt.Errorf("tuple %q: %w", id, uncertain.ErrDuplicateID)
 		}
 		seen[id] = true
@@ -126,14 +124,11 @@ func (b *Batch) InsertXTuple(name string, tuples ...uncertain.Tuple) error {
 		c.nextGseq++
 	}
 	j := c.placeGroup(0, seqs)
-	if err := c.shardInsertSeq(j, name, seqs, tuples); err != nil {
+	if err := c.onShard(j, func(sb shardBatch) error { return sb.InsertXTupleSeq(name, seqs, tuples...) }); err != nil {
 		b.mutated = true
 		return c.poison(err)
 	}
 	c.dir.append(&entry{shard: j, gseqs: seqs})
-	for _, id := range ids {
-		c.ids[id] = struct{}{}
-	}
 	b.mutated = true
 	b.ops = append(b.ops, metaOp{Op: "ins", Shard: j, Gseqs: seqs})
 	return nil
@@ -146,17 +141,15 @@ func (b *Batch) InsertAbsentXTuple(name string) error {
 	if err := checkReserved(name, nil); err != nil {
 		return err
 	}
-	nullID := "null:" + name
-	if _, live := c.ids[nullID]; live {
+	if nullID := "null:" + name; c.idLive(nullID) {
 		return fmt.Errorf("tuple %q: %w", nullID, uncertain.ErrDuplicateID)
 	}
 	s := c.placeGroup(0, nil)
-	if err := c.shardInsertAbsent(s, name); err != nil {
+	if err := c.onShard(s, func(sb shardBatch) error { return sb.InsertAbsentXTuple(name) }); err != nil {
 		b.mutated = true
 		return c.poison(err)
 	}
 	c.dir.append(&entry{shard: s})
-	c.ids[nullID] = struct{}{}
 	b.mutated = true
 	b.ops = append(b.ops, metaOp{Op: "abs", Shard: s})
 	return nil
@@ -172,19 +165,11 @@ func (b *Batch) DeleteXTuple(l int) error {
 		return uncertain.ErrLastGroup
 	}
 	e := c.dir.entries[l]
-	x := c.shards[e.shard].live().GroupAt(e.local)
-	gone := make([]string, 0, len(x.Tuples))
-	for _, t := range x.Tuples {
-		gone = append(gone, t.ID)
-	}
-	if err := c.shardDelete(e.shard, e.local); err != nil {
+	if err := c.onShard(e.shard, func(sb shardBatch) error { return sb.DeleteXTuple(e.local) }); err != nil {
 		b.mutated = true
 		return c.poison(err)
 	}
 	c.dir.removeGlobal(l)
-	for _, id := range gone {
-		delete(c.ids, id)
-	}
 	b.mutated = true
 	b.ops = append(b.ops, metaOp{Op: "del", Index: l})
 	return nil
@@ -198,19 +183,12 @@ func (b *Batch) Reweight(l int, probs []float64) error {
 		return fmt.Errorf("index %d of %d: %w", l, len(c.dir.entries), uncertain.ErrBadGroupIndex)
 	}
 	e := c.dir.entries[l]
-	if err := c.shardReweight(e.shard, e.local, probs); err != nil {
+	if err := c.onShard(e.shard, func(sb shardBatch) error { return sb.Reweight(e.local, probs) }); err != nil {
 		if isStoreFailure(err) {
 			b.mutated = true
 			return c.poison(err)
 		}
 		return err // validation; the shard database is unchanged
-	}
-	x := c.shards[e.shard].live().GroupAt(e.local)
-	nullID := "null:" + x.Name
-	if x.NullTuple() != nil {
-		c.ids[nullID] = struct{}{}
-	} else {
-		delete(c.ids, nullID)
 	}
 	b.mutated = true
 	return nil
@@ -223,29 +201,14 @@ func (b *Batch) Collapse(l, choice int) error {
 		return fmt.Errorf("index %d of %d: %w", l, len(c.dir.entries), uncertain.ErrBadGroupIndex)
 	}
 	e := c.dir.entries[l]
-	x := c.shards[e.shard].live().GroupAt(e.local)
-	var dropped []string
-	for i, t := range x.Tuples {
-		if i != choice {
-			dropped = append(dropped, t.ID)
-		}
-	}
-	nReals := len(x.RealTuples())
-	if err := c.shardCollapse(e.shard, e.local, choice); err != nil {
+	if err := c.onShard(e.shard, func(sb shardBatch) error { return sb.Collapse(e.local, choice) }); err != nil {
 		if isStoreFailure(err) {
 			b.mutated = true
 			return c.poison(err)
 		}
 		return err // validation (bad choice); unchanged
 	}
-	if choice < nReals {
-		e.gseqs = []int{e.gseqs[choice]}
-	} else {
-		e.gseqs = nil // resolved to the null: certainly absent
-	}
-	for _, id := range dropped {
-		delete(c.ids, id)
-	}
+	e.collapse(choice)
 	b.mutated = true
 	b.ops = append(b.ops, metaOp{Op: "clp", Index: l, Choice: choice})
 	return nil
@@ -285,45 +248,35 @@ func (c *Cluster) Collapse(l, choice int) error {
 	return c.Batch(func(b *Batch) error { return b.Collapse(l, choice) })
 }
 
-// Per-shard mutation dispatch: through the journaling store when
-// persisted, directly otherwise.
-
-func (c *Cluster) shardInsertSeq(s int, name string, seqs []int, tuples []uncertain.Tuple) error {
-	sh := c.shards[s]
-	if sh.sdb != nil {
-		return sh.sdb.Batch(func(sb *store.Batch) error { return sb.InsertXTupleSeq(name, seqs, tuples...) })
+// idLive reports whether any shard holds a live tuple with the given ID.
+// Each shard database keeps an O(1) ID index that is current under the
+// cluster writer lock, so the cluster-wide duplicate check asks the
+// shards instead of keeping a copy.
+func (c *Cluster) idLive(id string) bool {
+	for _, sh := range c.shards {
+		if sh.live().TupleByID(id) != nil {
+			return true
+		}
 	}
-	return sh.db.InsertXTupleSeq(name, seqs, tuples...)
+	return false
 }
 
-func (c *Cluster) shardInsertAbsent(s int, name string) error {
-	sh := c.shards[s]
-	if sh.sdb != nil {
-		return sh.sdb.InsertAbsentXTuple(name)
-	}
-	return sh.db.InsertAbsentXTuple(name)
+// shardBatch is the mutation surface of one shard's batch: *store.Batch
+// when the shard is journaled, *uncertain.Batch otherwise.
+type shardBatch interface {
+	InsertXTupleSeq(name string, seqs []int, tuples ...uncertain.Tuple) error
+	InsertAbsentXTuple(name string) error
+	DeleteXTuple(l int) error
+	Reweight(l int, probs []float64) error
+	Collapse(l, choice int) error
 }
 
-func (c *Cluster) shardDelete(s, local int) error {
+// onShard commits op as one batch on shard s: through the journaling
+// store when persisted, on the shard database directly otherwise.
+func (c *Cluster) onShard(s int, op func(shardBatch) error) error {
 	sh := c.shards[s]
 	if sh.sdb != nil {
-		return sh.sdb.DeleteXTuple(local)
+		return sh.sdb.Batch(func(b *store.Batch) error { return op(b) })
 	}
-	return sh.db.DeleteXTuple(local)
-}
-
-func (c *Cluster) shardReweight(s, local int, probs []float64) error {
-	sh := c.shards[s]
-	if sh.sdb != nil {
-		return sh.sdb.Reweight(local, probs)
-	}
-	return sh.db.Reweight(local, probs)
-}
-
-func (c *Cluster) shardCollapse(s, local, choice int) error {
-	sh := c.shards[s]
-	if sh.sdb != nil {
-		return sh.sdb.Collapse(local, choice)
-	}
-	return sh.db.Collapse(local, choice)
+	return sh.db.Batch(func(b *uncertain.Batch) error { return op(b) })
 }

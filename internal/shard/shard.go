@@ -12,11 +12,11 @@
 // exactly the unsharded total order (ranksAbove), because stamps are
 // assigned in the same arrival order the unsharded database would use.
 // Each shard database stores its alternatives with the gseq as the local
-// tie-break stamp (uncertain.AddXTupleSeq / InsertXTupleSeq), so a shard's
-// local rank order is the global order restricted to the shard, whatever
-// the placement. An x-tuple is placed once, at insert, by place(gseq₀, N)
-// — a fixed mix of its first stamp — and never moves; absent x-tuples hold
-// no stamp and sit in the bottom shard.
+// tie-break stamp (uncertain.AddXTupleSeq / Batch.InsertXTupleSeq), so a
+// shard's local rank order is the global order restricted to the shard,
+// whatever the placement. An x-tuple is placed once, at insert, by
+// place(gseq₀, N) — a fixed mix of its first stamp — and never moves;
+// absent x-tuples hold no stamp and sit in the bottom shard.
 //
 // # The merge
 //
@@ -124,7 +124,6 @@ type Cluster struct {
 	mu       sync.Mutex // writer lock: mutations, Close
 	shards   []*shardHandle
 	dir      *directory
-	ids      map[string]struct{} // every live tuple ID, cluster-wide
 	nextGseq int
 	version  uint64
 	built    bool
@@ -297,12 +296,6 @@ func (c *Cluster) buildFromLocked(src *uncertain.Database, version uint64, assig
 		c.shards[i] = &shardHandle{db: dbs[i]}
 	}
 	c.dir = dir
-	c.ids = make(map[string]struct{}, src.NumTuples())
-	for _, x := range src.Groups() {
-		for _, t := range x.Tuples {
-			c.ids[t.ID] = struct{}{}
-		}
-	}
 	c.version = version
 
 	if c.cfg.Backend != "" {

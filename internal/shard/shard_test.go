@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -138,8 +139,10 @@ func (m *mirror) step() {
 		m.errParity(m.c.DeleteXTuple(l), m.db.DeleteXTuple(l))
 	case r < 90: // batch of 2-3 ops, sometimes with a failing tail
 		m.stepBatch()
-	default: // invalid operations: error parity, no state change
+	case r < 95: // invalid operations: error parity, no state change
 		m.stepInvalid()
+	default: // tuple IDs freed and taken again
+		m.stepReuse()
 	}
 }
 
@@ -203,6 +206,105 @@ func (m *mirror) stepInvalid() {
 		l := m.rng.Intn(mg)
 		choice := len(m.db.Groups()[l].Tuples)
 		m.errParity(m.c.Collapse(l, choice), m.db.Collapse(l, choice))
+	}
+}
+
+// reuseSink is the mutation surface stepReuse drives on both sides: the
+// cluster's Batch and the database's.
+type reuseSink interface {
+	InsertXTuple(name string, tuples ...uncertain.Tuple) error
+	DeleteXTuple(l int) error
+	Reweight(l int, probs []float64) error
+	Collapse(l, choice int) error
+}
+
+// stepReuse frees tuple IDs and takes them again, on whatever shard
+// place picks, so the duplicate-ID check must consult every shard's live
+// index. It deletes or collapses a random x-tuple and re-inserts one of
+// the real IDs that freed. Then it inserts an explicit tuple ID
+// null:<name> while group name's null exists (rejected on both sides),
+// reweights the group to full mass, which removes the null, and inserts
+// the ID again (accepted on both sides). The ops run as one batch per
+// side, so the step is one commit like every other step.
+func (m *mirror) stepReuse() {
+	t := m.t
+	t.Helper()
+	mg := m.db.NumGroups()
+	l := m.rng.Intn(mg)
+	x := m.db.GroupAt(l)
+	var first func(reuseSink) error
+	var freed []string
+	if mg > m.c.K()+2 && m.rng.Intn(2) == 0 {
+		for _, tu := range x.RealTuples() {
+			freed = append(freed, tu.ID)
+		}
+		first = func(b reuseSink) error { return b.DeleteXTuple(l) }
+		mg--
+	} else {
+		choice := m.rng.Intn(len(x.Tuples))
+		for i, tu := range x.Tuples {
+			if i != choice && !tu.Null {
+				freed = append(freed, tu.ID)
+			}
+		}
+		first = func(b reuseSink) error { return b.Collapse(l, choice) }
+	}
+	type insert struct {
+		name string
+		ts   []uncertain.Tuple
+	}
+	var reuse *insert
+	if len(freed) > 0 {
+		reuse = &insert{name: m.groupName(), ts: m.genTuples()}
+		reuse.ts[0].ID = freed[m.rng.Intn(len(freed))]
+		mg++
+	}
+	name := m.groupName()
+	ts := m.genTuples()
+	for i := range ts {
+		ts[i].Prob = 0.5 / float64(len(ts)) // leaves a null
+	}
+	g := mg // name's index
+	full := make([]float64, len(ts))
+	for i := range full {
+		full[i] = 1 / float64(len(ts))
+	}
+	holder := m.groupName()
+	clash := []uncertain.Tuple{{ID: "null:" + name, Attrs: []float64{float64(m.rng.Intn(8))}, Prob: 0.5}}
+
+	// The script records every op's error and carries on, so the two
+	// sides can be compared op by op.
+	const clashed = 3 // index of the insert that must be rejected
+	script := func(b reuseSink) []error {
+		errs := []error{first(b), nil}
+		if reuse != nil {
+			errs[1] = b.InsertXTuple(reuse.name, reuse.ts...)
+		}
+		return append(errs,
+			b.InsertXTuple(name, ts...),
+			b.InsertXTuple(holder, clash...),
+			b.Reweight(g, full),
+			b.InsertXTuple(holder, clash...),
+			// Delete the holder again: a later partial reweight of
+			// group name would materialize a second null:<name>.
+			b.DeleteXTuple(g+1))
+	}
+	var errsC, errsP []error
+	m.mustBoth(
+		m.c.Batch(func(b *Batch) error { errsC = script(b); return nil }),
+		m.db.Batch(func(b *uncertain.Batch) error { errsP = script(b); return nil }))
+	for i := range errsP {
+		m.errParity(errsC[i], errsP[i])
+		if i == clashed {
+			if !errors.Is(errsP[i], uncertain.ErrDuplicateID) {
+				t.Fatalf("insert of %q beside the live null: err = %v, want ErrDuplicateID", clash[0].ID, errsP[i])
+			}
+		} else if errsP[i] != nil {
+			t.Fatalf("ID-reuse op %d: %v", i, errsP[i])
+		}
+	}
+	if m.db.GroupAt(g).Name != name || m.db.GroupAt(g).NullTuple() != nil {
+		t.Fatalf("group %q kept its null after a full-mass reweight", name)
 	}
 }
 

@@ -497,7 +497,7 @@ func (b *Batch) InsertXTuple(name string, tuples ...uncertain.Tuple) error {
 
 // InsertXTupleSeq inserts with explicit tie-break stamps and journals
 // them, so replay reproduces the same rank order (the sharded engine's
-// insert path; see uncertain.InsertXTupleSeq).
+// insert path; see uncertain.Batch.InsertXTupleSeq).
 func (b *Batch) InsertXTupleSeq(name string, seqs []int, tuples ...uncertain.Tuple) error {
 	if err := b.ub.InsertXTupleSeq(name, seqs, tuples...); err != nil {
 		return err

@@ -3,13 +3,14 @@ package uncertain
 import "math"
 
 // Batch groups several mutations into one commit. The mutations are
-// applied in order as they are issued, but the commit bookkeeping every
-// single mutation would otherwise pay — the version bump and the
-// dirty-rank watermark record — happens once, on return from
-// Database.Batch, with the watermarks of all mutations merged into one.
-// A burst of updates therefore leaves consumers one version step (and one
-// DirtySince answer, hence at most one incremental scan resume) to catch
-// up on, instead of one per mutation.
+// applied in order as they are issued, and the commit bookkeeping — the
+// version bump and the dirty-rank watermark record — happens once, on
+// return from Database.Batch, with the watermarks of all mutations merged
+// into one. A burst of updates therefore leaves consumers one version
+// step (and one DirtySince answer, hence at most one incremental scan
+// resume) to catch up on, instead of one per mutation. Database.Batch is
+// the database's only commit path: the standalone mutations
+// (Database.InsertXTuple and the rest) are one-op batches.
 //
 // Use it through Database.Batch:
 //
@@ -33,13 +34,12 @@ type Batch struct {
 // published epoch — and, under the chunked rank structure, one spine
 // unshare however many chunk splices the batch performs.
 //
-// Each mutation validates before committing exactly as its standalone
-// counterpart does, so a failed mutation leaves the database as it was
-// just before that call. There is no rollback across mutations: if fn
-// returns an error after some mutations succeeded, those stay applied, the
-// commit still runs (the database remains fully consistent), and the error
-// is returned. A batch in which no mutation succeeded does not bump the
-// version.
+// Each mutation validates before it changes anything, so a failed
+// mutation leaves the database as it was just before that call. There is
+// no rollback across mutations: if fn returns an error after some
+// mutations succeeded, those stay applied, the commit still runs (the
+// database remains fully consistent), and the error is returned. A batch
+// in which no mutation succeeded does not bump the version.
 //
 // Batch serializes against other mutations on the database's writer lock
 // and publishes exactly one new epoch at commit, so snapshot readers

@@ -33,7 +33,7 @@ type Database struct {
 
 	// Snapshot isolation (see snapshot.go). snap is the current published
 	// epoch: an immutable frozen view readers pin with Snapshot. wmu
-	// serializes writers (each exported mutation entry point takes it);
+	// serializes writers (Batch, the only commit path, and Clone take it);
 	// readers never do. shared marks the containers as referenced by the
 	// latest epoch, so the next mutation copies them first (unshare), and
 	// cowed tracks the x-tuples already cloned in the current unpublished
@@ -436,52 +436,57 @@ func (db *Database) Clone() *Database {
 	return out
 }
 
-// Cleaned returns a copy of the database in which x-tuple l has been
-// successfully cleaned to the given outcome (Definition 5): choice is an
-// index into the x-tuple's alternatives (including the null alternative,
-// which models the entity being confirmed absent). The chosen alternative
-// keeps its identity and value but its existential probability becomes 1.
-// The copy is rebuilt, so rank positions are consistent.
-func (db *Database) Cleaned(l, choice int) (*Database, error) {
+// Cleaned returns a copy of the database after the given cleaning
+// outcomes (Definition 5): choices maps an x-tuple index to the index of
+// the alternative it was cleaned to (including the null alternative, which
+// models the entity being confirmed absent). Each chosen alternative keeps
+// its identity and value but its existential probability becomes 1; a
+// null choice leaves the x-tuple certainly absent. x-tuples without a
+// choice are copied unchanged. The copy is rebuilt, so rank positions are
+// consistent; the database itself is unchanged. A key outside
+// [0, NumGroups()) fails with ErrBadGroupIndex (the smallest such key is
+// reported), and a choice outside the x-tuple's alternatives with
+// ErrBadChoice (the lowest such x-tuple is reported).
+func (db *Database) Cleaned(choices map[int]int) (*Database, error) {
 	if !db.built {
 		return nil, ErrNotBuilt
 	}
-	if l < 0 || l >= db.groups.Len() {
-		return nil, fmt.Errorf("index %d of %d: %w", l, db.groups.Len(), ErrBadGroupIndex)
+	m := db.groups.Len()
+	bad, found := 0, false
+	for l := range choices {
+		if (l < 0 || l >= m) && (!found || l < bad) {
+			bad, found = l, true
+		}
 	}
-	x := db.groups.At(l)
-	if choice < 0 || choice >= len(x.Tuples) {
-		return nil, fmt.Errorf("choice %d of %d: %w", choice, len(x.Tuples), ErrBadChoice)
+	if found {
+		return nil, fmt.Errorf("index %d of %d: %w", bad, m, ErrBadGroupIndex)
 	}
 	out := New()
 	for gi, g := range db.groups.All() {
-		if gi != l {
+		var err error
+		choice, cleaned := choices[gi]
+		switch {
+		case cleaned && (choice < 0 || choice >= len(g.Tuples)):
+			return nil, fmt.Errorf("x-tuple %d choice %d: %w", gi, choice, ErrBadChoice)
+		case cleaned && g.Tuples[choice].Null:
+			// Entity confirmed absent: the x-tuple certainly contributes
+			// no real tuple, but stays in the database.
+			err = out.AddAbsentXTuple(g.Name)
+		case cleaned:
+			chosen := g.Tuples[choice]
+			err = out.AddXTuple(g.Name, Tuple{ID: chosen.ID, Attrs: chosen.Attrs, Prob: 1})
+		default:
 			ts := make([]Tuple, 0, len(g.Tuples))
 			for _, t := range g.RealTuples() {
 				ts = append(ts, Tuple{ID: t.ID, Attrs: t.Attrs, Prob: t.Prob})
 			}
 			if len(ts) == 0 {
 				// The group was itself cleaned to "absent" earlier.
-				if err := out.AddAbsentXTuple(g.Name); err != nil {
-					return nil, err
-				}
-				continue
+				err = out.AddAbsentXTuple(g.Name)
+			} else {
+				err = out.AddXTuple(g.Name, ts...)
 			}
-			if err := out.AddXTuple(g.Name, ts...); err != nil {
-				return nil, err
-			}
-			continue
 		}
-		chosen := g.Tuples[choice]
-		if chosen.Null {
-			// Entity confirmed absent: the x-tuple certainly contributes
-			// no real tuple, but stays in the database.
-			if err := out.AddAbsentXTuple(g.Name); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		err := out.AddXTuple(g.Name, Tuple{ID: chosen.ID, Attrs: chosen.Attrs, Prob: 1})
 		if err != nil {
 			return nil, err
 		}

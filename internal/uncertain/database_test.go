@@ -301,7 +301,7 @@ func TestCloneIsDeep(t *testing.T) {
 func TestCleanedReplacesGroup(t *testing.T) {
 	db := buildUDB1(t)
 	// Clean S3 (group index 2) to its alternative t5 (index 1 within group).
-	cleaned, err := db.Cleaned(2, 1)
+	cleaned, err := db.Cleaned(map[int]int{2: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestCleanedToNullOutcome(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Group X has alternatives [a, null]; clean to the null outcome.
-	cleaned, err := db.Cleaned(0, 1)
+	cleaned, err := db.Cleaned(map[int]int{0: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,15 +381,26 @@ func TestAddAbsentXTuple(t *testing.T) {
 
 func TestCleanedErrors(t *testing.T) {
 	db := buildUDB1(t)
-	if _, err := db.Cleaned(99, 0); !errors.Is(err, ErrBadGroupIndex) {
+	if _, err := db.Cleaned(map[int]int{99: 0}); !errors.Is(err, ErrBadGroupIndex) {
 		t.Fatalf("err = %v, want ErrBadGroupIndex", err)
 	}
-	if _, err := db.Cleaned(0, 99); !errors.Is(err, ErrBadChoice) {
+	if _, err := db.Cleaned(map[int]int{-1: 0}); !errors.Is(err, ErrBadGroupIndex) {
+		t.Fatalf("negative key: err = %v, want ErrBadGroupIndex", err)
+	}
+	// Several bad keys, beside a valid one: the smallest is reported, so
+	// the error does not depend on map iteration order.
+	for i := 0; i < 20; i++ {
+		_, err := db.Cleaned(map[int]int{0: 0, 99: 0, -3: 0, 7: 0})
+		if want := "index -3 of 4: " + ErrBadGroupIndex.Error(); err == nil || err.Error() != want {
+			t.Fatalf("err = %v, want %q", err, want)
+		}
+	}
+	if _, err := db.Cleaned(map[int]int{0: 99}); !errors.Is(err, ErrBadChoice) {
 		t.Fatalf("err = %v, want ErrBadChoice", err)
 	}
 	unbuilt := New()
 	_ = unbuilt.AddXTuple("X", Tuple{ID: "a", Attrs: []float64{1}, Prob: 1})
-	if _, err := unbuilt.Cleaned(0, 0); !errors.Is(err, ErrNotBuilt) {
+	if _, err := unbuilt.Cleaned(map[int]int{0: 0}); !errors.Is(err, ErrNotBuilt) {
 		t.Fatalf("err = %v, want ErrNotBuilt", err)
 	}
 }

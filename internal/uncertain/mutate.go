@@ -22,8 +22,9 @@ import (
 // resume a left-to-right scan instead of recomputing it (see DESIGN.md,
 // "Watermarks").
 //
-// Every mutation is a thin wrapper over an unexported core that returns
-// the watermark; Batch runs several cores under a single commit.
+// Database.Batch is the only commit path: every standalone mutation below
+// is a one-op batch, and each Batch method runs an unexported core that
+// returns the mutation's watermark.
 //
 // Concurrency: mutations serialize against each other on the database's
 // writer lock, and each commit publishes a new immutable epoch (see
@@ -47,28 +48,16 @@ var ErrLastGroup = errors.New("uncertain: cannot delete the last x-tuple")
 // AddXTuple, the alternatives are scored, a null alternative is materialized
 // if needed, and every alternative is placed into the existing rank order by
 // ordered insertion — no rebuild. The new x-tuple gets index NumGroups()-1.
-// On any validation error the database is unchanged.
+// On any validation error the database is unchanged. It commits as a
+// one-op Batch.
 func (db *Database) InsertXTuple(name string, tuples ...Tuple) error {
-	db.wmu.Lock()
-	defer db.wmu.Unlock()
-	if db.frozen {
-		return ErrFrozenSnapshot
-	}
-	wm, err := db.insertXTuple(name, tuples, nil)
-	if err != nil {
-		return err
-	}
-	db.finishMutation(wm)
-	return nil
+	return db.Batch(func(b *Batch) error { return b.InsertXTuple(name, tuples...) })
 }
 
 // insertXTuple is the insert core. seqs, when non-nil, supplies explicit
 // tie-break stamps (one per tuple; see seq.go) instead of arrival-order
 // stamps.
 func (db *Database) insertXTuple(name string, tuples []Tuple, seqs []int) (int, error) {
-	if !db.built {
-		return 0, ErrNotBuilt
-	}
 	if len(tuples) == 0 {
 		return 0, wrapGroup(ErrEmptyXTuple, name)
 	}
@@ -133,25 +122,13 @@ func (db *Database) insertXTuple(name string, tuples []Tuple, seqs []int) (int, 
 
 // InsertAbsentXTuple adds an x-tuple known to contribute no real tuple
 // (AddAbsentXTuple's mutation-time counterpart): a single null alternative
-// with probability 1 is placed at the bottom of the rank order.
+// with probability 1 is placed at the bottom of the rank order. It commits
+// as a one-op Batch.
 func (db *Database) InsertAbsentXTuple(name string) error {
-	db.wmu.Lock()
-	defer db.wmu.Unlock()
-	if db.frozen {
-		return ErrFrozenSnapshot
-	}
-	wm, err := db.insertAbsentXTuple(name)
-	if err != nil {
-		return err
-	}
-	db.finishMutation(wm)
-	return nil
+	return db.Batch(func(b *Batch) error { return b.InsertAbsentXTuple(name) })
 }
 
 func (db *Database) insertAbsentXTuple(name string) (int, error) {
-	if !db.built {
-		return 0, ErrNotBuilt
-	}
 	gi := db.groups.Len()
 	null := &Tuple{ID: fmt.Sprintf("null:%s", name), Prob: 1, Group: gi, Null: true}
 	if db.TupleByID(null.ID) != nil {
@@ -168,25 +145,12 @@ func (db *Database) insertAbsentXTuple(name string) (int, error) {
 // shift down one index (their tuples' Group fields are renumbered), which
 // preserves the relative order of the remaining null alternatives, so the
 // rank array only needs splicing, not re-sorting. Deleting the last
-// remaining x-tuple is an error.
+// remaining x-tuple is an error. It commits as a one-op Batch.
 func (db *Database) DeleteXTuple(l int) error {
-	db.wmu.Lock()
-	defer db.wmu.Unlock()
-	if db.frozen {
-		return ErrFrozenSnapshot
-	}
-	wm, err := db.deleteXTuple(l)
-	if err != nil {
-		return err
-	}
-	db.finishMutation(wm)
-	return nil
+	return db.Batch(func(b *Batch) error { return b.DeleteXTuple(l) })
 }
 
 func (db *Database) deleteXTuple(l int) (int, error) {
-	if !db.built {
-		return 0, ErrNotBuilt
-	}
 	if l < 0 || l >= db.groups.Len() {
 		return 0, fmt.Errorf("index %d of %d: %w", l, db.groups.Len(), ErrBadGroupIndex)
 	}
@@ -219,25 +183,13 @@ func (db *Database) deleteXTuple(l int) (int, error) {
 // alternatives: probs[i] applies to RealTuples()[i]. Scores are unchanged,
 // so the real alternatives keep their rank positions; only the group's null
 // alternative is created, updated, or removed to absorb the new mass
-// deficit. On any validation error the database is unchanged.
+// deficit. On any validation error the database is unchanged. It commits
+// as a one-op Batch.
 func (db *Database) Reweight(l int, probs []float64) error {
-	db.wmu.Lock()
-	defer db.wmu.Unlock()
-	if db.frozen {
-		return ErrFrozenSnapshot
-	}
-	wm, err := db.reweight(l, probs)
-	if err != nil {
-		return err
-	}
-	db.finishMutation(wm)
-	return nil
+	return db.Batch(func(b *Batch) error { return b.Reweight(l, probs) })
 }
 
 func (db *Database) reweight(l int, probs []float64) (int, error) {
-	if !db.built {
-		return 0, ErrNotBuilt
-	}
 	if l < 0 || l >= db.groups.Len() {
 		return 0, fmt.Errorf("index %d of %d: %w", l, db.groups.Len(), ErrBadGroupIndex)
 	}
@@ -315,25 +267,13 @@ func (db *Database) reweight(l int, probs []float64) (int, error) {
 // in place instead of via the rebuilt copy Cleaned returns. Choosing the
 // null alternative leaves the x-tuple certainly absent. The chosen
 // alternative keeps its identity, score, and rank position; the discarded
-// alternatives are spliced out of the rank order.
+// alternatives are spliced out of the rank order. It commits as a one-op
+// Batch.
 func (db *Database) Collapse(l, choice int) error {
-	db.wmu.Lock()
-	defer db.wmu.Unlock()
-	if db.frozen {
-		return ErrFrozenSnapshot
-	}
-	wm, err := db.collapse(l, choice)
-	if err != nil {
-		return err
-	}
-	db.finishMutation(wm)
-	return nil
+	return db.Batch(func(b *Batch) error { return b.Collapse(l, choice) })
 }
 
 func (db *Database) collapse(l, choice int) (int, error) {
-	if !db.built {
-		return 0, ErrNotBuilt
-	}
 	if l < 0 || l >= db.groups.Len() {
 		return 0, fmt.Errorf("index %d of %d: %w", l, db.groups.Len(), ErrBadGroupIndex)
 	}
@@ -431,10 +371,10 @@ func (db *Database) rankIndexOf(t *Tuple) int {
 	return t.home.start + t.idx
 }
 
-// finishMutation commits one mutation (or one batch): it bumps the
-// version, records the dirty-rank watermark in the log DirtySince answers
-// from, and publishes the new state as an epoch for snapshot readers (the
-// single atomic store that makes the whole mutation — or the whole batch —
+// finishMutation commits one batch (a standalone mutation is a one-op
+// batch): it bumps the version, records the dirty-rank watermark in the
+// log DirtySince answers from, and publishes the new state as an epoch for
+// snapshot readers (the single atomic store that makes the whole batch
 // visible at once). Rank positions and nReal are maintained incrementally
 // by the mutation primitives themselves (the splice passes repair idx as
 // they move tuples), so no array-wide fixup happens here.

@@ -171,7 +171,7 @@ func TestCollapseMatchesCleaned(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			db := buildUDB1(t)
-			want, err := db.Cleaned(tc.l, tc.choice)
+			want, err := db.Cleaned(map[int]int{tc.l: tc.choice})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,7 +192,7 @@ func TestCollapseToNull(t *testing.T) {
 		t.Fatal(err)
 	}
 	nullIdx := len(db.Groups()[1].Tuples) - 1
-	want, err := db.Cleaned(1, nullIdx)
+	want, err := db.Cleaned(map[int]int{1: nullIdx})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -158,7 +158,7 @@ func TestQuickCleanedPreservesInvariants(t *testing.T) {
 		g := int(gRaw) % db.NumGroups()
 		group := db.Groups()[g]
 		c := int(cRaw) % len(group.Tuples)
-		cleaned, err := db.Cleaned(g, c)
+		cleaned, err := db.Cleaned(map[int]int{g: c})
 		if err != nil {
 			return false
 		}

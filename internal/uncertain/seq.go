@@ -7,12 +7,12 @@ import "errors"
 // stamp Build and InsertXTuple assign in arrival order. A shard database
 // holds a subset of a logically global database, so its locally assigned
 // stamps would order tied tuples by *shard-local* arrival, which is not
-// comparable across shards. The *Seq variants below let the caller supply
-// the stamps instead (the shard layer stamps every real alternative with a
-// global sequence number once, at its first insert), so a shard's local
-// rank order is exactly the global order restricted to the shard, and the
-// coordinator can merge shards by (score, Tuple.Stamp) — the invariant its
-// bit-identical merge rests on.
+// comparable across shards. AddXTupleSeq and Batch.InsertXTupleSeq let
+// the caller supply the stamps instead (the shard layer stamps every real
+// alternative with a global sequence number once, at its first insert), so
+// a shard's local rank order is exactly the global order restricted to the
+// shard, and the coordinator can merge shards by (score, Tuple.Stamp) —
+// the invariant its bit-identical merge rests on.
 //
 // Stamps share the ord counter's space: Build and insert advance the
 // sequential counter past the largest explicit stamp they see, so mixed
@@ -38,28 +38,9 @@ func (db *Database) AddXTupleSeq(name string, seqs []int, tuples ...Tuple) error
 	return nil
 }
 
-// InsertXTupleSeq is InsertXTuple with explicit tie-break stamps, one per
-// supplied tuple (the materialized null, if any, takes no stamp — nulls
-// order by group index, not by ord).
-func (db *Database) InsertXTupleSeq(name string, seqs []int, tuples ...Tuple) error {
-	db.wmu.Lock()
-	defer db.wmu.Unlock()
-	if db.frozen {
-		return ErrFrozenSnapshot
-	}
-	if len(seqs) != len(tuples) {
-		return wrapGroup(ErrBadSeq, name)
-	}
-	wm, err := db.insertXTuple(name, tuples, seqs)
-	if err != nil {
-		return err
-	}
-	db.finishMutation(wm)
-	return nil
-}
-
-// InsertXTupleSeq is Database.InsertXTupleSeq under the batch's single
-// commit.
+// InsertXTupleSeq is Batch.InsertXTuple with explicit tie-break stamps,
+// one per supplied tuple (the materialized null, if any, takes no stamp —
+// nulls order by group index, not by ord).
 func (b *Batch) InsertXTupleSeq(name string, seqs []int, tuples ...Tuple) error {
 	if len(seqs) != len(tuples) {
 		return wrapGroup(ErrBadSeq, name)
