@@ -176,13 +176,22 @@ func (b *Batch) DeleteXTuple(l int) error {
 }
 
 // Reweight replaces the existential probabilities of the x-tuple at
-// global index l. Only the shard holding the group commits.
+// global index l. Only the shard holding the group commits; a null the
+// reweight materializes is first checked against every shard's live ID
+// index, after the validation the unsharded reweight runs first.
 func (b *Batch) Reweight(l int, probs []float64) error {
 	c := b.c
 	if l < 0 || l >= len(c.dir.entries) {
 		return fmt.Errorf("index %d of %d: %w", l, len(c.dir.entries), uncertain.ErrBadGroupIndex)
 	}
 	e := c.dir.entries[l]
+	newNull, err := uncertain.CheckReweight(c.shards[e.shard].live().GroupAt(e.local), probs)
+	if err != nil {
+		return err
+	}
+	if newNull != "" && c.idLive(newNull) {
+		return fmt.Errorf("tuple %q: %w", newNull, uncertain.ErrDuplicateID)
+	}
 	if err := c.onShard(e.shard, func(sb shardBatch) error { return sb.Reweight(e.local, probs) }); err != nil {
 		if isStoreFailure(err) {
 			b.mutated = true

@@ -224,7 +224,10 @@ type reuseSink interface {
 // the real IDs that freed. Then it inserts an explicit tuple ID
 // null:<name> while group name's null exists (rejected on both sides),
 // reweights the group to full mass, which removes the null, and inserts
-// the ID again (accepted on both sides). The ops run as one batch per
+// the ID again (accepted on both sides). A partial reweight of group name
+// would then materialize a second null:<name>, so it is rejected on both
+// sides too, wherever the holder landed; the holder stays, and later
+// reweights of the group keep meeting it. The ops run as one batch per
 // side, so the step is one commit like every other step.
 func (m *mirror) stepReuse() {
 	t := m.t
@@ -266,15 +269,19 @@ func (m *mirror) stepReuse() {
 	}
 	g := mg // name's index
 	full := make([]float64, len(ts))
+	half := make([]float64, len(ts))
 	for i := range full {
 		full[i] = 1 / float64(len(ts))
+		half[i] = full[i] / 2
 	}
 	holder := m.groupName()
 	clash := []uncertain.Tuple{{ID: "null:" + name, Attrs: []float64{float64(m.rng.Intn(8))}, Prob: 0.5}}
 
 	// The script records every op's error and carries on, so the two
 	// sides can be compared op by op.
-	const clashed = 3 // index of the insert that must be rejected
+	// Indices of the ops that must be rejected: the insert beside the live
+	// null and the reweight that would materialize a second one.
+	clashed := map[int]bool{3: true, 6: true}
 	script := func(b reuseSink) []error {
 		errs := []error{first(b), nil}
 		if reuse != nil {
@@ -285,9 +292,7 @@ func (m *mirror) stepReuse() {
 			b.InsertXTuple(holder, clash...),
 			b.Reweight(g, full),
 			b.InsertXTuple(holder, clash...),
-			// Delete the holder again: a later partial reweight of
-			// group name would materialize a second null:<name>.
-			b.DeleteXTuple(g+1))
+			b.Reweight(g, half))
 	}
 	var errsC, errsP []error
 	m.mustBoth(
@@ -295,9 +300,9 @@ func (m *mirror) stepReuse() {
 		m.db.Batch(func(b *uncertain.Batch) error { errsP = script(b); return nil }))
 	for i := range errsP {
 		m.errParity(errsC[i], errsP[i])
-		if i == clashed {
+		if clashed[i] {
 			if !errors.Is(errsP[i], uncertain.ErrDuplicateID) {
-				t.Fatalf("insert of %q beside the live null: err = %v, want ErrDuplicateID", clash[0].ID, errsP[i])
+				t.Fatalf("ID-reuse op %d on %q beside its holder: err = %v, want ErrDuplicateID", i, clash[0].ID, errsP[i])
 			}
 		} else if errsP[i] != nil {
 			t.Fatalf("ID-reuse op %d: %v", i, errsP[i])

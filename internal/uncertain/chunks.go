@@ -98,7 +98,7 @@ func newRankStore(sorted []*Tuple) rankStore {
 			chunkHome: &chunkHome{priv: 1, pos: len(rs.chunks), start: i},
 		}
 		for off, t := range c.tuples {
-			t.home, t.idx = c.chunkHome, off
+			t.home, t.idx = c.chunkHome, int32(off)
 		}
 		rs.chunks = append(rs.chunks, c)
 		rs.starts = append(rs.starts, i)
@@ -170,7 +170,7 @@ func (rs *rankStore) insert(t *Tuple) int {
 	c.tuples[off] = t
 	t.home = c.chunkHome
 	for j := off; j < len(c.tuples); j++ {
-		c.tuples[j].idx = j
+		c.tuples[j].idx = int32(j)
 	}
 	if len(c.tuples) > chunkMax {
 		rs.split(ci)
@@ -189,7 +189,7 @@ func (rs *rankStore) split(ci int) {
 		chunkHome: &chunkHome{priv: rs.epoch},
 	}
 	for off, t := range right.tuples {
-		t.home, t.idx = right.chunkHome, off
+		t.home, t.idx = right.chunkHome, int32(off)
 	}
 	tail := c.tuples[half:]
 	c.tuples = c.tuples[:half]
@@ -220,10 +220,10 @@ func (rs *rankStore) remove(drop []*Tuple) int {
 		if ci < 0 || ci >= len(rs.chunks) || rs.chunks[ci].chunkHome != h {
 			continue // not a chunk of this store's current spine
 		}
-		if c := rs.chunks[ci]; t.idx < 0 || t.idx >= len(c.tuples) || c.tuples[t.idx] != t {
+		if c := rs.chunks[ci]; t.idx < 0 || int(t.idx) >= len(c.tuples) || c.tuples[t.idx] != t {
 			continue // stale back-pointer: tuple is not in the order
 		}
-		locs = append(locs, loc{ci, t.idx})
+		locs = append(locs, loc{ci, int(t.idx)})
 	}
 	if len(locs) == 0 {
 		return rs.n
@@ -257,7 +257,7 @@ func (rs *rankStore) remove(drop []*Tuple) int {
 		}
 		c.tuples = c.tuples[:out]
 		for z := locs[i].off; z < out; z++ {
-			c.tuples[z].idx = z
+			c.tuples[z].idx = int32(z)
 		}
 		i = j
 	}
@@ -288,7 +288,7 @@ func (rs *rankStore) rebalance(ci int) {
 				prev.tuples = append(prev.tuples, c.tuples...)
 				for z := base; z < len(prev.tuples); z++ {
 					t := prev.tuples[z]
-					t.home, t.idx = prev.chunkHome, z
+					t.home, t.idx = prev.chunkHome, int32(z)
 				}
 				continue
 			}

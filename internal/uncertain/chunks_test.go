@@ -37,7 +37,7 @@ func checkChunkInvariants(t *testing.T, db *Database) {
 				t.Fatalf("tuple %s in chunk %d has foreign home", tp.ID, ci)
 			}
 			//lint:allow idxread same audit: idx must equal the tuple's actual chunk offset
-			if cached := tp.idx; cached != off {
+			if cached := tp.idx; int(cached) != off {
 				t.Fatalf("tuple %s at chunk %d offset %d caches idx %d", tp.ID, ci, off, cached)
 			}
 			if got := tp.Index(); got != rs.starts[ci]+off {

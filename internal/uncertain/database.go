@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -21,11 +22,11 @@ type Database struct {
 	rs      rankStore // all alternatives (incl. nulls) in descending rank order; see chunks.go
 	built   bool
 	nReal   int
-	version uint64            // bumped by Build and every mutation; see Version
-	nextOrd int               // next insertion-order stamp for mutation-time inserts
-	nextUID uint64            // next stable x-tuple identity; see newUID
-	marks   []versionMark     // per-mutation dirty-rank watermarks; see DirtySince
-	byID    map[string]*Tuple // ID index over sorted; maintained by insertRanked/removeSorted
+	version uint64        // bumped by Build and every mutation; see Version
+	nextOrd int           // next insertion-order stamp for mutation-time inserts
+	nextUID uint64        // next stable x-tuple identity; see newUID
+	marks   []versionMark // per-mutation dirty-rank watermarks; see DirtySince
+	ids     *idIndex      // writer-private ID index over the rank order; maintained by insertRanked/removeSorted
 
 	// pendingRenumber is set by a mutation core that shifted surviving
 	// group indices and folded into the next versionMark by finishMutation.
@@ -84,22 +85,61 @@ func (db *Database) AddXTuple(name string, tuples ...Tuple) error {
 	if len(tuples) == 0 {
 		return wrapGroup(ErrEmptyXTuple, name)
 	}
-	x := &XTuple{Name: name, Tuples: make([]*Tuple, len(tuples))}
-	// One backing array for the copies: a database holds tens of thousands
-	// of alternatives, and keeping them in per-x-tuple slabs rather than
-	// individual heap objects keeps the GC's mark phase (whose write
-	// barriers tax the mutation splice passes) cheap.
-	backing := make([]Tuple, len(tuples))
-	for i := range tuples {
-		backing[i] = tuples[i] // copy
-		backing[i].Attrs = append([]float64(nil), tuples[i].Attrs...)
-		x.Tuples[i] = &backing[i]
-	}
+	x := &XTuple{Name: name, Tuples: newTuples(tuples)}
 	if err := x.validate(); err != nil {
 		return err
 	}
 	db.groups.Append(x)
 	return nil
+}
+
+// newTuples copies src into the storage of one x-tuple: one []Tuple slab,
+// one string holding every ID back to back and one []float64 holding every
+// attribute vector back to back. Each copy's ID and Attrs are carved from
+// the shared buffers (Attrs as a 3-index slice, so appending to it
+// reallocates rather than overwrite the next alternative's values). An
+// x-tuple of any width is thus four heap objects (the three buffers and
+// the returned pointer slice, which has room for the null Build or an
+// insert may append) instead of two per alternative: a database holds
+// millions of alternatives, and every object is one more for the GC's
+// mark phase, whose write barriers tax the mutation splice passes.
+//
+// Only the value fields are copied; home and idx start zero. Every path
+// that creates tuples — AddXTuple, the insert core, DecodeWire and Clone —
+// goes through here; cowGroup copies a slab but keeps sharing the ID and
+// attribute buffers, which are never written after creation.
+func newTuples(src []Tuple) []*Tuple {
+	idLen, attrLen := 0, 0
+	for i := range src {
+		idLen += len(src[i].ID)
+		attrLen += len(src[i].Attrs)
+	}
+	var ids strings.Builder
+	ids.Grow(idLen)
+	var attrs []float64
+	if attrLen > 0 {
+		attrs = make([]float64, 0, attrLen)
+	}
+	for i := range src {
+		ids.WriteString(src[i].ID)
+		attrs = append(attrs, src[i].Attrs...)
+	}
+	idBuf := ids.String()
+	slab := make([]Tuple, len(src))
+	out := make([]*Tuple, len(src), len(src)+1)
+	idOff, attrOff := 0, 0
+	for i := range src {
+		t := &slab[i]
+		t.Prob, t.Score, t.Group, t.Null, t.ord = src[i].Prob, src[i].Score, src[i].Group, src[i].Null, src[i].ord
+		t.ID = idBuf[idOff : idOff+len(src[i].ID)]
+		idOff += len(src[i].ID)
+		if n := len(src[i].Attrs); n > 0 {
+			t.Attrs = attrs[attrOff : attrOff+n : attrOff+n]
+			attrOff += n
+		}
+		out[i] = t
+	}
+	return out
 }
 
 // AddAbsentXTuple appends an x-tuple known to contribute no real tuple to
@@ -133,7 +173,14 @@ func (db *Database) Build(rank RankFunc) error {
 	if rank == nil {
 		rank = ByFirstAttr
 	}
-	seen := make(map[string]bool)
+	// The ID index doubles as the duplicate check (a failed Build drops
+	// it): sized for every staged alternative plus one null per x-tuple,
+	// it never grows here.
+	hint := db.groups.Len()
+	for _, x := range db.groups.All() {
+		hint += len(x.Tuples)
+	}
+	ids := newIDIndex(hint)
 	ord := 0
 	total := 0
 	for gi, x := range db.groups.All() {
@@ -141,10 +188,9 @@ func (db *Database) Build(rank RankFunc) error {
 			return err
 		}
 		for ti, t := range x.Tuples {
-			if seen[t.ID] {
+			if ids.put(t) {
 				return fmt.Errorf("tuple %q: %w", t.ID, ErrDuplicateID)
 			}
-			seen[t.ID] = true
 			t.Group = gi
 			t.Score = rank(t.Attrs)
 			if math.IsNaN(t.Score) {
@@ -168,28 +214,18 @@ func (db *Database) Build(rank RankFunc) error {
 		}
 		x.stagedOrds = nil
 		if deficit := 1 - x.RealMass(); deficit > nullThreshold {
-			null := &Tuple{
-				ID:    fmt.Sprintf("null:%s", x.Name),
-				Prob:  deficit,
-				Group: gi,
-				Null:  true,
-			}
-			if seen[null.ID] {
+			null := &Tuple{ID: nullID(x.Name), Prob: deficit, Group: gi, Null: true}
+			if ids.put(null) {
 				return fmt.Errorf("tuple %q: %w", null.ID, ErrDuplicateID)
 			}
-			seen[null.ID] = true
 			x.Tuples = append(x.Tuples, null)
 			total++
 		}
 	}
 	db.rank = rank
 	sorted := make([]*Tuple, 0, total)
-	db.byID = make(map[string]*Tuple, total)
 	for _, x := range db.groups.All() {
 		sorted = append(sorted, x.Tuples...)
-		for _, t := range x.Tuples {
-			db.byID[t.ID] = t
-		}
 	}
 	sort.SliceStable(sorted, func(i, j int) bool {
 		return ranksAbove(sorted[i], sorted[j])
@@ -201,6 +237,7 @@ func (db *Database) Build(rank RankFunc) error {
 		}
 	}
 	db.rs = newRankStore(sorted)
+	db.ids = ids
 	for _, x := range db.groups.All() {
 		x.uid = db.newUID()
 	}
@@ -369,15 +406,16 @@ func (db *Database) Sorted() []*Tuple { return db.rs.materialize() }
 func (db *Database) Rank() RankFunc { return db.rank }
 
 // TupleByID returns the alternative with the given ID, or nil. On a live
-// built database this is an O(1) index lookup — the mutation validation
-// path (and any serving lookup) depends on it not scanning the rank
-// order. On a snapshot it degrades to an O(n) scan of the frozen chunks:
-// the ID index stays writer-private so that commits do not pay an
-// O(n) map copy per epoch; route hot by-ID lookups through the live
-// database (whose index is always current).
+// built database this is an O(1) lookup in the writer's open-addressing
+// ID index (idindex.go) — the mutation validation path (and any serving
+// lookup) depends on it not scanning the rank order. On a snapshot it
+// degrades to an O(n) scan of the frozen chunks: the index stays
+// writer-private, mutated in place, so that commits do not pay an O(n)
+// copy per epoch; route hot by-ID lookups through the live database
+// (whose index is always current).
 func (db *Database) TupleByID(id string) *Tuple {
-	if db.byID != nil {
-		return db.byID[id]
+	if db.ids != nil {
+		return db.ids.get(id)
 	}
 	for _, c := range db.rs.chunks {
 		for _, t := range c.tuples {
@@ -403,31 +441,35 @@ func (db *Database) Clone() *Database {
 	out := &Database{rank: db.rank, built: db.built, nReal: db.nReal, version: db.version,
 		nextOrd: db.nextOrd, nextUID: db.nextUID,
 		marks: append([]versionMark(nil), db.marks...)}
-	clones := make(map[*Tuple]*Tuple, db.rs.n)
+	if db.built {
+		out.ids = newIDIndex(db.rs.n)
+	}
+	var scratch []Tuple
 	for _, x := range db.groups.All() {
-		nx := &XTuple{Name: x.Name, uid: x.uid, Tuples: make([]*Tuple, len(x.Tuples))}
-		for ti, t := range x.Tuples {
-			// Copy the frozen fields individually rather than the whole
-			// struct: home/idx are writer-epoch fields that a concurrent
-			// writer may be repairing in place on tuples shared with a
-			// snapshot, so they must not be read here; the positions are
-			// rederived from the rank order below.
-			c := Tuple{ID: t.ID, Prob: t.Prob, Score: t.Score,
-				Group: t.Group, Null: t.Null, ord: t.ord,
-				Attrs: append([]float64(nil), t.Attrs...)}
-			nx.Tuples[ti] = &c
-			clones[t] = &c
+		// Copy the frozen fields individually rather than the whole
+		// struct: home/idx are writer-epoch fields that a concurrent
+		// writer may be repairing in place on tuples shared with a
+		// snapshot, so they must not be read here; the positions are
+		// rederived from the rank order below.
+		scratch = scratch[:0]
+		for _, t := range x.Tuples {
+			scratch = append(scratch, Tuple{ID: t.ID, Attrs: t.Attrs, Prob: t.Prob,
+				Score: t.Score, Group: t.Group, Null: t.Null, ord: t.ord})
+		}
+		nx := &XTuple{Name: x.Name, uid: x.uid, Tuples: newTuples(scratch)}
+		if out.ids != nil {
+			for _, c := range nx.Tuples {
+				out.ids.put(c)
+			}
 		}
 		out.groups.Append(nx)
 	}
 	if db.built {
+		// IDs are unique, so the new index maps each original to its copy.
 		sorted := make([]*Tuple, 0, db.rs.n)
-		out.byID = make(map[string]*Tuple, db.rs.n)
 		for _, ch := range db.rs.chunks {
 			for _, t := range ch.tuples {
-				c := clones[t]
-				sorted = append(sorted, c)
-				out.byID[c.ID] = c
+				sorted = append(sorted, out.ids.get(t.ID))
 			}
 		}
 		out.rs = newRankStore(sorted)
@@ -535,6 +577,18 @@ func (db *Database) Validate() error {
 			return fmt.Errorf("uncertain: rank order violated at position %d", i)
 		}
 		prev = t
+	}
+	// The live database's ID index must hold exactly the rank order's
+	// tuples (snapshots carry none).
+	if db.ids != nil {
+		if db.ids.n != db.rs.n {
+			return fmt.Errorf("uncertain: ID index holds %d tuples, rank order %d", db.ids.n, db.rs.n)
+		}
+		for t := range db.Ranked(0) {
+			if db.ids.get(t.ID) != t {
+				return fmt.Errorf("uncertain: ID index does not map %q to its ranked tuple", t.ID)
+			}
+		}
 	}
 	return nil
 }

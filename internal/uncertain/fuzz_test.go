@@ -195,3 +195,71 @@ func FuzzGroupVec(f *testing.F) {
 		}
 	})
 }
+
+// FuzzIDIndex drives the writer's open-addressing ID index with put,
+// replace, delete and get against a map reference, checking after every
+// step that the two agree, that every entry is reachable from its home
+// slot and that the load stays at most 3/4. Each op is a byte pair (kind,
+// ID). The IDs come from a small universe so ops collide; half of it is
+// drawn so that every ID's probe chain starts in the last two slots of
+// the starting table, so chains and backward-shift deletions wrap around
+// the table's end, and the other half makes the table grow across
+// several resizes.
+func FuzzIDIndex(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 2, 0, 3, 1, 3, 2, 3, 3, 2, 2, 3, 3})
+	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 1, 0, 2, 1, 3, 0, 3, 5, 2, 0, 2, 3, 3, 4})
+	grow := make([]byte, 0, 128)
+	for i := byte(0); i < 48; i++ {
+		grow = append(grow, 0, i)
+	}
+	for i := byte(0); i < 48; i += 3 {
+		grow = append(grow, 2, i, 3, i+1)
+	}
+	f.Add(grow)
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		ix := newIDIndex(0)
+		ids := make([]string, 0, 48)
+		for i := 0; len(ids) < 24; i++ {
+			if id := fmt.Sprintf("w%d", i); ix.home(id) >= len(ix.slots)-2 {
+				ids = append(ids, id)
+			}
+		}
+		for i := 0; i < 24; i++ {
+			ids = append(ids, fmt.Sprintf("k%d", i))
+		}
+		ref := make(map[string]*Tuple)
+		for step := 0; step+1 < len(ops); step += 2 {
+			id := ids[int(ops[step+1])%len(ids)]
+			switch ops[step] % 4 {
+			case 0, 1: // put; a fresh tuple replaces one of the same ID
+				tp := &Tuple{ID: id}
+				if replaced := ix.put(tp); replaced != (ref[id] != nil) {
+					t.Fatalf("step %d: put(%q) replaced = %v, reference holds %p", step/2, id, replaced, ref[id])
+				}
+				ref[id] = tp
+			case 2:
+				ix.del(id)
+				delete(ref, id)
+			case 3:
+				if got := ix.get(id); got != ref[id] {
+					t.Fatalf("step %d: get(%q) = %p, want %p", step/2, id, got, ref[id])
+				}
+			}
+			if ix.n != len(ref) || ix.n*4 > len(ix.slots)*3 {
+				t.Fatalf("step %d: %d entries in %d slots, reference holds %d", step/2, ix.n, len(ix.slots), len(ref))
+			}
+			held := 0
+			for _, tp := range ix.slots {
+				if tp != nil {
+					held++
+					if ref[tp.ID] != tp || ix.get(tp.ID) != tp {
+						t.Fatalf("step %d: slot holds %q, which the reference or a lookup does not", step/2, tp.ID)
+					}
+				}
+			}
+			if held != ix.n {
+				t.Fatalf("step %d: %d slots hold entries, count is %d", step/2, held, ix.n)
+			}
+		}
+	})
+}

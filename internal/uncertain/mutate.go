@@ -62,29 +62,19 @@ func (db *Database) insertXTuple(name string, tuples []Tuple, seqs []int) (int, 
 		return 0, wrapGroup(ErrEmptyXTuple, name)
 	}
 	gi := db.groups.Len()
-	x := &XTuple{Name: name, Tuples: make([]*Tuple, len(tuples))}
-	backing := make([]Tuple, len(tuples)) // one slab, as in AddXTuple
-	for i := range tuples {
-		t := &backing[i]
-		*t = tuples[i] // copy
-		t.Attrs = append([]float64(nil), tuples[i].Attrs...)
+	x := &XTuple{Name: name, Tuples: newTuples(tuples)}
+	for _, t := range x.Tuples {
 		t.Group = gi
 		t.Score = db.rank(t.Attrs)
 		if math.IsNaN(t.Score) {
 			return 0, fmt.Errorf("tuple %q: %w", t.ID, ErrBadScore)
 		}
-		x.Tuples[i] = t
 	}
 	if err := x.validate(); err != nil {
 		return 0, err
 	}
 	if deficit := 1 - x.RealMass(); deficit > nullThreshold {
-		x.Tuples = append(x.Tuples, &Tuple{
-			ID:    fmt.Sprintf("null:%s", name),
-			Prob:  deficit,
-			Group: gi,
-			Null:  true,
-		})
+		x.Tuples = append(x.Tuples, &Tuple{ID: nullID(name), Prob: deficit, Group: gi, Null: true})
 	}
 	seen := make(map[string]bool, len(x.Tuples))
 	for _, t := range x.Tuples {
@@ -130,7 +120,7 @@ func (db *Database) InsertAbsentXTuple(name string) error {
 
 func (db *Database) insertAbsentXTuple(name string) (int, error) {
 	gi := db.groups.Len()
-	null := &Tuple{ID: fmt.Sprintf("null:%s", name), Prob: 1, Group: gi, Null: true}
+	null := &Tuple{ID: nullID(name), Prob: 1, Group: gi, Null: true}
 	if db.TupleByID(null.ID) != nil {
 		return 0, fmt.Errorf("tuple %q: %w", null.ID, ErrDuplicateID)
 	}
@@ -194,26 +184,20 @@ func (db *Database) reweight(l int, probs []float64) (int, error) {
 		return 0, fmt.Errorf("index %d of %d: %w", l, db.groups.Len(), ErrBadGroupIndex)
 	}
 	x := db.groups.At(l)
-	real := x.RealTuples()
-	if len(probs) != len(real) {
-		return 0, fmt.Errorf("x-tuple %q: %d probabilities for %d real alternatives: %w",
-			x.Name, len(probs), len(real), ErrBadReweight)
+	deficit, newNull, err := checkReweight(x, probs)
+	if err != nil {
+		return 0, err
 	}
-	var mass numeric.Kahan
-	for _, p := range probs {
-		if !(p > 0) || p > 1 {
-			return 0, wrapGroup(ErrProbOutOfRange, x.Name)
-		}
-		mass.Add(p)
-	}
-	if mass.Sum() > 1+massTolerance {
-		return 0, wrapGroup(ErrMassExceedsOne, x.Name)
+	// A null this reweight materializes must not take an ID another
+	// x-tuple holds.
+	if newNull != "" && db.ids.get(newNull) != nil {
+		return 0, fmt.Errorf("tuple %q: %w", newNull, ErrDuplicateID)
 	}
 	// All checks passed; commit onto a private clone of the x-tuple, so
 	// published epochs keep the old probabilities.
 	db.unshare()
 	x = db.cowGroup(l)
-	real = x.RealTuples()
+	real := x.RealTuples()
 	// The watermark is the highest-ranked alternative whose probability or
 	// presence actually changes; alternatives keeping their probability
 	// leave the scan state at their position untouched.
@@ -226,7 +210,6 @@ func (db *Database) reweight(l int, probs []float64) (int, error) {
 			t.Prob = probs[i]
 		}
 	}
-	deficit := 1 - mass.Sum()
 	null := x.NullTuple()
 	switch {
 	case deficit > nullThreshold && null != nil:
@@ -237,7 +220,7 @@ func (db *Database) reweight(l int, probs []float64) (int, error) {
 			null.Prob = deficit
 		}
 	case deficit > nullThreshold:
-		null = &Tuple{ID: fmt.Sprintf("null:%s", x.Name), Prob: deficit, Group: l, Null: true}
+		null = &Tuple{ID: nullID(x.Name), Prob: deficit, Group: l, Null: true}
 		x.Tuples = append(x.Tuples, null)
 		if at := db.insertRanked(null); at < watermark {
 			watermark = at
@@ -259,6 +242,32 @@ func (db *Database) reweight(l int, probs []float64) (int, error) {
 		}
 	}
 	return watermark, nil
+}
+
+// checkReweight validates probs as the new probabilities of x's real
+// alternatives. It returns the mass deficit the null alternative must
+// carry afterwards and, when x has no null yet and the deficit needs one,
+// the ID of the null the reweight materializes ("" otherwise).
+func checkReweight(x *XTuple, probs []float64) (deficit float64, newNull string, err error) {
+	if n := len(x.RealTuples()); len(probs) != n {
+		return 0, "", fmt.Errorf("x-tuple %q: %d probabilities for %d real alternatives: %w",
+			x.Name, len(probs), n, ErrBadReweight)
+	}
+	var mass numeric.Kahan
+	for _, p := range probs {
+		if !(p > 0) || p > 1 {
+			return 0, "", wrapGroup(ErrProbOutOfRange, x.Name)
+		}
+		mass.Add(p)
+	}
+	if mass.Sum() > 1+massTolerance {
+		return 0, "", wrapGroup(ErrMassExceedsOne, x.Name)
+	}
+	deficit = 1 - mass.Sum()
+	if deficit > nullThreshold && x.NullTuple() == nil {
+		newNull = nullID(x.Name)
+	}
+	return deficit, newNull, nil
 }
 
 // Collapse resolves x-tuple l to its alternative choice (an index into the
@@ -317,7 +326,7 @@ func (db *Database) collapse(l, choice int) (int, error) {
 // mutations of a Batch. O(C + n/C) instead of the flat array's O(n).
 func (db *Database) insertRanked(t *Tuple) int {
 	pos := db.rs.insert(t)
-	db.byID[t.ID] = t
+	db.ids.put(t)
 	return pos
 }
 
@@ -358,7 +367,7 @@ func (db *Database) insertRankedAll(ts []*Tuple) int {
 func (db *Database) removeSorted(drop []*Tuple) int {
 	watermark := db.rs.remove(drop)
 	for _, t := range drop {
-		delete(db.byID, t.ID)
+		db.ids.del(t.ID)
 	}
 	return watermark
 }
@@ -368,7 +377,7 @@ func (db *Database) removeSorted(drop []*Tuple) int {
 // of its own splice pass, so the answer is valid at all times — including
 // between the mutations of a Batch.
 func (db *Database) rankIndexOf(t *Tuple) int {
-	return t.home.start + t.idx
+	return t.home.start + int(t.idx)
 }
 
 // finishMutation commits one batch (a standalone mutation is a one-op

@@ -298,6 +298,46 @@ func TestMutationErrorsLeaveDatabaseUnchanged(t *testing.T) {
 	}
 }
 
+// TestReweightRefusesTakenNullID pins the duplicate-ID check on the null
+// a reweight materializes: with x-tuple c holding a real tuple named
+// null:a, a partial reweight of a must fail before it commits, or the
+// database would hold two tuples of one ID (and a later delete of a would
+// drop c's tuple from the ID index).
+func TestReweightRefusesTakenNullID(t *testing.T) {
+	db := New()
+	if err := db.AddXTuple("a", Tuple{ID: "a.0", Attrs: []float64{3}, Prob: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddXTuple("b", Tuple{ID: "b.0", Attrs: []float64{2}, Prob: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Build(ByFirstAttr); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.InsertXTuple("c", Tuple{ID: "null:a", Attrs: []float64{1}, Prob: 1}); err != nil {
+		t.Fatal(err)
+	}
+	v := db.Version()
+	if err := db.Reweight(0, []float64{0.5}); !errors.Is(err, ErrDuplicateID) {
+		t.Fatalf("reweight materializing null:a beside its holder: err = %v, want ErrDuplicateID", err)
+	}
+	if db.Version() != v || db.GroupAt(0).NullTuple() != nil || db.GroupAt(0).Tuples[0].Prob != 1 {
+		t.Fatal("the refused reweight changed the database")
+	}
+	if err := db.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.DeleteXTuple(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.TupleByID("null:a"); got == nil || got.Null || db.GroupAt(got.Group).Name != "c" {
+		t.Fatalf("after deleting a, TupleByID(null:a) = %v, want c's tuple", got)
+	}
+	if err := db.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMutationsRequireBuild(t *testing.T) {
 	db := New()
 	if err := db.AddXTuple("a", Tuple{ID: "x", Attrs: []float64{1}, Prob: 0.5}); err != nil {

@@ -74,3 +74,13 @@ func NullDeficit(tuples []Tuple) (float64, bool) {
 	d := 1 - x.RealMass()
 	return d, d > nullThreshold
 }
+
+// CheckReweight validates probs as a reweight of x exactly as the reweight
+// core does, returning the identical wrapped errors, and reports the ID of
+// the null alternative the reweight would materialize ("" when x keeps
+// its null or needs none). The shard router uses it to run the
+// cluster-wide duplicate-ID check on that ID before touching a shard.
+func CheckReweight(x *XTuple, probs []float64) (newNull string, err error) {
+	_, newNull, err = checkReweight(x, probs)
+	return newNull, err
+}

@@ -42,9 +42,10 @@ package uncertain
 //     epoch, and no snapshot reader consumes them (cursors and seeks
 //     navigate an epoch's own chunks/starts slices; the query and quality
 //     scans derive positions from their own iteration index; see
-//     Tuple.Index for the caller-facing contract). Each lives in its own
-//     word, so the in-place writes do not race with readers of the frozen
-//     fields around them.
+//     Tuple.Index for the caller-facing contract). Each is its own memory
+//     location (the int32 idx shares a word with Null, but stores of
+//     either touch only their own bytes), so the in-place writes do not
+//     race with readers of the frozen fields around them.
 //
 // Readers therefore never block and never observe renumbering, and the
 // writer's per-commit overhead is O(n/C + m/G) spine-pointer copies on the
@@ -94,10 +95,10 @@ func (db *Database) Origin() *Database {
 // After publish the containers are shared with the epoch, so the next
 // mutation must unshare before writing them.
 func (db *Database) publish() {
-	// byID stays writer-private: cloning a 10k-entry map per commit would
-	// dominate the mutation cost (and its garbage the collector), while
-	// snapshot readers almost never look tuples up by ID — TupleByID on a
-	// frozen view falls back to a rank-array scan instead.
+	// The ID index stays writer-private: copying a table of n slots per
+	// commit would dominate the mutation cost (and its garbage the
+	// collector), while snapshot readers almost never look tuples up by
+	// ID — TupleByID on a frozen view falls back to a rank-order scan.
 	s := &Database{
 		groups:  db.groups.Publish(),
 		rank:    db.rank,
@@ -155,9 +156,9 @@ func (db *Database) cowGroup(gi int) *XTuple {
 		return x
 	}
 	nx := &XTuple{Name: x.Name, uid: x.uid, Tuples: make([]*Tuple, len(x.Tuples))}
-	// One slab for the clones, as in AddXTuple: keeps the GC mark phase
-	// cheap. Attrs backing arrays are shared with the originals — they are
-	// never mutated after creation.
+	// One slab for the clones, as newTuples allocates: keeps the GC mark
+	// phase cheap. The clones share the originals' ID and attribute
+	// buffers — they are never written after creation.
 	backing := make([]Tuple, len(x.Tuples))
 	for i, t := range x.Tuples {
 		backing[i] = *t
@@ -169,7 +170,7 @@ func (db *Database) cowGroup(gi int) *XTuple {
 		// stay valid: the dirty chunk shares the header they name.
 		hc := db.rs.dirty(t.home.pos)
 		hc.tuples[t.idx] = c
-		db.byID[c.ID] = c
+		db.ids.put(c)
 	}
 	db.groups.Set(gi, nx)
 	db.markPrivate(nx)

@@ -19,6 +19,12 @@ import "fmt"
 //
 // Score, Group, Null, and the rank position are assigned by Database.Build
 // and must not be set by callers.
+//
+// A database copies the tuples it is given into its own storage: one slab
+// per x-tuple, with every ID and Attrs carved from one ID string and one
+// attribute array of that x-tuple (see newTuples in database.go). The
+// Attrs of a tuple read from a database must not be modified in place;
+// the slice is capped at its length, so appending to it copies.
 type Tuple struct {
 	ID    string    // unique key of the tuple (ID_i)
 	Attrs []float64 // value attributes (v_i)
@@ -28,16 +34,17 @@ type Tuple struct {
 	Group int     // index of the owning x-tuple (x_i); set by Build
 	Null  bool    // true for the materialized null alternative
 
-	ord int // insertion order, used to break score ties deterministically
-
 	// home/idx locate the tuple inside the chunked rank structure
 	// (chunks.go): home is the header of the owning spine entry, shared
 	// by the entry's chunk in every epoch, and idx the offset within the
 	// chunk, so the global rank position is home.start + idx. Both are
 	// writer-epoch fields, repaired in place on tuples shared with older
-	// snapshots (see snapshot.go).
+	// snapshots (see snapshot.go). An offset never exceeds chunkMax, so
+	// idx is an int32 and shares Null's word: the struct is 88 bytes,
+	// and a 10-alternative slab fits the 896-byte size class.
+	idx  int32
+	ord  int // insertion order, used to break score ties deterministically
 	home *chunkHome
-	idx  int
 }
 
 // Index returns the tuple's position in the database's rank order, where 0
@@ -53,7 +60,7 @@ func (t *Tuple) Index() int {
 	if t.home == nil {
 		return 0 // not yet placed in a rank order (pre-Build staging)
 	}
-	return t.home.start + t.idx
+	return t.home.start + int(t.idx)
 }
 
 // Stamp returns the tuple's tie-break stamp: the arrival order Build and

@@ -135,33 +135,37 @@ func DecodeWire(data []byte, rank RankFunc) (*Database, error) {
 		total += len(wg.Tuples)
 	}
 	sorted := make([]*Tuple, total)
-	db.byID = make(map[string]*Tuple, total)
+	db.ids = newIDIndex(total)
+	var scratch []Tuple
 	for gi, wg := range doc.XTuples {
 		if len(wg.Tuples) == 0 {
 			return nil, wrapGroup(ErrEmptyXTuple, wg.Name)
 		}
-		x := &XTuple{Name: wg.Name, uid: wg.UID, Tuples: make([]*Tuple, len(wg.Tuples))}
-		backing := make([]Tuple, len(wg.Tuples)) // one slab per x-tuple, as in Build
-		for ti, wt := range wg.Tuples {
-			t := &backing[ti]
-			*t = Tuple{ID: wt.ID, Prob: wt.Prob, Group: gi, Null: wt.Null, ord: wt.Ord}
+		scratch = scratch[:0]
+		for _, wt := range wg.Tuples {
+			t := Tuple{ID: wt.ID, Prob: wt.Prob, Group: gi, Null: wt.Null, ord: wt.Ord}
 			if !wt.Null {
-				t.Attrs = append([]float64(nil), wt.Attrs...)
+				t.Attrs = wt.Attrs
+			}
+			scratch = append(scratch, t)
+		}
+		x := &XTuple{Name: wg.Name, uid: wg.UID, Tuples: newTuples(scratch)}
+		for ti, t := range x.Tuples {
+			if !t.Null {
 				t.Score = rank(t.Attrs)
 				if math.IsNaN(t.Score) {
 					return nil, fmt.Errorf("tuple %q: %w", t.ID, ErrBadScore)
 				}
 				db.nReal++
 			}
-			if db.byID[t.ID] != nil {
+			if db.ids.put(t) {
 				return nil, fmt.Errorf("tuple %q: %w", t.ID, ErrDuplicateID)
 			}
-			if wt.Pos < 0 || wt.Pos >= total || sorted[wt.Pos] != nil {
-				return nil, fmt.Errorf("uncertain: wire decode: tuple %q: rank position %d invalid or duplicated", t.ID, wt.Pos)
+			pos := wg.Tuples[ti].Pos
+			if pos < 0 || pos >= total || sorted[pos] != nil {
+				return nil, fmt.Errorf("uncertain: wire decode: tuple %q: rank position %d invalid or duplicated", t.ID, pos)
 			}
-			db.byID[t.ID] = t
-			x.Tuples[ti] = t
-			sorted[wt.Pos] = t
+			sorted[pos] = t
 		}
 		if err := x.validate(); err != nil {
 			return nil, err

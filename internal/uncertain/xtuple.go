@@ -45,6 +45,9 @@ const massTolerance = 1e-9
 // rounding noise, not modeled absence.
 const nullThreshold = 1e-12
 
+// nullID is the ID of the null alternative materialized for x-tuple name.
+func nullID(name string) string { return "null:" + name }
+
 // RealTuples returns the alternatives excluding any materialized null.
 func (x *XTuple) RealTuples() []*Tuple {
 	ts := x.Tuples
