@@ -46,6 +46,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -170,6 +171,13 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	} else if *follower == "" {
 		return err
 	}
+	// Collect what start-up left behind (generator and staging copies,
+	// the unsharded source a sharded database is split from, Build's sort
+	// keys) before serving. Otherwise the collector paces the serving heap
+	// from whichever mark last ran during the load: at -synthetic 10000
+	// -shards 4 that mark caught the source and its shards both live
+	// (33 MB against 25 MB after), and peak RSS under load rose by a fifth.
+	runtime.GC()
 	durability := "ephemeral (no -store)"
 	switch {
 	case *follower != "":

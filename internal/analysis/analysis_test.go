@@ -260,3 +260,23 @@ func TestLintModule(t *testing.T) {
 		t.Errorf("%s", f)
 	}
 }
+
+// TestExternalTestSeesExportTest pins how an external <pkg>_test unit is
+// type-checked: against <pkg> augmented with its in-package _test.go
+// files (the export_test.go idiom), with every module package that
+// imports <pkg> on the unit's import graph re-checked against that
+// variant so a *lib.T built through them is the unit's *lib.T.
+func TestExternalTestSeesExportTest(t *testing.T) {
+	runFixture(t, "exttest", 0)
+	mod, err := LoadModule(fixtureConfig(t, "exttest"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var units []string
+	for _, p := range mod.Pkgs {
+		units = append(units, p.Path)
+	}
+	if got := strings.Join(units, " "); !strings.Contains(got, "exttest/lib_test") {
+		t.Fatalf("units %s lack exttest/lib_test", got)
+	}
+}

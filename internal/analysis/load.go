@@ -19,6 +19,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -69,16 +70,35 @@ type dirFiles struct {
 	extTest    []parsedFile // _test.go files in package <name>_test
 }
 
-// loader loads and type-checks packages, acting as the types.Importer for
-// module-internal import paths and delegating everything else to the
-// stdlib source importer.
+// loader loads and type-checks packages. Module-internal imports resolve
+// through an importView; everything else goes to the stdlib source
+// importer.
 type loader struct {
 	cfg   *Config
 	fset  *token.FileSet
 	std   types.ImporterFrom
-	dirs  map[string]*dirFiles      // import path -> parsed dir
-	plain map[string]*types.Package // import path -> plain package (import view)
+	dirs  map[string]*dirFiles // import path -> parsed dir
+	plain *importView          // the plain (non-test) view every unit but an external test imports
+}
+
+// importView is a types.ImporterFrom over one set of module package
+// variants. The plain view type-checks each module package from its
+// non-test files, as the compiler imports it. A test view serves one
+// external <pkg>_test unit the way the go tool builds its test binary:
+// under resolves to the package augmented with its in-package _test.go
+// files (so an export_test.go's declarations are visible), and every
+// module package that imports under, directly or not, is re-checked
+// against that variant, so that the unit sees one identity for under's
+// types. Packages that do not import under come from the plain view.
+type importView struct {
+	l     *loader
+	under string                    // package whose test variant this view builds; "" for the plain view
+	pkgs  map[string]*types.Package // import path -> package in this view
 	busy  map[string]bool           // import cycle guard
+}
+
+func (l *loader) newView(under string) *importView {
+	return &importView{l: l, under: under, pkgs: make(map[string]*types.Package), busy: make(map[string]bool)}
 }
 
 // LoadModule parses and type-checks every package under cfg.Dir. Any parse
@@ -87,13 +107,12 @@ type loader struct {
 func LoadModule(cfg *Config) (*Module, error) {
 	fset := token.NewFileSet()
 	l := &loader{
-		cfg:   cfg,
-		fset:  fset,
-		std:   importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		dirs:  make(map[string]*dirFiles),
-		plain: make(map[string]*types.Package),
-		busy:  make(map[string]bool),
+		cfg:  cfg,
+		fset: fset,
+		std:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		dirs: make(map[string]*dirFiles),
 	}
+	l.plain = l.newView("")
 	if err := l.discover(); err != nil {
 		return nil, err
 	}
@@ -107,14 +126,14 @@ func LoadModule(cfg *Config) (*Module, error) {
 	for _, path := range paths {
 		d := l.dirs[path]
 		if len(d.plain)+len(d.inTest) > 0 {
-			pkg, err := l.check(path, d.dir, append(append([]parsedFile(nil), d.plain...), d.inTest...))
+			pkg, err := l.check(path, d.dir, append(append([]parsedFile(nil), d.plain...), d.inTest...), l.plain)
 			if err != nil {
 				return nil, err
 			}
 			mod.Pkgs = append(mod.Pkgs, pkg)
 		}
 		if len(d.extTest) > 0 {
-			pkg, err := l.check(path+"_test", d.dir, d.extTest)
+			pkg, err := l.check(path+"_test", d.dir, d.extTest, l.newView(path))
 			if err != nil {
 				return nil, err
 			}
@@ -206,9 +225,9 @@ func (l *loader) parseDir(importPath, dir string) (*dirFiles, error) {
 	return df, nil
 }
 
-// check type-checks one analysis unit and records the type info the checks
-// need.
-func (l *loader) check(path, dir string, files []parsedFile) (*Package, error) {
+// check type-checks one analysis unit against the imports of view and
+// records the type info the checks need.
+func (l *loader) check(path, dir string, files []parsedFile, view *importView) (*Package, error) {
 	pkg := &Package{Path: path, Dir: dir}
 	asts := make([]*ast.File, len(files))
 	for i, pf := range files {
@@ -224,7 +243,7 @@ func (l *loader) check(path, dir string, files []parsedFile) (*Package, error) {
 	}
 	var errs []error
 	conf := types.Config{
-		Importer: l,
+		Importer: view,
 		Error:    func(err error) { errs = append(errs, err) },
 	}
 	tpkg, err := conf.Check(path, l.fset, asts, pkg.Info)
@@ -239,54 +258,86 @@ func (l *loader) check(path, dir string, files []parsedFile) (*Package, error) {
 }
 
 // Import implements types.Importer.
-func (l *loader) Import(path string) (*types.Package, error) {
-	return l.ImportFrom(path, l.cfg.Dir, 0)
+func (v *importView) Import(path string) (*types.Package, error) {
+	return v.ImportFrom(path, v.l.cfg.Dir, 0)
 }
 
 // ImportFrom implements types.ImporterFrom: module-internal paths are
-// type-checked from the tree (plain files only, as the compiler imports
-// them); everything else goes to the stdlib source importer.
-func (l *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+// type-checked from the tree in this view's variant; everything else goes
+// to the stdlib source importer.
+func (v *importView) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	if path == l.cfg.ModulePath || strings.HasPrefix(path, l.cfg.ModulePath+"/") {
-		return l.importModulePkg(path)
+	if inModulePath(path, v.l.cfg.ModulePath) {
+		return v.importModulePkg(path)
 	}
-	return l.std.ImportFrom(path, dir, mode)
+	return v.l.std.ImportFrom(path, dir, mode)
 }
 
-// importModulePkg type-checks the plain (non-test) view of a module
-// package for use as an import, caching the result.
-func (l *loader) importModulePkg(path string) (*types.Package, error) {
-	if pkg, ok := l.plain[path]; ok {
+// importModulePkg type-checks a module package in this view's variant for
+// use as an import, caching the result.
+func (v *importView) importModulePkg(path string) (*types.Package, error) {
+	if pkg, ok := v.pkgs[path]; ok {
 		return pkg, nil
 	}
-	if l.busy[path] {
+	if v.under != "" && path != v.under && !v.l.reaches(path, v.under, make(map[string]bool)) {
+		return v.l.plain.importModulePkg(path)
+	}
+	if v.busy[path] {
 		return nil, fmt.Errorf("import cycle through %s", path)
 	}
-	l.busy[path] = true
-	defer delete(l.busy, path)
-	df, ok := l.dirs[path]
+	v.busy[path] = true
+	defer delete(v.busy, path)
+	df, ok := v.l.dirs[path]
 	if !ok || len(df.plain) == 0 {
-		return nil, fmt.Errorf("no package %s under %s", path, l.cfg.Dir)
+		return nil, fmt.Errorf("no package %s under %s", path, v.l.cfg.Dir)
 	}
-	asts := make([]*ast.File, len(df.plain))
-	for i, pf := range df.plain {
+	files := df.plain
+	if path == v.under {
+		files = append(append([]parsedFile(nil), df.plain...), df.inTest...)
+	}
+	asts := make([]*ast.File, len(files))
+	for i, pf := range files {
 		asts[i] = pf.ast
 	}
 	var errs []error
 	conf := types.Config{
-		Importer: l,
+		Importer: v,
 		Error:    func(err error) { errs = append(errs, err) },
 	}
-	pkg, err := conf.Check(path, l.fset, asts, nil)
+	pkg, err := conf.Check(path, v.l.fset, asts, nil)
 	if len(errs) > 0 {
 		return nil, fmt.Errorf("type-checking import %s: %w", path, errs[0])
 	}
 	if err != nil {
 		return nil, fmt.Errorf("type-checking import %s: %w", path, err)
 	}
-	l.plain[path] = pkg
+	v.pkgs[path] = pkg
 	return pkg, nil
+}
+
+// reaches reports whether the plain files of module package from import
+// target, directly or through other module packages. seen guards the walk.
+func (l *loader) reaches(from, target string, seen map[string]bool) bool {
+	if seen[from] {
+		return false
+	}
+	seen[from] = true
+	df, ok := l.dirs[from]
+	if !ok {
+		return false
+	}
+	for _, pf := range df.plain {
+		for _, imp := range pf.ast.Imports {
+			p, err := strconv.Unquote(imp.Path.Value)
+			if err != nil || !inModulePath(p, l.cfg.ModulePath) {
+				continue
+			}
+			if p == target || l.reaches(p, target, seen) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -10,6 +10,7 @@ package gen
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"github.com/probdb/topkclean/internal/numeric"
 	"github.com/probdb/topkclean/internal/uncertain"
@@ -80,6 +81,15 @@ func Synthetic(cfg SyntheticConfig) (*uncertain.Database, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	db := uncertain.New()
+	// AddXTuple copies what it is given into the database's per-x-tuple
+	// arena, so one tuple slice and one attribute slice serve every
+	// x-tuple, and the IDs "x<i>.<b>" are appended into one buffer and
+	// become one string per x-tuple: a million tuples are otherwise a
+	// million formatted strings and a million one-element slices.
+	tuples := make([]uncertain.Tuple, 0, cfg.Bars)
+	attrs := make([]float64, cfg.Bars)
+	var buf []byte
+	var ends []int // ends[b]: where tuple b's ID ends in buf[nameLen:]
 	for i := 0; i < cfg.NumXTuples; i++ {
 		mu := cfg.DomainLo + rng.Float64()*(cfg.DomainHi-cfg.DomainLo)
 		width := cfg.WidthLo + rng.Float64()*(cfg.WidthHi-cfg.WidthLo)
@@ -99,15 +109,23 @@ func Synthetic(cfg SyntheticConfig) (*uncertain.Database, error) {
 			// supported pdfs, whose support covers the interval).
 			return nil, fmt.Errorf("gen: x-tuple %d received no probability mass", i)
 		}
-		tuples := make([]uncertain.Tuple, len(bins))
-		for b, bin := range bins {
-			tuples[b] = uncertain.Tuple{
-				ID:    fmt.Sprintf("x%d.%d", i, b),
-				Attrs: []float64{bin.Value},
-				Prob:  bin.Prob,
-			}
+		buf = strconv.AppendInt(append(buf[:0], 'x'), int64(i), 10)
+		nameLen := len(buf)
+		ends = ends[:0]
+		for b := range bins {
+			buf = append(append(buf, buf[:nameLen]...), '.')
+			buf = strconv.AppendInt(buf, int64(b), 10)
+			ends = append(ends, len(buf)-nameLen)
 		}
-		if err := db.AddXTuple(fmt.Sprintf("x%d", i), tuples...); err != nil {
+		ids := string(buf[nameLen:])
+		tuples = tuples[:len(bins)]
+		start := 0
+		for b, bin := range bins {
+			attrs[b] = bin.Value
+			tuples[b] = uncertain.Tuple{ID: ids[start:ends[b]], Attrs: attrs[b : b+1 : b+1], Prob: bin.Prob}
+			start = ends[b]
+		}
+		if err := db.AddXTuple(string(buf[:nameLen]), tuples...); err != nil {
 			return nil, err
 		}
 	}

@@ -264,14 +264,15 @@ func (c *Cluster) buildFromLocked(src *uncertain.Database, version uint64, assig
 		}
 	}
 	dir := newDirectory(c.cfg.Shards)
+	var specs []uncertain.Tuple // AddXTupleSeq copies IDs and attributes, so one buffer serves every group
 	for g, x := range src.Groups() {
 		reals := x.RealTuples()
 		var gseqs []int
-		specs := make([]uncertain.Tuple, len(reals))
-		for i, t := range reals {
+		specs = specs[:0]
+		for _, t := range reals {
 			gseqs = append(gseqs, t.Stamp())
 			c.nextGseq = max(c.nextGseq, t.Stamp()+1)
-			specs[i] = uncertain.Tuple{ID: t.ID, Attrs: append([]float64(nil), t.Attrs...), Prob: t.Prob}
+			specs = append(specs, uncertain.Tuple{ID: t.ID, Attrs: t.Attrs, Prob: t.Prob})
 		}
 		sh := assign(g, gseqs)
 		var err error

@@ -81,27 +81,28 @@ type rankStore struct {
 	epoch  uint64
 }
 
-// newRankStore chunks an already rank-sorted slice. The tuples' home/idx
-// back-pointers are (re)assigned; the input slice is not retained.
-func newRankStore(sorted []*Tuple) rankStore {
-	rs := rankStore{n: len(sorted), epoch: 1}
-	nc := (len(sorted) + chunkTarget - 1) / chunkTarget
+// newRankStore chunks n tuples that order yields in rank order. The
+// tuples' home/idx back-pointers are (re)assigned; nothing of order is
+// retained.
+func newRankStore(n int, order iter.Seq[*Tuple]) rankStore {
+	rs := rankStore{n: n, epoch: 1}
+	nc := (n + chunkTarget - 1) / chunkTarget
 	rs.chunks = make([]*chunk, 0, nc)
 	rs.starts = make([]int, 0, nc)
-	for i := 0; i < len(sorted); i += chunkTarget {
-		j := i + chunkTarget
-		if j > len(sorted) {
-			j = len(sorted)
+	var c *chunk
+	i := 0
+	for t := range order {
+		if i%chunkTarget == 0 {
+			c = &chunk{
+				tuples:    make([]*Tuple, 0, min(chunkTarget, n-i)),
+				chunkHome: &chunkHome{priv: 1, pos: len(rs.chunks), start: i},
+			}
+			rs.chunks = append(rs.chunks, c)
+			rs.starts = append(rs.starts, i)
 		}
-		c := &chunk{
-			tuples:    append([]*Tuple(nil), sorted[i:j]...),
-			chunkHome: &chunkHome{priv: 1, pos: len(rs.chunks), start: i},
-		}
-		for off, t := range c.tuples {
-			t.home, t.idx = c.chunkHome, int32(off)
-		}
-		rs.chunks = append(rs.chunks, c)
-		rs.starts = append(rs.starts, i)
+		t.home, t.idx = c.chunkHome, int32(len(c.tuples))
+		c.tuples = append(c.tuples, t)
+		i++
 	}
 	return rs
 }

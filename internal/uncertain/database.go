@@ -1,9 +1,10 @@
 package uncertain
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -181,8 +182,12 @@ func (db *Database) Build(rank RankFunc) error {
 		hint += len(x.Tuples)
 	}
 	ids := newIDIndex(hint)
+	// staged collects the real tuples in staging order for rankKeys; the
+	// null alternatives rank below them all and order by x-tuple, so they
+	// need no sort and follow in group order.
+	staged := make([]*Tuple, 0, hint-db.groups.Len())
+	var nulls []*Tuple
 	ord := 0
-	total := 0
 	for gi, x := range db.groups.All() {
 		if err := x.validate(); err != nil {
 			return err
@@ -210,7 +215,11 @@ func (db *Database) Build(rank RankFunc) error {
 				t.ord = ord
 				ord++
 			}
-			total++
+			if t.Null {
+				nulls = append(nulls, t)
+			} else {
+				staged = append(staged, t)
+			}
 		}
 		x.stagedOrds = nil
 		if deficit := 1 - x.RealMass(); deficit > nullThreshold {
@@ -219,24 +228,24 @@ func (db *Database) Build(rank RankFunc) error {
 				return fmt.Errorf("tuple %q: %w", null.ID, ErrDuplicateID)
 			}
 			x.Tuples = append(x.Tuples, null)
-			total++
+			nulls = append(nulls, null)
 		}
 	}
 	db.rank = rank
-	sorted := make([]*Tuple, 0, total)
-	for _, x := range db.groups.All() {
-		sorted = append(sorted, x.Tuples...)
-	}
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return ranksAbove(sorted[i], sorted[j])
-	})
-	db.nReal = 0
-	for _, t := range sorted {
-		if !t.Null {
-			db.nReal++
+	db.nReal = len(staged)
+	keys := rankKeys(staged)
+	db.rs = newRankStore(len(staged)+len(nulls), func(yield func(*Tuple) bool) {
+		for _, k := range keys {
+			if !yield(staged[k.pos]) {
+				return
+			}
 		}
-	}
-	db.rs = newRankStore(sorted)
+		for _, t := range nulls {
+			if !yield(t) {
+				return
+			}
+		}
+	})
 	db.ids = ids
 	for _, x := range db.groups.All() {
 		x.uid = db.newUID()
@@ -246,6 +255,42 @@ func (db *Database) Build(rank RankFunc) error {
 	db.version++
 	db.publish()
 	return nil
+}
+
+// rankKey is one real tuple's place in the rank order, held by value so
+// that the sort compares contiguous 24-byte keys instead of dereferencing
+// two tuples per comparison. pos is the tuple's index in Build's staging
+// slice.
+type rankKey struct {
+	score float64
+	ord   int
+	pos   int
+}
+
+// rankKeys returns the keys of real tuples given in staging order, sorted
+// into the total order ranksAbove defines exactly as a stable sort under
+// ranksAbove would place the tuples. The keys are score descending, then
+// stamp ascending, then staging position: ranksAbove leaves tuples with
+// equal score and stamp unordered and a stable sort keeps those in
+// staging order, so the position as the last key makes the order total
+// and lets the unstable pattern-defeating quicksort reproduce it exactly.
+func rankKeys(staged []*Tuple) []rankKey {
+	keys := make([]rankKey, len(staged))
+	for i, t := range staged {
+		keys[i] = rankKey{score: t.Score, ord: t.ord, pos: i}
+	}
+	slices.SortFunc(keys, func(a, b rankKey) int {
+		switch {
+		case a.score > b.score:
+			return -1
+		case a.score < b.score:
+			return 1
+		case a.ord != b.ord:
+			return cmp.Compare(a.ord, b.ord)
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	return keys
 }
 
 // Version returns the database's monotonic version counter: 0 before Build,
@@ -466,13 +511,15 @@ func (db *Database) Clone() *Database {
 	}
 	if db.built {
 		// IDs are unique, so the new index maps each original to its copy.
-		sorted := make([]*Tuple, 0, db.rs.n)
-		for _, ch := range db.rs.chunks {
-			for _, t := range ch.tuples {
-				sorted = append(sorted, out.ids.get(t.ID))
+		out.rs = newRankStore(db.rs.n, func(yield func(*Tuple) bool) {
+			for _, ch := range db.rs.chunks {
+				for _, t := range ch.tuples {
+					if !yield(out.ids.get(t.ID)) {
+						return
+					}
+				}
 			}
-		}
-		out.rs = newRankStore(sorted)
+		})
 		out.publish()
 	}
 	return out
@@ -504,6 +551,7 @@ func (db *Database) Cleaned(choices map[int]int) (*Database, error) {
 		return nil, fmt.Errorf("index %d of %d: %w", bad, m, ErrBadGroupIndex)
 	}
 	out := New()
+	var ts []Tuple // AddXTuple copies, so one buffer serves every x-tuple
 	for gi, g := range db.groups.All() {
 		var err error
 		choice, cleaned := choices[gi]
@@ -518,7 +566,7 @@ func (db *Database) Cleaned(choices map[int]int) (*Database, error) {
 			chosen := g.Tuples[choice]
 			err = out.AddXTuple(g.Name, Tuple{ID: chosen.ID, Attrs: chosen.Attrs, Prob: 1})
 		default:
-			ts := make([]Tuple, 0, len(g.Tuples))
+			ts = ts[:0]
 			for _, t := range g.RealTuples() {
 				ts = append(ts, Tuple{ID: t.ID, Attrs: t.Attrs, Prob: t.Prob})
 			}

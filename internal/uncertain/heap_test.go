@@ -21,7 +21,7 @@ func TestTupleStoreHeapPerTuple(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 10^4-x-tuple database; run without -short")
 	}
-	if raceEnabled {
+	if uncertain.RaceEnabled {
 		t.Skip("heap sizes shift under the race detector")
 	}
 	if size := unsafe.Sizeof(uncertain.Tuple{}); size > 88 {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // This file is the stable wire encoding of a built database: the byte form
@@ -178,7 +179,7 @@ func DecodeWire(data []byte, rank RankFunc) (*Database, error) {
 	// pairs under ranksAbove, so a database encoded under a different
 	// ranking function fails here instead of being served with a silently
 	// wrong order.
-	db.rs = newRankStore(sorted)
+	db.rs = newRankStore(len(sorted), slices.Values(sorted))
 	if err := db.Validate(); err != nil {
 		return nil, errors.Join(ErrWireOrder, err)
 	}
