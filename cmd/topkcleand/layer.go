@@ -247,15 +247,7 @@ func (c *clusterLayer) answers(ctx context.Context, threshold float64) (*topkcle
 	if err != nil {
 		return nil, epoch{}, err
 	}
-	return &topkclean.Result{
-		K:          r.K,
-		Threshold:  r.Threshold,
-		Version:    r.Version,
-		UKRanks:    r.UKRanks,
-		PTK:        r.PTK,
-		GlobalTopK: r.GlobalTopK,
-		Quality:    r.Quality,
-	}, epoch{version: r.Version}, nil
+	return r, epoch{version: r.Version}, nil
 }
 
 func (c *clusterLayer) engine() *topkclean.Engine { return nil }

@@ -6,7 +6,6 @@ import (
 
 	"github.com/probdb/topkclean/internal/cleaning"
 	"github.com/probdb/topkclean/internal/memo"
-	"github.com/probdb/topkclean/internal/topkq"
 	"github.com/probdb/topkclean/internal/uncertain"
 )
 
@@ -190,23 +189,7 @@ func (e *Engine) AnswersThreshold(ctx context.Context, threshold float64) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	// Every answer reads st.View, the epoch st was computed on, so the
-	// result describes the exact database state of one version.
-	uk, gtk, err := st.Answers()
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		K:          e.cfg.k,
-		Threshold:  threshold,
-		Version:    st.View.Version(),
-		UKRanks:    uk,
-		PTK:        topkq.PTK(st.View, st.Info, threshold),
-		GlobalTopK: gtk,
-		Quality:    st.Eval.S,
-		Eval:       st.Eval,
-		Info:       st.Info,
-	}, nil
+	return st.Result(threshold)
 }
 
 // CleaningContext assembles a planning context from the engine's memoized
@@ -269,7 +252,7 @@ func (e *Engine) ApplyCleaning(ctx context.Context, c *CleaningContext, plan Cle
 	if err != nil {
 		return nil, err
 	}
-	before := c.Eval.S       // validated non-nil by ExecuteApply, unchanged by the mutations
+	before := c.Eval.S       // checked non-nil by ExecuteApplyOn (Context.Validate), unchanged by the mutations
 	q, err := e.Quality(ctx) // fresh state at the bumped version, memoized for later queries
 	if err != nil {
 		// The mutations are already applied; hand the outcome back with

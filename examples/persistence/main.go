@@ -59,8 +59,10 @@ func main() {
 
 	// Serve and mutate: a hot reading arrives, a sensor is revised, a
 	// burst commits as one batch (one WAL record).
-	must(sdb.InsertXTuple("sensor-hot", topkclean.Tuple{ID: "hot.a", Attrs: []float64{150}, Prob: 0.9}))
-	must(sdb.Reweight(3, []float64{0.8, 0.1}))
+	must(sdb.Batch(func(b *store.Batch) error {
+		return b.InsertXTuple("sensor-hot", topkclean.Tuple{ID: "hot.a", Attrs: []float64{150}, Prob: 0.9})
+	}))
+	must(sdb.Batch(func(b *store.Batch) error { return b.Reweight(3, []float64{0.8, 0.1}) }))
 	must(sdb.Batch(func(b *store.Batch) error {
 		if err := b.InsertXTuple("sensor-late", topkclean.Tuple{ID: "late.a", Attrs: []float64{90}, Prob: 0.7}); err != nil {
 			return err

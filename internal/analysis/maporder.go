@@ -185,8 +185,8 @@ func (p *Pass) appendsOnlyRangeVars(call *ast.CallExpr, keyObj, valObj types.Obj
 
 // sortedAfter reports whether, after pos, the enclosing function passes
 // target to a sorting call: anything in package sort or slices, or a
-// callee whose name starts with "sort" (the repo's local sortInts /
-// sortDist helpers).
+// callee whose name starts with "sort" (local helpers such as quality's
+// sortDist).
 func (p *Pass) sortedAfter(scope *ast.BlockStmt, target string, pos token.Pos) bool {
 	found := false
 	ast.Inspect(scope, func(n ast.Node) bool {

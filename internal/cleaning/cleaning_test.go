@@ -637,12 +637,12 @@ func TestExecuteApplyMatchesExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExecuteApply(ctx, plan, rand.New(rand.NewSource(21)))
+	got, err := ExecuteApplyOn(ctx.DB, ctx, plan, rand.New(rand.NewSource(21)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.DB != ctx.DB {
-		t.Fatal("ExecuteApply must return the live database")
+		t.Fatal("ExecuteApplyOn must return the live database")
 	}
 	if len(got.Choices) != len(want.Choices) {
 		t.Fatalf("choices %v, Execute chose %v", got.Choices, want.Choices)
@@ -677,8 +677,8 @@ func TestStaleContextRejectedEverywhere(t *testing.T) {
 	}
 	plan := Plan{0: 1}
 	cases := map[string]func() error{
-		"ExecuteApply": func() error {
-			_, err := ExecuteApply(ctx, plan, rand.New(rand.NewSource(1)))
+		"ExecuteApplyOn": func() error {
+			_, err := ExecuteApplyOn(ctx.DB, ctx, plan, rand.New(rand.NewSource(1)))
 			return err
 		},
 		"Execute": func() error {

@@ -71,13 +71,7 @@ func ExactExpectedImprovement(ctx *Context, plan Plan) (float64, error) {
 	if err := ctx.Validate(); err != nil {
 		return 0, err
 	}
-	groups := make([]int, 0, len(plan))
-	for l, m := range plan {
-		if m > 0 {
-			groups = append(groups, l)
-		}
-	}
-	sortInts(groups)
+	groups := plan.SortedGroups()
 	var expected numeric.Kahan
 	choices := make(CleanChoices, len(groups))
 	var recurse func(idx int, prob float64) error
@@ -142,12 +136,4 @@ func MonteCarloImprovement(ctx *Context, plan Plan, rng *rand.Rand, trials int) 
 		sum.Add(out.Improvement)
 	}
 	return sum.Sum() / float64(trials), nil
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/probdb/topkclean/internal/quality"
 	"github.com/probdb/topkclean/internal/uncertain"
@@ -134,7 +135,7 @@ func (p Plan) SortedGroups() []int {
 			out = append(out, l)
 		}
 	}
-	sortInts(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -149,7 +150,7 @@ type Context struct {
 	Budget int
 
 	// Version, when nonzero, records the database version the evaluation
-	// was computed against. ExecuteApply refuses to mutate a database whose
+	// was computed against. ExecuteApplyOn refuses to mutate a database whose
 	// version has moved past it, catching plans made against stale gains.
 	Version uint64
 }

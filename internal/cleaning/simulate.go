@@ -2,7 +2,9 @@ package cleaning
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 
 	"github.com/probdb/topkclean/internal/quality"
 	"github.com/probdb/topkclean/internal/uncertain"
@@ -49,20 +51,13 @@ func Execute(ctx *Context, plan Plan, rng *rand.Rand) (*Outcome, error) {
 	return out, nil
 }
 
-// ExecuteApply simulates the cleaning agent exactly like Execute (the same
-// rng stream yields the same draws) but applies the successful outcomes to
-// the context's database via Collapse instead of building a cleaned copy.
-// It is ExecuteApplyOn with the context's own database as the target; use
-// ExecuteApplyOn directly when the context reads from a pinned snapshot
-// and the mutations must land on the live database the snapshot came from.
-func ExecuteApply(ctx *Context, plan Plan, rng *rand.Rand) (*Outcome, error) {
-	return ExecuteApplyOn(ctx.DB, ctx, plan, rng)
-}
-
 // ExecuteApplyOn simulates the cleaning agent against the context (whose
-// DB may be an immutable snapshot) and applies the successful outcomes to
-// db — the live database — via Collapse: this is what actually executing a
-// cleaning plan does to a serving database. All collapses commit as one
+// DB may be an immutable snapshot) exactly like Execute — the same rng
+// stream yields the same draws — and applies the successful outcomes to
+// db, the live database, via Collapse instead of building a cleaned copy:
+// this is what actually executing a cleaning plan does to a serving
+// database. Pass ctx.DB as db when the context reads the live database
+// itself. All collapses commit as one
 // Batch — one version bump, one new epoch, and one merged dirty-rank
 // watermark for the whole plan — so version-aware consumers re-evaluate
 // the entire cleaning as a single incremental step (and a large plan
@@ -98,7 +93,7 @@ func ExecuteApplyOn(db *uncertain.Database, ctx *Context, plan Plan, rng *rand.R
 			if err := staleAgainst(db, ctx); err != nil {
 				return err
 			}
-			for _, l := range sortedChoiceGroups(out.Choices) {
+			for _, l := range slices.Sorted(maps.Keys(out.Choices)) {
 				if err := b.Collapse(l, out.Choices[l]); err != nil {
 					return err
 				}
@@ -158,17 +153,6 @@ func simulateAgent(ctx *Context, plan Plan, rng *rand.Rand) (*Outcome, error) {
 		}
 	}
 	return out, nil
-}
-
-// sortedChoiceGroups returns the successfully cleaned x-tuple indices in
-// ascending order, for deterministic application order.
-func sortedChoiceGroups(choices CleanChoices) []int {
-	out := make([]int, 0, len(choices))
-	for l := range choices {
-		out = append(out, l)
-	}
-	sortInts(out)
-	return out
 }
 
 // sampleAlternative draws the true value of a successfully cleaned x-tuple:

@@ -79,16 +79,51 @@ type State[V View] struct {
 	ansErr  error
 }
 
-// Answers returns the U-kRanks and Global-topk answers of a full state,
-// computing them on first use.
-func (st *State[V]) Answers() ([]topkq.RankedAnswer, []topkq.ScoredAnswer, error) {
+// Result bundles the three probabilistic top-k query answers and the
+// quality score, all derived from a single PSR pass (the computation
+// sharing of Section IV-C: the paper measures the quality overhead at as
+// little as 6% of query time this way).
+type Result struct {
+	K         int
+	Threshold float64 // PT-k threshold used
+	Version   uint64  // database version (snapshot epoch) the answers describe
+
+	UKRanks    []topkq.RankedAnswer // most likely tuple per rank
+	PTK        []topkq.ScoredAnswer // tuples with top-k probability >= Threshold
+	GlobalTopK []topkq.ScoredAnswer // k tuples with the highest top-k probability
+
+	Quality float64             // PWS-quality of the top-k query
+	Eval    *quality.Evaluation // full TP evaluation (for cleaning)
+	Info    *topkq.RankInfo     // the shared rank-probability information
+}
+
+// Result answers a full state at the given PT-k threshold. Every answer
+// reads View, the epoch the state was computed on, so the result
+// describes the exact database state of one version. The U-kRanks and
+// Global-topk answers are computed on first use and shared by every later
+// call, so only the PT-k threshold scan runs per call; treat the result's
+// contents as read-only.
+func (st *State[V]) Result(threshold float64) (*Result, error) {
 	st.ansOnce.Do(func() {
 		st.uk, st.ansErr = topkq.UKRanks(st.View, st.Info)
 		if st.ansErr == nil {
 			st.gtk = topkq.GlobalTopK(st.View, st.Info)
 		}
 	})
-	return st.uk, st.gtk, st.ansErr
+	if st.ansErr != nil {
+		return nil, st.ansErr
+	}
+	return &Result{
+		K:          st.Info.K,
+		Threshold:  threshold,
+		Version:    st.View.Version(),
+		UKRanks:    st.uk,
+		PTK:        topkq.PTK(st.View, st.Info, threshold),
+		GlobalTopK: st.gtk,
+		Quality:    st.Eval.S,
+		Eval:       st.Eval,
+		Info:       st.Info,
+	}, nil
 }
 
 // Get returns the memoized state for (current version, k), computing it

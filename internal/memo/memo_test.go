@@ -85,10 +85,11 @@ func checkAgainstSerial(t *testing.T, stage string, st *State[*uncertain.Databas
 	if !reflect.DeepEqual(st.Eval.Gains(), ev.Gains()) {
 		t.Fatalf("%s: gains differ from the serial pass", stage)
 	}
-	gotUK, gotGTK, err := st.Answers()
+	res, err := st.Result(0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	gotUK, gotGTK := res.UKRanks, res.GlobalTopK
 	if !reflect.DeepEqual(gotUK, uk) {
 		t.Fatalf("%s: U-kRanks %v, serial %v", stage, topkq.FormatRanked(gotUK), topkq.FormatRanked(uk))
 	}

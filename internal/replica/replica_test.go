@@ -50,10 +50,12 @@ func mutate(t *testing.T, sdb *store.DB, rng *rand.Rand, i int) {
 	var err error
 	switch rng.Intn(4) {
 	case 0:
-		err = sdb.InsertXTuple(fmt.Sprintf("mx%d", i),
-			uncertain.Tuple{ID: fmt.Sprintf("m%d", i), Attrs: []float64{rng.Float64() * 100}, Prob: 0.5})
+		err = sdb.Batch(func(tx *store.Batch) error {
+			return tx.InsertXTuple(fmt.Sprintf("mx%d", i),
+				uncertain.Tuple{ID: fmt.Sprintf("m%d", i), Attrs: []float64{rng.Float64() * 100}, Prob: 0.5})
+		})
 	case 1:
-		err = sdb.InsertAbsentXTuple(fmt.Sprintf("ax%d", i))
+		err = sdb.Batch(func(tx *store.Batch) error { return tx.InsertAbsentXTuple(fmt.Sprintf("ax%d", i)) })
 	case 2:
 		if n > 0 {
 			l := rng.Intn(n)
@@ -66,12 +68,12 @@ func mutate(t *testing.T, sdb *store.DB, rng *rand.Rand, i int) {
 				for j := range probs {
 					probs[j] = rng.Float64() / float64(k)
 				}
-				err = sdb.Reweight(l, probs)
+				err = sdb.Batch(func(tx *store.Batch) error { return tx.Reweight(l, probs) })
 			}
 		}
 	case 3:
 		if n > 1 {
-			err = sdb.DeleteXTuple(rng.Intn(n))
+			err = sdb.Batch(func(tx *store.Batch) error { return tx.DeleteXTuple(rng.Intn(n)) })
 		}
 	}
 	if err != nil {
@@ -128,7 +130,7 @@ func TestTornTailWaits(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rep.Close()
-	if err := sdb.InsertAbsentXTuple("torn"); err != nil {
+	if err := sdb.Batch(func(tx *store.Batch) error { return tx.InsertAbsentXTuple("torn") }); err != nil {
 		t.Fatal(err)
 	}
 	b.TearLast()
@@ -169,7 +171,7 @@ func TestFileTornTailWaits(t *testing.T) {
 		t.Fatal(err)
 	}
 	sdb := seedStore(t, fb, 10)
-	if err := sdb.InsertAbsentXTuple("pre"); err != nil {
+	if err := sdb.Batch(func(tx *store.Batch) error { return tx.InsertAbsentXTuple("pre") }); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a leader crash image: close the raw backend without the
@@ -296,7 +298,7 @@ func TestResyncAfterTrim(t *testing.T) {
 			if !bytes.Equal(wireOf(t, sdb.DB().Snapshot()), wireOf(t, rep.DB().Snapshot())) {
 				t.Fatal("replica diverged after resync")
 			}
-			if err := sdb.InsertAbsentXTuple("post"); err != nil {
+			if err := sdb.Batch(func(tx *store.Batch) error { return tx.InsertAbsentXTuple("post") }); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := rep.Poll(); err != nil {

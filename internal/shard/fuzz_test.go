@@ -78,13 +78,12 @@ func FuzzShardMerge(f *testing.F) {
 		}
 
 		cfg := Config{Shards: n, K: k, Threshold: 0.25, Rank: db.Rank()}
-		c, err := New(cfg)
+		c, err := newCluster(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c.mu.Lock()
 		berr := c.buildFromLocked(db, db.Version(), func(g int, _ []int) int { return shardOf[g] })
-		c.stage = nil
 		c.mu.Unlock()
 		if berr != nil {
 			t.Fatal(berr)

@@ -20,25 +20,18 @@ import (
 // k full groups after exactly k positions.
 func certainLadder(t *testing.T, shards, k, groups int) (*Cluster, *uncertain.Database) {
 	t.Helper()
-	c, err := New(Config{Shards: shards, K: k, Threshold: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	db := uncertain.New()
 	for i := 0; i < groups; i++ {
 		tu := uncertain.Tuple{ID: fmt.Sprintf("c%d", i), Attrs: []float64{float64(1000 - i)}, Prob: 1}
-		name := fmt.Sprintf("lg%d", i)
-		if err := c.AddXTuple(name, tu); err != nil {
+		if err := db.AddXTuple(fmt.Sprintf("lg%d", i), tu); err != nil {
 			t.Fatal(err)
 		}
-		if err := db.AddXTuple(name, tu); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Build(); err != nil {
-		t.Fatal(err)
 	}
 	if err := db.Build(uncertain.ByFirstAttr); err != nil {
+		t.Fatal(err)
+	}
+	c, err := FromDatabase(db, Config{Shards: shards, K: k, Threshold: 0.1})
+	if err != nil {
 		t.Fatal(err)
 	}
 	return c, db
@@ -135,7 +128,7 @@ func TestRepeatedQualityAtOtherKPullsNoShard(t *testing.T) {
 	// A reweight at the bottom of the ladder lies below the termination
 	// point: the carry walk re-pulls the processed prefix of the new epoch
 	// (other positions plus one head per shard) and nothing else.
-	if err := c.Reweight(39, []float64{0.5}); err != nil {
+	if err := c.Batch(func(b *Batch) error { return b.Reweight(39, []float64{0.5}) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Reweight(39, []float64{0.5}); err != nil {
@@ -170,10 +163,10 @@ func TestMutationInvalidatesExactlyTouchedShards(t *testing.T) {
 	}
 	// expect runs op on both sides and requires exactly the shard owner()
 	// names, evaluated after op, to commit.
-	expect := func(what string, owner func() int, op func(*Cluster) error, plain func(*uncertain.Database) error) {
+	expect := func(what string, owner func() int, op func(*Batch) error, plain func(*uncertain.Database) error) {
 		t.Helper()
 		before := versions()
-		if err := op(c); err != nil {
+		if err := c.Batch(op); err != nil {
 			t.Fatal(err)
 		}
 		if err := plain(db); err != nil {
@@ -194,7 +187,7 @@ func TestMutationInvalidatesExactlyTouchedShards(t *testing.T) {
 	at := func(l int) func() int { return func() int { return shardOf(l) } }
 
 	expect("reweight", at(39),
-		func(c *Cluster) error { return c.Reweight(39, []float64{0.5}) },
+		func(b *Batch) error { return b.Reweight(39, []float64{0.5}) },
 		func(db *uncertain.Database) error { return db.Reweight(39, []float64{0.5}) })
 
 	// An insert whose alternatives span the whole ladder: above the top
@@ -204,18 +197,18 @@ func TestMutationInvalidatesExactlyTouchedShards(t *testing.T) {
 		{ID: "sp-lo", Attrs: []float64{-5}, Prob: 0.5},
 	}
 	expect("straddling insert", last,
-		func(c *Cluster) error { return c.InsertXTuple("straddle", straddle...) },
+		func(b *Batch) error { return b.InsertXTuple("straddle", straddle...) },
 		func(db *uncertain.Database) error { return db.InsertXTuple("straddle", straddle...) })
 	expect("collapse", at(40),
-		func(c *Cluster) error { return c.Collapse(40, 1) },
+		func(b *Batch) error { return b.Collapse(40, 1) },
 		func(db *uncertain.Database) error { return db.Collapse(40, 1) })
 	expect("absent insert", last,
-		func(c *Cluster) error { return c.InsertAbsentXTuple("gone") },
+		func(b *Batch) error { return b.InsertAbsentXTuple("gone") },
 		func(db *uncertain.Database) error { return db.InsertAbsentXTuple("gone") })
 	for _, l := range []int{0, 17, 38} {
 		owner := shardOf(l) // the group is gone after the delete
 		expect("delete", func() int { return owner },
-			func(c *Cluster) error { return c.DeleteXTuple(l) },
+			func(b *Batch) error { return b.DeleteXTuple(l) },
 			func(db *uncertain.Database) error { return db.DeleteXTuple(l) })
 	}
 }
@@ -269,7 +262,7 @@ func TestConcurrentReadersVsWriter(t *testing.T) {
 				var v uint64
 				var err error
 				if k == m.c.K() {
-					var res *Result
+					var res *memo.Result
 					if res, err = m.c.Answers(ctx); err == nil {
 						q, v = res.Quality, res.Version
 					}
@@ -313,11 +306,8 @@ func TestConcurrentReadersVsWriter(t *testing.T) {
 // new epoch, its gains keyed by the new indices.
 func TestDeletesBelowTerminationMatchFresh(t *testing.T) {
 	const shards, k = 4, 3
-	c, err := New(Config{Shards: shards, K: k, Threshold: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	db := uncertain.New()
+	var c *Cluster
 	add := func(name string, score float64, build bool) {
 		t.Helper()
 		ts := []uncertain.Tuple{
@@ -325,15 +315,12 @@ func TestDeletesBelowTerminationMatchFresh(t *testing.T) {
 			{ID: name + ".b", Attrs: []float64{score - 1}, Prob: 0.5},
 		}
 		if build {
-			if err := c.AddXTuple(name, ts...); err != nil {
-				t.Fatal(err)
-			}
 			if err := db.AddXTuple(name, ts...); err != nil {
 				t.Fatal(err)
 			}
 			return
 		}
-		if err := c.InsertXTuple(name, ts...); err != nil {
+		if err := c.Batch(func(b *Batch) error { return b.InsertXTuple(name, ts...) }); err != nil {
 			t.Fatal(err)
 		}
 		if err := db.InsertXTuple(name, ts...); err != nil {
@@ -343,10 +330,11 @@ func TestDeletesBelowTerminationMatchFresh(t *testing.T) {
 	for g := 0; g < 40; g++ {
 		add(fmt.Sprintf("G%d", g), float64(1000-2*g), true)
 	}
-	if err := c.Build(); err != nil {
+	if err := db.Build(uncertain.ByFirstAttr); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Build(uncertain.ByFirstAttr); err != nil {
+	c, err := FromDatabase(db, Config{Shards: shards, K: k, Threshold: 0.1})
+	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -382,7 +370,7 @@ func TestDeletesBelowTerminationMatchFresh(t *testing.T) {
 		t.Fatalf("fresh: %d positions, %d gains; the ladder needs %d and some", st.Info.Processed, len(st.Eval.Gains()), 2*k)
 	}
 	last := c.NumGroups() - 1
-	if err := c.DeleteXTuple(last); err != nil {
+	if err := c.Batch(func(b *Batch) error { return b.DeleteXTuple(last) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.DeleteXTuple(last); err != nil {
@@ -398,7 +386,7 @@ func TestDeletesBelowTerminationMatchFresh(t *testing.T) {
 	add("top", 2000, false)
 	st = get("insert")
 	top := c.NumGroups() - 1
-	if err := c.DeleteXTuple(10); err != nil {
+	if err := c.Batch(func(b *Batch) error { return b.DeleteXTuple(10) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.DeleteXTuple(10); err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"iter"
 
+	"github.com/probdb/topkclean/internal/memo"
 	"github.com/probdb/topkclean/internal/topkq"
 	"github.com/probdb/topkclean/internal/uncertain"
 )
@@ -28,18 +29,6 @@ import (
 // walking its merged order against the prior source's buffered prefix
 // (carryMerged); the resumed scan then replays from the last checkpoint
 // below it, exactly like the engine's.
-
-// Result is the sharded engine's answer bundle, mirroring the unsharded
-// engine's Result surface the daemon serves.
-type Result struct {
-	K          int
-	Threshold  float64
-	Version    uint64
-	UKRanks    []topkq.RankedAnswer
-	PTK        []topkq.ScoredAnswer
-	GlobalTopK []topkq.ScoredAnswer
-	Quality    float64
-}
 
 // merged is one scan's view of a pinned epoch as a topkq.Source. Its
 // pulls charge each shard's cumulative scan counter; a shard's count
@@ -66,11 +55,7 @@ type pair struct {
 // is allocated on the first pull, so a pin that hits the memo costs one
 // small struct.
 func (c *Cluster) pin() (*merged, error) {
-	e := c.epoch.Load()
-	if e == nil {
-		return nil, uncertain.ErrNotBuilt
-	}
-	return &merged{c: c, e: e, bufCap: 256}, nil
+	return &merged{c: c, e: c.epoch.Load(), bufCap: 256}, nil
 }
 
 // Version is the cluster version of the source's epoch.
@@ -228,30 +213,19 @@ func carryMerged(cur, prior *merged, info *topkq.RankInfo) (wm int, ok bool) {
 
 // Answers evaluates all three top-k semantics plus the quality at the
 // configured threshold, from one merged scan of one pinned epoch.
-func (c *Cluster) Answers(ctx context.Context) (*Result, error) {
+func (c *Cluster) Answers(ctx context.Context) (*memo.Result, error) {
 	return c.AnswersThreshold(ctx, c.cfg.Threshold)
 }
 
 // AnswersThreshold is Answers with an explicit PT-k threshold for this
-// call; only the cheap threshold scan differs between calls.
-func (c *Cluster) AnswersThreshold(ctx context.Context, threshold float64) (*Result, error) {
+// call; only the cheap threshold scan differs between calls. The result
+// is the unsharded engine's answer bundle, built by the same memo state.
+func (c *Cluster) AnswersThreshold(ctx context.Context, threshold float64) (*memo.Result, error) {
 	st, err := c.memo.Get(ctx, c.cfg.K, true)
 	if err != nil {
 		return nil, err
 	}
-	uk, gtk, err := st.Answers()
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		K:          c.cfg.K,
-		Threshold:  threshold,
-		Version:    st.View.Version(),
-		UKRanks:    uk,
-		PTK:        topkq.PTK(st.View, st.Info, threshold),
-		GlobalTopK: gtk,
-		Quality:    st.Eval.S,
-	}, nil
+	return st.Result(threshold)
 }
 
 // QualityAtVersion returns the PWS-quality of a top-k query for an
@@ -281,9 +255,6 @@ type ShardStat struct {
 // writer lock briefly: the store handles are cleared by Close.
 func (c *Cluster) Stats() []ShardStat {
 	e := c.epoch.Load()
-	if e == nil {
-		return nil
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]ShardStat, len(e.snaps))

@@ -192,11 +192,10 @@ func Open(cfg Config) (*Cluster, error) {
 	if cfg.Backend == "" {
 		return nil, fmt.Errorf("shard: Open requires a persistence backend")
 	}
-	c, err := New(cfg)
+	c, err := newCluster(cfg)
 	if err != nil {
 		return nil, err
 	}
-	c.stage = nil
 	fail := func(err error) (*Cluster, error) {
 		c.closeStoresLocked()
 		return nil, err
@@ -291,7 +290,6 @@ func Open(cfg Config) (*Cluster, error) {
 		}
 	}
 
-	c.built = true
 	c.publishLocked()
 	return c, nil
 }

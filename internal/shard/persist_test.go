@@ -97,7 +97,7 @@ func TestPersistTornCommitDetected(t *testing.T) {
 	}
 	name := m.groupName()
 	ts := m.genTuples()
-	m.mustBoth(m.c.InsertXTuple(name, ts...), m.db.InsertXTuple(name, ts...))
+	m.mustBoth(m.c.Batch(func(b *Batch) error { return b.InsertXTuple(name, ts...) }), m.db.InsertXTuple(name, ts...))
 	mb := m.c.meta
 	m.c.meta = nil // keep Close from checkpointing the truth back in
 	if err := m.c.Close(); err != nil {

@@ -3,7 +3,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"github.com/probdb/topkclean/internal/store"
 	"github.com/probdb/topkclean/internal/uncertain"
@@ -48,9 +47,6 @@ type Batch struct {
 func (c *Cluster) Batch(fn func(*Batch) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.built {
-		return uncertain.ErrNotBuilt
-	}
 	if c.closed {
 		return fmt.Errorf("shard: cluster is closed")
 	}
@@ -82,39 +78,16 @@ func (c *Cluster) poison(err error) error {
 }
 
 // InsertXTuple inserts a new x-tuple on the shard place picks for it.
-// Validation — in the unsharded insert's order, with its errors, and
-// including the duplicate-ID check against every shard's live ID index —
-// happens entirely before a stamp is drawn or any shard is touched.
+// The whole validation — the reserved names, then the unsharded insert's
+// check (uncertain.CheckInsert) against every shard's live ID index —
+// happens before a stamp is drawn or any shard is touched.
 func (b *Batch) InsertXTuple(name string, tuples ...uncertain.Tuple) error {
 	c := b.c
 	if err := checkReserved(name, tuples); err != nil {
 		return err
 	}
-	if len(tuples) == 0 {
-		return fmt.Errorf("x-tuple %q: %w", name, uncertain.ErrEmptyXTuple)
-	}
-	for i := range tuples {
-		if math.IsNaN(c.rank(tuples[i].Attrs)) {
-			return fmt.Errorf("tuple %q: %w", tuples[i].ID, uncertain.ErrBadScore)
-		}
-	}
-	if err := uncertain.CheckAlternatives(name, tuples); err != nil {
+	if _, err := uncertain.CheckInsert(name, tuples, c.rank, c.idLive); err != nil {
 		return err
-	}
-	ids := make([]string, 0, len(tuples)+1)
-	for i := range tuples {
-		ids = append(ids, tuples[i].ID)
-	}
-	if _, materialize := uncertain.NullDeficit(tuples); materialize {
-		ids = append(ids, "null:"+name)
-	}
-	seen := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		// The within-call check comes first, as in the unsharded insert.
-		if seen[id] || c.idLive(id) {
-			return fmt.Errorf("tuple %q: %w", id, uncertain.ErrDuplicateID)
-		}
-		seen[id] = true
 	}
 
 	// Validated; stamp, place, insert.
@@ -176,21 +149,17 @@ func (b *Batch) DeleteXTuple(l int) error {
 }
 
 // Reweight replaces the existential probabilities of the x-tuple at
-// global index l. Only the shard holding the group commits; a null the
-// reweight materializes is first checked against every shard's live ID
-// index, after the validation the unsharded reweight runs first.
+// global index l. Only the shard holding the group commits, after the
+// unsharded reweight's check (uncertain.CheckReweight) has run against
+// every shard's live ID index, for a null the reweight materializes.
 func (b *Batch) Reweight(l int, probs []float64) error {
 	c := b.c
 	if l < 0 || l >= len(c.dir.entries) {
 		return fmt.Errorf("index %d of %d: %w", l, len(c.dir.entries), uncertain.ErrBadGroupIndex)
 	}
 	e := c.dir.entries[l]
-	newNull, err := uncertain.CheckReweight(c.shards[e.shard].live().GroupAt(e.local), probs)
-	if err != nil {
+	if _, err := uncertain.CheckReweight(c.shards[e.shard].live().GroupAt(e.local), probs, c.idLive); err != nil {
 		return err
-	}
-	if newNull != "" && c.idLive(newNull) {
-		return fmt.Errorf("tuple %q: %w", newNull, uncertain.ErrDuplicateID)
 	}
 	if err := c.onShard(e.shard, func(sb shardBatch) error { return sb.Reweight(e.local, probs) }); err != nil {
 		if isStoreFailure(err) {
@@ -228,33 +197,6 @@ func (b *Batch) Collapse(l, choice int) error {
 // left the shard untouched.
 func isStoreFailure(err error) bool {
 	return errors.Is(err, store.ErrPoisoned)
-}
-
-// Single-mutation conveniences, mirroring the unsharded database's.
-
-// InsertXTuple is Batch.InsertXTuple as a single-mutation commit.
-func (c *Cluster) InsertXTuple(name string, tuples ...uncertain.Tuple) error {
-	return c.Batch(func(b *Batch) error { return b.InsertXTuple(name, tuples...) })
-}
-
-// InsertAbsentXTuple is Batch.InsertAbsentXTuple as a single-mutation commit.
-func (c *Cluster) InsertAbsentXTuple(name string) error {
-	return c.Batch(func(b *Batch) error { return b.InsertAbsentXTuple(name) })
-}
-
-// DeleteXTuple is Batch.DeleteXTuple as a single-mutation commit.
-func (c *Cluster) DeleteXTuple(l int) error {
-	return c.Batch(func(b *Batch) error { return b.DeleteXTuple(l) })
-}
-
-// Reweight is Batch.Reweight as a single-mutation commit.
-func (c *Cluster) Reweight(l int, probs []float64) error {
-	return c.Batch(func(b *Batch) error { return b.Reweight(l, probs) })
-}
-
-// Collapse is Batch.Collapse as a single-mutation commit.
-func (c *Cluster) Collapse(l, choice int) error {
-	return c.Batch(func(b *Batch) error { return b.Collapse(l, choice) })
 }
 
 // idLive reports whether any shard holds a live tuple with the given ID.

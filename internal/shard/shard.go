@@ -4,6 +4,13 @@
 // that merges the per-shard rank orders into one global rank order and
 // answers top-k queries from it — bit-identically to the unsharded engine.
 //
+// A cluster adds only placement and the merge. It comes from a built
+// database (FromDatabase) or from its stores (Open); the router validates
+// with the unsharded database's own insert and reweight checks
+// (uncertain.CheckInsert, uncertain.CheckReweight) against every shard's
+// ID index; and the answers are the unsharded engine's bundle
+// (memo.Result).
+//
 // # Placement
 //
 // Every real alternative carries a global sequence stamp (gseq), assigned
@@ -34,8 +41,8 @@
 // build or emptied by deletes, so every shard database holds one hidden
 // absent x-tuple (the sentinel) at local index 0. Sentinels are invisible
 // to the directory, the merge, and all counts. The sentinel's group name
-// (and its null alternative's ID) are reserved; inserts using them are
-// rejected.
+// (and its null alternative's ID) are reserved; inserts using them, and
+// FromDatabase sources holding them, are rejected.
 package shard
 
 import (
@@ -81,8 +88,9 @@ type Config struct {
 	// Threshold is the default PT-k probability threshold for Answers.
 	Threshold float64
 
-	// Rank scores tuples; nil means uncertain.ByFirstAttr. FromDatabase
-	// ignores it and inherits the source database's ranking function.
+	// Rank scores tuples when Open recovers the shard stores; nil means
+	// uncertain.ByFirstAttr. FromDatabase ignores it and inherits the
+	// source database's ranking function.
 	Rank uncertain.RankFunc
 
 	// Backend names a store driver ("file", "mem"); empty means no
@@ -126,7 +134,6 @@ type Cluster struct {
 	dir      *directory
 	nextGseq int
 	version  uint64
-	built    bool
 	closed   bool
 	poisoned error
 
@@ -135,13 +142,12 @@ type Cluster struct {
 
 	epoch atomic.Pointer[epoch]
 	memo  *memo.Memo[*merged] // memoized evaluation per query size k
-
-	stage *uncertain.Database // staging database before Build; nil after
 }
 
-// New returns an empty cluster in staging state: add x-tuples with
-// AddXTuple/AddAbsentXTuple, then call Build.
-func New(cfg Config) (*Cluster, error) {
+// newCluster returns a cluster with a validated config and no shards yet:
+// FromDatabase distributes a source database over it, Open recovers its
+// stores.
+func newCluster(cfg Config) (*Cluster, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("shard: %d shards: need at least 1", cfg.Shards)
 	}
@@ -151,36 +157,9 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Rank == nil {
 		cfg.Rank = uncertain.ByFirstAttr
 	}
-	c := &Cluster{cfg: cfg, rank: cfg.Rank, stage: uncertain.New()}
+	c := &Cluster{cfg: cfg, rank: cfg.Rank}
 	c.memo = memo.New(c.pin, carryMerged)
 	return c, nil
-}
-
-// AddXTuple stages an x-tuple before Build, with the staging validation
-// (and errors) of the unsharded database.
-func (c *Cluster) AddXTuple(name string, tuples ...uncertain.Tuple) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.built {
-		return uncertain.ErrAlreadyBuilt
-	}
-	if err := checkReserved(name, tuples); err != nil {
-		return err
-	}
-	return c.stage.AddXTuple(name, tuples...)
-}
-
-// AddAbsentXTuple stages an absent x-tuple before Build.
-func (c *Cluster) AddAbsentXTuple(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.built {
-		return uncertain.ErrAlreadyBuilt
-	}
-	if err := checkReserved(name, nil); err != nil {
-		return err
-	}
-	return c.stage.AddAbsentXTuple(name)
 }
 
 // checkReserved rejects the sentinel namespace at every insert entrance.
@@ -196,24 +175,6 @@ func checkReserved(name string, tuples []uncertain.Tuple) error {
 	return nil
 }
 
-// Build validates and scores the staged x-tuples — with exactly the
-// unsharded Build's semantics and errors — then places them across the
-// configured number of shards and, with a backend
-// configured, creates the per-shard stores and the meta journal.
-func (c *Cluster) Build() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.built {
-		return uncertain.ErrAlreadyBuilt
-	}
-	if err := c.stage.Build(c.rank); err != nil {
-		return err
-	}
-	err := c.buildFromLocked(c.stage, 1, c.placeGroup)
-	c.stage = nil
-	return err
-}
-
 // FromDatabase builds a cluster holding the same logical database as an
 // already-built (live or snapshot) source: same groups, same
 // probabilities, same rank order — every answer bit-identical. The
@@ -224,7 +185,7 @@ func FromDatabase(db *uncertain.Database, cfg Config) (*Cluster, error) {
 		return nil, uncertain.ErrNotBuilt
 	}
 	cfg.Rank = db.Rank()
-	c, err := New(cfg)
+	c, err := newCluster(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +194,6 @@ func FromDatabase(db *uncertain.Database, cfg Config) (*Cluster, error) {
 	if err := c.buildFromLocked(db, db.Version(), c.placeGroup); err != nil {
 		return nil, err
 	}
-	c.stage = nil
 	return c, nil
 }
 
@@ -306,7 +266,6 @@ func (c *Cluster) buildFromLocked(src *uncertain.Database, version uint64, assig
 			return err
 		}
 	}
-	c.built = true
 	c.publishLocked()
 	return nil
 }
@@ -374,38 +333,19 @@ func (c *Cluster) Threshold() float64 { return c.cfg.Threshold }
 func (c *Cluster) Shards() int { return c.cfg.Shards }
 
 // Version returns the cluster version of the current published epoch.
-func (c *Cluster) Version() uint64 {
-	if e := c.epoch.Load(); e != nil {
-		return e.version
-	}
-	return 0
-}
+func (c *Cluster) Version() uint64 { return c.epoch.Load().version }
 
 // NumGroups returns the global x-tuple count of the current epoch.
-func (c *Cluster) NumGroups() int {
-	if e := c.epoch.Load(); e != nil {
-		return e.m
-	}
-	return 0
-}
+func (c *Cluster) NumGroups() int { return c.epoch.Load().m }
 
 // NumTuples returns the global alternative count of the current epoch.
-func (c *Cluster) NumTuples() int {
-	if e := c.epoch.Load(); e != nil {
-		return e.n
-	}
-	return 0
-}
+func (c *Cluster) NumTuples() int { return c.epoch.Load().n }
 
 // NumRealTuples returns the global real-alternative count of the current
 // epoch (sentinels are absent groups, so they contribute none).
 func (c *Cluster) NumRealTuples() int {
-	e := c.epoch.Load()
-	if e == nil {
-		return 0
-	}
 	n := 0
-	for _, snap := range e.snaps {
+	for _, snap := range c.epoch.Load().snaps {
 		n += snap.NumRealTuples()
 	}
 	return n

@@ -40,23 +40,26 @@ func newMirror(t *testing.T, seed int64, shards, k, startGroups int) *mirror {
 func newMirrorCfg(t *testing.T, seed int64, cfg Config, startGroups int) *mirror {
 	t.Helper()
 	m := &mirror{t: t, db: uncertain.New(), rng: rand.New(rand.NewSource(seed))}
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.c = c
 	for i := 0; i < startGroups; i++ {
 		if m.rng.Intn(12) == 0 {
-			name := m.groupName()
-			m.mustBoth(c.AddAbsentXTuple(name), m.db.AddAbsentXTuple(name))
+			m.must(m.db.AddAbsentXTuple(m.groupName()))
 			continue
 		}
 		name := m.groupName()
-		ts := m.genTuples()
-		m.mustBoth(c.AddXTuple(name, ts...), m.db.AddXTuple(name, ts...))
+		m.must(m.db.AddXTuple(name, m.genTuples()...))
 	}
-	m.mustBoth(c.Build(), m.db.Build(uncertain.ByFirstAttr))
+	m.must(m.db.Build(uncertain.ByFirstAttr))
+	c, err := FromDatabase(m.db, cfg)
+	m.must(err)
+	m.c = c
 	return m
+}
+
+func (m *mirror) must(err error) {
+	m.t.Helper()
+	if err != nil {
+		m.t.Fatalf("setup failed: %v", err)
+	}
 }
 
 func (m *mirror) groupName() string { m.gc++; return fmt.Sprintf("g%d", m.gc) }
@@ -119,24 +122,24 @@ func (m *mirror) step() {
 			ts[0].Attrs[0] = 7
 			ts[len(ts)-1].Attrs[0] = 0
 		}
-		m.errParity(m.c.InsertXTuple(name, ts...), m.db.InsertXTuple(name, ts...))
+		m.errParity(m.c.Batch(func(b *Batch) error { return b.InsertXTuple(name, ts...) }), m.db.InsertXTuple(name, ts...))
 	case r < 35: // absent insert
 		name := m.groupName()
-		m.errParity(m.c.InsertAbsentXTuple(name), m.db.InsertAbsentXTuple(name))
+		m.errParity(m.c.Batch(func(b *Batch) error { return b.InsertAbsentXTuple(name) }), m.db.InsertAbsentXTuple(name))
 	case r < 55: // reweight
 		l := m.rng.Intn(mg)
 		probs := m.genProbs(len(m.db.Groups()[l].RealTuples()))
-		m.errParity(m.c.Reweight(l, probs), m.db.Reweight(l, probs))
+		m.errParity(m.c.Batch(func(b *Batch) error { return b.Reweight(l, probs) }), m.db.Reweight(l, probs))
 	case r < 67: // collapse
 		l := m.rng.Intn(mg)
 		choice := m.rng.Intn(len(m.db.Groups()[l].Tuples))
-		m.errParity(m.c.Collapse(l, choice), m.db.Collapse(l, choice))
+		m.errParity(m.c.Batch(func(b *Batch) error { return b.Collapse(l, choice) }), m.db.Collapse(l, choice))
 	case r < 80: // delete (keep m comfortably above k)
 		if mg <= m.c.K()+2 {
 			return
 		}
 		l := m.rng.Intn(mg)
-		m.errParity(m.c.DeleteXTuple(l), m.db.DeleteXTuple(l))
+		m.errParity(m.c.Batch(func(b *Batch) error { return b.DeleteXTuple(l) }), m.db.DeleteXTuple(l))
 	case r < 90: // batch of 2-3 ops, sometimes with a failing tail
 		m.stepBatch()
 	case r < 95: // invalid operations: error parity, no state change
@@ -194,18 +197,18 @@ func (m *mirror) stepInvalid() {
 		ts := m.genTuples()
 		ts[0].ID = "t1"
 		name := m.groupName()
-		m.errParity(m.c.InsertXTuple(name, ts...), m.db.InsertXTuple(name, ts...))
+		m.errParity(m.c.Batch(func(b *Batch) error { return b.InsertXTuple(name, ts...) }), m.db.InsertXTuple(name, ts...))
 	case 1: // out-of-range group index
 		l := mg + 3
-		m.errParity(m.c.DeleteXTuple(l), m.db.DeleteXTuple(l))
+		m.errParity(m.c.Batch(func(b *Batch) error { return b.DeleteXTuple(l) }), m.db.DeleteXTuple(l))
 	case 2: // reweight count mismatch
 		l := m.rng.Intn(mg)
 		probs := m.genProbs(len(m.db.Groups()[l].RealTuples()) + 1)
-		m.errParity(m.c.Reweight(l, probs), m.db.Reweight(l, probs))
+		m.errParity(m.c.Batch(func(b *Batch) error { return b.Reweight(l, probs) }), m.db.Reweight(l, probs))
 	case 3: // collapse choice out of range
 		l := m.rng.Intn(mg)
 		choice := len(m.db.Groups()[l].Tuples)
-		m.errParity(m.c.Collapse(l, choice), m.db.Collapse(l, choice))
+		m.errParity(m.c.Batch(func(b *Batch) error { return b.Collapse(l, choice) }), m.db.Collapse(l, choice))
 	}
 }
 
@@ -580,12 +583,95 @@ func TestFromDatabase(t *testing.T) {
 		if err := db.InsertXTuple(fmt.Sprintf("fgx%d", shards), ts...); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.InsertXTuple(fmt.Sprintf("fgx%d", shards), ts...); err != nil {
+		if err := c.Batch(func(b *Batch) error { return b.InsertXTuple(fmt.Sprintf("fgx%d", shards), ts...) }); err != nil {
 			t.Fatal(err)
 		}
 		compareAll(t, c, db)
 		checkInvariant(t, c)
+		if shards > 1 {
+			checkInsertOrder(t, c, db)
+		}
 	}
+
+	// A source that uses the sentinel's group name or null ID is refused.
+	reserved := map[string]func(db *uncertain.Database) error{
+		"sentinel name": func(db *uncertain.Database) error {
+			return db.AddXTuple(sentinelName, uncertain.Tuple{ID: "r.a", Attrs: []float64{1}, Prob: 0.5})
+		},
+		"absent sentinel": func(db *uncertain.Database) error { return db.AddAbsentXTuple(sentinelName) },
+		"sentinel null ID": func(db *uncertain.Database) error {
+			return db.AddXTuple("r", uncertain.Tuple{ID: sentinelNullID, Attrs: []float64{1}, Prob: 0.5})
+		},
+	}
+	for what, add := range reserved {
+		db := uncertain.New()
+		if err := db.AddXTuple("ok", uncertain.Tuple{ID: "ok.a", Attrs: []float64{2}, Prob: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := add(db); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Build(uncertain.ByFirstAttr); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := FromDatabase(db, Config{Shards: 2, K: 1}); !errors.Is(err, ErrReservedName) {
+			t.Fatalf("%s: FromDatabase err = %v, want ErrReservedName", what, err)
+		}
+	}
+}
+
+// checkInsertOrder pins the order of the insert check the router shares
+// with the unsharded insert (uncertain.CheckInsert): validation before
+// duplicates, the materialized null included, with the unsharded error
+// text, whichever shard holds the clashing ID. It leaves c and db equal.
+func checkInsertOrder(t *testing.T, c *Cluster, db *uncertain.Database) {
+	t.Helper()
+	m := &mirror{t: t, c: c, db: db}
+	n := c.Shards()
+	insert := func(what string, want error, name string, ts ...uncertain.Tuple) {
+		t.Helper()
+		errC := c.Batch(func(b *Batch) error { return b.InsertXTuple(name, ts...) })
+		m.errParity(errC, db.InsertXTuple(name, ts...))
+		if want != nil && !errors.Is(errC, want) {
+			t.Fatalf("N=%d, %s: err = %v, want %v", n, what, errC, want)
+		}
+	}
+	// An ID live on a shard other than the one the next insert would
+	// land on.
+	var taken string
+	for _, e := range c.dir.entries {
+		if reals := c.shards[e.shard].live().GroupAt(e.local).RealTuples(); e.shard != place(c.nextGseq, n) && len(reals) > 0 {
+			taken = reals[0].ID
+			break
+		}
+	}
+	if taken == "" {
+		t.Fatalf("N=%d: no real alternative off the next insert's shard", n)
+	}
+	fresh := fmt.Sprintf("fresh%d", n)
+	insert("out-of-range probability and a taken ID", uncertain.ErrProbOutOfRange, "bad",
+		uncertain.Tuple{ID: taken, Attrs: []float64{3}, Prob: 1.5})
+	insert("NaN score and a taken ID", uncertain.ErrBadScore, "bad",
+		uncertain.Tuple{ID: fresh, Attrs: []float64{math.NaN()}, Prob: 0.5},
+		uncertain.Tuple{ID: taken, Attrs: []float64{3}, Prob: 0.2})
+	insert("mass above one and a taken ID", uncertain.ErrMassExceedsOne, "bad",
+		uncertain.Tuple{ID: taken, Attrs: []float64{3}, Prob: 0.7},
+		uncertain.Tuple{ID: fresh, Attrs: []float64{2}, Prob: 0.7})
+
+	// A plain alternative takes the ID null:<late>; fillers move the next
+	// insert off the holder's shard; then late's partial mass would
+	// materialize null:<late> beside it.
+	late := fmt.Sprintf("late%d", n)
+	insert("holder", nil, fmt.Sprintf("holder%d", n), uncertain.Tuple{ID: "null:" + late, Attrs: []float64{4}, Prob: 0.5})
+	held := c.dir.entries[len(c.dir.entries)-1].shard
+	for i := 0; place(c.nextGseq, n) == held; i++ {
+		insert("filler", nil, fmt.Sprintf("filler%d.%d", n, i), uncertain.Tuple{ID: fmt.Sprintf("fill%d.%d", n, i), Attrs: []float64{1}, Prob: 1})
+	}
+	insert("insert materializing a held null", uncertain.ErrDuplicateID, late,
+		uncertain.Tuple{ID: late + ".a", Attrs: []float64{5}, Prob: 0.6})
+	m.errParity(c.Batch(func(b *Batch) error { return b.InsertAbsentXTuple(late) }), db.InsertAbsentXTuple(late))
+	compareAll(t, c, db)
+	checkInvariant(t, c)
 }
 
 // TestPlaceSpreadsTwoStampArrivals pins that place spreads a run of

@@ -47,7 +47,7 @@ func BenchmarkWALAppend(b *testing.B) {
 				for j := range probs {
 					probs[j] = (0.3 + 0.001*float64(i%100)) / float64(nReal)
 				}
-				if err := sdb.Reweight(g, probs); err != nil {
+				if err := sdb.Batch(func(tx *Batch) error { return tx.Reweight(g, probs) }); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -78,7 +78,7 @@ func BenchmarkRecover(b *testing.B) {
 				for j := range probs {
 					probs[j] = (0.3 + 0.001*float64(i%100)) / float64(nReal)
 				}
-				if err := sdb.Reweight(g, probs); err != nil {
+				if err := sdb.Batch(func(tx *Batch) error { return tx.Reweight(g, probs) }); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -46,7 +46,7 @@ func ExampleOpen() {
 	if err != nil {
 		panic(err)
 	}
-	if err := sdb.Reweight(1, []float64{0.9, 0.1}); err != nil { // S2 revised
+	if err := sdb.Batch(func(tx *store.Batch) error { return tx.Reweight(1, []float64{0.9, 0.1}) }); err != nil { // S2 revised
 		panic(err)
 	}
 	if err := sdb.Close(); err != nil { // graceful shutdown: checkpoint + sync

@@ -38,13 +38,15 @@ func fuzzWAL() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := d.InsertXTuple("extra", uncertain.Tuple{ID: "extra.0", Attrs: []float64{42}, Prob: 0.6}); err != nil {
+	if err := d.Batch(func(tx *Batch) error {
+		return tx.InsertXTuple("extra", uncertain.Tuple{ID: "extra.0", Attrs: []float64{42}, Prob: 0.6})
+	}); err != nil {
 		return nil, err
 	}
-	if err := d.Reweight(2, []float64{0.3}); err != nil {
+	if err := d.Batch(func(tx *Batch) error { return tx.Reweight(2, []float64{0.3}) }); err != nil {
 		return nil, err
 	}
-	if err := d.DeleteXTuple(0); err != nil {
+	if err := d.Batch(func(tx *Batch) error { return tx.DeleteXTuple(0) }); err != nil {
 		return nil, err
 	}
 	if err := d.Close(); err != nil {

@@ -11,7 +11,8 @@ import (
 )
 
 // mutationScript is a deterministic sequence of journaled commits, each
-// committing exactly one version. Steps derive their parameters from the
+// committing exactly one version: a step runs inside one batch (storeStep,
+// plainStep) and reads the database it mutates. Steps derive their parameters from the
 // database they run against, so replaying the script on an identical copy
 // (the shadow replica) produces identical states — the same harness shape
 // as the PR 3/PR 4 frozen-replica cross-checks.
@@ -55,31 +56,32 @@ func mutationScript() []func(m mutator, db *uncertain.Database) error {
 			})
 		default: // batch: reweight bottom + insert, one commit/record
 			steps = append(steps, func(m mutator, db *uncertain.Database) error {
-				inner := func(b mutator) error {
-					g := db.Sorted()[db.NumTuples()-1].Group
-					real := db.Groups()[g].RealTuples()
-					probs := make([]float64, len(real))
-					for j := range probs {
-						probs[j] = 0.5 / float64(len(probs))
-					}
-					if err := b.Reweight(g, probs); err != nil {
-						return err
-					}
-					return b.InsertXTuple(fmt.Sprintf("ks-batch-%d", i),
-						uncertain.Tuple{ID: fmt.Sprintf("ksb%d.a", i), Attrs: []float64{db.Sorted()[0].Score + 1}, Prob: 0.6})
+				g := db.Sorted()[db.NumTuples()-1].Group
+				real := db.Groups()[g].RealTuples()
+				probs := make([]float64, len(real))
+				for j := range probs {
+					probs[j] = 0.5 / float64(len(probs))
 				}
-				switch v := m.(type) {
-				case *DB:
-					return v.Batch(func(b *Batch) error { return inner(b) })
-				case *uncertain.Database:
-					return v.Batch(func(b *uncertain.Batch) error { return inner(b) })
-				default:
-					return fmt.Errorf("unexpected mutator %T", m)
+				if err := m.Reweight(g, probs); err != nil {
+					return err
 				}
+				return m.InsertXTuple(fmt.Sprintf("ks-batch-%d", i),
+					uncertain.Tuple{ID: fmt.Sprintf("ksb%d.a", i), Attrs: []float64{db.Sorted()[0].Score + 1}, Prob: 0.6})
 			})
 		}
 	}
 	return steps
+}
+
+// storeStep commits one script step as one journaled batch.
+func storeStep(sdb *DB, step func(mutator, *uncertain.Database) error) error {
+	return sdb.Batch(func(b *Batch) error { return step(b, sdb.DB()) })
+}
+
+// plainStep commits one script step as one batch of an unjournaled
+// database.
+func plainStep(db *uncertain.Database, step func(mutator, *uncertain.Database) error) error {
+	return db.Batch(func(b *uncertain.Batch) error { return step(b, db) })
 }
 
 // runScript drives the script through a journaled store while maintaining
@@ -89,10 +91,10 @@ func runScript(t *testing.T, sdb *DB, replica *uncertain.Database) map[uint64]an
 	t.Helper()
 	expected := map[uint64]answers{replica.Version(): answersOf(t, replica.Clone())}
 	for si, step := range mutationScript() {
-		if err := step(sdb, sdb.DB()); err != nil {
+		if err := storeStep(sdb, step); err != nil {
 			t.Fatalf("store step %d: %v", si, err)
 		}
-		if err := step(replica, replica); err != nil {
+		if err := plainStep(replica, step); err != nil {
 			t.Fatalf("replica step %d: %v", si, err)
 		}
 		if sdb.DB().Version() != replica.Version() {
@@ -216,10 +218,10 @@ func TestKillAfterEveryCommitWithCheckpoints(t *testing.T) {
 	expected := map[uint64]answers{replica.Version(): answersOf(t, replica.Clone())}
 	crashes := map[uint64]string{replica.Version(): copyDir(t, dir)}
 	for si, step := range mutationScript() {
-		if err := step(sdb, sdb.DB()); err != nil {
+		if err := storeStep(sdb, step); err != nil {
 			t.Fatalf("store step %d: %v", si, err)
 		}
-		if err := step(replica, replica); err != nil {
+		if err := plainStep(replica, step); err != nil {
 			t.Fatalf("replica step %d: %v", si, err)
 		}
 		v := replica.Version()
@@ -273,7 +275,7 @@ func TestRecoverSkipsCheckpointedRecords(t *testing.T) {
 	shadow := seedDB(t, 60)
 	steps := mutationScript()
 	for si := 0; shadow.Version() < midVersion; si++ {
-		if err := steps[si](shadow, shadow); err != nil {
+		if err := plainStep(shadow, steps[si]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -319,7 +321,7 @@ func TestRecoverRejectsGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := sdb.InsertAbsentXTuple(fmt.Sprintf("g%d", i)); err != nil {
+		if err := sdb.Batch(func(tx *Batch) error { return tx.InsertAbsentXTuple(fmt.Sprintf("g%d", i)) }); err != nil {
 			t.Fatal(err)
 		}
 	}

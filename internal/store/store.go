@@ -89,9 +89,9 @@ func WithNoFsync() Option {
 
 // DB is a durable database handle: the live *uncertain.Database plus the
 // journal that makes its commits survive restarts. Reads (queries, engine
-// snapshots) go straight to DB(); every mutation must go through the
-// store's own mutation methods — or be journaled with JournalCleaning —
-// so the WAL stays a complete history. A commit that reaches the backend
+// snapshots) go straight to DB(); every mutation must commit through the
+// store's Batch — or be journaled with JournalCleaning — so the WAL stays
+// a complete history. A commit that reaches the backend
 // out of version order (the signature of an out-of-band mutation) poisons
 // the store rather than persisting a history with a hole in it.
 //
@@ -303,31 +303,6 @@ func (d *DB) SinceCheckpoint() (records int, checkpointVersion uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.sinceCk, d.ckptVer
-}
-
-// InsertXTuple is uncertain.Database.InsertXTuple, journaled.
-func (d *DB) InsertXTuple(name string, tuples ...uncertain.Tuple) error {
-	return d.Batch(func(b *Batch) error { return b.InsertXTuple(name, tuples...) })
-}
-
-// InsertAbsentXTuple is uncertain.Database.InsertAbsentXTuple, journaled.
-func (d *DB) InsertAbsentXTuple(name string) error {
-	return d.Batch(func(b *Batch) error { return b.InsertAbsentXTuple(name) })
-}
-
-// DeleteXTuple is uncertain.Database.DeleteXTuple, journaled.
-func (d *DB) DeleteXTuple(l int) error {
-	return d.Batch(func(b *Batch) error { return b.DeleteXTuple(l) })
-}
-
-// Reweight is uncertain.Database.Reweight, journaled.
-func (d *DB) Reweight(l int, probs []float64) error {
-	return d.Batch(func(b *Batch) error { return b.Reweight(l, probs) })
-}
-
-// Collapse is uncertain.Database.Collapse, journaled.
-func (d *DB) Collapse(l, choice int) error {
-	return d.Batch(func(b *Batch) error { return b.Collapse(l, choice) })
 }
 
 // Batch mirrors uncertain.Database.Batch with journaling: fn's successful

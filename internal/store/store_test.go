@@ -57,10 +57,9 @@ func answersOf(t testing.TB, db *uncertain.Database) answers {
 	}
 }
 
-// mutator is the op surface shared by *uncertain.Database, *DB,
-// *uncertain.Batch, and *Batch — it lets one mutation script drive both
-// the journaled store and the in-memory shadow replica the recovered
-// answers are checked against.
+// mutator is the op surface shared by *uncertain.Batch and *Batch — it
+// lets one mutation script drive both the journaled store and the
+// in-memory shadow replica the recovered answers are checked against.
 type mutator interface {
 	InsertXTuple(name string, tuples ...uncertain.Tuple) error
 	InsertAbsentXTuple(name string) error
@@ -70,8 +69,6 @@ type mutator interface {
 }
 
 var (
-	_ mutator = (*uncertain.Database)(nil)
-	_ mutator = (*DB)(nil)
 	_ mutator = (*uncertain.Batch)(nil)
 	_ mutator = (*Batch)(nil)
 )
@@ -97,13 +94,15 @@ func TestCreateOpenRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sdb.InsertXTuple("nov", uncertain.Tuple{ID: "nov.a", Attrs: []float64{99}, Prob: 0.8}); err != nil {
+			if err := sdb.Batch(func(tx *Batch) error {
+				return tx.InsertXTuple("nov", uncertain.Tuple{ID: "nov.a", Attrs: []float64{99}, Prob: 0.8})
+			}); err != nil {
 				t.Fatal(err)
 			}
-			if err := sdb.Reweight(3, []float64{0.5}); err != nil && !errors.Is(err, uncertain.ErrBadReweight) {
+			if err := sdb.Batch(func(tx *Batch) error { return tx.Reweight(3, []float64{0.5}) }); err != nil && !errors.Is(err, uncertain.ErrBadReweight) {
 				t.Fatal(err)
 			}
-			if err := sdb.DeleteXTuple(5); err != nil {
+			if err := sdb.Batch(func(tx *Batch) error { return tx.DeleteXTuple(5) }); err != nil {
 				t.Fatal(err)
 			}
 			want := answersOf(t, sdb.DB())
@@ -160,10 +159,10 @@ func TestOutOfBandMutationPoisons(t *testing.T) {
 	if err := sdb.DB().InsertAbsentXTuple("sneaky"); err != nil {
 		t.Fatal(err)
 	}
-	if err := sdb.InsertAbsentXTuple("legit"); !errors.Is(err, ErrPoisoned) {
+	if err := sdb.Batch(func(tx *Batch) error { return tx.InsertAbsentXTuple("legit") }); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("gap not detected: %v", err)
 	}
-	if err := sdb.Reweight(0, nil); !errors.Is(err, ErrPoisoned) {
+	if err := sdb.Batch(func(tx *Batch) error { return tx.Reweight(0, nil) }); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("poisoned store accepted another write: %v", err)
 	}
 }
@@ -246,7 +245,7 @@ func TestCheckpointPolicyResetsWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ { // build record + 5 = two checkpoint triggers
-		if err := sdb.InsertAbsentXTuple(string(rune('a' + i))); err != nil {
+		if err := sdb.Batch(func(tx *Batch) error { return tx.InsertAbsentXTuple(string(rune('a' + i))) }); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"github.com/probdb/topkclean/internal/numeric"
 )
 
 // This file is the mutation API for built databases. Build fixes the global
@@ -58,32 +56,18 @@ func (db *Database) InsertXTuple(name string, tuples ...Tuple) error {
 // tie-break stamps (one per tuple; see seq.go) instead of arrival-order
 // stamps.
 func (db *Database) insertXTuple(name string, tuples []Tuple, seqs []int) (int, error) {
-	if len(tuples) == 0 {
-		return 0, wrapGroup(ErrEmptyXTuple, name)
+	deficit, err := CheckInsert(name, tuples, db.rank, db.idHeld)
+	if err != nil {
+		return 0, err
 	}
 	gi := db.groups.Len()
 	x := &XTuple{Name: name, Tuples: newTuples(tuples)}
 	for _, t := range x.Tuples {
 		t.Group = gi
 		t.Score = db.rank(t.Attrs)
-		if math.IsNaN(t.Score) {
-			return 0, fmt.Errorf("tuple %q: %w", t.ID, ErrBadScore)
-		}
 	}
-	if err := x.validate(); err != nil {
-		return 0, err
-	}
-	if deficit := 1 - x.RealMass(); deficit > nullThreshold {
+	if deficit > nullThreshold {
 		x.Tuples = append(x.Tuples, &Tuple{ID: nullID(name), Prob: deficit, Group: gi, Null: true})
-	}
-	seen := make(map[string]bool, len(x.Tuples))
-	for _, t := range x.Tuples {
-		// Check within the call too (including against the materialized
-		// null), not just against the existing database.
-		if seen[t.ID] || db.TupleByID(t.ID) != nil {
-			return 0, fmt.Errorf("tuple %q: %w", t.ID, ErrDuplicateID)
-		}
-		seen[t.ID] = true
 	}
 	// All checks passed; commit. Ord stamps continue past the build-time
 	// ones so score ties keep breaking by arrival order; explicit stamps
@@ -109,6 +93,52 @@ func (db *Database) insertXTuple(name string, tuples []Tuple, seqs []int) (int, 
 	db.groups.Append(x)
 	return watermark, nil
 }
+
+// CheckInsert is the whole validation of an insert of tuples under name,
+// in the insert's order and with its errors: no alternatives, a NaN
+// score, a probability outside (0, 1] or a total mass above one, then an
+// ID repeated within the call or one held reports taken — the null the
+// insert materializes included. It returns the mass deficit (see
+// checkMass). The insert core runs it against the database's ID index;
+// the shard router runs it against every shard's index before it stamps
+// or touches a shard, so a sharded insert fails exactly as the unsharded
+// one would.
+func CheckInsert(name string, tuples []Tuple, rank RankFunc, held func(id string) bool) (deficit float64, err error) {
+	if len(tuples) == 0 {
+		return 0, wrapGroup(ErrEmptyXTuple, name)
+	}
+	for i := range tuples {
+		if math.IsNaN(rank(tuples[i].Attrs)) {
+			return 0, fmt.Errorf("tuple %q: %w", tuples[i].ID, ErrBadScore)
+		}
+	}
+	if deficit, err = checkMass(name, len(tuples), func(i int) float64 { return tuples[i].Prob }); err != nil {
+		return 0, err
+	}
+	seen := make(map[string]bool, len(tuples)+1)
+	dup := func(id string) error {
+		if seen[id] || held(id) {
+			return fmt.Errorf("tuple %q: %w", id, ErrDuplicateID)
+		}
+		seen[id] = true
+		return nil
+	}
+	for i := range tuples {
+		if err := dup(tuples[i].ID); err != nil {
+			return 0, err
+		}
+	}
+	if deficit > nullThreshold {
+		if err := dup(nullID(name)); err != nil {
+			return 0, err
+		}
+	}
+	return deficit, nil
+}
+
+// idHeld reports whether a live tuple holds id, through the writer's ID
+// index.
+func (db *Database) idHeld(id string) bool { return db.ids.get(id) != nil }
 
 // InsertAbsentXTuple adds an x-tuple known to contribute no real tuple
 // (AddAbsentXTuple's mutation-time counterpart): a single null alternative
@@ -184,14 +214,9 @@ func (db *Database) reweight(l int, probs []float64) (int, error) {
 		return 0, fmt.Errorf("index %d of %d: %w", l, db.groups.Len(), ErrBadGroupIndex)
 	}
 	x := db.groups.At(l)
-	deficit, newNull, err := checkReweight(x, probs)
+	deficit, err := CheckReweight(x, probs, db.idHeld)
 	if err != nil {
 		return 0, err
-	}
-	// A null this reweight materializes must not take an ID another
-	// x-tuple holds.
-	if newNull != "" && db.ids.get(newNull) != nil {
-		return 0, fmt.Errorf("tuple %q: %w", newNull, ErrDuplicateID)
 	}
 	// All checks passed; commit onto a private clone of the x-tuple, so
 	// published epochs keep the old probabilities.
@@ -244,30 +269,25 @@ func (db *Database) reweight(l int, probs []float64) (int, error) {
 	return watermark, nil
 }
 
-// checkReweight validates probs as the new probabilities of x's real
-// alternatives. It returns the mass deficit the null alternative must
-// carry afterwards and, when x has no null yet and the deficit needs one,
-// the ID of the null the reweight materializes ("" otherwise).
-func checkReweight(x *XTuple, probs []float64) (deficit float64, newNull string, err error) {
+// CheckReweight is the whole validation of a reweight of x to probs: one
+// probability per real alternative, each in (0, 1] and their total at
+// most one, then — when x has no null and the new deficit needs one — the
+// null's ID must be free in held. It returns the mass deficit the null
+// alternative carries afterwards (see checkMass). The reweight core runs
+// it against the database's ID index; the shard router runs it against
+// every shard's index before it touches the owning shard.
+func CheckReweight(x *XTuple, probs []float64, held func(id string) bool) (deficit float64, err error) {
 	if n := len(x.RealTuples()); len(probs) != n {
-		return 0, "", fmt.Errorf("x-tuple %q: %d probabilities for %d real alternatives: %w",
+		return 0, fmt.Errorf("x-tuple %q: %d probabilities for %d real alternatives: %w",
 			x.Name, len(probs), n, ErrBadReweight)
 	}
-	var mass numeric.Kahan
-	for _, p := range probs {
-		if !(p > 0) || p > 1 {
-			return 0, "", wrapGroup(ErrProbOutOfRange, x.Name)
-		}
-		mass.Add(p)
+	if deficit, err = checkMass(x.Name, len(probs), func(i int) float64 { return probs[i] }); err != nil {
+		return 0, err
 	}
-	if mass.Sum() > 1+massTolerance {
-		return 0, "", wrapGroup(ErrMassExceedsOne, x.Name)
+	if deficit > nullThreshold && x.NullTuple() == nil && held(nullID(x.Name)) {
+		return 0, fmt.Errorf("tuple %q: %w", nullID(x.Name), ErrDuplicateID)
 	}
-	deficit = 1 - mass.Sum()
-	if deficit > nullThreshold && x.NullTuple() == nil {
-		newNull = nullID(x.Name)
-	}
-	return deficit, newNull, nil
+	return deficit, nil
 }
 
 // Collapse resolves x-tuple l to its alternative choice (an index into the

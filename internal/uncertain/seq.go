@@ -18,7 +18,10 @@ import "errors"
 // sequential counter past the largest explicit stamp they see, so mixed
 // use keeps later implicit stamps unique. Callers are responsible for
 // keeping explicit stamps unique among tuples that can tie on score (the
-// shard layer's global sequence trivially is).
+// shard layer's global sequence trivially is). The shard router's
+// validation is not here: it runs the insert and reweight cores' own
+// checks (CheckInsert, CheckReweight in mutate.go) against every shard's
+// ID index.
 
 // ErrBadSeq is returned by the *Seq staging and mutation variants when the
 // number of tie-break stamps does not match the number of tuples.
@@ -47,40 +50,4 @@ func (b *Batch) InsertXTupleSeq(name string, seqs []int, tuples ...Tuple) error 
 	}
 	wm, err := b.db.insertXTuple(name, tuples, seqs)
 	return b.note(wm, err)
-}
-
-// CheckAlternatives validates caller-supplied alternatives exactly as the
-// insert path does — every probability in (0, 1], total mass at most 1
-// within the insert tolerance — returning the identical wrapped errors.
-// The shard layer uses it to reject an invalid insert, with the unsharded
-// error, before stamping or touching any shard.
-func CheckAlternatives(name string, tuples []Tuple) error {
-	x := XTuple{Name: name, Tuples: make([]*Tuple, len(tuples))}
-	for i := range tuples {
-		x.Tuples[i] = &tuples[i]
-	}
-	return x.validate()
-}
-
-// NullDeficit returns the mass deficit 1 - sum(probs) (Kahan-summed in
-// tuple order, exactly as RealMass computes it) and whether the insert
-// path would materialize a null alternative for it. The shard router uses
-// it to predict the null's ID for its cluster-wide duplicate check.
-func NullDeficit(tuples []Tuple) (float64, bool) {
-	x := XTuple{Tuples: make([]*Tuple, len(tuples))}
-	for i := range tuples {
-		x.Tuples[i] = &tuples[i]
-	}
-	d := 1 - x.RealMass()
-	return d, d > nullThreshold
-}
-
-// CheckReweight validates probs as a reweight of x exactly as the reweight
-// core does, returning the identical wrapped errors, and reports the ID of
-// the null alternative the reweight would materialize ("" when x keeps
-// its null or needs none). The shard router uses it to run the
-// cluster-wide duplicate-ID check on that ID before touching a shard.
-func CheckReweight(x *XTuple, probs []float64) (newNull string, err error) {
-	_, newNull, err = checkReweight(x, probs)
-	return newNull, err
 }

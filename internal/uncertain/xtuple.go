@@ -94,15 +94,25 @@ func (x *XTuple) validate() error {
 	// A group with no alternatives yet is legal only as an absent group
 	// added with AddAbsentXTuple; Build materializes its probability-1
 	// null. AddXTuple rejects empty input separately.
+	_, err := checkMass(x.Name, len(x.Tuples), func(i int) float64 { return x.Tuples[i].Prob })
+	return err
+}
+
+// checkMass validates the n probabilities prob(0..n-1) of x-tuple name:
+// each in (0, 1], their total at most 1 within massTolerance. It returns
+// the mass deficit 1 - total, Kahan-summed in order, which a null
+// alternative carries when it exceeds nullThreshold.
+func checkMass(name string, n int, prob func(i int) float64) (deficit float64, err error) {
 	var mass numeric.Kahan
-	for _, t := range x.Tuples {
-		if !(t.Prob > 0) || t.Prob > 1 {
-			return wrapGroup(ErrProbOutOfRange, x.Name)
+	for i := range n {
+		p := prob(i)
+		if !(p > 0) || p > 1 {
+			return 0, wrapGroup(ErrProbOutOfRange, name)
 		}
-		mass.Add(t.Prob)
+		mass.Add(p)
 	}
 	if mass.Sum() > 1+massTolerance {
-		return wrapGroup(ErrMassExceedsOne, x.Name)
+		return 0, wrapGroup(ErrMassExceedsOne, name)
 	}
-	return nil
+	return 1 - mass.Sum(), nil
 }
