@@ -72,7 +72,7 @@ func DefaultConfig(dir string) (*Config, error) {
 		// shard router stamps through). Everything else — including
 		// uncertain's own reader files and tests — must treat published
 		// tuples as frozen.
-		WriterFiles: []string{"database.go", "mutate.go", "batch.go", "snapshot.go", "wire.go", "chunks.go", "seq.go"},
+		WriterFiles: []string{"database.go", "mutate.go", "batch.go", "snapshot.go", "wire.go", "wirev1.go", "chunks.go", "seq.go"},
 		IdxFields:   []string{"idx", "home"},
 		// Tuple.idx and Tuple.home are writer-epoch fields (PR 4, chunked
 		// in PR 9): splice passes repair the chunk back-pointers in place
@@ -99,6 +99,7 @@ func DefaultConfig(dir string) (*Config, error) {
 			"os.Open",
 			"os.OpenFile",
 			uncertain + ".EncodeWire",
+			uncertain + ".AppendWire",
 			uncertain + ".DecodeWire",
 		},
 		// Everything whose output lands in wire bytes, journal records, or

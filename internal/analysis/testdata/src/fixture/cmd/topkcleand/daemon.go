@@ -55,6 +55,14 @@ func (s *server) snapshotBad(name string) []byte {
 	return uncertain.EncodeWire(s.dbs[name]) // want lockscope "uncertain.EncodeWire"
 }
 
+// recordBad appends a database's wire form to a record header under the
+// lock: the appending encoder is as blocking as EncodeWire.
+func (s *server) recordBad(name string, hdr []byte) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return uncertain.AppendWire(hdr, s.dbs[name]) // want lockscope "uncertain.AppendWire"
+}
+
 // journal appends under writeMu, whose documented job is covering the
 // append (WAL order == commit order): exempt by name.
 func (s *server) journal(name string, rec []byte) error {

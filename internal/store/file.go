@@ -211,12 +211,19 @@ func (b *FileBackend) scanFrom(from int64, fn func([]byte) error) (next int64, n
 	}
 }
 
-func frame(payload []byte) []byte {
-	out := make([]byte, frameHdr+len(payload))
-	binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(payload))
-	copy(out[frameHdr:], payload)
-	return out
+// writeFrame writes one frame: the header, then the payload in place — a
+// checkpoint is the whole database, and copying it behind a header would
+// double the memory it takes. A crash between the two writes leaves a
+// header whose length runs past the end of the file: a torn tail.
+func writeFrame(f *os.File, payload []byte) error {
+	var hdr [frameHdr]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+	if _, err := f.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err := f.Write(payload)
+	return err
 }
 
 // AppendRecord appends one framed record to the WAL. The write lands in
@@ -225,8 +232,7 @@ func (b *FileBackend) AppendRecord(rec []byte) error {
 	if b.ro {
 		return ErrReadOnly
 	}
-	_, err := b.wal.Write(frame(rec))
-	return err
+	return writeFrame(b.wal, rec)
 }
 
 // Sync fsyncs the WAL.
@@ -359,7 +365,7 @@ func (b *FileBackend) WriteCheckpoint(data []byte, version uint64) error {
 	if err != nil {
 		return err
 	}
-	_, werr := f.Write(frame(data))
+	werr := writeFrame(f, data)
 	if werr == nil {
 		werr = f.Sync()
 	}

@@ -1,19 +1,49 @@
 package store
 
 import (
-	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/probdb/topkclean/internal/uncertain"
 )
 
-// fuzzWAL produces a valid WAL byte stream (newline-separated records): a
-// build record followed by a few mutate records, exactly as a file backend
-// would persist them.
-func fuzzWAL() ([]byte, error) {
+// joinRecords lays records out as a fuzz input: each one a uvarint length
+// and its bytes (build records are binary, so no separator byte is safe).
+func joinRecords(recs ...[]byte) []byte {
+	var out []byte
+	for _, r := range recs {
+		out = binary.AppendUvarint(out, uint64(len(r)))
+		out = append(out, r...)
+	}
+	return out
+}
+
+// splitRecords cuts a fuzz input back into records. A length that runs past
+// the end takes what is left, and an unreadable one ends the input as one
+// last record, so every byte reaches the replayer.
+func splitRecords(data []byte) [][]byte {
+	var recs [][]byte
+	for len(data) > 0 {
+		n, k := binary.Uvarint(data)
+		if k <= 0 {
+			return append(recs, data)
+		}
+		data = data[k:]
+		n = min(n, uint64(len(data)))
+		recs = append(recs, data[:n])
+		data = data[n:]
+	}
+	return recs
+}
+
+// fuzzWAL returns the records of a valid WAL: a binary build record
+// followed by a few mutate records, exactly as a backend would hold them.
+func fuzzWAL() ([][]byte, error) {
 	db := uncertain.New()
 	rng := rand.New(rand.NewSource(3))
 	for g := 0; g < 8; g++ {
@@ -49,9 +79,8 @@ func fuzzWAL() ([]byte, error) {
 	if err := d.Batch(func(tx *Batch) error { return tx.DeleteXTuple(0) }); err != nil {
 		return nil, err
 	}
-	if err := d.Close(); err != nil {
-		return nil, err
-	}
+	// Read the records before anything checkpoints: Close would write a
+	// final checkpoint and empty the journal.
 	var recs [][]byte
 	if _, err := b.TailRecords(0, func(rec []byte) error {
 		recs = append(recs, append([]byte(nil), rec...))
@@ -59,7 +88,23 @@ func fuzzWAL() ([]byte, error) {
 	}); err != nil {
 		return nil, err
 	}
-	return bytes.Join(recs, []byte("\n")), nil
+	return recs, nil
+}
+
+// v1Records returns the records of testdata/v1store's WAL: a JSON build
+// record carrying a topkclean-wire/v1 document, then JSON mutate records.
+func v1Records() ([][]byte, error) {
+	wal, err := os.ReadFile(filepath.Join("testdata", "v1store", walName))
+	if err != nil {
+		return nil, err
+	}
+	var recs [][]byte
+	for len(wal) >= frameHdr {
+		n := int(binary.LittleEndian.Uint32(wal))
+		recs = append(recs, wal[frameHdr:frameHdr+n])
+		wal = wal[frameHdr+n:]
+	}
+	return recs, nil
 }
 
 // FuzzWALReplay drives arbitrary record streams through the one replay
@@ -69,28 +114,42 @@ func fuzzWAL() ([]byte, error) {
 // an error wrapping ErrCorrupt (ErrGap for chain breaks). No input may
 // panic or corrupt already-applied state.
 func FuzzWALReplay(f *testing.F) {
-	valid, err := fuzzWAL()
-	if err != nil {
-		f.Fatal(err)
+	for _, source := range []func() ([][]byte, error){fuzzWAL, v1Records} {
+		recs, err := source()
+		if err != nil {
+			f.Fatal(err)
+		}
+		// The valid stream must replay whole, or the seeds start nowhere
+		// near the interesting inputs.
+		r := &Replayer{Rank: uncertain.ByFirstAttr}
+		for _, rec := range recs {
+			if err := r.Apply(rec); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if r.Replayed != len(recs) || len(recs) < 4 {
+			f.Fatalf("seed stream replayed %d of %d records", r.Replayed, len(recs))
+		}
+		f.Add(joinRecords(recs...))
+		// Chain-break seeds: records reordered, dropped, and damaged.
+		f.Add(joinRecords(recs[0], recs[2]))                  // gap
+		f.Add(joinRecords(recs[1], recs[0]))                  // mutate first
+		f.Add(joinRecords(recs[0], recs[1], recs[1]))         // duplicate
+		f.Add(joinRecords(recs[0], recs[1][:10]))             // truncated record
+		f.Add(joinRecords(recs[0][:len(recs[0])/2]))          // truncated build record
+		f.Add(joinRecords(recs[0][:len(recs[0])-1], recs[1])) // build record one byte short
 	}
-	f.Add(valid)
-	// Chain-break seeds: records reordered, dropped, and damaged.
-	lines := bytes.Split(valid, []byte("\n"))
-	if len(lines) >= 3 {
-		f.Add(bytes.Join([][]byte{lines[0], lines[2]}, []byte("\n")))           // gap
-		f.Add(bytes.Join([][]byte{lines[1], lines[0]}, []byte("\n")))           // mutate first
-		f.Add(bytes.Join([][]byte{lines[0], lines[1], lines[1]}, []byte("\n"))) // duplicate
-		f.Add(bytes.Join([][]byte{lines[0], lines[1][:10]}, []byte("\n")))      // truncated record
-	}
-	f.Add([]byte(`{"v":1,"op":"build","db":{}}`))
-	f.Add([]byte(`{"v":1,"op":"mutate","ops":[{"op":"delete","group":0}]}`))
+	f.Add(joinRecords([]byte{buildTag, 0x80}))   // torn version
+	f.Add(joinRecords([]byte{buildTag, 1, '{'})) // v1 bytes behind the binary tag
+	f.Add(joinRecords([]byte(`{"v":1,"op":"build","db":{}}`)))
+	f.Add(joinRecords([]byte(`{"v":1,"op":"mutate","ops":[{"op":"delete","group":0}]}`)))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(``))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &Replayer{Rank: uncertain.ByFirstAttr}
 		var lastVersion uint64
-		for _, rec := range bytes.Split(data, []byte("\n")) {
+		for _, rec := range splitRecords(data) {
 			if len(rec) == 0 {
 				continue
 			}

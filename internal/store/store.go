@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -16,6 +17,12 @@ import (
 // applied cleaning — exactly as they succeeded, so replaying them cannot
 // fail and cannot diverge. Journaling operations rather than bytes is what
 // keeps records small and replay bit-identical; see DESIGN.md ("Storage").
+//
+// Mutate records are JSON. Create writes the build record in binary —
+// buildTag, the version as a uvarint, then the topkclean-wire/v2 bytes —
+// so the full state never passes through encoding/json; build records
+// that earlier versions wrote as JSON (DB holding the v1 wire document)
+// still replay.
 type Record struct {
 	Version uint64          `json:"v"`
 	Op      string          `json:"op"` // build | mutate
@@ -23,8 +30,19 @@ type Record struct {
 	Ops     []Op            `json:"ops,omitempty"`
 }
 
-// DecodeRecord parses one raw WAL record payload.
+// buildTag opens a binary build record. Every JSON record starts with '{'.
+const buildTag = 'B'
+
+// DecodeRecord parses one raw WAL record payload. A binary build record's
+// DB aliases raw.
 func DecodeRecord(raw []byte) (Record, error) {
+	if len(raw) > 0 && raw[0] == buildTag {
+		v, n := binary.Uvarint(raw[1:])
+		if n <= 0 {
+			return Record{}, fmt.Errorf("%w: build record version unreadable", ErrCorrupt)
+		}
+		return Record{Version: v, Op: "build", DB: raw[1+n:]}, nil
+	}
 	var rec Record
 	if err := json.Unmarshal(raw, &rec); err != nil {
 		return Record{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -118,7 +136,7 @@ func buildOptions(opts []Option) options {
 }
 
 // Create journals a freshly built database as the backend's initial state:
-// one "build" record carrying the full wire encoding, keyed by the
+// one binary "build" record carrying the full wire encoding, keyed by the
 // database's current version. The backend must be empty (ErrExists
 // otherwise). The database is adopted by the store — mutate it through
 // the returned handle only.
@@ -131,15 +149,11 @@ func Create(b Backend, db *uncertain.Database, opts ...Option) (*DB, error) {
 	} else if st.HasCheckpoint || st.Tail > 0 {
 		return nil, ErrExists
 	}
-	data, err := uncertain.EncodeWire(db)
+	rec, err := uncertain.AppendWire(binary.AppendUvarint([]byte{buildTag}, db.Version()), db)
 	if err != nil {
 		return nil, err
 	}
 	d := &DB{b: b, db: db, opts: buildOptions(opts), last: db.Version()}
-	rec, err := json.Marshal(Record{Version: db.Version(), Op: "build", DB: data})
-	if err != nil {
-		return nil, err
-	}
 	if err := b.AppendRecord(rec); err != nil {
 		return nil, err
 	}

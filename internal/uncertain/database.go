@@ -106,8 +106,10 @@ func (db *Database) AddXTuple(name string, tuples ...Tuple) error {
 // mark phase, whose write barriers tax the mutation splice passes.
 //
 // Only the value fields are copied; home and idx start zero. Every path
-// that creates tuples — AddXTuple, the insert core, DecodeWire and Clone —
-// goes through here; cowGroup copies a slab but keeps sharing the ID and
+// that creates tuples — AddXTuple, the insert core, the v1 wire decoder
+// and Clone — goes through here, except the v2 wire decoder, which reads
+// the ID string and attribute array off the wire and carves them into a
+// newSlab itself; cowGroup copies a slab but keeps sharing the ID and
 // attribute buffers, which are never written after creation.
 func newTuples(src []Tuple) []*Tuple {
 	idLen, attrLen := 0, 0
@@ -126,11 +128,10 @@ func newTuples(src []Tuple) []*Tuple {
 		attrs = append(attrs, src[i].Attrs...)
 	}
 	idBuf := ids.String()
-	slab := make([]Tuple, len(src))
-	out := make([]*Tuple, len(src), len(src)+1)
+	out := newSlab(len(src))
 	idOff, attrOff := 0, 0
 	for i := range src {
-		t := &slab[i]
+		t := out[i]
 		t.Prob, t.Score, t.Group, t.Null, t.ord = src[i].Prob, src[i].Score, src[i].Group, src[i].Null, src[i].ord
 		t.ID = idBuf[idOff : idOff+len(src[i].ID)]
 		idOff += len(src[i].ID)
@@ -138,7 +139,18 @@ func newTuples(src []Tuple) []*Tuple {
 			t.Attrs = attrs[attrOff : attrOff+n : attrOff+n]
 			attrOff += n
 		}
-		out[i] = t
+	}
+	return out
+}
+
+// newSlab returns n zeroed alternatives of one x-tuple: one []Tuple slab
+// and the pointer slice over it, with room for the null Build or an
+// insert may append.
+func newSlab(n int) []*Tuple {
+	slab := make([]Tuple, n)
+	out := make([]*Tuple, n, n+1)
+	for i := range slab {
+		out[i] = &slab[i]
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package uncertain
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -65,12 +66,26 @@ func FuzzDecodeWire(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(mutated)
-	// Structurally plausible corruptions: truncations, flipped bytes, and
-	// non-wire JSON, so the fuzzer starts near the interesting boundaries.
-	f.Add(valid[:len(valid)/2])
+	// Structurally plausible corruptions: truncations (inside the header,
+	// an x-tuple and the rank order), flipped bytes, counts and lengths no
+	// input could hold, and non-wire JSON, so the fuzzer starts near the
+	// interesting boundaries.
+	for _, cut := range []int{len(wireMagic) + 2, len(valid) / 3, len(valid) / 2, len(valid) - 1} {
+		f.Add(valid[:cut])
+	}
 	tweaked := append([]byte(nil), valid...)
 	tweaked[len(tweaked)/3] ^= 0x20
 	f.Add(tweaked)
+	f.Add(append(wireHeader(1<<40, 1), make([]byte, 32)...))
+	f.Add(append(wireHeader(1, 1<<50), make([]byte, 32)...))
+	f.Add(append(binary.AppendUvarint(wireHeader(1, 1), 1<<30), make([]byte, 32)...))
+	// The v1 JSON reader stays reachable: seed it with real v1 documents.
+	v1, err := encodeWireV1(db)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
+	f.Add(v1[:len(v1)/2])
 	f.Add([]byte(`{"format":"topkclean-wire/v1"}`))
 	f.Add([]byte(`{"format":"bogus/v9"}`))
 	f.Add([]byte(`{`))
