@@ -15,8 +15,8 @@ var ErrStaleCleaningContext = cleaning.ErrStaleContext
 
 // Cleaning types, re-exported.
 type (
-	// CleaningSpec holds per-x-tuple cleaning costs and success
-	// probabilities.
+	// CleaningSpec holds the cleaning costs and success probabilities,
+	// per x-tuple or uniform (see cleaning.Spec).
 	CleaningSpec = cleaning.Spec
 	// CleaningPlan maps x-tuple index to the number of cleaning operations.
 	CleaningPlan = cleaning.Plan
@@ -30,7 +30,9 @@ type (
 )
 
 // UniformCleaningSpec builds a spec with identical cost and sc-probability
-// for every x-tuple.
+// for every x-tuple, as per-x-tuple arrays a caller can then edit.
+// CleaningSpec{Cost: cost, SCProb: scProb} plans identically without
+// them, on any version of the database.
 func UniformCleaningSpec(m, cost int, scProb float64) CleaningSpec {
 	return cleaning.UniformSpec(m, cost, scProb)
 }

@@ -341,7 +341,7 @@ func cmdClean(args []string, w io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(w, "  clean %-12s x%d  (cost %d each, sc-prob %.2f)\n",
-			g.Name, plan[l], spec.Costs[l], spec.SCProbs[l])
+			g.Name, plan[l], spec.CostOf(l), spec.SCProbOf(l))
 	}
 	if *explain {
 		cands, err := topkclean.CleaningCandidates(cctx)

@@ -629,31 +629,20 @@ func (s *server) handleQuality(w http.ResponseWriter, r *http.Request, t *tenant
 	writeJSON(w, http.StatusOK, qualityResponse{Version: version, K: k, Quality: quality})
 }
 
-// buildSpec materializes a wire spec for m x-tuples: per-x-tuple arrays
-// win over the uniform fields; the defaults (cost 1, sc-probability 1)
-// model free-choice certain probes.
-func buildSpec(m int, sj specJSON) (topkclean.CleaningSpec, error) {
-	cost, scp := sj.Cost, sj.SCProb
-	if cost == 0 {
-		cost = 1
+// buildSpec converts a wire spec: per-x-tuple arrays win over the uniform
+// fields; the defaults (cost 1, sc-probability 1) model free-choice
+// certain probes. It reads no database version: the uniform form fits
+// every version, and the engine checks an array's length against the
+// x-tuple count of the version it pins for planning.
+func buildSpec(sj specJSON) topkclean.CleaningSpec {
+	spec := topkclean.CleaningSpec{Costs: sj.Costs, SCProbs: sj.SCProbs, Cost: sj.Cost, SCProb: sj.SCProb}
+	if spec.Cost == 0 {
+		spec.Cost = 1
 	}
-	if scp == 0 {
-		scp = 1
+	if spec.SCProb == 0 {
+		spec.SCProb = 1
 	}
-	spec := topkclean.UniformCleaningSpec(m, cost, scp)
-	if sj.Costs != nil {
-		if len(sj.Costs) != m {
-			return spec, fmt.Errorf("costs: got %d entries for %d x-tuples", len(sj.Costs), m)
-		}
-		spec.Costs = sj.Costs
-	}
-	if sj.SCProbs != nil {
-		if len(sj.SCProbs) != m {
-			return spec, fmt.Errorf("scprobs: got %d entries for %d x-tuples", len(sj.SCProbs), m)
-		}
-		spec.SCProbs = sj.SCProbs
-	}
-	return spec, nil
+	return spec
 }
 
 func planToWire(p topkclean.CleaningPlan) map[string]int {
@@ -708,11 +697,7 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request, t *tenant) {
 	if req.Planner == "" {
 		req.Planner = "greedy"
 	}
-	spec, err := buildSpec(eng.DB().Snapshot().NumGroups(), req.Spec)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
+	spec := buildSpec(req.Spec)
 	plan, cctx, err := eng.PlanCleaning(r.Context(), req.Planner, spec, req.Budget)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
@@ -742,13 +727,10 @@ func (s *server) handleApply(w http.ResponseWriter, r *http.Request, t *tenant) 
 	if req.Planner == "" {
 		req.Planner = "greedy"
 	}
-	spec, err := buildSpec(eng.DB().Snapshot().NumGroups(), req.Spec)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
+	spec := buildSpec(req.Spec)
 	var plan topkclean.CleaningPlan
 	var cctx *topkclean.CleaningContext
+	var err error
 	if len(req.Plan) > 0 {
 		if plan, err = wireToPlan(req.Plan); err != nil {
 			writeErr(w, http.StatusBadRequest, err)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -130,6 +131,77 @@ func TestApplyRejectsMalformedPlans(t *testing.T) {
 	var applied applyResponse
 	if status := postJSON(t, ts.URL+"/apply", applyRequest{Budget: 5, Plan: map[string]int{"0": 1}}, &applied); status != http.StatusOK {
 		t.Fatalf("valid apply after the rejections: status %d %+v", status, applied)
+	}
+}
+
+// TestUniformSpecSurvivesInsert: /plan and /apply build their spec before
+// the engine pins the version they plan against, so an insert can commit
+// in between. A spec without arrays fits every version and must plan and
+// apply on the newer one; an array must match the x-tuple count of the
+// version planned, and answers 400 otherwise.
+func TestUniformSpecSurvivesInsert(t *testing.T) {
+	const xtuples = 60
+	ts, s := testServer(t, xtuples, 5)
+	tn, err := s.tenant(defaultDB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := tn.engine()
+	insert := func(name string) uint64 {
+		t.Helper()
+		var out mutateResponse
+		req := mutateRequest{Ops: []mutateOp{{Op: "insert", Name: name,
+			Tuples: []tupleJSON{{ID: name + ".a", Attrs: []float64{1e6}, Prob: 0.8}}}}}
+		if status := postJSON(t, ts.URL+"/mutate", req, &out); status != http.StatusOK {
+			t.Fatalf("insert %s: status %d", name, status)
+		}
+		return out.Version
+	}
+	ctx := context.Background()
+
+	// /plan: the spec is built, an insert commits, the engine plans.
+	spec := buildSpec(specJSON{SCProb: 0.7})
+	v := insert("late1")
+	plan, cctx, err := eng.PlanCleaning(ctx, "dp", spec, 6)
+	if err != nil {
+		t.Fatalf("plan after an insert: %v", err)
+	}
+	if cctx.Version != v || cctx.DB.NumGroups() != xtuples+1 || plan.Ops() == 0 {
+		t.Fatalf("planned version %d with %d x-tuples and %d ops; want version %d, %d x-tuples, some ops",
+			cctx.Version, cctx.DB.NumGroups(), plan.Ops(), v, xtuples+1)
+	}
+
+	// /apply: the same, then the plan is applied.
+	spec = buildSpec(specJSON{})
+	v = insert("late2")
+	plan, cctx, err = eng.PlanCleaning(ctx, "greedy", spec, 6)
+	if err != nil {
+		t.Fatalf("apply's plan after an insert: %v", err)
+	}
+	out, err := eng.ApplyCleaning(ctx, cctx, plan, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatalf("apply after an insert: %v", err)
+	}
+	if out.OpsUsed == 0 || eng.DB().Version() != v+1 {
+		t.Fatalf("apply used %d ops and left version %d; want some ops and version %d", out.OpsUsed, eng.DB().Version(), v+1)
+	}
+
+	// Arrays are checked against the version planned.
+	m := eng.DB().NumGroups()
+	for _, n := range []int{m - 1, m} {
+		costs := make([]int, n)
+		for i := range costs {
+			costs[i] = 1
+		}
+		var resp map[string]any
+		status := postJSON(t, ts.URL+"/plan", planRequest{Planner: "dp", Budget: 4, Spec: specJSON{Costs: costs}}, &resp)
+		want := http.StatusBadRequest
+		if n == m {
+			want = http.StatusOK
+		}
+		if status != want {
+			t.Fatalf("/plan with %d costs on %d x-tuples: status %d %v, want %d", n, m, status, resp, want)
+		}
 	}
 }
 

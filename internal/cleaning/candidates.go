@@ -31,16 +31,16 @@ func Candidates(ctx *Context) ([]Candidate, error) {
 	for _, cand := range z {
 		l := cand.Group
 		gain := -cand.Value
-		first := MarginalGain(cand.Value, ctx.Spec.SCProbs[l], 1)
+		first := MarginalGain(cand.Value, ctx.Spec.SCProbOf(l), 1)
 		g := ctx.DB.GroupAt(l)
 		out = append(out, Candidate{
 			Group:   l,
 			Name:    g.Name,
 			Gain:    gain,
-			Cost:    ctx.Spec.Costs[l],
-			SCProb:  ctx.Spec.SCProbs[l],
-			Gamma:   first / float64(ctx.Spec.Costs[l]),
-			MaxOps:  ctx.Budget / ctx.Spec.Costs[l],
+			Cost:    ctx.Spec.CostOf(l),
+			SCProb:  ctx.Spec.SCProbOf(l),
+			Gamma:   first / float64(ctx.Spec.CostOf(l)),
+			MaxOps:  ctx.Budget / ctx.Spec.CostOf(l),
 			Certain: g.Certain(),
 		})
 	}

@@ -3,6 +3,8 @@ package cleaning
 import (
 	"context"
 	"errors"
+	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"testing"
@@ -56,6 +58,83 @@ func TestSpecValidate(t *testing.T) {
 	bad.SCProbs[0] = math.NaN()
 	if err := bad.Validate(3); !errors.Is(err, ErrBadSCProb) {
 		t.Fatalf("NaN sc-prob: %v", err)
+	}
+	// The uniform form: a nil array takes the scalar beside it, checked in
+	// O(1) whatever m is.
+	for _, m := range []int{1, 4, 1 << 40} {
+		if err := (Spec{Cost: 2, SCProb: 0.5}).Validate(m); err != nil {
+			t.Fatalf("uniform spec, m=%d: %v", m, err)
+		}
+	}
+	for _, c := range []struct {
+		spec Spec
+		want error
+	}{
+		{Spec{}, ErrBadCost},
+		{Spec{Cost: 1, SCProb: 1.5}, ErrBadSCProb},
+		{Spec{Cost: 1, SCProb: math.NaN()}, ErrBadSCProb},
+		{Spec{Cost: 1, SCProb: 0.5, Costs: []int{1, 1}}, ErrSpecSize},
+		{Spec{Costs: []int{1, 1, 1}, SCProbs: []float64{1}}, ErrSpecSize},
+		{Spec{Costs: []int{1, 1, 1}}, nil}, // a uniform sc-probability 0 is valid
+	} {
+		if err := c.spec.Validate(3); !errors.Is(err, c.want) {
+			t.Fatalf("%+v: %v, want %v", c.spec, err, c.want)
+		}
+	}
+}
+
+// TestUniformSpecPlansLikeArrays: a spec without arrays plans, prices and
+// executes with the bits of the equal per-x-tuple arrays.
+func TestUniformSpecPlansLikeArrays(t *testing.T) {
+	db := testdb.UDB1()
+	m := db.NumGroups()
+	for _, budget := range []int{3, 10, 40} {
+		arr, err := NewContext(db, 2, UniformSpec(m, 2, 0.6), budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		uni := *arr
+		uni.Spec = Spec{Cost: 2, SCProb: 0.6}
+		for name, plan := range map[string]func(context.Context, *Context) (Plan, error){
+			"dp":     DPContext,
+			"greedy": GreedyContext,
+			"randp": func(ctx context.Context, c *Context) (Plan, error) {
+				return RandPContext(ctx, c, rand.New(rand.NewSource(3)))
+			},
+			"randu": func(ctx context.Context, c *Context) (Plan, error) {
+				return RandUContext(ctx, c, rand.New(rand.NewSource(3)))
+			},
+		} {
+			pa, err := plan(bg, arr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pu, err := plan(bg, &uni)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !maps.Equal(pa, pu) {
+				t.Fatalf("%s, budget %d: uniform plan %v, arrays %v", name, budget, pu, pa)
+			}
+			if pa.TotalCost(arr.Spec) != pu.TotalCost(uni.Spec) {
+				t.Fatalf("%s, budget %d: cost %d vs %d", name, budget, pu.TotalCost(uni.Spec), pa.TotalCost(arr.Spec))
+			}
+			ia, iu := ExpectedImprovement(arr, pa), ExpectedImprovement(&uni, pu)
+			if math.Float64bits(ia) != math.Float64bits(iu) {
+				t.Fatalf("%s, budget %d: improvement %v vs %v", name, budget, iu, ia)
+			}
+			oa, err := Execute(arr, pa, rand.New(rand.NewSource(9)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ou, err := Execute(&uni, pu, rand.New(rand.NewSource(9)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if oa.OpsUsed != ou.OpsUsed || oa.CostUsed != ou.CostUsed || math.Float64bits(oa.NewQuality) != math.Float64bits(ou.NewQuality) {
+				t.Fatalf("%s, budget %d: outcome %+v vs %+v", name, budget, ou, oa)
+			}
+		}
 	}
 }
 
@@ -791,6 +870,65 @@ func TestRandPSelectionFrequenciesMatchWeights(t *testing.T) {
 		got := float64(plan[l]) / float64(ops)
 		if math.Abs(got-want) > 0.02 {
 			t.Errorf("x-tuple %d: frequency %v, want %v", l, got, want)
+		}
+	}
+}
+
+// TestRandPStopsAtProcessedPrefix: RandP's weights walk only the
+// processed prefix. On a database where Lemma 2 stops the scan early, its
+// plans must equal those drawn from weights that walk all n positions.
+func TestRandPStopsAtProcessedPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	db := uncertain.New()
+	for g := 0; g < 120; g++ {
+		// Every third x-tuple is certain, so the scan terminates early.
+		mass := 1.0
+		if g%3 != 0 {
+			mass = 0.3 + 0.6*rng.Float64()
+		}
+		n := 1 + rng.Intn(3)
+		ts := make([]uncertain.Tuple, n)
+		for i := range ts {
+			ts[i] = uncertain.Tuple{ID: fmt.Sprintf("g%d.%d", g, i), Attrs: []float64{rng.Float64() * 100}, Prob: mass / float64(n)}
+		}
+		if err := db.AddXTuple(fmt.Sprintf("G%d", g), ts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Build(uncertain.ByFirstAttr); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{3, 8} {
+		ctx, err := NewContext(db, k, Spec{Cost: 1, SCProb: 0.6}, 200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info := ctx.Eval.Info
+		if info.Processed >= db.NumTuples() {
+			t.Fatalf("k=%d: scan processed all %d positions; the test needs early termination", k, info.Processed)
+		}
+		// The full walk: every position, p_i = 0 past the prefix.
+		full := make([]float64, db.NumGroups())
+		cur := db.CursorAt(0)
+		for i := 0; ; i++ {
+			tp := cur.Next()
+			if tp == nil {
+				break
+			}
+			full[tp.Group] += info.P(i)
+		}
+		for seed := int64(0); seed < 5; seed++ {
+			got, err := RandPContext(bg, ctx, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := randomPlan(bg, ctx, rand.New(rand.NewSource(seed)), full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !maps.Equal(got, want) {
+				t.Fatalf("k=%d seed %d: plan %v, full walk %v", k, seed, got, want)
+			}
 		}
 	}
 }

@@ -74,8 +74,8 @@ func dp(ctx context.Context, c *Context, capped bool) (Plan, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cost := c.Spec.Costs[cand.Group]
-		p := c.Spec.SCProbs[cand.Group]
+		cost := c.Spec.CostOf(cand.Group)
+		p := c.Spec.SCProbOf(cand.Group)
 		gain := cand.Value
 		jMax := budget / cost
 		if capped {
@@ -119,7 +119,7 @@ func dp(ctx context.Context, c *Context, capped bool) (Plan, error) {
 		if j > 0 {
 			l := z[li].Group
 			plan[l] = j
-			b -= j * c.Spec.Costs[l]
+			b -= j * c.Spec.CostOf(l)
 		}
 	}
 	return plan, nil

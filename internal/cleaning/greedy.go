@@ -39,11 +39,11 @@ func GreedyContext(ctx context.Context, c *Context) (Plan, error) {
 	h := make(gammaHeap, 0, len(z))
 	for _, cand := range z {
 		l := cand.Group
-		g := MarginalGain(cand.Value, c.Spec.SCProbs[l], 1)
+		g := MarginalGain(cand.Value, c.Spec.SCProbOf(l), 1)
 		if g <= 0 {
 			continue
 		}
-		h = append(h, gammaItem{gamma: g / float64(c.Spec.Costs[l]), group: l, gain: cand.Value, j: 1})
+		h = append(h, gammaItem{gamma: g / float64(c.Spec.CostOf(l)), group: l, gain: cand.Value, j: 1})
 	}
 	heap.Init(&h)
 	for pops := 0; h.Len() > 0 && remaining > 0; pops++ {
@@ -53,7 +53,7 @@ func GreedyContext(ctx context.Context, c *Context) (Plan, error) {
 			}
 		}
 		item := heap.Pop(&h).(gammaItem)
-		cost := c.Spec.Costs[item.group]
+		cost := c.Spec.CostOf(item.group)
 		if cost > remaining {
 			// Neither this operation nor any later one for this x-tuple
 			// (same cost) can fit; drop the whole chain.
@@ -61,7 +61,7 @@ func GreedyContext(ctx context.Context, c *Context) (Plan, error) {
 		}
 		remaining -= cost
 		plan[item.group]++
-		next := MarginalGain(item.gain, c.Spec.SCProbs[item.group], item.j+1)
+		next := MarginalGain(item.gain, c.Spec.SCProbOf(item.group), item.j+1)
 		if next > gainFloor {
 			heap.Push(&h, gammaItem{gamma: next / float64(cost), group: item.group, gain: item.gain, j: item.j + 1})
 		}
@@ -91,16 +91,16 @@ func AblationGreedyRescan(c *Context) (Plan, error) {
 		bestGamma := 0.0
 		for i, cand := range z {
 			l := cand.Group
-			if c.Spec.Costs[l] > remaining {
+			if c.Spec.CostOf(l) > remaining {
 				continue
 			}
-			g := MarginalGain(cand.Value, c.Spec.SCProbs[l], nextJ[i])
+			g := MarginalGain(cand.Value, c.Spec.SCProbOf(l), nextJ[i])
 			if g <= gainFloor {
 				continue
 			}
 			// z ascends by x-tuple index, so strict > keeps the smallest
 			// index on ties — the same tie-break as the heap's Less.
-			gamma := g / float64(c.Spec.Costs[l])
+			gamma := g / float64(c.Spec.CostOf(l))
 			if gamma > bestGamma {
 				best, bestGamma = i, gamma
 			}
@@ -111,7 +111,7 @@ func AblationGreedyRescan(c *Context) (Plan, error) {
 		l := z[best].Group
 		plan[l]++
 		nextJ[best]++
-		remaining -= c.Spec.Costs[l]
+		remaining -= c.Spec.CostOf(l)
 	}
 	return plan, nil
 }

@@ -21,7 +21,7 @@ func ExpectedImprovement(ctx *Context, plan Plan) float64 {
 	var sum numeric.Kahan
 	for _, l := range plan.SortedGroups() {
 		m := plan[l]
-		p := ctx.Spec.SCProbs[l]
+		p := ctx.Spec.SCProbOf(l)
 		sum.Add(-(1 - pow1mP(p, m)) * gains.At(l))
 	}
 	return sum.Sum()
@@ -92,7 +92,7 @@ func ExactExpectedImprovement(ctx *Context, plan Plan) (float64, error) {
 			return nil
 		}
 		l := groups[idx]
-		pSuccess := 1 - pow1mP(ctx.Spec.SCProbs[l], plan[l])
+		pSuccess := 1 - pow1mP(ctx.Spec.SCProbOf(l), plan[l])
 		// Outcome: cleaning failed every time; tau_l unchanged.
 		delete(choices, l)
 		if err := recurse(idx+1, prob*(1-pSuccess)); err != nil {

@@ -50,7 +50,7 @@ func MinBudgetForTargetContext(stdctx context.Context, ctx *Context, target floa
 	// x-tuples have no entry and would only add -0.
 	var ceiling float64
 	for _, g := range gains {
-		if ctx.Spec.SCProbs[g.Group] > 0 {
+		if ctx.Spec.SCProbOf(g.Group) > 0 {
 			ceiling += -g.Value
 		}
 	}

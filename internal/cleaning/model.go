@@ -29,34 +29,76 @@ var (
 	ErrStaleContext = errors.New("cleaning: context was planned against an older database version")
 )
 
-// Spec describes the cleaning environment: for each x-tuple, the cost c_l
-// of one pclean operation (a natural number, Section V-A) and the
-// sc-probability P_l that a pclean succeeds (Definition 5).
+// Spec describes the cleaning environment: for each x-tuple l, the cost
+// c_l of one pclean operation (a natural number, Section V-A) and the
+// sc-probability P_l that a pclean succeeds (Definition 5). Each comes in
+// a per-x-tuple or a uniform form: Costs[l] when Costs is non-nil, Cost
+// for every x-tuple when it is nil, and likewise SCProbs and SCProb. A
+// uniform spec fits every version of a database, however many x-tuples
+// inserts and deletes leave it; a per-x-tuple array must have one entry
+// per x-tuple of the version planned against. Read a spec through CostOf
+// and SCProbOf.
 type Spec struct {
 	Costs   []int
 	SCProbs []float64
+
+	Cost   int     // every x-tuple's cost when Costs is nil
+	SCProb float64 // every x-tuple's sc-probability when SCProbs is nil
 }
 
-// Validate checks the spec against a database with m x-tuples.
+// CostOf returns c_l, the cost of one pclean operation on x-tuple l.
+func (s Spec) CostOf(l int) int {
+	if s.Costs != nil {
+		return s.Costs[l]
+	}
+	return s.Cost
+}
+
+// SCProbOf returns P_l, the probability that one pclean operation on
+// x-tuple l succeeds.
+func (s Spec) SCProbOf(l int) float64 {
+	if s.SCProbs != nil {
+		return s.SCProbs[l]
+	}
+	return s.SCProb
+}
+
+// Validate checks the spec against a database with m x-tuples: a
+// per-x-tuple array must have m entries, and every cost must be a positive
+// integer and every sc-probability lie in [0, 1]. The uniform form is
+// checked in O(1).
 func (s Spec) Validate(m int) error {
-	if len(s.Costs) != m || len(s.SCProbs) != m {
-		return fmt.Errorf("%w: costs=%d scprobs=%d m=%d", ErrSpecSize, len(s.Costs), len(s.SCProbs), m)
+	if s.Costs != nil && len(s.Costs) != m {
+		return fmt.Errorf("%w: %d costs for %d x-tuples", ErrSpecSize, len(s.Costs), m)
+	}
+	if s.SCProbs != nil && len(s.SCProbs) != m {
+		return fmt.Errorf("%w: %d sc-probabilities for %d x-tuples", ErrSpecSize, len(s.SCProbs), m)
+	}
+	if s.Costs == nil && s.Cost < 1 {
+		return fmt.Errorf("uniform cost %d: %w", s.Cost, ErrBadCost)
 	}
 	for l, c := range s.Costs {
 		if c < 1 {
 			return fmt.Errorf("x-tuple %d cost %d: %w", l, c, ErrBadCost)
 		}
 	}
+	if s.SCProbs == nil && badSCProb(s.SCProb) {
+		return fmt.Errorf("uniform sc-prob %v: %w", s.SCProb, ErrBadSCProb)
+	}
 	for l, p := range s.SCProbs {
-		if p < 0 || p > 1 || math.IsNaN(p) {
+		if badSCProb(p) {
 			return fmt.Errorf("x-tuple %d sc-prob %v: %w", l, p, ErrBadSCProb)
 		}
 	}
 	return nil
 }
 
+func badSCProb(p float64) bool { return p < 0 || p > 1 || math.IsNaN(p) }
+
 // UniformSpec builds a spec with the same cost and sc-probability for all m
-// x-tuples; convenient in tests and examples.
+// x-tuples, as per-x-tuple arrays a caller can then edit; convenient in
+// tests and examples. Spec{Cost: cost, SCProb: scProb} plans identically
+// without them, on any number of x-tuples.
 func UniformSpec(m, cost int, scProb float64) Spec {
 	s := Spec{Costs: make([]int, m), SCProbs: make([]float64, m)}
 	for l := 0; l < m; l++ {
@@ -75,7 +117,7 @@ type Plan map[int]int
 func (p Plan) TotalCost(spec Spec) int {
 	total := 0
 	for l, m := range p {
-		total += spec.Costs[l] * m
+		total += spec.CostOf(l) * m
 	}
 	return total
 }
@@ -95,7 +137,7 @@ func (ctx *Context) checkPlan(plan Plan) (int, error) {
 	}
 	spent := 0
 	for l, ops := range plan {
-		cost := ctx.Spec.Costs[l]
+		cost := ctx.Spec.CostOf(l)
 		if ops > (ctx.Budget-spent)/cost {
 			return 0, ErrOverBudget
 		}
@@ -217,10 +259,10 @@ func (ctx *Context) candidates(gains quality.Gains) quality.Gains {
 		if g.Value >= -gainFloor {
 			continue // Lemma 5: cleaning cannot improve anything
 		}
-		if ctx.Spec.SCProbs[l] <= 0 {
+		if ctx.Spec.SCProbOf(l) <= 0 {
 			continue // cleaning can never succeed
 		}
-		if ctx.Spec.Costs[l] > ctx.Budget {
+		if ctx.Spec.CostOf(l) > ctx.Budget {
 			continue // a single operation already blows the budget
 		}
 		z = append(z, g)

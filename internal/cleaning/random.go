@@ -44,9 +44,11 @@ func RandPContext(ctx context.Context, c *Context, rng *rand.Rand) (Plan, error)
 	}
 	// Positions come from the iteration index, not Tuple.Index: the context
 	// may hold a pinned snapshot whose tuples' live rank caches a concurrent
-	// writer is repairing, while the snapshot's own order is frozen.
+	// writer is repairing, while the snapshot's own order is frozen. Every
+	// position past the processed prefix has p_i = 0 (Lemma 2) and would
+	// add +0 to a weight, so the walk stops there.
 	cur := c.DB.CursorAt(0)
-	for i := 0; ; i++ {
+	for i := 0; i < info.Processed; i++ {
 		t := cur.Next()
 		if t == nil {
 			break
@@ -72,8 +74,8 @@ func randomPlan(ctx context.Context, c *Context, rng *rand.Rand, weights []float
 	for l := 0; l < m; l++ {
 		run += weights[l]
 		cum[l] = run
-		if weights[l] > 0 && (minAffordable == -1 || c.Spec.Costs[l] < minAffordable) {
-			minAffordable = c.Spec.Costs[l]
+		if weights[l] > 0 && (minAffordable == -1 || c.Spec.CostOf(l) < minAffordable) {
+			minAffordable = c.Spec.CostOf(l)
 		}
 	}
 	plan := Plan{}
@@ -92,11 +94,11 @@ func randomPlan(ctx context.Context, c *Context, rng *rand.Rand, weights []float
 		if weights[l] == 0 {
 			continue // u landed exactly on a boundary of a zero-weight x-tuple
 		}
-		if c.Spec.Costs[l] > remaining {
+		if c.Spec.CostOf(l) > remaining {
 			continue // rejection: this draw does not fit, try another
 		}
 		plan[l]++
-		remaining -= c.Spec.Costs[l]
+		remaining -= c.Spec.CostOf(l)
 	}
 	return plan, nil
 }

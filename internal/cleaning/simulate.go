@@ -141,8 +141,8 @@ func simulateAgent(ctx *Context, plan Plan, rng *rand.Rand) (*Outcome, error) {
 	// the same simulated outcome (map order would randomize the draws).
 	for _, l := range plan.SortedGroups() {
 		m := plan[l]
-		p := ctx.Spec.SCProbs[l]
-		cost := ctx.Spec.Costs[l]
+		p := ctx.Spec.SCProbOf(l)
+		cost := ctx.Spec.CostOf(l)
 		for attempt := 1; attempt <= m; attempt++ {
 			out.OpsUsed++
 			out.CostUsed += cost

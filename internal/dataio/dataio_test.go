@@ -2,6 +2,8 @@ package dataio
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -189,5 +191,13 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	_ = WriteSpecJSON(&buf2, spec)
 	if _, err := ReadSpecJSON(&buf2, 4); err == nil {
 		t.Error("spec with wrong length should fail")
+	}
+	// The file holds arrays only: a missing one is not a uniform zero, and
+	// a uniform spec is not written.
+	if _, err := ReadSpecJSON(strings.NewReader(`{"costs":[1,1]}`), 2); !errors.Is(err, cleaning.ErrSpecSize) {
+		t.Errorf("spec without sc_probs: %v, want ErrSpecSize", err)
+	}
+	if err := WriteSpecJSON(io.Discard, cleaning.Spec{Cost: 1, SCProb: 1}); !errors.Is(err, cleaning.ErrSpecSize) {
+		t.Errorf("writing a uniform spec: %v, want ErrSpecSize", err)
 	}
 }

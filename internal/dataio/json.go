@@ -76,8 +76,18 @@ type jsonSpec struct {
 	SCProbs []float64 `json:"sc_probs"`
 }
 
-// WriteSpecJSON persists a cleaning spec.
+// errSpecArrays refuses a spec without both per-x-tuple arrays: a spec
+// file holds no uniform form, and a missing array would read as one with
+// a zero value.
+var errSpecArrays = fmt.Errorf("dataio: %w: a spec file holds per-x-tuple costs and sc-probabilities", cleaning.ErrSpecSize)
+
+// WriteSpecJSON persists a cleaning spec. The file holds per-x-tuple
+// arrays only: a spec in the uniform form (nil Costs or SCProbs) is
+// refused; build its arrays with cleaning.UniformSpec.
 func WriteSpecJSON(w io.Writer, spec cleaning.Spec) error {
+	if spec.Costs == nil || spec.SCProbs == nil {
+		return errSpecArrays
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(jsonSpec{Costs: spec.Costs, SCProbs: spec.SCProbs})
@@ -90,6 +100,9 @@ func ReadSpecJSON(r io.Reader, m int) (cleaning.Spec, error) {
 		return cleaning.Spec{}, fmt.Errorf("dataio: %w", err)
 	}
 	spec := cleaning.Spec{Costs: doc.Costs, SCProbs: doc.SCProbs}
+	if spec.Costs == nil || spec.SCProbs == nil {
+		return cleaning.Spec{}, errSpecArrays
+	}
 	if err := spec.Validate(m); err != nil {
 		return cleaning.Spec{}, err
 	}

@@ -94,3 +94,35 @@ func BenchmarkUTopK(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTPFromInfoGrowingM measures one TP pass on a database that
+// gains one x-tuple before every op, below the processed prefix, as on a
+// daemon that inserts between queries. The insert and the (pure-hit)
+// resume that follows it are outside the timer; ns/op and B/op are the
+// pass alone, and should not move between the two sizes.
+func BenchmarkTPFromInfoGrowingM(b *testing.B) {
+	for _, m := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			db := headTailDB(b, 400, m)
+			info, err := topkq.TopKProbabilities(db, 10)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				v := db.Version()
+				insertTail(b, db)
+				wm, _ := db.DirtySince(v)
+				if info, err = topkq.Resume(db, info, wm); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := TPFromInfo(db, info); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

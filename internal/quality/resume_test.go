@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/probdb/topkclean/internal/numeric"
 	"github.com/probdb/topkclean/internal/topkq"
 	"github.com/probdb/topkclean/internal/uncertain"
 )
@@ -140,21 +141,35 @@ func (s renumbered) Ranked(pos int) iter.Seq2[*uncertain.Tuple, int] {
 }
 
 // tpWalk is the TP pass that walks the source's processed prefix instead
-// of reading the positions the scan recorded: the reference the
-// walk-free pass must match.
+// of reading the positions the scan recorded, and keys its cells by the
+// source's group index instead of the scan slot: the reference the
+// walk-free, slot-keyed pass must match.
 func tpWalk(src topkq.Source, info *topkq.RankInfo) *Evaluation {
-	p := newTPPass(info, src.NumGroups(), info.Processed)
-	if info.Processed == 0 {
-		return p.finish()
-	}
+	ev := &Evaluation{Omega: make([]float64, info.Processed), Info: info, groups: src.NumGroups()}
+	cells := make([]tpCell, src.NumGroups())
+	var s numeric.Kahan
 	i := 0
 	for t, l := range src.Ranked(0) {
-		p.step(i, t.Prob, l)
-		if i++; i == info.Processed {
+		if i == info.Processed {
 			break
 		}
+		c := &cells[l]
+		c.e += t.Prob
+		if pi := info.P(i); pi != 0 {
+			w := omega(t.Prob, c.e)
+			ev.Omega[i] = w
+			c.g += w * pi
+			s.Add(w * pi)
+		}
+		i++
 	}
-	return p.finish()
+	for l, c := range cells {
+		if c.g != 0 {
+			ev.gains = append(ev.gains, Gain{Group: l, Value: c.g})
+		}
+	}
+	ev.S = min(s.Sum(), 0)
+	return ev
 }
 
 // TestTPFromScanMatchesWalk pins the walk-free TP pass: on every info a

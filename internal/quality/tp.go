@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"github.com/probdb/topkclean/internal/numeric"
 	"github.com/probdb/topkclean/internal/topkq"
@@ -161,112 +160,71 @@ func TPFromInfo(src topkq.Source, info *topkq.RankInfo) (*Evaluation, error) {
 	if !info.CanResume() {
 		return nil, fmt.Errorf("quality: rank info was not computed by the PSR scan")
 	}
-	// The scan recorded every processed position's alternative, so the
-	// pass reads no tuple of the source.
-	p := newTPPass(info, src.NumGroups(), info.Processed)
+	// The scan recorded every processed position's alternative and the
+	// slot of its x-tuple, so the pass reads no tuple of the source and
+	// keys its per-x-tuple cells by slot: O(slots), never O(m).
+	ev := &Evaluation{Omega: make([]float64, info.Processed), Info: info, groups: src.NumGroups()}
+	cells := make([]tpCell, info.Slots())
+	var s numeric.Kahan
 	for i := range info.Processed {
-		e, l := info.Alt(i)
-		p.step(i, e, l)
-	}
-	return p.finish(), nil
-}
-
-// tpPass is one TP evaluation in progress. step folds one rank position
-// of the processed prefix, so a pass is a single sweep over the positions
-// the scan recorded, whatever the source.
-type tpPass struct {
-	ev   *Evaluation
-	info *topkq.RankInfo
-	sc   *tpScratch
-	s    numeric.Kahan
-}
-
-// tpCell is one x-tuple's scratch state: e is the running E_{i,l} of
-// Equation 7 — the mass of tau_l's alternatives ranked at or above the
-// scan point — and g the gain accumulated so far.
-type tpCell struct{ e, g float64 }
-
-// tpScratch is the pooled dense scratch of a pass. Between passes every
-// cell is zero; a pass clears only the cells of the groups it touched, so
-// its cost is O(processed), never O(m).
-type tpScratch struct {
-	cells   []tpCell
-	touched []int
-}
-
-// tpScratchPool holds *tpScratch: pooling the pointer, not a slice header,
-// keeps Put allocation-free.
-var tpScratchPool = sync.Pool{New: func() any { return new(tpScratch) }}
-
-func newTPPass(info *topkq.RankInfo, m, limit int) tpPass {
-	sc := tpScratchPool.Get().(*tpScratch)
-	if cap(sc.cells) < m {
-		sc.cells = make([]tpCell, m)
-	}
-	sc.cells = sc.cells[:m]
-	return tpPass{
-		ev:   &Evaluation{Omega: make([]float64, limit), Info: info, groups: m},
-		info: info,
-		sc:   sc,
-	}
-}
-
-// step folds rank position i, holding an alternative of probability e of
-// group l, into the pass. The recurrence of Equation 9 updates E in O(1)
-// per alternative.
-func (p *tpPass) step(i int, e float64, l int) {
-	c := &p.sc.cells[l]
-	if c.e == 0 {
-		p.sc.touched = append(p.sc.touched, l)
-	}
-	c.e += e
-	pi := p.info.P(i)
-	if pi == 0 {
-		// w_i * p_i = 0 regardless of w_i; skip the weight computation
-		// (the optimization noted after Lemma 2) but keep E updated.
-		return
-	}
-	w := omega(e, c.e)
-	p.ev.Omega[i] = w
-	term := w * pi
-	c.g += term
-	p.s.Add(term)
-}
-
-// finish emits the non-zero gains in ascending group order, clears the
-// touched cells, returns the scratch to the pool, and completes S. Each
-// group's terms were added in scan order, so every gain is bit-identical
-// to the dense accumulation.
-func (p *tpPass) finish() *Evaluation {
-	sc := p.sc
-	slices.Sort(sc.touched)
-	n := 0
-	for j, l := range sc.touched {
-		if (j == 0 || l != sc.touched[j-1]) && sc.cells[l].g != 0 {
-			n++
+		e, sl := info.AltSlot(i)
+		c := &cells[sl]
+		// The recurrence of Equation 9 updates E in O(1) per alternative.
+		c.e += e
+		pi := info.P(i)
+		if pi == 0 {
+			// w_i * p_i = 0 regardless of w_i; skip the weight computation
+			// (the optimization noted after Lemma 2) but keep E updated.
+			continue
 		}
+		w := omega(e, c.e)
+		ev.Omega[i] = w
+		term := w * pi
+		c.g += term
+		s.Add(term)
 	}
-	ev := p.ev
-	if n > 0 {
-		ev.gains = make(Gains, 0, n)
-	}
-	for _, l := range sc.touched {
-		c := &sc.cells[l]
-		if c.g != 0 {
-			ev.gains = append(ev.gains, Gain{Group: l, Value: c.g})
-		}
-		*c = tpCell{}
-	}
-	sc.touched = sc.touched[:0]
-	tpScratchPool.Put(sc)
-	p.sc = nil
-	ev.S = p.s.Sum()
+	ev.gains = slotGains(info, cells)
+	ev.S = s.Sum()
 	// Guard against floating-point drift pushing the score above the
 	// theoretical maximum of 0.
 	if ev.S > 0 {
 		ev.S = 0
 	}
-	return ev
+	return ev, nil
+}
+
+// tpCell is one scan slot's TP state: e is the running E_{i,l} of
+// Equation 7 — the mass of its x-tuple's alternatives ranked at or above
+// the scan point — and g the gain accumulated so far.
+type tpCell struct{ e, g float64 }
+
+// slotGains emits the non-zero gains of the slot-keyed cells in ascending
+// group order. Each slot names one x-tuple, so the gains are sorted as
+// integers: the group index in the high half of a key, the slot in the
+// low. Each group's terms were added in scan order, so every gain is
+// bit-identical to a group-keyed accumulation.
+func slotGains(info *topkq.RankInfo, cells []tpCell) Gains {
+	n := 0
+	for _, c := range cells {
+		if c.g != 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	keys := make([]uint64, 0, n)
+	for s, c := range cells {
+		if c.g != 0 {
+			keys = append(keys, uint64(info.SlotGroup(s))<<32|uint64(s))
+		}
+	}
+	slices.Sort(keys)
+	gains := make(Gains, len(keys))
+	for j, key := range keys {
+		gains[j] = Gain{Group: int(key >> 32), Value: cells[uint32(key)].g}
+	}
+	return gains
 }
 
 // omega computes w_i (Equation 8):

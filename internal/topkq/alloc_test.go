@@ -14,7 +14,7 @@ import (
 // scores interleaved so that each completes only late in the head, above
 // m-head single-alternative x-tuples scored below every head alternative.
 // A scan of it processes the same prefix for every m ≥ head.
-func headTailDB(t *testing.T, head, m int) *uncertain.Database {
+func headTailDB(t testing.TB, head, m int) *uncertain.Database {
 	t.Helper()
 	db := uncertain.New()
 	for g := 0; g < m; g++ {
@@ -114,6 +114,78 @@ func TestResumeAllocsIndependentOfM(t *testing.T) {
 		t.Fatalf("resume over %d positions allocates %.0f bytes at m=10^5 vs %.0f at m=10^4; want within %.0f",
 			pLarge, large, small, slack)
 	}
+}
+
+// insertTail appends one single-alternative x-tuple scored below every
+// alternative of a headTailDB, so the processed prefix stays put.
+func insertTail(t testing.TB, db *uncertain.Database) {
+	t.Helper()
+	g := db.NumGroups()
+	if err := db.InsertXTuple(fmt.Sprintf("N%d", g),
+		uncertain.Tuple{ID: fmt.Sprintf("n%d", g), Attrs: []float64{-float64(g)}, Prob: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResumeAllocsIndependentOfGrowingM is TestResumeAllocsIndependentOfM
+// on a database that gains one x-tuple before every rescan, with a
+// collection between rescans, as a serving daemon's heap sees them. A
+// group→slot index sized to exactly m would be too small for m+1 and
+// reallocated (4·m bytes) on every rescan; the geometric growth
+// reallocates it once per m/4 inserts. The test runs on one P: a collection moves the
+// pool's states to its victim cache, and a Get on another P than the
+// Put's cannot reach that P's private victim, so with more Ps the hit
+// rate after a collection (and with it the bytes) would vary from run to
+// run.
+func TestResumeAllocsIndependentOfGrowingM(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 10^5-x-tuple database; run without -short")
+	}
+	if raceEnabled {
+		t.Skip("allocation counts shift under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const k = 10
+	perResume := func(m int) (bytes float64, processed int) {
+		db := headTailDB(t, 400, m)
+		prior, err := TopKProbabilities(db, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resume := func() *RankInfo {
+			info, err := Resume(db, prior, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return info
+		}
+		resume() // warm the state pool
+		const runs = 20
+		var total uint64
+		for i := 0; i < runs; i++ {
+			insertTail(t, db)
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			info := resume()
+			runtime.ReadMemStats(&after)
+			total += after.TotalAlloc - before.TotalAlloc
+			if info.Processed != prior.Processed {
+				t.Fatalf("m=%d, insert %d: processed %d, want %d", m, i, info.Processed, prior.Processed)
+			}
+		}
+		return float64(total) / runs, prior.Processed
+	}
+	small, pSmall := perResume(10_000)
+	large, pLarge := perResume(100_000)
+	if pSmall != pLarge {
+		t.Fatalf("processed prefixes differ: %d at m=10^4, %d at m=10^5", pSmall, pLarge)
+	}
+	if slack := 32 * 1024.0; large > small+slack {
+		t.Fatalf("resume over %d positions with an insert before each allocates %.0f bytes at m=10^5 vs %.0f at m=10^4; want within %.0f",
+			pLarge, large, small, slack)
+	}
+	t.Logf("resume over %d positions with an insert before each allocates %.0f bytes at m=10^4, %.0f at m=10^5", pLarge, small, large)
 }
 
 // TestResumeBytesLinearInPrefix pins the scan memo as linear in the

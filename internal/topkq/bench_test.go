@@ -91,3 +91,30 @@ func BenchmarkSemantics(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkResumeGrowingM measures a resume that rescans the processed
+// prefix of a database that gains one x-tuple before every op, below the
+// prefix, as on a daemon that inserts between queries. The insert is
+// outside the timer; ns/op and B/op are the rescan alone, and should not
+// move between the two sizes.
+func BenchmarkResumeGrowingM(b *testing.B) {
+	for _, m := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			db := headTailDB(b, 400, m)
+			prior, err := TopKProbabilities(db, 10)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				insertTail(b, db)
+				b.StartTimer()
+				if _, err := Resume(db, prior, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

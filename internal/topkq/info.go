@@ -70,7 +70,7 @@ type RankInfo struct {
 
 	// e[i] is the probability of the alternative at rank position i, so
 	// (e[i], gidx[wslot[i]]) names every processed position's alternative
-	// without reading the source (see Alt). gidx is in the numbering of
+	// without reading the source (see AltSlot). gidx is in the numbering of
 	// the source the info describes: a scan's restore and a pure-hit
 	// Resume both re-resolve the slots whose x-tuples moved. kept marks a
 	// pure hit that found every slot at its old index, so the info is its
@@ -102,12 +102,23 @@ func (ri *RankInfo) CanResume() bool { return ri.deconvLim != 0 }
 // its group indices carries over unchanged.
 func (ri *RankInfo) Kept() bool { return ri.kept }
 
-// Alt returns the probability and group index of the alternative at
-// processed rank position i, as the source the info was computed on
-// yields them. It needs an info from the PSR scan or Resume.
-func (ri *RankInfo) Alt(i int) (prob float64, group int) {
-	return ri.e[i], int(ri.gidx[ri.wslot[i]])
+// AltSlot returns the probability and scan slot of the alternative at
+// processed rank position i. Slots number the prefix's x-tuples in
+// first-appearance order, [0, Slots()), and each names one x-tuple: a
+// per-x-tuple accumulation over the prefix can key its cells by slot,
+// O(Slots()) rather than O(m), and map a slot to its group index with
+// SlotGroup. It needs an info from the PSR scan or Resume.
+func (ri *RankInfo) AltSlot(i int) (prob float64, slot int) {
+	return ri.e[i], int(ri.wslot[i])
 }
+
+// Slots returns the number of scan slots: the distinct x-tuples with an
+// alternative in the processed prefix.
+func (ri *RankInfo) Slots() int { return len(ri.gidx) }
+
+// SlotGroup returns the group index of slot s in the numbering of the
+// source the info describes.
+func (ri *RankInfo) SlotGroup(s int) int { return int(ri.gidx[s]) }
 
 // HasRho reports whether per-rank probabilities were retained.
 func (ri *RankInfo) HasRho() bool { return ri.rho != nil }

@@ -178,7 +178,9 @@ func (sc *exclSched) take(w int) (int, bool) {
 // slot, fullGroups) is O(active) except slot, a group-indexed lookup of
 // length m; the plan buffers and rows are O(positions scanned). States
 // are pooled, so a resume that replays a handful of positions on a large
-// database allocates neither the O(m) index nor its buffers.
+// database allocates neither the O(m) index nor its buffers. The index
+// grows geometrically (see newScanState), so a database that gains
+// x-tuples reallocates it O(log m) times, not once per scan.
 type scanState struct {
 	q          []float64 // event probability per active slot
 	active     []int     // group of each slot, in first-appearance order
@@ -199,18 +201,21 @@ type scanState struct {
 	F, G, scratch []float64
 }
 
-// statePool recycles scan states, following the quality package's
-// scratch-pool idiom. A pooled state's slot index is all zeros over its
-// whole capacity: release zeroes exactly the entries active names.
+// statePool recycles scan states. A pooled state's slot index is all
+// zeros over its whole capacity: release zeroes exactly the entries active
+// names.
 var statePool = sync.Pool{New: func() any { return new(scanState) }}
 
 // exclPool recycles the exclusion workers' trees.
 var exclPool = sync.Pool{New: func() any { return new(exclusion) }}
 
+// newScanState returns a pooled state for a pass of k over m x-tuples.
+// A slot index too small for m is replaced by one with a quarter of m to
+// spare, so the next m/4 inserts reuse it.
 func newScanState(k, m int) *scanState {
 	st := statePool.Get().(*scanState)
 	if cap(st.slot) < m {
-		st.slot = make([]int32, m)
+		st.slot = make([]int32, m, m+m/4)
 	}
 	st.slot = st.slot[:m]
 	st.q = st.q[:0]

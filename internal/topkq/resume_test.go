@@ -761,8 +761,9 @@ func TestResumeNamesPositionsLikeFresh(t *testing.T) {
 					nullPrefixes++
 				}
 				for i := range got.Processed {
-					ge, gg := got.Alt(i)
-					fe, fg := fresh.Alt(i)
+					ge, gs := got.AltSlot(i)
+					fe, fs := fresh.AltSlot(i)
+					gg, fg := got.SlotGroup(gs), fresh.SlotGroup(fs)
 					if math.Float64bits(ge) != math.Float64bits(fe) || gg != fg {
 						t.Fatalf("%s: position %d names (%v, %d), fresh (%v, %d)", stage, i, ge, gg, fe, fg)
 					}
