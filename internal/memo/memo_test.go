@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"github.com/probdb/topkclean/internal/quality"
@@ -260,5 +261,72 @@ func TestPureHitAcrossRenumberingDelete(t *testing.T) {
 	}
 	if g := moved.Eval.Gain(top - 1); g == 0 || g != st.Eval.Gain(top) || moved.Eval.Gain(top) != 0 {
 		t.Fatalf("renumbering delete: the top x-tuple's gain %v at its new index %d, %v at its old; prior %v", g, top-1, moved.Eval.Gain(top), st.Eval.Gain(top))
+	}
+}
+
+// TestConcurrentFirstRho races the first Rho calls on shared memo infos:
+// a full state and the pure hit a tail insert carries it to share one
+// lazily built rank-probability table, and goroutines reading both at
+// once, from opposite ends, must each see a fresh pass's bits. Run it
+// under -race.
+func TestConcurrentFirstRho(t *testing.T) {
+	const k = 15
+	db := deepDB(t, 200, 10)
+	m := snapshots(db)
+	ctx := context.Background()
+	st, err := m.Get(ctx, k, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Info.Processed == st.Info.N {
+		t.Fatal("the scan did not terminate early; the pure hit needs it to")
+	}
+	if err := db.InsertXTuple("low", uncertain.Tuple{ID: "low.0", Attrs: []float64{-1}, Prob: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	hit, err := m.Get(ctx, k, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit.Info == st.Info || &hit.Info.TopK[0] != &st.Info.TopK[0] {
+		t.Fatal("the tail insert did not carry the state as a pure hit")
+	}
+	fresh, err := topkq.RankProbabilities(hit.View, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := fresh.Processed
+	want := make([]float64, n*k)
+	for i := range n {
+		for h := 1; h <= k; h++ {
+			want[i*k+h-1] = fresh.Rho(i, h)
+		}
+	}
+	infos := []*topkq.RankInfo{st.Info, hit.Info}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			info := infos[g%2]
+			for j := range n {
+				i := j
+				if g%4 >= 2 {
+					i = n - 1 - j
+				}
+				for h := 1; h <= k; h++ {
+					if got := info.Rho(i, h); math.Float64bits(got) != math.Float64bits(want[i*k+h-1]) {
+						errs <- fmt.Sprintf("reader %d: rho_%d(%d) = %v, fresh %v", g, i, h, got, want[i*k+h-1])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

@@ -40,10 +40,11 @@ func headTailDB(t testing.TB, head, m int) *uncertain.Database {
 	return db
 }
 
-// TestResumeRhoAllocsPerInterval pins the rho blocks: a resume that
-// rescans R positions with rank probabilities retained allocates a few
-// times per checkpoint interval (one block of rows, one checkpoint), not
-// once per position as a row-per-position scan does.
+// TestResumeRhoAllocsPerInterval pins the U-kRanks cells and the
+// checkpoints' F: a resume that rescans R positions with rank
+// probabilities retained allocates at most a few times per checkpoint
+// interval, never once per position. The cells and the Fs each come from
+// one slice per pass, so the count does not grow with R at all.
 func TestResumeRhoAllocsPerInterval(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts shift under the race detector")
@@ -63,12 +64,56 @@ func TestResumeRhoAllocsPerInterval(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Per interval: the rho block and the checkpoint's F copy. On top: the
-	// info and its presized TopK, write-log, slot-table, block and
-	// checkpoint slices.
+	// The info, its presized TopK, write-log, slot-table, cell and
+	// checkpoint slices, the F slab and the lazy Rho table's guard.
 	if limit := float64(3*R/checkpointEvery + 40); allocs > limit {
 		t.Fatalf("resume over %d positions allocates %.0f times, want <= %.0f", R, allocs, limit)
 	}
+}
+
+// TestResumeRhoBytesPerPosition pins what a rank-probability pass keeps
+// per position: a resume that rescans a 10⁵-x-tuple database's prefix
+// from position 0 at k = 15 allocates at most 64 bytes per processed
+// position. The prefix copies, the write log and TopK take 28; the
+// U-kRanks cells k·16 bytes per 64 positions. Keeping every rho_i(h)
+// would add k·8 = 120 bytes per position. The test runs on one P, so
+// every rescan finds its pooled scan state.
+func TestResumeRhoBytesPerPosition(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 10^5-x-tuple database; run without -short")
+	}
+	if raceEnabled {
+		t.Skip("allocation counts shift under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const k = 15
+	db := headTailDB(t, 1000, 100_000)
+	prior, err := RankProbabilities(db, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prior.Processed < 40*checkpointEvery {
+		t.Fatalf("scan processes %d positions, want at least %d", prior.Processed, 40*checkpointEvery)
+	}
+	resume := func() {
+		if _, err := Resume(db, prior, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resume() // warm the state pool
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range runs {
+		resume()
+	}
+	runtime.ReadMemStats(&after)
+	perPos := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(prior.Processed)
+	if perPos > 64 {
+		t.Fatalf("a rank-probability resume over %d positions allocates %.1f B per position, want <= 64", prior.Processed, perPos)
+	}
+	t.Logf("a rank-probability resume over %d positions allocates %.1f B per position", prior.Processed, perPos)
 }
 
 // TestResumeAllocsIndependentOfM pins O(active) scan state: a resume that

@@ -2,6 +2,7 @@ package topkq
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/probdb/topkclean/internal/testdb"
@@ -117,4 +118,28 @@ func BenchmarkResumeGrowingM(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkResumeRho measures a resume that rescans, from position 0,
+// the processed prefix of a rank-probability pass over 10⁵ x-tuples at
+// k = 15, and reports its bytes per processed position
+// (TestResumeRhoBytesPerPosition pins them).
+func BenchmarkResumeRho(b *testing.B) {
+	db := headTailDB(b, 1000, 100_000)
+	prior, err := RankProbabilities(db, 15)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := Resume(db, prior, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/float64(prior.Processed), "B/position")
 }

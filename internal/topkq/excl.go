@@ -96,8 +96,10 @@ func (ex *exclusion) clean(h, i int) []float64 {
 	if h == 0 {
 		clear(v)
 		v[0] = 1
-		for _, qs := range ex.q[i*k : min((i+1)*k, len(ex.q))] {
-			fold(v, qs)
+		// Before its t-th fold only v[:t+1] can be nonzero, and the fold
+		// leaves every entry past t+1 at +0, so it is trimmed to them.
+		for t, qs := range ex.q[i*k : min((i+1)*k, len(ex.q))] {
+			fold(v[:min(t+2, k)], qs)
 		}
 	} else {
 		left := ex.clean(h-1, 2*i)
@@ -163,9 +165,35 @@ func fold(G []float64, q float64) {
 }
 
 // mul sets dst to the product of the distributions a and b truncated to
-// len(dst); dst must alias neither.
+// len(dst); dst must alias neither. Output j is the sum of a[i]*b[j-i]
+// added in ascending i. Four outputs are computed at a time, in
+// independent accumulators that share each a[i] load; each still adds
+// its own terms in ascending i, so the bits are those of one output at a
+// time.
 func mul(dst, a, b []float64) {
-	for j := range dst {
+	n := len(dst)
+	a, b = a[:n], b[:n]
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		var s0, s1, s2, s3 float64
+		for i, ai := range a[:j+1] {
+			bb := b[j-i : j-i+4]
+			s0 += ai * bb[0]
+			s1 += ai * bb[1]
+			s2 += ai * bb[2]
+			s3 += ai * bb[3]
+		}
+		// The terms of i = j+1..j+3, which only the later outputs have.
+		a1, a2, a3 := a[j+1], a[j+2], a[j+3]
+		s1 += a1 * b[0]
+		s2 += a1 * b[1]
+		s2 += a2 * b[0]
+		s3 += a1 * b[2]
+		s3 += a2 * b[1]
+		s3 += a3 * b[0]
+		dst[j], dst[j+1], dst[j+2], dst[j+3] = s0, s1, s2, s3
+	}
+	for ; j < n; j++ {
 		var s float64
 		for i := 0; i <= j; i++ {
 			s += a[i] * b[j-i]

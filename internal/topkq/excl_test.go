@@ -2,6 +2,7 @@ package topkq
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -215,4 +216,130 @@ func FuzzExclusion(f *testing.F) {
 		}
 		checkExclusion(t, k, ops, probe)
 	})
+}
+
+// mulReference is the exclusion tree's product as one output at a time:
+// output j sums a[i]*b[j-i] over ascending i. mul must reproduce its
+// bits.
+func mulReference(dst, a, b []float64) {
+	for j := range dst {
+		var s float64
+		for i := 0; i <= j; i++ {
+			s += a[i] * b[j-i]
+		}
+		dst[j] = s
+	}
+}
+
+// FuzzExclMul checks mul bit for bit against mulReference for k in 1..40.
+// The first byte picks k; each following byte gives one input entry,
+// read as zero, a subnormal, a tiny, a moderate or a probability-sized
+// value, so sums cancel nothing but round at every magnitude.
+func FuzzExclMul(f *testing.F) {
+	f.Add([]byte{14, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add([]byte{9, 0, 0, 255, 128, 64, 32, 16, 8, 4, 2, 1})
+	f.Add([]byte{39})
+	rng := rand.New(rand.NewSource(40))
+	for range 32 {
+		seed := make([]byte, 81)
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		k := 1 + int(data[0])%40
+		a, b := make([]float64, k), make([]float64, k)
+		for i := range 2 * k {
+			var u byte
+			if 1+i < len(data) {
+				u = data[1+i]
+			} else {
+				u = byte(i * 97)
+			}
+			x := float64(u>>3) / 31
+			var v float64
+			switch u & 7 {
+			case 0:
+				v = 0
+			case 1:
+				v = x * math.SmallestNonzeroFloat64 * float64(1+int(u)*1237)
+			case 2:
+				v = math.Pow(10, -300*x)
+			case 3:
+				v = math.Pow(10, -12*x)
+			default:
+				v = x
+			}
+			if i < k {
+				a[i] = v
+			} else {
+				b[i-k] = v
+			}
+		}
+		got, want := make([]float64, k), make([]float64, k)
+		mul(got, a, b)
+		mulReference(want, a, b)
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("k=%d: mul[%d] = %v, reference %v", k, j, got[j], want[j])
+			}
+		}
+	})
+}
+
+// TestExclLeafFoldTrimmed pins the trimmed leaf folds of clean against
+// folds over the whole k-vector: a leaf built by the tree must hold the
+// bits of its block's slots folded in order into [1, 0, ..., 0] over all
+// k entries, with tiny, subnormal, moderate and full-mass slots.
+func TestExclLeafFoldTrimmed(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 2000; trial++ {
+		k := 1 + rng.Intn(40)
+		var ex exclusion
+		ex.reset(k)
+		n := 1 + rng.Intn(k)
+		q := make([]float64, n)
+		for s := range q {
+			switch rng.Intn(4) {
+			case 0:
+				q[s] = math.SmallestNonzeroFloat64 * float64(1+rng.Intn(1000))
+			case 1:
+				q[s] = 1
+			default:
+				q[s] = drawQ(rng)
+			}
+			ex.set(s, q[s])
+		}
+		want := make([]float64, k)
+		want[0] = 1
+		for _, qs := range q {
+			fold(want, qs)
+		}
+		got := ex.clean(0, 0)
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("trial %d, k=%d, %d slots: leaf[%d] = %v, untrimmed fold %v", trial, k, n, j, got[j], want[j])
+			}
+		}
+	}
+}
+
+// BenchmarkExclMul measures one k-truncated product of the exclusion
+// tree.
+func BenchmarkExclMul(b *testing.B) {
+	for _, k := range []int{10, 15} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(k)))
+			x, y, dst := make([]float64, k), make([]float64, k), make([]float64, k)
+			for i := range x {
+				x[i], y[i] = rng.Float64(), rng.Float64()
+			}
+			b.ResetTimer()
+			for range b.N {
+				mul(dst, x, y)
+			}
+		})
+	}
 }

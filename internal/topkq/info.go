@@ -6,13 +6,22 @@
 // semantics are one pass over a Source, an uncertain database's rank order.
 package topkq
 
-import "github.com/probdb/topkclean/internal/uncertain"
+import (
+	"sync"
+
+	"github.com/probdb/topkclean/internal/uncertain"
+)
 
 // RankInfo holds the rank probability information of Figure 1(b): for each
 // alternative (indexed by its position in the database's rank order) the
-// rank-h probabilities rho_i(h) and the top-k probability p_i. It is the
-// artifact shared between query evaluation and quality computation
-// (Section IV-C).
+// top-k probability p_i and, from RankProbabilities, the rank-h
+// probabilities rho_i(h). It is the artifact shared between query
+// evaluation and quality computation (Section IV-C).
+//
+// The scan keeps of rho only what U-kRanks answers with: for every block
+// of checkpointEvery positions and every rank h, the block's best rho_i(h)
+// and its position. Rho rebuilds the full table on first use by replaying
+// the scan's own write log, so it costs nothing unless it is asked for.
 //
 // A RankInfo is immutable once returned: Resume builds a new info (sharing
 // immutable prefix data) rather than updating one in place, so answers
@@ -26,12 +35,20 @@ type RankInfo struct {
 	// suffix is not materialized; use P(i), which returns 0 there.
 	TopK []float64
 
-	// rho holds the rank probabilities in blocks of checkpointEvery rows
-	// of K floats: rho_i(h) is element (i%checkpointEvery)*K + h-1 of
-	// block i/checkpointEvery (see rhoRow). Nil when the info was computed
-	// with TopKProbabilities (quality evaluation does not need per-rank
-	// detail).
-	rho [][]float64
+	// win holds the U-kRanks winners of each block of checkpointEvery
+	// positions: cell h-1 of win[b] is the largest rho_i(h) over block
+	// b's real positions and the first position that has it (see
+	// rankCell). Every processed position's block has its K cells. A
+	// full block is never written again, so a resumed info shares the
+	// full blocks below its splice point with its prior. Nil when the
+	// info was computed with TopKProbabilities (quality evaluation does
+	// not need per-rank detail).
+	win [][]rankCell
+
+	// dense is the full rank-probability table behind Rho, built on first
+	// use. It sits behind a pointer so that the copies pureHit makes of an
+	// info share one table and one guard.
+	dense *denseRho
 
 	// Processed is the number of leading rank positions actually scanned;
 	// every position at or beyond Processed has p_i = 0 by Lemma 2.
@@ -120,22 +137,74 @@ func (ri *RankInfo) Slots() int { return len(ri.gidx) }
 // source the info describes.
 func (ri *RankInfo) SlotGroup(s int) int { return int(ri.gidx[s]) }
 
-// HasRho reports whether per-rank probabilities were retained.
-func (ri *RankInfo) HasRho() bool { return ri.rho != nil }
-
-// Rho returns rho_i(h), the probability that the alternative at rank
-// position i appears at rank h (1 <= h <= K) in a pw-result.
-func (ri *RankInfo) Rho(i, h int) float64 {
-	if ri.rho == nil || i < 0 || i >= len(ri.TopK) || h < 1 || h > ri.K {
-		return 0
-	}
-	return ri.rhoRow(i)[h-1]
+// rankCell is one rank's U-kRanks winner over a block of positions: the
+// largest rank probability p among the block's real positions and the
+// first position pos that has it. A cell no position beat is zero, and a
+// zero p never wins a rank.
+type rankCell struct {
+	p   float64
+	pos int
 }
 
-// rhoRow returns the K rank probabilities of position i.
-func (ri *RankInfo) rhoRow(i int) []float64 {
-	r := i % checkpointEvery
-	return ri.rho[i/checkpointEvery][r*ri.K : (r+1)*ri.K]
+// denseRho is the lazily built rank-probability table of one info:
+// rho_i(h) is rows[i*K+h-1].
+type denseRho struct {
+	once sync.Once
+	rows []float64
+}
+
+// HasRho reports whether per-rank probabilities were retained: whether
+// the info answers U-kRanks and Rho.
+func (ri *RankInfo) HasRho() bool { return ri.win != nil }
+
+// Rho returns rho_i(h), the probability that the alternative at rank
+// position i appears at rank h (1 <= h <= K) in a pw-result, or 0 when
+// the info has no per-rank probabilities. The first call builds the table
+// of every processed position, O(K*Processed) time and space, by
+// replaying the scan's own write log; its values are the scan's bits.
+// Rho is safe for concurrent use.
+func (ri *RankInfo) Rho(i, h int) float64 {
+	if ri.win == nil || i < 0 || i >= len(ri.TopK) || h < 1 || h > ri.K {
+		return 0
+	}
+	d := ri.dense
+	d.once.Do(func() {
+		if d.rows == nil {
+			d.rows = ri.replayRho()
+		}
+	})
+	return d.rows[i*ri.K+h-1]
+}
+
+// setRho installs rows (K per processed position) as the info's table and
+// derives the U-kRanks cells of its real positions from them: for an info
+// whose rank probabilities do not come from the scan.
+func (ri *RankInfo) setRho(rows []float64) {
+	k := ri.K
+	ri.dense = &denseRho{rows: rows}
+	ri.win = make([][]rankCell, (len(ri.TopK)+checkpointEvery-1)/checkpointEvery)
+	cells := make([]rankCell, len(ri.win)*k)
+	for b := range ri.win {
+		ri.win[b] = cells[b*k : (b+1)*k]
+	}
+	for i := range ri.nullStart {
+		foldWinners(ri.win[i/checkpointEvery], 1, rows[i*k:(i+1)*k], i)
+	}
+}
+
+// foldWinners folds the rank probabilities of position i, e*G[h-1], into
+// its block's cells. A value replaces a cell's only when strictly
+// greater, and positions come in ascending order, so each cell keeps the
+// first position with the block's largest value: U-kRanks' tie-break.
+// Rho clamps a negative e*G[h-1] to 0; only a positive value beats a
+// cell, so the clamp cannot change a winner and is left out here.
+func foldWinners(cells []rankCell, e float64, G []float64, i int) {
+	cells = cells[:len(G)]
+	for j, g := range G {
+		if r := e * g; r > cells[j].p {
+			cells[j] = rankCell{r, i}
+		}
+	}
 }
 
 // presize gives a new info's per-position slices (and, with keepRho, its
@@ -151,7 +220,8 @@ func (ri *RankInfo) presize(n, slots int, keepRho bool) {
 	blocks := n/checkpointEvery + 1
 	ri.ckpts = make([]checkpoint, 0, blocks)
 	if keepRho {
-		ri.rho = make([][]float64, 0, blocks)
+		ri.win = make([][]rankCell, 0, blocks)
+		ri.dense = new(denseRho)
 	}
 }
 

@@ -28,17 +28,15 @@ func NaiveRankProbabilities(db *uncertain.Database, k int) (*RankInfo, error) {
 	}
 	n := db.NumTuples()
 	info := &RankInfo{K: k, N: n, TopK: make([]float64, n), Processed: n, nullStart: db.NumRealTuples()}
-	info.rho = make([][]float64, (n+checkpointEvery-1)/checkpointEvery)
-	for b := range info.rho {
-		info.rho[b] = make([]float64, k*checkpointEvery)
-	}
+	rows := make([]float64, n*k)
 	world.Enumerate(db, func(w world.World) bool {
 		top := world.TopK(db, w, k)
 		for h, t := range top {
-			info.rhoRow(t.Index())[h] += w.Prob
+			rows[t.Index()*k+h] += w.Prob
 			info.TopK[t.Index()] += w.Prob
 		}
 		return true
 	})
+	info.setRho(rows)
 	return info, nil
 }

@@ -35,8 +35,12 @@ const fullMass = 1 - 1e-12
 // churned 10⁵-x-tuple database it takes a sixth of all positions.
 const deconvLimit = 0.5
 
-// RankProbabilities runs PSR and retains per-rank probabilities rho_i(h),
-// as needed by U-kRanks. Time O(k*n), space O(k*Processed).
+// RankProbabilities runs PSR and retains per-rank probabilities rho_i(h)
+// as U-kRanks needs them: each block of checkpointEvery positions keeps,
+// for every rank, its best rho_i(h) and that position, k cells per block
+// beside the top-k probabilities. Time O(k*n), space O(Processed +
+// k*Processed/checkpointEvery). The full rho table is built by the
+// info's Rho on first use.
 func RankProbabilities(src Source, k int) (*RankInfo, error) {
 	return compute(src, k, true, deconvLimit)
 }
@@ -60,11 +64,11 @@ func AblationRebuildOnly(db *uncertain.Database, k int) (*RankInfo, error) {
 
 // checkpointEvery is the spacing, in rank positions, of the scan-state
 // checkpoints compute records into RankInfo for Resume, and the number of
-// rho rows per block. Spacing trades the replay bound (a resume
-// reprocesses at most checkpointEvery positions before the watermark)
-// against checkpoint memory (each checkpoint is O(k)); 64 keeps both
-// negligible next to the O(k * Processed) pass itself. See DESIGN.md
-// ("Checkpoints") for the numbers.
+// positions per block of U-kRanks cells. Spacing trades the replay bound
+// (a resume reprocesses at most checkpointEvery positions before the
+// watermark) against checkpoint memory (each checkpoint is O(k)); 64
+// keeps both negligible next to the O(k * Processed) pass itself. See
+// DESIGN.md ("Checkpoints") for the numbers.
 const checkpointEvery = 64
 
 // checkpoint captures the PSR scan state immediately before processing one
@@ -271,13 +275,9 @@ func (st *scanState) plan(src Source, info *RankInfo, i, g int, e, deconvLim flo
 	if s >= 0 {
 		ql = st.q[s]
 	}
-	if ql != 0 && ql > deconvLim {
-		st.xpos = append(st.xpos, int32(i))
-		st.xslot = append(st.xslot, int32(s))
+	if st.queue(i, s, e, ql, deconvLim) {
 		info.Rebuilds++
 	}
-	st.e = append(st.e, e)
-	st.ql = append(st.ql, ql)
 	info.e = append(info.e, e)
 
 	qNew := ql + e
@@ -297,6 +297,21 @@ func (st *scanState) plan(src Source, info *RankInfo, i, g int, e, deconvLim flo
 	if ql < fullMass && qNew >= fullMass {
 		st.fullGroups++
 	}
+}
+
+// queue appends position i to the plan: its probability e, its own
+// group's mass ql above the scan point and, when ql is over deconvLim,
+// the exclusion product of slot s it needs. It reports whether it queued
+// the product.
+func (st *scanState) queue(i, s int, e, ql, deconvLim float64) bool {
+	st.e = append(st.e, e)
+	st.ql = append(st.ql, ql)
+	if ql != 0 && ql > deconvLim {
+		st.xpos = append(st.xpos, int32(i))
+		st.xslot = append(st.xslot, int32(s))
+		return true
+	}
+	return false
 }
 
 // exclusions is the second phase: it starts up to exclWorkers-1 helpers,
@@ -368,18 +383,28 @@ func (st *scanState) exclude(info *RankInfo, sc *exclSched, w int) {
 // fpass is the third phase, the recurrence documented on compute over the
 // positions planned from rank position start. Each position's own-group
 // exclusion G comes by copy, by deconvolution or from rows, waiting for a
-// helper's row until it is written; its top-k probability (and, with
-// keepRho, its rank probabilities) is appended to info, and F moves below
-// it. The plan's checkpoints, from info.ckpts[ck] on, get their F as the
-// pass reaches them.
-func (st *scanState) fpass(info *RankInfo, start, ck int, keepRho bool) {
+// helper's row until it is written. Its top-k probability is appended to
+// info; with keepRho its rank probabilities are folded into its block's
+// U-kRanks cells, and with rows non-nil they are written there, K per
+// position. Then F moves below it. The plan's checkpoints, from
+// info.ckpts[ck] on, get their F as the pass reaches them, the last one
+// possibly after the last position. The pass carves its checkpoints' Fs
+// from one slab and the cells of the blocks it starts from another, so
+// it allocates twice, not once per checkpoint interval.
+func (st *scanState) fpass(info *RankInfo, start, ck int, keepRho bool, rows []float64) {
 	k := len(st.F)
 	deconvLim := info.deconvLim
+	slab := make([]float64, (len(info.ckpts)-ck)*k)
+	var cells []rankCell
+	if keepRho {
+		blocks := func(n int) int { return (n + checkpointEvery - 1) / checkpointEvery }
+		cells = make([]rankCell, (blocks(start+len(st.e))-blocks(start))*k)
+	}
 	x := 0 // the next exclusion row
 	for d, e := range st.e {
 		i := start + d
 		if ck < len(info.ckpts) && info.ckpts[ck].pos == i {
-			info.ckpts[ck].F = append([]float64(nil), st.F...)
+			slab = info.ckpts[ck].setF(st.F, slab)
 			ck++
 		}
 		G := st.G
@@ -406,26 +431,68 @@ func (st *scanState) fpass(info *RankInfo, start, ck int, keepRho bool) {
 		} else if p > 1 {
 			p = 1
 		}
+		info.TopK = append(info.TopK, p)
 		if keepRho {
-			// Row i lives in block i/checkpointEvery, so a scan allocates
-			// once per checkpoint interval rather than per position. A full
-			// block is never written again, which is what lets a resumed
-			// info share it with its prior.
 			if i%checkpointEvery == 0 {
-				info.rho = append(info.rho, make([]float64, k*checkpointEvery))
+				info.win = append(info.win, cells[:k:k])
+				cells = cells[k:]
 			}
-			row := info.rhoRow(i)
-			for j := 0; j < k; j++ {
-				r := e * G[j]
+			if i < info.nullStart {
+				foldWinners(info.win[i/checkpointEvery], e, G, i)
+			}
+		}
+		if rows != nil {
+			row := rows[i*k : (i+1)*k]
+			for j, g := range G {
+				r := e * g
 				if r < 0 {
 					r = 0
 				}
 				row[j] = r
 			}
 		}
-		info.TopK = append(info.TopK, p)
 		convolve(st.F, G, info.wq[i], st.scratch)
 	}
+	if ck < len(info.ckpts) && info.ckpts[ck].pos == start+len(st.e) {
+		info.ckpts[ck].setF(st.F, slab)
+	}
+}
+
+// setF records a copy of F as the checkpoint's, carved from the front of
+// slab, and returns the rest of slab.
+func (c *checkpoint) setF(F, slab []float64) []float64 {
+	n := len(F)
+	c.F = slab[:n:n]
+	copy(c.F, F)
+	return slab[n:]
+}
+
+// replayRho builds the rank-probability table of the info's processed
+// prefix, K rows per position, for Rho. It replays the info's own write
+// log (e, wslot, wq) from position 0 through the scan's plan, exclusion
+// and F-pass code. A pass from a checkpoint holds the bits a pass from 0
+// holds, so every row is the bits the scan computed. No source is read.
+func (ri *RankInfo) replayRho() []float64 {
+	k := ri.K
+	st := newScanState(k, 0)
+	defer st.release()
+	for i, s := range ri.wslot[:ri.Processed] {
+		ql := 0.0
+		if int(s) < len(st.q) {
+			ql = st.q[s]
+		} else {
+			st.q = append(st.q, 0)
+		}
+		st.queue(i, int(s), ri.e[i], ql, ri.deconvLim)
+		st.q[s] = ri.wq[i]
+	}
+	replay := &RankInfo{K: k, deconvLim: ri.deconvLim, wslot: ri.wslot, wq: ri.wq,
+		TopK: make([]float64, 0, ri.Processed)}
+	sc := st.exclusions(replay)
+	rows := make([]float64, ri.Processed*k)
+	st.fpass(replay, 0, 0, false, rows)
+	sc.busy.Wait()
+	return rows
 }
 
 // mark records the state as a checkpoint for position pos; fpass fills in
@@ -538,10 +605,10 @@ func compute(src Source, k int, keepRho bool, deconvLim float64) (*RankInfo, err
 	if k > m {
 		return nil, fmt.Errorf("k = %d, m = %d: %w", k, m, ErrKTooLarge)
 	}
-	// TopK and rho hold only the processed prefix: Lemma 2 usually stops
-	// the scan after a small fraction of a large database, and sizing the
-	// output to the prefix keeps PSR's cost O(k * Processed) rather than
-	// O(n) in allocations.
+	// TopK and the U-kRanks cells hold only the processed prefix: Lemma 2
+	// usually stops the scan after a small fraction of a large database,
+	// and sizing the output to the prefix keeps PSR's allocations
+	// O(Processed) rather than O(n).
 	info := &RankInfo{K: k, N: src.NumTuples(), deconvLim: deconvLim}
 	info.presize(256, 0, keepRho)
 	return scanFrom(src, info, newScanState(k, m), 0, keepRho)
@@ -589,15 +656,15 @@ func scanFrom(src Source, info *RankInfo, st *scanState, start int, keepRho bool
 			}
 		}
 	}
-	sc := st.exclusions(info)
-	st.fpass(info, start, ck, keepRho)
-	sc.busy.Wait()
 	info.Processed = i
 	if n := src.NumTuples(); i == n && (len(info.ckpts) == 0 || info.ckpts[len(info.ckpts)-1].pos != n) {
-		c := st.mark(n, info.Rebuilds)
-		c.F = append([]float64(nil), st.F...)
-		info.ckpts = append(info.ckpts, c)
+		// The exhaustion checkpoint: the F pass gives it the F below the
+		// last position.
+		info.ckpts = append(info.ckpts, st.mark(n, info.Rebuilds))
 	}
+	sc := st.exclusions(info)
+	st.fpass(info, start, ck, keepRho, nil)
+	sc.busy.Wait()
 	return info, nil
 }
 

@@ -99,7 +99,7 @@ func Resume(src Source, prior *RankInfo, fromRank int) (*RankInfo, error) {
 	// the slot table) and shares its immutable parts: the checkpoints at
 	// or below the splice point (active lists only grow along the scan, so
 	// if the used checkpoint restored, every earlier one does as well) and
-	// the full rho blocks below it.
+	// the U-kRanks cells of the full blocks below it.
 	info.nullStart = min(prior.nullStart, start)
 	info.TopK = append(info.TopK, prior.TopK[:start]...)
 	info.wslot = append(info.wslot, prior.wslot[:start]...)
@@ -108,14 +108,12 @@ func Resume(src Source, prior *RankInfo, fromRank int) (*RankInfo, error) {
 	info.ckpts = append(info.ckpts, prior.ckpts[:used+1]...)
 	if keepRho {
 		full := start / checkpointEvery
-		info.rho = append(info.rho, prior.rho[:full]...)
-		if r := start % checkpointEvery; r != 0 {
+		info.win = append(info.win, prior.win[:full]...)
+		if start%checkpointEvery != 0 {
 			// start is the exhaustion checkpoint at n: the block it falls
-			// in is only partly written, and the replay fills the rest, so
+			// in is only partly folded, and the replay folds the rest, so
 			// it is copied rather than shared.
-			b := make([]float64, k*checkpointEvery)
-			copy(b, prior.rho[full][:r*k])
-			info.rho = append(info.rho, b)
+			info.win = append(info.win, append([]rankCell(nil), prior.win[full]...))
 		}
 	}
 	return scanFrom(src, info, st, start, keepRho)

@@ -38,8 +38,15 @@ func assertBitIdentical(t *testing.T, stage string, got, want *RankInfo) {
 		t.Fatalf("%s: HasRho = %v, fresh %v", stage, got.HasRho(), want.HasRho())
 	}
 	if got.HasRho() {
-		if len(got.rho) != len(want.rho) {
-			t.Fatalf("%s: rho blocks = %d, fresh %d", stage, len(got.rho), len(want.rho))
+		if len(got.win) != len(want.win) {
+			t.Fatalf("%s: %d U-kRanks blocks, fresh %d", stage, len(got.win), len(want.win))
+		}
+		for b := range got.win {
+			for h, g := range got.win[b] {
+				if w := want.win[b][h]; math.Float64bits(g.p) != math.Float64bits(w.p) || g.pos != w.pos {
+					t.Fatalf("%s: U-kRanks cell %d of block %d = %+v, fresh %+v", stage, h, b, g, w)
+				}
+			}
 		}
 		for i := range got.TopK {
 			for h := 1; h <= got.K; h++ {

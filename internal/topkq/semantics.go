@@ -53,10 +53,11 @@ func snapshotScored(t *uncertain.Tuple, rank int, prob float64) ScoredAnswer {
 // a known property of the U-kRanks semantics. Requires info computed with
 // RankProbabilities on src.
 //
-// The winners are picked from info's real positions alone, so src is
-// read only at the winning positions. Strictly-greater comparisons in
-// ascending rank order keep the earliest (highest-ranked) winner for
-// each h.
+// The winners are picked from the U-kRanks cells the scan kept for each
+// block of info's real positions, O(k) per block, so src is read only at
+// the winning positions. Strictly-greater comparisons in ascending block
+// order, over cells that each hold their block's first best position,
+// keep the earliest (highest-ranked) winner for each h.
 func UKRanks(src Source, info *RankInfo) ([]RankedAnswer, error) {
 	if !info.HasRho() {
 		return nil, fmt.Errorf("topkq: UKRanks needs per-rank probabilities; use RankProbabilities")
@@ -67,11 +68,10 @@ func UKRanks(src Source, info *RankInfo) ([]RankedAnswer, error) {
 	for h := range bestI {
 		bestI[h] = -1
 	}
-	for i := range info.nullStart {
-		row := info.rhoRow(i)
-		for h := 1; h <= k; h++ {
-			if p := row[h-1]; p > bestP[h] {
-				bestP[h], bestI[h] = p, i
+	for b := range (info.nullStart + checkpointEvery - 1) / checkpointEvery {
+		for h, c := range info.win[b] {
+			if c.p > bestP[h+1] {
+				bestP[h+1], bestI[h+1] = c.p, c.pos
 			}
 		}
 	}

@@ -424,13 +424,11 @@ func TestAnswersPickedFromInfoMatchWalk(t *testing.T) {
 			return float64(1+rng.Intn(levels)) / float64(levels)
 		}
 		info.TopK = make([]float64, info.Processed)
+		rows := make([]float64, info.Processed*k)
 		for i := range info.TopK {
 			info.TopK[i] = draw()
-			if i%checkpointEvery == 0 {
-				info.rho = append(info.rho, make([]float64, k*checkpointEvery))
-			}
-			for h := range info.rhoRow(i) {
-				info.rhoRow(i)[h] = draw()
+			for h := range k {
+				rows[i*k+h] = draw()
 			}
 		}
 		var src Source = db
@@ -438,10 +436,12 @@ func TestAnswersPickedFromInfoMatchWalk(t *testing.T) {
 			src = swapped{db}
 		}
 		info.nullStart = firstNull(src, info.Processed)
+		info.setRho(rows)
 		// A null wins where the pick over every processed position, nulls
 		// included, answers with one.
 		all := *info
 		all.nullStart = info.Processed
+		all.setRho(rows)
 		if uk, _ := UKRanks(src, &all); slices.ContainsFunc(uk, func(a RankedAnswer) bool { return a.Tuple.Null }) {
 			ukNullWins++
 		}

@@ -94,7 +94,9 @@ func PWResultDistribution(db *Database, k int) (Distribution, error) {
 
 // RankProbabilities runs the PSR algorithm, returning rank-h and top-k
 // probabilities for every tuple. The same RankInfo answers all three query
-// semantics and the quality computation.
+// semantics and the quality computation. The scan keeps of the rank-h
+// probabilities only what U-kRanks answers with; RankInfo.Rho builds the
+// full table on first use.
 func RankProbabilities(db *Database, k int) (*RankInfo, error) {
 	return topkq.RankProbabilities(db, k)
 }
