@@ -232,7 +232,7 @@ func (l *engineLayer) drop() error {
 
 // clusterLayer serves a sharded tenant: the cluster routes writes to the
 // shards owning their x-tuples and answers through its merge coordinator.
-// It owns its per-shard stores and placement journal (see DESIGN.md
+// A durable cluster owns one journal for all its shards (see DESIGN.md
 // "Sharded serving").
 type clusterLayer struct {
 	*shard.Cluster
@@ -255,8 +255,8 @@ func (c *clusterLayer) durable() bool             { return c.st.backend != "" }
 func (c *clusterLayer) ready() bool               { return true }
 func (c *clusterLayer) close() error              { return c.Close() }
 
-// info reads only the published epoch, not Stats: that takes the writer
-// lock a commit holds through its journal fsyncs.
+// info reads only the published epoch, never the journal counters, which
+// wait for a commit holding the writer lock through its fsync.
 func (c *clusterLayer) info() dbInfoJSON {
 	return dbInfoJSON{Version: c.Version(), XTuples: c.NumGroups(), Tuples: c.NumTuples(),
 		K: c.K(), Threshold: c.Threshold(), Shards: c.Shards(), Durable: c.durable()}
@@ -266,6 +266,7 @@ func (c *clusterLayer) stats(r *statsResponse) {
 	r.Version, r.XTuples, r.Tuples, r.RealTuples = c.Version(), c.NumGroups(), c.NumTuples(), c.NumRealTuples()
 	r.K, r.Threshold, r.Durable = c.K(), c.Threshold(), c.durable()
 	r.Shards = c.Stats()
+	r.WALRecords, r.CheckpointVer = c.SinceCheckpoint()
 }
 
 // mutate runs the op list through the cluster's batch: the same

@@ -358,7 +358,7 @@ type statsResponse struct {
 	DBs           int               `json:"dbs"`
 	UptimeSeconds float64           `json:"uptime_seconds"`
 	Replication   *replicationJSON  `json:"replication,omitempty"` // followers only
-	Shards        []shard.ShardStat `json:"shards,omitempty"`      // sharded tenants: per-shard version/size/scan/lag
+	Shards        []shard.ShardStat `json:"shards,omitempty"`      // sharded tenants: per-shard version/size/scan
 }
 
 // replicationJSON is the follower's lag block in /stats.
@@ -807,23 +807,13 @@ func (s *server) handleApply(w http.ResponseWriter, r *http.Request, t *tenant) 
 	})
 }
 
-// opSink is the mutation surface shared by *topkclean.Batch (ephemeral
-// tenants), *store.Batch (durable tenants, which journal each successful
-// op) and *shard.Batch (sharded tenants), so one request decoder drives
-// all three.
-type opSink interface {
-	InsertXTuple(name string, tuples ...topkclean.Tuple) error
-	InsertAbsentXTuple(name string) error
-	DeleteXTuple(l int) error
-	Reweight(l int, probs []float64) error
-	Collapse(l, choice int) error
-}
-
 // batchOps applies a /mutate op list through one batch of a layer's
-// writer, so the whole list commits as a single epoch. It reports how many
+// writer, so the whole list commits as a single epoch. B is
+// *topkclean.Batch (ephemeral tenants), *store.Batch (durable tenants,
+// which journal each successful op) or *shard.Batch (sharded tenants). It reports how many
 // ops succeeded (all of them unless an error stopped the list) and the
 // version the commit reached from base.
-func batchOps[B opSink](batch func(func(B) error) error, ops []mutateOp, base uint64) (mutateResponse, error) {
+func batchOps[B store.Mutator](batch func(func(B) error) error, ops []mutateOp, base uint64) (mutateResponse, error) {
 	resp := mutateResponse{Version: base}
 	err := batch(func(b B) error {
 		for i, op := range ops {

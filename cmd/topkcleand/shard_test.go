@@ -180,9 +180,47 @@ func TestShardedHTTPDifferential(t *testing.T) {
 	}
 }
 
+// TestShardedDurableStatsJournal: a durable -shards 2 tenant reports its
+// one journal in /stats the way an unsharded durable tenant does —
+// wal_records_since_checkpoint counts one record per /mutate however many
+// ops it holds, and checkpoint_version moves to the closing version when
+// a restart checkpoints.
+func TestShardedDurableStatsJournal(t *testing.T) {
+	root := t.TempDir()
+	ts1, srv1 := shardedServerStore(t, 30, 5, 2, root)
+	journal := func(url string) (records int, ckpt uint64, version uint64) {
+		t.Helper()
+		var st statsResponse
+		getJSON(t, url+"/stats", &st)
+		return st.WALRecords, st.CheckpointVer, st.Version
+	}
+	records, ckpt, v0 := journal(ts1.URL)
+	if records != 0 || ckpt != v0 {
+		t.Fatalf("fresh durable cluster: %d records since checkpoint v%d at v%d; want 0 since v%d", records, ckpt, v0, v0)
+	}
+	for i := 0; i < 3; i++ {
+		if code := postJSON(t, ts1.URL+"/mutate", mutateRequest{Ops: []mutateOp{
+			{Op: "insert_absent", Name: fmt.Sprintf("a%d", i)},
+			{Op: "insert", Name: fmt.Sprintf("b%d", i), Tuples: []tupleJSON{{ID: fmt.Sprintf("b%d.x", i), Attrs: []float64{50}, Prob: 0.5}}},
+		}}, new(mutateResponse)); code != http.StatusOK {
+			t.Fatalf("mutate %d: %d", i, code)
+		}
+	}
+	if records, ckpt, v := journal(ts1.URL); records != 3 || ckpt != v0 || v != v0+3 {
+		t.Fatalf("after 3 commits: %d records since checkpoint v%d at v%d; want 3 since v%d at v%d", records, ckpt, v, v0, v0+3)
+	}
+
+	ts1.Close()
+	srv1.closeStores(t.Logf)
+	ts2, _ := shardedServerStore(t, 30, 5, 2, root)
+	if records, ckpt, v := journal(ts2.URL); records != 0 || ckpt != v0+3 || v != v0+3 {
+		t.Fatalf("after a restart: %d records since checkpoint v%d at v%d; want 0 since v%d", records, ckpt, v, v0+3)
+	}
+}
+
 // TestShardedDurableRestart: a sharded database persisted under -store is
 // recovered bit-identically after a restart, dispatched by tenant.json's
-// shards field onto the per-shard journal layout.
+// shards field onto the cluster's journal.
 func TestShardedDurableRestart(t *testing.T) {
 	root := t.TempDir()
 	ts1, srv1 := shardedServerStore(t, 40, 5, 3, root)

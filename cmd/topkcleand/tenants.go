@@ -158,9 +158,10 @@ func (s *server) addTenant(name string, db *topkclean.Database, cfg tenantConfig
 // openLayer builds a tenant's serving layer: over db when creating it, or
 // — db nil — by recovering what the tenant's path holds. cfg.Shards > 1
 // places the x-tuples across that many shards behind a merge coordinator,
-// journaled (with -store) in the shard package's per-shard layout, which
-// is why recovery dispatches on tenant.json's shards field; otherwise one
-// engine serves, journaled by one store. A failed creation removes what
+// journaled (with -store) by the cluster's one journal, whose checkpoint
+// is the shard package's own format, which is why recovery dispatches on
+// tenant.json's shards field; otherwise one engine serves, journaled by
+// one store. A failed creation removes what
 // it made, so a retry does not trip over it, but never a path that held
 // something before — a journal another process has open, or a database
 // an earlier run left — unless its own store.Create found that empty.

@@ -109,7 +109,7 @@ func (c *Cluster) publishLocked() {
 	e.snaps = make([]*uncertain.Database, len(c.shards))
 	tuples := 0
 	for i, sh := range c.shards {
-		e.snaps[i] = sh.live().Snapshot()
+		e.snaps[i] = sh.db.Snapshot()
 		tuples += e.snaps[i].NumTuples()
 	}
 	e.m = len(c.dir.entries)

@@ -248,28 +248,21 @@ type ShardStat struct {
 	Groups  int    `json:"groups"`  // content groups (sentinel excluded)
 	Tuples  int    `json:"tuples"`  // alternatives (sentinel excluded)
 	Scanned uint64 `json:"scanned"` // cumulative merge-scan pulls
-	Lag     int    `json:"lag"`     // journal records since last checkpoint
 }
 
-// Stats reports per-shard counters for the current epoch. It takes the
-// writer lock briefly: the store handles are cleared by Close.
+// Stats reports per-shard counters for the current epoch. It reads only
+// the published epoch and atomic counters, so it never waits for a commit.
 func (c *Cluster) Stats() []ShardStat {
 	e := c.epoch.Load()
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := make([]ShardStat, len(e.snaps))
 	for i, snap := range e.snaps {
-		st := ShardStat{
+		out[i] = ShardStat{
 			Shard:   i,
 			Version: snap.Version(),
 			Groups:  snap.NumGroups() - 1,
 			Tuples:  snap.NumTuples() - 1,
 			Scanned: c.shards[i].scanned.Load(),
 		}
-		if sdb := c.shards[i].sdb; sdb != nil {
-			st.Lag, _ = sdb.SinceCheckpoint()
-		}
-		out[i] = st
 	}
 	return out
 }

@@ -1,193 +1,210 @@
 package shard
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"path/filepath"
 
 	"github.com/probdb/topkclean/internal/store"
+	"github.com/probdb/topkclean/internal/uncertain"
 )
 
-// Persistence layout: shard i is a full store.DB (checkpoint + WAL) at
-// Path/shard-i, recovering bit-identically on its own; the cluster
-// directory — placement, stamps, the global sequence counter — journals
-// to a raw backend at Path/meta, one record per cluster commit, appended
-// after the commit's shard records. A clean Close checkpoints the meta
-// journal, so the ordinary reopen path replays nothing.
+// Persistence layout: a durable cluster is one store.Journal on one
+// backend at Config.Path, the same commit policy a store.DB runs on.
 //
-// The layout is multi-journal, so a crash can tear a commit across
-// journals (shard WALs ahead of the meta journal). Open detects this —
-// every meta record carries the per-shard versions its commit left
-// behind, and recovery cross-checks them against the recovered shards —
-// and refuses with ErrInconsistent rather than serving a silently skewed
-// directory. Graceful shutdown is the supported durability path; torn
-// recovery is detected, not repaired.
+// Each commit appends one "mutate" record whose ops are the batch's
+// successful mutations in global group indices, exactly as the unsharded
+// store journals them. Replay runs them back through the router: placement
+// is a pure function of an x-tuple's first global stamp, and the router
+// redraws the same stamps from the restored global sequence counter, so
+// every shard, stamp and placement comes back bit-identical. A sharded
+// commit is therefore one append and one fsync, and every crash point
+// recovers to the last complete commit, exactly like an unsharded store.
 //
-// The meta checkpoint carries a format number. Format 2 (hash placement:
-// no group ever moves, so local indices are recomputed from global order)
-// replaced format 1 (range shards, with explicit local indices and move
-// records); Open refuses any other format with ErrMetaFormat before
-// touching a shard journal.
+// The checkpoint is one blob: a format number, N, the cluster version,
+// the global sequence counter, each global group's shard in global order,
+// then the N shard snapshots' wire encodings, each behind an 8-byte
+// length. Local indices and stamps are not stored: a group's local index
+// is its rank among same-shard groups in global order, and its stamps are
+// its shard's tie-break stamps.
+//
+// Formats 1 and 2 kept a store per shard at Path/shard-i beside a cluster
+// journal at Path/meta. Open refuses such a layout with ErrMetaFormat
+// before reading it; it must be re-created.
 
-// metaFormat is the meta checkpoint format this package writes and reads.
-const metaFormat = 2
+// checkpointFormat is the checkpoint format this package writes and reads.
+const checkpointFormat = 3
 
-// metaCheckpointEvery is how many meta records accumulate before the
-// directory is checkpointed and the meta WAL trimmed.
-const metaCheckpointEvery = 256
-
-// ErrInconsistent is returned by Open when the shard journals and the
-// cluster meta journal disagree — the signature of a crash mid-commit
-// across the multi-journal layout.
-var ErrInconsistent = errors.New("shard: shard journals and cluster directory disagree (torn multi-journal commit)")
-
-// ErrMetaFormat is returned by Open when the meta checkpoint is not in
-// this package's format — a sharded layout written by an older release,
+// ErrMetaFormat is returned by Open when the persisted cluster is not in
+// this package's format: a sharded layout written by an older release,
 // which must be re-created rather than reinterpreted.
 var ErrMetaFormat = errors.New("shard: unsupported sharded layout format; re-create the database")
 
-// metaOp is one directory transition within a commit, in application
-// order: ins (new group on shard s with stamps), abs (new absent group on
-// shard s), del (remove global index i), clp (collapse global index i to
-// choice c).
-type metaOp struct {
-	Op     string `json:"op"`
-	Shard  int    `json:"s,omitempty"`
-	Gseqs  []int  `json:"seqs,omitempty"`
-	Index  int    `json:"i,omitempty"`
-	Choice int    `json:"c,omitempty"`
-}
-
-// metaRecord is one cluster commit: the version it produced, the
-// post-commit shard versions (the torn-commit cross-check), the
-// post-commit global sequence counter, and the directory transitions.
-type metaRecord struct {
-	Version  uint64   `json:"v"`
-	NextGseq int      `json:"g"`
-	ShardV   []uint64 `json:"sv"`
-	Ops      []metaOp `json:"ops,omitempty"`
-}
-
-// metaEntry is one directory entry in a checkpoint. Its local index is
-// not recorded: it is the entry's rank among same-shard entries.
-type metaEntry struct {
-	Shard int   `json:"s"`
-	Gseqs []int `json:"seqs,omitempty"`
-}
-
-// metaCheckpoint is the full directory at one version, entries in global
-// order.
-type metaCheckpoint struct {
-	Format   int         `json:"format"`
-	Shards   int         `json:"shards"`
-	Version  uint64      `json:"v"`
-	NextGseq int         `json:"g"`
-	ShardV   []uint64    `json:"sv"`
-	Entries  []metaEntry `json:"entries"`
-}
-
-// shardVersionsLocked snapshots every shard's local database version.
-func (c *Cluster) shardVersionsLocked() []uint64 {
-	vs := make([]uint64, len(c.shards))
-	for i, sh := range c.shards {
-		vs[i] = sh.live().Version()
-	}
-	return vs
-}
-
-// createStoresLocked persists a freshly built cluster: one store.Create
-// per shard, then the meta backend with its initial checkpoint. The
-// target paths must be empty.
-func (c *Cluster) createStoresLocked() error {
-	for i, sh := range c.shards {
-		be, err := store.OpenBackend(c.cfg.Backend, c.shardPath(i))
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		sdb, err := store.Create(be, sh.db, c.cfg.StoreOpts...)
-		if err != nil {
-			be.Close()
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		sh.sdb = sdb
-	}
-	mb, err := store.OpenBackend(c.cfg.Backend, c.metaPath())
+// createJournalLocked persists a freshly built cluster: a journal at
+// Config.Path whose initial checkpoint holds the whole cluster. The
+// backend must be empty.
+func (c *Cluster) createJournalLocked() error {
+	be, err := store.OpenBackend(c.cfg.Backend, c.cfg.Path)
 	if err != nil {
-		return fmt.Errorf("meta: %w", err)
+		return err
 	}
-	if _, _, ok, _ := mb.LoadCheckpoint(); ok {
-		mb.Close()
-		return fmt.Errorf("meta: %w", store.ErrExists)
-	}
-	c.meta = mb
-	if err := c.metaCheckpointLocked(); err != nil {
-		return fmt.Errorf("meta: %w", err)
+	if c.j, err = store.CreateJournal(be, c.encodeLocked, c.cfg.StoreOpts...); err != nil {
+		be.Close()
+		return err
 	}
 	return nil
 }
 
-// appendMetaLocked journals one commit's directory transitions. A failure
-// poisons the cluster: memory is ahead of the meta journal.
-func (c *Cluster) appendMetaLocked(ops []metaOp) error {
-	if c.meta == nil {
+// encodeLocked is the journal's checkpoint: the layout above, taken from
+// the writer's current state (every shard's snapshot is current under
+// the writer lock, published or not).
+func (c *Cluster) encodeLocked() ([]byte, uint64, error) {
+	buf := binary.AppendUvarint(nil, checkpointFormat)
+	buf = binary.AppendUvarint(buf, uint64(len(c.shards)))
+	buf = binary.AppendUvarint(buf, c.version)
+	buf = binary.AppendUvarint(buf, uint64(c.nextGseq))
+	buf = binary.AppendUvarint(buf, uint64(len(c.dir.entries)))
+	for _, e := range c.dir.entries {
+		buf = binary.AppendUvarint(buf, uint64(e.shard))
+	}
+	for _, sh := range c.shards {
+		at := len(buf)
+		buf = binary.LittleEndian.AppendUint64(buf, 0)
+		var err error
+		if buf, err = uncertain.AppendWire(buf, sh.db.Snapshot()); err != nil {
+			return nil, 0, err
+		}
+		binary.LittleEndian.PutUint64(buf[at:], uint64(len(buf)-at-8))
+	}
+	return buf, c.version, nil
+}
+
+// decode restores the cluster a checkpoint taken at version describes:
+// the shard databases, the directory and the counters.
+func (c *Cluster) decode(data []byte, version uint64) error {
+	r := ckptReader{b: data}
+	if f := r.uvarint(); r.err == nil && f != checkpointFormat {
+		return fmt.Errorf("%w: checkpoint format %d, want %d", ErrMetaFormat, f, checkpointFormat)
+	}
+	if n := r.uvarint(); r.err == nil && n != uint64(c.cfg.Shards) {
+		return fmt.Errorf("shard: cluster has %d shards, config says %d", n, c.cfg.Shards)
+	}
+	c.version = r.uvarint()
+	c.nextGseq = int(r.uvarint())
+	m := r.uvarint()
+	if r.err == nil && m > uint64(len(r.b)) { // one byte per group at least
+		r.err = fmt.Errorf("%d groups in %d bytes", m, len(r.b))
+	}
+	place := make([]int, 0, m)
+	for range m {
+		if s := r.uvarint(); s < uint64(c.cfg.Shards) {
+			place = append(place, int(s))
+		} else if r.err == nil {
+			r.err = fmt.Errorf("group %d on shard %d", len(place), s)
+		}
+	}
+	c.shards = make([]*shardHandle, c.cfg.Shards)
+	for i := range c.shards {
+		wire := r.bytes()
+		if r.err != nil {
+			break
+		}
+		db, err := uncertain.DecodeWire(wire, c.rank)
+		if err != nil {
+			return fmt.Errorf("%w: shard %d: %v", store.ErrCorrupt, i, err)
+		}
+		c.shards[i] = &shardHandle{db: db}
+	}
+	if r.err == nil && len(r.b) > 0 {
+		r.err = fmt.Errorf("%d trailing bytes", len(r.b))
+	}
+	if r.err == nil && c.version != version {
+		r.err = fmt.Errorf("labeled v%d, holds v%d", version, c.version)
+	}
+	if r.err != nil {
+		return fmt.Errorf("%w: cluster checkpoint: %v", store.ErrCorrupt, r.err)
+	}
+
+	// Rebuild the directory: local indices from global order, stamps from
+	// the shards.
+	c.dir = newDirectory(c.cfg.Shards)
+	for gi, s := range place {
+		db := c.shards[s].db
+		local := c.dir.perShard[s].Len()
+		if local >= db.NumGroups() {
+			return fmt.Errorf("%w: group %d: shard %d holds only %d groups", store.ErrCorrupt, gi, s, db.NumGroups()-1)
+		}
+		var gseqs []int
+		for _, t := range db.GroupAt(local).RealTuples() {
+			gseqs = append(gseqs, t.Stamp())
+		}
+		c.dir.append(&entry{shard: s, gseqs: gseqs})
+	}
+	for s, sh := range c.shards {
+		if got, want := sh.db.NumGroups(), c.dir.perShard[s].Len(); got != want || sh.db.GroupAt(0).Name != sentinelName {
+			return fmt.Errorf("%w: shard %d holds %d groups, directory places %d (sentinel included)", store.ErrCorrupt, s, got, want)
+		}
+	}
+	return nil
+}
+
+// ckptReader reads a checkpoint blob; the first failure sticks.
+type ckptReader struct {
+	b   []byte
+	err error
+}
+
+func (r *ckptReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.err = errors.New("truncated")
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *ckptReader) bytes() []byte {
+	if r.err == nil && len(r.b) < 8 {
+		r.err = errors.New("truncated")
+	}
+	if r.err != nil {
 		return nil
 	}
-	rec := metaRecord{
-		Version:  c.version,
-		NextGseq: c.nextGseq,
-		ShardV:   c.shardVersionsLocked(),
-		Ops:      ops,
+	n := binary.LittleEndian.Uint64(r.b)
+	if n > uint64(len(r.b)-8) {
+		r.err = errors.New("truncated shard")
+		return nil
 	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return c.poison(err)
+	out := r.b[8 : 8+n]
+	r.b = r.b[8+n:]
+	return out
+}
+
+// replay applies one journaled commit during Open: the record's ops run
+// through the router, which redraws their stamps and placements. The
+// journal is not attached yet, so the batch records nothing.
+func (c *Cluster) replay(rec store.Record) error {
+	b := &Batch{c: c}
+	if err := store.ApplyOps(b, rec.Ops); err != nil {
+		return err
 	}
-	if err := c.meta.AppendRecord(data); err != nil {
-		return c.poison(err)
-	}
-	if err := c.meta.Sync(); err != nil {
-		return c.poison(err)
-	}
-	c.metaSince++
-	if c.metaSince >= metaCheckpointEvery {
-		// Like the store's automatic checkpoint: a failure must not fail
-		// the commit — the record is durable, recovery just replays more.
-		_ = c.metaCheckpointLocked()
+	c.version++
+	if c.version != rec.Version {
+		return fmt.Errorf("replay of v%d landed at v%d", rec.Version, c.version)
 	}
 	return nil
 }
 
-// metaCheckpointLocked writes the full directory as the meta checkpoint,
-// trimming the meta WAL.
-func (c *Cluster) metaCheckpointLocked() error {
-	ck := metaCheckpoint{
-		Format:   metaFormat,
-		Shards:   c.cfg.Shards,
-		Version:  c.version,
-		NextGseq: c.nextGseq,
-		ShardV:   c.shardVersionsLocked(),
-		Entries:  make([]metaEntry, len(c.dir.entries)),
-	}
-	for i, e := range c.dir.entries {
-		ck.Entries[i] = metaEntry{Shard: e.shard, Gseqs: e.gseqs}
-	}
-	data, err := json.Marshal(ck)
-	if err != nil {
-		return err
-	}
-	if err := c.meta.WriteCheckpoint(data, c.version); err != nil {
-		return err
-	}
-	c.metaSince = 0
-	return nil
-}
-
-// Open recovers a persisted cluster: the meta checkpoint's format is
-// checked first, then every shard store replays its own checkpoint + WAL,
-// the meta journal replays the directory, and the two are cross-checked
-// (per-shard versions, group and stamp counts) before serving. cfg must
-// name the same backend, path, and shard count the cluster was created
-// with.
+// Open recovers a persisted cluster: it loads the checkpoint, decodes
+// every shard, rebuilds the directory, replays the journal's tail through
+// the router and publishes. cfg must name the same backend, path, and
+// shard count the cluster was created with. A layout of formats 1 and 2
+// is refused with ErrMetaFormat before anything of it is read.
 func Open(cfg Config) (*Cluster, error) {
 	if cfg.Backend == "" {
 		return nil, fmt.Errorf("shard: Open requires a persistence backend")
@@ -196,134 +213,32 @@ func Open(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	fail := func(err error) (*Cluster, error) {
-		c.closeStoresLocked()
+	if old, err := store.OpenBackendReadOnly(cfg.Backend, filepath.Join(cfg.Path, "meta")); err == nil {
+		old.Close()
+		return nil, fmt.Errorf("%w: %s holds a per-shard layout", ErrMetaFormat, cfg.Path)
+	}
+	be, err := store.OpenBackend(cfg.Backend, cfg.Path)
+	if err != nil {
 		return nil, err
 	}
-	mb, err := store.OpenBackend(cfg.Backend, c.metaPath())
-	if err != nil {
-		return fail(fmt.Errorf("meta: %w", err))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.j, err = store.OpenJournal(be, c.decode, c.replay, c.encodeLocked, cfg.StoreOpts...); err != nil {
+		be.Close()
+		return nil, err
 	}
-	c.meta = mb
-	data, _, ok, err := mb.LoadCheckpoint()
-	if err != nil {
-		return fail(fmt.Errorf("meta: %w", err))
-	}
-	if !ok {
-		return fail(fmt.Errorf("meta: %w", store.ErrNoDatabase))
-	}
-	var ck metaCheckpoint
-	if err := json.Unmarshal(data, &ck); err != nil {
-		return fail(fmt.Errorf("meta: %w (%v)", store.ErrCorrupt, err))
-	}
-	if ck.Format != metaFormat {
-		return fail(fmt.Errorf("%w: meta checkpoint format %d, want %d", ErrMetaFormat, ck.Format, metaFormat))
-	}
-	if ck.Shards != cfg.Shards {
-		return fail(fmt.Errorf("shard: cluster has %d shards, config says %d", ck.Shards, cfg.Shards))
-	}
-	c.shards = make([]*shardHandle, cfg.Shards)
-	for i := range c.shards {
-		be, err := store.OpenBackend(cfg.Backend, c.shardPath(i))
-		if err != nil {
-			return fail(fmt.Errorf("shard %d: %w", i, err))
-		}
-		sdb, err := store.Open(be, c.rank, cfg.StoreOpts...)
-		if err != nil {
-			be.Close()
-			return fail(fmt.Errorf("shard %d: %w", i, err))
-		}
-		c.shards[i] = &shardHandle{db: sdb.DB(), sdb: sdb}
-	}
-	c.dir = newDirectory(cfg.Shards)
-	for _, me := range ck.Entries {
-		if me.Shard < 0 || me.Shard >= cfg.Shards {
-			return fail(fmt.Errorf("meta: entry shard %d: %w", me.Shard, store.ErrCorrupt))
-		}
-		c.dir.append(&entry{shard: me.Shard, gseqs: me.Gseqs})
-	}
-	c.version = ck.Version
-	c.nextGseq = ck.NextGseq
-	shardV := ck.ShardV
-
-	// Replay the directory transitions journaled after the checkpoint.
-	if _, err := mb.TailRecords(0, func(raw []byte) error {
-		var rec metaRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return fmt.Errorf("%w (%v)", store.ErrCorrupt, err)
-		}
-		if rec.Version <= c.version {
-			return nil // trim lost to a crash; already in the checkpoint
-		}
-		if rec.Version != c.version+1 {
-			return fmt.Errorf("meta record v%d after v%d: %w", rec.Version, c.version, store.ErrCorrupt)
-		}
-		if err := c.dir.replay(rec.Ops, cfg.Shards); err != nil {
-			return err
-		}
-		c.version = rec.Version
-		c.nextGseq = rec.NextGseq
-		shardV = rec.ShardV
-		return nil
-	}); err != nil {
-		return fail(fmt.Errorf("meta: %w", err))
-	}
-
-	// Cross-check the independently recovered shards against the
-	// directory: versions, group counts, per-group stamp counts.
-	if len(shardV) != cfg.Shards {
-		return fail(fmt.Errorf("meta: %d shard versions for %d shards: %w", len(shardV), cfg.Shards, store.ErrCorrupt))
-	}
-	for i, sh := range c.shards {
-		if v := sh.live().Version(); v != shardV[i] {
-			return fail(fmt.Errorf("%w: shard %d at v%d, directory expects v%d", ErrInconsistent, i, v, shardV[i]))
-		}
-		if got, want := sh.live().NumGroups(), c.dir.perShard[i].Len(); got != want {
-			return fail(fmt.Errorf("%w: shard %d holds %d groups, directory expects %d", ErrInconsistent, i, got, want))
-		}
-	}
-	for gi, e := range c.dir.entries {
-		x := c.shards[e.shard].live().GroupAt(e.local)
-		if len(x.RealTuples()) != len(e.gseqs) {
-			return fail(fmt.Errorf("%w: group %d has %d real alternatives, directory holds %d stamps",
-				ErrInconsistent, gi, len(x.RealTuples()), len(e.gseqs)))
-		}
-	}
-
 	c.publishLocked()
 	return c, nil
 }
 
-// replay applies one commit's directory transitions during Open.
-func (d *directory) replay(ops []metaOp, shards int) error {
-	for _, op := range ops {
-		switch op.Op {
-		case "ins":
-			if op.Shard < 0 || op.Shard >= shards {
-				return fmt.Errorf("ins shard %d: %w", op.Shard, store.ErrCorrupt)
-			}
-			d.append(&entry{shard: op.Shard, gseqs: op.Gseqs})
-		case "abs":
-			if op.Shard < 0 || op.Shard >= shards {
-				return fmt.Errorf("abs shard %d: %w", op.Shard, store.ErrCorrupt)
-			}
-			d.append(&entry{shard: op.Shard})
-		case "del":
-			if op.Index < 0 || op.Index >= len(d.entries) {
-				return fmt.Errorf("del index %d: %w", op.Index, store.ErrCorrupt)
-			}
-			d.removeGlobal(op.Index)
-		case "clp":
-			if op.Index < 0 || op.Index >= len(d.entries) {
-				return fmt.Errorf("clp index %d: %w", op.Index, store.ErrCorrupt)
-			}
-			if op.Choice < 0 {
-				return fmt.Errorf("clp choice %d: %w", op.Choice, store.ErrCorrupt)
-			}
-			d.entries[op.Index].collapse(op.Choice)
-		default:
-			return fmt.Errorf("meta op %q: %w", op.Op, store.ErrCorrupt)
-		}
+// SinceCheckpoint returns how many journal records the next recovery
+// would replay and the version of the newest checkpoint; zeros for a
+// cluster without persistence. It waits for a commit in progress.
+func (c *Cluster) SinceCheckpoint() (records int, checkpointVersion uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.j == nil {
+		return 0, 0
 	}
-	return nil
+	return c.j.SinceCheckpoint()
 }

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/probdb/topkclean/internal/store"
@@ -32,49 +31,55 @@ func (c *Cluster) placeGroup(_ int, gseqs []int) int {
 }
 
 // Batch groups cluster mutations into one commit: one cluster version
-// bump, one meta journal record, one published epoch. Semantics mirror
-// the unsharded Batch: mutations apply in order, a failed mutation leaves
-// the cluster as it was just before that call, successful ones stay
-// applied, and a batch with no successful mutation bumps nothing.
+// bump, one journal record, one published epoch. Semantics mirror the
+// unsharded Batch: mutations apply in order, a failed mutation leaves the
+// cluster as it was just before that call, successful ones stay applied,
+// and a batch with no successful mutation bumps nothing. A durable
+// cluster collects the successful mutations as store ops in global group
+// indices, the record its journal appends.
 type Batch struct {
 	c       *Cluster
 	mutated bool
-	ops     []metaOp
+	ops     []store.Op
 }
 
 // Batch runs fn against the cluster under the writer lock and commits
-// once. See Batch (the type) for semantics.
+// once. A durable commit is visible only once its record is appended and
+// synced: if the journal fails, the cluster is read-only from then on and
+// readers keep the last durable epoch. See Batch (the type) for the rest.
 func (c *Cluster) Batch(fn func(*Batch) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return fmt.Errorf("shard: cluster is closed")
 	}
-	if c.poisoned != nil {
-		return fmt.Errorf("%w (%v)", ErrPoisoned, c.poisoned)
+	if c.j != nil {
+		if err := c.j.Err(); err != nil {
+			return fmt.Errorf("%w: %w", ErrPoisoned, err)
+		}
 	}
 	b := &Batch{c: c}
 	err := fn(b)
-	var jerr error
-	if b.mutated && c.poisoned == nil {
-		c.version++
-		jerr = c.appendMetaLocked(b.ops)
-		c.publishLocked()
-	}
 	b.c = nil // poison: a Batch must not outlive its callback
-	if jerr != nil {
-		return jerr
+	if !b.mutated {
+		return err
 	}
+	c.version++
+	if c.j != nil {
+		if jerr := c.j.Append(store.Record{Version: c.version, Op: "mutate", Ops: b.ops}); jerr != nil {
+			return fmt.Errorf("%w: %w", ErrPoisoned, jerr)
+		}
+	}
+	c.publishLocked()
 	return err
 }
 
-// poison records the first internal write failure and switches the
-// cluster read-only.
-func (c *Cluster) poison(err error) error {
-	if c.poisoned == nil {
-		c.poisoned = err
+// done records one successful mutation, and its op when journaled.
+func (b *Batch) done(op store.Op) {
+	b.mutated = true
+	if b.c.j != nil {
+		b.ops = append(b.ops, op)
 	}
-	return fmt.Errorf("%w (%v)", ErrPoisoned, err)
 }
 
 // InsertXTuple inserts a new x-tuple on the shard place picks for it.
@@ -93,17 +98,15 @@ func (b *Batch) InsertXTuple(name string, tuples ...uncertain.Tuple) error {
 	// Validated; stamp, place, insert.
 	seqs := make([]int, len(tuples))
 	for i := range seqs {
-		seqs[i] = c.nextGseq
-		c.nextGseq++
+		seqs[i] = c.nextGseq + i
 	}
 	j := c.placeGroup(0, seqs)
-	if err := c.onShard(j, func(sb shardBatch) error { return sb.InsertXTupleSeq(name, seqs, tuples...) }); err != nil {
-		b.mutated = true
-		return c.poison(err)
+	if err := c.shards[j].db.Batch(func(sb *uncertain.Batch) error { return sb.InsertXTupleSeq(name, seqs, tuples...) }); err != nil {
+		return err // the stamps stay undrawn
 	}
+	c.nextGseq += len(seqs)
 	c.dir.append(&entry{shard: j, gseqs: seqs})
-	b.mutated = true
-	b.ops = append(b.ops, metaOp{Op: "ins", Shard: j, Gseqs: seqs})
+	b.done(store.Op{Op: "insert", Name: name, Tuples: store.OpTuples(tuples)})
 	return nil
 }
 
@@ -118,13 +121,11 @@ func (b *Batch) InsertAbsentXTuple(name string) error {
 		return fmt.Errorf("tuple %q: %w", nullID, uncertain.ErrDuplicateID)
 	}
 	s := c.placeGroup(0, nil)
-	if err := c.onShard(s, func(sb shardBatch) error { return sb.InsertAbsentXTuple(name) }); err != nil {
-		b.mutated = true
-		return c.poison(err)
+	if err := c.shards[s].db.InsertAbsentXTuple(name); err != nil {
+		return err
 	}
 	c.dir.append(&entry{shard: s})
-	b.mutated = true
-	b.ops = append(b.ops, metaOp{Op: "abs", Shard: s})
+	b.done(store.Op{Op: "insert_absent", Name: name})
 	return nil
 }
 
@@ -138,13 +139,11 @@ func (b *Batch) DeleteXTuple(l int) error {
 		return uncertain.ErrLastGroup
 	}
 	e := c.dir.entries[l]
-	if err := c.onShard(e.shard, func(sb shardBatch) error { return sb.DeleteXTuple(e.local) }); err != nil {
-		b.mutated = true
-		return c.poison(err)
+	if err := c.shards[e.shard].db.DeleteXTuple(e.local); err != nil {
+		return err
 	}
 	c.dir.removeGlobal(l)
-	b.mutated = true
-	b.ops = append(b.ops, metaOp{Op: "del", Index: l})
+	b.done(store.Op{Op: "delete", Group: l})
 	return nil
 }
 
@@ -158,17 +157,13 @@ func (b *Batch) Reweight(l int, probs []float64) error {
 		return fmt.Errorf("index %d of %d: %w", l, len(c.dir.entries), uncertain.ErrBadGroupIndex)
 	}
 	e := c.dir.entries[l]
-	if _, err := uncertain.CheckReweight(c.shards[e.shard].live().GroupAt(e.local), probs, c.idLive); err != nil {
+	if _, err := uncertain.CheckReweight(c.shards[e.shard].db.GroupAt(e.local), probs, c.idLive); err != nil {
 		return err
 	}
-	if err := c.onShard(e.shard, func(sb shardBatch) error { return sb.Reweight(e.local, probs) }); err != nil {
-		if isStoreFailure(err) {
-			b.mutated = true
-			return c.poison(err)
-		}
-		return err // validation; the shard database is unchanged
+	if err := c.shards[e.shard].db.Reweight(e.local, probs); err != nil {
+		return err
 	}
-	b.mutated = true
+	b.done(store.Op{Op: "reweight", Group: l, Probs: append([]float64(nil), probs...)})
 	return nil
 }
 
@@ -179,24 +174,12 @@ func (b *Batch) Collapse(l, choice int) error {
 		return fmt.Errorf("index %d of %d: %w", l, len(c.dir.entries), uncertain.ErrBadGroupIndex)
 	}
 	e := c.dir.entries[l]
-	if err := c.onShard(e.shard, func(sb shardBatch) error { return sb.Collapse(e.local, choice) }); err != nil {
-		if isStoreFailure(err) {
-			b.mutated = true
-			return c.poison(err)
-		}
-		return err // validation (bad choice); unchanged
+	if err := c.shards[e.shard].db.Collapse(e.local, choice); err != nil {
+		return err // a bad choice; unchanged
 	}
 	e.collapse(choice)
-	b.mutated = true
-	b.ops = append(b.ops, metaOp{Op: "clp", Index: l, Choice: choice})
+	b.done(store.Op{Op: "collapse", Group: l, Choice: choice})
 	return nil
-}
-
-// isStoreFailure distinguishes a journal write failure (the shard store
-// poisons itself; the cluster must too) from a validation rejection that
-// left the shard untouched.
-func isStoreFailure(err error) bool {
-	return errors.Is(err, store.ErrPoisoned)
 }
 
 // idLive reports whether any shard holds a live tuple with the given ID.
@@ -205,29 +188,9 @@ func isStoreFailure(err error) bool {
 // shards instead of keeping a copy.
 func (c *Cluster) idLive(id string) bool {
 	for _, sh := range c.shards {
-		if sh.live().TupleByID(id) != nil {
+		if sh.db.TupleByID(id) != nil {
 			return true
 		}
 	}
 	return false
-}
-
-// shardBatch is the mutation surface of one shard's batch: *store.Batch
-// when the shard is journaled, *uncertain.Batch otherwise.
-type shardBatch interface {
-	InsertXTupleSeq(name string, seqs []int, tuples ...uncertain.Tuple) error
-	InsertAbsentXTuple(name string) error
-	DeleteXTuple(l int) error
-	Reweight(l int, probs []float64) error
-	Collapse(l, choice int) error
-}
-
-// onShard commits op as one batch on shard s: through the journaling
-// store when persisted, on the shard database directly otherwise.
-func (c *Cluster) onShard(s int, op func(shardBatch) error) error {
-	sh := c.shards[s]
-	if sh.sdb != nil {
-		return sh.sdb.Batch(func(b *store.Batch) error { return op(b) })
-	}
-	return sh.db.Batch(func(b *uncertain.Batch) error { return op(b) })
 }

@@ -5,11 +5,15 @@
 // answers top-k queries from it — bit-identically to the unsharded engine.
 //
 // A cluster adds only placement and the merge. It comes from a built
-// database (FromDatabase) or from its stores (Open); the router validates
+// database (FromDatabase) or from its journal (Open); the router validates
 // with the unsharded database's own insert and reweight checks
 // (uncertain.CheckInsert, uncertain.CheckReweight) against every shard's
 // ID index; and the answers are the unsharded engine's bundle
 // (memo.Result).
+//
+// The shards are plain in-memory databases. A durable cluster keeps one
+// journal for all of them (see persist.go): one record and one fsync per
+// commit, and recovery replays the records through the router.
 //
 // # Placement
 //
@@ -48,7 +52,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -71,9 +74,10 @@ const sentinelNullID = "null:" + sentinelName
 // reserved sentinel group name or tuple ID.
 var ErrReservedName = errors.New("shard: name reserved for the shard sentinel")
 
-// ErrPoisoned wraps every internal shard write failure: the cluster's
-// in-memory state may be ahead of a shard journal, so further writes are
-// refused while reads keep serving the last published epoch.
+// ErrPoisoned wraps a journal write failure (and, with it,
+// store.ErrPoisoned): the cluster's in-memory state may be ahead of its
+// journal, so further writes are refused while reads keep serving the last
+// durable epoch.
 var ErrPoisoned = errors.New("shard: cluster write failed; cluster is read-only")
 
 // Config configures a cluster.
@@ -88,37 +92,28 @@ type Config struct {
 	// Threshold is the default PT-k probability threshold for Answers.
 	Threshold float64
 
-	// Rank scores tuples when Open recovers the shard stores; nil means
+	// Rank scores tuples when Open recovers the shards; nil means
 	// uncertain.ByFirstAttr. FromDatabase ignores it and inherits the
 	// source database's ranking function.
 	Rank uncertain.RankFunc
 
 	// Backend names a store driver ("file", "mem"); empty means no
-	// persistence. With a backend, shard i journals to Path/shard-i and
-	// the cluster directory to Path/meta.
+	// persistence. With a backend, the cluster journals to Path.
 	Backend string
 
-	// Path is the base path for the per-shard stores and the meta journal.
+	// Path is where the cluster's journal lives.
 	Path string
 
-	// StoreOpts are passed to every per-shard store.Create/Open.
+	// StoreOpts set the journal's fsync and checkpoint policy, as for
+	// store.Create and store.Open.
 	StoreOpts []store.Option
 }
 
-// shardHandle is one shard: its live database, the optional journaling
-// store wrapping it, and the cumulative merge-scan pull counter.
+// shardHandle is one shard: its live database and the cumulative
+// merge-scan pull counter.
 type shardHandle struct {
 	db      *uncertain.Database
-	sdb     *store.DB // nil without persistence
 	scanned atomic.Uint64
-}
-
-// live returns the shard's live database (the store's, when journaled).
-func (s *shardHandle) live() *uncertain.Database {
-	if s.sdb != nil {
-		return s.sdb.DB()
-	}
-	return s.db
 }
 
 // Cluster is a sharded database plus the router and coordinator over
@@ -135,10 +130,7 @@ type Cluster struct {
 	nextGseq int
 	version  uint64
 	closed   bool
-	poisoned error
-
-	meta      store.Backend // nil without persistence
-	metaSince int           // records since the last meta checkpoint
+	j        *store.Journal // nil without persistence
 
 	epoch atomic.Pointer[epoch]
 	memo  *memo.Memo[*merged] // memoized evaluation per query size k
@@ -146,7 +138,7 @@ type Cluster struct {
 
 // newCluster returns a cluster with a validated config and no shards yet:
 // FromDatabase distributes a source database over it, Open recovers its
-// stores.
+// journal.
 func newCluster(cfg Config) (*Cluster, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("shard: %d shards: need at least 1", cfg.Shards)
@@ -260,8 +252,7 @@ func (c *Cluster) buildFromLocked(src *uncertain.Database, version uint64, assig
 	c.version = version
 
 	if c.cfg.Backend != "" {
-		if err := c.createStoresLocked(); err != nil {
-			c.closeStoresLocked()
+		if err := c.createJournalLocked(); err != nil {
 			c.shards = nil
 			return err
 		}
@@ -270,19 +261,8 @@ func (c *Cluster) buildFromLocked(src *uncertain.Database, version uint64, assig
 	return nil
 }
 
-// shardPath returns the backend path of shard i.
-func (c *Cluster) shardPath(i int) string {
-	return filepath.Join(c.cfg.Path, fmt.Sprintf("shard-%d", i))
-}
-
-// metaPath returns the backend path of the cluster's meta journal.
-func (c *Cluster) metaPath() string {
-	return filepath.Join(c.cfg.Path, "meta")
-}
-
-// Close flushes the meta journal (final checkpoint) and closes every
-// per-shard store. A clean Close is what makes the multi-journal layout
-// reopen without torn-commit ambiguity; see Open.
+// Close flushes the journal with a final checkpoint, so the next Open
+// replays nothing, and releases its backend.
 func (c *Cluster) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -290,37 +270,10 @@ func (c *Cluster) Close() error {
 		return nil
 	}
 	c.closed = true
-	var first error
-	if c.meta != nil && c.poisoned == nil && c.metaSince > 0 {
-		if err := c.metaCheckpointLocked(); err != nil && first == nil {
-			first = err
-		}
+	if c.j == nil {
+		return nil
 	}
-	if err := c.closeStoresLocked(); err != nil && first == nil {
-		first = err
-	}
-	return first
-}
-
-// closeStoresLocked closes the meta backend and every shard store,
-// returning the first error.
-func (c *Cluster) closeStoresLocked() error {
-	var first error
-	if c.meta != nil {
-		if err := c.meta.Close(); err != nil && first == nil {
-			first = err
-		}
-		c.meta = nil
-	}
-	for _, sh := range c.shards {
-		if sh != nil && sh.sdb != nil {
-			if err := sh.sdb.Close(); err != nil && first == nil {
-				first = err
-			}
-			sh.sdb = nil
-		}
-	}
-	return first
+	return c.j.Close()
 }
 
 // K returns the configured query size.

@@ -483,7 +483,7 @@ func checkInvariant(t *testing.T, c *Cluster) {
 		if got := c.dir.perShard[e.shard].At(e.local); int(got) != gi {
 			t.Fatalf("entry %d: shard %d's map sends local %d to global %d", gi, e.shard, e.local, got)
 		}
-		reals := c.shards[e.shard].live().GroupAt(e.local).RealTuples()
+		reals := c.shards[e.shard].db.GroupAt(e.local).RealTuples()
 		if len(reals) != len(e.gseqs) {
 			t.Fatalf("entry %d: %d reals, %d stamps", gi, len(reals), len(e.gseqs))
 		}
@@ -494,7 +494,7 @@ func checkInvariant(t *testing.T, c *Cluster) {
 		}
 	}
 	for s, sh := range c.shards {
-		db := sh.live()
+		db := sh.db
 		if got := db.NumGroups() - 1; got != next[s]-1 || got != c.dir.perShard[s].Len()-1 {
 			t.Fatalf("shard %d holds %d groups; directory places %d (local map %d)",
 				s, got, next[s]-1, c.dir.perShard[s].Len()-1)
@@ -640,7 +640,7 @@ func checkInsertOrder(t *testing.T, c *Cluster, db *uncertain.Database) {
 	// land on.
 	var taken string
 	for _, e := range c.dir.entries {
-		if reals := c.shards[e.shard].live().GroupAt(e.local).RealTuples(); e.shard != place(c.nextGseq, n) && len(reals) > 0 {
+		if reals := c.shards[e.shard].db.GroupAt(e.local).RealTuples(); e.shard != place(c.nextGseq, n) && len(reals) > 0 {
 			taken = reals[0].ID
 			break
 		}

@@ -58,12 +58,6 @@ type Op struct {
 	Group  int       `json:"group"`
 	Probs  []float64 `json:"probs,omitempty"`
 	Choice int       `json:"choice"`
-
-	// Seqs holds explicit tie-break stamps for an "insert" issued through
-	// InsertXTupleSeq (the sharded engine's path); nil for plain inserts.
-	// Replay must restore them: a shard's rank order depends on the global
-	// stamps, not on local arrival order.
-	Seqs []int `json:"seqs,omitempty"`
 }
 
 // OpTuple is the caller-supplied part of an inserted alternative.
@@ -71,6 +65,60 @@ type OpTuple struct {
 	ID    string    `json:"id"`
 	Attrs []float64 `json:"attrs,omitempty"`
 	Prob  float64   `json:"prob"`
+}
+
+// OpTuples copies the caller-supplied part of inserted alternatives into
+// an insert op; the materialized null and the scores are re-derived
+// deterministically on replay.
+func OpTuples(tuples []uncertain.Tuple) []OpTuple {
+	ots := make([]OpTuple, len(tuples))
+	for i, t := range tuples {
+		ots[i] = OpTuple{ID: t.ID, Attrs: append([]float64(nil), t.Attrs...), Prob: t.Prob}
+	}
+	return ots
+}
+
+// Mutator is the logical mutation surface every op list runs through:
+// *uncertain.Batch, this package's journaling Batch, and the sharded
+// cluster's Batch (internal/shard), which addresses groups by global
+// index. Replay (ApplyOps) and the daemon's /mutate decoder drive it.
+type Mutator interface {
+	InsertXTuple(name string, tuples ...uncertain.Tuple) error
+	InsertAbsentXTuple(name string) error
+	DeleteXTuple(l int) error
+	Reweight(l int, probs []float64) error
+	Collapse(l, choice int) error
+}
+
+// ApplyOps replays a record's logical operations, in order, through m. The
+// live path journals only what already succeeded, so replay of a journal
+// this package wrote cannot fail.
+func ApplyOps(m Mutator, ops []Op) error {
+	for _, op := range ops {
+		var err error
+		switch op.Op {
+		case "insert":
+			ts := make([]uncertain.Tuple, len(op.Tuples))
+			for i, ot := range op.Tuples {
+				ts[i] = uncertain.Tuple{ID: ot.ID, Attrs: ot.Attrs, Prob: ot.Prob}
+			}
+			err = m.InsertXTuple(op.Name, ts...)
+		case "insert_absent":
+			err = m.InsertAbsentXTuple(op.Name)
+		case "delete":
+			err = m.DeleteXTuple(op.Group)
+		case "reweight":
+			err = m.Reweight(op.Group, op.Probs)
+		case "collapse":
+			err = m.Collapse(op.Group, op.Choice)
+		default:
+			err = fmt.Errorf("unknown op %q", op.Op)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // options configure a store's durability/checkpoint policy.
@@ -115,16 +163,27 @@ func WithNoFsync() Option {
 //
 // A DB is safe for concurrent use; journaled commits serialize on its own
 // mutex (on top of the database's writer lock), so WAL order always equals
-// commit order.
+// commit order. The append, sync, checkpoint and poison policy is its
+// Journal's.
 type DB struct {
-	mu       sync.Mutex
-	b        Backend
-	db       *uncertain.Database
-	opts     options
-	last     uint64 // version of the last journaled commit
-	ckptVer  uint64 // version of the last written checkpoint
-	sinceCk  int    // records journaled since that checkpoint
-	poisoned error
+	mu sync.Mutex
+	db *uncertain.Database
+	j  *Journal
+}
+
+// newJournal attaches the journal policy to a database whose durable
+// history ends at its current version.
+func (d *DB) newJournal(b Backend, opts []Option, ckptVer uint64, sinceCk int) {
+	d.j = &Journal{b: b, opts: buildOptions(opts), checkpoint: d.encode,
+		last: d.db.Version(), ckptVer: ckptVer, sinceCk: sinceCk}
+}
+
+// encode is the journal's checkpoint: the current epoch, encoded through
+// the snapshot machinery so concurrent queries keep reading.
+func (d *DB) encode() ([]byte, uint64, error) {
+	snap := d.db.Snapshot()
+	data, err := uncertain.EncodeWire(snap)
+	return data, snap.Version(), err
 }
 
 func buildOptions(opts []Option) options {
@@ -153,14 +212,14 @@ func Create(b Backend, db *uncertain.Database, opts ...Option) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &DB{b: b, db: db, opts: buildOptions(opts), last: db.Version()}
 	if err := b.AppendRecord(rec); err != nil {
 		return nil, err
 	}
 	if err := b.Sync(); err != nil {
 		return nil, err
 	}
-	d.sinceCk = 1
+	d := &DB{db: db}
+	d.newJournal(b, opts, 0, 1)
 	return d, nil
 }
 
@@ -194,7 +253,9 @@ func Open(b Backend, rank uncertain.RankFunc, opts ...Option) (*DB, error) {
 	if r.DB == nil {
 		return nil, ErrNoDatabase
 	}
-	return &DB{b: b, db: r.DB, opts: buildOptions(opts), last: r.DB.Version(), ckptVer: ckptVer, sinceCk: r.Replayed}, nil
+	d := &DB{db: r.DB}
+	d.newJournal(b, opts, ckptVer, r.Replayed)
+	return d, nil
 }
 
 // Replayer applies raw WAL records to a database, enforcing the version
@@ -239,20 +300,10 @@ func (r *Replayer) Apply(raw []byte) error {
 		if r.DB == nil {
 			return fmt.Errorf("%w: mutation record v%d before any database (%w)", ErrCorrupt, rec.Version, ErrGap)
 		}
-		if rec.Version <= r.DB.Version() {
-			return nil // already in the checkpoint (crash between checkpoint and WAL trim)
+		if skip, err := chain(rec.Version, r.DB.Version()); skip || err != nil {
+			return err
 		}
-		if rec.Version != r.DB.Version()+1 {
-			return fmt.Errorf("%w: record v%d after v%d (%w)", ErrCorrupt, rec.Version, r.DB.Version(), ErrGap)
-		}
-		if err := r.DB.Batch(func(ub *uncertain.Batch) error {
-			for _, op := range rec.Ops {
-				if err := applyOp(ub, op); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
+		if err := r.DB.Batch(func(ub *uncertain.Batch) error { return ApplyOps(ub, rec.Ops) }); err != nil {
 			return fmt.Errorf("%w: replaying v%d: %v", ErrCorrupt, rec.Version, err)
 		}
 		if r.DB.Version() != rec.Version {
@@ -272,32 +323,6 @@ func versionOf(db *uncertain.Database) uint64 {
 	return db.Version()
 }
 
-// applyOp replays one logical operation under a batch — shared by Open's
-// replay and nothing else: the live path journals what already succeeded.
-func applyOp(b *uncertain.Batch, op Op) error {
-	switch op.Op {
-	case "insert":
-		ts := make([]uncertain.Tuple, len(op.Tuples))
-		for i, ot := range op.Tuples {
-			ts[i] = uncertain.Tuple{ID: ot.ID, Attrs: ot.Attrs, Prob: ot.Prob}
-		}
-		if op.Seqs != nil {
-			return b.InsertXTupleSeq(op.Name, op.Seqs, ts...)
-		}
-		return b.InsertXTuple(op.Name, ts...)
-	case "insert_absent":
-		return b.InsertAbsentXTuple(op.Name)
-	case "delete":
-		return b.DeleteXTuple(op.Group)
-	case "reweight":
-		return b.Reweight(op.Group, op.Probs)
-	case "collapse":
-		return b.Collapse(op.Group, op.Choice)
-	default:
-		return fmt.Errorf("unknown op %q", op.Op)
-	}
-}
-
 // DB returns the live database for reads: build an Engine over it, pin
 // snapshots from it. Do not mutate it directly — a commit the journal
 // never sees poisons the store at the next journaled write.
@@ -307,7 +332,7 @@ func (d *DB) DB() *uncertain.Database { return d.db }
 func (d *DB) Version() uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.last
+	return d.j.last
 }
 
 // SinceCheckpoint returns how many WAL records the next recovery would
@@ -316,7 +341,7 @@ func (d *DB) Version() uint64 {
 func (d *DB) SinceCheckpoint() (records int, checkpointVersion uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.sinceCk, d.ckptVer
+	return d.j.SinceCheckpoint()
 }
 
 // Batch mirrors uncertain.Database.Batch with journaling: fn's successful
@@ -330,8 +355,8 @@ func (d *DB) SinceCheckpoint() (records int, checkpointVersion uint64) {
 func (d *DB) Batch(fn func(*Batch) error) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.poisoned != nil {
-		return fmt.Errorf("%w (%v)", ErrPoisoned, d.poisoned)
+	if err := d.j.Err(); err != nil {
+		return err
 	}
 	sb := &Batch{}
 	err := d.db.Batch(func(ub *uncertain.Batch) error {
@@ -339,7 +364,7 @@ func (d *DB) Batch(fn func(*Batch) error) error {
 		return fn(sb)
 	})
 	if len(sb.ops) > 0 {
-		if jerr := d.journal(Record{Version: d.db.Version(), Op: "mutate", Ops: sb.ops}); jerr != nil {
+		if jerr := d.j.Append(Record{Version: d.db.Version(), Op: "mutate", Ops: sb.ops}); jerr != nil {
 			return jerr
 		}
 	}
@@ -357,8 +382,8 @@ func (d *DB) Batch(fn func(*Batch) error) error {
 func (d *DB) JournalCleaning(choices map[int]int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.poisoned != nil {
-		return fmt.Errorf("%w (%v)", ErrPoisoned, d.poisoned)
+	if err := d.j.Err(); err != nil {
+		return err
 	}
 	if len(choices) == 0 {
 		return nil
@@ -372,50 +397,7 @@ func (d *DB) JournalCleaning(choices map[int]int) error {
 	for i, l := range groups {
 		ops[i] = Op{Op: "collapse", Group: l, Choice: choices[l]}
 	}
-	return d.journal(Record{Version: d.db.Version(), Op: "mutate", Ops: ops})
-}
-
-// journal appends one record for the commit that just happened, enforcing
-// that records chain gaplessly (version = last+1). Any backend failure —
-// and any chain break, which means the database was mutated behind the
-// store's back — poisons the store: the memory state is then ahead of the
-// journal and appending further records would persist a history with a
-// hole. Callers hold d.mu.
-func (d *DB) journal(rec Record) error {
-	// Every failure below returns (and records) an ErrPoisoned-wrapped
-	// error — including the first one, so callers can classify even the
-	// request that hit the disk failure as a server-side fault rather
-	// than a bad request.
-	if rec.Version != d.last+1 {
-		d.poisoned = fmt.Errorf("commit v%d after journaled v%d: database mutated outside the store", rec.Version, d.last)
-		return fmt.Errorf("%w (%v)", ErrPoisoned, d.poisoned)
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		d.poisoned = err
-		return fmt.Errorf("%w (%v)", ErrPoisoned, err)
-	}
-	if err := d.b.AppendRecord(data); err != nil {
-		d.poisoned = err
-		return fmt.Errorf("%w (%v)", ErrPoisoned, err)
-	}
-	if d.opts.fsync {
-		if err := d.b.Sync(); err != nil {
-			d.poisoned = err
-			return fmt.Errorf("%w (%v)", ErrPoisoned, err)
-		}
-	}
-	d.last = rec.Version
-	d.sinceCk++
-	if d.opts.checkpointEvery > 0 && d.sinceCk >= d.opts.checkpointEvery {
-		// A failed automatic checkpoint must not fail the commit that
-		// triggered it — the commit is journaled and durable, and the WAL
-		// stays intact, recovery just replays more records. sinceCk keeps
-		// counting, so the next commit retries; Close and Checkpoint
-		// surface persistent failures.
-		_ = d.checkpointLocked()
-	}
-	return nil
+	return d.j.Append(Record{Version: d.db.Version(), Op: "mutate", Ops: ops})
 }
 
 // Checkpoint writes a full snapshot of the current version and resets the
@@ -423,26 +405,7 @@ func (d *DB) journal(rec Record) error {
 func (d *DB) Checkpoint() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.poisoned != nil {
-		return fmt.Errorf("%w (%v)", ErrPoisoned, d.poisoned)
-	}
-	return d.checkpointLocked()
-}
-
-// checkpointLocked encodes the current epoch (via the snapshot machinery,
-// so concurrent queries keep reading) and hands it to the backend.
-func (d *DB) checkpointLocked() error {
-	snap := d.db.Snapshot()
-	data, err := uncertain.EncodeWire(snap)
-	if err != nil {
-		return err
-	}
-	if err := d.b.WriteCheckpoint(data, snap.Version()); err != nil {
-		return err
-	}
-	d.ckptVer = snap.Version()
-	d.sinceCk = 0
-	return nil
+	return d.j.Checkpoint()
 }
 
 // Close flushes and releases the store: a final checkpoint if any records
@@ -452,14 +415,7 @@ func (d *DB) checkpointLocked() error {
 func (d *DB) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var err error
-	if d.poisoned == nil && d.sinceCk > 0 {
-		err = d.checkpointLocked()
-	}
-	if cerr := d.b.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return d.j.Close()
 }
 
 // Batch journals the successful mutations fn issues. Valid only inside
@@ -476,26 +432,7 @@ func (b *Batch) InsertXTuple(name string, tuples ...uncertain.Tuple) error {
 	if err := b.ub.InsertXTuple(name, tuples...); err != nil {
 		return err
 	}
-	ots := make([]OpTuple, len(tuples))
-	for i, t := range tuples {
-		ots[i] = OpTuple{ID: t.ID, Attrs: append([]float64(nil), t.Attrs...), Prob: t.Prob}
-	}
-	b.ops = append(b.ops, Op{Op: "insert", Name: name, Tuples: ots})
-	return nil
-}
-
-// InsertXTupleSeq inserts with explicit tie-break stamps and journals
-// them, so replay reproduces the same rank order (the sharded engine's
-// insert path; see uncertain.Batch.InsertXTupleSeq).
-func (b *Batch) InsertXTupleSeq(name string, seqs []int, tuples ...uncertain.Tuple) error {
-	if err := b.ub.InsertXTupleSeq(name, seqs, tuples...); err != nil {
-		return err
-	}
-	ots := make([]OpTuple, len(tuples))
-	for i, t := range tuples {
-		ots[i] = OpTuple{ID: t.ID, Attrs: append([]float64(nil), t.Attrs...), Prob: t.Prob}
-	}
-	b.ops = append(b.ops, Op{Op: "insert", Name: name, Tuples: ots, Seqs: append([]int(nil), seqs...)})
+	b.ops = append(b.ops, Op{Op: "insert", Name: name, Tuples: OpTuples(tuples)})
 	return nil
 }
 
