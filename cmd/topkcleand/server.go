@@ -810,9 +810,9 @@ func (s *server) handleApply(w http.ResponseWriter, r *http.Request, t *tenant) 
 // batchOps applies a /mutate op list through one batch of a layer's
 // writer, so the whole list commits as a single epoch. B is
 // *topkclean.Batch (ephemeral tenants), *store.Batch (durable tenants,
-// which journal each successful op) or *shard.Batch (sharded tenants). It reports how many
-// ops succeeded (all of them unless an error stopped the list) and the
-// version the commit reached from base.
+// which journal each successful op) or *shard.Batch (sharded tenants). It
+// reports how many ops succeeded (all of them unless an error stopped the
+// list) and the version the commit reached from base.
 func batchOps[B store.Mutator](batch func(func(B) error) error, ops []mutateOp, base uint64) (mutateResponse, error) {
 	resp := mutateResponse{Version: base}
 	err := batch(func(b B) error {

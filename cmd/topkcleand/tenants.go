@@ -161,10 +161,10 @@ func (s *server) addTenant(name string, db *topkclean.Database, cfg tenantConfig
 // journaled (with -store) by the cluster's one journal, whose checkpoint
 // is the shard package's own format, which is why recovery dispatches on
 // tenant.json's shards field; otherwise one engine serves, journaled by
-// one store. A failed creation removes what
-// it made, so a retry does not trip over it, but never a path that held
-// something before — a journal another process has open, or a database
-// an earlier run left — unless its own store.Create found that empty.
+// one store. A failed creation removes what it made, so a retry does not
+// trip over it, but never a path that held something before — a journal
+// another process has open, or a database an earlier run left — unless
+// its own store.Create found that empty.
 func (s *server) openLayer(name string, db *topkclean.Database, cfg tenantConfig) (_ layer, err error) {
 	var st storage
 	if s.cfg.storeRoot != "" {
