@@ -72,13 +72,13 @@ func DefaultConfig(dir string) (*Config, error) {
 		// shard router stamps through). Everything else — including
 		// uncertain's own reader files and tests — must treat published
 		// tuples as frozen.
-		WriterFiles: []string{"database.go", "mutate.go", "batch.go", "snapshot.go", "wire.go", "wirev1.go", "chunks.go", "seq.go"},
+		WriterFiles: []string{"database.go", "mutate.go", "batch.go", "snapshot.go", "wire.go", "wirev1.go", "rankorder.go", "seq.go"},
 		IdxFields:   []string{"idx", "home"},
 		// Tuple.idx and Tuple.home are writer-epoch fields (PR 4, chunked
 		// in PR 9): splice passes repair the chunk back-pointers in place
 		// on tuples shared with snapshots, so only the writer paths (and
 		// the documented Index accessor) may consume them.
-		IdxFiles: []string{"database.go", "mutate.go", "batch.go", "snapshot.go", "wire.go", "chunks.go", "tuple.go"},
+		IdxFiles: []string{"database.go", "mutate.go", "batch.go", "snapshot.go", "wire.go", "rankorder.go", "tuple.go"},
 		LockPkgs: []string{modPath + "/cmd/topkcleand"},
 		// The registry lock (server.mu) and the coalescer lock are both
 		// named "mu"; the per-tenant writeMu intentionally covers journal

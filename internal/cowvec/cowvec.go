@@ -1,195 +1,551 @@
-// Package cowvec is a chunked copy-on-write vector: the index-addressed
-// container behind the uncertain database's x-tuple vector and the shard
-// coordinator's placement maps, where a writer publishes immutable views
-// of it once per commit.
+// Package cowvec is a persistent counted sequence: the one copy-on-write
+// container behind the uncertain database's rank order and x-tuple vector
+// and the shard coordinator's placement maps, where a writer publishes an
+// immutable view of it once per commit.
 //
-// Element i lives at spine[i>>chunkBits], offset i&chunkMask, so At is two
-// loads with no search. Every chunk but the last is full; slots at or
-// beyond Len in the last chunk hold the zero value.
+// Elements live in leaves of at most Width elements under a two-level
+// spine: a root whose kids are inner nodes, and inner nodes whose kids are
+// leaves. A branch keeps the running element count of its kids (ends), so
+// At is a descent of two count lookups, and InsertAt and DeleteAt splice
+// one leaf and fix the counts on its path. A node that outgrows Width
+// splits in half, and two neighbours merge when one holds fewer than
+// Width/4 and both fit in one node (the hysteresis that keeps a split from
+// undoing a merge). Appends therefore leave every leaf but the last at
+// Width/2 elements and every inner node but the last at Width/2 leaves, and
+// the descent's first guess at a kid, offset / (Width/2), is exact.
 //
-// Publish hands the current (spine, n) pair to a frozen view, marks the
-// spine shared, and bumps the epoch. The writer's first write after that
-// copies the spine (one pointer per chunk: ~3 KiB at 10^5 elements), and
-// the first write into a chunk in an unpublished epoch clones that chunk
-// (own; priv records the epoch that may write it in place). A commit thus
-// copies the spine plus only the chunks it dirtied: an append touches the
-// last chunk, a set touches one, and a delete at i shifts the chunks from
-// i onward.
+// Copy-on-write: each node records the epoch that made it, and only that
+// epoch writes it in place. Publish hands the current root to a frozen view
+// and starts a new epoch; the writer's first write below a node of an older
+// epoch clones it. A commit thus copies the root, the inner nodes and the
+// leaves on the paths it wrote, never the whole spine.
+//
+// Homes: every node has a header (Home) that it shares with its clones and
+// that names the writer's current clone, the parent's header and the
+// node's index among the parent's kids. A Tracked sequence reports each
+// element it places in a leaf, with the leaf's home, so that its owner can
+// keep a back-pointer from an element to its home; Home.Index turns that
+// back into the element's position. Homes are writer-epoch state, updated
+// in place as nodes split, merge and are cloned: only the writer may read
+// them.
 package cowvec
 
 import (
 	"errors"
 	"fmt"
 	"iter"
+	"slices"
 )
+
+// Width is the most elements a leaf holds and the most leaves an inner
+// node holds.
+const Width = 128
 
 const (
-	chunkBits = 8
-	chunkSize = 1 << chunkBits
-	chunkMask = chunkSize - 1
+	low      = Width / 4
+	halfBits = 6 // log2(Width/2)
 )
 
-// chunk is one fixed run of slots. xs is immutable once the chunk is
-// shared with a published view.
-type chunk[T comparable] struct {
-	xs   [chunkSize]T
-	priv uint64 // epoch that may write this chunk in place
+// node is a leaf (kids == nil) or a branch. Its slices are immutable once
+// an epoch after the one that made it has begun.
+type node[T comparable] struct {
+	home  *Home[T]
+	epoch uint64
+	ends  []int32    // branches: ends[j] = elements under kids[0..j]
+	kids  []*node[T] // branches
+	xs    []T        // leaves
 }
 
-// Vec is held by value by its owner, so that Publish can hand a frozen
-// view its own (spine, n) pair by struct copy. The zero Vec is empty and
-// ready to use.
-type Vec[T comparable] struct {
-	spine  []*chunk[T]
-	n      int
-	epoch  uint64
-	shared bool // spine is referenced by a published view
+func (n *node[T]) leaf() bool { return n.kids == nil }
+
+// size is what Width bounds: a leaf's elements or a branch's kids.
+func (n *node[T]) size() int {
+	if n.leaf() {
+		return len(n.xs)
+	}
+	return len(n.kids)
+}
+
+// count is the number of elements under n.
+func (n *node[T]) count() int {
+	if n.leaf() {
+		return len(n.xs)
+	}
+	return int(n.ends[len(n.ends)-1])
+}
+
+// slot returns the kid of branch n that holds offset off, and off within
+// that kid; off == n.count() lands at the end of the last kid. A kid of a
+// fully appended branch holds 1<<bits elements, so the guess off>>bits
+// usually settles it; otherwise a binary search over ends does.
+func (n *node[T]) slot(off int, bits uint) (int, int) {
+	ends := n.ends
+	lo, hi := 0, len(ends)-1
+	switch g := min(off>>bits, hi); {
+	case g < hi && int(ends[g]) <= off:
+		lo = g + 1
+	case g == 0 || int(ends[g-1]) <= off:
+		lo, hi = g, g
+	default:
+		hi = g - 1
+	}
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if int(ends[m]) > off {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	if lo > 0 {
+		off -= int(ends[lo-1])
+	}
+	return lo, off
+}
+
+// Home is the writer-epoch header of one node, shared by the node and all
+// its clones.
+type Home[T comparable] struct {
+	cur *node[T] // the writer's current clone
+	up  *Home[T] // the parent's home; nil at the root
+	pos int      // index among the parent's kids
+}
+
+// Index returns the writer's current position of x, an element the
+// sequence placed under this home, or -1 if the home's leaf does not hold
+// it. It scans the leaf and adds the counts before it on the path up.
+func (h *Home[T]) Index(x T) int {
+	i := slices.Index(h.cur.xs, x)
+	if i < 0 {
+		return -1
+	}
+	for ; h.up != nil; h = h.up {
+		if h.pos > 0 {
+			i += int(h.up.cur.ends[h.pos-1])
+		}
+	}
+	return i
+}
+
+// Seq is held by value by its owner, so that Publish can hand a frozen view
+// its own copy. The zero Seq is empty and ready to use.
+type Seq[T comparable] struct {
+	root  *node[T]
+	epoch uint64
+	place func(T, *Home[T])
+}
+
+// Tracked returns an empty sequence that calls place for every element it
+// puts in a leaf — inserted, set, or moved by a split or a merge — with
+// that leaf's home.
+func Tracked[T comparable](place func(T, *Home[T])) Seq[T] {
+	return Seq[T]{place: place}
 }
 
 // Len returns the number of elements.
-func (v *Vec[T]) Len() int { return v.n }
-
-// At returns element i. O(1); i must lie in [0, Len).
-func (v *Vec[T]) At(i int) T {
-	return v.spine[i>>chunkBits].xs[i&chunkMask]
+func (s *Seq[T]) Len() int {
+	if s.root == nil {
+		return 0
+	}
+	return s.root.count()
 }
 
-// All iterates the elements in index order.
-func (v *Vec[T]) All() iter.Seq2[int, T] {
-	return func(yield func(int, T) bool) {
-		for i := 0; i < v.n; i++ {
-			if !yield(i, v.At(i)) {
-				return
+// At returns element i, which must lie in [0, Len).
+func (s *Seq[T]) At(i int) T {
+	g, off := s.root.slot(i, 2*halfBits)
+	in := s.root.kids[g]
+	j, off := in.slot(off, halfBits)
+	return in.kids[j].xs[off]
+}
+
+// Search returns the first position whose element satisfies pred, or Len
+// if none does. pred must be false on a prefix of the sequence and true
+// on the rest; the descent tests each node by its first element.
+func (s *Seq[T]) Search(pred func(T) bool) int {
+	if s.root == nil {
+		return 0
+	}
+	pos, n := 0, s.root
+	for !n.leaf() {
+		k, _ := slices.BinarySearchFunc(n.kids, true, func(c *node[T], _ bool) int {
+			for !c.leaf() {
+				c = c.kids[0]
+			}
+			if pred(c.xs[0]) {
+				return 1
+			}
+			return -1
+		})
+		if k == 0 {
+			return pos
+		}
+		if k > 1 {
+			pos += int(n.ends[k-2])
+		}
+		n = n.kids[k-1]
+	}
+	k, _ := slices.BinarySearchFunc(n.xs, true, func(x T, _ bool) int {
+		if pred(x) {
+			return 1
+		}
+		return -1
+	})
+	return pos + k
+}
+
+// Leaves yields each leaf's elements in order, with the index of the
+// inner node above the leaf. The slices must not be modified.
+func (s *Seq[T]) Leaves() iter.Seq2[int, []T] {
+	return func(yield func(int, []T) bool) {
+		if s.root == nil {
+			return
+		}
+		for g, in := range s.root.kids {
+			for _, lf := range in.kids {
+				if !yield(g, lf.xs) {
+					return
+				}
 			}
 		}
 	}
 }
 
-// own returns a writable chunk for spine position ci, copying the spine on
-// the first write after a publish and cloning the chunk on its first write
-// in the current epoch.
-func (v *Vec[T]) own(ci int) *chunk[T] {
-	v.ownSpine()
-	c := v.spine[ci]
-	if c.priv != v.epoch {
-		c = &chunk[T]{xs: c.xs, priv: v.epoch}
-		v.spine[ci] = c
-	}
-	return c
-}
-
-// ownSpine copies the spine if a published view still references it.
-func (v *Vec[T]) ownSpine() {
-	if v.shared {
-		v.spine = append(make([]*chunk[T], 0, len(v.spine)+1), v.spine...)
-		v.shared = false
-	}
-}
-
-// Set replaces element i.
-func (v *Vec[T]) Set(i int, x T) {
-	v.own(i >> chunkBits).xs[i&chunkMask] = x
-}
-
-// Append adds x as element Len.
-func (v *Vec[T]) Append(x T) {
-	off := v.n & chunkMask
-	if off == 0 {
-		v.ownSpine()
-		v.spine = append(v.spine, &chunk[T]{priv: v.epoch})
-	}
-	v.own(len(v.spine) - 1).xs[off] = x
-	v.n++
-}
-
-// DeleteAt removes element i, shifting every later element down one
-// index: O(1) chunks at the tail, O(Len - i) in general.
-func (v *Vec[T]) DeleteAt(i int) {
-	var zero T
-	last := len(v.spine) - 1
-	lo := i & chunkMask
-	for ci := i >> chunkBits; ci <= last; ci++ {
-		c := v.own(ci)
-		copy(c.xs[lo:], c.xs[lo+1:])
-		c.xs[chunkMask] = zero
-		if ci < last {
-			c.xs[chunkMask] = v.spine[ci+1].xs[0]
+// All iterates the elements in index order.
+func (s *Seq[T]) All() iter.Seq2[int, T] {
+	return func(yield func(int, T) bool) {
+		i := 0
+		for _, xs := range s.Leaves() {
+			for _, x := range xs {
+				if !yield(i, x) {
+					return
+				}
+				i++
+			}
 		}
-		lo = 0
 	}
-	v.n--
-	if v.n&chunkMask == 0 {
-		v.spine[last] = nil
-		v.spine = v.spine[:last]
-	}
-}
-
-// Publish returns the frozen view of the current state and starts a new
-// epoch: from here on every chunk, and the spine itself, is shared. O(1).
-func (v *Vec[T]) Publish() Vec[T] {
-	view := Vec[T]{spine: v.spine, n: v.n, epoch: v.epoch, shared: true}
-	v.shared = true
-	v.epoch++
-	return view
 }
 
 // Materialize returns the elements as one flat slice. O(Len).
-func (v *Vec[T]) Materialize() []T {
-	out := make([]T, 0, v.n)
-	for ci, c := range v.spine {
-		end := chunkSize
-		if ci == len(v.spine)-1 && v.n&chunkMask != 0 {
-			end = v.n & chunkMask
-		}
-		out = append(out, c.xs[:end]...)
+func (s *Seq[T]) Materialize() []T {
+	out := make([]T, 0, s.Len())
+	for _, xs := range s.Leaves() {
+		out = append(out, xs...)
 	}
 	return out
 }
 
+// Cursor walks the elements of one Seq value from a position on, reading
+// only the nodes that value reaches.
+type Cursor[T comparable] struct {
+	root *node[T]
+	g, j int // the current leaf: kid j of inner node g
+	xs   []T // the current leaf's elements not yet returned
+}
+
+// Cursor returns a cursor at position i; from Len on it is exhausted.
+func (s *Seq[T]) Cursor(i int) Cursor[T] {
+	if i >= s.Len() {
+		return Cursor[T]{}
+	}
+	g, off := s.root.slot(max(i, 0), 2*halfBits)
+	j, off := s.root.kids[g].slot(off, halfBits)
+	return Cursor[T]{root: s.root, g: g, j: j, xs: s.root.kids[g].kids[j].xs[off:]}
+}
+
+// Next returns the element at the cursor and advances past it; ok is false
+// once the sequence is exhausted.
+func (c *Cursor[T]) Next() (x T, ok bool) {
+	if len(c.xs) == 0 {
+		if c.root == nil {
+			return x, false
+		}
+		if c.j++; c.j == len(c.root.kids[c.g].kids) {
+			if c.g, c.j = c.g+1, 0; c.g == len(c.root.kids) {
+				c.root = nil
+				return x, false
+			}
+		}
+		c.xs = c.root.kids[c.g].kids[c.j].xs
+	}
+	x, c.xs = c.xs[0], c.xs[1:]
+	return x, true
+}
+
+// newNode returns an empty node of the current epoch with a fresh home.
+func (s *Seq[T]) newNode(up *Home[T], pos int) *node[T] {
+	n := &node[T]{epoch: s.epoch, home: &Home[T]{up: up, pos: pos}}
+	n.home.cur = n
+	return n
+}
+
+// clone returns n if this epoch made it, else a copy that n's home names
+// as the writer's current clone.
+func (s *Seq[T]) clone(n *node[T]) *node[T] {
+	if n.epoch == s.epoch {
+		return n
+	}
+	c := &node[T]{home: n.home, epoch: s.epoch,
+		ends: slices.Clone(n.ends), kids: slices.Clone(n.kids), xs: slices.Clone(n.xs)}
+	c.home.cur = c
+	return c
+}
+
+// own makes kid j of p the writer's own and returns it.
+func (s *Seq[T]) own(p *node[T], j int) *node[T] {
+	p.kids[j] = s.clone(p.kids[j])
+	return p.kids[j]
+}
+
+// path makes the root, inner node and leaf holding position i (or the end
+// of the last leaf, for i == Len) the writer's own, and returns the inner
+// node's slot g, the inner node, the leaf's slot j in it, the leaf, and
+// i's offset in the leaf.
+func (s *Seq[T]) path(i int) (g int, in *node[T], j int, lf *node[T], off int) {
+	s.root = s.clone(s.root)
+	g, off = s.root.slot(i, 2*halfBits)
+	in = s.own(s.root, g)
+	j, off = in.slot(off, halfBits)
+	lf = s.own(in, j)
+	return g, in, j, lf, off
+}
+
+func (s *Seq[T]) placed(x T, lf *node[T]) {
+	if s.place != nil {
+		s.place(x, lf.home)
+	}
+}
+
+// Set replaces element i.
+func (s *Seq[T]) Set(i int, x T) {
+	_, _, _, lf, off := s.path(i)
+	lf.xs[off] = x
+	s.placed(x, lf)
+}
+
+// Append adds x as element Len.
+func (s *Seq[T]) Append(x T) { s.InsertAt(s.Len(), x) }
+
+// InsertAt inserts x as element i, shifting the elements from i on up one
+// index; i must lie in [0, Len].
+func (s *Seq[T]) InsertAt(i int, x T) {
+	if s.root == nil {
+		s.root = s.newNode(nil, 0)
+		in := s.newNode(s.root.home, 0)
+		s.root.kids, s.root.ends = []*node[T]{in}, []int32{0}
+		in.kids, in.ends = []*node[T]{s.newNode(in.home, 0)}, []int32{0}
+	}
+	g, in, j, lf, off := s.path(i)
+	lf.xs = slices.Insert(lf.xs, off, x)
+	s.placed(x, lf)
+	add(in.ends[j:], 1)
+	add(s.root.ends[g:], 1)
+	s.fix(in, j)
+	s.fix(s.root, g)
+}
+
+// DeleteAt removes element i, shifting the later elements down one index.
+func (s *Seq[T]) DeleteAt(i int) {
+	g, in, j, lf, off := s.path(i)
+	lf.xs = slices.Delete(lf.xs, off, off+1)
+	add(in.ends[j:], -1)
+	add(s.root.ends[g:], -1)
+	s.fix(in, j)
+	s.fix(s.root, g)
+	if len(s.root.kids) == 0 {
+		s.root = nil
+	}
+}
+
+func add(ends []int32, d int32) {
+	for k := range ends {
+		ends[k] += d
+	}
+}
+
+// fix restores the size bounds around kid j of p, which p's caller owns
+// and whose size just changed: an empty kid is dropped, an overfull one
+// split, and a small one merged with a neighbour that has room.
+func (s *Seq[T]) fix(p *node[T], j int) {
+	switch n := p.kids[j]; {
+	case n.size() == 0:
+		p.kids = slices.Delete(p.kids, j, j+1)
+		p.ends = slices.Delete(p.ends, j, j+1)
+		s.renumber(p, j)
+		if len(p.kids) > 0 {
+			s.settle(p, max(j-1, 0))
+		}
+	case n.size() > Width:
+		s.split(p, j)
+		s.settle(p, j+1)
+		s.settle(p, j)
+	default:
+		s.settle(p, j)
+	}
+}
+
+// loose reports whether neighbours a and b must merge: one holds fewer
+// than Width/4 and both fit in one node.
+func loose[T comparable](a, b *node[T]) bool {
+	return min(a.size(), b.size()) < low && a.size()+b.size() <= Width
+}
+
+// settle merges kid j of p with its neighbours while either pair is loose.
+func (s *Seq[T]) settle(p *node[T], j int) {
+	for {
+		switch {
+		case j > 0 && loose(p.kids[j-1], p.kids[j]):
+			j--
+			s.merge(p, j)
+		case j+1 < len(p.kids) && loose(p.kids[j], p.kids[j+1]):
+			s.merge(p, j)
+		default:
+			return
+		}
+	}
+}
+
+// split moves the upper half of p's kid j, which the caller owns, into a
+// new kid j+1.
+func (s *Seq[T]) split(p *node[T], j int) {
+	a, b := p.kids[j], s.newNode(p.home, j+1)
+	h := a.size() / 2
+	if a.leaf() {
+		b.xs = slices.Clone(a.xs[h:])
+		clear(a.xs[h:])
+		a.xs = a.xs[:h]
+		for _, x := range b.xs {
+			s.placed(x, b)
+		}
+	} else {
+		b.kids = slices.Clone(a.kids[h:])
+		b.ends = slices.Clone(a.ends[h:])
+		add(b.ends, -a.ends[h-1])
+		clear(a.kids[h:])
+		a.kids, a.ends = a.kids[:h], a.ends[:h]
+		s.renumber(b, 0)
+	}
+	p.kids = slices.Insert(p.kids, j+1, b)
+	p.ends = slices.Insert(p.ends, j, p.ends[j]-int32(b.count()))
+	s.renumber(p, j+1)
+}
+
+// merge moves p's kid j+1 onto the end of kid j.
+func (s *Seq[T]) merge(p *node[T], j int) {
+	a, b := s.own(p, j), p.kids[j+1]
+	seam := a.size()
+	if a.leaf() {
+		a.xs = append(a.xs, b.xs...)
+		for _, x := range b.xs {
+			s.placed(x, a)
+		}
+	} else {
+		base := a.ends[seam-1]
+		a.kids = append(a.kids, b.kids...)
+		for _, e := range b.ends {
+			a.ends = append(a.ends, base+e)
+		}
+		s.renumber(a, seam)
+	}
+	p.kids = slices.Delete(p.kids, j+1, j+2)
+	p.ends = slices.Delete(p.ends, j, j+1)
+	s.renumber(p, j+1)
+	if !a.leaf() {
+		// The last leaf of a and the first of b are neighbours now.
+		s.settle(a, seam)
+	}
+}
+
+// renumber points the homes of p's kids from k on at p and their index.
+func (s *Seq[T]) renumber(p *node[T], k int) {
+	for ; k < len(p.kids); k++ {
+		p.kids[k].home.up, p.kids[k].home.pos = p.home, k
+	}
+}
+
+// Publish returns the frozen view of the current state and starts a new
+// epoch, from which every node is shared with the view. O(1).
+func (s *Seq[T]) Publish() Seq[T] {
+	view := Seq[T]{root: s.root, epoch: s.epoch}
+	s.epoch++
+	return view
+}
+
 // ErrCorrupt reports a structural violation found by Check or
 // CheckIsolated.
-var ErrCorrupt = errors.New("cowvec: vector corrupt")
+var ErrCorrupt = errors.New("cowvec: sequence corrupt")
 
 func corrupt(what string) error { return fmt.Errorf("%w: %s", ErrCorrupt, what) }
 
-// Check validates the structural invariants: the spine holds exactly the
-// chunks Len needs, each at most once, no chunk is stamped with a future
-// epoch, and the slots past Len hold the zero value. It reads only
-// epoch-frozen state, so it is safe on published views.
-func (v *Vec[T]) Check() error {
-	if v.n < 0 || len(v.spine) != (v.n+chunkMask)>>chunkBits {
-		return corrupt("spine length does not match the element count")
+// nodes yields every node s reaches with its depth (0 at the root, 2 at
+// the leaves).
+func (s *Seq[T]) nodes() iter.Seq2[*node[T], int] {
+	return func(yield func(*node[T], int) bool) {
+		if s.root == nil || !yield(s.root, 0) {
+			return
+		}
+		for _, in := range s.root.kids {
+			if !yield(in, 1) {
+				return
+			}
+			for _, lf := range in.kids {
+				if !yield(lf, 2) {
+					return
+				}
+			}
+		}
 	}
+}
+
+// Check validates the structural invariants: leaves sit at depth 2, no
+// node is empty, over Width (the root excepted) or reached twice, no node
+// is stamped with a future epoch, every branch's ends are the running
+// counts of its kids, no two neighbours are loose, and the slots a leaf
+// holds past its length are zero. It reads only epoch-frozen state, so it
+// is safe on published views.
+func (s *Seq[T]) Check() error {
 	var zero T
-	seen := make(map[*chunk[T]]bool, len(v.spine))
-	for ci, c := range v.spine {
-		if c == nil || seen[c] {
-			return corrupt("chunk missing or repeated")
+	seen := make(map[*node[T]]bool)
+	for n, depth := range s.nodes() {
+		switch {
+		case seen[n]:
+			return corrupt("node reached twice")
+		case n.epoch > s.epoch:
+			return corrupt("node stamped with a future epoch")
+		case n.leaf() != (depth == 2) || n.size() == 0 || depth > 0 && n.size() > Width:
+			return corrupt("node empty, overfull or at the wrong depth")
 		}
-		seen[c] = true
-		if c.priv > v.epoch {
-			return corrupt("chunk stamped with a future epoch")
+		seen[n] = true
+		for _, x := range n.xs[len(n.xs):cap(n.xs)] {
+			if x != zero {
+				return corrupt("slot set past a leaf's length")
+			}
 		}
-		for off, x := range c.xs {
-			if ci<<chunkBits+off >= v.n && x != zero {
-				return corrupt("slot set past the element count")
+		if n.leaf() {
+			continue
+		}
+		if len(n.ends) != len(n.kids) {
+			return corrupt("counts and kids differ in length")
+		}
+		total := 0
+		for k, c := range n.kids {
+			if total += c.count(); int(n.ends[k]) != total {
+				return corrupt("counts out of step with the kids")
+			}
+			if k > 0 && loose(n.kids[k-1], c) {
+				return corrupt("neighbours left unmerged")
 			}
 		}
 	}
 	return nil
 }
 
-// CheckIsolated reports whether the published view is safe from the
-// writer v: no chunk the view reaches is writable in place (its priv stamp
-// is an older epoch), and the view does not share a spine the writer owns.
-func (v *Vec[T]) CheckIsolated(view *Vec[T]) error {
-	for _, c := range view.spine {
-		if c.priv == v.epoch {
-			return corrupt("view shares a chunk the writer may write in place")
+// CheckIsolated reports whether the published view is safe from the writer
+// s: the view reaches no node that s may write in place.
+func (s *Seq[T]) CheckIsolated(view *Seq[T]) error {
+	for n := range view.nodes() {
+		if n.epoch == s.epoch {
+			return corrupt("view shares a node the writer may write in place")
 		}
-	}
-	if !v.shared && len(v.spine) > 0 && len(view.spine) > 0 && &v.spine[0] == &view.spine[0] {
-		return corrupt("view shares the writer's private spine")
 	}
 	return nil
 }

@@ -33,8 +33,8 @@ type entry struct {
 // the tail shifts O(m) slots.
 type directory struct {
 	entries  []*entry
-	view     cowvec.Vec[entryView] // view.At(gi) mirrors entries[gi]
-	perShard []cowvec.Vec[int32]   // perShard[s].At(local) = global index; sentinel -1
+	view     cowvec.Seq[entryView] // view.At(gi) mirrors entries[gi]
+	perShard []cowvec.Seq[int32]   // perShard[s].At(local) = global index; sentinel -1
 }
 
 // collapse records that the group was resolved to alternative choice: a
@@ -49,7 +49,7 @@ func (e *entry) collapse(choice int) {
 }
 
 func newDirectory(shards int) *directory {
-	d := &directory{perShard: make([]cowvec.Vec[int32], shards)}
+	d := &directory{perShard: make([]cowvec.Seq[int32], shards)}
 	for s := range d.perShard {
 		d.perShard[s].Append(-1) // the sentinel at local 0
 	}
@@ -95,8 +95,8 @@ type entryView struct {
 type epoch struct {
 	version  uint64
 	snaps    []*uncertain.Database
-	entries  cowvec.Vec[entryView] // global group index -> placement
-	perShard []cowvec.Vec[int32]   // [shard] local -> global index; sentinel -1
+	entries  cowvec.Seq[entryView] // global group index -> placement
+	perShard []cowvec.Seq[int32]   // [shard] local -> global index; sentinel -1
 	n        int                   // global alternatives (sentinels excluded)
 	m        int                   // global groups (sentinels excluded)
 }
@@ -115,7 +115,7 @@ func (c *Cluster) publishLocked() {
 	e.m = len(c.dir.entries)
 	e.n = tuples - len(c.shards) // one sentinel null per shard
 	e.entries = c.dir.view.Publish()
-	e.perShard = make([]cowvec.Vec[int32], len(c.shards))
+	e.perShard = make([]cowvec.Seq[int32], len(c.shards))
 	for s := range e.perShard {
 		e.perShard[s] = c.dir.perShard[s].Publish()
 	}

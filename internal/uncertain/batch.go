@@ -31,8 +31,8 @@ type Batch struct {
 // Batch runs fn with a Batch whose mutation methods mirror the database's
 // (InsertXTuple, InsertAbsentXTuple, DeleteXTuple, Reweight, Collapse),
 // then commits once: one version bump, one watermark log entry, one
-// published epoch — and, under the chunked rank structure, one spine
-// unshare however many chunk splices the batch performs.
+// published epoch — and one copy of each rank-order and x-tuple-vector
+// node the batch writes, however many splices touch it.
 //
 // Each mutation validates before it changes anything, so a failed
 // mutation leaves the database as it was just before that call. There is
@@ -47,7 +47,7 @@ type Batch struct {
 // of the batch's mutations — never an intermediate state. Queries through
 // snapshots may therefore run fully concurrently with a Batch. Tuple rank
 // positions (Tuple.Index) stay valid between the batch's mutations: each
-// splice pass repairs them as it moves tuples.
+// splice keeps the homes they are read from current.
 func (db *Database) Batch(fn func(*Batch) error) error {
 	db.wmu.Lock()
 	defer db.wmu.Unlock()

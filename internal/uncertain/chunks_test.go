@@ -5,49 +5,50 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"github.com/probdb/topkclean/internal/cowvec"
 )
 
-// checkChunkInvariants verifies the deep invariants of the chunked rank
-// structure on a live (writer) database: the structural spine checks of
-// rankStore.check, plus the writer-epoch caches — every chunk's pos/start
-// agree with its spine position, and every tuple's home/idx back-pointers
-// locate it exactly. These are the invariants remove() and the COW redirect
-// in cowGroup rely on, so any drift here eventually corrupts a mutation.
+// leafLens returns the number of tuples in each leaf of db's rank order.
+func leafLens(db *Database) []int {
+	var out []int
+	for _, xs := range db.rs.Leaves() {
+		out = append(out, len(xs))
+	}
+	return out
+}
+
+// checkChunkInvariants verifies the deep invariants of the rank order on a
+// live (writer) database: the structural checks of cowvec.Seq.Check, and
+// the writer-epoch homes — every tuple sits in a leaf, non-nil, and its
+// home gives back exactly its position, which holds only if the home
+// names the writer's current copy of that leaf and every header on the
+// path up records its node's index. These are the invariants removeSorted
+// and the redirect in cowGroup rely on, so any drift here eventually
+// corrupts a mutation.
 func checkChunkInvariants(t *testing.T, db *Database) {
 	t.Helper()
-	rs := &db.rs
-	if err := rs.check(); err != nil {
+	if err := db.rs.Check(); err != nil {
 		t.Fatal(err)
 	}
-	for ci, c := range rs.chunks {
-		// Shared (priv != epoch) chunks are legal, but their writer caches
-		// must still be fresh: remove() trusts home.pos/idx unconditionally.
-		if c.pos != ci {
-			t.Fatalf("chunk %d caches pos %d", ci, c.pos)
-		}
-		if c.start != rs.starts[ci] {
-			t.Fatalf("chunk %d caches start %d, spine says %d", ci, c.start, rs.starts[ci])
-		}
-		for off, tp := range c.tuples {
+	pos := 0
+	for li, xs := range db.rs.Leaves() {
+		for off, tp := range xs {
 			if tp == nil {
-				t.Fatalf("chunk %d holds nil tuple at offset %d", ci, off)
+				t.Fatalf("leaf under inner node %d holds nil tuple at offset %d", li, off)
 			}
-			//lint:allow idxread the invariant checker audits the writer-epoch caches themselves, on the live epoch only
-			if tp.home != c.chunkHome {
-				t.Fatalf("tuple %s in chunk %d has foreign home", tp.ID, ci)
+			if got := tp.Index(); got != pos {
+				t.Fatalf("tuple %s Index()=%d, want %d", tp.ID, got, pos)
 			}
-			//lint:allow idxread same audit: idx must equal the tuple's actual chunk offset
-			if cached := tp.idx; int(cached) != off {
-				t.Fatalf("tuple %s at chunk %d offset %d caches idx %d", tp.ID, ci, off, cached)
-			}
-			if got := tp.Index(); got != rs.starts[ci]+off {
-				t.Fatalf("tuple %s Index()=%d, want %d", tp.ID, got, rs.starts[ci]+off)
-			}
+			pos++
 		}
+	}
+	if pos != db.NumTuples() {
+		t.Fatalf("leaves hold %d tuples, NumTuples says %d", pos, db.NumTuples())
 	}
 }
 
-// buildWideDB builds a database with enough tuples to span many chunks:
+// buildWideDB builds a database with enough tuples to span many leaves:
 // groups x-tuples with alternatives-per-group alternatives each (plus
 // materialized nulls for the mass deficit), scores drawn from rng.
 func buildWideDB(t *testing.T, rng *rand.Rand, groups, alts int) *Database {
@@ -72,26 +73,28 @@ func buildWideDB(t *testing.T, rng *rand.Rand, groups, alts int) *Database {
 	return db
 }
 
-// TestChunkStoreShape checks that Build produces target-sized chunks and
-// that seeks resolve every boundary position.
+// TestChunkStoreShape checks that Build leaves its leaves at half of
+// cowvec.Width and that seeks resolve every boundary position.
 func TestChunkStoreShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
-	db := buildWideDB(t, rng, 400, 3) // 1200 real + ~400 nulls, several chunks
+	db := buildWideDB(t, rng, 400, 3) // 1200 real + ~400 nulls, many leaves
 	checkChunkInvariants(t, db)
 	n := db.NumTuples()
-	if len(db.rs.chunks) < 2 {
-		t.Fatalf("expected a multi-chunk spine for n=%d, got %d chunks", n, len(db.rs.chunks))
+	lens := leafLens(db)
+	if len(lens) < 2 {
+		t.Fatalf("expected a multi-leaf rank order for n=%d, got %d leaves", n, len(lens))
 	}
-	for _, c := range db.rs.chunks {
-		if len(c.tuples) > chunkTarget {
-			t.Fatalf("build-time chunk holds %d tuples, target is %d", len(c.tuples), chunkTarget)
+	for i, l := range lens {
+		if l > cowvec.Width/2 && i < len(lens)-1 || l > cowvec.Width {
+			t.Fatalf("build-time leaf %d of %d holds %d tuples, fill is %d", i, len(lens), l, cowvec.Width/2)
 		}
 	}
 	sorted := db.Sorted()
 	if len(sorted) != n {
 		t.Fatalf("Sorted() returned %d tuples, NumTuples says %d", len(sorted), n)
 	}
-	for _, pos := range []int{0, 1, chunkTarget - 1, chunkTarget, chunkTarget + 1, n - 1} {
+	const fill = cowvec.Width / 2
+	for _, pos := range []int{0, 1, fill - 1, fill, fill + 1, n - 1} {
 		if got := db.AtRank(pos); got != sorted[pos] {
 			t.Fatalf("AtRank(%d) = %v, want %s", pos, got, sorted[pos].ID)
 		}
@@ -101,7 +104,7 @@ func TestChunkStoreShape(t *testing.T) {
 	}
 }
 
-// TestCursorMatchesSorted walks cursors from every chunk-boundary-adjacent
+// TestCursorMatchesSorted walks cursors from every leaf-boundary-adjacent
 // start position and checks they produce exactly the Sorted() suffix.
 func TestCursorMatchesSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -109,8 +112,10 @@ func TestCursorMatchesSorted(t *testing.T) {
 	sorted := db.Sorted()
 	n := len(sorted)
 	starts := []int{0, 1, n / 2, n - 1, n, n + 5}
-	for _, c := range db.rs.starts {
+	c := 0
+	for _, l := range leafLens(db) {
 		starts = append(starts, c-1, c, c+1)
+		c += l
 	}
 	for _, from := range starts {
 		if from < 0 {
@@ -134,14 +139,14 @@ func TestCursorMatchesSorted(t *testing.T) {
 }
 
 // TestChunkSplitOnClusteredInserts hammers one score region with inserts so
-// a single chunk must split repeatedly, then checks structure and order.
+// a single leaf must split repeatedly, then checks structure and order.
 func TestChunkSplitOnClusteredInserts(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	db := buildWideDB(t, rng, 200, 2)
-	before := len(db.rs.chunks)
-	// All inserts score inside a narrow band, landing in the same chunk
+	before := len(leafLens(db))
+	// All inserts score inside a narrow band, landing in the same leaf
 	// neighbourhood every time.
-	for i := 0; i < 3*chunkMax; i++ {
+	for i := 0; i < 3*cowvec.Width; i++ {
 		id := fmt.Sprintf("clust%d", i)
 		score := 500 + rng.Float64() // narrow band
 		if err := db.InsertXTuple("X"+id, Tuple{ID: id, Attrs: []float64{score}, Prob: 0.5}); err != nil {
@@ -149,15 +154,16 @@ func TestChunkSplitOnClusteredInserts(t *testing.T) {
 		}
 	}
 	checkChunkInvariants(t, db)
-	if len(db.rs.chunks) <= before {
-		t.Fatalf("expected splits to grow the spine past %d chunks, have %d", before, len(db.rs.chunks))
+	if after := len(leafLens(db)); after <= before {
+		t.Fatalf("expected splits to grow the order past %d leaves, have %d", before, after)
 	}
 	assertSameOrder(t, db, rebuildFrom(t, db))
 }
 
-// TestChunkMergeOnMassDeletes deletes most x-tuples and checks the spine
-// rebalances: no chunk below chunkMin (except a lone survivor) and the
-// order still matches a rebuild.
+// TestChunkMergeOnMassDeletes deletes most x-tuples and checks the order
+// rebalances: no leaf below cowvec.Width/4 beside a neighbour under the
+// same inner node that it fits with (two such leaves merge; leaves under
+// different inner nodes never do), and the order still matches a rebuild.
 func TestChunkMergeOnMassDeletes(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	db := buildWideDB(t, rng, 400, 3)
@@ -167,23 +173,21 @@ func TestChunkMergeOnMassDeletes(t *testing.T) {
 		}
 	}
 	checkChunkInvariants(t, db)
-	if nc := len(db.rs.chunks); nc > 1 {
-		for ci, c := range db.rs.chunks {
-			if len(c.tuples) < chunkMin && ci != nc-1 {
-				// Mid-spine slivers should have been merged away; the last
-				// chunk may stay small only when its neighbour is full.
-				prev := db.rs.chunks[ci-1]
-				if len(prev.tuples)+len(c.tuples) <= chunkMax {
-					t.Fatalf("chunk %d holds %d tuples (< min %d) with a mergeable neighbour", ci, len(c.tuples), chunkMin)
-				}
-			}
+	prevInner, prevLen := -1, 0
+	for inner, xs := range db.rs.Leaves() {
+		// Slivers should have been merged away; a small leaf may stay only
+		// beside a neighbour too full to take it.
+		if inner == prevInner && min(prevLen, len(xs)) < cowvec.Width/4 && prevLen+len(xs) <= cowvec.Width {
+			t.Fatalf("leaf of %d tuples beside one of %d under inner node %d (< min %d): a mergeable pair",
+				len(xs), prevLen, inner, cowvec.Width/4)
 		}
+		prevInner, prevLen = inner, len(xs)
 	}
 	assertSameOrder(t, db, rebuildFrom(t, db))
 }
 
-// TestChunkStressMixedMutations is the chunk-structure property test: a
-// long randomized script of every mutation kind over a multi-chunk
+// TestChunkStressMixedMutations is the rank-order property test: a
+// long randomized script of every mutation kind over a multi-leaf
 // database, with the deep invariants checked after every step and the
 // order cross-checked against a full rebuild periodically.
 func TestChunkStressMixedMutations(t *testing.T) {
@@ -242,9 +246,9 @@ func TestChunkStressMixedMutations(t *testing.T) {
 }
 
 // TestSnapshotUnchangedByChunkMutations pins a snapshot, then mutates the
-// writer hard enough to split and merge chunks the snapshot shares. The
+// writer hard enough to split and merge leaves the snapshot shares. The
 // snapshot's order, probabilities, and structure must be bit-identical
-// throughout — the chunk-granular COW contract.
+// throughout — the node-granular COW contract.
 func TestSnapshotUnchangedByChunkMutations(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	db := buildWideDB(t, rng, 300, 3)
@@ -260,7 +264,7 @@ func TestSnapshotUnchangedByChunkMutations(t *testing.T) {
 		wantProbs = append(wantProbs, math.Float64bits(tp.Prob))
 	}
 
-	for i := 0; i < 2*chunkMax; i++ {
+	for i := 0; i < 2*cowvec.Width; i++ {
 		id := fmt.Sprintf("w%d", i)
 		if err := db.InsertXTuple("X"+id, Tuple{ID: id, Attrs: []float64{400 + rng.Float64()}, Prob: 0.4}); err != nil {
 			t.Fatal(err)
@@ -294,11 +298,11 @@ func TestSnapshotUnchangedByChunkMutations(t *testing.T) {
 	}
 }
 
-// TestIndexAcrossCloneSplitMerge pins Index through the chunk header: after
-// every commit — each one clones the chunks it touches, since Build and
+// TestIndexAcrossCloneSplitMerge pins Index through the leaf header: after
+// every commit — each one clones the nodes it touches, since Build and
 // every commit publish — every tuple's Index is its position in the rank
-// order, through a run of inserts into one chunk until it splits and a
-// run of deletes out of one chunk until it merges with a neighbour.
+// order, through a run of inserts into one leaf until it splits and a run
+// of deletes out of one leaf until it merges with a neighbour.
 func TestIndexAcrossCloneSplitMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	db := buildWideDB(t, rng, 600, 3)
@@ -313,7 +317,8 @@ func TestIndexAcrossCloneSplitMerge(t *testing.T) {
 	}
 	checkIndex("built")
 
-	// Clone: reweight one x-tuple, so only its chunks are copied.
+	// Clone: reweight one x-tuple, so only its leaves and their paths are
+	// copied.
 	real := db.GroupAt(7).RealTuples()
 	probs := make([]float64, len(real))
 	for i := range probs {
@@ -324,12 +329,12 @@ func TestIndexAcrossCloneSplitMerge(t *testing.T) {
 	}
 	checkIndex("reweight")
 
-	// Split: insert just above one mid-order tuple until its chunk splits.
-	chunks := len(db.rs.chunks)
+	// Split: insert just above one mid-order tuple until its leaf splits.
+	leaves := len(leafLens(db))
 	anchor := db.AtRank(db.NumTuples() / 2).Score
-	for i := 0; len(db.rs.chunks) == chunks; i++ {
-		if i > 2*chunkMax {
-			t.Fatal("no split after inserting twice the split threshold into one chunk")
+	for i := 0; len(leafLens(db)) == leaves; i++ {
+		if i > 2*cowvec.Width {
+			t.Fatal("no split after inserting twice the split threshold into one leaf")
 		}
 		err := db.InsertXTuple(fmt.Sprintf("S%d", i),
 			Tuple{ID: fmt.Sprintf("s%d", i), Attrs: []float64{anchor + 1e-9*float64(i+1)}, Prob: 0.5})
@@ -339,13 +344,20 @@ func TestIndexAcrossCloneSplitMerge(t *testing.T) {
 		checkIndex(fmt.Sprintf("insert %d", i))
 	}
 
-	// Merge: delete the x-tuples of one chunk's tuples until it merges.
-	chunks = len(db.rs.chunks)
-	for i := 0; len(db.rs.chunks) >= chunks; i++ {
-		if i > chunkMax {
-			t.Fatal("no merge after deleting a chunk's worth of x-tuples")
+	// Merge: delete the x-tuples of one leaf's tuples until it merges.
+	leaves = len(leafLens(db))
+	for i := 0; len(leafLens(db)) >= leaves; i++ {
+		if i > cowvec.Width {
+			t.Fatal("no merge after deleting a leaf's worth of x-tuples")
 		}
-		tp := db.rs.chunks[2].tuples[0]
+		var tp *Tuple
+		k := 0
+		for _, xs := range db.rs.Leaves() {
+			if k++; k == 3 {
+				tp = xs[0]
+				break
+			}
+		}
 		if err := db.DeleteXTuple(tp.Group); err != nil {
 			t.Fatal(err)
 		}

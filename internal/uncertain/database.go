@@ -18,9 +18,9 @@ import (
 // alternatives, and fixes the global rank order that all algorithms assume
 // ("tuples in D are arranged in descending order of ranks", Section IV).
 type Database struct {
-	groups  cowvec.Vec[*XTuple] // x-tuples by group index, copy-on-write per commit
+	groups  cowvec.Seq[*XTuple] // x-tuples by group index, copy-on-write per commit
 	rank    RankFunc
-	rs      rankStore // all alternatives (incl. nulls) in descending rank order; see chunks.go
+	rs      cowvec.Seq[*Tuple] // all alternatives (incl. nulls) in descending rank order; see rankorder.go
 	built   bool
 	nReal   int
 	version uint64        // bumped by Build and every mutation; see Version
@@ -36,15 +36,12 @@ type Database struct {
 	// Snapshot isolation (see snapshot.go). snap is the current published
 	// epoch: an immutable frozen view readers pin with Snapshot. wmu
 	// serializes writers (Batch, the only commit path, and Clone take it);
-	// readers never do. shared marks the containers as referenced by the
-	// latest epoch, so the next mutation copies them first (unshare), and
-	// cowed tracks the x-tuples already cloned in the current unpublished
-	// epoch. frozen marks a snapshot view itself: reads work, mutations
+	// readers never do. cowed tracks the x-tuples already cloned in the
+	// current unpublished epoch. frozen marks a snapshot view itself: reads work, mutations
 	// fail with ErrFrozenSnapshot, and origin points back at the live
 	// database the snapshot was taken from.
 	snap   atomic.Pointer[Database]
 	wmu    sync.Mutex
-	shared bool
 	cowed  map[*XTuple]bool
 	frozen bool
 	origin *Database
@@ -246,7 +243,7 @@ func (db *Database) Build(rank RankFunc) error {
 	db.rank = rank
 	db.nReal = len(staged)
 	keys := rankKeys(staged)
-	db.rs = newRankStore(len(staged)+len(nulls), func(yield func(*Tuple) bool) {
+	db.rs = newRankOrder(func(yield func(*Tuple) bool) {
 		for _, k := range keys {
 			if !yield(staged[k.pos]) {
 				return
@@ -349,7 +346,7 @@ func (db *Database) DirtySince(since uint64) (watermark int, ok bool) {
 	if !ok {
 		return 0, false
 	}
-	wm := db.rs.n
+	wm := db.rs.Len()
 	for _, m := range marks {
 		if m.watermark < wm {
 			wm = m.watermark
@@ -424,20 +421,20 @@ func (db *Database) NumRealTuples() int {
 
 // NumTuples returns the number of alternatives including materialized
 // nulls, i.e. the length of the rank order.
-func (db *Database) NumTuples() int { return db.rs.n }
+func (db *Database) NumTuples() int { return db.rs.Len() }
 
 // Groups returns the x-tuples in group-index order. The x-tuples must not
 // be modified.
 //
-// The x-tuples live in a chunked copy-on-write vector (chunks.go), so
+// The x-tuples live in a copy-on-write sequence (cowvec), so
 // Groups materializes a fresh O(m) slice per call. It remains for
 // whole-set consumers (export, world enumeration, partitioning); reach a
-// single x-tuple with GroupAt, which is O(1) and allocation-free.
+// single x-tuple with GroupAt, which is a descent and allocation-free.
 func (db *Database) Groups() []*XTuple { return db.groups.Materialize() }
 
-// GroupAt returns the x-tuple at index l in O(1). l must lie in
-// [0, NumGroups()); like a slice index, anything else panics. Use Group
-// for a checked lookup.
+// GroupAt returns the x-tuple at index l, a two-level descent without
+// allocation. l must lie in [0, NumGroups()); like a slice index,
+// anything else panics. Use Group for a checked lookup.
 func (db *Database) GroupAt(l int) *XTuple { return db.groups.At(l) }
 
 // Group returns the x-tuple at index l.
@@ -452,12 +449,12 @@ func (db *Database) Group(l int) (*XTuple, error) {
 // the highest rank). Valid only after Build. The slice must not be
 // modified.
 //
-// The order now lives in the chunked rank structure (chunks.go), so Sorted
+// The order lives in a copy-on-write sequence (rankorder.go), so Sorted
 // materializes a fresh O(n) slice per call. It remains for compatibility
 // and for genuinely whole-order consumers; incremental scans and seeks
-// should use CursorAt / AtRank, which cost O(log(n/C)) to position and
+// should use CursorAt / AtRank, which cost one descent to position and
 // O(1) per step with no allocation.
-func (db *Database) Sorted() []*Tuple { return db.rs.materialize() }
+func (db *Database) Sorted() []*Tuple { return db.rs.Materialize() }
 
 // Rank returns the ranking function the database was built with.
 func (db *Database) Rank() RankFunc { return db.rank }
@@ -466,7 +463,7 @@ func (db *Database) Rank() RankFunc { return db.rank }
 // built database this is an O(1) lookup in the writer's open-addressing
 // ID index (idindex.go) — the mutation validation path (and any serving
 // lookup) depends on it not scanning the rank order. On a snapshot it
-// degrades to an O(n) scan of the frozen chunks: the index stays
+// degrades to an O(n) scan of the frozen rank order: the index stays
 // writer-private, mutated in place, so that commits do not pay an O(n)
 // copy per epoch; route hot by-ID lookups through the live database
 // (whose index is always current).
@@ -474,11 +471,9 @@ func (db *Database) TupleByID(id string) *Tuple {
 	if db.ids != nil {
 		return db.ids.get(id)
 	}
-	for _, c := range db.rs.chunks {
-		for _, t := range c.tuples {
-			if t.ID == id {
-				return t
-			}
+	for _, t := range db.rs.All() {
+		if t.ID == id {
+			return t
 		}
 	}
 	return nil
@@ -499,7 +494,7 @@ func (db *Database) Clone() *Database {
 		nextOrd: db.nextOrd, nextUID: db.nextUID,
 		marks: append([]versionMark(nil), db.marks...)}
 	if db.built {
-		out.ids = newIDIndex(db.rs.n)
+		out.ids = newIDIndex(db.rs.Len())
 	}
 	var scratch []Tuple
 	for _, x := range db.groups.All() {
@@ -523,12 +518,10 @@ func (db *Database) Clone() *Database {
 	}
 	if db.built {
 		// IDs are unique, so the new index maps each original to its copy.
-		out.rs = newRankStore(db.rs.n, func(yield func(*Tuple) bool) {
-			for _, ch := range db.rs.chunks {
-				for _, t := range ch.tuples {
-					if !yield(out.ids.get(t.ID)) {
-						return
-					}
+		out.rs = newRankOrder(func(yield func(*Tuple) bool) {
+			for _, t := range db.rs.All() {
+				if !yield(out.ids.get(t.ID)) {
+					return
 				}
 			}
 		})
@@ -623,7 +616,7 @@ func (db *Database) Validate() error {
 			seen[t.ID] = true
 		}
 	}
-	if err := db.rs.check(); err != nil {
+	if err := db.rs.Check(); err != nil {
 		return err
 	}
 	cur := db.CursorAt(0)
@@ -641,8 +634,8 @@ func (db *Database) Validate() error {
 	// The live database's ID index must hold exactly the rank order's
 	// tuples (snapshots carry none).
 	if db.ids != nil {
-		if db.ids.n != db.rs.n {
-			return fmt.Errorf("uncertain: ID index holds %d tuples, rank order %d", db.ids.n, db.rs.n)
+		if db.ids.n != db.rs.Len() {
+			return fmt.Errorf("uncertain: ID index holds %d tuples, rank order %d", db.ids.n, db.rs.Len())
 		}
 		for t := range db.Ranked(0) {
 			if db.ids.get(t.ID) != t {

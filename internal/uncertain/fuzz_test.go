@@ -120,10 +120,10 @@ func FuzzDecodeWire(f *testing.F) {
 // FuzzGroupVec drives the copy-on-write group vector with arbitrary
 // append / set / delete-at / publish sequences and checks it against a
 // plain-slice model after every step: the writer's contents equal the
-// model's, the structural invariants (cowvec.Vec.Check) hold for the writer
-// and every published view, every view still holds exactly what the model
-// held when it was published, and no chunk a view reaches is writable in
-// place by the writer (its priv stamp is an older epoch).
+// model's, the structural invariants (cowvec.Seq.Check) hold for the
+// writer and every published view, every view still holds exactly what
+// the model held when it was published, and no node a view reaches is
+// writable in place by the writer (it was made in an older epoch).
 func FuzzGroupVec(f *testing.F) {
 	f.Add([]byte{0, 0, 3, 1, 0, 2, 2, 1, 3})
 	f.Add([]byte{4, 255, 4, 255, 3, 2, 0, 5, 1, 1, 0, 3, 2, 255, 255, 4, 10, 3, 2, 0, 0})
@@ -131,11 +131,11 @@ func FuzzGroupVec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const maxSteps, maxGroups, maxViews = 128, 4096, 32
 		type view struct {
-			v    cowvec.Vec[*XTuple]
+			v    cowvec.Seq[*XTuple]
 			want []*XTuple
 		}
 		var (
-			v     cowvec.Vec[*XTuple]
+			v     cowvec.Seq[*XTuple]
 			model []*XTuple
 			views []view
 			next  int
@@ -144,7 +144,7 @@ func FuzzGroupVec(f *testing.F) {
 			next++
 			return &XTuple{Name: fmt.Sprint(next)}
 		}
-		checkView := func(label string, got cowvec.Vec[*XTuple], want []*XTuple) {
+		checkView := func(label string, got cowvec.Seq[*XTuple], want []*XTuple) {
 			if err := got.Check(); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}

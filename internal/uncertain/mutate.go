@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // This file is the mutation API for built databases. Build fixes the global
@@ -11,9 +12,8 @@ import (
 // sensor readings arrive (InsertXTuple), entities disappear (DeleteXTuple),
 // distributions are revised (Reweight), and cleaning operations resolve an
 // x-tuple to one alternative (Collapse). Each mutation maintains the
-// chunked rank order incrementally (an ordered splice of one chunk that
-// repairs rank positions in the same pass, no re-sort; see chunks.go),
-// bumps the version counter that
+// rank order incrementally (an ordered splice of one leaf, no re-sort; see
+// rankorder.go), bumps the version counter that
 // version-aware consumers key their memoized state by, and records a
 // dirty-rank watermark — the lowest rank position the mutation may have
 // changed — in the log DirtySince answers from, so those consumers can
@@ -31,8 +31,8 @@ import (
 // how the Engine reads). Reading the live database directly while a
 // mutation runs remains undefined; mutation cores honour snapshot
 // isolation by cloning any x-tuple whose reader-visible fields they would
-// write (cowGroup) and by unsharing the containers from the last published
-// epoch before splicing them (unshare).
+// write (cowGroup); the rank order and the x-tuple vector copy each node a
+// published epoch shares before they write it (cowvec).
 
 // ErrBadReweight is returned when Reweight is given the wrong number of
 // probabilities for the x-tuple's real alternatives.
@@ -72,7 +72,6 @@ func (db *Database) insertXTuple(name string, tuples []Tuple, seqs []int) (int, 
 	// All checks passed; commit. Ord stamps continue past the build-time
 	// ones so score ties keep breaking by arrival order; explicit stamps
 	// (seqs) advance the counter past themselves instead.
-	db.unshare()
 	x.uid = db.newUID()
 	db.markPrivate(x)
 	for i, t := range x.Tuples {
@@ -154,7 +153,6 @@ func (db *Database) insertAbsentXTuple(name string) (int, error) {
 	if db.TupleByID(null.ID) != nil {
 		return 0, fmt.Errorf("tuple %q: %w", null.ID, ErrDuplicateID)
 	}
-	db.unshare()
 	x := &XTuple{Name: name, uid: db.newUID(), Tuples: []*Tuple{null}}
 	db.markPrivate(x)
 	db.groups.Append(x)
@@ -177,7 +175,6 @@ func (db *Database) deleteXTuple(l int) (int, error) {
 	if db.groups.Len() == 1 {
 		return 0, ErrLastGroup
 	}
-	db.unshare()
 	drop := db.groups.At(l).Tuples
 	for _, t := range drop {
 		if !t.Null {
@@ -220,7 +217,6 @@ func (db *Database) reweight(l int, probs []float64) (int, error) {
 	}
 	// All checks passed; commit onto a private clone of the x-tuple, so
 	// published epochs keep the old probabilities.
-	db.unshare()
 	x = db.cowGroup(l)
 	real := x.RealTuples()
 	// The watermark is the highest-ranked alternative whose probability or
@@ -229,7 +225,7 @@ func (db *Database) reweight(l int, probs []float64) (int, error) {
 	watermark := math.MaxInt
 	for i, t := range real {
 		if probs[i] != t.Prob {
-			if at := db.rankIndexOf(t); at < watermark {
+			if at := t.Index(); at < watermark {
 				watermark = at
 			}
 			t.Prob = probs[i]
@@ -239,7 +235,7 @@ func (db *Database) reweight(l int, probs []float64) (int, error) {
 	switch {
 	case deficit > nullThreshold && null != nil:
 		if null.Prob != deficit {
-			if at := db.rankIndexOf(null); at < watermark {
+			if at := null.Index(); at < watermark {
 				watermark = at
 			}
 			null.Prob = deficit
@@ -313,12 +309,11 @@ func (db *Database) collapse(l, choice int) (int, error) {
 	// Commit onto a private clone: the chosen alternative's probability
 	// write and the group's alternative-list rewrite must not be visible
 	// to published epochs.
-	db.unshare()
 	x = db.cowGroup(l)
 	chosen := x.Tuples[choice]
 	watermark := math.MaxInt
 	if chosen.Prob != 1 {
-		watermark = db.rankIndexOf(chosen)
+		watermark = chosen.Index()
 	}
 	drop := make([]*Tuple, 0, len(x.Tuples)-1)
 	for _, t := range x.Tuples {
@@ -339,13 +334,12 @@ func (db *Database) collapse(l, choice int) (int, error) {
 	return watermark, nil
 }
 
-// insertRanked places t into the chunked rank order (and the ID index) at
-// the position the total order ranksAbove defines, returning that
-// position. The chunk splice repairs the spine bookkeeping in the same
-// pass, so rank positions stay valid at all times — including between the
-// mutations of a Batch. O(C + n/C) instead of the flat array's O(n).
+// insertRanked places t into the rank order (and the ID index) at the
+// position the total order ranksAbove defines, found by a descent that
+// compares t with each node's first tuple, and returns that position.
 func (db *Database) insertRanked(t *Tuple) int {
-	pos := db.rs.insert(t)
+	pos := db.rs.Search(func(u *Tuple) bool { return ranksAbove(t, u) })
+	db.rs.InsertAt(pos, t)
 	db.ids.put(t)
 	return pos
 }
@@ -379,46 +373,44 @@ func (db *Database) insertRankedAll(ts []*Tuple) int {
 
 // removeSorted splices the given tuples out of the rank order (and the ID
 // index), preserving the order of the rest, and returns the position of
-// the first removed tuple (NumTuples() when drop matched nothing). The
-// dropped positions come straight from the chunk back-pointers — always
-// valid under the fused-repair invariant — and each touched chunk is
-// compacted with one sequential pass that repairs offsets as it moves
-// tuples: O(d log d + span + n/C) rather than O(n).
+// the first removed tuple (NumTuples() when drop is empty). Each position
+// comes from the tuple's home (Tuple.Index), and the tuples leave from the
+// lowest-ranked up, so the positions still to remove stay valid.
 func (db *Database) removeSorted(drop []*Tuple) int {
-	watermark := db.rs.remove(drop)
-	for _, t := range drop {
+	pos := make([]int, len(drop))
+	for i, t := range drop {
+		pos[i] = t.Index()
 		db.ids.del(t.ID)
 	}
-	return watermark
-}
-
-// rankIndexOf returns t's current position in the rank order, O(1) from
-// the chunk back-pointers. Every mutation primitive repairs them as part
-// of its own splice pass, so the answer is valid at all times — including
-// between the mutations of a Batch.
-func (db *Database) rankIndexOf(t *Tuple) int {
-	return t.home.start + int(t.idx)
+	slices.Sort(pos)
+	for i := len(pos) - 1; i >= 0; i-- {
+		db.rs.DeleteAt(pos[i])
+	}
+	if len(pos) == 0 {
+		return db.rs.Len()
+	}
+	return pos[0]
 }
 
 // finishMutation commits one batch (a standalone mutation is a one-op
 // batch): it bumps the version, records the dirty-rank watermark in the
 // log DirtySince answers from, and publishes the new state as an epoch for
 // snapshot readers (the single atomic store that makes the whole batch
-// visible at once). Rank positions and nReal are maintained incrementally
-// by the mutation primitives themselves (the splice passes repair idx as
-// they move tuples), so no array-wide fixup happens here.
+// visible at once). The rank order and nReal are maintained incrementally
+// by the mutation primitives themselves, so no array-wide fixup happens
+// here.
 func (db *Database) finishMutation(watermark int) {
 	if watermark < 0 {
 		watermark = 0
 	}
-	if watermark > db.rs.n {
-		watermark = db.rs.n
+	if watermark > db.rs.Len() {
+		watermark = db.rs.Len()
 	}
 	db.version++
 	// The log is append-only in memory: trimming moves the window's start,
 	// and append writes past every published epoch's length (reallocating
 	// once the backing array is full), so no epoch's marks are ever
-	// written and the log needs no copy on unshare.
+	// written and the log needs no copy.
 	if len(db.marks) >= maxMarks {
 		db.marks = db.marks[len(db.marks)-maxMarks+1:]
 	}

@@ -93,7 +93,7 @@ func (db *Database) Origin() *Database {
 // publish commits the writer's current state as the new epoch. Called with
 // the writer lock held (or before any concurrency exists: Build, Clone).
 // After publish the containers are shared with the epoch, so the next
-// mutation must unshare before writing them.
+// mutation copies each node before it writes it (cowvec).
 func (db *Database) publish() {
 	// The ID index stays writer-private: copying a table of n slots per
 	// commit would dominate the mutation cost (and its garbage the
@@ -102,7 +102,7 @@ func (db *Database) publish() {
 	s := &Database{
 		groups:  db.groups.Publish(),
 		rank:    db.rank,
-		rs:      db.rs,
+		rs:      db.rs.Publish(),
 		built:   true,
 		nReal:   db.nReal,
 		version: db.version,
@@ -113,43 +113,15 @@ func (db *Database) publish() {
 		origin:  db,
 	}
 	db.snap.Store(s)
-	db.shared = true
 	db.cowed = nil
-	// Advance the chunk epoch: every rank chunk is now shared with the
-	// epoch just published, so the next in-place chunk write must COW it
-	// first (rankStore.dirty; groups.publish above did the same for the
-	// group chunks). This replaces the flat arrays' O(n) and O(m) copies
-	// with O(1) — the commit-time cost is paid per chunk actually touched.
-	db.rs.epoch++
-}
-
-// unshare gives the writer private copies of the containers shared with
-// the last published epoch: the rank spine (the chunk-pointer and starts
-// slices — the chunks themselves stay shared until individually dirtied).
-// The watermark log needs no copy: finishMutation only ever appends past
-// a published epoch's length. The group vector is not copied here: it unshares
-// its own spine and chunks on first write (cowvec.Vec), so a commit
-// copies ~m/256 spine pointers plus the group chunks it dirties, never the
-// m group pointers. Mutation cores call unshare before their first
-// in-place container write; within one unpublished epoch it runs at most
-// once, so a Batch pays the O(n/C) spine copy a single time however many
-// mutations it groups.
-func (db *Database) unshare() {
-	if !db.shared {
-		return
-	}
-	db.rs.chunks = append([]*chunk(nil), db.rs.chunks...)
-	db.rs.starts = append([]int(nil), db.rs.starts...)
-	db.shared = false
 }
 
 // cowGroup returns a writable x-tuple for group gi, cloning the x-tuple
 // and its tuple slab on first touch in the current unpublished epoch and
-// redirecting the working rank array and ID index to the clones. The
-// original x-tuple (and its tuples) stay frozen in every published epoch.
-// Requires unshare to have run. The clone preserves the stable identity
-// (uid) that checkpoint restoration keys on, and the tuples' rank
-// positions, which the splice passes keep repairing on the clones.
+// redirecting the rank order and ID index to the clones. The original
+// x-tuple (and its tuples) stay frozen in every published epoch. The clone
+// preserves the stable identity (uid) that checkpoint restoration keys
+// on, and the tuples' homes, which the mutations keep current.
 func (db *Database) cowGroup(gi int) *XTuple {
 	x := db.groups.At(gi)
 	if db.cowed[x] {
@@ -164,12 +136,9 @@ func (db *Database) cowGroup(gi int) *XTuple {
 		backing[i] = *t
 		c := &backing[i]
 		nx.Tuples[i] = c
-		// Redirect the rank order to the clone: COW the owning chunk (the
-		// chunk-granular analogue of the old O(n) array copy) and swap the
-		// clone in at the same offset. The back-pointers copied from t
-		// stay valid: the dirty chunk shares the header they name.
-		hc := db.rs.dirty(t.home.pos)
-		hc.tuples[t.idx] = c
+		// Redirect the rank order to the clone at t's position; the
+		// home copied from t stays valid, since the leaf's copy shares it.
+		db.rs.Set(t.Index(), c)
 		db.ids.put(c)
 	}
 	db.groups.Set(gi, nx)

@@ -11,7 +11,11 @@
 // is the invariant the query, quality, and cleaning algorithms rely on.
 package uncertain
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/probdb/topkclean/internal/cowvec"
+)
 
 // Tuple is one alternative of an x-tuple: the (ID_i, x_i, v_i, e_i) record
 // of Section III-A. Attrs holds the value attributes v_i consumed by the
@@ -34,33 +38,31 @@ type Tuple struct {
 	Group int     // index of the owning x-tuple (x_i); set by Build
 	Null  bool    // true for the materialized null alternative
 
-	// home/idx locate the tuple inside the chunked rank structure
-	// (chunks.go): home is the header of the owning spine entry, shared
-	// by the entry's chunk in every epoch, and idx the offset within the
-	// chunk, so the global rank position is home.start + idx. Both are
-	// writer-epoch fields, repaired in place on tuples shared with older
-	// snapshots (see snapshot.go). An offset never exceeds chunkMax, so
-	// idx is an int32 and shares Null's word: the struct is 88 bytes,
-	// and a 10-alternative slab fits the 896-byte size class.
-	idx  int32
-	ord  int // insertion order, used to break score ties deterministically
-	home *chunkHome
+	ord int // insertion order, used to break score ties deterministically
+
+	// home locates the tuple in the rank order (rankorder.go): the
+	// header of the leaf that holds it, shared by the leaf's clones in
+	// every epoch. It is a writer-epoch field, moved in place on tuples
+	// shared with older snapshots when a split or merge moves the tuple
+	// (see snapshot.go).
+	home *cowvec.Home[*Tuple]
 }
 
 // Index returns the tuple's position in the database's rank order, where 0
 // is the highest-ranked tuple. It is only meaningful after Database.Build.
 //
-// Index reflects the *newest* epoch: mutation passes repair the underlying
-// chunk back-pointers in place, including on tuples shared with older
+// Index reflects the *newest* epoch: it reads the tuple's leaf header,
+// which mutations update in place, including on tuples shared with older
 // snapshots, so it must not be read concurrently with mutations and is not
-// part of a snapshot's frozen state. Code reading through a pinned snapshot
+// part of a snapshot's frozen state. It scans the tuple's leaf (at most
+// cowvec.Width tuples) and adds the counts above it. Code reading through a pinned snapshot
 // derives positions from the snapshot's iteration order instead (answers
 // additionally carry answer-time Rank fields for exactly this reason).
 func (t *Tuple) Index() int {
 	if t.home == nil {
 		return 0 // not yet placed in a rank order (pre-Build staging)
 	}
-	return t.home.start + int(t.idx)
+	return t.home.Index(t)
 }
 
 // Stamp returns the tuple's tie-break stamp: the arrival order Build and

@@ -111,7 +111,7 @@ func appendWire(dst []byte, db *Database, pos positions) []byte {
 	dst = binary.AppendVarint(dst, int64(db.nextOrd))
 	dst = binary.AppendUvarint(dst, db.nextUID)
 	dst = binary.AppendUvarint(dst, uint64(db.groups.Len()))
-	dst = binary.AppendUvarint(dst, uint64(db.rs.n))
+	dst = binary.AppendUvarint(dst, uint64(db.rs.Len()))
 	f := 0
 	for _, x := range db.groups.All() {
 		dst = binary.AppendUvarint(dst, uint64(len(x.Name)))
@@ -161,7 +161,7 @@ func (p positions) at(f int, t *Tuple) int {
 // then holds (commits wait, queries do not). Reading them walks the
 // alternatives in x-tuple order, as the encode does anyway. A snapshot the
 // writer has moved past — or whose writer is mid-commit, so the lock is
-// not free — is positioned by walking its own frozen chunks instead: rank
+// not free — is positioned by walking its own frozen rank order instead: rank
 // order visits the x-tuples at random, and at 10^5 x-tuples that walk
 // costs more than the rest of the encode.
 func rankPositions(db *Database) (positions, func(), error) {
@@ -179,23 +179,19 @@ func rankPositions(db *Database) (positions, func(), error) {
 	for gi, x := range db.groups.All() {
 		base[gi+1] = base[gi] + len(x.Tuples)
 	}
-	if base[len(base)-1] != db.rs.n {
+	if base[len(base)-1] != db.rs.Len() {
 		return positions{}, nil, errSpine("x-tuples and rank order hold different alternatives")
 	}
-	byWalk := make([]int, db.rs.n)
-	i := 0
-	for _, c := range db.rs.chunks {
-		for _, t := range c.tuples {
-			a := -1
-			if t.Group >= 0 && t.Group < db.groups.Len() {
-				a = slices.Index(db.groups.At(t.Group).Tuples, t)
-			}
-			if a < 0 {
-				return positions{}, nil, errSpine("ranked tuple missing from its x-tuple")
-			}
-			byWalk[base[t.Group]+a] = i
-			i++
+	byWalk := make([]int, db.rs.Len())
+	for i, t := range db.rs.All() {
+		a := -1
+		if t.Group >= 0 && t.Group < db.groups.Len() {
+			a = slices.Index(db.groups.At(t.Group).Tuples, t)
 		}
+		if a < 0 {
+			return positions{}, nil, errSpine("ranked tuple missing from its x-tuple")
+		}
+		byWalk[base[t.Group]+a] = i
 	}
 	return positions{byWalk: byWalk}, func() {}, nil
 }
@@ -203,7 +199,7 @@ func rankPositions(db *Database) (positions, func(), error) {
 // wireSize is the exact length of db's wire form.
 func wireSize(db *Database, pos positions) int {
 	size := len(wireMagic) + uvarintLen(db.version) + uvarintLen(zigzag(db.nextOrd)) +
-		uvarintLen(db.nextUID) + uvarintLen(uint64(db.groups.Len())) + uvarintLen(uint64(db.rs.n))
+		uvarintLen(db.nextUID) + uvarintLen(uint64(db.groups.Len())) + uvarintLen(uint64(db.rs.Len()))
 	f := 0
 	for _, x := range db.groups.All() {
 		ids, attrs := arenaLens(x)
@@ -316,8 +312,8 @@ func decodeWireV2(data []byte, rank RankFunc) (*Database, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrWireCorrupt, len(r.buf)-r.p)
 	}
 	// Every alternative claimed a distinct position below n, and n of
-	// them were decoded, so sorted is the whole rank order. It is chunked
-	// afresh (chunk boundaries are an in-memory detail, not wire state) and
+	// them were decoded, so sorted is the whole rank order. Its leaves are
+	// laid out afresh (they are an in-memory detail, not wire state) and
 	// each position is checked against the one before under ranksAbove,
 	// so a database encoded under a different ranking function fails here
 	// instead of being served with a silently wrong order.
@@ -326,7 +322,7 @@ func decodeWireV2(data []byte, rank RankFunc) (*Database, error) {
 			return nil, fmt.Errorf("%w: rank order violated at position %d", ErrWireOrder, i)
 		}
 	}
-	db.rs = newRankStore(n, slices.Values(sorted))
+	db.rs = newRankOrder(slices.Values(sorted))
 	db.publish()
 	return db, nil
 }

@@ -102,13 +102,13 @@ func decodeWireV1(data []byte, rank RankFunc) (*Database, error) {
 		}
 		db.groups.Append(x)
 	}
-	// The rank order is rebuilt from the persisted positions (chunked
-	// afresh — chunk boundaries are an in-memory detail, not wire state),
+	// The rank order is rebuilt from the persisted positions (its leaves
+	// laid out afresh — they are an in-memory detail, not wire state),
 	// then verified against the recomputed scores: Validate walks adjacent
 	// pairs under ranksAbove, so a database encoded under a different
 	// ranking function fails here instead of being served with a silently
 	// wrong order.
-	db.rs = newRankStore(len(sorted), slices.Values(sorted))
+	db.rs = newRankOrder(slices.Values(sorted))
 	if err := db.Validate(); err != nil {
 		return nil, errors.Join(ErrWireOrder, err)
 	}

@@ -10,13 +10,9 @@ func encodeWireV1(db *Database) ([]byte, error) {
 	if !db.built {
 		return nil, ErrNotBuilt
 	}
-	pos := make(map[*Tuple]int, db.rs.n)
-	i := 0
-	for _, c := range db.rs.chunks {
-		for _, t := range c.tuples {
-			pos[t] = i
-			i++
-		}
+	pos := make(map[*Tuple]int, db.rs.Len())
+	for i, t := range db.rs.All() {
+		pos[t] = i
 	}
 	doc := wireDB{
 		Format:  wireFormatV1,
