@@ -6,8 +6,8 @@
 //   - frozenwrite: published snapshot epochs share tuple memory, so
 //     Database/XTuple/Tuple fields may be written only in the whitelisted
 //     writer files of internal/uncertain.
-//   - idxread: Tuple.idx and Tuple.home (the chunk back-pointers) are
-//     writer-epoch fields; no reader path may consume them.
+//   - idxread: Tuple.home (the rank-order leaf back-pointer; idx in older
+//     trees) is a writer-epoch field; no reader path may consume it.
 //   - senterr: exported Err* sentinels travel wrapped; == / != against
 //     them must be errors.Is.
 //   - lockscope: no blocking work (fsync, WAL append, wire encode, HTTP)

@@ -67,17 +67,19 @@ func DefaultConfig(dir string) (*Config, error) {
 		UncertainPkg: uncertain,
 		FrozenTypes:  []string{"Database", "XTuple", "Tuple"},
 		// The writer epoch: the files that construct, mutate, and publish
-		// databases (chunks.go carries the chunked rank structure's splice
-		// passes; seq.go the explicit tie-break staging entry points the
-		// shard router stamps through). Everything else — including
-		// uncertain's own reader files and tests — must treat published
-		// tuples as frozen.
+		// databases (rankorder.go builds the rank order, whose placement
+		// callback writes the tuples' homes; seq.go holds the explicit
+		// tie-break staging entry points the shard router stamps through).
+		// Everything else — including uncertain's own reader files and
+		// tests — must treat published tuples as frozen.
 		WriterFiles: []string{"database.go", "mutate.go", "batch.go", "snapshot.go", "wire.go", "wirev1.go", "rankorder.go", "seq.go"},
 		IdxFields:   []string{"idx", "home"},
-		// Tuple.idx and Tuple.home are writer-epoch fields (PR 4, chunked
-		// in PR 9): splice passes repair the chunk back-pointers in place
-		// on tuples shared with snapshots, so only the writer paths (and
-		// the documented Index accessor) may consume them.
+		// Tuple.home, the rank-order back-pointer to the header of the
+		// tuple's leaf, is a writer-epoch field: splits and merges re-home
+		// tuples in place, including tuples shared with snapshots, so only
+		// the writer paths (and the documented Index accessor) may consume
+		// it. "idx" names the flat-index back-pointer the rule first
+		// covered; the fixture still exercises it.
 		IdxFiles: []string{"database.go", "mutate.go", "batch.go", "snapshot.go", "wire.go", "rankorder.go", "tuple.go"},
 		LockPkgs: []string{modPath + "/cmd/topkcleand"},
 		// The registry lock (server.mu) and the coalescer lock are both

@@ -1,9 +1,9 @@
 package analysis
 
-// idxread: Tuple.idx and Tuple.home are *writer-epoch* fields (PR 4's
-// snapshot contract, chunked in PR 9): mutation splice passes repair the
-// chunk back-pointers in place on tuples shared with older epochs, so
-// their values are only coherent for the newest epoch and reading them
+// idxread: Tuple.home (and the older Tuple.idx) are *writer-epoch* fields
+// of the snapshot contract: the rank order's splits and merges re-home
+// tuples in place, including tuples shared with older epochs, so the
+// back-pointers are only coherent for the newest epoch and reading them
 // from any reader path is a data race waiting for -race to interleave.
 // This check flags every read of the configured fields on the uncertain
 // Tuple type outside the whitelisted writer files (which includes

@@ -3,31 +3,26 @@
 // and the shard coordinator's placement maps, where a writer publishes an
 // immutable view of it once per commit.
 //
-// Elements live in leaves of at most Width elements under a two-level
-// spine: a root whose kids are inner nodes, and inner nodes whose kids are
-// leaves. A branch keeps the running element count of its kids (ends), so
-// At is a descent of two count lookups, and InsertAt and DeleteAt splice
-// one leaf and fix the counts on its path. A node that outgrows Width
-// splits in half, and two neighbours merge when one holds fewer than
-// Width/4 and both fit in one node (the hysteresis that keeps a split from
-// undoing a merge). Appends therefore leave every leaf but the last at
-// Width/2 elements and every inner node but the last at Width/2 leaves, and
-// the descent's first guess at a kid, offset / (Width/2), is exact.
+// It is a B-tree. Leaves hold at most Width elements and branches at most
+// Width kids, with the running element count of their kids (ends), so At
+// is one count lookup per level and InsertAt and DeleteAt splice one leaf
+// and fix the counts on its path. A node over Width splits in half (the
+// root grows the tree a level); one under Width/4, the root excepted,
+// merges with a neighbour and splits again if the two overfill a node.
+// Appends leave every node but the last on a level half full, so the
+// descent's guess at a kid, offset / (Width/2)^height, is usually exact.
 //
-// Copy-on-write: each node records the epoch that made it, and only that
-// epoch writes it in place. Publish hands the current root to a frozen view
-// and starts a new epoch; the writer's first write below a node of an older
-// epoch clones it. A commit thus copies the root, the inner nodes and the
-// leaves on the paths it wrote, never the whole spine.
+// Copy-on-write: a node records the epoch that made it, and only that
+// epoch writes it in place. Publish hands the root to a frozen view and
+// starts a new epoch; the writer clones a node of an older epoch before
+// its first write below it, so a commit copies only the paths it wrote.
 //
-// Homes: every node has a header (Home) that it shares with its clones and
-// that names the writer's current clone, the parent's header and the
-// node's index among the parent's kids. A Tracked sequence reports each
-// element it places in a leaf, with the leaf's home, so that its owner can
-// keep a back-pointer from an element to its home; Home.Index turns that
-// back into the element's position. Homes are writer-epoch state, updated
-// in place as nodes split, merge and are cloned: only the writer may read
-// them.
+// Homes: every node has a header (Home), shared with its clones, naming
+// the writer's current clone, the parent's header and the node's index
+// among the parent's kids. A sequence built with a place callback reports
+// each element it puts in a leaf with the leaf's home, and Home.Index
+// turns that back into the element's position. Homes are writer-epoch
+// state, updated in place: only the writer reads them.
 package cowvec
 
 import (
@@ -35,15 +30,14 @@ import (
 	"fmt"
 	"iter"
 	"slices"
+	"sort"
 )
 
-// Width is the most elements a leaf holds and the most leaves an inner
-// node holds.
-const Width = 128
-
 const (
-	low      = Width / 4
-	halfBits = 6 // log2(Width/2)
+	halfBits  = 5
+	Width     = 2 << halfBits // the most elements of a leaf or kids of a branch
+	low       = Width / 4     // the fewest a node other than the root holds
+	maxHeight = 8             // a tree this high holds over 2^31 elements, more than int32 counts
 )
 
 // node is a leaf (kids == nil) or a branch. Its slices are immutable once
@@ -54,17 +48,23 @@ type node[T comparable] struct {
 	ends  []int32    // branches: ends[j] = elements under kids[0..j]
 	kids  []*node[T] // branches
 	xs    []T        // leaves
+	lent  bool       // ends is still the array of the node cloned
 }
 
 func (n *node[T]) leaf() bool { return n.kids == nil }
 
-// size is what Width bounds: a leaf's elements or a branch's kids.
-func (n *node[T]) size() int {
-	if n.leaf() {
-		return len(n.xs)
+// counts returns n's ends for writing, first copying them if n still
+// shares them with the node it was cloned from: a Set changes no count,
+// so the branches on its path keep their ends.
+func (n *node[T]) counts() []int32 {
+	if n.lent {
+		n.ends, n.lent = slices.Clone(n.ends), false
 	}
-	return len(n.kids)
+	return n.ends
 }
+
+// size is what Width bounds: a leaf's elements or a branch's kids.
+func (n *node[T]) size() int { return len(n.xs) + len(n.kids) }
 
 // count is the number of elements under n.
 func (n *node[T]) count() int {
@@ -74,46 +74,34 @@ func (n *node[T]) count() int {
 	return int(n.ends[len(n.ends)-1])
 }
 
-// slot returns the kid of branch n that holds offset off, and off within
-// that kid; off == n.count() lands at the end of the last kid. A kid of a
-// fully appended branch holds 1<<bits elements, so the guess off>>bits
-// usually settles it; otherwise a binary search over ends does.
-func (n *node[T]) slot(off int, bits uint) (int, int) {
-	ends := n.ends
-	lo, hi := 0, len(ends)-1
-	switch g := min(off>>bits, hi); {
-	case g < hi && int(ends[g]) <= off:
-		lo = g + 1
-	case g == 0 || int(ends[g-1]) <= off:
-		lo, hi = g, g
-	default:
-		hi = g - 1
+// slot returns the kid of branch n, at height h, that holds offset i, and
+// i's offset in it (i == n.count() lands at the end of the last kid). An
+// appended branch's kids hold (Width/2)^h each, so the guess is usually
+// exact; a walk from it settles the rest.
+func (n *node[T]) slot(i, h int) (int, int) {
+	ends, j := n.ends, min(i>>(h*halfBits), len(n.ends)-1)
+	for j > 0 && int(ends[j-1]) > i {
+		j--
 	}
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if int(ends[m]) > off {
-			hi = m
-		} else {
-			lo = m + 1
-		}
+	for int(ends[j]) <= i && j < len(ends)-1 {
+		j++
 	}
-	if lo > 0 {
-		off -= int(ends[lo-1])
+	if j == 0 {
+		return 0, i
 	}
-	return lo, off
+	return j, i - int(ends[j-1])
 }
 
-// Home is the writer-epoch header of one node, shared by the node and all
-// its clones.
+// Home is the writer-epoch header one node shares with all its clones.
 type Home[T comparable] struct {
 	cur *node[T] // the writer's current clone
 	up  *Home[T] // the parent's home; nil at the root
 	pos int      // index among the parent's kids
 }
 
-// Index returns the writer's current position of x, an element the
-// sequence placed under this home, or -1 if the home's leaf does not hold
-// it. It scans the leaf and adds the counts before it on the path up.
+// Index returns the writer's position of x, placed under this home, or -1
+// if a Set replaced it: it scans the leaf and adds the counts before it
+// on the path up.
 func (h *Home[T]) Index(x T) int {
 	i := slices.Index(h.cur.xs, x)
 	if i < 0 {
@@ -128,18 +116,67 @@ func (h *Home[T]) Index(x T) int {
 }
 
 // Seq is held by value by its owner, so that Publish can hand a frozen view
-// its own copy. The zero Seq is empty and ready to use.
+// its own copy. The zero Seq is empty and untracked.
 type Seq[T comparable] struct {
-	root  *node[T]
-	epoch uint64
-	place func(T, *Home[T])
+	root   *node[T]
+	height int // branch levels above the leaves
+	epoch  uint64
+	place  func(T, *Home[T])
 }
 
-// Tracked returns an empty sequence that calls place for every element it
-// puts in a leaf — inserted, set, or moved by a split or a merge — with
-// that leaf's home.
-func Tracked[T comparable](place func(T, *Home[T])) Seq[T] {
-	return Seq[T]{place: place}
+// Collect returns a sequence of a copy of xs, shaped as appends would
+// leave it. place, if not nil, gets every element the sequence puts in a
+// leaf (here, and on insert, set, split and merge) with the leaf's home.
+func Collect[T comparable](xs []T, place func(T, *Home[T])) Seq[T] {
+	s := Seq[T]{place: place}
+	var lvl []*node[T]
+	for run := range runs(xs) {
+		lvl = append(lvl, &node[T]{xs: slices.Clone(run)})
+	}
+	for ; len(lvl) > 1; s.height++ {
+		var up []*node[T]
+		for kids := range runs(lvl) {
+			p, total := &node[T]{kids: slices.Clone(kids)}, 0
+			for _, c := range kids {
+				total += c.count()
+				p.ends = append(p.ends, int32(total))
+			}
+			up = append(up, p)
+		}
+		lvl = up
+	}
+	if len(lvl) == 1 {
+		s.root = lvl[0]
+		s.adopt(s.root, nil, 0)
+	}
+	return s
+}
+
+// runs yields xs cut as appends leave a level: runs of Width/2, then the
+// rest. Nodes copy their runs: one shared array would keep every element
+// a later write replaced alive.
+func runs[E any](xs []E) iter.Seq[[]E] {
+	return func(yield func([]E) bool) {
+		for ; len(xs) > Width; xs = xs[Width/2:] {
+			if !yield(xs[:Width/2]) {
+				return
+			}
+		}
+		if len(xs) > 0 {
+			yield(xs)
+		}
+	}
+}
+
+// adopt gives n and the nodes below it homes and places the elements.
+func (s *Seq[T]) adopt(n *node[T], up *Home[T], pos int) {
+	n.home = &Home[T]{cur: n, up: up, pos: pos}
+	for j, k := range n.kids {
+		s.adopt(k, n.home, j)
+	}
+	for _, x := range n.xs {
+		s.placed(x, n)
+	}
 }
 
 // Len returns the number of elements.
@@ -152,59 +189,45 @@ func (s *Seq[T]) Len() int {
 
 // At returns element i, which must lie in [0, Len).
 func (s *Seq[T]) At(i int) T {
-	g, off := s.root.slot(i, 2*halfBits)
-	in := s.root.kids[g]
-	j, off := in.slot(off, halfBits)
-	return in.kids[j].xs[off]
+	n := s.root
+	for h := s.height; h > 0; h-- {
+		var j int
+		j, i = n.slot(i, h)
+		n = n.kids[j]
+	}
+	return n.xs[i]
 }
 
 // Search returns the first position whose element satisfies pred, or Len
 // if none does. pred must be false on a prefix of the sequence and true
-// on the rest; the descent tests each node by its first element.
+// on the rest; the descent enters the last kid whose first element fails.
 func (s *Seq[T]) Search(pred func(T) bool) int {
-	if s.root == nil {
-		return 0
-	}
 	pos, n := 0, s.root
-	for !n.leaf() {
-		k, _ := slices.BinarySearchFunc(n.kids, true, func(c *node[T], _ bool) int {
+	for h := s.height; h > 0; h-- {
+		k := sort.Search(len(n.kids), func(k int) bool {
+			c := n.kids[k]
 			for !c.leaf() {
 				c = c.kids[0]
 			}
-			if pred(c.xs[0]) {
-				return 1
-			}
-			return -1
+			return pred(c.xs[0])
 		})
-		if k == 0 {
-			return pos
-		}
 		if k > 1 {
 			pos += int(n.ends[k-2])
 		}
-		n = n.kids[k-1]
+		n = n.kids[max(k-1, 0)]
 	}
-	k, _ := slices.BinarySearchFunc(n.xs, true, func(x T, _ bool) int {
-		if pred(x) {
-			return 1
-		}
-		return -1
-	})
-	return pos + k
+	if n == nil {
+		return 0
+	}
+	return pos + sort.Search(len(n.xs), func(k int) bool { return pred(n.xs[k]) })
 }
 
-// Leaves yields each leaf's elements in order, with the index of the
-// inner node above the leaf. The slices must not be modified.
-func (s *Seq[T]) Leaves() iter.Seq2[int, []T] {
-	return func(yield func(int, []T) bool) {
-		if s.root == nil {
-			return
-		}
-		for g, in := range s.root.kids {
-			for _, lf := range in.kids {
-				if !yield(g, lf.xs) {
-					return
-				}
+// Leaves yields each leaf's elements in order, not to be modified.
+func (s *Seq[T]) Leaves() iter.Seq[[]T] {
+	return func(yield func([]T) bool) {
+		for n := range s.nodes() {
+			if n.leaf() && !yield(n.xs) {
+				return
 			}
 		}
 	}
@@ -214,7 +237,7 @@ func (s *Seq[T]) Leaves() iter.Seq2[int, []T] {
 func (s *Seq[T]) All() iter.Seq2[int, T] {
 	return func(yield func(int, T) bool) {
 		i := 0
-		for _, xs := range s.Leaves() {
+		for xs := range s.Leaves() {
 			for _, x := range xs {
 				if !yield(i, x) {
 					return
@@ -226,52 +249,49 @@ func (s *Seq[T]) All() iter.Seq2[int, T] {
 }
 
 // Materialize returns the elements as one flat slice. O(Len).
-func (s *Seq[T]) Materialize() []T {
-	out := make([]T, 0, s.Len())
-	for _, xs := range s.Leaves() {
-		out = append(out, xs...)
-	}
-	return out
-}
+func (s *Seq[T]) Materialize() []T { return slices.Concat(slices.Collect(s.Leaves())...) }
 
-// Cursor walks the elements of one Seq value from a position on, reading
-// only the nodes that value reaches.
+// Cursor walks the leaves of one Seq value, reading only the nodes that
+// value reaches.
 type Cursor[T comparable] struct {
-	root *node[T]
-	g, j int // the current leaf: kid j of inner node g
-	xs   []T // the current leaf's elements not yet returned
+	up     [maxHeight]*node[T] // up[h-1]: the branch at height h on the current path
+	at     [maxHeight]int      // at[h-1]: the kid of up[h-1] the path takes
+	height int
 }
 
-// Cursor returns a cursor at position i; from Len on it is exhausted.
-func (s *Seq[T]) Cursor(i int) Cursor[T] {
+// Cursor returns the elements from position i to the end of i's leaf
+// (none from Len on) and a cursor at the leaves after it.
+func (s *Seq[T]) Cursor(i int) ([]T, Cursor[T]) {
 	if i >= s.Len() {
-		return Cursor[T]{}
+		return nil, Cursor[T]{}
 	}
-	g, off := s.root.slot(max(i, 0), 2*halfBits)
-	j, off := s.root.kids[g].slot(off, halfBits)
-	return Cursor[T]{root: s.root, g: g, j: j, xs: s.root.kids[g].kids[j].xs[off:]}
+	c, n, i := Cursor[T]{height: s.height}, s.root, max(i, 0)
+	for h := s.height; h > 0; h-- {
+		c.up[h-1] = n
+		c.at[h-1], i = n.slot(i, h)
+		n = n.kids[c.at[h-1]]
+	}
+	return n.xs[i:], c
 }
 
-// Next returns the element at the cursor and advances past it; ok is false
-// once the sequence is exhausted.
-func (c *Cursor[T]) Next() (x T, ok bool) {
-	if len(c.xs) == 0 {
-		if c.root == nil {
-			return x, false
-		}
-		if c.j++; c.j == len(c.root.kids[c.g].kids) {
-			if c.g, c.j = c.g+1, 0; c.g == len(c.root.kids) {
-				c.root = nil
-				return x, false
-			}
-		}
-		c.xs = c.root.kids[c.g].kids[c.j].xs
+// Next returns the next leaf's elements, not to be modified, or nil once
+// the sequence is exhausted.
+func (c *Cursor[T]) Next() []T {
+	h := 1
+	for h <= c.height && c.at[h-1]+1 == len(c.up[h-1].kids) {
+		h++
 	}
-	x, c.xs = c.xs[0], c.xs[1:]
-	return x, true
+	if h > c.height {
+		c.height = 0
+		return nil
+	}
+	for c.at[h-1]++; h > 1; h-- {
+		c.up[h-2], c.at[h-2] = c.up[h-1].kids[c.at[h-1]], 0
+	}
+	return c.up[0].kids[c.at[0]].xs
 }
 
-// newNode returns an empty node of the current epoch with a fresh home.
+// newNode returns an empty node of this epoch with a fresh home.
 func (s *Seq[T]) newNode(up *Home[T], pos int) *node[T] {
 	n := &node[T]{epoch: s.epoch, home: &Home[T]{up: up, pos: pos}}
 	n.home.cur = n
@@ -284,29 +304,10 @@ func (s *Seq[T]) clone(n *node[T]) *node[T] {
 	if n.epoch == s.epoch {
 		return n
 	}
-	c := &node[T]{home: n.home, epoch: s.epoch,
-		ends: slices.Clone(n.ends), kids: slices.Clone(n.kids), xs: slices.Clone(n.xs)}
+	c := &node[T]{home: n.home, epoch: s.epoch, lent: true,
+		ends: n.ends, kids: slices.Clone(n.kids), xs: slices.Clone(n.xs)}
 	c.home.cur = c
 	return c
-}
-
-// own makes kid j of p the writer's own and returns it.
-func (s *Seq[T]) own(p *node[T], j int) *node[T] {
-	p.kids[j] = s.clone(p.kids[j])
-	return p.kids[j]
-}
-
-// path makes the root, inner node and leaf holding position i (or the end
-// of the last leaf, for i == Len) the writer's own, and returns the inner
-// node's slot g, the inner node, the leaf's slot j in it, the leaf, and
-// i's offset in the leaf.
-func (s *Seq[T]) path(i int) (g int, in *node[T], j int, lf *node[T], off int) {
-	s.root = s.clone(s.root)
-	g, off = s.root.slot(i, 2*halfBits)
-	in = s.own(s.root, g)
-	j, off = in.slot(off, halfBits)
-	lf = s.own(in, j)
-	return g, in, j, lf, off
 }
 
 func (s *Seq[T]) placed(x T, lf *node[T]) {
@@ -316,143 +317,127 @@ func (s *Seq[T]) placed(x T, lf *node[T]) {
 }
 
 // Set replaces element i.
-func (s *Seq[T]) Set(i int, x T) {
-	_, _, _, lf, off := s.path(i)
-	lf.xs[off] = x
-	s.placed(x, lf)
-}
+func (s *Seq[T]) Set(i int, x T) { s.edit(i, x, 0) }
 
 // Append adds x as element Len.
-func (s *Seq[T]) Append(x T) { s.InsertAt(s.Len(), x) }
+func (s *Seq[T]) Append(x T) { s.edit(s.Len(), x, 1) }
 
 // InsertAt inserts x as element i, shifting the elements from i on up one
 // index; i must lie in [0, Len].
-func (s *Seq[T]) InsertAt(i int, x T) {
-	if s.root == nil {
-		s.root = s.newNode(nil, 0)
-		in := s.newNode(s.root.home, 0)
-		s.root.kids, s.root.ends = []*node[T]{in}, []int32{0}
-		in.kids, in.ends = []*node[T]{s.newNode(in.home, 0)}, []int32{0}
-	}
-	g, in, j, lf, off := s.path(i)
-	lf.xs = slices.Insert(lf.xs, off, x)
-	s.placed(x, lf)
-	add(in.ends[j:], 1)
-	add(s.root.ends[g:], 1)
-	s.fix(in, j)
-	s.fix(s.root, g)
-}
+func (s *Seq[T]) InsertAt(i int, x T) { s.edit(i, x, 1) }
 
 // DeleteAt removes element i, shifting the later elements down one index.
-func (s *Seq[T]) DeleteAt(i int) {
-	g, in, j, lf, off := s.path(i)
-	lf.xs = slices.Delete(lf.xs, off, off+1)
-	add(in.ends[j:], -1)
-	add(s.root.ends[g:], -1)
-	s.fix(in, j)
-	s.fix(s.root, g)
-	if len(s.root.kids) == 0 {
+func (s *Seq[T]) DeleteAt(i int) { s.edit(i, *new(T), -1) }
+
+// edit applies one write at position i (d = 1 inserts x, -1 deletes, 0
+// sets) and then grows or sheds a level if the root needs it.
+func (s *Seq[T]) edit(i int, x T, d int) {
+	if s.root == nil {
+		s.root = s.newNode(nil, 0)
+	}
+	s.root = s.clone(s.root)
+	s.write(s.root, s.height, i, x, d)
+	switch r := s.root; {
+	case r.size() > Width:
+		s.root = s.newNode(nil, 0)
+		s.root.kids, s.root.ends = []*node[T]{r}, []int32{int32(r.count())}
+		r.home.up = s.root.home
+		s.split(s.root, 0)
+		s.height++
+	case r.size() == 0:
 		s.root = nil
+	case !r.leaf() && len(r.kids) == 1:
+		s.root, s.root.home.up = r.kids[0], nil
+		s.height--
 	}
 }
 
-func add(ends []int32, d int32) {
-	for k := range ends {
-		ends[k] += d
-	}
-}
-
-// fix restores the size bounds around kid j of p, which p's caller owns
-// and whose size just changed: an empty kid is dropped, an overfull one
-// split, and a small one merged with a neighbour that has room.
-func (s *Seq[T]) fix(p *node[T], j int) {
-	switch n := p.kids[j]; {
-	case n.size() == 0:
-		p.kids = slices.Delete(p.kids, j, j+1)
-		p.ends = slices.Delete(p.ends, j, j+1)
-		s.renumber(p, j)
-		if len(p.kids) > 0 {
-			s.settle(p, max(j-1, 0))
-		}
-	case n.size() > Width:
-		s.split(p, j)
-		s.settle(p, j+1)
-		s.settle(p, j)
-	default:
-		s.settle(p, j)
-	}
-}
-
-// loose reports whether neighbours a and b must merge: one holds fewer
-// than Width/4 and both fit in one node.
-func loose[T comparable](a, b *node[T]) bool {
-	return min(a.size(), b.size()) < low && a.size()+b.size() <= Width
-}
-
-// settle merges kid j of p with its neighbours while either pair is loose.
-func (s *Seq[T]) settle(p *node[T], j int) {
-	for {
-		switch {
-		case j > 0 && loose(p.kids[j-1], p.kids[j]):
-			j--
-			s.merge(p, j)
-		case j+1 < len(p.kids) && loose(p.kids[j], p.kids[j+1]):
-			s.merge(p, j)
-		default:
+// write applies the edit at offset i under n, an owned node at height h,
+// owning the path down; on the way up it adds d to the counts and restores
+// the size bounds.
+func (s *Seq[T]) write(n *node[T], h, i int, x T, d int) {
+	if h == 0 {
+		switch d {
+		case 1:
+			if i < len(n.xs) && len(n.xs) == cap(n.xs) {
+				// A mid-leaf insert into a clone grows it by one size
+				// class; appends grow twofold.
+				n.xs = append(make([]T, 0, len(n.xs)+1), n.xs...)
+			}
+			n.xs = slices.Insert(n.xs, i, x)
+		case -1:
+			n.xs = slices.Delete(n.xs, i, i+1)
 			return
+		default:
+			n.xs[i] = x
 		}
+		s.placed(x, n)
+		return
+	}
+	j, off := n.slot(i, h)
+	n.kids[j] = s.clone(n.kids[j])
+	s.write(n.kids[j], h-1, off, x, d)
+	for k := j; d != 0 && k < len(n.ends); k++ {
+		n.counts()[k] += int32(d)
+	}
+	s.fix(n, j)
+}
+
+// fix restores the bounds of p's owned kid j: an underfull kid merges with
+// a neighbour, and an overfull one (or merge) splits.
+func (s *Seq[T]) fix(p *node[T], j int) {
+	if p.kids[j].size() < low && len(p.kids) > 1 {
+		j = min(j, len(p.kids)-2)
+		s.merge(p, j)
+	}
+	if p.kids[j].size() > Width {
+		s.split(p, j)
 	}
 }
 
-// split moves the upper half of p's kid j, which the caller owns, into a
-// new kid j+1.
+// split moves the upper half of p's kid j, which the writer owns, into a
+// new kid j+1. Both halves get arrays of their own size.
 func (s *Seq[T]) split(p *node[T], j int) {
 	a, b := p.kids[j], s.newNode(p.home, j+1)
 	h := a.size() / 2
 	if a.leaf() {
-		b.xs = slices.Clone(a.xs[h:])
-		clear(a.xs[h:])
-		a.xs = a.xs[:h]
+		a.xs, b.xs = slices.Clone(a.xs[:h]), slices.Clone(a.xs[h:])
 		for _, x := range b.xs {
 			s.placed(x, b)
 		}
 	} else {
-		b.kids = slices.Clone(a.kids[h:])
-		b.ends = slices.Clone(a.ends[h:])
-		add(b.ends, -a.ends[h-1])
-		clear(a.kids[h:])
-		a.kids, a.ends = a.kids[:h], a.ends[:h]
+		a.kids, b.kids = slices.Clone(a.kids[:h]), slices.Clone(a.kids[h:])
+		a.ends, b.ends, a.lent = slices.Clone(a.ends[:h]), slices.Clone(a.ends[h:]), false
+		for k := range b.ends {
+			b.ends[k] -= a.ends[h-1]
+		}
 		s.renumber(b, 0)
 	}
 	p.kids = slices.Insert(p.kids, j+1, b)
-	p.ends = slices.Insert(p.ends, j, p.ends[j]-int32(b.count()))
+	p.ends = slices.Insert(p.counts(), j, p.ends[j]-int32(b.count()))
 	s.renumber(p, j+1)
 }
 
 // merge moves p's kid j+1 onto the end of kid j.
 func (s *Seq[T]) merge(p *node[T], j int) {
-	a, b := s.own(p, j), p.kids[j+1]
-	seam := a.size()
+	a, b := s.clone(p.kids[j]), p.kids[j+1]
+	p.kids[j] = a
 	if a.leaf() {
 		a.xs = append(a.xs, b.xs...)
 		for _, x := range b.xs {
 			s.placed(x, a)
 		}
 	} else {
-		base := a.ends[seam-1]
-		a.kids = append(a.kids, b.kids...)
+		base, seam := a.ends[len(a.ends)-1], len(a.kids)
+		a.ends, a.kids = a.counts(), append(a.kids, b.kids...)
 		for _, e := range b.ends {
 			a.ends = append(a.ends, base+e)
 		}
 		s.renumber(a, seam)
 	}
 	p.kids = slices.Delete(p.kids, j+1, j+2)
-	p.ends = slices.Delete(p.ends, j, j+1)
+	p.ends = slices.Delete(p.counts(), j, j+1)
 	s.renumber(p, j+1)
-	if !a.leaf() {
-		// The last leaf of a and the first of b are neighbours now.
-		s.settle(a, seam)
-	}
 }
 
 // renumber points the homes of p's kids from k on at p and their index.
@@ -465,74 +450,71 @@ func (s *Seq[T]) renumber(p *node[T], k int) {
 // Publish returns the frozen view of the current state and starts a new
 // epoch, from which every node is shared with the view. O(1).
 func (s *Seq[T]) Publish() Seq[T] {
-	view := Seq[T]{root: s.root, epoch: s.epoch}
+	view := Seq[T]{root: s.root, height: s.height, epoch: s.epoch}
 	s.epoch++
 	return view
 }
 
-// ErrCorrupt reports a structural violation found by Check or
-// CheckIsolated.
+// ErrCorrupt reports a violation found by Check or CheckIsolated.
 var ErrCorrupt = errors.New("cowvec: sequence corrupt")
 
 func corrupt(what string) error { return fmt.Errorf("%w: %s", ErrCorrupt, what) }
 
-// nodes yields every node s reaches with its depth (0 at the root, 2 at
-// the leaves).
+// nodes yields every node s reaches, in order, each before its kids, with
+// its height.
 func (s *Seq[T]) nodes() iter.Seq2[*node[T], int] {
 	return func(yield func(*node[T], int) bool) {
-		if s.root == nil || !yield(s.root, 0) {
-			return
-		}
-		for _, in := range s.root.kids {
-			if !yield(in, 1) {
-				return
-			}
-			for _, lf := range in.kids {
-				if !yield(lf, 2) {
-					return
-				}
-			}
+		if s.root != nil {
+			walk(s.root, s.height, yield)
 		}
 	}
 }
 
-// Check validates the structural invariants: leaves sit at depth 2, no
-// node is empty, over Width (the root excepted) or reached twice, no node
-// is stamped with a future epoch, every branch's ends are the running
-// counts of its kids, no two neighbours are loose, and the slots a leaf
-// holds past its length are zero. It reads only epoch-frozen state, so it
-// is safe on published views.
+func walk[T comparable](n *node[T], h int, yield func(*node[T], int) bool) bool {
+	if !yield(n, h) {
+		return false
+	}
+	for _, k := range n.kids {
+		if !walk(k, h-1, yield) {
+			return false
+		}
+	}
+	return true
+}
+
+// Check validates the structure: leaves at height 0; no node reached twice
+// or of a future epoch; every node at most Width and, but the root, at
+// least Width/4 full (so no two neighbours anywhere fit in one node with
+// one under Width/4); ends are running counts; slots past a leaf's length
+// are zero. It reads only frozen state, so it is safe on published views.
 func (s *Seq[T]) Check() error {
 	var zero T
 	seen := make(map[*node[T]]bool)
-	for n, depth := range s.nodes() {
+	for n, h := range s.nodes() {
+		lo := low
+		if n == s.root {
+			lo = 1 + min(h, 1) // a root branch has two kids
+		}
 		switch {
 		case seen[n]:
 			return corrupt("node reached twice")
 		case n.epoch > s.epoch:
 			return corrupt("node stamped with a future epoch")
-		case n.leaf() != (depth == 2) || n.size() == 0 || depth > 0 && n.size() > Width:
-			return corrupt("node empty, overfull or at the wrong depth")
+		case n.leaf() != (h == 0) || h > maxHeight:
+			return corrupt("leaf at the wrong height")
+		case n.size() < lo || n.size() > Width:
+			return corrupt("node underfull or overfull")
+		case len(n.ends) != len(n.kids):
+			return corrupt("counts and kids differ in length")
 		}
 		seen[n] = true
-		for _, x := range n.xs[len(n.xs):cap(n.xs)] {
-			if x != zero {
-				return corrupt("slot set past a leaf's length")
-			}
-		}
-		if n.leaf() {
-			continue
-		}
-		if len(n.ends) != len(n.kids) {
-			return corrupt("counts and kids differ in length")
+		if slices.ContainsFunc(n.xs[len(n.xs):cap(n.xs)], func(x T) bool { return x != zero }) {
+			return corrupt("slot set past a leaf's length")
 		}
 		total := 0
 		for k, c := range n.kids {
 			if total += c.count(); int(n.ends[k]) != total {
 				return corrupt("counts out of step with the kids")
-			}
-			if k > 0 && loose(n.kids[k-1], c) {
-				return corrupt("neighbours left unmerged")
 			}
 		}
 	}

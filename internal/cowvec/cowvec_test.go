@@ -14,17 +14,19 @@ type elem struct {
 
 // FuzzSeq drives a tracked sequence with arbitrary append / insert / set /
 // delete / publish histories, including runs long enough to split and
-// merge inner nodes, and checks it against a plain slice after every step:
-// the writer holds the model's elements, Check holds for the writer and
-// every published view, every view still holds what the model held when
-// it was published and shares no node the writer may write in place, a
-// cursor from any position walks the model's suffix, and every element's
-// home gives its position back.
+// merge branches and to grow and shrink the tree, and checks it against a
+// plain slice after every step: the writer holds the model's elements,
+// Check holds for the writer and every published view, every view still
+// holds what the model held when it was published and shares no node the
+// writer may write in place, a cursor from any position walks the model's
+// suffix, every element's home gives its position back, and Collect
+// builds a valid sequence of the model.
 func FuzzSeq(f *testing.F) {
-	f.Add([]byte{5, 128, 0})                                      // one leaf split by appends
-	f.Add([]byte{5, 255, 32})                                     // an inner node split by appends
-	f.Add([]byte{5, 128, 0, 4, 0, 0, 6, 0, 97, 4, 0, 0, 3, 0, 0}) // leaves merged after a publish
-	f.Add([]byte{5, 255, 32, 4, 0, 0, 6, 255, 15, 6, 255, 15, 6, 255, 15, 6, 255, 15})
+	f.Add([]byte{5, 63, 0, 0, 0, 0})                             // a full leaf, then its split
+	f.Add([]byte{5, 255, 16})                                    // a branch split by appends
+	f.Add([]byte{5, 64, 0, 4, 0, 0, 6, 0, 15, 3, 0, 0, 4, 0, 0}) // a leaf under Width/4 merged after a publish
+	f.Add([]byte{5, 64, 1, 6, 0, 15, 6, 0, 15, 3, 0, 0})         // a merge that overfills and splits again
+	f.Add([]byte{5, 255, 16, 4, 0, 0, 6, 255, 15, 6, 255, 15, 6, 255, 15, 6, 255, 15})
 	f.Add([]byte{5, 63, 0, 7, 64, 32, 4, 0, 0, 7, 64, 32, 2, 0, 40, 3, 0, 1}) // splits in mid-leaf
 	f.Add([]byte{0, 0, 0, 4, 0, 0, 3, 0, 0, 0, 0, 0, 1, 0, 0, 2, 0, 0})       // down to empty and back
 	f.Fuzz(func(t *testing.T, ops []byte) {
@@ -34,7 +36,7 @@ func FuzzSeq(f *testing.F) {
 			want []*elem
 		}
 		var (
-			s     = Tracked(func(e *elem, h *Home[*elem]) { e.home = h })
+			s     = Collect(nil, func(e *elem, h *Home[*elem]) { e.home = h })
 			model []*elem
 			views []view
 			next  int
@@ -93,6 +95,8 @@ func FuzzSeq(f *testing.F) {
 				}
 			}
 			checkSeq(t, fmt.Sprintf("step %d writer", step), &s, model)
+			c := Collect(slices.Clone(model), nil)
+			checkSeq(t, fmt.Sprintf("step %d collected", step), &c, model)
 			for i, e := range model {
 				if got := e.home.Index(e); got != i {
 					t.Fatalf("step %d: element at %d: home gives %d", step, i, got)
@@ -136,12 +140,18 @@ func checkSeq(t *testing.T, label string, s *Seq[*elem], want []*elem) {
 		if from < 0 {
 			continue
 		}
-		cur, i := s.Cursor(from), from
-		for x, ok := cur.Next(); ok; x, ok = cur.Next() {
-			if i >= len(want) || x != want[i] {
-				t.Fatalf("%s: cursor from %d differs from the model at %d", label, from, i)
+		run, cur := s.Cursor(from)
+		i := from
+		for ; run != nil; run = cur.Next() {
+			if len(run) == 0 {
+				t.Fatalf("%s: cursor from %d yields an empty run at %d", label, from, i)
 			}
-			i++
+			for _, x := range run {
+				if i >= len(want) || x != want[i] {
+					t.Fatalf("%s: cursor from %d differs from the model at %d", label, from, i)
+				}
+				i++
+			}
 		}
 		if i != max(from, len(want)) {
 			t.Fatalf("%s: cursor from %d stopped at %d, want %d", label, from, i, len(want))
@@ -149,32 +159,51 @@ func checkSeq(t *testing.T, label string, s *Seq[*elem], want []*elem) {
 	}
 }
 
-// TestSeqShape pins the shape appends leave: every leaf but the last at
-// Width/2 elements and every inner node but the last at Width/2 leaves, so
-// At's first guess is exact; and that Search finds the boundary of a
+// shape returns the sizes of s's nodes, level by level from the root.
+func shape[T comparable](s *Seq[T]) [][]int {
+	out := make([][]int, s.height+1)
+	for n, h := range s.nodes() {
+		out[s.height-h] = append(out[s.height-h], n.size())
+	}
+	return out
+}
+
+// TestSeqShape pins the shape appends leave — every node but the last on
+// a level half full, so At's first guess is exact — and that Collect
+// builds the same shape; and that Search finds the boundary of a
 // monotone predicate.
 func TestSeqShape(t *testing.T) {
-	var s Seq[int]
-	const n = 3*Width*Width/4 + 5
-	for i := range n {
-		s.Append(i)
-	}
-	if err := s.Check(); err != nil {
-		t.Fatal(err)
-	}
-	for k, in := range s.root.kids {
-		if last := k == len(s.root.kids)-1; !last && len(in.kids) != Width/2 {
-			t.Fatalf("inner node %d holds %d leaves, want %d", k, len(in.kids), Width/2)
+	for _, n := range []int{0, 1, Width / 2, Width, Width + 1, Width * Width / 2, Width*Width/2 + Width/2 + 1, 3*Width*Width/4 + 5, 70_000} {
+		var s Seq[int]
+		xs := make([]int, n)
+		for i := range n {
+			xs[i] = i
+			s.Append(i)
 		}
-		for j, lf := range in.kids {
-			if last := k == len(s.root.kids)-1 && j == len(in.kids)-1; !last && len(lf.xs) != Width/2 {
-				t.Fatalf("leaf %d of inner node %d holds %d elements, want %d", j, k, len(lf.xs), Width/2)
+		c := Collect(xs, nil)
+		for _, q := range []*Seq[int]{&s, &c} {
+			if err := q.Check(); err != nil {
+				t.Fatalf("n=%d: %v", n, err)
 			}
 		}
-	}
-	for _, want := range []int{0, 1, Width/2 - 1, Width / 2, Width*Width/4 + 1, n - 1, n} {
-		if got := s.Search(func(x int) bool { return x >= want }); got != want {
-			t.Fatalf("Search for the first element >= %d = %d", want, got)
+		want := shape(&s)
+		if got := shape(&c); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("n=%d: Collect leaves node sizes %v, appends %v", n, got, want)
+		}
+		for h, sizes := range want {
+			for k, size := range sizes[:max(len(sizes)-1, 0)] {
+				if size != Width/2 {
+					t.Fatalf("n=%d: node %d of level %d holds %d, want %d", n, k, h, size, Width/2)
+				}
+			}
+		}
+		for _, want := range []int{0, 1, Width/2 - 1, Width / 2, Width*Width/4 + 1, n - 1, n} {
+			if want < 0 || want > n {
+				continue
+			}
+			if got := s.Search(func(x int) bool { return x >= want }); got != want {
+				t.Fatalf("n=%d: Search for the first element >= %d = %d", n, want, got)
+			}
 		}
 	}
 }

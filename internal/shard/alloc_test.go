@@ -63,7 +63,7 @@ func TestCommitRequeryAllocsIndependentOfM(t *testing.T) {
 		cycle := func() {
 			err := c.Batch(func(b *Batch) error {
 				if i > 0 {
-					if err := b.DeleteXTuple(len(c.dir.entries) - 1); err != nil {
+					if err := b.DeleteXTuple(c.dir.view.Len() - 1); err != nil {
 						return err
 					}
 				}

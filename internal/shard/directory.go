@@ -5,47 +5,32 @@ import (
 	"github.com/probdb/topkclean/internal/uncertain"
 )
 
-// entry is one logical x-tuple's placement: which shard holds it, its
-// local group index there (sentinel is local 0, so content groups start at
-// 1), and the global tie-break stamp of each real alternative (parallel to
-// RealTuples; nil for absent groups).
+// entry is one logical x-tuple's placement: which shard holds it and its
+// local group index there (sentinel is local 0, so content groups start
+// at 1).
 type entry struct {
-	shard int
-	local int
-	gseqs []int
+	shard int32
+	local int32
 }
 
-// directory is the cluster's live placement map: entries in global group
-// index order (the index space every mutation addresses). Groups never
-// move, and both appends and deletes keep the relative order of the
-// survivors in both index spaces, so a group's local index is always its
-// rank among the same-shard entries in global order.
-// It is mutated only under the cluster writer lock; readers see placement
-// through published epochs instead.
+// directory is the cluster's live placement map, in global group index
+// order (the index space every mutation addresses). Groups never move,
+// and both appends and deletes keep the relative order of the survivors
+// in both index spaces, so a group's local index is always its rank among
+// the same-shard entries in global order. It is mutated only under the
+// cluster writer lock; readers see placement through published epochs
+// instead.
 //
-// Beside the writer's entries it keeps the two maps an epoch freezes as
-// copy-on-write vectors — global index to placement (view) and, per
-// shard, local index to global index (perShard, whose length is the
-// shard's group count plus its sentinel) — updated in step with every
-// transition, so publishing them is O(shards) and a commit copies
-// only the chunks it changed: an append or a tail delete touches the last
-// chunk of each, a reweight or collapse nothing, and only a delete below
-// the tail shifts O(m) slots.
+// It is two copy-on-write sequences that an epoch freezes — global index
+// to placement (view) and, per shard, local index to global index
+// (perShard, whose length is the shard's group count plus its sentinel) —
+// so publishing them is O(shards) and a commit copies only the nodes on
+// the paths it changed: an append or a tail delete touches the last leaf
+// of each, a reweight or collapse nothing, and only a delete below the
+// tail rewrites the O(m) entries after it.
 type directory struct {
-	entries  []*entry
-	view     cowvec.Seq[entryView] // view.At(gi) mirrors entries[gi]
-	perShard []cowvec.Seq[int32]   // perShard[s].At(local) = global index; sentinel -1
-}
-
-// collapse records that the group was resolved to alternative choice: a
-// real alternative keeps only its own stamp (reals come first, in gseqs
-// order), and the null leaves the group certainly absent, with none.
-func (e *entry) collapse(choice int) {
-	if choice < len(e.gseqs) {
-		e.gseqs = []int{e.gseqs[choice]}
-	} else {
-		e.gseqs = nil
-	}
+	view     cowvec.Seq[entry]   // view.At(gi) = placement of global group gi
+	perShard []cowvec.Seq[int32] // perShard[s].At(local) = global index; sentinel -1
 }
 
 func newDirectory(shards int) *directory {
@@ -56,13 +41,17 @@ func newDirectory(shards int) *directory {
 	return d
 }
 
-// append places a new group at the end of the global index space and of
-// its shard's local space, filling in its local index.
-func (d *directory) append(e *entry) {
-	d.perShard[e.shard].Append(int32(len(d.entries)))
-	d.entries = append(d.entries, e)
-	e.local = d.perShard[e.shard].Len() - 1
-	d.view.Append(entryView{shard: int32(e.shard), local: int32(e.local)})
+// at returns the shard and local index of global group gi.
+func (d *directory) at(gi int) (shard, local int) {
+	e := d.view.At(gi)
+	return int(e.shard), int(e.local)
+}
+
+// append places a new group on shard s, at the end of the global index
+// space and of the shard's local space.
+func (d *directory) append(s int) {
+	d.perShard[s].Append(int32(d.view.Len()))
+	d.view.Append(entry{shard: int32(s), local: int32(d.perShard[s].Len() - 1)})
 }
 
 // removeGlobal deletes the group at global index gi, renumbering the
@@ -70,23 +59,17 @@ func (d *directory) append(e *entry) {
 // renumbers in both index spaces — and the global indices above it in
 // every shard's map.
 func (d *directory) removeGlobal(gi int) {
-	e := d.entries[gi]
-	d.entries = append(d.entries[:gi], d.entries[gi+1:]...)
+	e := d.view.At(gi)
 	d.view.DeleteAt(gi)
-	d.perShard[e.shard].DeleteAt(e.local)
-	for j, o := range d.entries[gi:] {
+	d.perShard[e.shard].DeleteAt(int(e.local))
+	for j := gi; j < d.view.Len(); j++ {
+		o := d.view.At(j)
 		if o.shard == e.shard {
 			o.local--
-			d.view.Set(gi+j, entryView{shard: int32(o.shard), local: int32(o.local)})
+			d.view.Set(j, o)
 		}
-		d.perShard[o.shard].Set(o.local, int32(gi+j))
+		d.perShard[o.shard].Set(int(o.local), int32(j))
 	}
-}
-
-// entryView is an entry frozen into an epoch.
-type entryView struct {
-	shard int32
-	local int32
 }
 
 // epoch is one immutable published state of the cluster: pinned shard
@@ -95,10 +78,10 @@ type entryView struct {
 type epoch struct {
 	version  uint64
 	snaps    []*uncertain.Database
-	entries  cowvec.Seq[entryView] // global group index -> placement
-	perShard []cowvec.Seq[int32]   // [shard] local -> global index; sentinel -1
-	n        int                   // global alternatives (sentinels excluded)
-	m        int                   // global groups (sentinels excluded)
+	entries  cowvec.Seq[entry]   // global group index -> placement
+	perShard []cowvec.Seq[int32] // [shard] local -> global index; sentinel -1
+	n        int                 // global alternatives (sentinels excluded)
+	m        int                 // global groups (sentinels excluded)
 }
 
 // publishLocked freezes the current shard states and directory into a new
@@ -112,7 +95,7 @@ func (c *Cluster) publishLocked() {
 		e.snaps[i] = sh.db.Snapshot()
 		tuples += e.snaps[i].NumTuples()
 	}
-	e.m = len(c.dir.entries)
+	e.m = c.dir.view.Len()
 	e.n = tuples - len(c.shards) // one sentinel null per shard
 	e.entries = c.dir.view.Publish()
 	e.perShard = make([]cowvec.Seq[int32], len(c.shards))

@@ -182,7 +182,7 @@ func TestMutationInvalidatesExactlyTouchedShards(t *testing.T) {
 		compareAll(t, c, db)
 		checkInvariant(t, c)
 	}
-	shardOf := func(l int) int { return c.dir.entries[l].shard }
+	shardOf := func(l int) int { s, _ := c.dir.at(l); return s }
 	last := func() int { return shardOf(c.NumGroups() - 1) }
 	at := func(l int) func() int { return func() int { return shardOf(l) } }
 

@@ -64,8 +64,8 @@ func (c *Cluster) encodeLocked() ([]byte, uint64, error) {
 	buf = binary.AppendUvarint(buf, uint64(len(c.shards)))
 	buf = binary.AppendUvarint(buf, c.version)
 	buf = binary.AppendUvarint(buf, uint64(c.nextGseq))
-	buf = binary.AppendUvarint(buf, uint64(len(c.dir.entries)))
-	for _, e := range c.dir.entries {
+	buf = binary.AppendUvarint(buf, uint64(c.dir.view.Len()))
+	for _, e := range c.dir.view.All() {
 		buf = binary.AppendUvarint(buf, uint64(e.shard))
 	}
 	for _, sh := range c.shards {
@@ -126,8 +126,7 @@ func (c *Cluster) decode(data []byte, version uint64) error {
 		return fmt.Errorf("%w: cluster checkpoint: %v", store.ErrCorrupt, r.err)
 	}
 
-	// Rebuild the directory: local indices from global order, stamps from
-	// the shards.
+	// Rebuild the directory: local indices from global order.
 	c.dir = newDirectory(c.cfg.Shards)
 	for gi, s := range place {
 		db := c.shards[s].db
@@ -135,11 +134,7 @@ func (c *Cluster) decode(data []byte, version uint64) error {
 		if local >= db.NumGroups() {
 			return fmt.Errorf("%w: group %d: shard %d holds only %d groups", store.ErrCorrupt, gi, s, db.NumGroups()-1)
 		}
-		var gseqs []int
-		for _, t := range db.GroupAt(local).RealTuples() {
-			gseqs = append(gseqs, t.Stamp())
-		}
-		c.dir.append(&entry{shard: s, gseqs: gseqs})
+		c.dir.append(s)
 	}
 	for s, sh := range c.shards {
 		if got, want := sh.db.NumGroups(), c.dir.perShard[s].Len(); got != want || sh.db.GroupAt(0).Name != sentinelName {

@@ -282,10 +282,14 @@ func (s *crashSweep) checkCrash(t *testing.T, what, dir string, i int) {
 	if c.nextGseq != s.final.nextGseq {
 		t.Fatalf("%s: next stamp %d after the rest of the script, uninterrupted %d", what, c.nextGseq, s.final.nextGseq)
 	}
-	for gi, e := range c.dir.entries {
-		f := s.final.dir.entries[gi]
-		if e.shard != f.shard || e.local != f.local || fmt.Sprint(e.gseqs) != fmt.Sprint(f.gseqs) {
-			t.Fatalf("%s: group %d at %+v, uninterrupted %+v", what, gi, *e, *f)
+	if got, want := c.dir.view.Len(), s.final.dir.view.Len(); got != want {
+		t.Fatalf("%s: %d groups placed, uninterrupted %d", what, got, want)
+	}
+	for gi, e := range c.dir.view.All() {
+		f := s.final.dir.view.At(gi)
+		if e != f || fmt.Sprint(stampsOf(c, e)) != fmt.Sprint(stampsOf(s.final, f)) {
+			t.Fatalf("%s: group %d at %+v with stamps %v, uninterrupted %+v with %v",
+				what, gi, e, stampsOf(c, e), f, stampsOf(s.final, f))
 		}
 	}
 	for si, st := range c.Stats() {
@@ -608,4 +612,14 @@ func TestClusterBlockedSyncHidesCommit(t *testing.T) {
 		t.Fatalf("version %d after the sync returned, want %d", got, v+1)
 	}
 	m.compare()
+}
+
+// stampsOf returns the stamps of the real alternatives of the group that
+// e places, read from the shard database holding it.
+func stampsOf(c *Cluster, e entry) []int {
+	var out []int
+	for _, t := range c.shards[e.shard].db.GroupAt(int(e.local)).RealTuples() {
+		out = append(out, t.Stamp())
+	}
+	return out
 }

@@ -105,7 +105,7 @@ func (b *Batch) InsertXTuple(name string, tuples ...uncertain.Tuple) error {
 		return err // the stamps stay undrawn
 	}
 	c.nextGseq += len(seqs)
-	c.dir.append(&entry{shard: j, gseqs: seqs})
+	c.dir.append(j)
 	b.done(store.Op{Op: "insert", Name: name, Tuples: store.OpTuples(tuples)})
 	return nil
 }
@@ -124,7 +124,7 @@ func (b *Batch) InsertAbsentXTuple(name string) error {
 	if err := c.shards[s].db.InsertAbsentXTuple(name); err != nil {
 		return err
 	}
-	c.dir.append(&entry{shard: s})
+	c.dir.append(s)
 	b.done(store.Op{Op: "insert_absent", Name: name})
 	return nil
 }
@@ -132,14 +132,14 @@ func (b *Batch) InsertAbsentXTuple(name string) error {
 // DeleteXTuple deletes the x-tuple at global index l.
 func (b *Batch) DeleteXTuple(l int) error {
 	c := b.c
-	if l < 0 || l >= len(c.dir.entries) {
-		return fmt.Errorf("index %d of %d: %w", l, len(c.dir.entries), uncertain.ErrBadGroupIndex)
+	if l < 0 || l >= c.dir.view.Len() {
+		return fmt.Errorf("index %d of %d: %w", l, c.dir.view.Len(), uncertain.ErrBadGroupIndex)
 	}
-	if len(c.dir.entries) == 1 {
+	if c.dir.view.Len() == 1 {
 		return uncertain.ErrLastGroup
 	}
-	e := c.dir.entries[l]
-	if err := c.shards[e.shard].db.DeleteXTuple(e.local); err != nil {
+	s, local := c.dir.at(l)
+	if err := c.shards[s].db.DeleteXTuple(local); err != nil {
 		return err
 	}
 	c.dir.removeGlobal(l)
@@ -153,14 +153,14 @@ func (b *Batch) DeleteXTuple(l int) error {
 // every shard's live ID index, for a null the reweight materializes.
 func (b *Batch) Reweight(l int, probs []float64) error {
 	c := b.c
-	if l < 0 || l >= len(c.dir.entries) {
-		return fmt.Errorf("index %d of %d: %w", l, len(c.dir.entries), uncertain.ErrBadGroupIndex)
+	if l < 0 || l >= c.dir.view.Len() {
+		return fmt.Errorf("index %d of %d: %w", l, c.dir.view.Len(), uncertain.ErrBadGroupIndex)
 	}
-	e := c.dir.entries[l]
-	if _, err := uncertain.CheckReweight(c.shards[e.shard].db.GroupAt(e.local), probs, c.idLive); err != nil {
+	s, local := c.dir.at(l)
+	if _, err := uncertain.CheckReweight(c.shards[s].db.GroupAt(local), probs, c.idLive); err != nil {
 		return err
 	}
-	if err := c.shards[e.shard].db.Reweight(e.local, probs); err != nil {
+	if err := c.shards[s].db.Reweight(local, probs); err != nil {
 		return err
 	}
 	b.done(store.Op{Op: "reweight", Group: l, Probs: append([]float64(nil), probs...)})
@@ -170,14 +170,13 @@ func (b *Batch) Reweight(l int, probs []float64) error {
 // Collapse resolves the x-tuple at global index l to alternative choice.
 func (b *Batch) Collapse(l, choice int) error {
 	c := b.c
-	if l < 0 || l >= len(c.dir.entries) {
-		return fmt.Errorf("index %d of %d: %w", l, len(c.dir.entries), uncertain.ErrBadGroupIndex)
+	if l < 0 || l >= c.dir.view.Len() {
+		return fmt.Errorf("index %d of %d: %w", l, c.dir.view.Len(), uncertain.ErrBadGroupIndex)
 	}
-	e := c.dir.entries[l]
-	if err := c.shards[e.shard].db.Collapse(e.local, choice); err != nil {
+	s, local := c.dir.at(l)
+	if err := c.shards[s].db.Collapse(local, choice); err != nil {
 		return err // a bad choice; unchanged
 	}
-	e.collapse(choice)
 	b.done(store.Op{Op: "collapse", Group: l, Choice: choice})
 	return nil
 }

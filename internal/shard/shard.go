@@ -236,7 +236,7 @@ func (c *Cluster) buildFromLocked(src *uncertain.Database, version uint64, assig
 		if err != nil {
 			return err
 		}
-		dir.append(&entry{shard: sh, gseqs: gseqs})
+		dir.append(sh)
 	}
 	for i := range dbs {
 		if err := dbs[i].Build(c.rank); err != nil {

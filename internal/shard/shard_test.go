@@ -468,29 +468,25 @@ func checkInvariant(t *testing.T, c *Cluster) {
 	for s := range next {
 		next[s] = 1
 	}
-	if got, want := c.dir.view.Len(), len(c.dir.entries); got != want {
-		t.Fatalf("placement view holds %d entries, directory %d", got, want)
-	}
-	for gi, e := range c.dir.entries {
-		if e.local != next[e.shard] {
+	stamps := make(map[int]int) // stamp -> global index holding it
+	for gi, e := range c.dir.view.All() {
+		if int(e.local) != next[e.shard] {
 			t.Fatalf("entry %d on shard %d records local %d; its rank among the shard's entries is %d",
 				gi, e.shard, e.local, next[e.shard])
 		}
 		next[e.shard]++
-		if v := c.dir.view.At(gi); int(v.shard) != e.shard || int(v.local) != e.local {
-			t.Fatalf("entry %d: placement view says (%d, %d), directory (%d, %d)", gi, v.shard, v.local, e.shard, e.local)
-		}
-		if got := c.dir.perShard[e.shard].At(e.local); int(got) != gi {
+		if got := c.dir.perShard[e.shard].At(int(e.local)); int(got) != gi {
 			t.Fatalf("entry %d: shard %d's map sends local %d to global %d", gi, e.shard, e.local, got)
 		}
-		reals := c.shards[e.shard].db.GroupAt(e.local).RealTuples()
-		if len(reals) != len(e.gseqs) {
-			t.Fatalf("entry %d: %d reals, %d stamps", gi, len(reals), len(e.gseqs))
-		}
-		for i, rt := range reals {
-			if rt.Stamp() != e.gseqs[i] {
-				t.Fatalf("entry %d alternative %d: shard stamp %d, directory %d", gi, i, rt.Stamp(), e.gseqs[i])
+		// Every real alternative holds its own stamp, drawn from the
+		// cluster's counter.
+		for i, rt := range c.shards[e.shard].db.GroupAt(int(e.local)).RealTuples() {
+			if st := rt.Stamp(); st < 0 || st >= c.nextGseq {
+				t.Fatalf("entry %d alternative %d: stamp %d outside the %d drawn", gi, i, st, c.nextGseq)
+			} else if prev, dup := stamps[st]; dup {
+				t.Fatalf("entry %d alternative %d: stamp %d already held by entry %d", gi, i, st, prev)
 			}
+			stamps[rt.Stamp()] = gi
 		}
 	}
 	for s, sh := range c.shards {
@@ -639,8 +635,8 @@ func checkInsertOrder(t *testing.T, c *Cluster, db *uncertain.Database) {
 	// An ID live on a shard other than the one the next insert would
 	// land on.
 	var taken string
-	for _, e := range c.dir.entries {
-		if reals := c.shards[e.shard].db.GroupAt(e.local).RealTuples(); e.shard != place(c.nextGseq, n) && len(reals) > 0 {
+	for _, e := range c.dir.view.All() {
+		if reals := c.shards[e.shard].db.GroupAt(int(e.local)).RealTuples(); int(e.shard) != place(c.nextGseq, n) && len(reals) > 0 {
 			taken = reals[0].ID
 			break
 		}
@@ -663,7 +659,7 @@ func checkInsertOrder(t *testing.T, c *Cluster, db *uncertain.Database) {
 	// materialize null:<late> beside it.
 	late := fmt.Sprintf("late%d", n)
 	insert("holder", nil, fmt.Sprintf("holder%d", n), uncertain.Tuple{ID: "null:" + late, Attrs: []float64{4}, Prob: 0.5})
-	held := c.dir.entries[len(c.dir.entries)-1].shard
+	held, _ := c.dir.at(c.dir.view.Len() - 1)
 	for i := 0; place(c.nextGseq, n) == held; i++ {
 		insert("filler", nil, fmt.Sprintf("filler%d.%d", n, i), uncertain.Tuple{ID: fmt.Sprintf("fill%d.%d", n, i), Attrs: []float64{1}, Prob: 1})
 	}

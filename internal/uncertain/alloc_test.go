@@ -64,10 +64,11 @@ func TestCommitAllocsSubLinear(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perCommitBytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
 
-	// The commit COWs: two spine slices (~n/256 entries each), one x-tuple
-	// clone (~10 tuples), the distinct chunks those tuples live in (each
-	// <= 512 pointers), and the published snapshot bookkeeping. Generous
-	// ceilings still sit far below the flat design's O(n) copy.
+	// The commit COWs: one x-tuple clone (~10 tuples), the rank-order and
+	// x-tuple-vector nodes on the paths to the elements it rewrote (each
+	// node <= cowvec.Width pointers, one path per level of a
+	// logarithmic-height tree), and the published snapshot bookkeeping.
+	// Generous ceilings still sit far below the flat design's O(n) copy.
 	if allocs > 120 {
 		t.Fatalf("commit performs %.0f allocations, want <= 120", allocs)
 	}
@@ -83,10 +84,10 @@ func TestCommitAllocsSubLinear(t *testing.T) {
 // TestCommitAllocsIndependentOfM pins the group vector's share of a
 // commit. With a flat groups slice every commit's COW unshare copied all m
 // x-tuple pointers — 8 bytes per x-tuple, ~700 KiB more at m = 10^5 than
-// at m = 10^4. The chunked vector copies its spine (one pointer per 256
-// groups) plus the chunks the commit dirties, so the same reweight commit
-// may cost only a small constant more on the larger database; the rank
-// spine's O(n/C) copy accounts for most of what remains.
+// at m = 10^4. The copy-on-write sequence copies only the nodes on the
+// path to the group the commit rewrites, one more level of them on the
+// larger database, so the same reweight commit may cost only a small
+// constant more there.
 func TestCommitAllocsIndependentOfM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 10^5-x-tuple database; run without -short")

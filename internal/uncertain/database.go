@@ -243,7 +243,7 @@ func (db *Database) Build(rank RankFunc) error {
 	db.rank = rank
 	db.nReal = len(staged)
 	keys := rankKeys(staged)
-	db.rs = newRankOrder(func(yield func(*Tuple) bool) {
+	db.rs = newRankOrder(len(staged)+len(nulls), func(yield func(*Tuple) bool) {
 		for _, k := range keys {
 			if !yield(staged[k.pos]) {
 				return
@@ -518,7 +518,7 @@ func (db *Database) Clone() *Database {
 	}
 	if db.built {
 		// IDs are unique, so the new index maps each original to its copy.
-		out.rs = newRankOrder(func(yield func(*Tuple) bool) {
+		out.rs = newRankOrder(db.rs.Len(), func(yield func(*Tuple) bool) {
 			for _, t := range db.rs.All() {
 				if !yield(out.ids.get(t.ID)) {
 					return

@@ -2,34 +2,27 @@ package uncertain
 
 import (
 	"iter"
+	"slices"
 
 	"github.com/probdb/topkclean/internal/cowvec"
 )
 
 // The global rank order is one cowvec.Seq of every alternative, nulls
-// included, in the total order ranksAbove defines (see DESIGN.md, "Rank
-// order"). It is a tracked sequence: each tuple's home back-pointer names
-// the header of the leaf that holds it, which the leaf shares with all its
-// copy-on-write clones, so Tuple.Index finds the tuple's position by
-// scanning one leaf and adding the counts above it, and a clone re-homes
-// no tuple. Only splits and merges, which move tuples to another leaf,
-// re-home them. The homes are writer-epoch state (see snapshot.go);
-// readers (Cursor, AtRank, Sorted) navigate their own epoch's nodes.
+// included, in the total order ranksAbove defines (DESIGN.md, "Rank
+// order"). Each tuple's home is the writer-epoch header of its leaf (see
+// snapshot.go), from which Tuple.Index computes its position; readers
+// (Cursor, AtRank, Sorted) navigate their own epoch's nodes.
 
-// newRankOrder returns the rank order holding the tuples order yields, in
-// that order.
-func newRankOrder(order iter.Seq[*Tuple]) cowvec.Seq[*Tuple] {
-	rs := cowvec.Tracked(func(t *Tuple, h *cowvec.Home[*Tuple]) { t.home = h })
-	for t := range order {
-		rs.Append(t)
-	}
-	return rs
+// newRankOrder returns the rank order holding the n tuples order yields,
+// in that order.
+func newRankOrder(n int, order iter.Seq[*Tuple]) cowvec.Seq[*Tuple] {
+	ts := slices.AppendSeq(make([]*Tuple, 0, n), order)
+	return cowvec.Collect(ts, func(t *Tuple, h *cowvec.Home[*Tuple]) { t.home = h })
 }
 
 // AtRank returns the tuple at global rank position pos (0 = highest rank),
-// or nil when pos is out of range. It descends the order's two-level
-// spine; safe on live databases and snapshots alike (on a live database,
-// like any read, not concurrently with mutations).
+// or nil when pos is out of range: one descent, safe on live databases
+// (not concurrently with mutations) and snapshots alike.
 func (db *Database) AtRank(pos int) *Tuple {
 	if pos < 0 || pos >= db.rs.Len() {
 		return nil
@@ -37,22 +30,37 @@ func (db *Database) AtRank(pos int) *Tuple {
 	return db.rs.At(pos)
 }
 
-// Cursor iterates the global rank order of one database view in descending
-// rank order. Obtain one with CursorAt; it is invalidated by mutations on
-// the database it came from (pin a Snapshot to iterate concurrently with a
-// writer, as with any read).
-type Cursor struct{ c cowvec.Cursor[*Tuple] }
+// Cursor iterates one database view's global rank order, highest first.
+// Obtain one with CursorAt; mutations on its database invalidate it (pin a
+// Snapshot to iterate concurrently with a writer, as with any read).
+type Cursor struct {
+	run []*Tuple // the current leaf, or what is left of it
+	i   int      // the next tuple's offset in run
+	c   cowvec.Cursor[*Tuple]
+}
 
 // CursorAt returns a cursor positioned at global rank position pos: one
 // descent to place it, then O(1) per step with no allocation. Positions at
 // or beyond NumTuples() yield an exhausted cursor.
-func (db *Database) CursorAt(pos int) Cursor { return Cursor{db.rs.Cursor(pos)} }
+func (db *Database) CursorAt(pos int) (c Cursor) { c.run, c.c = db.rs.Cursor(pos); return c }
 
 // Next returns the tuple at the cursor's position and advances past it,
 // or nil when the order is exhausted.
 func (c *Cursor) Next() *Tuple {
-	t, _ := c.c.Next()
-	return t
+	if c.i == len(c.run) {
+		return c.turn()
+	}
+	c.i++
+	return c.run[c.i-1]
+}
+
+// turn moves the cursor to its next leaf and returns the leaf's first
+// tuple; out of line, it leaves Next small enough to inline.
+func (c *Cursor) turn() *Tuple {
+	if c.run, c.i = c.c.Next(), 0; c.run == nil {
+		return nil
+	}
+	return c.Next()
 }
 
 // Ranked yields the tuples from global rank position pos down, each with

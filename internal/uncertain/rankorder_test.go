@@ -166,7 +166,7 @@ func TestChurnCommitAllocs(t *testing.T) {
 	perCommit := float64(after.TotalAlloc-before.TotalAlloc) / runs
 	objects := float64(after.Mallocs-before.Mallocs) / runs
 	t.Logf("%d tuples: a churn commit allocates %.1f KiB in %.0f objects", db.NumTuples(), perCommit/1024, objects)
-	if limit := 64 * 1024.0; perCommit > limit {
+	if limit := 40 * 1024.0; perCommit > limit {
 		t.Fatalf("a churn commit allocates %.1f KiB, want <= %.0f KiB", perCommit/1024, limit/1024)
 	}
 	if err := db.Validate(); err != nil {

@@ -5,53 +5,48 @@ package uncertain
 //
 // The database's commit path (Build, finishMutation — which Batch funnels a
 // whole burst of mutations through) publishes an *epoch*: an immutable,
-// frozen *Database view sharing the writer's rank chunks, group chunks,
-// x-tuple slabs, and watermark log by reference (the ID index stays writer-private; see
-// publish). Readers pin the current epoch with Snapshot() — a single
-// atomic pointer load, no lock, no copy — and then read it exactly like
-// any built database; the view never changes under them, no matter how
-// many mutations commit afterwards.
+// frozen *Database view sharing the writer's rank-order and x-tuple-vector
+// nodes, x-tuple slabs, and watermark log by reference (the ID index stays
+// writer-private; see publish). Readers pin the current epoch with
+// Snapshot() — a single atomic pointer load, no lock, no copy — and then
+// read it exactly like any built database; the view never changes under
+// them, no matter how many mutations commit afterwards.
 //
 // The writer keeps snapshots valid by never writing to memory a published
 // epoch can reach:
 //
-//   - Spines (the rank spine, the group vector's spine) are unshared
-//     lazily: the first mutation after a publish copies them once
-//     (unshare for the rank spine, cowvec.Vec for the group spine), and
-//     every later mutation in the same unpublished epoch writes the
-//     private copies in place. The watermark log is shared without a
-//     copy: a commit appends past every published epoch's length and
-//     trims by moving the window's start, so it never writes a mark an
-//     epoch reads. The ID index is never shared in the first place, so
-//     it is mutated in place without copies.
-//   - Rank chunks and group chunks are copied at chunk granularity: the
-//     first write into a chunk in an unpublished epoch clones it
-//     (rankStore.dirty, see chunks.go; cowvec.Vec), so a commit copies
-//     only the chunks it actually touched — O(changed chunks), not O(n)
-//     or O(m).
+//   - The rank order and the x-tuple vector are cowvec sequences, copied
+//     at node granularity: publishing hands each root to the epoch, and
+//     the writer's first write below a node of an older epoch clones it,
+//     so a commit copies only the root-to-leaf paths it actually wrote —
+//     O(changed paths), not O(n) or O(m). The watermark log is shared
+//     without a copy: a commit appends past every published epoch's
+//     length and trims by moving the window's start, so it never writes a
+//     mark an epoch reads. The ID index is never shared in the first
+//     place, so it is mutated in place without copies.
 //   - Tuples and x-tuples are copied at x-tuple granularity: a mutation
 //     that would write a tuple field readers consume (Prob on Reweight and
 //     Collapse, Group on delete renumbering, the alternatives slice on null
 //     maintenance) first clones the owning x-tuple and its tuple slab
 //     (cowGroup) and redirects the working containers to the clones. The
 //     original x-tuple stays frozen in every older epoch.
-//   - The exceptions are Tuple.home/Tuple.idx (the chunk back-pointers the
-//     splice passes repair as they shift tuples) and the chunks' shared
-//     pos/start/priv header. They are written in place on shared objects,
-//     so they are *writer-epoch* fields: always correct for the newest
-//     epoch, and no snapshot reader consumes them (cursors and seeks
-//     navigate an epoch's own chunks/starts slices; the query and quality
-//     scans derive positions from their own iteration index; see
-//     Tuple.Index for the caller-facing contract). Each is its own memory
-//     location (the int32 idx shares a word with Null, but stores of
-//     either touch only their own bytes), so the in-place writes do not
-//     race with readers of the frozen fields around them.
+//   - The exceptions are Tuple.home (the rank-order back-pointer: the
+//     header of the tuple's leaf) and the headers themselves (cowvec.Home:
+//     the leaf's current clone, its parent's header, its index there),
+//     which splits, merges and clones update in place on shared objects.
+//     They are *writer-epoch* state: always correct for the newest epoch,
+//     and no snapshot reader consumes them (cursors and seeks descend an
+//     epoch's own nodes; the query and quality scans derive positions
+//     from their own iteration index; see Tuple.Index for the
+//     caller-facing contract). Each is its own memory location, so the
+//     in-place writes do not race with readers of the frozen fields
+//     around them.
 //
 // Readers therefore never block and never observe renumbering, and the
-// writer's per-commit overhead is O(n/C + m/G) spine-pointer copies on the
-// first mutation of an epoch (amortized across a Batch; C and G are the
-// rank and group chunk sizes) plus O(C) per rank chunk, O(G) per group
-// chunk and O(|group|) per x-tuple actually touched — compared against the
+// writer's per-commit overhead is O(W log_W n) per rank-order element and
+// O(W log_W m) per x-tuple-vector element it writes (W = cowvec.Width:
+// one node of at most W slots per level of the path, copied once per
+// epoch), plus O(|group|) per x-tuple touched — compared against the
 // O(k·n) query pass this protects, see DESIGN.md ("Snapshot serving") for
 // why this beats a reader-writer lock here.
 

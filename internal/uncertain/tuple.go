@@ -49,15 +49,19 @@ type Tuple struct {
 }
 
 // Index returns the tuple's position in the database's rank order, where 0
-// is the highest-ranked tuple. It is only meaningful after Database.Build.
+// is the highest-ranked tuple. It is only meaningful after Database.Build,
+// and it returns -1 for a tuple that a later commit replaced in the writer
+// with a clone (a reweight, say): the tuple still names its leaf's header,
+// but the writer's copy of that leaf holds the clone instead.
 //
 // Index reflects the *newest* epoch: it reads the tuple's leaf header,
 // which mutations update in place, including on tuples shared with older
 // snapshots, so it must not be read concurrently with mutations and is not
 // part of a snapshot's frozen state. It scans the tuple's leaf (at most
-// cowvec.Width tuples) and adds the counts above it. Code reading through a pinned snapshot
-// derives positions from the snapshot's iteration order instead (answers
-// additionally carry answer-time Rank fields for exactly this reason).
+// cowvec.Width tuples) and adds the counts above it. Code reading through
+// a pinned snapshot derives positions from the snapshot's iteration order
+// instead (answers additionally carry answer-time Rank fields for exactly
+// this reason).
 func (t *Tuple) Index() int {
 	if t.home == nil {
 		return 0 // not yet placed in a rank order (pre-Build staging)

@@ -105,7 +105,7 @@ func AppendWire(dst []byte, db *Database) ([]byte, error) {
 
 // appendWire is AppendWire with the rank positions given.
 func appendWire(dst []byte, db *Database, pos positions) []byte {
-	dst = slices.Grow(dst, wireSize(db, pos))
+	dst = slices.Grow(dst, wireSize(db))
 	dst = append(dst, wireMagic...)
 	dst = binary.AppendUvarint(dst, db.version)
 	dst = binary.AppendVarint(dst, int64(db.nextOrd))
@@ -196,20 +196,23 @@ func rankPositions(db *Database) (positions, func(), error) {
 	return positions{byWalk: byWalk}, func() {}, nil
 }
 
-// wireSize is the exact length of db's wire form.
-func wireSize(db *Database, pos positions) int {
+// wireSize is the exact length of db's wire form. The rank positions are
+// 0..n-1 whichever alternative holds which, so their bytes are summed
+// without finding any.
+func wireSize(db *Database) int {
+	n := db.rs.Len()
 	size := len(wireMagic) + uvarintLen(db.version) + uvarintLen(zigzag(db.nextOrd)) +
-		uvarintLen(db.nextUID) + uvarintLen(uint64(db.groups.Len())) + uvarintLen(uint64(db.rs.Len()))
-	f := 0
+		uvarintLen(db.nextUID) + uvarintLen(uint64(db.groups.Len())) + uvarintLen(uint64(n))
+	for lo, l := 0, 1; lo < n; lo, l = 1<<(7*l), l+1 {
+		size += l * (min(n, 1<<(7*l)) - lo)
+	}
 	for _, x := range db.groups.All() {
 		ids, attrs := arenaLens(x)
 		size += uvarintLen(uint64(len(x.Name))) + len(x.Name) + uvarintLen(x.uid) +
 			uvarintLen(uint64(len(x.Tuples))) + uvarintLen(uint64(ids)) + ids +
 			uvarintLen(uint64(attrs)) + 8*attrs
 		for _, t := range x.Tuples {
-			size += uvarintLen(uint64(len(t.ID))) + uvarintLen(altFlags(t)) + 8 +
-				uvarintLen(zigzag(t.ord)) + uvarintLen(uint64(pos.at(f, t)))
-			f++
+			size += uvarintLen(uint64(len(t.ID))) + uvarintLen(altFlags(t)) + 8 + uvarintLen(zigzag(t.ord))
 		}
 	}
 	return size
@@ -322,7 +325,7 @@ func decodeWireV2(data []byte, rank RankFunc) (*Database, error) {
 			return nil, fmt.Errorf("%w: rank order violated at position %d", ErrWireOrder, i)
 		}
 	}
-	db.rs = newRankOrder(slices.Values(sorted))
+	db.rs = newRankOrder(len(sorted), slices.Values(sorted))
 	db.publish()
 	return db, nil
 }

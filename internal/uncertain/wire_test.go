@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -203,27 +204,30 @@ func TestWireV1StillDecodes(t *testing.T) {
 	}
 }
 
-// TestWireSizeExact: AppendWire sizes its buffer once, exactly.
+// TestWireSizeExact: AppendWire sizes its buffer once, exactly, for rank
+// positions of one byte and, on a database past 2^14 alternatives, of
+// two and three.
 func TestWireSizeExact(t *testing.T) {
-	db := wireTestDB(t)
-	data, err := EncodeWire(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) != wireSize(db, positions{}) {
-		t.Fatalf("encoded %d bytes, wireSize %d", len(data), wireSize(db, positions{}))
-	}
-	if !raceEnabled {
-		if a := testing.AllocsPerRun(10, func() { _, _ = EncodeWire(db) }); a != 1 {
-			t.Fatalf("EncodeWire allocates %v times, want once", a)
+	for _, db := range []*Database{wireTestDB(t), buildWideDB(t, rand.New(rand.NewSource(8)), 7000, 2)} {
+		data, err := EncodeWire(db)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	prefixed, err := AppendWire([]byte("hdr"), db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(prefixed[:3]) != "hdr" || !bytes.Equal(prefixed[3:], data) {
-		t.Fatal("AppendWire did not append the EncodeWire bytes after the prefix")
+		if len(data) != wireSize(db) {
+			t.Fatalf("%d alternatives: encoded %d bytes, wireSize %d", db.NumTuples(), len(data), wireSize(db))
+		}
+		if !raceEnabled {
+			if a := testing.AllocsPerRun(10, func() { _, _ = EncodeWire(db) }); a != 1 {
+				t.Fatalf("%d alternatives: EncodeWire allocates %v times, want once", db.NumTuples(), a)
+			}
+		}
+		prefixed, err := AppendWire([]byte("hdr"), db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(prefixed[:3]) != "hdr" || !bytes.Equal(prefixed[3:], data) {
+			t.Fatal("AppendWire did not append the EncodeWire bytes after the prefix")
+		}
 	}
 }
 

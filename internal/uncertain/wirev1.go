@@ -108,7 +108,7 @@ func decodeWireV1(data []byte, rank RankFunc) (*Database, error) {
 	// pairs under ranksAbove, so a database encoded under a different
 	// ranking function fails here instead of being served with a silently
 	// wrong order.
-	db.rs = newRankOrder(slices.Values(sorted))
+	db.rs = newRankOrder(len(sorted), slices.Values(sorted))
 	if err := db.Validate(); err != nil {
 		return nil, errors.Join(ErrWireOrder, err)
 	}
