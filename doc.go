@@ -92,10 +92,9 @@
 // renumbering, and always describe exactly one committed version
 // (Result.Version says which). Mutations serialize against each other on
 // the database's writer lock; no external synchronization is needed in
-// either direction. The epochs are copy-on-write at chunk granularity —
-// a commit copies the rank and group chunk spines once and clones only
-// the x-tuples, rank chunks and group chunks it touched — so a snapshot
-// costs readers
+// either direction. The epochs are copy-on-write at node granularity —
+// a commit clones only the x-tuples it touched and the rank-order and
+// group-vector nodes on the paths it wrote — so a snapshot costs readers
 // nothing and writers a sub-linear copy per commit (see DESIGN.md,
 // "Snapshot serving" and "Chunked rank order").
 //

@@ -9,10 +9,10 @@ import (
 // TestCommitAllocsSubLinear pins the allocation cost of a commit on a
 // large database. With the flat rank array, every commit's COW unshare
 // copied the whole order — n*8 bytes (800 KB at n=10^5) before the
-// mutation did any work. The chunked structure must instead copy one
-// spine of pointers plus only the chunks the mutation dirties, so both
-// the allocation count and the allocated bytes per commit stay small
-// constants independent of n.
+// mutation did any work. The copy-on-write sequence must instead copy
+// only the nodes on the paths the mutation writes, so both the allocation
+// count and the allocated bytes per commit stay small, growing only with
+// the tree's logarithmic height.
 func TestCommitAllocsSubLinear(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a ~10^5-tuple database; run without -short")

@@ -432,8 +432,8 @@ func (db *Database) NumTuples() int { return db.rs.Len() }
 // single x-tuple with GroupAt, which is a descent and allocation-free.
 func (db *Database) Groups() []*XTuple { return db.groups.Materialize() }
 
-// GroupAt returns the x-tuple at index l, a two-level descent without
-// allocation. l must lie in [0, NumGroups()); like a slice index,
+// GroupAt returns the x-tuple at index l, one descent of the x-tuple
+// vector, without allocation. l must lie in [0, NumGroups()); like a slice index,
 // anything else panics. Use Group for a checked lookup.
 func (db *Database) GroupAt(l int) *XTuple { return db.groups.At(l) }
 
