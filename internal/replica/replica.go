@@ -1,8 +1,8 @@
 // Package replica turns deterministic WAL replay into read replication: a
 // Replica opens a store's backend read-only, recovers checkpoint + journal
-// exactly like store.Open, and then tails the journal — polling for
-// records past its applied version and applying them through the same
-// mutation machinery the leader used. Because replay is bit-identical
+// with the recovery store.Open runs (a store.DBReplay), and then tails the
+// journal — polling for records past its applied version and running them
+// through that replay's step, the one store.Open and a cluster's Open use. Because replay is bit-identical
 // (same rank order, version counter, tie-break and identity counters; see
 // PERSISTENCE.md), a follower's snapshot answers at version v are
 // byte-identical to the leader's at version v: the replica never
@@ -13,9 +13,10 @@
 // writer may still be appending it — the replica just stops before it and
 // retries), and never writes checkpoints. When the leader checkpoints and
 // trims the journal past the replica's cursor, the replica detects the new
-// journal generation (or a version gap) and re-syncs from the leader's
-// checkpoint, replacing its database wholesale and bumping Generation so
-// holders of the old database know to re-derive anything built on it.
+// journal generation (or a version gap) and re-syncs — recovers again,
+// from the leader's checkpoint — replacing its database wholesale and
+// bumping Generation so holders of the old database know to re-derive
+// anything built on it.
 package replica
 
 import (
@@ -77,9 +78,10 @@ type Replica struct {
 	gen   atomic.Uint64 // bumps when a resync replaces the database
 	ready atomic.Bool
 
-	mu      sync.Mutex // serializes Poll/Close; guards cursor state
-	jgen    uint64     // journal generation the cursor belongs to
-	cursor  int64      // TailRecords cursor into that journal
+	mu      sync.Mutex      // serializes Poll/Close; guards rep and cursor state
+	rep     *store.DBReplay // the replay step db advances through
+	jgen    uint64          // journal generation the cursor belongs to
+	cursor  int64           // TailRecords cursor into that journal
 	closed  bool
 	resyncs atomic.Uint64
 
@@ -92,8 +94,8 @@ type Replica struct {
 	done     chan struct{}
 }
 
-// Open recovers the backend's current state (checkpoint + journal replay,
-// like store.Open) and returns a replica positioned at the journal tail,
+// Open recovers the backend's current state (the recovery store.Open
+// runs) and returns a replica positioned at the journal tail,
 // ready to serve. It does not start tailing — call Start, or drive Poll
 // directly for deterministic tests. Returns store.ErrNoDatabase when the
 // backend holds nothing yet. The backend should come from
@@ -160,8 +162,8 @@ func (r *Replica) Err() error {
 
 // Poll runs one tail step: detect journal replacement (generation change
 // or a cursor past the end), drain complete records through the replay
-// machinery, and re-sync from the checkpoint when the journal can no
-// longer supply the next version. It returns how many records it applied.
+// step, and re-sync from the checkpoint when the journal can no longer
+// supply the next version. It returns how many records it applied.
 // Safe to call concurrently with queries; exported so tests (and callers
 // that want explicit control) can drive replication deterministically.
 func (r *Replica) Poll() (int, error) {
@@ -189,37 +191,27 @@ func (r *Replica) pollLocked() (int, error) {
 		// are harmless.
 		r.jgen, r.cursor = st.Gen, 0
 	}
-	db := r.db.Load()
-	startVer := db.Version()
-	rep := &store.Replayer{DB: db, Rank: r.rank}
-	next, err := r.b.TailRecords(r.cursor, rep.Apply)
+	startVer, before := r.rep.DB.Version(), r.rep.Replayed
+	next, err := r.b.TailRecords(r.cursor, r.rep.Step)
 	r.cursor = next
-	if err != nil {
-		if errors.Is(err, store.ErrGap) {
-			// The journal starts past our version: the leader checkpointed
-			// and trimmed the records we were missing. Fetch the state from
-			// the checkpoint instead.
-			if rerr := r.resyncLocked(); rerr != nil {
-				return rep.Replayed, fmt.Errorf("replica: resync after gap: %w", rerr)
-			}
-			r.ready.Store(true)
-			return int(r.db.Load().Version() - startVer), nil
-		}
-		return rep.Replayed, err
-	}
-	// Drained cleanly — but if the newest checkpoint is still ahead of
-	// us, the versions between our position and it were trimmed away and
-	// live only in the checkpoint (e.g. the replacement journal is empty).
-	if st.HasCheckpoint && st.CheckpointVersion > db.Version() {
-		if rerr := r.resyncLocked(); rerr != nil {
-			return rep.Replayed, fmt.Errorf("replica: resync after checkpoint advance: %w", rerr)
+	applied := r.rep.Replayed - before
+	// A gap means the leader checkpointed and trimmed records we were
+	// missing; so does a clean drain that leaves the newest checkpoint
+	// ahead of us (e.g. the replacement journal is empty). Either way the
+	// missing versions live only in the checkpoint: recover from it.
+	if errors.Is(err, store.ErrGap) || (err == nil && st.HasCheckpoint && st.CheckpointVersion > r.rep.DB.Version()) {
+		if err := r.resyncLocked(); err != nil {
+			return applied, fmt.Errorf("replica: resync: %w", err)
 		}
 		r.ready.Store(true)
-		return int(r.db.Load().Version() - startVer), nil
+		return int(r.rep.DB.Version() - startVer), nil
 	}
-	r.setLag(st, rep.Replayed)
+	if err != nil {
+		return applied, err
+	}
+	r.setLag(st, applied)
 	r.ready.Store(true)
-	return rep.Replayed, nil
+	return applied, nil
 }
 
 // setLag records the lag this poll observed: how many versions the poll
@@ -236,34 +228,20 @@ func (r *Replica) setLag(st store.JournalStat, applied int) {
 	r.lagMu.Unlock()
 }
 
-// resyncLocked rebuilds the database from the leader's checkpoint plus the
-// current journal, swapping it in atomically. Callers hold r.mu.
+// resyncLocked recovers the database from the leader's checkpoint plus
+// the current journal, the recovery store.Open runs, and swaps it in
+// atomically. Callers hold r.mu.
 func (r *Replica) resyncLocked() error {
-	var db *uncertain.Database
-	if data, v, ok, err := r.b.LoadCheckpoint(); err != nil {
-		return err
-	} else if ok {
-		db, err = uncertain.DecodeWire(data, r.rank)
-		if err != nil {
-			return fmt.Errorf("%w: checkpoint: %v", store.ErrCorrupt, err)
-		}
-		if db.Version() != v {
-			return fmt.Errorf("%w: checkpoint labeled v%d decodes to v%d", store.ErrCorrupt, v, db.Version())
-		}
-	}
 	st, err := r.b.JournalStat()
 	if err != nil {
 		return err
 	}
-	rep := &store.Replayer{DB: db, Rank: r.rank}
-	next, err := r.b.TailRecords(0, rep.Apply)
+	rep := store.NewDBReplay(r.rank)
+	_, next, err := rep.Recover(r.b)
 	if err != nil {
 		return err
 	}
-	if rep.DB == nil {
-		return store.ErrNoDatabase
-	}
-	r.jgen, r.cursor = st.Gen, next
+	r.rep, r.jgen, r.cursor = rep, st.Gen, next
 	if old := r.db.Swap(rep.DB); old != nil {
 		r.gen.Add(1)
 		r.resyncs.Add(1)

@@ -312,6 +312,56 @@ func TestResyncAfterTrim(t *testing.T) {
 	}
 }
 
+// TestOpenV1Store follows the store of internal/store/testdata/v1store,
+// written before the binary wire format: a v1 checkpoint of v8 beside an
+// untrimmed WAL that opens with a JSON build record and runs to v15. The
+// replica must seed from the checkpoint, skip the records it covers, and
+// reach exactly the state store.Open recovers from the same files.
+func TestOpenV1Store(t *testing.T) {
+	src := filepath.Join("..", "store", "testdata", "v1store")
+	dir := t.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rb, err := store.OpenBackendReadOnly("file", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Open(rb, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	if _, err := rep.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Version() != 15 {
+		t.Fatalf("replica at v%d, want v15", rep.Version())
+	}
+	sb, err := store.OpenBackendReadOnly("file", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sb.Close()
+	sdb, err := store.Open(sb, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wireOf(t, sdb.DB()), wireOf(t, rep.DB())) {
+		t.Fatal("replica of the v1 store differs from store.Open's recovery")
+	}
+}
+
 // TestConcurrentStreaming runs the leader's mutation stream and the
 // replica's tailing loop concurrently (meaningful under -race), then
 // checks convergence to identical bytes.

@@ -80,8 +80,10 @@ func (c *Cluster) encodeLocked() ([]byte, uint64, error) {
 	return buf, c.version, nil
 }
 
-// decode restores the cluster a checkpoint taken at version describes:
-// the shard databases, the directory and the counters.
+// decode is the journal's load: it restores the cluster a checkpoint
+// taken at version describes (the shard databases, the directory and the
+// counters). An unsharded store's checkpoint or build record fails its
+// format check with ErrMetaFormat.
 func (c *Cluster) decode(data []byte, version uint64) error {
 	r := ckptReader{b: data}
 	if f := r.uvarint(); r.err == nil && f != checkpointFormat {
@@ -180,7 +182,7 @@ func (r *ckptReader) bytes() []byte {
 	return out
 }
 
-// replay applies one journaled commit during Open: the record's ops run
+// replay is the journal's apply during Open: the record's ops run
 // through the router, which redraws their stamps and placements. The
 // journal is not attached yet, so the batch records nothing.
 func (c *Cluster) replay(rec store.Record) error {
@@ -195,9 +197,10 @@ func (c *Cluster) replay(rec store.Record) error {
 	return nil
 }
 
-// Open recovers a persisted cluster: it loads the checkpoint, decodes
-// every shard, rebuilds the directory, replays the journal's tail through
-// the router and publishes. cfg must name the same backend, path, and
+// Open recovers a persisted cluster through store.OpenJournal, the
+// recovery an unsharded store runs, with decode and replay as its load
+// and apply: it decodes every shard, rebuilds the directory, replays the
+// journal's tail through the router and publishes. cfg must name the same backend, path, and
 // shard count the cluster was created with. A layout of formats 1 and 2
 // is refused with ErrMetaFormat before anything of it is read.
 func Open(cfg Config) (*Cluster, error) {

@@ -159,6 +159,65 @@ func TestPersistRefusesOldMetaFormat(t *testing.T) {
 	})
 }
 
+// TestOpenRefusesOtherLayout opens each kind of journal as the other.
+// Open on an unsharded store refuses it with ErrMetaFormat, before its
+// first checkpoint (the cluster's load sees the build record) and after
+// it; store.Open on a cluster refuses it as damage.
+func TestOpenRefusesOtherLayout(t *testing.T) {
+	unsharded := func(t *testing.T, path string, checkpoint bool) {
+		db := uncertain.New()
+		if err := db.AddXTuple("a", uncertain.Tuple{ID: "a.0", Attrs: []float64{1}, Prob: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Build(uncertain.ByFirstAttr); err != nil {
+			t.Fatal(err)
+		}
+		be, err := store.OpenBackend("file", path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sdb, err := store.Create(be, db, store.WithCheckpointEvery(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if checkpoint {
+			err = sdb.Close()
+		} else {
+			err = be.Close() // no Close: it would checkpoint
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name       string
+		checkpoint bool
+	}{{"store-no-checkpoint", false}, {"store-checkpointed", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Shards: 2, K: 2, Threshold: 0.25, Backend: "file", Path: t.TempDir()}
+			unsharded(t, cfg.Path, tc.checkpoint)
+			if _, err := Open(cfg); !errors.Is(err, ErrMetaFormat) || errors.Is(err, store.ErrCorrupt) {
+				t.Fatalf("Open: got %v, want ErrMetaFormat", err)
+			}
+		})
+	}
+	t.Run("cluster", func(t *testing.T) {
+		cfg := Config{Shards: 2, K: 2, Threshold: 0.25, Backend: "file", Path: t.TempDir()}
+		m := newMirrorCfg(t, 5, cfg, 6)
+		if err := m.c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		be, err := store.OpenBackend(cfg.Backend, cfg.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer be.Close()
+		if _, err := store.Open(be, uncertain.ByFirstAttr); !errors.Is(err, store.ErrCorrupt) {
+			t.Fatalf("store.Open: got %v, want ErrCorrupt", err)
+		}
+	})
+}
+
 // crashScript is the crash sweeps' commit sequence. Each step derives its
 // ops from the plain database's state before the commit, so the cluster
 // and a plain copy at any version can run the rest of it identically. It
@@ -361,6 +420,36 @@ func TestClusterKillAfterEveryRecord(t *testing.T) {
 				s.checkCrash(t, fmt.Sprintf("kill after record %d", i+1), crashAt(end), i+1)
 			}
 		})
+	}
+}
+
+// TestClusterRejectsGap cuts the second commit's record out of a cluster
+// journal. The replay step must refuse the third as a gap, not apply it.
+func TestClusterRejectsGap(t *testing.T) {
+	var ends []int64 // ends[i]: log size after i+1 commits
+	s := runCrashSweep(t, 2, []store.Option{store.WithCheckpointEvery(0)}, func(i int, dir string) {
+		if i == 0 {
+			return
+		}
+		st, err := os.Stat(filepath.Join(dir, "wal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, st.Size())
+	})
+	dir := copyDir(t, s.cfg.Path)
+	wal, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gapped := append(wal[:ends[0]:ends[0]], wal[ends[1]:]...)
+	if err := os.WriteFile(filepath.Join(dir, "wal.log"), gapped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := s.cfg
+	cfg.Path = dir
+	if _, err := Open(cfg); !errors.Is(err, store.ErrCorrupt) || !errors.Is(err, store.ErrGap) {
+		t.Fatalf("Open of a gapped journal: got %v, want ErrCorrupt and ErrGap", err)
 	}
 }
 

@@ -19,16 +19,22 @@
 // key; the storetest package holds the conformance suite a new driver must
 // pass.
 //
-// Deterministic replay is also what makes read replication possible: a
-// follower opens the same backend read-only (OpenBackendReadOnly), replays
-// checkpoint + WAL exactly like Open, and then tails the journal with
-// TailRecords — see the internal/replica package.
+// Every reader of a journal recovers through one replay step
+// (Replay.Step): it seeds the state from a build record, skips a record
+// at or below the version reached, applies a mutate record at the next
+// version, and reports anything else past it as a gap. Open runs it
+// through OpenJournal with DBReplay's unsharded load and apply, a
+// sharded cluster (internal/shard) runs OpenJournal with its own, and a
+// follower (internal/replica) opens the backend read-only
+// (OpenBackendReadOnly), recovers with DBReplay exactly like Open, and
+// keeps stepping it as it tails the journal with TailRecords.
 package store
 
 import "errors"
 
-// ErrNoDatabase is returned by Open when the backend holds no checkpoint
-// and no build record — nothing to recover.
+// ErrNoDatabase is returned by Open, OpenJournal and Replay.Recover when
+// the backend holds no checkpoint and no build record — nothing to
+// recover.
 var ErrNoDatabase = errors.New("store: backend holds no database")
 
 // ErrExists is returned by Create when the backend already holds a
@@ -41,11 +47,13 @@ var ErrExists = errors.New("store: backend already holds a database")
 // mid-append, and recovery discards it silently.
 var ErrCorrupt = errors.New("store: corrupt journal")
 
-// ErrGap marks a version gap during replay: the journal cannot supply the
-// next version after the replayer's current one. During Open this is
-// corruption (ErrCorrupt wraps it); for a tailing replica it is the signal
-// that the leader checkpointed past the replica's position and the missing
-// versions must come from the checkpoint instead (re-sync).
+// ErrGap marks a version gap in the replay step: a record past the next
+// version after the one reached, a build record after the state was
+// seeded, or a mutate record before it was. Replay.Step wraps it in
+// ErrCorrupt. During a recovery (Open, OpenJournal) that is fatal; for a
+// tailing replica it is the signal that the leader checkpointed past the
+// replica's position and the missing versions must come from the
+// checkpoint instead (a resync, the recovery Open runs).
 var ErrGap = errors.New("store: journal version gap")
 
 // ErrPoisoned wraps every journal write failure — the failing write

@@ -108,11 +108,12 @@ func v1Records() ([][]byte, error) {
 }
 
 // FuzzWALReplay drives arbitrary record streams through the one replay
-// path (Replayer.Apply, shared by Open and the tailing replica). The
-// contract: a record either applies cleanly — advancing the version chain
-// and leaving a database that still passes Validate — or is rejected with
-// an error wrapping ErrCorrupt (ErrGap for chain breaks). No input may
-// panic or corrupt already-applied state.
+// step (Replay.Step, which Open, OpenJournal and the tailing replica all
+// run), over an unsharded database. The contract: a record either seeds,
+// is skipped, or applies cleanly — never moving the version chain
+// backwards and leaving a database that still passes Validate — or is
+// rejected with an error wrapping ErrCorrupt (ErrGap for chain breaks).
+// No input may panic or corrupt already-applied state.
 func FuzzWALReplay(f *testing.F) {
 	for _, source := range []func() ([][]byte, error){fuzzWAL, v1Records} {
 		recs, err := source()
@@ -121,23 +122,31 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		// The valid stream must replay whole, or the seeds start nowhere
 		// near the interesting inputs.
-		r := &Replayer{Rank: uncertain.ByFirstAttr}
+		r := NewDBReplay(uncertain.ByFirstAttr)
 		for _, rec := range recs {
-			if err := r.Apply(rec); err != nil {
+			if err := r.Step(rec); err != nil {
 				f.Fatal(err)
 			}
 		}
 		if r.Replayed != len(recs) || len(recs) < 4 {
 			f.Fatalf("seed stream replayed %d of %d records", r.Replayed, len(recs))
 		}
+		build, err := DecodeRecord(recs[0])
+		if err != nil {
+			f.Fatal(err)
+		}
+		next := fmt.Sprintf(`{"v":%d,"op":"build","db":{}}`, build.Version+1)
 		f.Add(joinRecords(recs...))
 		// Chain-break seeds: records reordered, dropped, and damaged.
-		f.Add(joinRecords(recs[0], recs[2]))                  // gap
-		f.Add(joinRecords(recs[1], recs[0]))                  // mutate first
-		f.Add(joinRecords(recs[0], recs[1], recs[1]))         // duplicate
-		f.Add(joinRecords(recs[0], recs[1][:10]))             // truncated record
-		f.Add(joinRecords(recs[0][:len(recs[0])/2]))          // truncated build record
-		f.Add(joinRecords(recs[0][:len(recs[0])-1], recs[1])) // build record one byte short
+		f.Add(joinRecords(recs[0], recs[2]))                                                      // gap
+		f.Add(joinRecords(recs[1], recs[0]))                                                      // mutate first
+		f.Add(joinRecords(recs[0], recs[1], recs[1]))                                             // duplicate
+		f.Add(joinRecords(recs[0], recs[1][:10]))                                                 // truncated record
+		f.Add(joinRecords(recs[0][:len(recs[0])/2]))                                              // truncated build record
+		f.Add(joinRecords(recs[0][:len(recs[0])-1], recs[1]))                                     // build record one byte short
+		f.Add(joinRecords(recs[0], recs[1], recs[0], recs[2]))                                    // build at or below the version reached: skipped
+		f.Add(joinRecords(recs[0], []byte(next)))                                                 // build at the next version: gap
+		f.Add(joinRecords(recs[0], []byte(fmt.Sprintf(`{"v":%d,"op":"frob"}`, build.Version+1)))) // unknown op
 	}
 	f.Add(joinRecords([]byte{buildTag, 0x80}))   // torn version
 	f.Add(joinRecords([]byte{buildTag, 1, '{'})) // v1 bytes behind the binary tag
@@ -147,13 +156,13 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte(``))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := &Replayer{Rank: uncertain.ByFirstAttr}
+		r := NewDBReplay(uncertain.ByFirstAttr)
 		var lastVersion uint64
 		for _, rec := range splitRecords(data) {
 			if len(rec) == 0 {
 				continue
 			}
-			if err := r.Apply(rec); err != nil {
+			if err := r.Step(rec); err != nil {
 				if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrGap) {
 					t.Fatalf("replay error outside the ErrCorrupt/ErrGap contract: %v", err)
 				}

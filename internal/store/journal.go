@@ -29,10 +29,8 @@ type Journal struct {
 // otherwise) whose initial state is a checkpoint: checkpoint encodes the
 // owner's current state, and is called again for every later checkpoint.
 func CreateJournal(b Backend, checkpoint func() ([]byte, uint64, error), opts ...Option) (*Journal, error) {
-	if st, err := b.JournalStat(); err != nil {
+	if err := checkEmpty(b); err != nil {
 		return nil, err
-	} else if st.HasCheckpoint || st.Tail > 0 {
-		return nil, ErrExists
 	}
 	j := &Journal{b: b, opts: buildOptions(opts), checkpoint: checkpoint}
 	if err := j.writeCheckpoint(); err != nil {
@@ -42,59 +40,100 @@ func CreateJournal(b Backend, checkpoint func() ([]byte, uint64, error), opts ..
 	return j, nil
 }
 
-// OpenJournal recovers a journal CreateJournal started: load receives the
-// newest checkpoint and the version it was taken at (ErrNoDatabase when
-// there is none), then apply receives every later "mutate" record in
-// version order. Records at or below the version reached are skipped and
-// a record past the next version fails with ErrCorrupt and ErrGap, as in
-// Replayer; apply's own errors come back wrapped in ErrCorrupt.
+// checkEmpty refuses a backend that already holds a checkpoint or records.
+func checkEmpty(b Backend) error {
+	st, err := b.JournalStat()
+	if err == nil && (st.HasCheckpoint || st.Tail > 0) {
+		err = ErrExists
+	}
+	return err
+}
+
+// OpenJournal recovers a journal: Replay.Recover with the owner's load and
+// apply (the newest checkpoint if there is one, then the journal through
+// the one replay step), and the journal's policy resumes at the version
+// reached. It reads and never writes, so it works on a read-only backend.
 func OpenJournal(b Backend, load func(data []byte, version uint64) error, apply func(Record) error,
 	checkpoint func() ([]byte, uint64, error), opts ...Option) (*Journal, error) {
-	data, v, ok, err := b.LoadCheckpoint()
+	r := &Replay{load: load, apply: apply}
+	ckptVer, _, err := r.Recover(b)
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		return nil, ErrNoDatabase
-	}
-	if err := load(data, v); err != nil {
-		return nil, err
-	}
-	j := &Journal{b: b, opts: buildOptions(opts), checkpoint: checkpoint, last: v, ckptVer: v}
-	if _, err := b.TailRecords(0, func(raw []byte) error {
-		rec, err := DecodeRecord(raw)
-		if err != nil {
-			return fmt.Errorf("record after v%d: %w", j.last, err)
-		}
-		if rec.Op != "mutate" {
-			return fmt.Errorf("%w: %s record after checkpoint v%d", ErrCorrupt, rec.Op, v)
-		}
-		if skip, err := chain(rec.Version, j.last); skip || err != nil {
-			return err
-		}
-		if err := apply(rec); err != nil {
-			return fmt.Errorf("%w: replaying v%d: %v", ErrCorrupt, rec.Version, err)
-		}
-		j.last = rec.Version
-		j.sinceCk++
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return j, nil
+	return &Journal{b: b, opts: buildOptions(opts), checkpoint: checkpoint,
+		last: r.version, ckptVer: ckptVer, sinceCk: r.Replayed}, nil
 }
 
-// chain is the version-chain rule of replay: a record at or below cur is
-// already covered (a crash between a checkpoint and its log trim leaves
-// such records) and is skipped, and a record past cur+1 is a gap.
-func chain(v, cur uint64) (skip bool, err error) {
-	if v <= cur {
-		return true, nil
+// Replay is the one replay step of this package: OpenJournal (hence Open
+// and a sharded cluster's Open) recovers through it, and a tailing replica
+// (internal/replica) recovers through it and keeps stepping it as the
+// journal grows. The owner's load seeds the state from a checkpoint or a
+// build record, after checking the version it is labeled with; apply
+// applies one mutate record, after which the state is at its version.
+type Replay struct {
+	load     func(data []byte, version uint64) error
+	apply    func(Record) error
+	seeded   bool
+	version  uint64 // version reached, once seeded
+	Replayed int    // records seeded from or applied, not skipped
+}
+
+// Recover seeds the state from b's checkpoint, if there is one, then
+// tails the whole journal through Step. It returns the checkpoint's
+// version (0 when there is none) and the cursor past the last complete
+// record, or ErrNoDatabase when neither seeded the state.
+func (r *Replay) Recover(b Backend) (ckptVer uint64, next int64, err error) {
+	data, v, ok, err := b.LoadCheckpoint()
+	if err != nil {
+		return 0, 0, err
 	}
-	if v != cur+1 {
-		return false, fmt.Errorf("%w: record v%d after v%d (%w)", ErrCorrupt, v, cur, ErrGap)
+	if ok {
+		if err := r.load(data, v); err != nil {
+			return 0, 0, fmt.Errorf("checkpoint: %w", err)
+		}
+		r.seeded, r.version, ckptVer = true, v, v
 	}
-	return false, nil
+	if next, err = b.TailRecords(0, r.Step); err != nil {
+		return 0, 0, err
+	}
+	if !r.seeded {
+		return 0, 0, ErrNoDatabase
+	}
+	return ckptVer, next, nil
+}
+
+// Step decodes one raw record and seeds the state, skips the record,
+// applies it, or reports a gap. A build record seeds an empty state. A
+// record at or below the version reached is skipped: a crash between a
+// checkpoint and its log trim leaves such records, and a replica rescans
+// them after a trim. A mutate record at the next version applies. Any
+// other record past the version reached fails with ErrCorrupt and ErrGap,
+// which ends a recovery and sends a replica to resync.
+func (r *Replay) Step(raw []byte) error {
+	rec, err := DecodeRecord(raw)
+	if err != nil {
+		return fmt.Errorf("record after v%d: %w", r.version, err)
+	}
+	switch {
+	case rec.Op != "build" && rec.Op != "mutate":
+		return fmt.Errorf("%w: unknown record op %q", ErrCorrupt, rec.Op)
+	case !r.seeded && rec.Op == "build":
+		if err := r.load(rec.DB, rec.Version); err != nil {
+			return fmt.Errorf("build record: %w", err)
+		}
+		r.seeded, r.version = true, rec.Version
+	case r.seeded && rec.Version <= r.version:
+		return nil
+	case !r.seeded || rec.Op == "build" || rec.Version != r.version+1:
+		return fmt.Errorf("%w: %s record v%d after v%d (%w)", ErrCorrupt, rec.Op, rec.Version, r.version, ErrGap)
+	default:
+		if err := r.apply(rec); err != nil {
+			return fmt.Errorf("%w: replaying v%d: %v", ErrCorrupt, rec.Version, err)
+		}
+		r.version = rec.Version
+	}
+	r.Replayed++
+	return nil
 }
 
 // Append journals the commit that just produced rec.Version, which must

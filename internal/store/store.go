@@ -171,13 +171,6 @@ type DB struct {
 	j  *Journal
 }
 
-// newJournal attaches the journal policy to a database whose durable
-// history ends at its current version.
-func (d *DB) newJournal(b Backend, opts []Option, ckptVer uint64, sinceCk int) {
-	d.j = &Journal{b: b, opts: buildOptions(opts), checkpoint: d.encode,
-		last: d.db.Version(), ckptVer: ckptVer, sinceCk: sinceCk}
-}
-
 // encode is the journal's checkpoint: the current epoch, encoded through
 // the snapshot machinery so concurrent queries keep reading.
 func (d *DB) encode() ([]byte, uint64, error) {
@@ -203,10 +196,8 @@ func Create(b Backend, db *uncertain.Database, opts ...Option) (*DB, error) {
 	if db == nil || !db.Built() {
 		return nil, uncertain.ErrNotBuilt
 	}
-	if st, err := b.JournalStat(); err != nil {
+	if err := checkEmpty(b); err != nil {
 		return nil, err
-	} else if st.HasCheckpoint || st.Tail > 0 {
-		return nil, ErrExists
 	}
 	rec, err := uncertain.AppendWire(binary.AppendUvarint([]byte{buildTag}, db.Version()), db)
 	if err != nil {
@@ -219,108 +210,68 @@ func Create(b Backend, db *uncertain.Database, opts ...Option) (*DB, error) {
 		return nil, err
 	}
 	d := &DB{db: db}
-	d.newJournal(b, opts, 0, 1)
+	d.j = &Journal{b: b, opts: buildOptions(opts), checkpoint: d.encode, last: db.Version(), sinceCk: 1}
 	return d, nil
 }
 
-// Open recovers the database a backend holds: load the newest checkpoint,
-// replay the WAL records after it, and verify the version chain is
-// gapless. The recovered database is bit-identical to the journaled one —
-// same rank order, version counter, and identity/tie-break counters —
-// so every query answers exactly as it would have before the restart.
-// rank must be the ranking function the database was built with (it is
-// configuration, not data; DecodeWire verifies the persisted rank order
-// against it). Returns ErrNoDatabase on an empty backend.
+// Open recovers the database a backend holds: OpenJournal with a
+// DBReplay's load and apply. The recovered database is bit-identical to
+// the journaled one — same rank order, version counter, and
+// identity/tie-break counters — so every query answers exactly as it
+// would have before the restart. rank must be the ranking function the
+// database was built with (it is configuration, not data; DecodeWire
+// verifies the persisted rank order against it). Returns ErrNoDatabase on
+// an empty backend. Open does not write to b.
 func Open(b Backend, rank uncertain.RankFunc, opts ...Option) (*DB, error) {
-	var db *uncertain.Database
-	ckptVer := uint64(0)
-	if data, v, ok, err := b.LoadCheckpoint(); err != nil {
-		return nil, err
-	} else if ok {
-		db, err = uncertain.DecodeWire(data, rank)
-		if err != nil {
-			return nil, fmt.Errorf("%w: checkpoint: %v", ErrCorrupt, err)
-		}
-		if db.Version() != v {
-			return nil, fmt.Errorf("%w: checkpoint labeled v%d decodes to v%d", ErrCorrupt, v, db.Version())
-		}
-		ckptVer = v
-	}
-	r := &Replayer{DB: db, Rank: rank}
-	if _, err := b.TailRecords(0, r.Apply); err != nil {
+	r := NewDBReplay(rank)
+	d := &DB{}
+	j, err := OpenJournal(b, r.load, r.apply, d.encode, opts...)
+	if err != nil {
 		return nil, err
 	}
-	if r.DB == nil {
-		return nil, ErrNoDatabase
-	}
-	d := &DB{db: r.DB}
-	d.newJournal(b, opts, ckptVer, r.Replayed)
+	d.db, d.j = r.DB, j
 	return d, nil
 }
 
-// Replayer applies raw WAL records to a database, enforcing the version
-// chain. It is the one replay path: Open drives it over the whole journal,
-// and a tailing replica (internal/replica) drives it record by record as
-// the journal grows. Records at or below DB's current version are skipped
-// (the checkpoint overlap), a "build" record seeds DB when it is nil, and
-// a record that skips past DB's next version fails with an error wrapping
-// both ErrCorrupt and ErrGap — fatal during Open, a resync-from-checkpoint
-// signal for a replica.
-type Replayer struct {
-	DB       *uncertain.Database
-	Rank     uncertain.RankFunc
-	Replayed int // records applied (not skipped) so far
+// DBReplay is the replay of one unsharded database: the load and apply
+// that Open hands to OpenJournal, and the Replay a tailing replica
+// (internal/replica) recovers with and then keeps stepping. DB is the
+// database once seeded.
+type DBReplay struct {
+	Replay
+	DB   *uncertain.Database
+	rank uncertain.RankFunc
 }
 
-// Apply decodes and applies one record; see Replayer.
-func (r *Replayer) Apply(raw []byte) error {
-	rec, err := DecodeRecord(raw)
+// NewDBReplay returns an unseeded replay of a database built with rank.
+func NewDBReplay(rank uncertain.RankFunc) *DBReplay {
+	r := &DBReplay{rank: rank}
+	r.Replay = Replay{load: r.load, apply: r.apply}
+	return r
+}
+
+// load decodes a checkpoint or build record, labeled with version.
+func (r *DBReplay) load(data []byte, version uint64) error {
+	db, err := uncertain.DecodeWire(data, r.rank)
 	if err != nil {
-		return fmt.Errorf("record after v%d: %w", versionOf(r.DB), err)
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	switch rec.Op {
-	case "build":
-		if r.DB == nil {
-			d, err := uncertain.DecodeWire(rec.DB, r.Rank)
-			if err != nil {
-				return fmt.Errorf("%w: build record: %v", ErrCorrupt, err)
-			}
-			if d.Version() != rec.Version {
-				return fmt.Errorf("%w: build record labeled v%d decodes to v%d", ErrCorrupt, rec.Version, d.Version())
-			}
-			r.DB = d
-			r.Replayed++
-			return nil
-		}
-		if rec.Version <= r.DB.Version() {
-			return nil // superseded by the checkpoint
-		}
-		return fmt.Errorf("%w: build record at v%d after v%d (%w)", ErrCorrupt, rec.Version, r.DB.Version(), ErrGap)
-	case "mutate":
-		if r.DB == nil {
-			return fmt.Errorf("%w: mutation record v%d before any database (%w)", ErrCorrupt, rec.Version, ErrGap)
-		}
-		if skip, err := chain(rec.Version, r.DB.Version()); skip || err != nil {
-			return err
-		}
-		if err := r.DB.Batch(func(ub *uncertain.Batch) error { return ApplyOps(ub, rec.Ops) }); err != nil {
-			return fmt.Errorf("%w: replaying v%d: %v", ErrCorrupt, rec.Version, err)
-		}
-		if r.DB.Version() != rec.Version {
-			return fmt.Errorf("%w: replay of v%d landed at v%d", ErrCorrupt, rec.Version, r.DB.Version())
-		}
-		r.Replayed++
-		return nil
-	default:
-		return fmt.Errorf("%w: unknown record op %q", ErrCorrupt, rec.Op)
+	if db.Version() != version {
+		return fmt.Errorf("%w: labeled v%d, decodes to v%d", ErrCorrupt, version, db.Version())
 	}
+	r.DB = db
+	return nil
 }
 
-func versionOf(db *uncertain.Database) uint64 {
-	if db == nil {
-		return 0
+// apply commits a mutate record's ops as one batch.
+func (r *DBReplay) apply(rec Record) error {
+	if err := r.DB.Batch(func(ub *uncertain.Batch) error { return ApplyOps(ub, rec.Ops) }); err != nil {
+		return err
 	}
-	return db.Version()
+	if r.DB.Version() != rec.Version {
+		return fmt.Errorf("landed at v%d", r.DB.Version())
+	}
+	return nil
 }
 
 // DB returns the live database for reads: build an Engine over it, pin
